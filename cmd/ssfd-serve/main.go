@@ -56,7 +56,7 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) (code i
 	nodes := fs.Int("nodes", 3, "cluster size n")
 	t := fs.Int("t", 1, "resilience bound")
 	algName := fs.String("alg", "FloodSetWS", "consensus algorithm every instance runs")
-	modelName := fs.String("model", "RWS", "round model (the serving engine is RWS-only)")
+	modelName := fs.String("model", "RWS", "round model (the daemon serves RWS only)")
 	detector := fs.String("detector", "", "failure-detector construction (registered: "+strings.Join(fdimpl.Names(), ", ")+")")
 	groups := fs.Int("groups", 0, "engine shard workers (0: runtime default)")
 	heartbeat := fs.Duration("heartbeat", 0, "detector heartbeat period (0: default)")
@@ -75,7 +75,7 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) (code i
 		return 2
 	}
 	if !strings.EqualFold(*modelName, "RWS") {
-		fmt.Fprintln(stderr, "the serving engine multiplexes instances over one detector, which is the RWS discipline; RS rounds are wall-clock paced per instance and do not multiplex (use -model RWS)")
+		fmt.Fprintln(stderr, "the daemon serves the RWS discipline only: its instances share one detector per node, and serving RS (each instance paced by its own round clock) is not offered (use -model RWS)")
 		return 2
 	}
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/explore"
 	"repro/internal/faults"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/rounds"
 	"repro/internal/runtime"
 )
@@ -133,5 +134,62 @@ func TestLiveDifferential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestConformEngineInstances puts the round-level checker on the path that
+// serves traffic: 16 instances run concurrently on one shared mesh, each
+// watched through its own event sink, one of them carrying a crash plan.
+// Crash-stop is per node, so p1 halts in every instance at whatever round it
+// had reached there — and every instance's stream must still project,
+// replay through the round engine without mismatch, satisfy Lemma 4.1, and
+// fingerprint to a member of the enumerated (FloodSetWS, RWS, n=3, t=1) space.
+func TestConformEngineInstances(t *testing.T) {
+	const instances, planned = 16, 5
+	alg := algByName(t, "FloodSetWS")
+	meta := conform.Meta{Alg: alg, Kind: rounds.RWS, T: 1, Initial: liveInitials(3)}
+	space := liveSpace(t, meta)
+
+	eng, err := runtime.StartEngine(alg, runtime.EngineConfig{
+		N: 3, T: 1, Groups: 2,
+		HeartbeatPeriod: 5 * time.Millisecond,
+		SuspectTimeout:  300 * time.Millisecond,
+		Metrics:         obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sinks := make([]obs.Collector, instances)
+	handles := make([]*runtime.Instance, instances)
+	for k := range handles {
+		opts := runtime.OpenOptions{Events: &sinks[k]}
+		if k == planned {
+			opts.Crashes = map[model.ProcessID]runtime.CrashPlan{1: {Round: 2, Reach: 1}}
+		}
+		handles[k], err = eng.OpenWith(func(id model.ProcessID) model.Value { return meta.Initial[id-1] }, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, h := range handles {
+		<-h.Done()
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.Stats(); !st.DetectorWasPerfect || st.WaitTimeouts != 0 {
+		t.Errorf("engine stats %+v: want a perfect detector and no wait-bound expiry", st)
+	}
+	for k := range sinks {
+		rep, err := conform.CheckEvents(meta, sinks[k].Events(), conform.Options{Space: space, ExpectConsensus: true})
+		if err != nil {
+			t.Fatalf("instance %d: %v", k, err)
+		}
+		if !rep.OK() || rep.InSpace == nil || !*rep.InSpace {
+			t.Errorf("instance %d does not conform:\n%s", k, rep)
+		}
+		if k == planned && rep.Live.CrashRound[1] != 2 {
+			t.Errorf("instance %d: p1's crash plan fired at round %d, want 2", k, rep.Live.CrashRound[1])
+		}
 	}
 }

@@ -241,8 +241,9 @@ type LinkTotals struct {
 }
 
 // linkCounters pairs one link's registry instruments with its private
-// totals.
+// totals. name is the link's label, rendered once: the taps run per packet.
 type linkCounters struct {
+	name                                         string
 	msgsSent, bytesSent, msgsRecv, bytesRecv     atomic.Int64
 	dropped, reconnects, retries, queueHW        atomic.Int64
 	cMsgsSent, cBytesSent, cMsgsRecv, cBytesRecv *obs.Counter
@@ -314,10 +315,12 @@ func (lt *LinkTap) link(l Link) *linkCounters {
 	if lc = lt.links[l]; lc != nil {
 		return lc
 	}
-	label := func(name string) string {
-		return obs.Label(obs.Label(name, "transport", lt.flavour), "link", l.String())
+	name := l.String()
+	label := func(metric string) string {
+		return obs.Label(obs.Label(metric, "transport", lt.flavour), "link", name)
 	}
 	lc = &linkCounters{
+		name:        name,
 		cMsgsSent:   lt.reg.Counter(label(MetricLinkMessagesSent)),
 		cBytesSent:  lt.reg.Counter(label(MetricLinkBytesSent)),
 		cMsgsRecv:   lt.reg.Counter(label(MetricLinkMessagesReceived)),
@@ -345,7 +348,7 @@ func (lt *LinkTap) Sent(from, to model.ProcessID, bytes int) {
 	lt.aSent.Inc()
 	lt.aSentB.Add(int64(bytes))
 	lt.rec.Record(Record{Cat: CatNet, Kind: "send", Transport: lt.flavour,
-		Link: Link{from, to}.String(), Bytes: bytes})
+		Link: lc.name, Bytes: bytes})
 }
 
 // Received records one message delivered to its destination inbox.
@@ -363,7 +366,7 @@ func (lt *LinkTap) Received(from, to model.ProcessID, bytes int) {
 	lt.aRecv.Inc()
 	lt.aRecvB.Add(int64(bytes))
 	lt.rec.Record(Record{Cat: CatNet, Kind: "recv", Transport: lt.flavour,
-		Link: Link{from, to}.String(), Bytes: bytes})
+		Link: lc.name, Bytes: bytes})
 }
 
 // Dropped records one message the transport itself lost, labelled with the
@@ -372,15 +375,14 @@ func (lt *LinkTap) Dropped(from, to model.ProcessID, reason string) {
 	if lt == nil {
 		return
 	}
-	l := Link{from, to}
-	lc := lt.link(l)
+	lc := lt.link(Link{from, to})
 	lc.dropped.Add(1)
 	lt.reg.Counter(obs.Label(obs.Label(obs.Label(MetricLinkMessagesDropped,
-		"transport", lt.flavour), "link", l.String()), "reason", reason)).Inc()
+		"transport", lt.flavour), "link", lc.name), "reason", reason)).Inc()
 	lt.tDropped.Add(1)
 	lt.aDropped.Inc()
 	lt.rec.Record(Record{Cat: CatNet, Kind: "drop", Transport: lt.flavour,
-		Link: l.String(), Note: reason})
+		Link: lc.name, Note: reason})
 }
 
 // QueueDepth records the link's queue occupancy after an enqueue; only the
@@ -405,7 +407,7 @@ func (lt *LinkTap) Reconnect(from, to model.ProcessID) {
 	lt.tReconnects.Add(1)
 	lt.aReconnects.Inc()
 	lt.rec.Record(Record{Cat: CatNet, Kind: "reconnect", Transport: lt.flavour,
-		Link: Link{from, to}.String()})
+		Link: lc.name})
 }
 
 // Retry records one retransmission attempt on the link.
@@ -419,7 +421,7 @@ func (lt *LinkTap) Retry(from, to model.ProcessID) {
 	lt.tRetries.Add(1)
 	lt.aRetries.Inc()
 	lt.rec.Record(Record{Cat: CatNet, Kind: "retry", Transport: lt.flavour,
-		Link: Link{from, to}.String()})
+		Link: lc.name})
 }
 
 // Totals returns the transport's aggregate accounting.

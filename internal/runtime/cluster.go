@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/faults"
@@ -10,11 +9,15 @@ import (
 	"repro/internal/netobs"
 	"repro/internal/obs"
 	"repro/internal/rounds"
-	"repro/internal/wire"
 )
 
-// ClusterConfig assembles a full live execution.
+// ClusterConfig assembles a full live execution: one consensus instance on
+// its own mesh. RunCluster maps it onto EngineConfig and OpenOptions.
 type ClusterConfig struct {
+	// Kind selects the round discipline: rounds.RS runs wall-clock lock-step
+	// rounds (requires a synchronous network and RoundDuration > worst-case
+	// round trip); rounds.RWS (also the zero value) runs the
+	// receive-or-suspect loop over the failure detector.
 	Kind    rounds.ModelKind
 	Initial []model.Value // initial[i] is p_{i+1}'s value
 	T       int
@@ -69,7 +72,7 @@ type ClusterConfig struct {
 	AdaptiveTimeoutMax time.Duration
 
 	// RWSWaitBound bounds each RWS round's receive-or-suspect wait (see
-	// NodeConfig.WaitBound). Zero keeps the model-faithful unbounded wait;
+	// EngineConfig.WaitBound). Zero keeps the model-faithful unbounded wait;
 	// chaos runs over message-losing networks need a bound to terminate.
 	RWSWaitBound time.Duration
 
@@ -95,6 +98,19 @@ type ClusterConfig struct {
 	// on this field for events, or records double. Callers dump it on
 	// crash or conformance failure (see netobs.Recorder).
 	Flight *netobs.Recorder
+}
+
+// NodeResult is what a finished node reports.
+type NodeResult struct {
+	ID        model.ProcessID
+	Decided   bool
+	Decision  model.Value
+	DecidedAt int // round
+	Crashed   bool
+	Rounds    int // rounds completed
+	// WaitTimeouts counts RWS rounds cut short by RWSWaitBound — nonzero
+	// only on networks lossy enough to starve receive-or-suspect.
+	WaitTimeouts int
 }
 
 // ClusterResult aggregates the nodes' results.
@@ -212,7 +228,9 @@ func (cr *ClusterResult) Agreement() (model.Value, AgreementStatus) {
 }
 
 // RunCluster executes one live run of the algorithm and returns every
-// node's outcome. All goroutines are joined before it returns.
+// node's outcome. It is a one-instance run of the engine — one worker,
+// instance 0, the batcher at MaxBatch 1 so every frame leaves bare and at
+// once — and all goroutines are joined before it returns.
 func RunCluster(alg rounds.Algorithm, cfg ClusterConfig) (*ClusterResult, error) {
 	n := len(cfg.Initial)
 	if n < 1 {
@@ -220,15 +238,6 @@ func RunCluster(alg rounds.Algorithm, cfg ClusterConfig) (*ClusterResult, error)
 	}
 	if cfg.RoundDuration <= 0 {
 		cfg.RoundDuration = 25 * time.Millisecond
-	}
-	if cfg.HeartbeatPeriod <= 0 {
-		cfg.HeartbeatPeriod = 2 * time.Millisecond
-	}
-	if cfg.SuspectTimeout <= 0 {
-		cfg.SuspectTimeout = 30 * time.Millisecond
-	}
-	if cfg.MaxRounds <= 0 {
-		cfg.MaxRounds = cfg.T + 2
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -249,12 +258,6 @@ func RunCluster(alg rounds.Algorithm, cfg ClusterConfig) (*ClusterResult, error)
 	reg.Counter(faults.MetricReordered)
 	reg.Counter(faults.MetricDelayed)
 
-	// Per-run wire accounting: one tap shared by every node and detector, so
-	// the run's per-message-type totals are independent of whatever else the
-	// (possibly shared) registry has seen.
-	ws := netobs.NewWireStats(reg)
-	codec := wire.Codec{Tap: ws}
-
 	var server *obs.Server
 	if cfg.MetricsAddr != "" {
 		var err error
@@ -272,165 +275,65 @@ func RunCluster(alg rounds.Algorithm, cfg ClusterConfig) (*ClusterResult, error)
 		}
 	}()
 
-	network := cfg.Network
-	if network == nil {
-		network = NewChanNetwork(n, ChanConfig{MaxDelay: time.Millisecond, Metrics: reg, Flight: cfg.Flight})
+	waitBound := cfg.RWSWaitBound
+	if waitBound == 0 {
+		waitBound = -1 // unbounded
 	}
-	defer func() { _ = network.Close() }()
-
-	// The injector sits between every node and its endpoint; it must close
-	// (joining its delayed-delivery goroutines) before the network does, which
-	// the deferral order guarantees.
-	var inj *faults.Injector
-	if cfg.Faults != nil {
-		fcfg := *cfg.Faults
-		if fcfg.Metrics == nil {
-			fcfg.Metrics = reg
-		}
-		if fcfg.Events == nil {
-			fcfg.Events = cfg.Events
-		}
-		if fcfg.Flight == nil {
-			fcfg.Flight = cfg.Flight
-		}
-		inj = faults.NewInjector(fcfg)
-		defer func() { _ = inj.Close() }()
+	e, err := StartEngine(alg, EngineConfig{
+		Kind: cfg.Kind, N: n, T: cfg.T, Groups: 1,
+		RoundDuration: cfg.RoundDuration, EpochHeadroom: cfg.EpochHeadroom,
+		Network: cfg.Network, Buffer: 1024,
+		HeartbeatPeriod: cfg.HeartbeatPeriod, SuspectTimeout: cfg.SuspectTimeout,
+		Detector:        spec,
+		AdaptiveTimeout: cfg.AdaptiveTimeout, AdaptiveTimeoutMax: cfg.AdaptiveTimeoutMax,
+		MaxRounds: cfg.MaxRounds, WaitBound: waitBound,
+		Batch:  BatcherConfig{MaxBatch: 1},
+		Faults: cfg.Faults, Metrics: reg, Events: cfg.Events, Flight: cfg.Flight,
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	// Phase 1: the expensive construction — endpoints (a TCP network dials
-	// here) and detectors. The RS epoch is anchored only after this phase,
-	// so slow setup cannot eat into the round-1 headroom.
-	transports := make([]Transport, n+1)
-	fds := make([]Detector, n+1)
-	// stopFDs releases every detector already constructed when a later step
-	// fails: Stop is idempotent and safe before Start (the Detector
-	// contract), so the error path cannot leak a construction's eagerly
-	// acquired resources.
-	stopFDs := func() {
-		for i := 1; i <= n; i++ {
-			if fds[i] != nil {
-				fds[i].Stop()
-			}
-		}
-	}
-	for i := 1; i <= n; i++ {
-		id := model.ProcessID(i)
-		var transport Transport = network.Endpoint(id)
-		if inj != nil {
-			transport = inj.Wrap(transport)
-		}
-		transports[i] = transport
-		// fds[i] stays an untyped nil for RS runs: assigning a nil concrete
-		// pointer into the interface would defeat the nodes' FD != nil
-		// guards.
-		if cfg.Kind == rounds.RWS {
-			d, err := spec.New(DetectorConfig{
-				Transport: transport, N: n,
-				Period: cfg.HeartbeatPeriod, Timeout: cfg.SuspectTimeout,
-				Adaptive: cfg.AdaptiveTimeout, AdaptiveMax: cfg.AdaptiveTimeoutMax,
-			})
-			if err != nil {
-				stopFDs()
-				return nil, fmt.Errorf("runtime: node %d: detector %q: %w", i, spec.Name, err)
-			}
-			d.Instrument(reg, cfg.Events)
-			d.UseCodec(codec)
-			fds[i] = d
-		}
-	}
-
-	// Phase 2: anchor the RS round-1 barrier and build the (cheap) nodes.
-	// The headroom scales with n — at 10ms flat, clusters that took longer
-	// than that to set up started round 1 with the deadline already past.
-	headroom := cfg.EpochHeadroom
-	if headroom <= 0 {
-		headroom = 10*time.Millisecond + time.Duration(n)*2*time.Millisecond
-	}
-	epoch := time.Now().Add(headroom)
-	nodes := make([]*Node, n+1)
-	for i := 1; i <= n; i++ {
-		id := model.ProcessID(i)
-		node, err := NewNode(alg, NodeConfig{
-			ID: id, N: n, T: cfg.T, Initial: cfg.Initial[i-1],
-			Transport: transports[i], Kind: cfg.Kind,
-			RoundDuration: cfg.RoundDuration, Epoch: epoch,
-			FD: fds[i], MaxRounds: cfg.MaxRounds,
-			WaitBound: cfg.RWSWaitBound,
-			Crash:     cfg.Crashes[id],
-			Metrics:   reg, Events: cfg.Events,
-			Codec: codec,
-		})
-		if err != nil {
-			stopFDs()
-			return nil, err
-		}
-		nodes[i] = node
-	}
-
 	start := time.Now()
-	results := make([]NodeResult, n+1)
-	var wg sync.WaitGroup
+	h, err := e.OpenWith(func(id model.ProcessID) model.Value { return cfg.Initial[id-1] },
+		OpenOptions{Events: cfg.Events, Crashes: cfg.Crashes})
+	if err != nil {
+		_ = e.Close()
+		return nil, err
+	}
+	select {
+	case <-h.Done():
+	case <-e.er.abortCh:
+	}
+	cr := &ClusterResult{Results: make([]NodeResult, n+1), Elapsed: time.Since(start)}
+	err = e.Close()
+
+	out, _ := h.Outcome()
 	for i := 1; i <= n; i++ {
-		if fds[i] != nil {
-			fds[i].Start()
+		res := &cr.Results[i]
+		res.ID = model.ProcessID(i)
+		if out.Err != nil {
+			continue // torn down before completing: nobody decided
 		}
+		nd := out.Nodes[i-1]
+		res.Decided, res.Decision, res.DecidedAt = out.Decided[i-1], out.Decisions[i-1], int(nd.DecidedAt)
+		res.Crashed, res.Rounds, res.WaitTimeouts = nd.Crashed, int(nd.Rounds), int(nd.WaitTimeouts)
 	}
-	for i := 1; i <= n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = nodes[i].Run()
-		}(i)
-	}
-	wg.Wait()
-	cr := &ClusterResult{Results: results, Elapsed: time.Since(start)}
-	if inj != nil {
-		_ = inj.Close() // idempotent; harvest the complete logs
+	st := e.Stats()
+	cr.FalseSuspicions = st.FalseSuspicions
+	cr.Retractions = st.Retractions
+	cr.FalselySuspected = st.FalselySuspected
+	cr.DetectorWasPerfect = st.DetectorWasPerfect
+	cr.EncodeErrors = st.EncodeErrors
+	if inj := e.Injector(); inj != nil {
 		cr.PartitionLog = inj.PartitionLog()
 		cr.FaultDecisions = inj.Decisions()
 	}
-	for i := 1; i <= n; i++ {
-		if fds[i] != nil {
-			fds[i].Stop()
-			cr.FalseSuspicions += fds[i].FalseSuspicions()
-			cr.Retractions += fds[i].Retractions()
-			cr.EncodeErrors += fds[i].EncodeErrors()
-			// Strong-accuracy audit: a sticky suspicion of a process that
-			// never crash-stopped is a perfection violation even when the run
-			// ended before the retraction was polled. Injector-crashed nodes
-			// count too — crash/recovery is outside the crash-stop model.
-			for _, j := range fds[i].EverSuspected().Members() {
-				if !results[j].Crashed {
-					cr.FalselySuspected++
-				}
-			}
-		}
-	}
-	cr.DetectorWasPerfect = cr.FalseSuspicions == 0 && cr.FalselySuspected == 0
-
-	// Cost accounting: transport totals (when the network exposes its
-	// telemetry) over codec totals, per decision. Computed before the
-	// error returns below so even a failed run reports what it spent.
-	decisions := 0
-	for i := 1; i <= n; i++ {
-		if results[i].Decided {
-			decisions++
-		}
-	}
-	if ts, ok := network.(TelemetrySource); ok {
-		cr.Links = ts.Telemetry()
-	}
-	cr.Cost = netobs.ComputeCost(decisions, ws, cr.Links)
-	cr.WireKinds = ws.PerKind()
-	netobs.PublishCost(reg, cr.Cost)
-	if cfg.Events != nil {
-		cfg.Events.Emit(obs.Event{Type: obs.EventCost, Cost: cr.Cost})
-	}
-
-	for i := 1; i <= n; i++ {
-		if results[i].Err != nil {
-			return cr, fmt.Errorf("runtime: node %d: %w", i, results[i].Err)
-		}
+	// Even a failed run reports what it spent.
+	cr.Cost = st.Cost
+	cr.WireKinds = e.ws.PerKind()
+	cr.Links = e.links()
+	if err != nil {
+		return cr, fmt.Errorf("runtime: %w", err)
 	}
 	cr.MetricsServer = server
 	serverToCaller = true

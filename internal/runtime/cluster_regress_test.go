@@ -123,10 +123,10 @@ func TestAgreementStatusVerdicts(t *testing.T) {
 	}
 }
 
-// TestNodeDropsForeignInstanceFromBatch: a single-instance node fronted by a
+// TestClusterDropsForeignInstanceFromBatch: a one-instance run fed by a
 // batching sender splits the container, observes the control traffic, and
 // drops (counting) a round message tagged for an instance it is not serving.
-func TestNodeDropsForeignInstanceFromBatch(t *testing.T) {
+func TestClusterDropsForeignInstanceFromBatch(t *testing.T) {
 	reg := obs.NewRegistry()
 	nw := NewChanNetwork(4, ChanConfig{MaxDelay: time.Millisecond, Metrics: reg})
 	hb, err := wire.Encode(wire.Envelope{From: 2, To: 1, Kind: wire.KindHeartbeat})
@@ -157,7 +157,7 @@ func TestNodeDropsForeignInstanceFromBatch(t *testing.T) {
 	if v, st := cr.Agreement(); st != AgreementReached || v != 2 {
 		t.Fatalf("agreement (%d,%v), want (2,reached) despite the stray batch", int64(v), st)
 	}
-	if got := reg.Snapshot().Counter(MetricNodeUnknownInstance); got != 1 {
+	if got := reg.Snapshot().Counter(MetricEngineUnknownInstance); got != 1 {
 		t.Errorf("unknown-instance counter = %d, want 1", got)
 	}
 }

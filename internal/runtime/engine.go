@@ -43,16 +43,37 @@ var (
 	ErrEngineClosed = errors.New("runtime: engine closed before the instance completed")
 )
 
+// CrashPlan injects a crash into a live node: during round Round the node
+// sends its messages to only the first Reach destinations (in increasing
+// id order, skipping itself) and then halts without applying the round's
+// transition — the live counterpart of the round engines' crash semantics.
+// A plan with Round 0 means "never crash".
+type CrashPlan struct {
+	Round int
+	Reach int
+}
+
 // EngineConfig assembles a shared-mesh multi-instance execution: N nodes,
 // ONE physical mesh, ONE failure detector per node, and any number of
 // concurrent consensus instances multiplexed over them.
 //
-// The engine runs the RWS (receive-or-suspect) discipline only. RS rounds
-// are paced by wall-clock deadlines per instance, which neither multiplexes
-// (every instance would need its own deadline schedule on a shared clock)
-// nor amortizes anything — the paper's efficiency argument for sharing is
-// about the detector, an RWS-only device.
+// This is the repository's only live runtime; RunCluster is a one-instance
+// run of it. Both round models execute on the same send → receive →
+// transition loop and differ in one rule, when a round may close (Kind).
 type EngineConfig struct {
+	// Kind selects the close rule; zero means rounds.RWS. RWS closes a round
+	// once every peer was heard from or is suspected by the node's detector
+	// (weak round synchrony, Lemma 4.1). RS closes round r of an instance at
+	// epoch + r·RoundDuration, the epoch being anchored EpochHeadroom after
+	// the instance's Open (round synchrony: requires a network whose delay
+	// stays below RoundDuration); no failure detector is built.
+	Kind rounds.ModelKind
+	// RoundDuration paces RS rounds (required, positive, for RS).
+	RoundDuration time.Duration
+	// EpochHeadroom is the slack between an RS instance's Open and its
+	// round-1 barrier. Zero scales with the cluster size (10ms + 2ms·n).
+	EpochHeadroom time.Duration
+
 	// Instances is the number of concurrent consensus instances RunEngine
 	// executes (ids 0..Instances-1 on the wire). StartEngine ignores it:
 	// a live engine admits instances dynamically through Open.
@@ -90,14 +111,24 @@ type EngineConfig struct {
 	// (fault-wrapped, unbatched) endpoint; its control traffic is what the
 	// engine amortizes across instances.
 	Detector *DetectorSpec
+	// AdaptiveTimeout switches the detectors to the ◇P construction: each
+	// retraction doubles the suspicion timeout, up to AdaptiveTimeoutMax
+	// (0: 64× the initial timeout).
+	AdaptiveTimeout    bool
+	AdaptiveTimeoutMax time.Duration
 
 	// MaxRounds bounds every instance (default T+2).
 	MaxRounds int
-	// WaitBound bounds each round's receive-or-suspect wait per instance
-	// (see NodeConfig.WaitBound). Unlike the single-instance node, the
-	// engine defaults a zero value to 30s: with 100k instances in flight a
-	// single starved wait (one lost packet on an overflowing inbox) must
-	// degrade one instance, not hang the process.
+	// WaitBound bounds an RWS round's receive-or-suspect wait in wall-clock
+	// time. The RWS model itself never needs it — a missing sender is
+	// eventually suspected — but a network that *loses* data messages while
+	// heartbeats still flow starves the wait forever (the peer is provably
+	// alive, its message provably never coming). On expiry the automaton
+	// proceeds with what it has and the expiry is counted
+	// (ssfd_node_wait_timeouts_total, InstanceOutcome.WaitTimeouts). Zero
+	// defaults to 30s: with 100k instances in flight a single starved wait
+	// must degrade one instance, not hang the process. Negative keeps the
+	// model-faithful unbounded wait.
 	WaitBound time.Duration
 
 	// Batch tunes the per-link send batching of round traffic. Detector
@@ -119,9 +150,39 @@ type EngineConfig struct {
 	OnInstanceDone func(inst uint64, out InstanceOutcome)
 
 	// Metrics receives the engine's instruments; nil uses obs.Default.
-	// There is no Events sink: per-event streams at 100k instances would
-	// cost more than the run (use the single-instance cluster to trace).
 	Metrics *obs.Registry
+	// Events, when non-nil, receives what is not per instance: the shared
+	// detectors' suspect/retract edges, the fault injector's partition/
+	// heal/crash/recover transitions and the closing cost event. Round
+	// events are per instance (OpenOptions.Events), so 100k unobserved
+	// instances emit nothing. The sink must be safe for concurrent use.
+	Events obs.Sink
+	// Flight, when non-nil, receives the default network's and the fault
+	// injector's transport flight records (see netobs.Recorder).
+	Flight *netobs.Recorder
+}
+
+// OpenOptions attaches observation and faults to one instance.
+type OpenOptions struct {
+	// Events, when non-nil, receives the instance's round events from its
+	// owning worker: round_start, send (before the first frame leaves),
+	// arrive (once per sender and round), recv (the peers a round closed
+	// with), decide and crash — what tracing.Tracer and conform.Project
+	// consume. An unobserved instance pays one nil check per hook.
+	Events obs.Sink
+	// Crashes schedules crash plans per node. Crash-stop is a property of
+	// the node, not of the instance: when a plan fires the node's shared
+	// detector is stopped and every automaton of the node in every
+	// instance halts, without sending or transitioning, at its next advance.
+	Crashes map[model.ProcessID]CrashPlan
+}
+
+// NodeOutcome is one node's share of an instance beyond its decision.
+type NodeOutcome struct {
+	DecidedAt    int32 // round of the decision; 0 if undecided
+	Rounds       int32 // rounds completed (transitions applied)
+	WaitTimeouts int32 // rounds cut short under WaitBound
+	Crashed      bool  // the node crash-stopped before the instance ended
 }
 
 // InstanceOutcome is one completed instance's result across the n nodes.
@@ -132,6 +193,8 @@ type InstanceOutcome struct {
 	Decisions []model.Value
 	// WaitTimeouts counts rounds this instance cut short under WaitBound.
 	WaitTimeouts int
+	// Nodes is indexed id-1 (nil when Err is set).
+	Nodes []NodeOutcome
 	// Err is non-nil only when the engine tore down (abort or Close) before
 	// the instance completed; the decision slices are then all-undecided.
 	Err error
@@ -200,9 +263,8 @@ type EngineStats struct {
 	// at-a-glance congestion figure a drain decision reads.
 	Backlog int64
 
-	// Detector audit, summed over the n shared detectors. Under the engine
-	// no node ever crash-stops, so every suspicion ever raised counts
-	// against strong accuracy.
+	// Detector audit, summed over the n shared detectors: FalselySuspected
+	// counts (observer, target) pairs whose target never crash-stopped.
 	FalseSuspicions    int64
 	Retractions        int64
 	FalselySuspected   int64
@@ -299,6 +361,14 @@ func (mb *mailbox) push(ev engEvent) {
 	mb.wake()
 }
 
+// pushAll queues one packet's worth of events under one lock and one wake.
+func (mb *mailbox) pushAll(evs []engEvent) {
+	mb.mu.Lock()
+	mb.q = append(mb.q, evs...)
+	mb.mu.Unlock()
+	mb.wake()
+}
+
 // wake nudges the worker without queueing anything.
 func (mb *mailbox) wake() {
 	select {
@@ -328,27 +398,26 @@ func (mb *mailbox) drain(spare []engEvent) []engEvent {
 // automaton: presence bits (a null message is a present message with a nil
 // payload) plus the lazily allocated payload row, freed after Trans.
 type instRow struct {
-	got  uint64
+	got  model.ProcSet
 	msgs []rounds.Message
 }
 
-// instState is one (instance, node) automaton multiplexed on the mesh —
-// the engine's replacement for a whole Node goroutine.
+// instState is one (instance, node) automaton multiplexed on the mesh.
 type instState struct {
 	proc rounds.Process
 	slab *instSlab
 	id   model.ProcessID
 
-	round    int32 // round currently executing; 0 = halted
-	sent     bool  // this round's messages already transmitted
-	queued   bool  // sitting in the worker's dirty list
-	selfMsg  rounds.Message
-	deadline time.Time // WaitBound expiry of the current round
-	rows     []instRow // index 1..MaxRounds
+	round   int32 // round currently executing; 0 = halted
+	sent    bool  // this round's messages already transmitted
+	queued  bool  // sitting in the worker's dirty list
+	selfMsg rounds.Message
+	started time.Time // when the current round began
+	rows    []instRow // index 1..MaxRounds
 
-	decided      bool
-	decision     model.Value
-	waitTimeouts int32
+	decided  bool
+	decision model.Value
+	out      NodeOutcome
 }
 
 // instSlab is one instance's n automata, allocated as a unit when the
@@ -360,7 +429,9 @@ type instSlab struct {
 	inst      uint64
 	states    []instState // index id-1
 	remaining int         // automata not yet halted
-	probe     *InstanceProbe // nil for unobserved instances (the common case)
+	epoch     time.Time   // RS: round r closes at epoch + r·RoundDuration
+	events    obs.Sink    // nil for unobserved instances (the common case)
+	crashes   map[model.ProcessID]CrashPlan
 }
 
 // engWorker owns the instances k with k mod Groups == idx and advances
@@ -371,12 +442,15 @@ type engWorker struct {
 
 	mb     mailbox
 	spare  []engEvent
-	slabs  []*instSlab // index inst/Groups; nil once the instance completed
+	slabs  []*instSlab // index inst/Groups - base; nil once the instance completed
+	base   int         // local index of slabs[0]: the completed prefix is trimmed
 	active int
 	dirty  []*instState
 
 	suspects     []model.ProcSet // cached per node, 1..n
-	nextDeadline time.Time
+	crashed      model.ProcSet   // cached engineRun.crashed
+	now          time.Time       // the sweep's clock, read once per sweep
+	nextDeadline time.Time       // earliest round deadline among blocked automata
 	scratch      []rounds.Message
 }
 
@@ -386,12 +460,15 @@ type engineRun struct {
 	alg       rounds.Algorithm
 	n         int
 	maxRounds int
-	waitBound time.Duration
 
 	codec    wire.Codec
 	batchers []*Batcher // 1..n, round traffic only
-	fds      []Detector // 1..n, shared per node
+	fds      []Detector // 1..n, shared per node; nil entries under RS
 	workers  []*engWorker
+	// crashed is the set of crash-stopped nodes (a model.ProcSet). A bit is
+	// set before the node's detector stops, and workers read it before they
+	// poll suspicions, so whoever sees the suspicion also sees the crash.
+	crashed atomic.Uint64
 
 	metrics      nodeMetrics
 	unknown      *obs.Counter
@@ -414,6 +491,26 @@ type engineRun struct {
 	abortCh   chan struct{}
 	abortMu   sync.Mutex
 	abortErr  error
+}
+
+// crashNode crash-stops node id for the whole engine.
+func (er *engineRun) crashNode(id model.ProcessID) {
+	bit := uint64(model.Singleton(id))
+	for {
+		old := er.crashed.Load()
+		if old&bit != 0 {
+			return
+		}
+		if er.crashed.CompareAndSwap(old, old|bit) {
+			break
+		}
+	}
+	if fd := er.fds[id]; fd != nil {
+		fd.Stop()
+	}
+	for _, w := range er.workers {
+		w.mb.wake()
+	}
 }
 
 // abort records the first fatal error and releases every worker.
@@ -479,8 +576,9 @@ type Engine struct {
 }
 
 // StartEngine brings up a live shared-mesh engine and returns once every
-// detector, demultiplexer and shard worker is running. cfg.Instances and
-// cfg.Initial are ignored — instances are admitted through Open.
+// detector, demultiplexer and shard worker is running; a rejected config
+// fails before any goroutine starts. cfg.Instances and cfg.Initial are
+// ignored — instances are admitted through Open.
 func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 	n := cfg.N
 	if n < 1 {
@@ -488,6 +586,20 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 	}
 	if n > 63 {
 		return nil, fmt.Errorf("runtime: engine: n=%d exceeds the 63-process bound", n)
+	}
+	switch cfg.Kind {
+	case 0:
+		cfg.Kind = rounds.RWS
+	case rounds.RWS:
+	case rounds.RS:
+		if cfg.RoundDuration <= 0 {
+			return nil, fmt.Errorf("runtime: engine: RS requires a positive RoundDuration")
+		}
+	default:
+		return nil, fmt.Errorf("runtime: engine: unknown model kind %v", cfg.Kind)
+	}
+	if cfg.EpochHeadroom <= 0 {
+		cfg.EpochHeadroom = 10*time.Millisecond + time.Duration(n)*2*time.Millisecond
 	}
 	if cfg.HeartbeatPeriod <= 0 {
 		cfg.HeartbeatPeriod = 2 * time.Millisecond
@@ -498,7 +610,7 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = cfg.T + 2
 	}
-	if cfg.WaitBound <= 0 {
+	if cfg.WaitBound == 0 {
 		cfg.WaitBound = 30 * time.Second
 	}
 	if cfg.Groups <= 0 {
@@ -528,11 +640,10 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 		alg:        alg,
 		n:          n,
 		maxRounds:  cfg.MaxRounds,
-		waitBound:  cfg.WaitBound,
 		codec:      wire.Codec{Tap: ws},
 		batchers:   make([]*Batcher, n+1),
 		fds:        make([]Detector, n+1),
-		metrics:    newNodeMetrics(reg, alg.Name(), rounds.RWS),
+		metrics:    newNodeMetrics(reg, alg.Name(), cfg.Kind),
 		unknown:    reg.Counter(MetricEngineUnknownInstance),
 		decidedCtr: reg.Counter(MetricEngineInstancesDecided),
 		openedCtr:  reg.Counter(MetricEngineInstancesOpened),
@@ -544,23 +655,22 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 	network := cfg.Network
 	if network == nil {
 		network = NewChanNetwork(n, ChanConfig{
-			MaxDelay: time.Millisecond, Metrics: reg, Buffer: cfg.Buffer,
+			MaxDelay: time.Millisecond, Metrics: reg, Buffer: cfg.Buffer, Flight: cfg.Flight,
 		})
 	}
-	cleanupNetwork := func() { _ = network.Close() }
-
 	var inj *faults.Injector
 	if cfg.Faults != nil {
 		fcfg := *cfg.Faults
 		if fcfg.Metrics == nil {
 			fcfg.Metrics = reg
 		}
-		inj = faults.NewInjector(fcfg)
-	}
-	cleanupInjector := func() {
-		if inj != nil {
-			_ = inj.Close()
+		if fcfg.Events == nil {
+			fcfg.Events = cfg.Events
 		}
+		if fcfg.Flight == nil {
+			fcfg.Flight = cfg.Flight
+		}
+		inj = faults.NewInjector(fcfg)
 	}
 
 	// Per-node plumbing: endpoint → (injector) → {detector, batcher, demux}.
@@ -570,33 +680,37 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 		bcfg.Metrics = reg
 	}
 	for i := 1; i <= n; i++ {
-		id := model.ProcessID(i)
-		var tr Transport = network.Endpoint(id)
+		var tr Transport = network.Endpoint(model.ProcessID(i))
 		if inj != nil {
 			tr = inj.Wrap(tr)
 		}
 		endpoints[i] = tr
-		d, err := spec.New(DetectorConfig{
-			Transport: tr, N: n,
-			Period: cfg.HeartbeatPeriod, Timeout: cfg.SuspectTimeout,
-		})
-		if err != nil {
-			// Already-built detectors hold no goroutines before Start, but
-			// Stop anyway: the contract says it is safe, and constructions
-			// with eager resources rely on it.
-			for j := 1; j < i; j++ {
-				er.fds[j].Stop()
+		// Under RS er.fds[i] stays an untyped nil: the fd != nil guards rely
+		// on it.
+		if cfg.Kind == rounds.RWS {
+			d, err := spec.New(DetectorConfig{
+				Transport: tr, N: n,
+				Period: cfg.HeartbeatPeriod, Timeout: cfg.SuspectTimeout,
+				Adaptive: cfg.AdaptiveTimeout, AdaptiveMax: cfg.AdaptiveTimeoutMax,
+			})
+			if err != nil {
+				// Already-built detectors hold no goroutines before Start,
+				// but Stop anyway: the contract says it is safe, and
+				// constructions with eager resources rely on it.
+				for j := 1; j < i; j++ {
+					er.fds[j].Stop()
+					_ = er.batchers[j].Close()
+				}
+				if inj != nil {
+					_ = inj.Close()
+				}
+				_ = network.Close()
+				return nil, fmt.Errorf("runtime: engine node %d: detector %q: %w", i, spec.Name, err)
 			}
-			for j := 1; j < i; j++ {
-				_ = er.batchers[j].Close()
-			}
-			cleanupInjector()
-			cleanupNetwork()
-			return nil, fmt.Errorf("runtime: engine node %d: detector %q: %w", i, spec.Name, err)
+			d.Instrument(reg, cfg.Events)
+			d.UseCodec(er.codec)
+			er.fds[i] = d
 		}
-		d.Instrument(reg, nil)
-		d.UseCodec(er.codec)
-		er.fds[i] = d
 		er.batchers[i] = NewBatcher(tr, bcfg)
 	}
 
@@ -624,7 +738,9 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 		closedCh:  make(chan struct{}),
 	}
 	for i := 1; i <= n; i++ {
-		er.fds[i].Start()
+		if er.fds[i] != nil {
+			er.fds[i].Start()
+		}
 	}
 	// One demux goroutine per node feeds the detector and routes round
 	// traffic to the owning worker.
@@ -643,14 +759,12 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 // proposes 0 everywhere). The returned handle resolves when every automaton
 // has halted. Open fails with ErrEngineDraining after Drain or Close.
 func (e *Engine) Open(initial func(model.ProcessID) model.Value) (*Instance, error) {
-	return e.OpenObserved(initial, nil)
+	return e.OpenWith(initial, OpenOptions{})
 }
 
-// OpenObserved is Open with a per-round wall-clock probe attached: the
-// owning worker stamps every send/close/transition/arrival/decision into it
-// (see InstanceProbe). probe nil is exactly Open — no stamps, no cost beyond
-// a nil check per hook.
-func (e *Engine) OpenObserved(initial func(model.ProcessID) model.Value, probe *InstanceProbe) (*Instance, error) {
+// OpenWith is Open with an event sink and/or crash plans attached to the
+// instance; the zero OpenOptions is exactly Open.
+func (e *Engine) OpenWith(initial func(model.ProcessID) model.Value, opts OpenOptions) (*Instance, error) {
 	er := e.er
 	n := er.n
 	// The drain lock orders Open against Close: once Close flips draining,
@@ -668,10 +782,12 @@ func (e *Engine) OpenObserved(initial func(model.ProcessID) model.Value, probe *
 	er.handles[id] = h
 	er.handleMu.Unlock()
 
-	sl := &instSlab{inst: id, states: make([]instState, n), remaining: n, probe: probe}
-	if probe != nil {
-		probe.attach(n, er.maxRounds, time.Now())
+	sl := &instSlab{inst: id, states: make([]instState, n), remaining: n,
+		events: opts.Events, crashes: opts.Crashes}
+	if er.cfg.Kind == rounds.RS {
+		sl.epoch = time.Now().Add(er.cfg.EpochHeadroom)
 	}
+	rows := make([]instRow, n*(er.maxRounds+1)) // one allocation for the n automata
 	for i := 1; i <= n; i++ {
 		var v model.Value
 		if initial != nil {
@@ -682,7 +798,7 @@ func (e *Engine) OpenObserved(initial func(model.ProcessID) model.Value, probe *
 		st.slab = sl
 		st.id = model.ProcessID(i)
 		st.round = 1
-		st.rows = make([]instRow, er.maxRounds+1)
+		st.rows, rows = rows[:er.maxRounds+1:er.maxRounds+1], rows[er.maxRounds+1:]
 	}
 	er.openedCtr.Inc()
 	er.workers[int(id%uint64(len(er.workers)))].mb.push(engEvent{slab: sl})
@@ -742,15 +858,21 @@ func (e *Engine) Stats() EngineStats {
 		s.Backlog += int64(len(w.mb.q))
 		w.mb.mu.Unlock()
 	}
+	crashed := model.ProcSet(er.crashed.Load())
 	for i := 1; i <= er.n; i++ {
 		fd := er.fds[i]
+		if fd == nil {
+			continue
+		}
 		s.Detector = fd.Name()
 		s.FalseSuspicions += fd.FalseSuspicions()
 		s.Retractions += fd.Retractions()
 		s.EncodeErrors += fd.EncodeErrors()
-		// Under the engine no node ever crash-stops (instances have no crash
-		// plans), so every suspicion ever raised is a perfection violation.
-		s.FalselySuspected += int64(fd.EverSuspected().Count())
+		// Strong-accuracy audit: a sticky suspicion of a process that never
+		// crash-stopped is a perfection violation even when it was never
+		// retracted. Injector-crashed nodes count too — crash/recovery is
+		// outside the crash-stop model.
+		s.FalselySuspected += int64(fd.EverSuspected().Minus(crashed).Count())
 	}
 	s.DetectorWasPerfect = s.FalseSuspicions == 0 && s.FalselySuspected == 0
 	var links *netobs.LinkTap
@@ -776,7 +898,9 @@ func (e *Engine) Close() error {
 		}
 		e.workerWG.Wait()
 		for i := 1; i <= er.n; i++ {
-			er.fds[i].Stop()
+			if er.fds[i] != nil {
+				er.fds[i].Stop()
+			}
 		}
 		close(e.stopDemux)
 		e.demuxWG.Wait()
@@ -811,12 +935,21 @@ func (e *Engine) Close() error {
 				Err:       ferr,
 			})
 		}
-		netobs.PublishCost(e.reg, netobs.ComputeCost(int(er.decidedNodes.Load()), e.ws, e.links()))
+		cost := netobs.ComputeCost(int(er.decidedNodes.Load()), e.ws, e.links())
+		netobs.PublishCost(e.reg, cost)
+		if er.cfg.Events != nil {
+			er.cfg.Events.Emit(obs.Event{Type: obs.EventCost, Cost: cost})
+		}
 		e.closeErr = err
 		close(e.closedCh)
 	})
 	return e.closeErr
 }
+
+// Injector returns the engine's fault injector (nil without
+// EngineConfig.Faults); its PartitionLog and Decisions stay readable after
+// Close.
+func (e *Engine) Injector() *faults.Injector { return e.inj }
 
 func (e *Engine) links() *netobs.LinkTap {
 	if ts, ok := e.network.(TelemetrySource); ok {
@@ -900,6 +1033,10 @@ wait:
 // the shared detector and routes round messages to the owning worker.
 func (er *engineRun) demuxLoop(wg *sync.WaitGroup, id model.ProcessID, tr Transport, stop <-chan struct{}) {
 	defer wg.Done()
+	fd := er.fds[id]
+	// A packet's frames reach each owning worker in one push: a batch of 32
+	// frames takes the mailbox lock once per worker, not 32 times.
+	routed := make([][]engEvent, len(er.workers))
 	for {
 		select {
 		case <-stop:
@@ -913,7 +1050,9 @@ func (er *engineRun) demuxLoop(wg *sync.WaitGroup, id model.ProcessID, tr Transp
 				if err != nil {
 					return nil // corrupt frame: drop, keep the batch
 				}
-				er.fds[id].Observe(env)
+				if fd != nil {
+					fd.Observe(env)
+				}
 				if env.Kind.Control() {
 					er.metrics.heartbeats.Inc()
 					return nil
@@ -924,9 +1063,18 @@ func (er *engineRun) demuxLoop(wg *sync.WaitGroup, id model.ProcessID, tr Transp
 					er.unknownCount.Add(1)
 					return nil
 				}
-				er.workers[int(env.Instance%uint64(len(er.workers)))].mb.push(engEvent{node: id, env: env})
+				w := int(env.Instance % uint64(len(er.workers)))
+				routed[w] = append(routed[w], engEvent{node: id, env: env})
 				return nil
 			})
+			for w, evs := range routed {
+				if len(evs) == 0 {
+					continue
+				}
+				er.workers[w].mb.pushAll(evs)
+				clear(evs) // drop the payload references
+				routed[w] = evs[:0]
+			}
 		}
 	}
 }
@@ -934,8 +1082,8 @@ func (er *engineRun) demuxLoop(wg *sync.WaitGroup, id model.ProcessID, tr Transp
 // slabFor maps an instance id to its slab, or nil once it completed (late
 // duplicates for a finished instance are dropped).
 func (w *engWorker) slabFor(inst uint64) *instSlab {
-	local := int(inst) / len(w.run.workers)
-	if local >= len(w.slabs) {
+	local := int(inst)/len(w.run.workers) - w.base
+	if local < 0 || local >= len(w.slabs) {
 		return nil
 	}
 	return w.slabs[local]
@@ -943,7 +1091,7 @@ func (w *engWorker) slabFor(inst uint64) *instSlab {
 
 // register files a newly opened instance with its owning worker.
 func (w *engWorker) register(sl *instSlab) {
-	local := int(sl.inst) / len(w.run.workers)
+	local := int(sl.inst)/len(w.run.workers) - w.base
 	for len(w.slabs) <= local {
 		w.slabs = append(w.slabs, nil)
 	}
@@ -963,8 +1111,10 @@ func (w *engWorker) enqueue(st *instState) {
 	w.dirty = append(w.dirty, st)
 }
 
-// enqueueAll schedules a full rescan — suspicion changed or a WaitBound
-// deadline passed, either of which can complete any blocked round.
+// enqueueAll schedules a full rescan — a suspicion changed, a round
+// deadline passed or a node crash-stopped, any of which can release (or
+// halt) any blocked automaton. The walk is O(in-flight): completed
+// instances are trimmed from w.slabs.
 func (w *engWorker) enqueueAll() {
 	for _, sl := range w.slabs {
 		if sl == nil {
@@ -976,14 +1126,29 @@ func (w *engWorker) enqueueAll() {
 	}
 }
 
-// refreshSuspects snapshots each node's suspicion set once per sweep and
-// reports whether any changed. Polling here (not per automaton) keeps the
-// detector cost independent of the instance count — the whole point.
+// refreshCrashed re-reads the engine's crash-stopped set and reports
+// whether it grew.
+func (w *engWorker) refreshCrashed() bool {
+	c := model.ProcSet(w.run.crashed.Load())
+	if c == w.crashed {
+		return false
+	}
+	w.crashed = c
+	return true
+}
+
+// refreshSuspects snapshots each live node's suspicion set once per sweep
+// and reports whether any changed. Polling here (not per automaton) keeps
+// the detector cost independent of the instance count — the whole point. A
+// crash-stopped node no longer consults its detector.
 func (w *engWorker) refreshSuspects() bool {
 	changed := false
 	for i := 1; i <= w.run.n; i++ {
-		s := w.run.fds[i].Suspects()
-		if s != w.suspects[i] {
+		fd := w.run.fds[i]
+		if fd == nil || w.crashed.Has(model.ProcessID(i)) {
+			continue
+		}
+		if s := fd.Suspects(); s != w.suspects[i] {
 			w.suspects[i] = s
 			changed = true
 		}
@@ -992,7 +1157,7 @@ func (w *engWorker) refreshSuspects() bool {
 }
 
 // loop is the worker body: drain events, advance dirty automata, flush the
-// batched sends, sleep until traffic or the tick.
+// batched sends, sleep until traffic, the tick or the next round deadline.
 func (w *engWorker) loop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	tick := w.run.cfg.SuspectTimeout / 4
@@ -1002,11 +1167,18 @@ func (w *engWorker) loop(wg *sync.WaitGroup) {
 	if tick > 50*time.Millisecond {
 		tick = 50 * time.Millisecond
 	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
+	// One timer serves both wake-up reasons: it is armed to the tick (the
+	// suspicion poll) or to the earliest round deadline, whichever is first,
+	// and re-armed only after it fired or when a deadline precedes it.
+	timer := time.NewTimer(tick)
+	defer timer.Stop()
+	armed := time.Now().Add(tick)
+	fired := false
 
 	for {
-		if w.refreshSuspects() {
+		// Crashes before suspicions: see engineRun.crashed.
+		rescan := w.refreshCrashed()
+		if w.refreshSuspects() || rescan {
 			w.enqueueAll()
 		}
 		events := w.mb.drain(w.spare)
@@ -1015,7 +1187,11 @@ func (w *engWorker) loop(wg *sync.WaitGroup) {
 			events[i] = engEvent{} // drop slab/payload references for reuse
 		}
 		w.spare = events
-		if !w.nextDeadline.IsZero() && time.Now().After(w.nextDeadline) {
+		// Round stamps and deadline checks share one clock reading per sweep:
+		// an automaton is advanced on every delivery, and a clock read per
+		// advance is measurable at 10^5 deliveries a second.
+		w.now = time.Now()
+		if !w.nextDeadline.IsZero() && !w.now.Before(w.nextDeadline) {
 			w.nextDeadline = time.Time{}
 			w.enqueueAll()
 		}
@@ -1039,9 +1215,24 @@ func (w *engWorker) loop(wg *sync.WaitGroup) {
 		if w.active == 0 && w.run.closing.Load() && w.mb.empty() {
 			return
 		}
+		if due := w.nextDeadline; fired || (!due.IsZero() && due.Before(armed)) {
+			now, d := time.Now(), tick
+			if !due.IsZero() && due.Sub(now) < d {
+				d = due.Sub(now)
+			}
+			if !fired && !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
+			}
+			timer.Reset(d)
+			armed, fired = now.Add(d), false
+		}
 		select {
 		case <-w.mb.notify:
-		case <-ticker.C:
+		case <-timer.C:
+			fired = true
 		case <-w.run.abortCh:
 			return
 		}
@@ -1069,64 +1260,99 @@ func (w *engWorker) deliver(ev *engEvent) {
 		row.msgs = make([]rounds.Message, w.run.n+1)
 	}
 	row.msgs[ev.env.From] = ev.env.Payload
-	row.got |= 1 << uint(ev.env.From)
-	if sl.probe != nil {
-		sl.probe.arrive(ev.node, int(ev.env.From), r, time.Now())
+	if sl.events != nil && !row.got.Has(ev.env.From) {
+		// One arrival per (sender, round): duplicated deliveries must not
+		// double a causal tracer's happens-before edges.
+		sl.events.Emit(obs.Event{Type: obs.EventArrive, Round: r,
+			Proc: int(ev.node), From: int(ev.env.From)})
 	}
+	row.got = row.got.Add(ev.env.From)
 	w.enqueue(st)
 }
 
+// deadline is when st's current round stops waiting: the round barrier in
+// RS, the WaitBound liveness guard in RWS (zero: wait unbounded).
+func (w *engWorker) deadline(st *instState) time.Time {
+	cfg := &w.run.cfg
+	if cfg.Kind == rounds.RS {
+		return st.slab.epoch.Add(time.Duration(st.round) * cfg.RoundDuration)
+	}
+	if cfg.WaitBound < 0 {
+		return time.Time{}
+	}
+	return st.started.Add(cfg.WaitBound)
+}
+
 // advance drives one automaton as far as it can go: send the current
-// round's messages if not yet sent, close the round when every peer has
-// delivered or is suspected (or the WaitBound expired), transition, repeat.
+// round's messages if not yet sent, close the round when its model's close
+// rule allows, transition, repeat.
 func (w *engWorker) advance(st *instState) {
-	n := w.run.n
-	pr := st.slab.probe
+	er, sl := w.run, st.slab
+	peers := model.FullSet(er.n).Remove(st.id)
 	for st.round != 0 {
+		if w.crashed.Has(st.id) {
+			w.crash(st)
+			return
+		}
 		r := int(st.round)
 		if !st.sent {
-			var sendBegin time.Time
-			if pr != nil {
-				sendBegin = time.Now()
+			st.started = w.now
+			reach, crashing := er.n-1, false
+			if sl.crashes != nil {
+				if plan := sl.crashes[st.id]; plan.Round == r {
+					reach, crashing = plan.Reach, true
+				}
 			}
-			if err := w.sendRound(st, r); err != nil {
-				w.run.abort(err)
+			if sl.events != nil {
+				if fd := er.fds[st.id]; fd != nil {
+					fd.NoteRound(r) // tags the detector's suspect/retract events
+				}
+				sl.events.Emit(obs.Event{Type: obs.EventRoundStart, Round: r, Proc: int(st.id)})
+			}
+			if err := w.sendRound(st, r, reach); err != nil {
+				er.abort(fmt.Errorf("node %d: %w", st.id, err))
 				w.halt(st)
 				return
 			}
-			st.sent = true
-			st.deadline = time.Now().Add(w.run.waitBound)
-			if pr != nil {
-				pr.roundSent(st.id, r, sendBegin, time.Now())
+			if crashing {
+				// Crash: no transition, no further rounds, in any instance;
+				// the node's detector dies with it.
+				er.crashNode(st.id)
+				if w.refreshCrashed() {
+					w.enqueueAll()
+				}
+				w.crash(st)
+				return
 			}
+			st.sent = true
 		}
 		row := &st.rows[r]
-		suspects := w.suspects[st.id]
-		complete := true
-		for j := 1; j <= n; j++ {
-			pj := model.ProcessID(j)
-			if pj == st.id {
-				continue
-			}
-			if row.got&(1<<uint(j)) == 0 && !suspects.Has(pj) {
-				complete = false
-				break
-			}
-		}
+		// The close rule is the one place the round models differ. RWS: every
+		// peer delivered or is suspected (weak round synchrony), the deadline
+		// being only a liveness guard. RS: the round deadline itself.
+		complete := er.cfg.Kind == rounds.RWS &&
+			peers.Minus(row.got).Minus(w.suspects[st.id]).Empty()
 		if !complete {
-			if time.Now().Before(st.deadline) {
-				if w.nextDeadline.IsZero() || st.deadline.Before(w.nextDeadline) {
-					w.nextDeadline = st.deadline
+			if due := w.deadline(st); due.IsZero() || w.now.Before(due) {
+				if !due.IsZero() && (w.nextDeadline.IsZero() || due.Before(w.nextDeadline)) {
+					w.nextDeadline = due
 				}
 				return
 			}
-			// Liveness guard, as in Node.waitRound: proceed with what we have.
-			st.waitTimeouts++
-			w.run.waitTimeouts.Add(1)
-			w.run.metrics.waitTimeouts.Inc()
+			if er.cfg.Kind == rounds.RWS {
+				// The network is losing data messages from peers the detector
+				// (correctly) refuses to suspect: proceed with what we have.
+				st.out.WaitTimeouts++
+				er.waitTimeouts.Add(1)
+				er.metrics.waitTimeouts.Inc()
+			}
 		}
-		if pr != nil {
-			pr.roundClosed(st.id, r, row.got, !complete, time.Now())
+		if sl.events != nil {
+			// Reception record, emitted even when empty: round completion
+			// itself is what the conformance projector needs to observe.
+			got := make([]int, 0, er.n)
+			row.got.ForEach(func(j model.ProcessID) bool { got = append(got, int(j)); return true })
+			sl.events.Emit(obs.Event{Type: obs.EventRecv, Round: r, Proc: int(st.id), Peers: got})
 		}
 		in := w.scratch
 		for j := range in {
@@ -1138,30 +1364,39 @@ func (w *engWorker) advance(st *instState) {
 		in[st.id] = st.selfMsg
 		st.proc.Trans(r, in)
 		row.msgs = nil // free the payload row; the round is closed
-		w.run.metrics.rounds.Inc()
-		var transAt time.Time
-		if pr != nil {
-			transAt = time.Now()
-			pr.roundDone(st.id, r, transAt)
-		}
+		st.out.Rounds = st.round
+		er.metrics.rounds.Inc()
+		er.metrics.roundDuration.Observe(w.now.Sub(st.started).Nanoseconds())
 		if !st.decided {
 			if v, ok := st.proc.Decision(); ok {
 				st.decided = true
 				st.decision = v
-				w.run.decidedCtr.Inc()
-				w.run.decidedNodes.Add(1)
-				if pr != nil {
-					pr.noteDecide(st.id, r, v, transAt)
+				st.out.DecidedAt = st.round
+				er.decidedCtr.Inc()
+				er.decidedNodes.Add(1)
+				if sl.events != nil {
+					sl.events.Emit(obs.Event{Type: obs.EventDecide, Round: r,
+						Proc: int(st.id), Value: obs.Int64(int64(v))})
 				}
 			}
 		}
 		st.round++
 		st.sent = false
 		st.selfMsg = nil
-		if int(st.round) > w.run.maxRounds {
+		if int(st.round) > er.maxRounds {
 			w.halt(st)
 		}
 	}
+}
+
+// crash halts an automaton of a crash-stopped node, during whatever round
+// it had reached.
+func (w *engWorker) crash(st *instState) {
+	st.out.Crashed = true
+	if sink := st.slab.events; sink != nil {
+		sink.Emit(obs.Event{Type: obs.EventCrash, Round: int(st.round), Proc: int(st.id)})
+	}
+	w.halt(st)
 }
 
 // halt retires an automaton; when it is the instance's last one, the slab
@@ -1182,34 +1417,53 @@ func (w *engWorker) halt(st *instState) {
 		N:         n,
 		Decided:   make([]bool, n),
 		Decisions: make([]model.Value, n),
+		Nodes:     make([]NodeOutcome, n),
 	}
 	for i := range sl.states {
 		s := &sl.states[i]
 		out.Decided[i] = s.decided
 		out.Decisions[i] = s.decision
-		out.WaitTimeouts += int(s.waitTimeouts)
+		out.Nodes[i] = s.out
+		out.WaitTimeouts += int(s.out.WaitTimeouts)
 	}
-	if sl.probe != nil {
-		sl.probe.noteDone(time.Now())
+	w.slabs[int(sl.inst)/len(w.run.workers)-w.base] = nil
+	for len(w.slabs) > 0 && w.slabs[0] == nil {
+		w.slabs = w.slabs[1:]
+		w.base++
 	}
-	w.slabs[int(sl.inst)/len(w.run.workers)] = nil
 	w.run.finish(sl.inst, out)
 }
 
 // sendRound transmits st's round-r messages through the owning node's
-// batcher, tagged with the instance id.
-func (w *engWorker) sendRound(st *instState, r int) error {
+// batcher, tagged with the instance id, to the first reach destinations
+// (all n−1 unless the node is crashing).
+func (w *engWorker) sendRound(st *instState, r, reach int) error {
 	msgs := st.proc.Msgs(r)
 	if msgs != nil {
 		st.selfMsg = msgs[st.id]
 	} else {
 		st.selfMsg = nil
 	}
-	for j := 1; j <= w.run.n; j++ {
+	// The send event precedes the first transmission: a causal tracer on
+	// the sink must record this broadcast's Lamport clock before any of its
+	// packets can land at a receiver (whose arrival event joins with it).
+	// On a transport error below the whole engine aborts, so the optimistic
+	// emission never misleads a consumer.
+	if sink := st.slab.events; sink != nil && reach > 0 && w.run.n > 1 {
+		var dests []int
+		for j := 1; j <= w.run.n && len(dests) < reach; j++ {
+			if model.ProcessID(j) != st.id {
+				dests = append(dests, j)
+			}
+		}
+		sink.Emit(obs.Event{Type: obs.EventSend, Round: r, From: int(st.id), To: dests})
+	}
+	for j, left := 1, reach; j <= w.run.n && left > 0; j++ {
 		dest := model.ProcessID(j)
 		if dest == st.id {
 			continue
 		}
+		left--
 		var payload rounds.Message
 		if msgs != nil {
 			payload = msgs[dest]

@@ -2,12 +2,15 @@ package runtime
 
 import (
 	"errors"
+	goruntime "runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/consensus"
+	"repro/internal/faults"
 	"repro/internal/model"
+	"repro/internal/netobs"
 	"repro/internal/obs"
 	"repro/internal/rounds"
 	"repro/internal/wire"
@@ -82,46 +85,57 @@ func runEquivEngine(t *testing.T, groups int) *EngineResult {
 	return res
 }
 
-// TestEngineMatchesIsolatedClusters is the sharded≡unsharded acceptance
-// check: every instance multiplexed on the shared mesh decides exactly what
-// an isolated single-instance RunCluster decides from the same proposals.
-func TestEngineMatchesIsolatedClusters(t *testing.T) {
-	want := make([]model.Value, len(engineInitials))
+// TestEngineMatchesRoundModel is the acceptance check against the repo's
+// specification, not against a second runtime: every instance multiplexed
+// on the shared mesh decides — value and round — exactly what a failure-free
+// RWS run of the round model decides from the same proposals.
+func TestEngineMatchesRoundModel(t *testing.T) {
+	want := make([]*rounds.Run, len(engineInitials))
 	for i, initial := range engineInitials {
-		cr, err := RunCluster(consensus.FloodSetWS{}, ClusterConfig{
-			Kind: rounds.RWS, Initial: initial, T: 1,
-			Metrics: obs.NewRegistry(),
-		})
+		run, err := rounds.RunAlgorithm(rounds.RWS, consensus.FloodSetWS{}, initial, 1, rounds.NoFailures)
 		if err != nil {
-			t.Fatalf("isolated cluster %d: %v", i, err)
+			t.Fatalf("round-model run %d: %v", i, err)
 		}
-		v, st := cr.Agreement()
-		if st != AgreementReached {
-			t.Fatalf("isolated cluster %d: verdict %v", i, st)
-		}
-		want[i] = v
+		want[i] = run
 	}
 
-	res := runEquivEngine(t, 3)
-	for inst := 0; inst < res.Instances; inst++ {
-		v, st := res.InstanceAgreement(inst)
-		if st != AgreementReached {
-			t.Fatalf("instance %d: verdict %v", inst, st)
+	e, err := StartEngine(consensus.FloodSetWS{}, EngineConfig{
+		N: 3, T: 1, Groups: 3,
+		HeartbeatPeriod: 5 * time.Millisecond,
+		SuspectTimeout:  500 * time.Millisecond,
+		Metrics:         obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handles := make([]*Instance, 12)
+	for inst := range handles {
+		inst := inst
+		if handles[inst], err = e.Open(func(id model.ProcessID) model.Value { return engineInitialFn(inst, id) }); err != nil {
+			t.Fatal(err)
 		}
-		if v != want[inst%len(want)] {
-			t.Errorf("instance %d decided %d; isolated cluster decided %d",
-				inst, int64(v), int64(want[inst%len(want)]))
-		}
-		for id := model.ProcessID(1); id <= 3; id++ {
-			dv, ok := res.Decision(inst, id)
-			if !ok || dv != v {
-				t.Errorf("instance %d node %d: decision (%d,%v), want (%d,true)",
-					inst, id, int64(dv), ok, int64(v))
+	}
+	for inst, h := range handles {
+		<-h.Done()
+		out, _ := h.Outcome()
+		run := want[inst%len(want)]
+		for id := 1; id <= 3; id++ {
+			nd := out.Nodes[id-1]
+			if !out.Decided[id-1] || out.Decisions[id-1] != run.DecisionOf[id] || int(nd.DecidedAt) != run.DecidedAt[id] {
+				t.Errorf("instance %d node %d: decided (%d,%v) at round %d; the round model decides %d at round %d",
+					inst, id, int64(out.Decisions[id-1]), out.Decided[id-1], nd.DecidedAt,
+					int64(run.DecisionOf[id]), run.DecidedAt[id])
+			}
+			if nd.Crashed || nd.Rounds != 3 || nd.WaitTimeouts != 0 {
+				t.Errorf("instance %d node %d: outcome %+v, want 3 clean rounds", inst, id, nd)
 			}
 		}
 	}
-	if got := res.DecidedCount(); got != 12*3 {
-		t.Errorf("DecidedCount = %d, want 36", got)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.DecidedNodes != 12*3 || st.AgreementReached != 12 {
+		t.Errorf("stats = %+v, want 36 decisions over 12 agreeing instances", st)
 	}
 }
 
@@ -243,5 +257,222 @@ func TestEngineDetectorFailureStopsPrior(t *testing.T) {
 		if d.stopped.Load() == 0 {
 			t.Errorf("detector %d never stopped on the error path", i+1)
 		}
+	}
+}
+
+// TestEngineDeadlineWakeup: a round deadline wakes its worker when it
+// falls due, not on the next suspicion-poll tick. RS rounds of 10ms under a
+// 1s SuspectTimeout (tick clamped to 50ms) must each close on their barrier:
+// three rounds finish well inside 100ms of the epoch, and every round
+// closes having heard both peers — a worker that overslept a barrier would
+// start the next round late, past its own barrier, and close it empty.
+func TestEngineDeadlineWakeup(t *testing.T) {
+	const headroom = 5 * time.Millisecond
+	e, err := StartEngine(consensus.FloodSet{}, EngineConfig{
+		Kind: rounds.RS, N: 3, T: 1, Groups: 1,
+		RoundDuration:  10 * time.Millisecond,
+		EpochHeadroom:  headroom,
+		SuspectTimeout: time.Second,
+		Metrics:        obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = e.Close() }()
+	var events obs.Collector
+	start := time.Now()
+	h, err := e.OpenWith(func(id model.ProcessID) model.Value { return model.Value(id) },
+		OpenOptions{Events: &events})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-h.Done()
+	if took := time.Since(start) - headroom; took >= 100*time.Millisecond {
+		t.Errorf("three 10ms rounds took %v after the epoch, want < 100ms", took)
+	}
+	out, _ := h.Outcome()
+	if v, st := out.Agreement(); st != AgreementReached || v != 1 {
+		t.Errorf("agreement (%d,%v), want (1,reached)", int64(v), st)
+	}
+	recvs := 0
+	for _, ev := range events.Events() {
+		if ev.Type != obs.EventRecv {
+			continue
+		}
+		recvs++
+		if len(ev.Peers) != 2 {
+			t.Errorf("p%d closed round %d having heard %v, want both peers", ev.Proc, ev.Round, ev.Peers)
+		}
+	}
+	if recvs != 9 {
+		t.Errorf("%d reception records, want 9 (3 nodes × 3 rounds)", recvs)
+	}
+}
+
+// TestEngineSlabsTrimmed: a worker's slab table forgets completed
+// instances, so its size (and every full rescan) follows the in-flight
+// window, not the engine's lifetime.
+func TestEngineSlabsTrimmed(t *testing.T) {
+	const total, window = 20000, 8
+	done := make(chan struct{}, window)
+	reg := obs.NewRegistry()
+	e, err := StartEngine(consensus.FloodSetWS{}, EngineConfig{
+		N: 3, T: 1, Groups: 2,
+		// A near-zero delay bound: the test is about bookkeeping, not latency.
+		Network:         NewChanNetwork(3, ChanConfig{MaxDelay: 10 * time.Microsecond, Metrics: reg}),
+		HeartbeatPeriod: 5 * time.Millisecond,
+		SuspectTimeout:  time.Second,
+		Metrics:         reg,
+		OnInstanceDone:  func(uint64, InstanceOutcome) { done <- struct{}{} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inflight := 0
+	for opened := 0; opened < total; opened++ {
+		if inflight == window {
+			<-done
+			inflight--
+		}
+		if _, err := e.OpenValue(model.Value(opened)); err != nil {
+			t.Fatal(err)
+		}
+		inflight++
+	}
+	if err := e.Close(); err != nil { // joins the workers: their state is now safe to read
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Completed != total || st.AgreementReached != total {
+		t.Fatalf("stats = %+v, want %d agreeing instances", st, total)
+	}
+	for _, w := range e.er.workers {
+		if len(w.slabs) > 4*window || cap(w.slabs) > 64*window {
+			t.Errorf("worker %d: slab table len %d cap %d after %d instances through a window of %d",
+				w.idx, len(w.slabs), cap(w.slabs), total, window)
+		}
+		if w.base < total/2-window {
+			t.Errorf("worker %d: trimmed only %d of its %d instances", w.idx, w.base, total/2)
+		}
+	}
+}
+
+// TestEngineCrashOnMesh is the crash-fault acceptance run on the
+// multiplexed mesh (heartbeat detector; internal/fdimpl runs the same table
+// for bounded and ring): n=5, t=2, 200 instances in flight over two workers,
+// node 2 crash-stopping at round 2 of instance 50 having reached one peer.
+func TestEngineCrashOnMesh(t *testing.T) {
+	const n, inFlight, after, victim = 5, 200, 50, model.ProcessID(2)
+	goruntime.GC()
+	before := goruntime.NumGoroutine()
+	e, err := StartEngine(consensus.FloodSetWS{}, EngineConfig{
+		N: n, T: 2, Groups: 2,
+		HeartbeatPeriod: 5 * time.Millisecond, SuspectTimeout: 500 * time.Millisecond,
+		Metrics: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proposal := func(inst int, id model.ProcessID) model.Value { return model.Value(inst*10 + int(id)) }
+	open := func(inst int) *Instance {
+		var opts OpenOptions
+		if inst == 50 {
+			opts.Crashes = map[model.ProcessID]CrashPlan{victim: {Round: 2, Reach: 1}}
+		}
+		h, err := e.OpenWith(func(id model.ProcessID) model.Value { return proposal(inst, id) }, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	check := func(inst int, h *Instance, victimGone bool) {
+		<-h.Done()
+		out, _ := h.Outcome()
+		v, st := out.Agreement()
+		if st != AgreementReached || v < proposal(inst, 1) || v > proposal(inst, n) {
+			t.Errorf("instance %d: agreement (%d,%v), want a proposed value", inst, int64(v), st)
+		}
+		if out.WaitTimeouts != 0 {
+			t.Errorf("instance %d: %d WaitBound expiries; the crash must be absorbed by suspicion", inst, out.WaitTimeouts)
+		}
+		for id := model.ProcessID(1); id <= n; id++ {
+			nd, decided := out.Nodes[id-1], out.Decided[id-1]
+			switch {
+			case id != victim && (nd.Crashed || !decided):
+				t.Errorf("instance %d: survivor p%d outcome %+v decided=%v", inst, id, nd, decided)
+			case id == victim && victimGone && (!nd.Crashed || decided):
+				t.Errorf("instance %d: p%d outcome %+v decided=%v, want crashed and undecided", inst, id, nd, decided)
+			case id == victim && nd.Crashed && nd.Rounds >= 4:
+				t.Errorf("instance %d: p%d crashed yet completed all %d rounds", inst, id, nd.Rounds)
+			}
+		}
+	}
+	handles := make([]*Instance, inFlight)
+	for inst := range handles {
+		handles[inst] = open(inst)
+	}
+	for inst, h := range handles {
+		check(inst, h, inst == 50)
+	}
+	for inst := inFlight; inst < inFlight+after; inst++ {
+		check(inst, open(inst), true) // opened after the crash: the victim never runs
+	}
+	if st := e.Stats(); !st.DetectorWasPerfect || st.FalselySuspected != 0 || st.WaitTimeouts != 0 ||
+		st.Completed != inFlight+after || st.AgreementReached != inFlight+after {
+		t.Errorf("stats after the crash = %+v, want a perfect detector and %d agreeing instances", st, inFlight+after)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if now := goruntime.NumGoroutine(); now > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("goroutines leaked: %d before, %d after\n%s", before, now, buf[:goruntime.Stack(buf, true)])
+	}
+}
+
+// TestEngineChaosEventsAndLogs: the engine's injector inherits the engine's
+// event sink and flight recorder, and its logs outlive Close.
+func TestEngineChaosEventsAndLogs(t *testing.T) {
+	var events obs.Collector
+	flight := netobs.NewRecorder(4096, nil)
+	e, err := StartEngine(consensus.FloodSetWS{}, EngineConfig{
+		N: 3, T: 1,
+		WaitBound: 100 * time.Millisecond,
+		Faults: &faults.Config{
+			Seed:            3,
+			Default:         faults.LinkFaults{Duplicate: 0.2},
+			Partitions:      []faults.Partition{{Start: 0, End: 60 * time.Millisecond, Group: model.Singleton(3)}},
+			RecordDecisions: true,
+		},
+		Metrics: obs.NewRegistry(), Events: &events, Flight: flight,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := e.OpenValue(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-h.Done()
+	time.Sleep(80 * time.Millisecond) // let the partition heal on schedule
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[obs.EventType]int{}
+	for _, ev := range events.Events() {
+		seen[ev.Type]++
+	}
+	if seen[obs.EventPartition] == 0 || seen[obs.EventHeal] == 0 || seen[obs.EventCost] != 1 {
+		t.Errorf("engine sink saw %v, want partition, heal and one cost event", seen)
+	}
+	if len(e.Injector().PartitionLog()) < 2 || len(e.Injector().Decisions()) == 0 {
+		t.Errorf("injector logs after Close: %d transitions, %d decisions",
+			len(e.Injector().PartitionLog()), len(e.Injector().Decisions()))
+	}
+	if len(flight.Records()) == 0 {
+		t.Error("flight recorder saw nothing from the default network or the injector")
 	}
 }

@@ -34,21 +34,16 @@ const (
 	MetricTransportReconnects = netobs.MetricTransportReconnects
 	MetricTransportRetries    = netobs.MetricTransportRetries
 	MetricNodeWaitTimeouts    = "ssfd_node_wait_timeouts_total"
-	// MetricNodeUnknownInstance counts round messages a single-instance node
-	// dropped for carrying a nonzero instance id — traffic from a
-	// multi-instance engine (or a misconfigured peer) that this node is not
-	// serving.
-	MetricNodeUnknownInstance = "ssfd_node_unknown_instance_total"
 )
 
-// nodeMetrics caches the per-node instruments (shared across the cluster's
-// nodes: counters are atomic and the histogram is concurrency-safe).
+// nodeMetrics caches the per-node instruments (shared across the engine's
+// nodes and workers: counters are atomic and the histogram is
+// concurrency-safe).
 type nodeMetrics struct {
-	roundDuration   *obs.Histogram
-	rounds          *obs.Counter
-	heartbeats      *obs.Counter // heartbeats observed by the demultiplexer
-	waitTimeouts    *obs.Counter // RWS wait-bound expiries (liveness guard)
-	unknownInstance *obs.Counter // foreign-instance round messages dropped
+	roundDuration *obs.Histogram
+	rounds        *obs.Counter
+	heartbeats    *obs.Counter // heartbeats observed by the demultiplexer
+	waitTimeouts  *obs.Counter // RWS wait-bound expiries (liveness guard)
 }
 
 func newNodeMetrics(reg *obs.Registry, algorithm string, kind rounds.ModelKind) nodeMetrics {
@@ -57,11 +52,10 @@ func newNodeMetrics(reg *obs.Registry, algorithm string, kind rounds.ModelKind) 
 	// one exposition endpoint show the RS-vs-RWS latency split directly.
 	name := obs.Label(obs.Label(MetricRoundDuration, "algorithm", algorithm), "model", kind.String())
 	return nodeMetrics{
-		roundDuration:   reg.Histogram(name, obs.DefaultDurationBuckets),
-		rounds:          reg.Counter(MetricNodeRounds),
-		heartbeats:      reg.Counter(MetricHeartbeatsReceived),
-		waitTimeouts:    reg.Counter(MetricNodeWaitTimeouts),
-		unknownInstance: reg.Counter(MetricNodeUnknownInstance),
+		roundDuration: reg.Histogram(name, obs.DefaultDurationBuckets),
+		rounds:        reg.Counter(MetricNodeRounds),
+		heartbeats:    reg.Counter(MetricHeartbeatsReceived),
+		waitTimeouts:  reg.Counter(MetricNodeWaitTimeouts),
 	}
 }
 
@@ -86,8 +80,8 @@ func newFDMetrics(reg *obs.Registry, detector string) fdMetrics {
 }
 
 // TelemetrySource is implemented by networks that expose their per-link
-// telemetry. Both ChanNetwork and TCPNetwork satisfy it; RunCluster probes
-// for it to fold transport totals into the run's cost summary.
+// telemetry. Both ChanNetwork and TCPNetwork satisfy it; the engine probes
+// for it to fold transport totals into its cost summary.
 type TelemetrySource interface {
 	Telemetry() *netobs.LinkTap
 }

@@ -190,17 +190,29 @@ func TestRunClusterErrorPathLeaksNothing(t *testing.T) {
 	}
 }
 
-// TestNewNodeErrorPath covers the construction-time early return (nil
-// transport): no goroutines have started yet, and the config error
-// propagates.
-func TestNewNodeErrorPath(t *testing.T) {
-	if _, err := NewNode(consensus.FloodSet{}, NodeConfig{ID: 1, N: 1, T: 0}); err == nil {
-		t.Error("nil transport accepted")
+// TestStartEngineErrorPath covers the construction-time early return: a
+// rejected config leaves a caller-supplied network untouched (no goroutine
+// has started, nothing was closed on the caller's behalf), and the metrics
+// endpoint RunCluster opened before the rejection comes down with it.
+func TestStartEngineErrorPath(t *testing.T) {
+	nw := NewChanNetwork(2, ChanConfig{Metrics: obs.NewRegistry()})
+	defer func() { _ = nw.Close() }()
+	before := goruntime.NumGoroutine()
+	cr, err := RunCluster(consensus.FloodSet{}, ClusterConfig{
+		Kind: rounds.ModelKind(9), Initial: vals(1, 2), T: 1,
+		Network: nw, Metrics: obs.NewRegistry(), MetricsAddr: "127.0.0.1:0",
+	})
+	if err == nil || cr != nil {
+		t.Fatalf("RunCluster = (%v, %v), want a config error and no result", cr, err)
 	}
-	if _, err := NewNode(consensus.FloodSetWS{}, NodeConfig{
-		ID: 1, N: 2, T: 1, Kind: rounds.RWS,
-		Transport: NewChanNetwork(2, ChanConfig{Metrics: obs.NewRegistry()}).Endpoint(1),
-	}); err == nil {
-		t.Error("RWS node without failure detector accepted")
+	if err := nw.Endpoint(1).Send(2, []byte("still open")); err != nil {
+		t.Errorf("rejected config closed the caller's network: %v", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := goruntime.NumGoroutine(); after > before {
+		t.Errorf("error path left goroutines behind: %d before, %d after", before, after)
 	}
 }

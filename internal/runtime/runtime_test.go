@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -305,21 +306,26 @@ func TestLiveOverTCP(t *testing.T) {
 	}
 }
 
-func TestNodeConfigValidation(t *testing.T) {
-	if _, err := NewNode(consensus.FloodSet{}, NodeConfig{ID: 1, N: 2, T: 1}); err == nil {
-		t.Error("nil transport accepted")
+// TestEngineConfigValidation: a config the engine cannot run is rejected
+// before any goroutine starts, through StartEngine and RunCluster alike.
+func TestEngineConfigValidation(t *testing.T) {
+	before := goruntime.NumGoroutine()
+	for name, cfg := range map[string]EngineConfig{
+		"empty cluster":            {N: 0},
+		"n past the 63 bound":      {N: 64, T: 1},
+		"RS without RoundDuration": {N: 2, T: 1, Kind: rounds.RS},
+		"unknown model kind":       {N: 2, T: 1, Kind: rounds.ModelKind(9)},
+	} {
+		cfg.Metrics = obs.NewRegistry()
+		if _, err := StartEngine(consensus.FloodSet{}, cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	nw := NewChanNetwork(2, ChanConfig{})
-	defer func() { _ = nw.Close() }()
-	if _, err := NewNode(consensus.FloodSetWS{}, NodeConfig{
-		ID: 1, N: 2, T: 1, Transport: nw.Endpoint(1), Kind: rounds.RWS,
-	}); err == nil {
-		t.Error("RWS without FD accepted")
+	if _, err := RunCluster(consensus.FloodSet{}, ClusterConfig{Kind: rounds.RS}); err == nil {
+		t.Error("RunCluster accepted an empty cluster")
 	}
-	if _, err := NewNode(consensus.FloodSet{}, NodeConfig{
-		ID: 1, N: 2, T: 1, Transport: nw.Endpoint(1), Kind: rounds.RS,
-	}); err == nil {
-		t.Error("RS without RoundDuration accepted")
+	if after := goruntime.NumGoroutine(); after > before {
+		t.Errorf("rejected configs left goroutines behind: %d before, %d after", before, after)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/runtime"
 	"repro/internal/tracing"
 )
@@ -224,19 +225,19 @@ func (kv *kvStore) CAS(ctx context.Context, key string, old *int64, val model.Va
 
 		// This request owns the slot: open the instance (all n nodes propose
 		// val — the state-machine-replication case) and ride it down. A
-		// sampled request attaches a probe so its consensus slice can be
-		// tiled at round resolution.
-		var probe *runtime.InstanceProbe
+		// sampled request puts a tracer on the instance's event sink so its
+		// consensus slice can be tiled at round resolution.
+		var events obs.Sink
 		if tk != nil && tk.sampled {
-			probe = runtime.NewInstanceProbe()
-			tk.probe = probe
+			tk.tracer = tracing.NewTracer(kv.srv.eng.Algorithm().Name(), "RWS", kv.srv.eng.N(), kv.srv.cfg.T, nil)
+			events = tk.tracer
 		}
 		proposals := make([]model.Value, kv.srv.eng.N())
 		for i := range proposals {
 			proposals[i] = val
 		}
 		tk.mark(tracing.KindConsensus)
-		rec, err := kv.srv.open(proposals, fl, probe)
+		rec, err := kv.srv.open(proposals, fl, events)
 		if err != nil {
 			kv.release(fl, err)
 			tk.mark(tracing.KindHandler)

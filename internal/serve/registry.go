@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/runtime"
 )
 
@@ -31,12 +32,14 @@ func newInstanceRegistry() *instanceRegistry {
 	return &instanceRegistry{recs: make(map[uint64]*instRecord)}
 }
 
-// open admits an instance and registers its record atomically. probe, when
-// non-nil, attaches per-round observation (a sampled request's deep trace).
-func (ir *instanceRegistry) open(eng *runtime.Engine, proposals []model.Value, fl *kvFlight, probe *runtime.InstanceProbe) (*instRecord, error) {
+// open admits an instance and registers its record atomically. events,
+// when non-nil, receives the instance's round events (a sampled request's
+// deep trace).
+func (ir *instanceRegistry) open(eng *runtime.Engine, proposals []model.Value, fl *kvFlight, events obs.Sink) (*instRecord, error) {
 	ir.mu.Lock()
 	defer ir.mu.Unlock()
-	h, err := eng.OpenObserved(func(id model.ProcessID) model.Value { return proposals[id-1] }, probe)
+	h, err := eng.OpenWith(func(id model.ProcessID) model.Value { return proposals[id-1] },
+		runtime.OpenOptions{Events: events})
 	if err != nil {
 		return nil, err
 	}

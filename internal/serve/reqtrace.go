@@ -8,14 +8,14 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/runtime"
 	"repro/internal/tracing"
 )
 
 // This file is the request-observability layer (PR 10): every HTTP request
 // gets an id and a phase-mark timeline; sampled requests additionally carry
 // a full causal span tree — http → kv flight → consensus instance, the
-// instance rebuilt at per-round resolution from a runtime.InstanceProbe.
+// instance assembled at per-round resolution by a tracing.Tracer on the
+// instance's event sink, the same tracer that watches a RunCluster run.
 // Two exact-tiling invariants hold by construction and are enforced by
 // VerifyRequestTrace:
 //
@@ -46,7 +46,7 @@ type reqTracker struct {
 	start   time.Time
 	marks   []phaseMark
 
-	probe    *runtime.InstanceProbe // set by the kv flight owner when sampled
+	tracer   *tracing.Tracer // set by the kv flight owner when sampled
 	instance uint64
 	hasInst  bool
 }
@@ -169,136 +169,51 @@ func (tk *reqTracker) finish(s *Server, end time.Time, code int) *RequestTrace {
 		rec.Instance = &v
 	}
 	if tk.sampled {
-		rec.Trace = assembleTrace(s.eng.Algorithm().Name(), s.eng.N(), s.cfg.T,
-			tk.start, total, tk.marks, tk.probe.Snapshot())
+		var consensus tracing.SpanID
+		rec.Trace, consensus = assembleTrace(s.eng.Algorithm().Name(), s.eng.N(), s.cfg.T,
+			tk.start, total, tk.marks)
+		if tk.tracer != nil {
+			// Finish seals the tracer: an instance still in flight (a 504'd
+			// request) keeps emitting, but the record no longer changes.
+			rec.Trace.Graft(consensus, tk.tracer.Finish(), tk.tracer.Epoch().Sub(tk.start).Nanoseconds())
+		}
 	}
 	return rec
 }
 
-// assembleTrace builds the causal span tree for one sampled request: a
-// request root span with one child per phase interval on the global track,
-// and — when a probe observed the consensus instance — per-node
-// run→round→{send,wait,compute} spans plus arrival/decide points, exactly
-// the shape tracing.Attribute decomposes. Times are nanoseconds from the
-// request start, clamped monotone into [0, totalNS]; clamping is monotone,
-// so the CheckSums telescoping survives it.
+// assembleTrace builds the request half of a sampled request's span tree:
+// a request root span with one child per phase interval on the global
+// track. It returns the trace and the consensus phase's span id, under
+// which the instance's per-node run→round→{send,wait,compute} spans — the
+// shape tracing.Attribute decomposes — are grafted. Times are nanoseconds
+// from the request start, clamped monotone into [0, totalNS].
 func assembleTrace(alg string, n, t int, start time.Time, totalNS int64,
-	marks []phaseMark, snap *runtime.ProbeSnapshot) *tracing.Trace {
+	marks []phaseMark) (*tracing.Trace, tracing.SpanID) {
 	tr := &tracing.Trace{Algorithm: alg, Model: "RWS", N: n, T: t, Timebase: "wall"}
 	rel := func(at time.Time) int64 {
-		d := at.Sub(start).Nanoseconds()
-		if d < 0 {
-			d = 0
-		}
-		if d > totalNS {
-			d = totalNS
-		}
-		return d
+		return min(max(at.Sub(start).Nanoseconds(), 0), totalNS)
 	}
-	var nextID tracing.SpanID
-	next := func() tracing.SpanID { nextID++; return nextID }
-
-	root := next()
+	const root tracing.SpanID = 1
 	tr.Spans = append(tr.Spans, tracing.Span{
 		ID: root, Proc: 0, Kind: tracing.KindRequest, Cat: tracing.CatServe,
 		Start: 0, End: totalNS,
 	})
-	consensusParent := root
+	consensus := root
 	for i := range marks {
-		s := rel(marks[i].at)
 		e := totalNS
 		if i+1 < len(marks) {
 			e = rel(marks[i+1].at)
 		}
-		id := next()
+		id := root + 1 + tracing.SpanID(i)
 		tr.Spans = append(tr.Spans, tracing.Span{
 			ID: id, Parent: root, Proc: 0, Kind: marks[i].phase, Cat: tracing.CatServe,
-			Start: s, End: e,
+			Start: rel(marks[i].at), End: e,
 		})
-		if marks[i].phase == tracing.KindConsensus && consensusParent == root {
-			consensusParent = id
+		if marks[i].phase == tracing.KindConsensus && consensus == root {
+			consensus = id
 		}
 	}
-	if snap == nil {
-		return tr
-	}
-	for p := 1; p <= len(snap.Nodes); p++ {
-		nd := &snap.Nodes[p-1]
-		if len(nd.Rounds) == 0 {
-			continue
-		}
-		runEnd := snap.DoneAt
-		if runEnd.IsZero() {
-			// Instance still in flight at request end (a timed-out request):
-			// close the run at the last stamp observed.
-			last := nd.Rounds[len(nd.Rounds)-1]
-			for _, at := range []time.Time{last.TransAt, last.ClosedAt, last.SentAt} {
-				if !at.IsZero() {
-					runEnd = at
-					break
-				}
-			}
-		}
-		runID := next()
-		tr.Spans = append(tr.Spans, tracing.Span{
-			ID: runID, Parent: consensusParent, Proc: p, Kind: tracing.KindRun,
-			Cat: tracing.CatRuntime, Start: rel(nd.Rounds[0].StartAt), End: rel(runEnd),
-		})
-		for _, rd := range nd.Rounds {
-			roundEnd := rd.TransAt
-			if roundEnd.IsZero() {
-				roundEnd = rd.ClosedAt
-			}
-			if roundEnd.IsZero() {
-				roundEnd = rd.SentAt
-			}
-			roundID := next()
-			tr.Spans = append(tr.Spans, tracing.Span{
-				ID: roundID, Parent: runID, Proc: p, Kind: tracing.KindRound,
-				Cat: tracing.CatRuntime, Round: rd.Round,
-				Start: rel(rd.StartAt), End: rel(roundEnd),
-			})
-			sendID := next()
-			tr.Spans = append(tr.Spans, tracing.Span{
-				ID: sendID, Parent: roundID, Proc: p, Kind: tracing.KindSend,
-				Cat: tracing.CatRuntime, Round: rd.Round,
-				Start: rel(rd.StartAt), End: rel(rd.SentAt),
-			})
-			if rd.ClosedAt.IsZero() {
-				continue
-			}
-			waitID := next()
-			tr.Spans = append(tr.Spans, tracing.Span{
-				ID: waitID, Parent: roundID, Proc: p, Kind: tracing.KindWait,
-				Cat: tracing.CatRuntime, Round: rd.Round,
-				Start: rel(rd.SentAt), End: rel(rd.ClosedAt),
-				Peers: rd.Peers,
-			})
-			if rd.TransAt.IsZero() {
-				continue
-			}
-			computeID := next()
-			tr.Spans = append(tr.Spans, tracing.Span{
-				ID: computeID, Parent: roundID, Proc: p, Kind: tracing.KindCompute,
-				Cat: tracing.CatRuntime, Round: rd.Round,
-				Start: rel(rd.ClosedAt), End: rel(rd.TransAt),
-			})
-		}
-		for _, ar := range nd.Arrivals {
-			tr.Points = append(tr.Points, tracing.Point{
-				Proc: p, Kind: tracing.PointArrive, Cat: tracing.CatRuntime,
-				Round: ar.Round, From: ar.From, TS: rel(ar.At),
-			})
-		}
-		if nd.Decided {
-			v := nd.Decision
-			tr.Points = append(tr.Points, tracing.Point{
-				Proc: p, Kind: tracing.PointDecide, Cat: tracing.CatRuntime,
-				Round: nd.DecideRound, Value: &v, TS: rel(nd.DecidedAt),
-			})
-		}
-	}
-	return tr
+	return tr, consensus
 }
 
 // VerifyRequestTrace checks the record's two exact-tiling invariants: the

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/tracing"
@@ -427,5 +429,58 @@ func TestSamplerShutdownNoLeak(t *testing.T) {
 			t.Fatalf("goroutines: before=%d now=%d — leak\n%s", before, now, buf[:n])
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestRequestTraceSealedOnTimeout: a CAS answered 504 while its instance is
+// still in flight (p3 is partitioned away, so every round waits out the
+// suspicion timeout) still files a verifiable trace — the tracer is sealed
+// when the record is built, its runtime spans end inside the consensus
+// window, and the instance goes on emitting without touching the record.
+func TestRequestTraceSealedOnTimeout(t *testing.T) {
+	srv, client := newTestServer(t, func(c *Config) {
+		c.TraceSample = 1
+		c.Conform = false
+		c.ProposeTimeout = 40 * time.Millisecond
+		c.SuspectTimeout = 250 * time.Millisecond
+		c.Faults = &faults.Config{
+			Partitions: []faults.Partition{{Start: 0, End: time.Minute, Group: model.Singleton(3)}},
+			Metrics:    obs.NewRegistry(),
+		}
+	})
+	ctx := context.Background()
+	if _, err := client.CAS(ctx, "slow", nil, 9); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("CAS = %v, want the 504 timeout", err)
+	}
+	dt, err := client.DebugTraces(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec *RequestTrace
+	for _, r := range dt.Recent {
+		if r.Route == "kv-cas" && r.Status == http.StatusGatewayTimeout {
+			if rec, err = client.DebugTrace(ctx, r.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if rec == nil || rec.Trace == nil || rec.Instance == nil {
+		t.Fatalf("no deep trace filed for the timed-out CAS: %+v", rec)
+	}
+	if err := VerifyRequestTrace(rec); err != nil {
+		t.Errorf("VerifyRequestTrace: %v", err)
+	}
+	if rec.Trace.Find(func(sp *tracing.Span) bool { return sp.Kind == tracing.KindSend && sp.Cat == tracing.CatRuntime }) == nil {
+		t.Error("sealed trace carries no runtime span of the in-flight instance")
+	}
+	// The instance outlives the request; the filed record must not move.
+	spans := len(rec.Trace.Spans)
+	select {
+	case <-srv.insts.get(*rec.Instance).handle.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatalf("instance %d never finished", *rec.Instance)
+	}
+	if again := srv.traces.get(rec.ID); len(again.Trace.Spans) != spans {
+		t.Errorf("sealed trace grew from %d to %d spans after the request ended", spans, len(again.Trace.Spans))
 	}
 }

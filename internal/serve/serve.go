@@ -243,12 +243,12 @@ func (s *Server) Close() error {
 
 // open admits one instance through the engine with the given per-node
 // proposals, registering it before the completion callback can race past.
-func (s *Server) open(proposals []model.Value, fl *kvFlight, probe *runtime.InstanceProbe) (*instRecord, error) {
+func (s *Server) open(proposals []model.Value, fl *kvFlight, events obs.Sink) (*instRecord, error) {
 	if s.draining.Load() {
 		s.drained.Inc()
 		return nil, runtime.ErrEngineDraining
 	}
-	return s.insts.open(s.eng, proposals, fl, probe)
+	return s.insts.open(s.eng, proposals, fl, events)
 }
 
 // --- HTTP surface ---

@@ -139,6 +139,39 @@ type Trace struct {
 	Points []Point
 }
 
+// Graft splices sub into t as children of span parent: sub's span ids are
+// renumbered past t's, its root spans re-parented to parent, and its times
+// shifted by offset (sub's epoch minus t's, in ns) and clamped into
+// parent's window. Shift and clamp are monotone, so every exact tiling
+// inside sub (CheckSums) survives the graft.
+func (t *Trace) Graft(parent SpanID, sub *Trace, offset int64) {
+	var base SpanID
+	var lo, hi int64
+	for i := range t.Spans {
+		sp := &t.Spans[i]
+		base = max(base, sp.ID)
+		if sp.ID == parent {
+			lo, hi = sp.Start, sp.End
+		}
+	}
+	at := func(ts int64) int64 { return min(max(ts+offset, lo), hi) }
+	under := func(id SpanID) SpanID {
+		if id == 0 {
+			return parent
+		}
+		return id + base
+	}
+	for _, sp := range sub.Spans {
+		sp.ID, sp.Parent = sp.ID+base, under(sp.Parent)
+		sp.Start, sp.End = at(sp.Start), at(sp.End)
+		t.Spans = append(t.Spans, sp)
+	}
+	for _, pt := range sub.Points {
+		pt.Parent, pt.TS = under(pt.Parent), at(pt.TS)
+		t.Points = append(t.Points, pt)
+	}
+}
+
 // Find returns the first span matching the predicate, or nil.
 func (t *Trace) Find(pred func(*Span) bool) *Span {
 	for i := range t.Spans {
@@ -200,6 +233,9 @@ func NewTracer(algorithm, model string, n, t int, next obs.Sink) *Tracer {
 	tr.now = func() int64 { return int64(time.Since(epoch)) }
 	return tr
 }
+
+// Epoch is the wall-clock instant the tracer's timestamps count from.
+func (t *Tracer) Epoch() time.Time { return t.epoch }
 
 // stamp returns a monotone timestamp (callers hold mu).
 func (t *Tracer) stamp() int64 {
@@ -274,7 +310,11 @@ func (t *Tracer) Emit(ev obs.Event) {
 	var clock int64
 	var span SpanID
 
-	switch ev.Type {
+	typ := ev.Type
+	if t.finished {
+		typ = "" // the trace is sealed and may be read concurrently: forward only
+	}
+	switch typ {
 	case obs.EventRoundStart:
 		pt := t.proc(ev.Proc)
 		pt.clock++

@@ -79,8 +79,12 @@ type (
 	// Degrees aggregates the paper's latency measures lat, Lat, Lat(·,f), Λ.
 	Degrees = latency.Degrees
 
-	// ClusterConfig configures a live goroutine cluster.
+	// ClusterConfig configures a live cluster: one consensus instance on
+	// its own mesh, executed as a one-instance run of the engine.
 	ClusterConfig = runtime.ClusterConfig
+	// CrashPlan crash-stops a live node mid-round (ClusterConfig.Crashes,
+	// LiveOpenOptions.Crashes).
+	CrashPlan = runtime.CrashPlan
 	// ClusterResult is a live cluster's outcome.
 	ClusterResult = runtime.ClusterResult
 	// AgreementStatus is a run's three-way agreement verdict
@@ -263,8 +267,9 @@ func SDDCandidates() []SDDAlgorithm { return sdd.Candidates() }
 // SDDInSS returns the paper's Φ+1+Δ algorithm solving SDD in SS.
 func SDDInSS(phi, delta int) SDDAlgorithm { return sdd.NewSS(phi, delta) }
 
-// RunLive executes a live goroutine/channel cluster (heartbeat failure
-// detection, wall-clock rounds); see runtime.ClusterConfig for knobs.
+// RunLive executes one live consensus run (heartbeat failure detection,
+// wall-clock rounds) as a one-instance run of the shared-mesh engine; see
+// runtime.ClusterConfig for knobs.
 func RunLive(alg Algorithm, cfg ClusterConfig) (*ClusterResult, error) {
 	return runtime.RunCluster(alg, cfg)
 }
@@ -516,6 +521,9 @@ type (
 	// LiveInstance is one open instance's handle: Done() closes when every
 	// node has halted, Outcome() carries the per-node decisions.
 	LiveInstance = runtime.Instance
+	// LiveOpenOptions attaches an event sink and crash plans to one
+	// instance (LiveEngine.OpenWith).
+	LiveOpenOptions = runtime.OpenOptions
 	// InstanceOutcome is a completed instance's per-node outcome; its
 	// Agreement() is the three-way verdict.
 	InstanceOutcome = runtime.InstanceOutcome
