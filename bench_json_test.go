@@ -54,12 +54,14 @@ type exploreCostRow struct {
 
 // engineBenchRow records one shared-mesh engine run: Instances consensus
 // instances multiplexed over a 5-node mesh with one failure detector per
-// node. The machine-independent columns — allocs and data bytes/messages
-// per decision — are what ssfd-bench -compare enforces; the amortization
-// story is in control_messages_per_decision, which falls toward zero as
-// the instance count grows (one detector's heartbeats spread over every
-// instance's decisions). Decisions/sec is informational only: on the 1-CPU
-// CI container a wall-clock speedup expectation would be unfalsifiable.
+// node. The machine-independent columns — allocs, rounds and data
+// bytes/messages per decision — are what ssfd-bench -compare enforces
+// (failure-free, rounds per decision is T+1: automata halt at quiescence);
+// the amortization story is in control_messages_per_decision, which falls
+// toward zero as the instance count grows (one detector's heartbeats spread
+// over every instance's decisions). Decisions/sec is informational only: on
+// the 1-CPU CI container a wall-clock speedup expectation would be
+// unfalsifiable.
 type engineBenchRow struct {
 	Instances                    int     `json:"instances"`
 	Nodes                        int     `json:"nodes"`
@@ -68,6 +70,7 @@ type engineBenchRow struct {
 	ElapsedMS                    float64 `json:"elapsed_ms"`
 	DecisionsPerSec              float64 `json:"decisions_per_sec"`
 	AllocsPerDecision            float64 `json:"allocs_per_decision"`
+	RoundsPerDecision            float64 `json:"rounds_per_decision"`
 	TransportMessagesPerDecision float64 `json:"transport_messages_per_decision"`
 	DataMessagesPerDecision      float64 `json:"data_messages_per_decision"`
 	DataBytesPerDecision         float64 `json:"data_bytes_per_decision"`
@@ -344,6 +347,7 @@ func measureEngine(t *testing.T, inst int) engineBenchRow {
 		ElapsedMS:                    float64(elapsed.Microseconds()) / 1000,
 		DecisionsPerSec:              float64(res.Cost.Decisions) / elapsed.Seconds(),
 		AllocsPerDecision:            float64(after.Mallocs-before.Mallocs) / float64(res.Cost.Decisions),
+		RoundsPerDecision:            float64(reg.Counter(runtime.MetricNodeRounds).Value()) / float64(res.Cost.Decisions),
 		TransportMessagesPerDecision: res.Cost.MessagesPerDecision,
 		DataMessagesPerDecision:      res.Cost.DataMessagesPerDecision,
 		DataBytesPerDecision:         res.Cost.DataBytesPerDecision,

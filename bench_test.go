@@ -317,7 +317,7 @@ func BenchmarkLiveClusterRS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cr, err := runtime.RunCluster(consensus.A1{}, runtime.ClusterConfig{
 			Kind: rounds.RS, Initial: initial, T: 1,
-			RoundDuration: 10 * time.Millisecond, MaxRounds: 2,
+			RoundDuration: 10 * time.Millisecond,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -34,15 +34,16 @@ type compareCostRow struct {
 
 // compareEngineRow mirrors the artifact's engine_rows: one shared-mesh
 // multi-instance engine run per instance count. Enforced columns are the
-// machine-independent allocs_per_decision and data_* figures; the control
-// columns (the amortized detector share) and decisions/sec are wall-clock-
-// dependent and stay informational.
+// machine-independent allocs_per_decision, rounds_per_decision and data_*
+// figures; the control columns (the amortized detector share) and
+// decisions/sec are wall-clock-dependent and stay informational.
 type compareEngineRow struct {
 	Instances                  int     `json:"instances"`
 	Nodes                      int     `json:"nodes"`
 	Decisions                  int     `json:"decisions"`
 	DecisionsPerSec            float64 `json:"decisions_per_sec"`
 	AllocsPerDecision          float64 `json:"allocs_per_decision"`
+	RoundsPerDecision          float64 `json:"rounds_per_decision"`
 	DataMessagesPerDecision    float64 `json:"data_messages_per_decision"`
 	DataBytesPerDecision       float64 `json:"data_bytes_per_decision"`
 	ControlMessagesPerDecision float64 `json:"control_messages_per_decision"`
@@ -203,8 +204,9 @@ func runCompare(oldPath, newPath string, tolerance float64, stdout, stderr io.Wr
 		}
 	}
 
-	// Engine rows: per-decision allocations and data bytes/messages are the
-	// guarded quantities (grow-only tolerance, like allocs_per_run above).
+	// Engine rows: per-decision allocations, rounds and data bytes/messages
+	// are the guarded quantities (grow-only tolerance, like allocs_per_run
+	// above; an old artifact without the rounds column skips that check).
 	// The control share is printed for the amortization story but never
 	// enforced — it depends on run wall-clock, which these artifacts may
 	// not share.
@@ -233,6 +235,7 @@ func runCompare(oldPath, newPath string, tolerance float64, stdout, stderr io.Wr
 				nr.Instances, metric, oldV, newV, (ratio-1)*100, verdict)
 		}
 		growOnly("allocs_per_decision", or.AllocsPerDecision, nr.AllocsPerDecision)
+		growOnly("rounds_per_decision", or.RoundsPerDecision, nr.RoundsPerDecision)
 		growOnly("data_messages_per_decision", or.DataMessagesPerDecision, nr.DataMessagesPerDecision)
 		growOnly("data_bytes_per_decision", or.DataBytesPerDecision, nr.DataBytesPerDecision)
 		fmt.Fprintf(stdout, "  engine instances=%d control (informational): %.4f -> %.4f msgs/decision\n",

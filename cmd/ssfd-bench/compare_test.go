@@ -220,9 +220,9 @@ func TestCompareBadInputs(t *testing.T) {
 	}
 }
 
-// TestCompareDetectsEngineRegression: growing the engine's allocations or
-// data bytes per decision beyond tolerance fails, and every committed
-// engine row is compared.
+// TestCompareDetectsEngineRegression: growing the engine's allocations,
+// data bytes or rounds per decision beyond tolerance fails, and every
+// committed engine row is compared.
 func TestCompareDetectsEngineRegression(t *testing.T) {
 	rep := loadArtifact(t)
 	if len(rep.EngineRows) == 0 {
@@ -251,6 +251,21 @@ func TestCompareDetectsEngineRegression(t *testing.T) {
 	stderr.Reset()
 	if code := runCompare(benchArtifact, chatty, 0.15, &stdout, &stderr); code != 1 {
 		t.Fatalf("engine data-bytes regression exited %d, want 1\n%s", code, stdout.String())
+	}
+
+	// An engine that stops halting at quiescence runs T+2 rounds again.
+	rep = loadArtifact(t)
+	if rep.EngineRows[0].RoundsPerDecision != 2 {
+		t.Fatalf("committed engine row runs %.2f rounds per decision, want T+1 = 2; regenerate BENCH_explore.json",
+			rep.EngineRows[0].RoundsPerDecision)
+	}
+	rep.EngineRows[0].RoundsPerDecision++
+	idle := writeReport(t, rep)
+	stdout.Reset()
+	stderr.Reset()
+	if code := runCompare(benchArtifact, idle, 0.15, &stdout, &stderr); code != 1 ||
+		!strings.Contains(stdout.String(), "rounds_per_decision: 2.00 -> 3.00") {
+		t.Fatalf("engine rounds regression exited %d, want 1 naming the column\n%s", code, stdout.String())
 	}
 }
 

@@ -61,7 +61,7 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) (code i
 	groups := fs.Int("groups", 0, "engine shard workers (0: runtime default)")
 	heartbeat := fs.Duration("heartbeat", 0, "detector heartbeat period (0: default)")
 	suspectTO := fs.Duration("suspect-timeout", 0, "detector suspect timeout (0: default)")
-	maxRounds := fs.Int("max-rounds", 0, "round bound per instance (0: t+2)")
+	maxRounds := fs.Int("max-rounds", 0, "safety cap on rounds per instance (0: default t+2); instances halt at quiescence")
 	waitBound := fs.Duration("wait-bound", 0, "receive-or-suspect wait bound per round (0: serving default 2s)")
 	faultsSpec := fs.String("faults", "", "fault-injector spec (see internal/faults.ParseSpec, e.g. seed=7,loss=0.1,spike=1ms-3ms@0.2)")
 	conformFlag := fs.Bool("conform", false, "attach the conformance monitor: check agreement and validity on every completed instance")

@@ -50,7 +50,7 @@ func main() {
 	// 1. Lock-step RS over in-process channels: A1 decides in one round.
 	cr, err := repro.RunLive(repro.A1(), repro.ClusterConfig{
 		Kind: repro.RS, Initial: []repro.Value{9, 1, 5}, T: 1,
-		RoundDuration: 15 * time.Millisecond, MaxRounds: 2,
+		RoundDuration: 15 * time.Millisecond,
 	})
 	if err != nil {
 		log.Fatal(err)

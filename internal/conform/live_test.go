@@ -137,6 +137,26 @@ func TestLiveDifferential(t *testing.T) {
 	}
 }
 
+// TestLiveRunEndsAtHorizon: the engine halts its automata at quiescence, so
+// a failure-free live run is exactly as long as the round model's run — the
+// projection has no idle post-horizon rounds for the replay to ignore.
+func TestLiveRunEndsAtHorizon(t *testing.T) {
+	alg := algByName(t, "FloodSetWS")
+	rep, _, err := conform.CheckLive(alg, runtime.ClusterConfig{
+		Kind: rounds.RWS, Initial: liveInitials(3), T: 1,
+	}, conform.Options{ExpectConsensus: true})
+	if err != nil {
+		t.Fatalf("CheckLive: %v", err)
+	}
+	if !rep.OK() || len(rep.Mismatches) != 0 {
+		t.Fatalf("live run does not conform:\n%s", rep)
+	}
+	if lr := rep.Live; lr.Truncated || lr.Horizon != len(lr.Rounds) || lr.Horizon != len(rep.Run.Rounds) {
+		t.Errorf("projection has %d rounds, horizon %d (truncated=%v), replay %d rounds; want all equal",
+			len(lr.Rounds), lr.Horizon, lr.Truncated, len(rep.Run.Rounds))
+	}
+}
+
 // TestConformEngineInstances puts the round-level checker on the path that
 // serves traffic: 16 instances run concurrently on one shared mesh, each
 // watched through its own event sink, one of them carrying a crash plan.

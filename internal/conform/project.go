@@ -36,8 +36,9 @@ type Suspicion struct {
 // decisions are recorded untruncated; Horizon marks where the round
 // engines would declare the run complete — every process alive at the end
 // of Horizon has decided and no weak-round-synchrony obligation is
-// outstanding — and later activity (post-decision crashes, idle rounds up
-// to the cluster's MaxRounds) is outside the round model by construction.
+// outstanding — and later activity (post-decision crashes, the rounds an
+// early decider keeps relaying until it is quiet) is outside the round
+// model by construction.
 // Replay and DiffLive operate on the Horizon prefix; the invariant monitor
 // sees everything.
 type LiveRun struct {

@@ -70,6 +70,17 @@ type ProcConfig struct {
 // received. A process that crashes during round r has Msgs(r) called (its
 // partial broadcast is delivered to an adversary-chosen subset) but never
 // Trans(r).
+//
+// Halting contract: a process that has decided and whose Msgs(r) is nil has
+// halted — it has nothing left to send and nothing left to learn. The live
+// engine (internal/runtime) stops such an automaton at the start of round r
+// and never calls it again: no round-r messages, no Trans(r). An algorithm
+// must therefore keep Msgs non-nil for as long as a peer may still wait for
+// its message — a process that decided early but is still relaying is not
+// quiet — and all its live processes must go quiet at the same round. Every
+// algorithm in this repository does, at round t+2 (pinned by
+// consensus.TestQuiescenceContract); one that never goes quiet runs to the
+// engine's MaxRounds cap instead.
 type Process interface {
 	// Msgs returns the message for each destination at the given 1-based
 	// round, indexed by destination ProcessID (index 0 is unused). A nil

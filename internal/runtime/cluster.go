@@ -51,6 +51,8 @@ type ClusterConfig struct {
 	// internal/fdimpl — resolve CLI names through its registry.
 	Detector *DetectorSpec
 
+	// MaxRounds is a safety cap (default t+2); instances halt at quiescence
+	// (see EngineConfig.MaxRounds).
 	MaxRounds int
 
 	// Crashes schedules crash plans per process.

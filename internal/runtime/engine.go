@@ -117,7 +117,11 @@ type EngineConfig struct {
 	AdaptiveTimeout    bool
 	AdaptiveTimeoutMax time.Duration
 
-	// MaxRounds bounds every instance (default T+2).
+	// MaxRounds is a safety cap (default T+2), not the length of a run:
+	// instances halt at quiescence — an automaton that has decided and whose
+	// Msgs for its next round is nil stops there (see rounds.Process), which
+	// for every algorithm in this repository is after round T+1. Only an
+	// algorithm that never goes quiet runs to the cap.
 	MaxRounds int
 	// WaitBound bounds an RWS round's receive-or-suspect wait in wall-clock
 	// time. The RWS model itself never needs it — a missing sender is
@@ -1283,9 +1287,10 @@ func (w *engWorker) deadline(st *instState) time.Time {
 	return st.started.Add(cfg.WaitBound)
 }
 
-// advance drives one automaton as far as it can go: send the current
-// round's messages if not yet sent, close the round when its model's close
-// rule allows, transition, repeat.
+// advance drives one automaton as far as it can go: halt if it is quiet
+// (decided, nothing to send), otherwise send the current round's messages if
+// not yet sent, close the round when its model's close rule allows,
+// transition, repeat.
 func (w *engWorker) advance(st *instState) {
 	er, sl := w.run, st.slab
 	peers := model.FullSet(er.n).Remove(st.id)
@@ -1296,20 +1301,28 @@ func (w *engWorker) advance(st *instState) {
 		}
 		r := int(st.round)
 		if !st.sent {
-			st.started = w.now
 			reach, crashing := er.n-1, false
 			if sl.crashes != nil {
 				if plan := sl.crashes[st.id]; plan.Round == r {
 					reach, crashing = plan.Reach, true
 				}
 			}
+			// Quiescence (the rounds.Process contract): decided and nothing left
+			// to send is halted. The round never starts — no event, no null
+			// frames, no wait. A crash plan for this round still fires.
+			msgs := st.proc.Msgs(r)
+			if st.decided && msgs == nil && !crashing {
+				w.halt(st)
+				return
+			}
+			st.started = w.now
 			if sl.events != nil {
 				if fd := er.fds[st.id]; fd != nil {
 					fd.NoteRound(r) // tags the detector's suspect/retract events
 				}
 				sl.events.Emit(obs.Event{Type: obs.EventRoundStart, Round: r, Proc: int(st.id)})
 			}
-			if err := w.sendRound(st, r, reach); err != nil {
+			if err := w.sendRound(st, r, reach, msgs); err != nil {
 				er.abort(fmt.Errorf("node %d: %w", st.id, err))
 				w.halt(st)
 				return
@@ -1434,11 +1447,10 @@ func (w *engWorker) halt(st *instState) {
 	w.run.finish(sl.inst, out)
 }
 
-// sendRound transmits st's round-r messages through the owning node's
-// batcher, tagged with the instance id, to the first reach destinations
-// (all n−1 unless the node is crashing).
-func (w *engWorker) sendRound(st *instState, r, reach int) error {
-	msgs := st.proc.Msgs(r)
+// sendRound transmits st's round-r messages (msgs, the automaton's Msgs(r))
+// through the owning node's batcher, tagged with the instance id, to the
+// first reach destinations (all n−1 unless the node is crashing).
+func (w *engWorker) sendRound(st *instState, r, reach int, msgs []rounds.Message) error {
 	if msgs != nil {
 		st.selfMsg = msgs[st.id]
 	} else {

@@ -88,7 +88,8 @@ func runEquivEngine(t *testing.T, groups int) *EngineResult {
 // TestEngineMatchesRoundModel is the acceptance check against the repo's
 // specification, not against a second runtime: every instance multiplexed
 // on the shared mesh decides — value and round — exactly what a failure-free
-// RWS run of the round model decides from the same proposals.
+// RWS run of the round model decides from the same proposals, and runs
+// exactly as many rounds as that run has (it halts at quiescence).
 func TestEngineMatchesRoundModel(t *testing.T) {
 	want := make([]*rounds.Run, len(engineInitials))
 	for i, initial := range engineInitials {
@@ -126,8 +127,9 @@ func TestEngineMatchesRoundModel(t *testing.T) {
 					inst, id, int64(out.Decisions[id-1]), out.Decided[id-1], nd.DecidedAt,
 					int64(run.DecisionOf[id]), run.DecidedAt[id])
 			}
-			if nd.Crashed || nd.Rounds != 3 || nd.WaitTimeouts != 0 {
-				t.Errorf("instance %d node %d: outcome %+v, want 3 clean rounds", inst, id, nd)
+			if nd.Crashed || int(nd.Rounds) != len(run.Rounds) || nd.WaitTimeouts != 0 {
+				t.Errorf("instance %d node %d: outcome %+v, want the round model's %d clean rounds",
+					inst, id, nd, len(run.Rounds))
 			}
 		}
 	}
@@ -263,7 +265,7 @@ func TestEngineDetectorFailureStopsPrior(t *testing.T) {
 // TestEngineDeadlineWakeup: a round deadline wakes its worker when it
 // falls due, not on the next suspicion-poll tick. RS rounds of 10ms under a
 // 1s SuspectTimeout (tick clamped to 50ms) must each close on their barrier:
-// three rounds finish well inside 100ms of the epoch, and every round
+// the T+1 = 2 rounds finish well inside 100ms of the epoch, and every round
 // closes having heard both peers — a worker that overslept a barrier would
 // start the next round late, past its own barrier, and close it empty.
 func TestEngineDeadlineWakeup(t *testing.T) {
@@ -288,7 +290,7 @@ func TestEngineDeadlineWakeup(t *testing.T) {
 	}
 	<-h.Done()
 	if took := time.Since(start) - headroom; took >= 100*time.Millisecond {
-		t.Errorf("three 10ms rounds took %v after the epoch, want < 100ms", took)
+		t.Errorf("two 10ms rounds took %v after the epoch, want < 100ms", took)
 	}
 	out, _ := h.Outcome()
 	if v, st := out.Agreement(); st != AgreementReached || v != 1 {
@@ -304,8 +306,8 @@ func TestEngineDeadlineWakeup(t *testing.T) {
 			t.Errorf("p%d closed round %d having heard %v, want both peers", ev.Proc, ev.Round, ev.Peers)
 		}
 	}
-	if recvs != 9 {
-		t.Errorf("%d reception records, want 9 (3 nodes × 3 rounds)", recvs)
+	if recvs != 6 {
+		t.Errorf("%d reception records, want 6 (3 nodes × (T+1) rounds)", recvs)
 	}
 }
 
@@ -474,5 +476,154 @@ func TestEngineChaosEventsAndLogs(t *testing.T) {
 	}
 	if len(flight.Records()) == 0 {
 		t.Error("flight recorder saw nothing from the default network or the injector")
+	}
+}
+
+// chattyAlg decides its own proposal at round 1 and broadcasts it in every
+// round forever: an automaton that never goes quiet.
+type chattyAlg struct{}
+
+func (chattyAlg) Name() string { return "chatty" }
+func (chattyAlg) New(cfg rounds.ProcConfig) rounds.Process {
+	return &chattyProc{cfg: cfg}
+}
+
+type chattyProc struct {
+	cfg     rounds.ProcConfig
+	decided bool
+}
+
+func (p *chattyProc) Msgs(int) []rounds.Message {
+	out := make([]rounds.Message, p.cfg.N+1)
+	for i := 1; i <= p.cfg.N; i++ {
+		out[i] = consensus.DMsg{V: p.cfg.Initial}
+	}
+	return out
+}
+func (p *chattyProc) Trans(int, []rounds.Message)   { p.decided = true }
+func (p *chattyProc) Decision() (model.Value, bool) { return p.cfg.Initial, p.decided }
+
+// TestEngineQuiescenceRule pins the halting rule's two sides on the RWS
+// mesh: decided-but-relaying keeps running (C_OptFloodSetWS decides at round
+// 1 on unanimous proposals and still floods through round T+1), and an
+// automaton that never goes quiet ends at the MaxRounds cap.
+func TestEngineQuiescenceRule(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		alg       rounds.Algorithm
+		maxRounds int
+		rounds    int32 // every case decides at round 1
+	}{
+		{"decided-but-relaying", consensus.COptFloodSetWS{}, 0, 3},
+		{"never-quiet/default-cap", chattyAlg{}, 0, 4},
+		{"never-quiet/explicit-cap", chattyAlg{}, 6, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := StartEngine(tc.alg, EngineConfig{
+				N: 5, T: 2, MaxRounds: tc.maxRounds,
+				HeartbeatPeriod: 5 * time.Millisecond, SuspectTimeout: 500 * time.Millisecond,
+				Metrics: obs.NewRegistry(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = e.Close() }()
+			h, err := e.OpenValue(7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-h.Done()
+			out, _ := h.Outcome()
+			if v, st := out.Agreement(); st != AgreementReached || v != 7 {
+				t.Errorf("agreement (%d,%v), want (7,reached)", int64(v), st)
+			}
+			for i, nd := range out.Nodes {
+				if nd.DecidedAt != 1 || nd.Rounds != tc.rounds || nd.WaitTimeouts != 0 {
+					t.Errorf("p%d outcome %+v, want decision at round 1 and %d rounds run", i+1, nd, tc.rounds)
+				}
+			}
+		})
+	}
+}
+
+// TestEngineQuiescenceWithCrash: n=5, t=2, p4 crashing in round 1 having
+// reached one peer. The survivors go quiet together at round T+1 — nobody
+// waits on a halted peer — and the frames still in flight towards halted
+// automata are dropped without being counted as stray traffic.
+func TestEngineQuiescenceWithCrash(t *testing.T) {
+	const n, tt, victim = 5, 2, model.ProcessID(4)
+	reg := obs.NewRegistry()
+	e, err := StartEngine(consensus.FloodSetWS{}, EngineConfig{
+		N: n, T: tt,
+		HeartbeatPeriod: 5 * time.Millisecond, SuspectTimeout: 500 * time.Millisecond,
+		Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := e.OpenWith(func(id model.ProcessID) model.Value { return model.Value(10 * id) },
+		OpenOptions{Crashes: map[model.ProcessID]CrashPlan{victim: {Round: 1, Reach: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-h.Done()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, _ := h.Outcome()
+	if _, st := out.Agreement(); st != AgreementReached {
+		t.Errorf("agreement verdict %v, want reached", st)
+	}
+	for id := model.ProcessID(1); id <= n; id++ {
+		nd := out.Nodes[id-1]
+		switch {
+		case id == victim && (!nd.Crashed || nd.Rounds != 0 || out.Decided[id-1]):
+			t.Errorf("victim p%d outcome %+v decided=%v, want crashed in round 1", id, nd, out.Decided[id-1])
+		case id != victim && (nd.Crashed || !out.Decided[id-1] || nd.DecidedAt != tt+1 || nd.Rounds != tt+1):
+			t.Errorf("survivor p%d outcome %+v decided=%v, want a decision at round %d and exactly %d rounds",
+				id, nd, out.Decided[id-1], tt+1, tt+1)
+		}
+	}
+	st := e.Stats()
+	if unknown := reg.Counter(MetricEngineUnknownInstance).Value(); st.WaitTimeouts != 0 || unknown != 0 || !st.DetectorWasPerfect {
+		t.Errorf("stats = %+v (%s = %d), want no WaitBound expiry, no unknown-instance drop, a perfect detector",
+			st, MetricEngineUnknownInstance, unknown)
+	}
+}
+
+// TestEngineQuiescenceRS: under RS a halted automaton does not sit out the
+// barrier of a round it will never run. A1 decides at round 1, forwards at
+// round 2 and is quiet from round 3: the instance resolves at the round-2
+// barrier, a full RoundDuration before the T+2 cap would have let it.
+func TestEngineQuiescenceRS(t *testing.T) {
+	const headroom, roundDur = 5 * time.Millisecond, 150 * time.Millisecond
+	e, err := StartEngine(consensus.A1{}, EngineConfig{
+		Kind: rounds.RS, N: 3, T: 1,
+		RoundDuration: roundDur, EpochHeadroom: headroom,
+		Metrics: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = e.Close() }()
+	start := time.Now()
+	h, err := e.Open(func(id model.ProcessID) model.Value { return model.Value(id + 8) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-h.Done()
+	took := time.Since(start)
+	if took < headroom+2*roundDur || took >= headroom+3*roundDur {
+		t.Errorf("resolved after %v, want within [%v, %v): two round durations, not three",
+			took, headroom+2*roundDur, headroom+3*roundDur)
+	}
+	out, _ := h.Outcome()
+	if v, st := out.Agreement(); st != AgreementReached || v != 9 {
+		t.Errorf("agreement (%d,%v), want (9,reached)", int64(v), st)
+	}
+	for i, nd := range out.Nodes {
+		if nd.DecidedAt != 1 || nd.Rounds != 2 {
+			t.Errorf("p%d outcome %+v, want decision at round 1 and 2 rounds run", i+1, nd)
+		}
 	}
 }

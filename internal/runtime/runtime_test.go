@@ -181,7 +181,7 @@ func TestLiveRSA1DecidesRoundOne(t *testing.T) {
 	initial := vals(9, 1, 5)
 	cr, err := RunCluster(consensus.A1{}, ClusterConfig{
 		Kind: rounds.RS, Initial: initial, T: 1,
-		RoundDuration: 15 * time.Millisecond, MaxRounds: 2,
+		RoundDuration: 15 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,6 +190,9 @@ func TestLiveRSA1DecidesRoundOne(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		if cr.Results[i].DecidedAt != 1 {
 			t.Errorf("node %d decided at round %d, want 1 (Λ(A1)=1 live)", i, cr.Results[i].DecidedAt)
+		}
+		if cr.Results[i].Rounds != 2 {
+			t.Errorf("node %d ran %d rounds, want 2 (quiet after the round-2 forward)", i, cr.Results[i].Rounds)
 		}
 		if cr.Results[i].Decision != 9 {
 			t.Errorf("node %d decided %d, want 9", i, cr.Results[i].Decision)
@@ -269,6 +272,10 @@ func TestLiveA1DisagreesInRWS(t *testing.T) {
 		Kind: rounds.RWS, Initial: vals(3, 1, 2), T: 1,
 		Network: nw,
 		Crashes: map[model.ProcessID]CrashPlan{1: {Round: 2, Reach: 0}},
+		// A host stall long enough for p3 to suspect p2 leaves p3 undecided
+		// after round 2, waiting on a p2 that decided and halted: bound that
+		// wait so the stall fails the assertions below instead of hanging.
+		RWSWaitBound: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

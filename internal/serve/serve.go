@@ -64,7 +64,8 @@ type Config struct {
 
 	HeartbeatPeriod time.Duration
 	SuspectTimeout  time.Duration
-	// MaxRounds bounds every instance (0: T+2).
+	// MaxRounds is a safety cap (0: default t+2); instances halt at
+	// quiescence (see runtime.EngineConfig.MaxRounds).
 	MaxRounds int
 	// WaitBound bounds each round's receive-or-suspect wait. The serving
 	// default is 2s — a server must degrade a starved instance, not park a
