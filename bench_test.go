@@ -232,7 +232,8 @@ func BenchmarkExplore_A1_RWS(b *testing.B) {
 // workers, reporting runs/sec and allocations per run. The sequential and
 // parallel variants visit the identical run multiset (pinned by the
 // equivalence property tests), so the metric is directly comparable across
-// rows; the CI bench job distills this benchmark into BENCH_explore.json.
+// rows. CI's bench job uploads this benchmark's output; allocations per run
+// also have a ceiling under plain `go test` (explore.TestRunsAllocsPerRun).
 func BenchmarkExploreWorkers(b *testing.B) {
 	initial := []model.Value{0, 1, 1, 0}
 	for _, bc := range []struct {

@@ -1,0 +1,187 @@
+#!/usr/bin/env bash
+# Every CI gate, by job: `bash ci.sh <job>...`. The jobs of
+# .github/workflows/ci.yml are checkout + setup-go + this script, so what CI
+# runs and what runs locally are the same text. No step compares a file with
+# itself: protocol constants are exact tests under `go test`, wall-clock
+# numbers belong to `bash bench/run.sh`.
+set -euo pipefail
+cd "$(dirname "$0")"
+
+all_jobs="test bench conformance tracing telemetry chaos multi-instance benchmark serve detector-zoo"
+
+# Built binaries and smoke outputs go to a scratch directory; a failed smoke
+# must not leave its daemon behind.
+tmp=$(mktemp -d)
+trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$tmp"' EXIT
+
+# floor <pkg> <pct>: statement coverage of pkg under its own tests.
+floor() {
+  local out pct
+  out=$(go test -cover -coverpkg="$1" "$1") || { echo "$out"; return 1; }
+  echo "$out"
+  pct=$(grep -o 'coverage: [0-9.]*%' <<<"$out" | grep -o '[0-9.]*')
+  awk -v p="$pct" -v f="$2" 'BEGIN { exit (p >= f) ? 0 : 1 }' ||
+    { echo "$1: coverage ${pct}% is below the $2% floor"; return 1; }
+}
+
+# fails <cmd...>: the command must exit nonzero (`! cmd` is exempt from -e).
+fails() {
+  if "$@"; then
+    echo "expected a nonzero exit: $*"
+    return 1
+  fi
+}
+
+# fuzz <target> <pkg>: ten seconds of one fuzz target.
+fuzz() { go test -run '^$' -fuzz "$1" -fuzztime 10s "$2"; }
+
+# drain <pid>: SIGTERM the daemon and require a graceful exit 0.
+drain() {
+  local rc=0
+  kill -TERM "$1"
+  wait "$1" || rc=$?
+  [ "$rc" -eq 0 ] || { echo "drain exit code $rc, want 0"; return 1; }
+}
+
+job_test() {
+  go vet ./...
+  go build ./...
+  go test -race ./...
+  # Part of ./... above; run again by name so a regression in the explorer's
+  # worker pool is named in the job log, not buried in a package failure.
+  go test -race -run 'TestParallel|TestExploreMerges|TestMaxCrashesCap|TestComputeParallelEquality' ./internal/explore/ ./internal/latency/
+}
+
+# Explorer throughput (runs/sec, allocs/op) has no committed baseline; the
+# output is uploaded as the job's artifact.
+job_bench() {
+  go test -run '^$' -bench Explore -benchmem . | tee bench-explore.txt
+}
+
+job_conformance() {
+  go test -race -count=2 ./internal/conform/
+  fuzz FuzzAdversarySchedule ./internal/conform/
+  fuzz FuzzFaultSpec ./internal/conform/
+  floor ./internal/check/ 85
+  floor ./internal/conform/ 85
+}
+
+job_tracing() {
+  go test -race -run 'TestChrome|TestHTML|TestAttribut|TestReconcile|TestLive|TestTracer' ./internal/tracing/
+  go test -race -count=2 ./cmd/ssfd-run/ ./cmd/ssfd-trace/ ./cmd/ssfd-bench/
+  floor ./internal/tracing/ 85
+}
+
+job_telemetry() {
+  go test -race -count=2 ./internal/netobs/ ./internal/wire/
+  floor ./internal/netobs/ 85
+  # Flight-recorder smoke: SIGQUIT a conforming live run mid-flight (a 2s
+  # round duration keeps it alive long enough), expect the dump-and-exit
+  # path (code 2), then prove the dump parses back through ssfd-trace.
+  go build -o "$tmp/ssfd-run" ./cmd/ssfd-run
+  go build -o "$tmp/ssfd-trace" ./cmd/ssfd-trace
+  "$tmp/ssfd-run" -alg FloodSet -model RS -values 3,1,2 -conform -round-duration 2s -flight "$tmp/flight.jsonl" &
+  local pid=$! rc=0
+  sleep 2
+  kill -QUIT "$pid"
+  wait "$pid" || rc=$?
+  [ "$rc" -eq 2 ] || { echo "SIGQUIT exit code $rc, want 2"; return 1; }
+  test -s "$tmp/flight.jsonl"
+  "$tmp/ssfd-trace" -flight "$tmp/flight.jsonl"
+}
+
+job_chaos() {
+  go test -race -count=2 ./internal/faults/ ./internal/runtime/
+  go test -race -count=2 -run 'TestAllExperimentsPass' ./internal/core/
+  go run ./cmd/ssfd-bench -faults "loss=0.3,seed=7"
+  go run ./cmd/ssfd-bench -faults "spike=3ms-8ms@0.5,seed=7"
+  fails go run ./cmd/ssfd-bench -faults "part=3@0ms+100ms,seed=7"
+}
+
+# The engine's equivalence guarantees (sharded == unsharded == the round
+# model), crash-stop on the multiplexed mesh, halting at quiescence, the
+# exact per-decision costs (TestEngineCostShape, TestClusterDataCost) and
+# the batcher's buffer-ownership discipline are what -race -count=2 shakes
+# out.
+job_multi_instance() {
+  go test -race -count=2 -run 'TestEngine|TestStartEngine|TestBatch|TestCluster|TestAgreement|TestLiveRSA1' ./internal/runtime/ ./internal/wire/
+  go test -race -count=2 -run 'TestCrashOnMultiplexedMesh' ./internal/fdimpl/
+  floor ./internal/wire/ 85
+  floor ./internal/runtime/ 85
+  # Exit 1 unless every instance reaches agreement.
+  go run ./cmd/ssfd-bench -engine 2000 -engine-nodes 5
+}
+
+# bench/ is its own module, so the root `go build ./...` never compiles it:
+# vet and test it, then run the shortest real workload end to end so a
+# runtime refactor cannot silently break the repo benchmark. The driver's
+# last line is its result as JSON; n=3 t=1 FloodSetWS halts at quiescence
+# after T+1 = 2 rounds.
+job_benchmark() {
+  go -C bench vet ./...
+  go -C bench test ./...
+  bash bench/run.sh --workload engine_lat --seed 1 --seconds 2 --trace 0 | tee "$tmp/engine_lat.out"
+  tail -n 1 "$tmp/engine_lat.out" | jq -e '.correct == true and .metrics.rounds_per_commit.value == 2'
+}
+
+# The serving stack is concurrency all the way down (closed-loop clients,
+# one engine callback committing KV versions, drain racing late proposals, a
+# mutexed trace sampler hammered from every handler).
+job_serve() {
+  go test -race -count=2 ./internal/serve/ ./cmd/ssfd-serve/ ./cmd/ssfd-load/
+  fuzz FuzzServeRequest ./internal/serve/
+  floor ./internal/serve/ 85
+  go build -o "$tmp/ssfd-serve" ./cmd/ssfd-serve
+  go build -o "$tmp/ssfd-load" ./cmd/ssfd-load
+  go build -o "$tmp/ssfd-trace" ./cmd/ssfd-trace
+  local pid id url
+
+  # Daemon smoke: boot the real binary, drive a linearizability-checked load
+  # through the KV surface over TCP, then require a graceful drain with a
+  # clean conformance verdict.
+  url=http://127.0.0.1:18080
+  "$tmp/ssfd-serve" -addr "${url#http://}" -nodes 3 -t 1 -conform &
+  pid=$!
+  sleep 1
+  "$tmp/ssfd-load" -addr "$url" -clients 16 -keys 8 -ops 10 -check
+  drain "$pid"
+
+  # Introspection smoke: every request sampled; pull a request id off
+  # /v1/debug/traces, fetch its record, and round-trip it through
+  # ssfd-trace -serve, which re-verifies the exact-sum attribution.
+  url=http://127.0.0.1:18081
+  "$tmp/ssfd-serve" -addr "${url#http://}" -nodes 3 -t 1 -conform -trace-sample 1 &
+  pid=$!
+  sleep 1
+  "$tmp/ssfd-load" -addr "$url" -clients 8 -keys 4 -ops 10 -check -slowest 3
+  id=$(curl -s "$url/v1/debug/traces" | grep -o '"id":"r[0-9]*"' | awk -F'"' 'NR == 1 { print $4 }')
+  [ -n "$id" ] || { echo "no sampled trace id on /v1/debug/traces"; return 1; }
+  curl -sf "$url/v1/debug/trace/$id" | grep -q '"phases"' || { echo "trace $id not retrievable"; return 1; }
+  curl -sf "$url/v1/debug/trace/$id?format=chrome" >/dev/null
+  curl -sf "$url/v1/debug/keys" | grep -q '"attempts"' || { echo "hot-key table empty"; return 1; }
+  "$tmp/ssfd-trace" -serve "$url" "$id" | grep -q 'phases tile the total exactly' ||
+    { echo "ssfd-trace -serve failed to verify $id"; return 1; }
+  drain "$pid"
+}
+
+job_detector_zoo() {
+  go test -race -count=2 ./internal/fdimpl/
+  floor ./internal/fdimpl/ 85
+  # Race the full zoo clean and under one chaos schedule (exit 1 if any
+  # supported construction loses completeness), swap a zoo detector into a
+  # conforming live run, and prove unknown names are rejected.
+  go run ./cmd/ssfd-bench -detectors -seed 7
+  go run ./cmd/ssfd-bench -detectors -faults "loss=0.2,spike=2ms-5ms@0.3,seed=7"
+  go run ./cmd/ssfd-run -alg FloodSetWS -model RWS -values 0,1,2 -conform -detector ring
+  fails go run ./cmd/ssfd-run -alg FloodSetWS -model RWS -values 0,1,2 -conform -detector nosuch
+}
+
+[ $# -gt 0 ] || { echo "usage: bash ci.sh <job>...   jobs: $all_jobs"; exit 2; }
+for job in "$@"; do
+  case " $all_jobs " in
+  *" $job "*) ;;
+  *) echo "ci.sh: unknown job '$job' (jobs: $all_jobs)"; exit 2 ;;
+  esac
+  echo "== $job"
+  "job_${job//-/_}"
+done

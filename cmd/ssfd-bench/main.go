@@ -10,7 +10,7 @@
 //	ssfd-bench -faults "loss=0.2,seed=7" -detector bounded
 //	ssfd-bench -detectors -seed 7                      # race the full zoo, clean network
 //	ssfd-bench -detectors -faults "loss=0.2,seed=7"    # race it under one chaos schedule
-//	ssfd-bench -compare old.json new.json   # regression-check two BENCH_explore.json artifacts
+//	ssfd-bench -engine 20000 -engine-nodes 5 -cpuprofile cpu.out   # multi-instance engine run
 //
 // -faults skips the experiment suite and instead runs one live RWS
 // consensus cluster under the scripted adversarial network, printing the
@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -58,68 +59,55 @@ type jsonReport struct {
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() (code int) {
-	trials := flag.Int("trials", 200, "trial count for randomized sweeps")
-	seed := flag.Int64("seed", 1, "base random seed")
-	live := flag.Bool("live", true, "include live goroutine-cluster measurements (adds wall-clock time)")
-	only := flag.String("only", "", "run a single experiment (e.g. E7)")
-	jsonPath := flag.String("json", "", "write per-experiment JSON reports to this file")
-	workers := flag.Int("workers", 0, "explorer worker goroutines for the exhaustive experiments (0 = sequential, -1 = one per CPU)")
-	faultSpec := flag.String("faults", "", "run one chaos cluster under this fault spec instead of the suite (see internal/faults.ParseSpec)")
-	detector := flag.String("detector", "", "failure-detector construction for the -faults chaos run (default heartbeat; -detectors lists the registry)")
-	detectors := flag.Bool("detectors", false, "race every registered detector construction under the same seed (and -faults schedule, if given) and print the scorecard")
-	comparePath := flag.String("compare", "", "regression-check: compare this old BENCH_explore.json against the new one given as the positional argument")
-	tolerance := flag.Float64("tolerance", 0.15, "relative tolerance for -compare (0.15 = 15%)")
-	engineInstances := flag.Int("engine", 0, "run the shared-mesh multi-instance engine with this many concurrent consensus instances instead of the suite (one detector and one transport per node)")
-	engineNodes := flag.Int("engine-nodes", 5, "cluster size for the -engine run")
-	serveBench := flag.Int("serve-bench", 0, "run a closed-loop KV load against an in-process serving daemon with this many clients and write a serve-row artifact to -json (the observability overhead gate)")
-	serveOps := flag.Int("serve-ops", 50, "operations per client for -serve-bench")
-	serveKeys := flag.Int("serve-keys", 8, "key-space size for -serve-bench")
-	serveSample := flag.Float64("serve-sample", 0.01, "request-trace sampling rate for -serve-bench (<=0 disables tracing)")
-	obsFlags := obscli.Register()
-	flag.Parse()
-
-	if *comparePath != "" {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: ssfd-bench -compare old.json new.json")
-			return 2
-		}
-		return runCompare(*comparePath, flag.Arg(0), *tolerance, os.Stdout, os.Stderr)
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("ssfd-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	trials := fs.Int("trials", 200, "trial count for randomized sweeps")
+	seed := fs.Int64("seed", 1, "base random seed")
+	live := fs.Bool("live", true, "include live goroutine-cluster measurements (adds wall-clock time)")
+	only := fs.String("only", "", "run a single experiment (e.g. E7)")
+	jsonPath := fs.String("json", "", "write per-experiment JSON reports to this file")
+	workers := fs.Int("workers", 0, "explorer worker goroutines for the exhaustive experiments (0 = sequential, -1 = one per CPU)")
+	faultSpec := fs.String("faults", "", "run one chaos cluster under this fault spec instead of the suite (see internal/faults.ParseSpec)")
+	detector := fs.String("detector", "", "failure-detector construction for the -faults chaos run (default heartbeat; -detectors lists the registry)")
+	detectors := fs.Bool("detectors", false, "race every registered detector construction under the same seed (and -faults schedule, if given) and print the scorecard")
+	engineInstances := fs.Int("engine", 0, "run the shared-mesh multi-instance engine with this many concurrent consensus instances instead of the suite (one detector and one transport per node)")
+	engineNodes := fs.Int("engine-nodes", 5, "cluster size for the -engine run")
+	obsFlags := obscli.RegisterOn(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
 
 	sink, teardown, err := obsFlags.Setup()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	defer func() {
 		if err := teardown(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			if code == 0 {
 				code = 1
 			}
 		}
 	}()
 
-	if *serveBench > 0 {
-		return runServeBench(*serveBench, *serveOps, *serveKeys, *serveSample, *jsonPath)
-	}
 	if *engineInstances > 0 {
-		return runEngineBench(*engineInstances, *engineNodes)
+		return runEngineBench(*engineInstances, *engineNodes, stdout, stderr)
 	}
 	if *detectors {
-		return runDetectorRace(*faultSpec, *seed)
+		return runDetectorRace(*faultSpec, *seed, stdout, stderr)
 	}
 	if *detector != "" && *faultSpec == "" {
-		fmt.Fprintf(os.Stderr, "-detector selects the -faults chaos cluster's construction; give a -faults spec (or race the zoo with -detectors). registered: %s\n",
+		fmt.Fprintf(stderr, "-detector selects the -faults chaos cluster's construction; give a -faults spec (or race the zoo with -detectors). registered: %s\n",
 			strings.Join(fdimpl.Names(), ", "))
 		return 2
 	}
 	if *faultSpec != "" {
-		return runChaos(*faultSpec, *detector, sink, obsFlags)
+		return runChaos(*faultSpec, *detector, sink, obsFlags, stdout, stderr)
 	}
 
 	cfg := core.Config{Trials: *trials, Seed: *seed, Live: *live, Events: sink, Workers: *workers}
@@ -136,13 +124,13 @@ func run() (code int) {
 		elapsed := time.Since(start)
 		jr := jsonReport{ID: e.ID, Title: e.Title, ElapsedMS: float64(elapsed.Microseconds()) / 1000}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: error: %v\n", e.ID, err)
+			fmt.Fprintf(stderr, "%s: error: %v\n", e.ID, err)
 			jr.Error = err.Error()
 			reports = append(reports, jr)
 			failed++
 			continue
 		}
-		fmt.Println(report)
+		fmt.Fprintln(stdout, report)
 		jr.Pass = report.Pass
 		jr.Paper = report.Paper
 		jr.Measured = report.Measured
@@ -155,23 +143,23 @@ func run() (code int) {
 	if *jsonPath != "" {
 		data, err := json.MarshalIndent(reports, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "no experiment matches -only=%s\n", *only)
+		fmt.Fprintf(stderr, "no experiment matches -only=%s\n", *only)
 		return 2
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "%d experiment(s) failed\n", failed)
+		fmt.Fprintf(stderr, "%d experiment(s) failed\n", failed)
 		return 1
 	}
-	fmt.Printf("all %d experiments reproduced\n", ran)
+	fmt.Fprintf(stdout, "all %d experiments reproduced\n", ran)
 	return 0
 }
 
@@ -181,10 +169,10 @@ func run() (code int) {
 // per-decision cost split — the control (detector) share is the figure that
 // amortizes as the instance count grows — and fails if any instance missed
 // a decision or violated agreement.
-func runEngineBench(instances, nodes int) int {
+func runEngineBench(instances, nodes int, stdout, stderr io.Writer) int {
 	const tol = 1
 	reg := obs.NewRegistry()
-	fmt.Printf("engine: %d instances over a shared %d-node mesh (one detector per node)\n", instances, nodes)
+	fmt.Fprintf(stdout, "engine: %d instances over a shared %d-node mesh (one detector per node)\n", instances, nodes)
 	res, err := runtime.RunEngine(consensus.FloodSetWS{}, runtime.EngineConfig{
 		Instances: instances, N: nodes, T: tol,
 		Initial: func(inst int, id model.ProcessID) model.Value {
@@ -196,28 +184,28 @@ func runEngineBench(instances, nodes int) int {
 		Metrics:         reg,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	code := 0
 	for inst := 0; inst < instances; inst++ {
 		if _, st := res.InstanceAgreement(inst); st != runtime.AgreementReached {
-			fmt.Fprintf(os.Stderr, "instance %d: agreement verdict %v\n", inst, st)
+			fmt.Fprintf(stderr, "instance %d: agreement verdict %v\n", inst, st)
 			code = 1
 		}
 	}
-	fmt.Printf("  decisions: %d/%d in %v (%.0f decisions/sec)\n",
+	fmt.Fprintf(stdout, "  decisions: %d/%d in %v (%.0f decisions/sec)\n",
 		res.DecidedCount(), instances*nodes, res.Elapsed.Round(time.Millisecond),
 		float64(res.DecidedCount())/res.Elapsed.Seconds())
-	fmt.Printf("  %s\n", res.Cost)
+	fmt.Fprintf(stdout, "  %s\n", res.Cost)
 	// Failure-free, every automaton halts at quiescence: the rounds it ran
 	// are the rounds FloodSetWS needs to decide.
-	fmt.Printf("  rounds_per_decision: %.2f (T+1 = Lat(FloodSetWS,0) = %d)\n",
+	fmt.Fprintf(stdout, "  rounds_per_decision: %.2f (T+1 = Lat(FloodSetWS,0) = %d)\n",
 		float64(reg.Counter(runtime.MetricNodeRounds).Value())/float64(res.DecidedCount()), tol+1)
-	fmt.Printf("  amortization: %.4f control msgs/decision (%.1f B), %.2f data msgs/decision (%.1f B)\n",
+	fmt.Fprintf(stdout, "  amortization: %.4f control msgs/decision (%.1f B), %.2f data msgs/decision (%.1f B)\n",
 		res.Cost.ControlMessagesPerDecision, res.Cost.ControlBytesPerDecision,
 		res.Cost.DataMessagesPerDecision, res.Cost.DataBytesPerDecision)
-	fmt.Printf("  detector perfect: %v, wait timeouts: %d, unknown-instance drops: %d\n",
+	fmt.Fprintf(stdout, "  detector perfect: %v, wait timeouts: %d, unknown-instance drops: %d\n",
 		res.DetectorWasPerfect, res.WaitTimeouts, res.UnknownInstanceDrops)
 	return code
 }
@@ -226,12 +214,12 @@ func runEngineBench(instances, nodes int) int {
 // under one seeded schedule — the E15 harness as a CLI — and prints the
 // scorecard. A supported construction that misses the crash has lost
 // strong completeness, the one non-negotiable axiom, and fails the run.
-func runDetectorRace(faultSpec string, seed int64) int {
+func runDetectorRace(faultSpec string, seed int64, stdout, stderr io.Writer) int {
 	rc := fdimpl.RaceConfig{Seed: seed, Consensus: true}
 	if faultSpec != "" {
 		fc, err := faults.ParseSpec(faultSpec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		if fc.Seed != 0 {
@@ -243,19 +231,19 @@ func runDetectorRace(faultSpec string, seed int64) int {
 	}
 	scores, err := fdimpl.Race(rc)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	schedule := "fault-free"
 	if faultSpec != "" {
 		schedule = faultSpec
 	}
-	fmt.Printf("detector race (seed %d, schedule %s):\n", rc.Seed, schedule)
-	fmt.Print(fdimpl.RenderScores(scores))
+	fmt.Fprintf(stdout, "detector race (seed %d, schedule %s):\n", rc.Seed, schedule)
+	fmt.Fprint(stdout, fdimpl.RenderScores(scores))
 	code := 0
 	for _, s := range scores {
 		if s.Supported && !s.Detected {
-			fmt.Fprintf(os.Stderr, "%s: victim never detected — completeness lost\n", s.Detector)
+			fmt.Fprintf(stderr, "%s: victim never detected — completeness lost\n", s.Detector)
 			code = 1
 		}
 	}
@@ -266,10 +254,10 @@ func runDetectorRace(faultSpec string, seed int64) int {
 // scripted fault spec and prints the verdict plus the deterministic
 // fault-decision log. detector selects the failure-detector construction
 // ("" keeps the default all-to-all heartbeat).
-func runChaos(spec, detector string, sink obs.Sink, obsFlags *obscli.Flags) int {
+func runChaos(spec, detector string, sink obs.Sink, obsFlags *obscli.Flags, stdout, stderr io.Writer) int {
 	fcfg, err := faults.ParseSpec(spec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	fcfg.RecordDecisions = true
@@ -283,7 +271,7 @@ func runChaos(spec, detector string, sink obs.Sink, obsFlags *obscli.Flags) int 
 	if detector != "" {
 		dspec, err := fdimpl.New(detector)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		ccfg.Detector = dspec
@@ -291,34 +279,34 @@ func runChaos(spec, detector string, sink obs.Sink, obsFlags *obscli.Flags) int 
 	}
 	cr, err := runtime.RunCluster(consensus.FloodSetWS{}, ccfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	fmt.Printf("chaos run (seed %d, detector %s): %s\n", fcfg.Seed, detName, spec)
+	fmt.Fprintf(stdout, "chaos run (seed %d, detector %s): %s\n", fcfg.Seed, detName, spec)
 	for i := 1; i < len(cr.Results); i++ {
 		r := cr.Results[i]
-		fmt.Printf("  p%d: decided=%v value=%d rounds=%d waitTimeouts=%d\n",
+		fmt.Fprintf(stdout, "  p%d: decided=%v value=%d rounds=%d waitTimeouts=%d\n",
 			i, r.Decided, int64(r.Decision), r.Rounds, r.WaitTimeouts)
 	}
 	_, agree := cr.Agreement()
-	fmt.Printf("  detector perfect: %v (retractions %d, sticky false suspicions %d), agreement: %v, encode errors: %d, elapsed %v\n",
+	fmt.Fprintf(stdout, "  detector perfect: %v (retractions %d, sticky false suspicions %d), agreement: %v, encode errors: %d, elapsed %v\n",
 		cr.DetectorWasPerfect, cr.FalseSuspicions, cr.FalselySuspected, agree, cr.EncodeErrors,
 		cr.Elapsed.Round(time.Millisecond))
-	fmt.Printf("  %s\n", cr.Cost)
+	fmt.Fprintf(stdout, "  %s\n", cr.Cost)
 	for _, tr := range cr.PartitionLog {
-		fmt.Printf("  transition: %s\n", tr)
+		fmt.Fprintf(stdout, "  transition: %s\n", tr)
 	}
 	// The decision log is the replay artifact: same spec + seed ⇒ same log.
 	if log := faults.RenderDecisions(cr.FaultDecisions); log != "" {
 		const keep = 40
 		lines := strings.Split(strings.TrimRight(log, "\n"), "\n")
-		fmt.Printf("  fault decisions (seed-deterministic; %d total):\n", len(lines))
+		fmt.Fprintf(stdout, "  fault decisions (seed-deterministic; %d total):\n", len(lines))
 		for i, ln := range lines {
 			if i == keep {
-				fmt.Printf("    … %d more\n", len(lines)-keep)
+				fmt.Fprintf(stdout, "    … %d more\n", len(lines)-keep)
 				break
 			}
-			fmt.Printf("    %s\n", ln)
+			fmt.Fprintf(stdout, "    %s\n", ln)
 		}
 	}
 	// Exit status reflects the detector verdict only: agreement loss under
@@ -327,9 +315,9 @@ func runChaos(spec, detector string, sink obs.Sink, obsFlags *obscli.Flags) int 
 		// A chaos run that broke the detector is exactly what the flight
 		// recorder exists for; dump the ring for post-mortem (-flight).
 		if ok, err := obsFlags.DumpFlight(); err != nil {
-			fmt.Fprintf(os.Stderr, "flight: dump failed: %v\n", err)
+			fmt.Fprintf(stderr, "flight: dump failed: %v\n", err)
 		} else if ok {
-			fmt.Fprintf(os.Stderr, "flight: dumped recorder to %s\n", *obsFlags.Flight)
+			fmt.Fprintf(stderr, "flight: dumped recorder to %s\n", *obsFlags.Flight)
 		}
 		return 1
 	}

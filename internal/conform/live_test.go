@@ -98,7 +98,11 @@ func TestLiveDifferential(t *testing.T) {
 			cfg := runtime.ClusterConfig{
 				Kind: tc.kind, Initial: meta.Initial, T: tc.t,
 				RoundDuration: 15 * time.Millisecond,
-				Crashes:       tc.crashes,
+				// RWS rows: well above the 60–130 ms stalls this host shows,
+				// so a live peer is never suspected; a crash row pays one
+				// timeout per crash to detect it.
+				SuspectTimeout: 400 * time.Millisecond,
+				Crashes:        tc.crashes,
 			}
 			if tc.faults != "" {
 				fc, err := faults.ParseSpec(tc.faults)

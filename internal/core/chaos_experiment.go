@@ -50,32 +50,39 @@ func E14Chaos(cfg Config) (*Report, error) {
 	const ms = time.Millisecond
 	pass := true
 	table := stats.NewTable(
-		"FloodSetWS over RWS under injected faults (n=3, t=1, heartbeat 2ms, timeout 30ms, network Δ=1ms)",
+		"FloodSetWS over RWS under injected faults (n=3, t=1, heartbeat 2ms, timeout 30ms — 250ms in the rows gated on perfection — network Δ=1ms)",
 		"scenario", "regime", "perfect", "retractions", "sticky false", "decided", "agree", "wait timeouts")
 
 	type scenario struct {
 		name, regime string
 		faults       *faults.Config
+		timeout      time.Duration // 0: the default 30ms
 		waitBound    time.Duration
 		maxRounds    int // 0: the default t+2
 		wantPerfect  bool
 		gateAgree    bool // gate agreement only where the model still promises it
 	}
+	// The rows gated on perfection measure the injected faults, not the
+	// host: their timeout sits above the 60–130 ms scheduling stalls a
+	// shared machine adds to Φ (none of them waits on a suspicion, so the
+	// margin costs no time). The rows that break perfection keep 30ms,
+	// which their outages exceed.
+	const calm = 250 * ms
 	scenarios := []scenario{
 		{
 			name: "baseline (no faults)", regime: "within Δ",
-			wantPerfect: true, gateAgree: true,
+			timeout: calm, wantPerfect: true, gateAgree: true,
 		},
 		{
 			name: "loss 30% on every link", regime: "within Δ, lossy links",
-			faults:    &faults.Config{Seed: cfg.Seed + 14, Default: faults.LinkFaults{Drop: 0.3}},
-			waitBound: 150 * ms, wantPerfect: true,
+			faults:  &faults.Config{Seed: cfg.Seed + 14, Default: faults.LinkFaults{Drop: 0.3}},
+			timeout: calm, waitBound: 150 * ms, wantPerfect: true,
 		},
 		{
 			name: "delay spikes +3–8ms @ p=0.5", regime: "beyond Δ, inside timeout margin",
 			faults: &faults.Config{Seed: cfg.Seed + 15,
 				Default: faults.LinkFaults{Spike: 0.5, SpikeMin: 3 * ms, SpikeMax: 8 * ms}},
-			waitBound: 100 * ms, wantPerfect: true, gateAgree: true,
+			timeout: calm, waitBound: 100 * ms, wantPerfect: true, gateAgree: true,
 		},
 		{
 			name: "partition {p3} for 100ms", regime: "beyond Δ: outage > timeout",
@@ -97,7 +104,7 @@ func E14Chaos(cfg Config) (*Report, error) {
 	for _, sc := range scenarios {
 		cr, err := runtime.RunCluster(consensus.FloodSetWS{}, runtime.ClusterConfig{
 			Kind: rounds.RWS, Initial: []model.Value{4, 2, 7}, T: 1,
-			Faults: sc.faults, RWSWaitBound: sc.waitBound,
+			Faults: sc.faults, SuspectTimeout: sc.timeout, RWSWaitBound: sc.waitBound,
 			MaxRounds: sc.maxRounds, Events: cfg.Events,
 		})
 		if err != nil {

@@ -48,7 +48,7 @@ func E15DetectorZoo(cfg Config) (*Report, error) {
 	const ms = time.Millisecond
 	pass := true
 	table := stats.NewTable(
-		"detector races (period 2ms, timeout 25ms; identical network seed and chaos schedule within each regime)",
+		"detector races (period 2ms, timeout 25ms — 250ms fault-free at n=3; identical network seed and chaos schedule within each regime)",
 		"regime", "detector", "ok", "detected", "latency", "false", "retract", "ctrlmsgs", "msgs/period", "Λ-round")
 
 	addRows := func(regime string, scores []fdimpl.Score) {
@@ -72,8 +72,12 @@ func E15DetectorZoo(cfg Config) (*Report, error) {
 	}
 
 	// Regime 1 — fault-free, n=3, consensus riding on top: the perfection
-	// gate. sdd must report unsupported (it is a two-process harness).
-	clean, err := fdimpl.Race(fdimpl.RaceConfig{Seed: cfg.Seed + 21, Consensus: true})
+	// gate. sdd must report unsupported (it is a two-process harness). The
+	// gate counts false suspicions, so the timeout sits above the 60–130 ms
+	// scheduling stalls of a shared host and the window leaves the victim's
+	// detection (one timeout after the crash at 60ms) the same room.
+	clean, err := fdimpl.Race(fdimpl.RaceConfig{
+		Seed: cfg.Seed + 21, Consensus: true, Timeout: 250 * ms, Window: 600 * ms})
 	if err != nil {
 		return nil, err
 	}

@@ -87,9 +87,13 @@ func TestSDDBoundaryWindow(t *testing.T) {
 // windows must agree (no boundary polls at all) until the peer crashes,
 // after which both fire and the gap is traversed exactly once.
 func TestSDDLiveBoundary(t *testing.T) {
-	z := startZoo(t, SDDDetector(), 2, 17, nil, 2*time.Millisecond, 10*time.Millisecond)
+	// An SS window of 200 ms (SP window 800 ms) sits above the 60–130 ms
+	// stalls this host shows: a shorter one counts a stall as a boundary poll.
+	// The soak spans three SS windows, so a peer that sent no heartbeats
+	// would be caught by it.
+	z := startZoo(t, SDDDetector(), 2, 17, nil, 2*time.Millisecond, 200*time.Millisecond)
 	defer z.teardown()
-	soak := time.Now().Add(100 * time.Millisecond)
+	soak := time.Now().Add(600 * time.Millisecond)
 	for time.Now().Before(soak) {
 		for i := 1; i <= 2; i++ {
 			if s := z.dets[i].Suspects(); !s.Empty() {

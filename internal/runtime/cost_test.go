@@ -1,0 +1,172 @@
+package runtime
+
+import (
+	goruntime "runtime"
+	"testing"
+	"time"
+
+	"repro/internal/consensus"
+	"repro/internal/model"
+	"repro/internal/obs"
+	"repro/internal/rounds"
+)
+
+// The paper states its efficiency results in rounds and messages, and in a
+// failure-free run those are constants of the algorithm. The two tests in
+// this file pin them with == on integer counts: the round/protocol frames a
+// run encodes (detector heartbeats excluded) and the rounds its automata
+// run do not depend on the machine or on wall-clock time. Wall-clock
+// numbers live in bench/ (`bash bench/run.sh`).
+
+// TestClusterDataCost pins the data cost of one failure-free live cluster
+// (n=3, t=1, proposals 0,1,2) per algorithm/model pair. Every node sends a
+// frame to both peers in each of the t+1 rounds it runs, so all six rows
+// cost (n−1)(t+1) = 4 data messages per decision; the bytes differ by what
+// the frames carry (A1's are mostly empty).
+func TestClusterDataCost(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		alg                 rounds.Algorithm
+		kind                rounds.ModelKind
+		dataMsgs, dataBytes float64 // per decision: integer totals over 3
+	}{
+		{"FloodSet/RS", consensus.FloodSet{}, rounds.RS, 4, 28},
+		{"C_OptFloodSet/RS", consensus.COptFloodSet{}, rounds.RS, 4, 28},
+		{"A1/RS", consensus.A1{}, rounds.RS, 4, 56.0 / 3},
+		{"FloodSetWS/RWS", consensus.FloodSetWS{}, rounds.RWS, 4, 28},
+		{"C_OptFloodSetWS/RWS", consensus.COptFloodSetWS{}, rounds.RWS, 4, 28},
+		{"A1/RWS", consensus.A1{}, rounds.RWS, 4, 56.0 / 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The rows wait on timers, not on the CPU: run them side by side
+			// so timing far above a host stall (a late RS frame or a false
+			// RWS suspicion would change what the next round carries) costs
+			// one round trip of wall-clock, not six.
+			t.Parallel()
+			cr, err := RunCluster(tc.alg, ClusterConfig{
+				Kind: tc.kind, Initial: []model.Value{0, 1, 2}, T: 1,
+				RoundDuration:  150 * time.Millisecond,
+				SuspectTimeout: 2 * time.Second,
+				Metrics:        obs.NewRegistry(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.kind == rounds.RWS && !cr.DetectorWasPerfect {
+				t.Fatalf("precondition: detector was not perfect (%d retractions)", cr.Retractions)
+			}
+			c := cr.Cost
+			if c == nil || c.Decisions != 3 {
+				t.Fatalf("cost summary = %+v, want 3 decisions", c)
+			}
+			if c.DataMessagesPerDecision != tc.dataMsgs || c.DataBytesPerDecision != tc.dataBytes {
+				t.Errorf("data cost per decision = %v msgs, %v B (%d msgs, %d B in all); want %v msgs, %v B",
+					c.DataMessagesPerDecision, c.DataBytesPerDecision, c.DataMessages, c.DataBytes,
+					tc.dataMsgs, tc.dataBytes)
+			}
+		})
+	}
+}
+
+// costRun is one failure-free FloodSetWS run on the n=5, t=1 mesh, reduced
+// to what TestEngineCostShape compares.
+type costRun struct {
+	cost   *obs.CostSummary
+	rounds int64  // MetricNodeRounds: automaton rounds run, all nodes
+	allocs uint64 // heap allocations between StartEngine and Close
+}
+
+const costN, costT = 5, 1
+
+// measureCost runs instances concurrent instances over one shared mesh —
+// one heartbeat detector per node, whatever the instance count — and
+// requires the run to be the one the constants describe: every node
+// decided in every instance and no suspicion was ever raised.
+func measureCost(t *testing.T, instances int, batch BatcherConfig) costRun {
+	t.Helper()
+	reg := obs.NewRegistry()
+	batch.Metrics = reg
+	var before, after goruntime.MemStats
+	goruntime.GC()
+	goruntime.ReadMemStats(&before)
+	res, err := RunEngine(consensus.FloodSetWS{}, EngineConfig{
+		Instances: instances, N: costN, T: costT,
+		Initial: func(inst int, id model.ProcessID) model.Value {
+			return model.Value((inst + int(id)) % 7)
+		},
+		HeartbeatPeriod: 2 * time.Millisecond,
+		SuspectTimeout:  2 * time.Second,
+		Batch:           batch,
+		Metrics:         reg,
+	})
+	goruntime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("%d instances: %v", instances, err)
+	}
+	if got := res.DecidedCount(); got != instances*costN {
+		t.Fatalf("%d instances: %d/%d decisions", instances, got, instances*costN)
+	}
+	if !res.DetectorWasPerfect {
+		t.Fatalf("%d instances: precondition: detector was not perfect", instances)
+	}
+	return costRun{
+		cost:   res.Cost,
+		rounds: reg.Counter(MetricNodeRounds).Value(),
+		allocs: after.Mallocs - before.Mallocs,
+	}
+}
+
+// TestEngineCostShape: what sharing one mesh and one detector across many
+// instances changes, and what it must not. Exact: data messages per
+// decision are FloodSet flooding's (n−1)(t+1) = 8 and rounds per decision
+// are t+1 = 2, at 1 instance and at 2 000. Inequalities, each with a wide
+// margin: the shared detector's control traffic per decision falls below
+// what a dedicated cluster pays for its own detector; batching puts many
+// data frames into one transport packet; the engine's fixed setup
+// allocations spread over more decisions.
+func TestEngineCostShape(t *testing.T) {
+	// The dedicated baseline is what RunCluster builds: a one-instance
+	// engine sending every frame as its own packet. Max of three, because a
+	// run that finishes inside the first heartbeat period pays no control
+	// traffic at all and would make the amortization comparison vacuous.
+	var dedicated costRun
+	for i := 0; i < 3; i++ {
+		r := measureCost(t, 1, BatcherConfig{MaxBatch: 1})
+		if dedicated.cost == nil || r.cost.ControlMessages > dedicated.cost.ControlMessages {
+			dedicated = r
+		}
+	}
+	if dedicated.cost.ControlMessages == 0 {
+		t.Fatal("dedicated baseline ran without a single heartbeat")
+	}
+	shared := measureCost(t, 2000, BatcherConfig{})
+
+	for _, r := range []costRun{dedicated, shared} {
+		d := int64(r.cost.Decisions)
+		if want := (costN - 1) * (costT + 1) * d; r.cost.DataMessages != want {
+			t.Errorf("%d decisions: %d data messages, want exactly %d (= (n−1)(t+1) per decision)",
+				d, r.cost.DataMessages, want)
+		}
+		if want := (costT + 1) * d; r.rounds != want {
+			t.Errorf("%d decisions: %d automaton rounds, want exactly %d (= t+1 per decision)",
+				d, r.rounds, want)
+		}
+	}
+	if got := dedicated.cost.DataBytesPerDecision; got != 64 {
+		t.Errorf("one instance: %v data bytes per decision, want exactly 64", got)
+	}
+
+	if s, d := shared.cost.ControlMessagesPerDecision, dedicated.cost.ControlMessagesPerDecision; s >= d {
+		t.Errorf("no amortization: %.4f control msgs/decision shared vs %.2f dedicated", s, d)
+	}
+	if s, d := shared.cost.ControlBytesPerDecision, dedicated.cost.ControlBytesPerDecision; s >= d {
+		t.Errorf("no amortization: %.2f control B/decision shared vs %.1f dedicated", s, d)
+	}
+	if pk, fr := shared.cost.MessagesPerDecision, shared.cost.DataMessagesPerDecision; pk >= fr {
+		t.Errorf("no batching win: %.2f transport packets/decision vs %.2f data frames/decision", pk, fr)
+	}
+	perDecision := func(r costRun) float64 { return float64(r.allocs) / float64(r.cost.Decisions) }
+	if s, d := perDecision(shared), perDecision(dedicated); s >= d {
+		t.Errorf("no alloc win: %.1f allocs/decision shared vs %.1f dedicated", s, d)
+	}
+}

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"fmt"
 	goruntime "runtime"
 	"sync/atomic"
 	"testing"
@@ -268,7 +269,25 @@ func TestEngineDetectorFailureStopsPrior(t *testing.T) {
 // the T+1 = 2 rounds finish well inside 100ms of the epoch, and every round
 // closes having heard both peers — a worker that overslept a barrier would
 // start the next round late, past its own barrier, and close it empty.
+//
+// The bug is deterministic (a worker woken only by the tick oversleeps
+// every barrier, every time) while a host stall is sporadic, so the first
+// of up to three attempts that meets every assertion passes the test.
 func TestEngineDeadlineWakeup(t *testing.T) {
+	var failures []string
+	for attempt := 0; attempt < 3; attempt++ {
+		if failures = deadlineWakeupAttempt(t); len(failures) == 0 {
+			return
+		}
+		t.Logf("attempt %d: %q", attempt+1, failures)
+	}
+	t.Errorf("three attempts in a row missed a 10ms barrier; last: %q", failures)
+}
+
+// deadlineWakeupAttempt runs the scenario once and returns every assertion
+// it missed.
+func deadlineWakeupAttempt(t *testing.T) (failures []string) {
+	fail := func(format string, args ...any) { failures = append(failures, fmt.Sprintf(format, args...)) }
 	const headroom = 5 * time.Millisecond
 	e, err := StartEngine(consensus.FloodSet{}, EngineConfig{
 		Kind: rounds.RS, N: 3, T: 1, Groups: 1,
@@ -290,11 +309,11 @@ func TestEngineDeadlineWakeup(t *testing.T) {
 	}
 	<-h.Done()
 	if took := time.Since(start) - headroom; took >= 100*time.Millisecond {
-		t.Errorf("two 10ms rounds took %v after the epoch, want < 100ms", took)
+		fail("two 10ms rounds took %v after the epoch, want < 100ms", took)
 	}
 	out, _ := h.Outcome()
 	if v, st := out.Agreement(); st != AgreementReached || v != 1 {
-		t.Errorf("agreement (%d,%v), want (1,reached)", int64(v), st)
+		fail("agreement (%d,%v), want (1,reached)", int64(v), st)
 	}
 	recvs := 0
 	for _, ev := range events.Events() {
@@ -303,12 +322,13 @@ func TestEngineDeadlineWakeup(t *testing.T) {
 		}
 		recvs++
 		if len(ev.Peers) != 2 {
-			t.Errorf("p%d closed round %d having heard %v, want both peers", ev.Proc, ev.Round, ev.Peers)
+			fail("p%d closed round %d having heard %v, want both peers", ev.Proc, ev.Round, ev.Peers)
 		}
 	}
 	if recvs != 6 {
-		t.Errorf("%d reception records, want 6 (3 nodes × (T+1) rounds)", recvs)
+		fail("%d reception records, want 6 (3 nodes × (T+1) rounds)", recvs)
 	}
+	return failures
 }
 
 // TestEngineSlabsTrimmed: a worker's slab table forgets completed
