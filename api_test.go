@@ -99,9 +99,9 @@ func TestNBACAPI(t *testing.T) {
 }
 
 func TestRunLiveAPI(t *testing.T) {
-	cr, err := RunLive(FloodSetWS(), ClusterConfig{
-		Kind: RWS, Initial: []Value{4, 2, 7}, T: 1,
-	})
+	cr, err := RunLive(FloodSetWS(), EngineConfig{
+		Kind: RWS, T: 1,
+	}, []Value{4, 2, 7}, LiveOpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestRunLiveAPI(t *testing.T) {
 		t.Errorf("live agreement = (%d,%v), want (2,reached)", v, st)
 	}
 	// Every live run carries its transport cost accounting.
-	var cost *CostSummary = cr.Cost
+	var cost *CostSummary = cr.Stats.Cost
 	if cost == nil || cost.Decisions != 3 || cost.DataMessagesPerDecision <= 0 {
 		t.Errorf("cost summary = %+v, want 3 decisions with positive data cost", cost)
 	}
@@ -119,32 +119,42 @@ func TestRunLiveAPI(t *testing.T) {
 	}
 }
 
-func TestRunLiveEngineAPI(t *testing.T) {
-	res, err := RunLiveEngine(FloodSetWS(), EngineConfig{
-		Instances: 8, N: 3, T: 1,
-		Initial: func(inst int, id ProcessID) Value { return Value(inst % 3) },
-		Batch:   BatcherConfig{MaxBatch: 4},
+func TestLiveEngineInstancesAPI(t *testing.T) {
+	eng, err := StartLiveEngine(FloodSetWS(), EngineConfig{
+		N: 3, T: 1,
+		Batch: BatcherConfig{MaxBatch: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var er *EngineResult = res
-	if got := er.DecidedCount(); got != 8*3 {
-		t.Fatalf("DecidedCount = %d, want 24", got)
+	defer eng.Close()
+	handles := make([]*LiveInstance, 8)
+	for inst := range handles {
+		if handles[inst], err = eng.OpenValue(Value(inst % 3)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for inst := 0; inst < 8; inst++ {
-		v, st := er.InstanceAgreement(inst)
-		if st != AgreementReached || v != Value(inst%3) {
+	for inst, h := range handles {
+		<-h.Done()
+		out, _ := h.Outcome()
+		if v, st := out.Agreement(); st != AgreementReached || v != Value(inst%3) {
 			t.Errorf("instance %d: agreement (%d,%v), want (%d,reached)", inst, v, st, inst%3)
 		}
 	}
+	if err := eng.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	st := eng.Stats()
+	if st.DecidedNodes != 8*3 {
+		t.Fatalf("DecidedNodes = %d, want 24", st.DecidedNodes)
+	}
 	// The shared detector's control cost is split out of the transport
 	// accounting — the figure the engine amortizes across instances.
-	if er.Cost == nil || er.Cost.Decisions != 24 || er.Cost.DataMessagesPerDecision <= 0 {
-		t.Errorf("engine cost summary = %+v, want 24 decisions with positive data cost", er.Cost)
+	if st.Cost == nil || st.Cost.Decisions != 24 || st.Cost.DataMessagesPerDecision <= 0 {
+		t.Errorf("engine cost summary = %+v, want 24 decisions with positive data cost", st.Cost)
 	}
-	if er.UnknownInstanceDrops != 0 {
-		t.Errorf("UnknownInstanceDrops = %d on a clean run", er.UnknownInstanceDrops)
+	if st.UnknownInstanceDrops != 0 {
+		t.Errorf("UnknownInstanceDrops = %d on a clean run", st.UnknownInstanceDrops)
 	}
 }
 
@@ -294,10 +304,10 @@ func TestAgreementStatusAPI(t *testing.T) {
 
 func TestFlightRecorderAPI(t *testing.T) {
 	rec := NewFlightRecorder(64, nil)
-	cr, err := RunLive(FloodSet(), ClusterConfig{
-		Kind: RS, Initial: []Value{4, 2, 7}, T: 1,
+	cr, err := RunLive(FloodSet(), EngineConfig{
+		Kind: RS, T: 1,
 		Flight: rec, Events: rec,
-	})
+	}, []Value{4, 2, 7}, LiveOpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,10 +475,10 @@ func TestCausalTracingAPI(t *testing.T) {
 	// cluster's event chain and the live attribution reconciles against the
 	// engine replay of the projected schedule.
 	tracer := NewCausalTracer("FloodSetWS", "RWS", 3, 1, nil)
-	rep, _, err := CheckLive(FloodSetWS(), ClusterConfig{
-		Kind: RWS, Initial: []Value{3, 1, 4}, T: 1,
+	rep, _, err := CheckLive(FloodSetWS(), EngineConfig{
+		Kind: RWS, T: 1,
 		Metrics: NewMetricsRegistry(), Events: tracer,
-	}, ConformOptions{})
+	}, []Value{3, 1, 4}, LiveOpenOptions{}, ConformOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

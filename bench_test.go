@@ -316,10 +316,10 @@ func BenchmarkNBACCommitRate(b *testing.B) {
 func BenchmarkLiveClusterRS(b *testing.B) {
 	initial := []model.Value{4, 2, 7}
 	for i := 0; i < b.N; i++ {
-		cr, err := runtime.RunCluster(consensus.A1{}, runtime.ClusterConfig{
-			Kind: rounds.RS, Initial: initial, T: 1,
+		cr, err := runtime.RunCluster(consensus.A1{}, runtime.EngineConfig{
+			Kind: rounds.RS, T: 1,
 			RoundDuration: 10 * time.Millisecond,
-		})
+		}, initial, runtime.OpenOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -332,9 +332,9 @@ func BenchmarkLiveClusterRS(b *testing.B) {
 func BenchmarkLiveClusterRWS(b *testing.B) {
 	initial := []model.Value{4, 2, 7}
 	for i := 0; i < b.N; i++ {
-		cr, err := runtime.RunCluster(consensus.FloodSetWS{}, runtime.ClusterConfig{
-			Kind: rounds.RWS, Initial: initial, T: 1,
-		})
+		cr, err := runtime.RunCluster(consensus.FloodSetWS{}, runtime.EngineConfig{
+			Kind: rounds.RWS, T: 1,
+		}, initial, runtime.OpenOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -431,11 +431,10 @@ func BenchmarkAblation_SuspicionLatency(b *testing.B) {
 		b.Run(timeout.String(), func(b *testing.B) {
 			var total time.Duration
 			for i := 0; i < b.N; i++ {
-				cr, err := runtime.RunCluster(consensus.FloodSetWS{}, runtime.ClusterConfig{
-					Kind: rounds.RWS, Initial: []model.Value{0, 5, 9}, T: 1,
+				cr, err := runtime.RunCluster(consensus.FloodSetWS{}, runtime.EngineConfig{
+					Kind: rounds.RWS, T: 1,
 					SuspectTimeout: timeout,
-					Crashes:        map[model.ProcessID]runtime.CrashPlan{1: {Round: 1, Reach: 0}},
-				})
+				}, []model.Value{0, 5, 9}, runtime.OpenOptions{Crashes: map[model.ProcessID]runtime.CrashPlan{1: {Round: 1, Reach: 0}}})
 				if err != nil {
 					b.Fatal(err)
 				}

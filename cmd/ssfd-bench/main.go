@@ -173,40 +173,57 @@ func runEngineBench(instances, nodes int, stdout, stderr io.Writer) int {
 	const tol = 1
 	reg := obs.NewRegistry()
 	fmt.Fprintf(stdout, "engine: %d instances over a shared %d-node mesh (one detector per node)\n", instances, nodes)
-	res, err := runtime.RunEngine(consensus.FloodSetWS{}, runtime.EngineConfig{
-		Instances: instances, N: nodes, T: tol,
-		Initial: func(inst int, id model.ProcessID) model.Value {
-			return model.Value((inst + int(id)) % 7)
-		},
+	e, err := runtime.StartEngine(consensus.FloodSetWS{}, runtime.EngineConfig{
+		N: nodes, T: tol,
 		HeartbeatPeriod: 5 * time.Millisecond,
 		SuspectTimeout:  time.Second,
-		Batch:           runtime.BatcherConfig{Metrics: reg},
 		Metrics:         reg,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
+	start := time.Now()
+	handles := make([]*runtime.Instance, instances)
+	for inst := range handles {
+		inst := inst
+		handles[inst], err = e.Open(func(id model.ProcessID) model.Value {
+			return model.Value((inst + int(id)) % 7)
+		})
+		if err != nil {
+			_ = e.Close()
+			fmt.Fprintln(stderr, err)
+			return 2
+		}
+	}
 	code := 0
-	for inst := 0; inst < instances; inst++ {
-		if _, st := res.InstanceAgreement(inst); st != runtime.AgreementReached {
+	for inst, h := range handles {
+		<-h.Done()
+		out, _ := h.Outcome()
+		if _, st := out.Agreement(); st != runtime.AgreementReached {
 			fmt.Fprintf(stderr, "instance %d: agreement verdict %v\n", inst, st)
 			code = 1
 		}
 	}
+	elapsed := time.Since(start)
+	if err := e.Close(); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	st := e.Stats()
 	fmt.Fprintf(stdout, "  decisions: %d/%d in %v (%.0f decisions/sec)\n",
-		res.DecidedCount(), instances*nodes, res.Elapsed.Round(time.Millisecond),
-		float64(res.DecidedCount())/res.Elapsed.Seconds())
-	fmt.Fprintf(stdout, "  %s\n", res.Cost)
+		st.DecidedNodes, instances*nodes, elapsed.Round(time.Millisecond),
+		float64(st.DecidedNodes)/elapsed.Seconds())
+	fmt.Fprintf(stdout, "  %s\n", st.Cost)
 	// Failure-free, every automaton halts at quiescence: the rounds it ran
 	// are the rounds FloodSetWS needs to decide.
 	fmt.Fprintf(stdout, "  rounds_per_decision: %.2f (T+1 = Lat(FloodSetWS,0) = %d)\n",
-		float64(reg.Counter(runtime.MetricNodeRounds).Value())/float64(res.DecidedCount()), tol+1)
+		float64(reg.Counter(runtime.MetricNodeRounds).Value())/float64(st.DecidedNodes), tol+1)
 	fmt.Fprintf(stdout, "  amortization: %.4f control msgs/decision (%.1f B), %.2f data msgs/decision (%.1f B)\n",
-		res.Cost.ControlMessagesPerDecision, res.Cost.ControlBytesPerDecision,
-		res.Cost.DataMessagesPerDecision, res.Cost.DataBytesPerDecision)
+		st.Cost.ControlMessagesPerDecision, st.Cost.ControlBytesPerDecision,
+		st.Cost.DataMessagesPerDecision, st.Cost.DataBytesPerDecision)
 	fmt.Fprintf(stdout, "  detector perfect: %v, wait timeouts: %d, unknown-instance drops: %d\n",
-		res.DetectorWasPerfect, res.WaitTimeouts, res.UnknownInstanceDrops)
+		st.DetectorWasPerfect, st.WaitTimeouts, st.UnknownInstanceDrops)
 	return code
 }
 
@@ -262,9 +279,9 @@ func runChaos(spec, detector string, sink obs.Sink, obsFlags *obscli.Flags, stdo
 	}
 	fcfg.RecordDecisions = true
 	fcfg.Events = sink
-	ccfg := runtime.ClusterConfig{
-		Kind: rounds.RWS, Initial: []model.Value{4, 2, 7}, T: 1,
-		Faults: &fcfg, RWSWaitBound: 150 * time.Millisecond, Events: sink,
+	ccfg := runtime.EngineConfig{
+		Kind: rounds.RWS, T: 1,
+		Faults: &fcfg, WaitBound: 150 * time.Millisecond, Events: sink,
 		Flight: obsFlags.FlightRecorder(),
 	}
 	detName := "heartbeat"
@@ -277,22 +294,21 @@ func runChaos(spec, detector string, sink obs.Sink, obsFlags *obscli.Flags, stdo
 		ccfg.Detector = dspec
 		detName = dspec.Name
 	}
-	cr, err := runtime.RunCluster(consensus.FloodSetWS{}, ccfg)
+	cr, err := runtime.RunCluster(consensus.FloodSetWS{}, ccfg, []model.Value{4, 2, 7}, runtime.OpenOptions{})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	fmt.Fprintf(stdout, "chaos run (seed %d, detector %s): %s\n", fcfg.Seed, detName, spec)
-	for i := 1; i < len(cr.Results); i++ {
-		r := cr.Results[i]
+	for i, nd := range cr.Outcome.Nodes {
 		fmt.Fprintf(stdout, "  p%d: decided=%v value=%d rounds=%d waitTimeouts=%d\n",
-			i, r.Decided, int64(r.Decision), r.Rounds, r.WaitTimeouts)
+			i+1, cr.Outcome.Decided[i], int64(cr.Outcome.Decisions[i]), nd.Rounds, nd.WaitTimeouts)
 	}
 	_, agree := cr.Agreement()
 	fmt.Fprintf(stdout, "  detector perfect: %v (retractions %d, sticky false suspicions %d), agreement: %v, encode errors: %d, elapsed %v\n",
-		cr.DetectorWasPerfect, cr.FalseSuspicions, cr.FalselySuspected, agree, cr.EncodeErrors,
+		cr.Stats.DetectorWasPerfect, cr.Stats.FalseSuspicions, cr.Stats.FalselySuspected, agree, cr.Stats.EncodeErrors,
 		cr.Elapsed.Round(time.Millisecond))
-	fmt.Fprintf(stdout, "  %s\n", cr.Cost)
+	fmt.Fprintf(stdout, "  %s\n", cr.Stats.Cost)
 	for _, tr := range cr.PartitionLog {
 		fmt.Fprintf(stdout, "  transition: %s\n", tr)
 	}
@@ -311,7 +327,7 @@ func runChaos(spec, detector string, sink obs.Sink, obsFlags *obscli.Flags, stdo
 	}
 	// Exit status reflects the detector verdict only: agreement loss under
 	// an adversary powerful enough to break P is a finding, not a failure.
-	if !cr.DetectorWasPerfect {
+	if !cr.Stats.DetectorWasPerfect {
 		// A chaos run that broke the detector is exactly what the flight
 		// recorder exists for; dump the ring for post-mortem (-flight).
 		if ok, err := obsFlags.DumpFlight(); err != nil {

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -25,15 +26,6 @@ import (
 	"repro/internal/trace"
 )
 
-func algByName(name string) (rounds.Algorithm, bool) {
-	for _, a := range consensus.All() {
-		if strings.EqualFold(a.Name(), name) {
-			return a, true
-		}
-	}
-	return nil, false
-}
-
 func modelByName(name string) (rounds.ModelKind, bool) {
 	switch strings.ToUpper(name) {
 	case "RS":
@@ -46,44 +38,48 @@ func modelByName(name string) (rounds.ModelKind, bool) {
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() (code int) {
-	algName := flag.String("alg", "FloodSet", "algorithm (FloodSet, FloodSetWS, C_OptFloodSet, C_OptFloodSetWS, F_OptFloodSet, F_OptFloodSetWS, A1)")
-	modelName := flag.String("model", "RS", "round model (RS or RWS)")
-	n := flag.Int("n", 3, "number of processes")
-	t := flag.Int("t", 1, "resilience bound")
-	refute := flag.Bool("refute", false, "run the §5.3 round-1 refuter against the algorithm")
-	counter := flag.Bool("counterexample", false, "search exhaustively for a uniform-consensus violation and print it")
-	progress := flag.Int("progress", 0, "report exploration progress to stderr every N runs (0 = silent)")
-	expect := flag.Int("expect", 0, "anticipated total run count (e.g. from a prior sweep); adds % done and ETA to -progress lines")
-	workers := flag.Int("workers", 0, "explorer worker goroutines (0 = sequential, -1 = one per CPU)")
-	obsFlags := obscli.Register()
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("ssfd-explore", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	algName := fs.String("alg", "FloodSet", "algorithm (FloodSet, FloodSetWS, C_OptFloodSet, C_OptFloodSetWS, F_OptFloodSet, F_OptFloodSetWS, A1)")
+	modelName := fs.String("model", "RS", "round model (RS or RWS)")
+	n := fs.Int("n", 3, "number of processes")
+	t := fs.Int("t", 1, "resilience bound")
+	refute := fs.Bool("refute", false, "run the §5.3 round-1 refuter against the algorithm")
+	counter := fs.Bool("counterexample", false, "search exhaustively for a uniform-consensus violation and print it")
+	progress := fs.Int("progress", 0, "report exploration progress to stderr every N runs (0 = silent)")
+	expect := fs.Int("expect", 0, "anticipated total run count (e.g. from a prior sweep); adds % done and ETA to -progress lines")
+	workers := fs.Int("workers", 0, "explorer worker goroutines (0 = sequential, -1 = one per CPU)")
+	obsFlags := obscli.RegisterOn(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	sink, teardown, err := obsFlags.Setup()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	defer func() {
 		if err := teardown(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			if code == 0 {
 				code = 1
 			}
 		}
 	}()
 
-	alg, ok := algByName(*algName)
+	alg, ok := consensus.ByName(*algName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *algName)
+		fmt.Fprintf(stderr, "unknown algorithm %q\n", *algName)
 		return 2
 	}
 	kind, ok := modelByName(*modelName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown model %q\n", *modelName)
+		fmt.Fprintf(stderr, "unknown model %q\n", *modelName)
 		return 2
 	}
 
@@ -97,7 +93,7 @@ func run() (code int) {
 				line += fmt.Sprintf(", %.1f%% done, ETA %v",
 					100*float64(p.Runs)/float64(p.Expected), p.ETA.Round(time.Second))
 			}
-			fmt.Fprintln(os.Stderr, line)
+			fmt.Fprintln(stderr, line)
 		}
 	}
 	// emitRun streams a printed witness run to the -events file, so the
@@ -115,11 +111,11 @@ func run() (code int) {
 	case *refute:
 		ref, err := explore.RefuteRoundOneRWS(alg, *n, *t)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		fmt.Printf("refutation of %s (n=%d, t=%d): %v\n%s\n", alg.Name(), *n, *t, ref.Kind, ref.Detail)
-		fmt.Println(trace.RenderRun(ref.Run))
+		fmt.Fprintf(stdout, "refutation of %s (n=%d, t=%d): %v\n%s\n", alg.Name(), *n, *t, ref.Kind, ref.Detail)
+		fmt.Fprintln(stdout, trace.RenderRun(ref.Run))
 		emitRun(ref.Run)
 	case *counter:
 		found := false
@@ -133,19 +129,19 @@ func run() (code int) {
 				}
 				if bad := check.FirstViolation(run); bad != nil {
 					found = true
-					fmt.Printf("violation: %s\n%s", bad, trace.RenderRun(run))
+					fmt.Fprintf(stdout, "violation: %s\n%s", bad, trace.RenderRun(run))
 					emitRun(run)
 					return false
 				}
 				return true
 			})
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return 1
 			}
 		}
 		if !found {
-			fmt.Printf("%s in %v (n=%d, t=%d): no violation in any admissible run\n", alg.Name(), kind, *n, *t)
+			fmt.Fprintf(stdout, "%s in %v (n=%d, t=%d): no violation in any admissible run\n", alg.Name(), kind, *n, *t)
 		}
 	default:
 		// One exhaustive pass: latency.Compute already counts every
@@ -155,12 +151,12 @@ func run() (code int) {
 		// the full run space a second time for nothing).
 		d, err := latency.Compute(kind, alg, *n, *t, opts)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		fmt.Printf("%s in %v (n=%d, t=%d): %d runs explored, %d violations\n",
+		fmt.Fprintf(stdout, "%s in %v (n=%d, t=%d): %d runs explored, %d violations\n",
 			alg.Name(), kind, *n, *t, d.Runs, d.Violations)
-		fmt.Println(d)
+		fmt.Fprintln(stdout, d)
 	}
 	return 0
 }

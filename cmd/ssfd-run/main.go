@@ -153,13 +153,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}()
 
-	var alg rounds.Algorithm
-	for _, a := range consensus.All() {
-		if strings.EqualFold(a.Name(), *algName) {
-			alg = a
-		}
-	}
-	if alg == nil {
+	alg, ok := consensus.ByName(*algName)
+	if !ok {
 		fmt.Fprintf(stderr, "unknown algorithm %q\n", *algName)
 		return 2
 	}
@@ -302,8 +297,9 @@ func runConform(alg rounds.Algorithm, kind rounds.ModelKind, initial []model.Val
 		fmt.Fprintln(stderr, "-seed selects the engine's random adversary; it has no live counterpart (use -faults seed=... instead)")
 		return 2
 	}
-	cfg := runtime.ClusterConfig{Kind: kind, Initial: initial, T: t, Events: sink,
+	cfg := runtime.EngineConfig{Kind: kind, T: t, Events: sink,
 		Detector: detSpec, RoundDuration: roundDur, Flight: flight}
+	var open runtime.OpenOptions
 	var tracer *tracing.Tracer
 	if tracePath != "" || traceHTML != "" {
 		tracer = tracing.NewTracer(alg.Name(), kind.String(), len(initial), t, sink)
@@ -315,7 +311,7 @@ func runConform(alg rounds.Algorithm, kind rounds.ModelKind, initial []model.Val
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		cfg.Crashes = map[model.ProcessID]runtime.CrashPlan{p: {Round: r, Reach: reach.Count()}}
+		open.Crashes = map[model.ProcessID]runtime.CrashPlan{p: {Round: r, Reach: reach.Count()}}
 	}
 	if faultsSpec != "" {
 		fc, err := faults.ParseSpec(faultsSpec)
@@ -329,7 +325,7 @@ func runConform(alg rounds.Algorithm, kind rounds.ModelKind, initial []model.Val
 	// The explorer is exponential in n and t; past the paper's coordinates
 	// the replay diff alone certifies the run.
 	opts := conform.Options{ExpectConsensus: true, Enumerate: len(initial) <= 4 && t <= 2}
-	rep, cres, err := conform.CheckLive(alg, cfg, opts)
+	rep, cres, err := conform.CheckLive(alg, cfg, initial, open, opts)
 
 	tracesOK := true
 	var attr *tracing.Attribution
@@ -343,8 +339,8 @@ func runConform(alg rounds.Algorithm, kind rounds.ModelKind, initial []model.Val
 		return 1
 	}
 	fmt.Fprint(stdout, rep.String())
-	if cres != nil && cres.Cost != nil {
-		fmt.Fprintln(stdout, cres.Cost.String())
+	if cres != nil && cres.Stats.Cost != nil {
+		fmt.Fprintln(stdout, cres.Stats.Cost.String())
 		for _, kt := range cres.WireKinds {
 			fmt.Fprintf(stdout, "  wire %-9s encoded %5d (%6d B)  decoded %5d (%6d B)\n",
 				kt.Kind, kt.Encoded, kt.EncodedBytes, kt.Decoded, kt.DecodedBytes)

@@ -38,7 +38,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/fdimpl"
 	"repro/internal/obscli"
-	"repro/internal/rounds"
 	"repro/internal/runtime"
 	"repro/internal/serve"
 )
@@ -93,13 +92,8 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) (code i
 		}
 	}()
 
-	var alg rounds.Algorithm
-	for _, a := range consensus.All() {
-		if strings.EqualFold(a.Name(), *algName) {
-			alg = a
-		}
-	}
-	if alg == nil {
+	alg, ok := consensus.ByName(*algName)
+	if !ok {
 		fmt.Fprintf(stderr, "unknown algorithm %q\n", *algName)
 		return 2
 	}

@@ -21,47 +21,47 @@ import (
 func report(label string, cr *repro.ClusterResult) {
 	v, status := cr.Agreement()
 	fmt.Printf("--- %s (elapsed %v)\n", label, cr.Elapsed.Round(time.Millisecond))
-	for i := 1; i < len(cr.Results); i++ {
-		r := cr.Results[i]
+	out := cr.Outcome
+	for i, nd := range out.Nodes {
 		switch {
-		case r.Crashed:
-			if r.Decided {
-				fmt.Printf("  p%d: CRASHED after deciding %d at round %d\n", i, int64(r.Decision), r.DecidedAt)
+		case nd.Crashed:
+			if out.Decided[i] {
+				fmt.Printf("  p%d: CRASHED after deciding %d at round %d\n", i+1, int64(out.Decisions[i]), nd.DecidedAt)
 			} else {
-				fmt.Printf("  p%d: CRASHED undecided\n", i)
+				fmt.Printf("  p%d: CRASHED undecided\n", i+1)
 			}
-		case r.Decided:
-			fmt.Printf("  p%d: decided %d at round %d\n", i, int64(r.Decision), r.DecidedAt)
+		case out.Decided[i]:
+			fmt.Printf("  p%d: decided %d at round %d\n", i+1, int64(out.Decisions[i]), nd.DecidedAt)
 		default:
-			fmt.Printf("  p%d: undecided\n", i)
+			fmt.Printf("  p%d: undecided\n", i+1)
 		}
 	}
 	switch status {
 	case repro.AgreementReached:
-		fmt.Printf("  agreement: YES (value %d), false suspicions: %d\n\n", int64(v), cr.FalseSuspicions)
+		fmt.Printf("  agreement: YES (value %d), false suspicions: %d\n\n", int64(v), cr.Stats.FalseSuspicions)
 	case repro.AgreementViolated:
-		fmt.Printf("  agreement: *** VIOLATED ***, false suspicions: %d\n\n", cr.FalseSuspicions)
+		fmt.Printf("  agreement: *** VIOLATED ***, false suspicions: %d\n\n", cr.Stats.FalseSuspicions)
 	default:
-		fmt.Printf("  agreement: no decisions, false suspicions: %d\n\n", cr.FalseSuspicions)
+		fmt.Printf("  agreement: no decisions, false suspicions: %d\n\n", cr.Stats.FalseSuspicions)
 	}
 }
 
 func main() {
 	// 1. Lock-step RS over in-process channels: A1 decides in one round.
-	cr, err := repro.RunLive(repro.A1(), repro.ClusterConfig{
-		Kind: repro.RS, Initial: []repro.Value{9, 1, 5}, T: 1,
+	cr, err := repro.RunLive(repro.A1(), repro.EngineConfig{
+		Kind: repro.RS, T: 1,
 		RoundDuration: 15 * time.Millisecond,
-	})
+	}, []repro.Value{9, 1, 5}, repro.LiveOpenOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	report("A1 over lock-step RS (goroutines + channels)", cr)
 
 	// 2. RWS with live heartbeat failure detection; p1 crashes silently.
-	cr, err = repro.RunLive(repro.FloodSetWS(), repro.ClusterConfig{
-		Kind: repro.RWS, Initial: []repro.Value{0, 5, 9}, T: 1,
-		Crashes: map[repro.ProcessID]runtime.CrashPlan{1: {Round: 1, Reach: 0}},
-	})
+	cr, err = repro.RunLive(repro.FloodSetWS(), repro.EngineConfig{
+		Kind: repro.RWS, T: 1,
+	}, []repro.Value{0, 5, 9}, repro.LiveOpenOptions{
+		Crashes: map[repro.ProcessID]runtime.CrashPlan{1: {Round: 1, Reach: 0}}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,10 +72,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cr, err = repro.RunLive(repro.FloodSet(), repro.ClusterConfig{
-		Kind: repro.RS, Initial: []repro.Value{4, 2, 7}, T: 1,
+	cr, err = repro.RunLive(repro.FloodSet(), repro.EngineConfig{
+		Kind: repro.RS, T: 1,
 		RoundDuration: 30 * time.Millisecond, Network: tcp,
-	})
+	}, []repro.Value{4, 2, 7}, repro.LiveOpenOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func main() {
 		return 500 * time.Microsecond
 	}
 	nw := runtime.NewChanNetwork(3, runtime.ChanConfig{Delay: slow})
-	cr, err = repro.RunLive(repro.A1(), repro.ClusterConfig{
-		Kind: repro.RWS, Initial: []repro.Value{3, 1, 2}, T: 1,
+	cr, err = repro.RunLive(repro.A1(), repro.EngineConfig{
+		Kind: repro.RWS, T: 1,
 		Network: nw,
-		Crashes: map[repro.ProcessID]runtime.CrashPlan{1: {Round: 2, Reach: 0}},
-	})
+	}, []repro.Value{3, 1, 2}, repro.LiveOpenOptions{
+		Crashes: map[repro.ProcessID]runtime.CrashPlan{1: {Round: 2, Reach: 0}}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -53,7 +53,7 @@ import (
 
 // Meta identifies the coordinate a run is checked at: algorithm, round
 // model, resilience bound and the initial configuration (Initial[i] is
-// p_{i+1}'s value, as in runtime.ClusterConfig).
+// p_{i+1}'s value, as in runtime.RunCluster).
 type Meta struct {
 	Alg     rounds.Algorithm
 	Kind    rounds.ModelKind
@@ -234,22 +234,26 @@ func CheckProjected(lr *LiveRun, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// CheckLive executes one live cluster run of alg under cfg, recording its
-// event stream, and conformance-checks the execution. Any sink already in
-// cfg.Events keeps receiving the stream. The cluster's result is returned
-// alongside the report; a cluster execution error aborts the check.
-func CheckLive(alg rounds.Algorithm, cfg runtime.ClusterConfig, opts Options) (*Report, *runtime.ClusterResult, error) {
-	meta := Meta{Alg: alg, Kind: cfg.Kind, T: cfg.T, Initial: cfg.Initial}
+// CheckLive executes one live cluster run (runtime.RunCluster's arguments),
+// recording its event stream, and conformance-checks the execution. Any sink
+// already in cfg.Events or open.Events keeps receiving its stream. The
+// cluster's result is returned alongside the report; a cluster execution
+// error aborts the check.
+func CheckLive(alg rounds.Algorithm, cfg runtime.EngineConfig, initial []model.Value,
+	open runtime.OpenOptions, opts Options) (*Report, *runtime.ClusterResult, error) {
+	meta := Meta{Alg: alg, Kind: cfg.Kind, T: cfg.T, Initial: initial}
+	if meta.Kind == 0 {
+		meta.Kind = rounds.RWS // the engine's zero Kind
+	}
 	if err := meta.validate(); err != nil {
 		return nil, nil, err
 	}
 	col := &obs.Collector{}
-	if cfg.Events != nil {
-		cfg.Events = obs.MultiSink(cfg.Events, col)
-	} else {
-		cfg.Events = col
+	cfg.Events = obs.MultiSink(cfg.Events, col) // skips a nil sink
+	if open.Events != nil {
+		open.Events = obs.MultiSink(open.Events, col)
 	}
-	cr, err := runtime.RunCluster(alg, cfg)
+	cr, err := runtime.RunCluster(alg, cfg, initial, open)
 	if err != nil {
 		return nil, cr, fmt.Errorf("conform: live run failed: %w", err)
 	}

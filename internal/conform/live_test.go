@@ -95,14 +95,13 @@ func TestLiveDifferential(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			alg := algByName(t, tc.alg)
 			meta := conform.Meta{Alg: alg, Kind: tc.kind, T: tc.t, Initial: liveInitials(tc.n)}
-			cfg := runtime.ClusterConfig{
-				Kind: tc.kind, Initial: meta.Initial, T: tc.t,
+			cfg := runtime.EngineConfig{
+				Kind: tc.kind, T: tc.t,
 				RoundDuration: 15 * time.Millisecond,
 				// RWS rows: well above the 60–130 ms stalls this host shows,
 				// so a live peer is never suspected; a crash row pays one
 				// timeout per crash to detect it.
 				SuspectTimeout: 400 * time.Millisecond,
-				Crashes:        tc.crashes,
 			}
 			if tc.faults != "" {
 				fc, err := faults.ParseSpec(tc.faults)
@@ -115,7 +114,7 @@ func TestLiveDifferential(t *testing.T) {
 			// so all three algorithms must reach uniform consensus — A1's
 			// RWS counterexample needs pending messages no real network
 			// produces here.
-			rep, cr, err := conform.CheckLive(alg, cfg, conform.Options{
+			rep, cr, err := conform.CheckLive(alg, cfg, meta.Initial, runtime.OpenOptions{Crashes: tc.crashes}, conform.Options{
 				Space:           liveSpace(t, meta),
 				ExpectConsensus: true,
 			})
@@ -128,9 +127,9 @@ func TestLiveDifferential(t *testing.T) {
 			if rep.InSpace == nil || !*rep.InSpace {
 				t.Fatalf("fingerprint not checked against the space:\n%s", rep)
 			}
-			if tc.kind == rounds.RWS && !cr.DetectorWasPerfect {
+			if tc.kind == rounds.RWS && !cr.Stats.DetectorWasPerfect {
 				t.Errorf("failure detection was not perfect (%d retractions, %d sticky false suspicions)",
-					cr.FalseSuspicions, cr.FalselySuspected)
+					cr.Stats.FalseSuspicions, cr.Stats.FalselySuspected)
 			}
 			for p, plan := range tc.crashes {
 				if rep.Live.CrashRound[p] == 0 {
@@ -146,9 +145,9 @@ func TestLiveDifferential(t *testing.T) {
 // projection has no idle post-horizon rounds for the replay to ignore.
 func TestLiveRunEndsAtHorizon(t *testing.T) {
 	alg := algByName(t, "FloodSetWS")
-	rep, _, err := conform.CheckLive(alg, runtime.ClusterConfig{
-		Kind: rounds.RWS, Initial: liveInitials(3), T: 1,
-	}, conform.Options{ExpectConsensus: true})
+	rep, _, err := conform.CheckLive(alg, runtime.EngineConfig{
+		Kind: rounds.RWS, T: 1,
+	}, liveInitials(3), runtime.OpenOptions{}, conform.Options{ExpectConsensus: true})
 	if err != nil {
 		t.Fatalf("CheckLive: %v", err)
 	}

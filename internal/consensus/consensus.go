@@ -19,6 +19,8 @@
 package consensus
 
 import (
+	"strings"
+
 	"repro/internal/model"
 	"repro/internal/rounds"
 )
@@ -99,6 +101,17 @@ func All() []rounds.Algorithm {
 		FOptFloodSetWS{},
 		A1{},
 	}
+}
+
+// ByName looks an algorithm of All up by its Name, ignoring case — the
+// binaries' -alg flag.
+func ByName(name string) (rounds.Algorithm, bool) {
+	for _, a := range All() {
+		if strings.EqualFold(a.Name(), name) {
+			return a, true
+		}
+	}
+	return nil, false
 }
 
 // ForModel returns the algorithms designed for the given round model, i.e.

@@ -22,7 +22,7 @@ import (
 //
 //   - message loss leaves the detector perfect (heartbeat redundancy masks
 //     it) but starves receive-or-suspect rounds, so termination needs the
-//     RWSWaitBound liveness guard;
+//     WaitBound liveness guard;
 //   - delay spikes beyond Δ but inside the timeout margin stay harmless —
 //     perfection needs Timeout > Period + Δ, not Δ itself;
 //   - a partition longer than the timeout, and a crash/recovery cycle,
@@ -102,25 +102,25 @@ func E14Chaos(cfg Config) (*Report, error) {
 		},
 	}
 	for _, sc := range scenarios {
-		cr, err := runtime.RunCluster(consensus.FloodSetWS{}, runtime.ClusterConfig{
-			Kind: rounds.RWS, Initial: []model.Value{4, 2, 7}, T: 1,
-			Faults: sc.faults, SuspectTimeout: sc.timeout, RWSWaitBound: sc.waitBound,
+		cr, err := runtime.RunCluster(consensus.FloodSetWS{}, runtime.EngineConfig{
+			Kind: rounds.RWS, T: 1,
+			Faults: sc.faults, SuspectTimeout: sc.timeout, WaitBound: sc.waitBound,
 			MaxRounds: sc.maxRounds, Events: cfg.Events,
-		})
+		}, []model.Value{4, 2, 7}, runtime.OpenOptions{})
 		if err != nil {
 			return nil, err
 		}
-		decided, waits := 0, 0
-		for i := 1; i < len(cr.Results); i++ {
-			if cr.Results[i].Decided {
+		decided := 0
+		for _, d := range cr.Outcome.Decided {
+			if d {
 				decided++
 			}
-			waits += cr.Results[i].WaitTimeouts
 		}
+		waits := cr.Outcome.WaitTimeouts
 		_, agree := cr.Agreement()
-		table.AddRow(sc.name, sc.regime, cr.DetectorWasPerfect, cr.FalseSuspicions,
-			cr.FalselySuspected, fmt.Sprintf("%d/3", decided), agree, waits)
-		if cr.DetectorWasPerfect != sc.wantPerfect {
+		table.AddRow(sc.name, sc.regime, cr.Stats.DetectorWasPerfect, cr.Stats.FalseSuspicions,
+			cr.Stats.FalselySuspected, fmt.Sprintf("%d/3", decided), agree, waits)
+		if cr.Stats.DetectorWasPerfect != sc.wantPerfect {
 			pass = false
 		}
 		if decided != 3 { // every regime must terminate — that is what WaitBound buys

@@ -215,18 +215,18 @@ func E10Emulation(cfg Config) (*Report, error) {
 	r.Notes = append(r.Notes, fmt.Sprintf("RS emulation deadlines K_r (n=3, Φ=Δ=1): %v — the emulation's own cost grows geometrically", ks[1:]))
 
 	if cfg.Live {
-		cr, err := runtime.RunCluster(consensus.FloodSetWS{}, runtime.ClusterConfig{
-			Kind: rounds.RWS, Initial: []model.Value{4, 2, 7}, T: 1,
+		cr, err := runtime.RunCluster(consensus.FloodSetWS{}, runtime.EngineConfig{
+			Kind: rounds.RWS, T: 1,
 			Events: cfg.Events,
-		})
+		}, []model.Value{4, 2, 7}, runtime.OpenOptions{})
 		if err != nil {
 			return nil, err
 		}
 		v, st := cr.Agreement()
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"live goroutine cluster (heartbeat P over bounded-delay channels): decision %d, agreement %v, false suspicions %d, elapsed %v",
-			int64(v), st, cr.FalseSuspicions, cr.Elapsed.Round(time.Millisecond)))
-		if st != runtime.AgreementReached || cr.FalseSuspicions != 0 {
+			int64(v), st, cr.Stats.FalseSuspicions, cr.Elapsed.Round(time.Millisecond)))
+		if st != runtime.AgreementReached || cr.Stats.FalseSuspicions != 0 {
 			pass = false
 		}
 	}
@@ -287,23 +287,19 @@ func E11Matrix(cfg Config) (*Report, error) {
 			{consensus.FloodSet{}, rounds.RS},
 			{consensus.FloodSetWS{}, rounds.RWS},
 		} {
-			cc := runtime.ClusterConfig{Kind: tc.kind, Initial: []model.Value{4, 2, 7}, T: 1,
-				Events: cfg.Events}
-			if tc.kind == rounds.RS {
-				cc.RoundDuration = 15 * time.Millisecond
-			}
-			cr, err := runtime.RunCluster(tc.alg, cc)
+			// RoundDuration paces the RS rows only; RWS ignores it.
+			cr, err := runtime.RunCluster(tc.alg, runtime.EngineConfig{Kind: tc.kind, T: 1,
+				RoundDuration: 15 * time.Millisecond, Events: cfg.Events},
+				[]model.Value{4, 2, 7}, runtime.OpenOptions{})
 			if err != nil {
 				return nil, err
 			}
-			maxRound := 0
+			var maxRound int32
 			decided := 0
-			for i := 1; i < len(cr.Results); i++ {
-				if cr.Results[i].Decided {
+			for i, nd := range cr.Outcome.Nodes {
+				if cr.Outcome.Decided[i] {
 					decided++
-					if cr.Results[i].DecidedAt > maxRound {
-						maxRound = cr.Results[i].DecidedAt
-					}
+					maxRound = max(maxRound, nd.DecidedAt)
 				}
 			}
 			live.AddRow(tc.alg.Name(), tc.kind, decided, maxRound, cr.Elapsed.Round(time.Millisecond))

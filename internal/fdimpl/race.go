@@ -237,12 +237,11 @@ func consensusProbe(spec *runtime.DetectorSpec, cfg RaceConfig, score *Score) {
 	for i := range initial {
 		initial[i] = model.Value(i + 1)
 	}
-	ccfg := runtime.ClusterConfig{
-		Kind: rounds.RWS, Initial: initial, T: 1,
+	ccfg := runtime.EngineConfig{
+		Kind: rounds.RWS, T: 1,
 		HeartbeatPeriod: cfg.Period, SuspectTimeout: cfg.Timeout,
 		Detector:        spec,
 		AdaptiveTimeout: true,
-		Crashes:         map[model.ProcessID]runtime.CrashPlan{1: {Round: 1, Reach: 1}},
 		Metrics:         obs.NewRegistry(),
 	}
 	if cfg.Chaos != nil {
@@ -251,10 +250,11 @@ func consensusProbe(spec *runtime.DetectorSpec, cfg RaceConfig, score *Score) {
 		ccfg.Faults = &fc
 		// Chaos can starve receive-or-suspect forever; bound the wait so
 		// the probe terminates (the expiry is counted, not hidden).
-		ccfg.RWSWaitBound = 2 * time.Second
+		ccfg.WaitBound = 2 * time.Second
 	}
 	score.ConsensusRan = true
-	cr, err := runtime.RunCluster(consensus.FloodSetWS{}, ccfg)
+	cr, err := runtime.RunCluster(consensus.FloodSetWS{}, ccfg, initial, runtime.OpenOptions{
+		Crashes: map[model.ProcessID]runtime.CrashPlan{1: {Round: 1, Reach: 1}}})
 	if err != nil {
 		score.Note = strings.TrimSpace(score.Note + " consensus: " + err.Error())
 		return
@@ -262,20 +262,17 @@ func consensusProbe(spec *runtime.DetectorSpec, cfg RaceConfig, score *Score) {
 	_, agree := cr.Agreement()
 	score.ConsensusAgree = agree == runtime.AgreementReached
 	score.ConsensusDecided = true
-	for i := 1; i <= cfg.N; i++ {
-		r := cr.Results[i]
-		if r.Crashed {
+	for i, nd := range cr.Outcome.Nodes {
+		if nd.Crashed {
 			continue
 		}
-		if !r.Decided {
+		if !cr.Outcome.Decided[i] {
 			score.ConsensusDecided = false
 			continue
 		}
-		if r.DecidedAt > score.ConsensusRounds {
-			score.ConsensusRounds = r.DecidedAt
-		}
+		score.ConsensusRounds = max(score.ConsensusRounds, int(nd.DecidedAt))
 	}
-	score.ConsensusFalse = cr.FalseSuspicions
+	score.ConsensusFalse = cr.Stats.FalseSuspicions
 }
 
 // RenderScores formats the scorecard; rows keep their Race order.

@@ -109,25 +109,25 @@ func TestClusterCostConservation(t *testing.T) {
 			if kind == rounds.RWS {
 				alg = findAlg(t, "FloodSetWS")
 			}
-			cfg := runtime.ClusterConfig{
-				Kind: kind, Initial: []model.Value{3, 1, 2}, T: 1,
+			cfg := runtime.EngineConfig{
+				Kind: kind, T: 1,
 				Metrics: obs.NewRegistry(),
 			}
 			if kind == rounds.RS {
 				cfg.RoundDuration = 10 * time.Millisecond
 			}
-			cr, err := runtime.RunCluster(alg, cfg)
+			cr, err := runtime.RunCluster(alg, cfg, []model.Value{3, 1, 2}, runtime.OpenOptions{})
 			if err != nil {
 				t.Fatalf("RunCluster: %v", err)
 			}
-			if cr.Cost == nil {
+			if cr.Stats.Cost == nil {
 				t.Fatal("run reported no cost summary")
 			}
-			if cr.Cost.Decisions != 3 {
-				t.Fatalf("decisions = %d, want 3", cr.Cost.Decisions)
+			if cr.Stats.Cost.Decisions != 3 {
+				t.Fatalf("decisions = %d, want 3", cr.Stats.Cost.Decisions)
 			}
-			if cr.Cost.MessagesPerDecision <= 0 || cr.Cost.BytesPerDecision <= 0 {
-				t.Fatalf("per-decision figures not populated: %+v", cr.Cost)
+			if cr.Stats.Cost.MessagesPerDecision <= 0 || cr.Stats.Cost.BytesPerDecision <= 0 {
+				t.Fatalf("per-decision figures not populated: %+v", cr.Stats.Cost)
 			}
 
 			// Conservation: Σ per-link bytes == Σ per-type size × count.
@@ -500,8 +500,8 @@ func TestDumpFileAndErrors(t *testing.T) {
 // transport activity into the flight ring, and the dump carries it.
 func TestFlightThroughCluster(t *testing.T) {
 	rec := netobs.NewRecorder(8192, nil)
-	cfg := runtime.ClusterConfig{
-		Kind: rounds.RS, Initial: []model.Value{0, 1, 2}, T: 1,
+	cfg := runtime.EngineConfig{
+		Kind: rounds.RS, T: 1,
 		RoundDuration: 10 * time.Millisecond,
 		Metrics:       obs.NewRegistry(),
 		Events:        rec,
@@ -511,12 +511,12 @@ func TestFlightThroughCluster(t *testing.T) {
 			Default: faults.LinkFaults{Drop: 0.2, Duplicate: 0.1},
 		},
 	}
-	cr, err := runtime.RunCluster(findAlg(t, "FloodSet"), cfg)
+	cr, err := runtime.RunCluster(findAlg(t, "FloodSet"), cfg, []model.Value{0, 1, 2}, runtime.OpenOptions{})
 	if err != nil {
 		t.Fatalf("RunCluster: %v", err)
 	}
-	if cr.Cost == nil || cr.Cost.Decisions == 0 {
-		t.Fatalf("faulty run still decides under RS; cost = %+v", cr.Cost)
+	if cr.Stats.Cost == nil || cr.Stats.Cost.Decisions == 0 {
+		t.Fatalf("faulty run still decides under RS; cost = %+v", cr.Stats.Cost)
 	}
 	var sends, injected, decides int
 	for _, r := range rec.Records() {

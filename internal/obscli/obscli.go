@@ -47,9 +47,6 @@ func strv(p *string) string {
 	return *p
 }
 
-// Register installs the observability flags on the default FlagSet.
-func Register() *Flags { return RegisterOn(flag.CommandLine) }
-
 // RegisterOn installs the observability flags on fs, so commands that own
 // their FlagSet (and their tests) get the same -metrics/-events/-profile
 // surface.

@@ -35,12 +35,12 @@ func TestClusterSlowStartHitsRoundOneBarrier(t *testing.T) {
 		ChanNetwork: NewChanNetwork(3, ChanConfig{MaxDelay: time.Millisecond, Metrics: obs.NewRegistry()}),
 		stall:       15 * time.Millisecond, // ×3 endpoints = 45ms setup > 10ms
 	}
-	cr, err := RunCluster(consensus.FloodSet{}, ClusterConfig{
-		Kind: rounds.RS, Initial: vals(9, 4, 7), T: 1,
+	cr, err := RunCluster(consensus.FloodSet{}, EngineConfig{
+		Kind: rounds.RS, T: 1,
 		Network:       nw,
 		RoundDuration: 25 * time.Millisecond,
 		Metrics:       obs.NewRegistry(),
-	})
+	}, vals(9, 4, 7), OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,9 +48,9 @@ func TestClusterSlowStartHitsRoundOneBarrier(t *testing.T) {
 	if st != AgreementReached || v != 4 {
 		t.Fatalf("slow-start cluster: agreement (%d,%v), want (4,reached)", int64(v), st)
 	}
-	for i := 1; i < len(cr.Results); i++ {
-		if !cr.Results[i].Decided {
-			t.Errorf("p%d undecided after slow start", i)
+	for i, decided := range cr.Outcome.Decided {
+		if !decided {
+			t.Errorf("p%d undecided after slow start", i+1)
 		}
 	}
 }
@@ -59,12 +59,12 @@ func TestClusterSlowStartHitsRoundOneBarrier(t *testing.T) {
 // deliberately generous value (the config plumbs through) and the run still
 // agrees.
 func TestClusterEpochHeadroomOverride(t *testing.T) {
-	cr, err := RunCluster(consensus.FloodSet{}, ClusterConfig{
-		Kind: rounds.RS, Initial: vals(2, 5, 8), T: 1,
+	cr, err := RunCluster(consensus.FloodSet{}, EngineConfig{
+		Kind: rounds.RS, T: 1,
 		EpochHeadroom: 40 * time.Millisecond,
 		RoundDuration: 20 * time.Millisecond,
 		Metrics:       obs.NewRegistry(),
-	})
+	}, vals(2, 5, 8), OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestClusterEpochHeadroomOverride(t *testing.T) {
 // instead of leaking their eagerly acquired resources.
 func TestClusterDetectorFailureStopsPrior(t *testing.T) {
 	spec, built := failAfterSpec(3)
-	_, err := RunCluster(consensus.FloodSetWS{}, ClusterConfig{
-		Kind: rounds.RWS, Initial: vals(1, 2, 3), T: 1,
+	_, err := RunCluster(consensus.FloodSetWS{}, EngineConfig{
+		Kind: rounds.RWS, T: 1,
 		Detector: spec,
 		Metrics:  obs.NewRegistry(),
-	})
+	}, vals(1, 2, 3), OpenOptions{})
 	if err == nil {
 		t.Fatal("expected a construction error")
 	}
@@ -147,10 +147,10 @@ func TestClusterDropsForeignInstanceFromBatch(t *testing.T) {
 	}
 	time.Sleep(20 * time.Millisecond) // let the delayed delivery land in the inbox
 
-	cr, err := RunCluster(consensus.FloodSetWS{}, ClusterConfig{
-		Kind: rounds.RWS, Initial: vals(4, 2, 7), T: 1,
+	cr, err := RunCluster(consensus.FloodSetWS{}, EngineConfig{
+		Kind: rounds.RWS, T: 1,
 		Network: nw, Metrics: reg,
-	})
+	}, vals(4, 2, 7), OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,19 +43,19 @@ func TestClusterDataCost(t *testing.T) {
 			// RWS suspicion would change what the next round carries) costs
 			// one round trip of wall-clock, not six.
 			t.Parallel()
-			cr, err := RunCluster(tc.alg, ClusterConfig{
-				Kind: tc.kind, Initial: []model.Value{0, 1, 2}, T: 1,
+			cr, err := RunCluster(tc.alg, EngineConfig{
+				Kind: tc.kind, T: 1,
 				RoundDuration:  150 * time.Millisecond,
 				SuspectTimeout: 2 * time.Second,
 				Metrics:        obs.NewRegistry(),
-			})
+			}, []model.Value{0, 1, 2}, OpenOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.kind == rounds.RWS && !cr.DetectorWasPerfect {
-				t.Fatalf("precondition: detector was not perfect (%d retractions)", cr.Retractions)
+			if tc.kind == rounds.RWS && !cr.Stats.DetectorWasPerfect {
+				t.Fatalf("precondition: detector was not perfect (%d retractions)", cr.Stats.Retractions)
 			}
-			c := cr.Cost
+			c := cr.Stats.Cost
 			if c == nil || c.Decisions != 3 {
 				t.Fatalf("cost summary = %+v, want 3 decisions", c)
 			}
@@ -82,35 +82,35 @@ const costN, costT = 5, 1
 // one heartbeat detector per node, whatever the instance count — and
 // requires the run to be the one the constants describe: every node
 // decided in every instance and no suspicion was ever raised.
-func measureCost(t *testing.T, instances int, batch BatcherConfig) costRun {
+func measureCost(t *testing.T, instances, groups int, batch BatcherConfig) costRun {
 	t.Helper()
 	reg := obs.NewRegistry()
 	batch.Metrics = reg
 	var before, after goruntime.MemStats
 	goruntime.GC()
 	goruntime.ReadMemStats(&before)
-	res, err := RunEngine(consensus.FloodSetWS{}, EngineConfig{
-		Instances: instances, N: costN, T: costT,
-		Initial: func(inst int, id model.ProcessID) model.Value {
-			return model.Value((inst + int(id)) % 7)
-		},
+	_, st, err := runInstances(consensus.FloodSetWS{}, EngineConfig{
+		N: costN, T: costT,
+		Groups:          groups,
 		HeartbeatPeriod: 2 * time.Millisecond,
 		SuspectTimeout:  2 * time.Second,
 		Batch:           batch,
 		Metrics:         reg,
+	}, instances, func(inst int, id model.ProcessID) model.Value {
+		return model.Value((inst + int(id)) % 7)
 	})
 	goruntime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatalf("%d instances: %v", instances, err)
 	}
-	if got := res.DecidedCount(); got != instances*costN {
+	if got := st.DecidedNodes; got != int64(instances*costN) {
 		t.Fatalf("%d instances: %d/%d decisions", instances, got, instances*costN)
 	}
-	if !res.DetectorWasPerfect {
+	if !st.DetectorWasPerfect {
 		t.Fatalf("%d instances: precondition: detector was not perfect", instances)
 	}
 	return costRun{
-		cost:   res.Cost,
+		cost:   st.Cost,
 		rounds: reg.Counter(MetricNodeRounds).Value(),
 		allocs: after.Mallocs - before.Mallocs,
 	}
@@ -125,13 +125,13 @@ func measureCost(t *testing.T, instances int, batch BatcherConfig) costRun {
 // data frames into one transport packet; the engine's fixed setup
 // allocations spread over more decisions.
 func TestEngineCostShape(t *testing.T) {
-	// The dedicated baseline is what RunCluster builds: a one-instance
-	// engine sending every frame as its own packet. Max of three, because a
-	// run that finishes inside the first heartbeat period pays no control
+	// The dedicated baseline is a one-instance, one-worker engine sending
+	// every frame as its own packet. Max of three, because a run that
+	// finishes inside the first heartbeat period pays no control
 	// traffic at all and would make the amortization comparison vacuous.
 	var dedicated costRun
 	for i := 0; i < 3; i++ {
-		r := measureCost(t, 1, BatcherConfig{MaxBatch: 1})
+		r := measureCost(t, 1, 1, BatcherConfig{MaxBatch: 1})
 		if dedicated.cost == nil || r.cost.ControlMessages > dedicated.cost.ControlMessages {
 			dedicated = r
 		}
@@ -139,7 +139,7 @@ func TestEngineCostShape(t *testing.T) {
 	if dedicated.cost.ControlMessages == 0 {
 		t.Fatal("dedicated baseline ran without a single heartbeat")
 	}
-	shared := measureCost(t, 2000, BatcherConfig{})
+	shared := measureCost(t, 2000, 0, BatcherConfig{})
 
 	for _, r := range []costRun{dedicated, shared} {
 		d := int64(r.cost.Decisions)

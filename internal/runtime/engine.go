@@ -68,22 +68,15 @@ type EngineConfig struct {
 	// the instance's Open (round synchrony: requires a network whose delay
 	// stays below RoundDuration); no failure detector is built.
 	Kind rounds.ModelKind
-	// RoundDuration paces RS rounds (required, positive, for RS).
+	// RoundDuration paces RS rounds (default 25ms: comfortably above the
+	// default network's 1ms delay bound).
 	RoundDuration time.Duration
 	// EpochHeadroom is the slack between an RS instance's Open and its
 	// round-1 barrier. Zero scales with the cluster size (10ms + 2ms·n).
 	EpochHeadroom time.Duration
 
-	// Instances is the number of concurrent consensus instances RunEngine
-	// executes (ids 0..Instances-1 on the wire). StartEngine ignores it:
-	// a live engine admits instances dynamically through Open.
-	Instances int
 	// N is the cluster size, T the resilience bound.
 	N, T int
-	// Initial yields node id's proposal in instance inst (RunEngine only;
-	// Open takes the proposal function per instance). Nil proposes 0
-	// everywhere.
-	Initial func(inst int, id model.ProcessID) model.Value
 
 	// Groups is the number of shard workers instances are distributed
 	// across (instance k belongs to worker k mod Groups). Default:
@@ -103,7 +96,7 @@ type EngineConfig struct {
 	Buffer int
 
 	// HeartbeatPeriod and SuspectTimeout configure the per-node failure
-	// detectors (defaults 2ms / 30ms, as in ClusterConfig).
+	// detectors (defaults 2ms / 30ms: perfect over the default network).
 	HeartbeatPeriod time.Duration
 	SuspectTimeout  time.Duration
 	// Detector selects the construction (nil: all-to-all heartbeat). ONE
@@ -112,10 +105,10 @@ type EngineConfig struct {
 	// engine amortizes across instances.
 	Detector *DetectorSpec
 	// AdaptiveTimeout switches the detectors to the ◇P construction: each
-	// retraction doubles the suspicion timeout, up to AdaptiveTimeoutMax
-	// (0: 64× the initial timeout).
-	AdaptiveTimeout    bool
-	AdaptiveTimeoutMax time.Duration
+	// retraction doubles the suspicion timeout, up to 64× the initial one.
+	// Without it a network beyond its Δ bound makes them permanently
+	// inaccurate.
+	AdaptiveTimeout bool
 
 	// MaxRounds is a safety cap (default T+2), not the length of a run:
 	// instances halt at quiescence — an automaton that has decided and whose
@@ -279,63 +272,6 @@ type EngineStats struct {
 
 	// Cost is the engine's transport accounting so far (per decided node).
 	Cost *obs.CostSummary
-}
-
-// EngineResult aggregates every instance's outcome plus the run's shared
-// cost accounting (the batch RunEngine surface).
-type EngineResult struct {
-	N, Instances int
-
-	// Decided and Decisions are indexed inst*N + (id-1).
-	Decided   []bool
-	Decisions []model.Value
-
-	// WaitTimeouts counts rounds cut short by WaitBound across all
-	// instances; nonzero means the mesh lost data messages (overflow, injected
-	// faults) and the affected instances proceeded with partial rounds.
-	WaitTimeouts int64
-	// UnknownInstanceDrops counts round messages dropped for carrying an
-	// out-of-range instance id.
-	UnknownInstanceDrops int64
-
-	// Detector audit, summed over the n shared detectors (see ClusterResult).
-	FalseSuspicions    int64
-	Retractions        int64
-	FalselySuspected   int64
-	DetectorWasPerfect bool
-	EncodeErrors       int64
-
-	Elapsed time.Duration
-
-	// Cost is the run's transport accounting. With one detector per node
-	// serving every instance, Cost.ControlMessagesPerDecision is the
-	// amortization headline: it falls toward zero as Instances grows.
-	Cost      *obs.CostSummary
-	WireKinds []netobs.KindTotals
-	Links     *netobs.LinkTap
-}
-
-// Decision returns node id's decision in instance inst.
-func (er *EngineResult) Decision(inst int, id model.ProcessID) (model.Value, bool) {
-	i := inst*er.N + int(id) - 1
-	return er.Decisions[i], er.Decided[i]
-}
-
-// InstanceAgreement reports instance inst's verdict across its nodes.
-func (er *EngineResult) InstanceAgreement(inst int) (model.Value, AgreementStatus) {
-	base := inst * er.N
-	return agreementOf(er.Decisions[base:base+er.N], er.Decided[base:base+er.N])
-}
-
-// DecidedCount counts (instance, node) decisions.
-func (er *EngineResult) DecidedCount() int {
-	count := 0
-	for _, d := range er.Decided {
-		if d {
-			count++
-		}
-	}
-	return count
 }
 
 // engEvent is one worker mailbox entry: either a routed round message (a
@@ -548,8 +484,7 @@ func (er *engineRun) finish(inst uint64, out InstanceOutcome) {
 
 // Engine is the long-lived form of the shared-mesh runtime: one mesh, one
 // failure detector per node, and consensus instances admitted dynamically
-// through Open — the backing of a consensus-serving daemon. RunEngine is
-// the batch façade over it.
+// through Open — the backing of a consensus-serving daemon.
 //
 // Lifecycle: StartEngine brings up detectors, demultiplexers and shard
 // workers; Open admits instances until Drain or Close; Close finishes the
@@ -581,8 +516,7 @@ type Engine struct {
 
 // StartEngine brings up a live shared-mesh engine and returns once every
 // detector, demultiplexer and shard worker is running; a rejected config
-// fails before any goroutine starts. cfg.Instances and cfg.Initial are
-// ignored — instances are admitted through Open.
+// fails before any goroutine starts.
 func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 	n := cfg.N
 	if n < 1 {
@@ -594,13 +528,12 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 	switch cfg.Kind {
 	case 0:
 		cfg.Kind = rounds.RWS
-	case rounds.RWS:
-	case rounds.RS:
-		if cfg.RoundDuration <= 0 {
-			return nil, fmt.Errorf("runtime: engine: RS requires a positive RoundDuration")
-		}
+	case rounds.RWS, rounds.RS:
 	default:
 		return nil, fmt.Errorf("runtime: engine: unknown model kind %v", cfg.Kind)
+	}
+	if cfg.RoundDuration <= 0 {
+		cfg.RoundDuration = 25 * time.Millisecond
 	}
 	if cfg.EpochHeadroom <= 0 {
 		cfg.EpochHeadroom = 10*time.Millisecond + time.Duration(n)*2*time.Millisecond
@@ -622,9 +555,6 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 		if cfg.Groups > 8 {
 			cfg.Groups = 8
 		}
-	}
-	if cfg.Instances > 0 && cfg.Groups > cfg.Instances {
-		cfg.Groups = cfg.Instances
 	}
 	if cfg.Buffer <= 0 {
 		cfg.Buffer = 1 << 15
@@ -695,7 +625,7 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 			d, err := spec.New(DetectorConfig{
 				Transport: tr, N: n,
 				Period: cfg.HeartbeatPeriod, Timeout: cfg.SuspectTimeout,
-				Adaptive: cfg.AdaptiveTimeout, AdaptiveMax: cfg.AdaptiveTimeoutMax,
+				Adaptive: cfg.AdaptiveTimeout,
 			})
 			if err != nil {
 				// Already-built detectors hold no goroutines before Start,
@@ -761,7 +691,8 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 
 // Open admits one consensus instance: node id proposes initial(id) (nil
 // proposes 0 everywhere). The returned handle resolves when every automaton
-// has halted. Open fails with ErrEngineDraining after Drain or Close.
+// has halted. Open fails with ErrEngineDraining after Drain or Close, and
+// with the engine's abort error once a transport failure has aborted it.
 func (e *Engine) Open(initial func(model.ProcessID) model.Value) (*Instance, error) {
 	return e.OpenWith(initial, OpenOptions{})
 }
@@ -779,6 +710,13 @@ func (e *Engine) OpenWith(initial func(model.ProcessID) model.Value, opts OpenOp
 	defer e.drainMu.Unlock()
 	if e.draining {
 		return nil, ErrEngineDraining
+	}
+	select {
+	case <-er.abortCh:
+		// The workers are gone: a registration would sit in a mailbox nobody
+		// drains and the handle could resolve only at Close.
+		return nil, fmt.Errorf("runtime: engine aborted: %w", e.Err())
+	default:
 	}
 	id := er.opened.Add(1) - 1
 	h := &Instance{id: id, done: make(chan struct{})}
@@ -879,11 +817,7 @@ func (e *Engine) Stats() EngineStats {
 		s.FalselySuspected += int64(fd.EverSuspected().Minus(crashed).Count())
 	}
 	s.DetectorWasPerfect = s.FalseSuspicions == 0 && s.FalselySuspected == 0
-	var links *netobs.LinkTap
-	if ts, ok := e.network.(TelemetrySource); ok {
-		links = ts.Telemetry()
-	}
-	s.Cost = netobs.ComputeCost(int(s.DecidedNodes), e.ws, links)
+	s.Cost = netobs.ComputeCost(int(s.DecidedNodes), e.ws, e.links())
 	return s
 }
 
@@ -960,77 +894,6 @@ func (e *Engine) links() *netobs.LinkTap {
 		return ts.Telemetry()
 	}
 	return nil
-}
-
-// RunEngine executes cfg.Instances concurrent instances of the algorithm
-// over one shared mesh and returns every instance's outcome. All goroutines
-// are joined before it returns. It is the batch façade over StartEngine.
-func RunEngine(alg rounds.Algorithm, cfg EngineConfig) (*EngineResult, error) {
-	if cfg.Instances < 1 {
-		return nil, fmt.Errorf("runtime: engine: need at least one instance")
-	}
-	initial := cfg.Initial
-	if initial == nil {
-		initial = func(int, model.ProcessID) model.Value { return 0 }
-	}
-	e, err := StartEngine(alg, cfg)
-	if err != nil {
-		return nil, err
-	}
-	n := e.er.n
-
-	start := time.Now()
-	handles := make([]*Instance, cfg.Instances)
-	for k := range handles {
-		k := k
-		h, err := e.Open(func(id model.ProcessID) model.Value { return initial(k, id) })
-		if err != nil {
-			_ = e.Close()
-			return nil, err
-		}
-		handles[k] = h
-	}
-wait:
-	for _, h := range handles {
-		select {
-		case <-h.Done():
-		case <-e.er.abortCh:
-			break wait
-		}
-	}
-	elapsed := time.Since(start)
-	err = e.Close()
-
-	res := &EngineResult{
-		N: n, Instances: cfg.Instances,
-		Decided:              make([]bool, cfg.Instances*n),
-		Decisions:            make([]model.Value, cfg.Instances*n),
-		WaitTimeouts:         e.er.waitTimeouts.Load(),
-		UnknownInstanceDrops: e.er.unknownCount.Load(),
-		Elapsed:              elapsed,
-	}
-	for k, h := range handles {
-		out, ok := h.Outcome()
-		if !ok {
-			continue
-		}
-		for i := 0; i < n; i++ {
-			if out.Decided[i] {
-				res.Decided[k*n+i] = true
-				res.Decisions[k*n+i] = out.Decisions[i]
-			}
-		}
-	}
-	st := e.Stats()
-	res.FalseSuspicions = st.FalseSuspicions
-	res.Retractions = st.Retractions
-	res.EncodeErrors = st.EncodeErrors
-	res.FalselySuspected = st.FalselySuspected
-	res.DetectorWasPerfect = st.DetectorWasPerfect
-	res.Links = e.links()
-	res.Cost = netobs.ComputeCost(res.DecidedCount(), e.ws, res.Links)
-	res.WireKinds = e.ws.PerKind()
-	return res, err
 }
 
 // demuxLoop decodes one node's inbound packets (splitting batches), feeds

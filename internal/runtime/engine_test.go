@@ -18,7 +18,7 @@ import (
 )
 
 // stubDetector is an inert Detector that records lifecycle calls — enough to
-// pin the construction-error cleanup paths of RunEngine and RunCluster.
+// pin the construction-error cleanup paths of StartEngine and RunCluster.
 type stubDetector struct {
 	started atomic.Int32
 	stopped atomic.Int32
@@ -70,20 +70,52 @@ func engineInitialFn(inst int, id model.ProcessID) model.Value {
 	return engineInitials[inst%len(engineInitials)][id-1]
 }
 
-func runEquivEngine(t *testing.T, groups int) *EngineResult {
+// runInstances is the batch shape several tests share: start an engine, open
+// `instances` instances where node id proposes initial(inst, id), wait them
+// out, close, and hand back every outcome with the closing stats.
+func runInstances(alg rounds.Algorithm, cfg EngineConfig, instances int,
+	initial func(inst int, id model.ProcessID) model.Value) ([]InstanceOutcome, EngineStats, error) {
+	e, err := StartEngine(alg, cfg)
+	if err != nil {
+		return nil, EngineStats{}, err
+	}
+	handles := make([]*Instance, instances)
+	for k := range handles {
+		k := k
+		if handles[k], err = e.Open(func(id model.ProcessID) model.Value { return initial(k, id) }); err != nil {
+			_ = e.Close()
+			return nil, EngineStats{}, err
+		}
+	}
+wait:
+	for _, h := range handles {
+		select {
+		case <-h.Done():
+		case <-e.er.abortCh:
+			break wait // Close resolves what the aborted workers left behind
+		}
+	}
+	err = e.Close()
+	outs := make([]InstanceOutcome, instances)
+	for k, h := range handles {
+		outs[k], _ = h.Outcome()
+	}
+	return outs, e.Stats(), err
+}
+
+func runEquivEngine(t *testing.T, groups int) []InstanceOutcome {
 	t.Helper()
-	res, err := RunEngine(consensus.FloodSetWS{}, EngineConfig{
-		Instances: 12, N: 3, T: 1,
+	outs, _, err := runInstances(consensus.FloodSetWS{}, EngineConfig{
+		N: 3, T: 1,
 		Groups:          groups,
-		Initial:         engineInitialFn,
 		HeartbeatPeriod: 5 * time.Millisecond,
 		SuspectTimeout:  500 * time.Millisecond,
 		Metrics:         obs.NewRegistry(),
-	})
+	}, 12, engineInitialFn)
 	if err != nil {
-		t.Fatalf("RunEngine(groups=%d): %v", groups, err)
+		t.Fatalf("runInstances(groups=%d): %v", groups, err)
 	}
-	return res
+	return outs
 }
 
 // TestEngineMatchesRoundModel is the acceptance check against the repo's
@@ -147,14 +179,16 @@ func TestEngineMatchesRoundModel(t *testing.T) {
 func TestEngineShardingInvariance(t *testing.T) {
 	one := runEquivEngine(t, 1)
 	four := runEquivEngine(t, 4)
-	if len(one.Decisions) != len(four.Decisions) {
-		t.Fatalf("result sizes differ: %d vs %d", len(one.Decisions), len(four.Decisions))
+	if len(one) != len(four) {
+		t.Fatalf("result sizes differ: %d vs %d", len(one), len(four))
 	}
-	for i := range one.Decisions {
-		if one.Decided[i] != four.Decided[i] || one.Decisions[i] != four.Decisions[i] {
-			t.Errorf("slot %d: groups=1 (%d,%v) vs groups=4 (%d,%v)",
-				i, int64(one.Decisions[i]), one.Decided[i],
-				int64(four.Decisions[i]), four.Decided[i])
+	for k := range one {
+		for i := range one[k].Decisions {
+			if one[k].Decided[i] != four[k].Decided[i] || one[k].Decisions[i] != four[k].Decisions[i] {
+				t.Errorf("instance %d node %d: groups=1 (%d,%v) vs groups=4 (%d,%v)",
+					k, i+1, int64(one[k].Decisions[i]), one[k].Decided[i],
+					int64(four[k].Decisions[i]), four[k].Decided[i])
+			}
 		}
 	}
 }
@@ -179,26 +213,25 @@ func TestEngineUnknownInstanceDrops(t *testing.T) {
 	}
 	time.Sleep(20 * time.Millisecond) // let the delayed delivery land in the inbox
 
-	res, err := RunEngine(consensus.FloodSetWS{}, EngineConfig{
-		Instances: 2, N: 3, T: 1,
-		Initial:         engineInitialFn,
+	outs, st, err := runInstances(consensus.FloodSetWS{}, EngineConfig{
+		N: 3, T: 1,
 		Network:         nw,
 		HeartbeatPeriod: 5 * time.Millisecond,
 		SuspectTimeout:  500 * time.Millisecond,
 		Metrics:         reg,
-	})
+	}, 2, engineInitialFn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.UnknownInstanceDrops != 1 {
-		t.Errorf("UnknownInstanceDrops = %d, want 1", res.UnknownInstanceDrops)
+	if st.UnknownInstanceDrops != 1 {
+		t.Errorf("UnknownInstanceDrops = %d, want 1", st.UnknownInstanceDrops)
 	}
 	if got := reg.Snapshot().Counter(MetricEngineUnknownInstance); got != 1 {
 		t.Errorf("unknown-instance counter = %d, want 1", got)
 	}
-	for inst := 0; inst < 2; inst++ {
-		if _, st := res.InstanceAgreement(inst); st != AgreementReached {
-			t.Errorf("instance %d: verdict %v after stray drop", inst, st)
+	for inst, out := range outs {
+		if _, verdict := out.Agreement(); verdict != AgreementReached {
+			t.Errorf("instance %d: verdict %v after stray drop", inst, verdict)
 		}
 	}
 }
@@ -208,19 +241,18 @@ func TestEngineUnknownInstanceDrops(t *testing.T) {
 // detector's control cost lands in the cost summary.
 func TestEngineBatchedRun(t *testing.T) {
 	reg := obs.NewRegistry()
-	res, err := RunEngine(consensus.FloodSetWS{}, EngineConfig{
-		Instances: 40, N: 3, T: 1,
-		Initial:         engineInitialFn,
+	_, st, err := runInstances(consensus.FloodSetWS{}, EngineConfig{
+		N: 3, T: 1,
 		Batch:           BatcherConfig{MaxBatch: 8, FlushEvery: 2 * time.Millisecond},
 		HeartbeatPeriod: 5 * time.Millisecond,
 		SuspectTimeout:  500 * time.Millisecond,
 		Metrics:         reg,
-	})
+	}, 40, engineInitialFn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.DecidedCount(); got != 40*3 {
-		t.Fatalf("DecidedCount = %d, want 120", got)
+	if got := st.DecidedNodes; got != 40*3 {
+		t.Fatalf("DecidedNodes = %d, want 120", got)
 	}
 	snap := reg.Snapshot()
 	if frames := snap.Counter(MetricBatcherFrames); frames == 0 {
@@ -232,8 +264,8 @@ func TestEngineBatchedRun(t *testing.T) {
 	if flushes == 0 {
 		t.Error("batcher never flushed")
 	}
-	if res.Cost == nil || res.Cost.Decisions != 120 {
-		t.Fatalf("cost summary = %+v, want 120 decisions", res.Cost)
+	if st.Cost == nil || st.Cost.Decisions != 120 {
+		t.Fatalf("cost summary = %+v, want 120 decisions", st.Cost)
 	}
 	if got := snap.Counter(MetricEngineInstancesDecided); got != 120 {
 		t.Errorf("decisions counter = %d, want 120", got)
@@ -245,8 +277,8 @@ func TestEngineBatchedRun(t *testing.T) {
 // the error.
 func TestEngineDetectorFailureStopsPrior(t *testing.T) {
 	spec, built := failAfterSpec(3)
-	_, err := RunEngine(consensus.FloodSetWS{}, EngineConfig{
-		Instances: 2, N: 3, T: 1,
+	_, err := StartEngine(consensus.FloodSetWS{}, EngineConfig{
+		N: 3, T: 1,
 		Detector: spec,
 		Metrics:  obs.NewRegistry(),
 	})

@@ -13,12 +13,11 @@ import (
 // TestLiveNBACCommitsFailureFree: all-Yes votes over the live RS cluster
 // commit.
 func TestLiveNBACCommitsFailureFree(t *testing.T) {
-	cr, err := RunCluster(nbac.ForRS(), ClusterConfig{
+	cr, err := RunCluster(nbac.ForRS(), EngineConfig{
 		Kind:          rounds.RS,
-		Initial:       []model.Value{nbac.VoteYes, nbac.VoteYes, nbac.VoteYes},
 		T:             1,
 		RoundDuration: 15 * time.Millisecond,
-	})
+	}, []model.Value{nbac.VoteYes, nbac.VoteYes, nbac.VoteYes}, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +29,10 @@ func TestLiveNBACCommitsFailureFree(t *testing.T) {
 
 // TestLiveNBACAbortsOnNoVote: one No vote aborts, live.
 func TestLiveNBACAbortsOnNoVote(t *testing.T) {
-	cr, err := RunCluster(nbac.ForRWS(), ClusterConfig{
-		Kind:    rounds.RWS,
-		Initial: []model.Value{nbac.VoteYes, nbac.VoteNo, nbac.VoteYes},
-		T:       1,
-	})
+	cr, err := RunCluster(nbac.ForRWS(), EngineConfig{
+		Kind: rounds.RWS,
+		T:    1,
+	}, []model.Value{nbac.VoteYes, nbac.VoteNo, nbac.VoteYes}, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +53,10 @@ func TestLiveNBACAbortsOnNoVote(t *testing.T) {
 func TestLiveNBACCommitGap(t *testing.T) {
 	votes := []model.Value{nbac.VoteYes, nbac.VoteYes, nbac.VoteYes}
 
-	rs, err := RunCluster(nbac.ForRS(), ClusterConfig{
-		Kind: rounds.RS, Initial: votes, T: 1,
+	rs, err := RunCluster(nbac.ForRS(), EngineConfig{
+		Kind: rounds.RS, T: 1,
 		RoundDuration: 15 * time.Millisecond,
-		Crashes:       map[model.ProcessID]CrashPlan{1: {Round: 2, Reach: 0}},
-	})
+	}, votes, OpenOptions{Crashes: map[model.ProcessID]CrashPlan{1: {Round: 2, Reach: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,17 +72,16 @@ func TestLiveNBACCommitGap(t *testing.T) {
 		return 500 * time.Microsecond
 	}
 	nw := NewChanNetwork(3, ChanConfig{Delay: slowVotes})
-	rws, err := RunCluster(nbac.ForRWS(), ClusterConfig{
-		Kind: rounds.RWS, Initial: votes, T: 1,
+	rws, err := RunCluster(nbac.ForRWS(), EngineConfig{
+		Kind: rounds.RWS, T: 1,
 		Network: nw,
-		Crashes: map[model.ProcessID]CrashPlan{1: {Round: 2, Reach: 0}},
-	})
+	}, votes, OpenOptions{Crashes: map[model.ProcessID]CrashPlan{1: {Round: 2, Reach: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 2; i <= 3; i++ {
-		if !rws.Results[i].Decided || rws.Results[i].Decision != nbac.Abort {
-			t.Fatalf("RWS: p%d = %+v, want ABORT (vote pending behind suspicion)", i, rws.Results[i])
+		if !rws.Outcome.Decided[i-1] || rws.Outcome.Decisions[i-1] != nbac.Abort {
+			t.Fatalf("RWS: p%d in %+v, want ABORT (vote pending behind suspicion)", i, rws.Outcome)
 		}
 	}
 }

@@ -17,28 +17,28 @@ import (
 	"repro/internal/rounds"
 )
 
-// TestClusterMetricsEndpoint is the live-exposition acceptance check: an
-// RWS cluster run with a crash serves non-empty Prometheus output on its
-// configured endpoint, including suspicion and round-duration metrics.
+// TestClusterMetricsEndpoint is the live-exposition acceptance check: the
+// registry of an RWS cluster run with a crash, served by obs.StartServer,
+// yields non-empty Prometheus output including suspicion and round-duration
+// metrics.
 func TestClusterMetricsEndpoint(t *testing.T) {
 	reg := obs.NewRegistry()
-	var events obs.Collector
-	cr, err := RunCluster(consensus.FloodSetWS{}, ClusterConfig{
-		Kind: rounds.RWS, Initial: vals(0, 5, 9), T: 1,
-		Crashes:     map[model.ProcessID]CrashPlan{1: {Round: 1, Reach: 0}},
-		Metrics:     reg,
-		Events:      &events,
-		MetricsAddr: "127.0.0.1:0",
-	})
+	server, err := obs.StartServer("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cr.MetricsServer == nil {
-		t.Fatal("no metrics server in the result")
+	defer func() { _ = server.Close() }()
+	var events obs.Collector
+	cr, err := RunCluster(consensus.FloodSetWS{}, EngineConfig{
+		Kind: rounds.RWS, T: 1,
+		Metrics: reg,
+		Events:  &events,
+	}, vals(0, 5, 9), OpenOptions{Crashes: map[model.ProcessID]CrashPlan{1: {Round: 1, Reach: 0}}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	defer func() { _ = cr.MetricsServer.Close() }()
 
-	resp, err := http.Get(cr.MetricsServer.URL() + "/metrics")
+	resp, err := http.Get(server.URL() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 	}
 	// Perfect detection over the synchronous default network: the retracted
 	// counter must agree with the result's false-suspicion tally (both 0).
-	if got := snap.Counter(obs.Label(MetricSuspicionsRetracted, "detector", "heartbeat")); got != cr.FalseSuspicions {
-		t.Errorf("retracted counter = %d, FalseSuspicions = %d", got, cr.FalseSuspicions)
+	if got := snap.Counter(obs.Label(MetricSuspicionsRetracted, "detector", "heartbeat")); got != cr.Stats.FalseSuspicions {
+		t.Errorf("retracted counter = %d, FalseSuspicions = %d", got, cr.Stats.FalseSuspicions)
 	}
 
-	resp, err = http.Get(cr.MetricsServer.URL() + "/healthz")
+	resp, err = http.Get(server.URL() + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,31 +150,27 @@ func (f *failingEndpoint) Recv() <-chan Packet { return f.inner.Recv() }
 func (f *failingEndpoint) Close() error        { return f.inner.Close() }
 
 // TestRunClusterErrorPathLeaksNothing is the regression test for the early
-// return: a cluster whose sends all fail must report the node error, close
-// its metrics endpoint, and join every goroutine it started.
+// return: a cluster whose sends all fail must report the node error and join
+// every goroutine it started.
 func TestRunClusterErrorPathLeaksNothing(t *testing.T) {
 	goruntime.GC()
 	before := goruntime.NumGoroutine()
 
 	inner := NewChanNetwork(3, ChanConfig{MaxDelay: time.Millisecond, Metrics: obs.NewRegistry()})
-	cr, err := RunCluster(consensus.FloodSetWS{}, ClusterConfig{
-		Kind: rounds.RWS, Initial: vals(1, 2, 3), T: 1,
-		Network:     &failingNetwork{inner: inner},
-		Metrics:     obs.NewRegistry(),
-		MetricsAddr: "127.0.0.1:0",
-	})
+	_, err := RunCluster(consensus.FloodSetWS{}, EngineConfig{
+		Kind: rounds.RWS, T: 1,
+		Network: &failingNetwork{inner: inner},
+		Metrics: obs.NewRegistry(),
+	}, vals(1, 2, 3), OpenOptions{})
 	if err == nil {
 		t.Fatal("expected a node error from the failing network")
 	}
 	if !errors.Is(err, errInjected) {
 		t.Errorf("error = %v, want wrapped injected failure", err)
 	}
-	if cr != nil && cr.MetricsServer != nil {
-		t.Error("metrics server leaked through the error path")
-	}
 
-	// Every goroutine RunCluster started (nodes, demuxers, detectors, the
-	// metrics server, in-flight deliveries) must be gone.
+	// Every goroutine RunCluster started (nodes, demuxers, detectors,
+	// in-flight deliveries) must be gone.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		goruntime.GC()
@@ -192,16 +188,15 @@ func TestRunClusterErrorPathLeaksNothing(t *testing.T) {
 
 // TestStartEngineErrorPath covers the construction-time early return: a
 // rejected config leaves a caller-supplied network untouched (no goroutine
-// has started, nothing was closed on the caller's behalf), and the metrics
-// endpoint RunCluster opened before the rejection comes down with it.
+// has started, nothing was closed on the caller's behalf).
 func TestStartEngineErrorPath(t *testing.T) {
 	nw := NewChanNetwork(2, ChanConfig{Metrics: obs.NewRegistry()})
 	defer func() { _ = nw.Close() }()
 	before := goruntime.NumGoroutine()
-	cr, err := RunCluster(consensus.FloodSet{}, ClusterConfig{
-		Kind: rounds.ModelKind(9), Initial: vals(1, 2), T: 1,
-		Network: nw, Metrics: obs.NewRegistry(), MetricsAddr: "127.0.0.1:0",
-	})
+	cr, err := RunCluster(consensus.FloodSet{}, EngineConfig{
+		Kind: rounds.ModelKind(9), T: 1,
+		Network: nw, Metrics: obs.NewRegistry(),
+	}, vals(1, 2), OpenOptions{})
 	if err == nil || cr != nil {
 		t.Fatalf("RunCluster = (%v, %v), want a config error and no result", cr, err)
 	}
@@ -214,5 +209,41 @@ func TestStartEngineErrorPath(t *testing.T) {
 	}
 	if after := goruntime.NumGoroutine(); after > before {
 		t.Errorf("error path left goroutines behind: %d before, %d after", before, after)
+	}
+}
+
+// TestOpenAfterAbort: once a transport failure has aborted the engine its
+// workers are gone, so Open must refuse with the abort error instead of
+// handing out a handle nothing will ever resolve before Close.
+func TestOpenAfterAbort(t *testing.T) {
+	inner := NewChanNetwork(3, ChanConfig{MaxDelay: time.Millisecond, Metrics: obs.NewRegistry()})
+	e, err := StartEngine(consensus.FloodSetWS{}, EngineConfig{
+		N: 3, T: 1,
+		Network: &failingNetwork{inner: inner},
+		Metrics: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := e.OpenValue(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-e.er.abortCh:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the failing network never aborted the engine")
+	}
+	if h, err := e.OpenValue(2); !errors.Is(err, errInjected) {
+		t.Errorf("Open after abort = (%v, %v), want an error wrapping the injected failure", h, err)
+	}
+	if err := e.Close(); !errors.Is(err, errInjected) {
+		t.Errorf("Close = %v, want the injected failure", err)
+	}
+	if out, ok := first.Outcome(); !ok || !errors.Is(out.Err, errInjected) {
+		t.Errorf("aborted instance resolved (%v, %+v), want the abort error", ok, out)
+	}
+	if st := e.Stats(); st.Opened != 1 {
+		t.Errorf("Opened = %d, want 1: the refused Open must not consume an instance id", st.Opened)
 	}
 }

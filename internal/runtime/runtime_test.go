@@ -147,12 +147,11 @@ func TestHeartbeatFDPerfectOverSynchronousNetwork(t *testing.T) {
 func requireAgreementValidity(t *testing.T, cr *ClusterResult, initial []model.Value, wantDecided int) {
 	t.Helper()
 	if _, st := cr.Agreement(); st != AgreementReached {
-		vals, _ := cr.Decisions()
-		t.Fatalf("agreement verdict %v: decisions %v", st, vals[1:])
+		t.Fatalf("agreement verdict %v: decisions %v", st, cr.Outcome.Decisions)
 	}
 	decided := 0
-	for i := 1; i < len(cr.Results); i++ {
-		if cr.Results[i].Decided {
+	for _, d := range cr.Outcome.Decided {
+		if d {
 			decided++
 		}
 	}
@@ -163,10 +162,10 @@ func requireAgreementValidity(t *testing.T, cr *ClusterResult, initial []model.V
 
 func TestLiveRSFloodSet(t *testing.T) {
 	initial := vals(4, 2, 7, 5)
-	cr, err := RunCluster(consensus.FloodSet{}, ClusterConfig{
-		Kind: rounds.RS, Initial: initial, T: 1,
+	cr, err := RunCluster(consensus.FloodSet{}, EngineConfig{
+		Kind: rounds.RS, T: 1,
 		RoundDuration: 15 * time.Millisecond,
-	})
+	}, initial, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,39 +178,38 @@ func TestLiveRSFloodSet(t *testing.T) {
 
 func TestLiveRSA1DecidesRoundOne(t *testing.T) {
 	initial := vals(9, 1, 5)
-	cr, err := RunCluster(consensus.A1{}, ClusterConfig{
-		Kind: rounds.RS, Initial: initial, T: 1,
+	cr, err := RunCluster(consensus.A1{}, EngineConfig{
+		Kind: rounds.RS, T: 1,
 		RoundDuration: 15 * time.Millisecond,
-	})
+	}, initial, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireAgreementValidity(t, cr, initial, 3)
 	for i := 1; i <= 3; i++ {
-		if cr.Results[i].DecidedAt != 1 {
-			t.Errorf("node %d decided at round %d, want 1 (Λ(A1)=1 live)", i, cr.Results[i].DecidedAt)
+		if cr.Outcome.Nodes[i-1].DecidedAt != 1 {
+			t.Errorf("node %d decided at round %d, want 1 (Λ(A1)=1 live)", i, cr.Outcome.Nodes[i-1].DecidedAt)
 		}
-		if cr.Results[i].Rounds != 2 {
-			t.Errorf("node %d ran %d rounds, want 2 (quiet after the round-2 forward)", i, cr.Results[i].Rounds)
+		if cr.Outcome.Nodes[i-1].Rounds != 2 {
+			t.Errorf("node %d ran %d rounds, want 2 (quiet after the round-2 forward)", i, cr.Outcome.Nodes[i-1].Rounds)
 		}
-		if cr.Results[i].Decision != 9 {
-			t.Errorf("node %d decided %d, want 9", i, cr.Results[i].Decision)
+		if cr.Outcome.Decisions[i-1] != 9 {
+			t.Errorf("node %d decided %d, want 9", i, cr.Outcome.Decisions[i-1])
 		}
 	}
 }
 
 func TestLiveRSWithCrash(t *testing.T) {
 	initial := vals(0, 5, 9)
-	cr, err := RunCluster(consensus.FloodSet{}, ClusterConfig{
-		Kind: rounds.RS, Initial: initial, T: 1,
+	cr, err := RunCluster(consensus.FloodSet{}, EngineConfig{
+		Kind: rounds.RS, T: 1,
 		RoundDuration: 15 * time.Millisecond,
-		Crashes:       map[model.ProcessID]CrashPlan{1: {Round: 1, Reach: 1}},
-	})
+	}, initial, OpenOptions{Crashes: map[model.ProcessID]CrashPlan{1: {Round: 1, Reach: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireAgreementValidity(t, cr, initial, 2)
-	if !cr.Results[1].Crashed {
+	if !cr.Outcome.Nodes[0].Crashed {
 		t.Error("node 1 did not crash")
 	}
 	// p1 reached p2 only; 0 floods through p2 to everyone.
@@ -222,15 +220,15 @@ func TestLiveRSWithCrash(t *testing.T) {
 
 func TestLiveRWSFloodSetWS(t *testing.T) {
 	initial := vals(4, 2, 7)
-	cr, err := RunCluster(consensus.FloodSetWS{}, ClusterConfig{
-		Kind: rounds.RWS, Initial: initial, T: 1,
-	})
+	cr, err := RunCluster(consensus.FloodSetWS{}, EngineConfig{
+		Kind: rounds.RWS, T: 1,
+	}, initial, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireAgreementValidity(t, cr, initial, 3)
-	if cr.FalseSuspicions != 0 {
-		t.Errorf("%d false suspicions over a synchronous network", cr.FalseSuspicions)
+	if cr.Stats.FalseSuspicions != 0 {
+		t.Errorf("%d false suspicions over a synchronous network", cr.Stats.FalseSuspicions)
 	}
 	if v, _ := cr.Agreement(); v != 2 {
 		t.Errorf("decided %d, want 2", v)
@@ -239,10 +237,9 @@ func TestLiveRWSFloodSetWS(t *testing.T) {
 
 func TestLiveRWSWithCrash(t *testing.T) {
 	initial := vals(0, 5, 9)
-	cr, err := RunCluster(consensus.FloodSetWS{}, ClusterConfig{
-		Kind: rounds.RWS, Initial: initial, T: 1,
-		Crashes: map[model.ProcessID]CrashPlan{1: {Round: 1, Reach: 0}},
-	})
+	cr, err := RunCluster(consensus.FloodSetWS{}, EngineConfig{
+		Kind: rounds.RWS, T: 1,
+	}, initial, OpenOptions{Crashes: map[model.ProcessID]CrashPlan{1: {Round: 1, Reach: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,24 +265,23 @@ func TestLiveA1DisagreesInRWS(t *testing.T) {
 		return 500 * time.Microsecond
 	}
 	nw := NewChanNetwork(3, ChanConfig{Delay: slowP1Data})
-	cr, err := RunCluster(consensus.A1{}, ClusterConfig{
-		Kind: rounds.RWS, Initial: vals(3, 1, 2), T: 1,
+	cr, err := RunCluster(consensus.A1{}, EngineConfig{
+		Kind: rounds.RWS, T: 1,
 		Network: nw,
-		Crashes: map[model.ProcessID]CrashPlan{1: {Round: 2, Reach: 0}},
 		// A host stall long enough for p3 to suspect p2 leaves p3 undecided
 		// after round 2, waiting on a p2 that decided and halted: bound that
 		// wait so the stall fails the assertions below instead of hanging.
-		RWSWaitBound: 2 * time.Second,
-	})
+		WaitBound: 2 * time.Second,
+	}, vals(3, 1, 2), OpenOptions{Crashes: map[model.ProcessID]CrashPlan{1: {Round: 2, Reach: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cr.Results[1].Decided || cr.Results[1].Decision != 3 || cr.Results[1].DecidedAt != 1 {
-		t.Fatalf("p1 result %+v, want decision 3 at round 1", cr.Results[1])
+	if !cr.Outcome.Decided[0] || cr.Outcome.Decisions[0] != 3 || cr.Outcome.Nodes[0].DecidedAt != 1 {
+		t.Fatalf("p1 in %+v, want decision 3 at round 1", cr.Outcome)
 	}
 	for i := 2; i <= 3; i++ {
-		if !cr.Results[i].Decided || cr.Results[i].Decision != 1 {
-			t.Fatalf("p%d result %+v, want decision 1 (p2's value)", i, cr.Results[i])
+		if !cr.Outcome.Decided[i-1] || cr.Outcome.Decisions[i-1] != 1 {
+			t.Fatalf("p%d in %+v, want decision 1 (p2's value)", i, cr.Outcome)
 		}
 	}
 	if _, st := cr.Agreement(); st != AgreementViolated {
@@ -299,11 +295,11 @@ func TestLiveOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	initial := vals(4, 2, 7)
-	cr, err := RunCluster(consensus.FloodSet{}, ClusterConfig{
-		Kind: rounds.RS, Initial: initial, T: 1,
+	cr, err := RunCluster(consensus.FloodSet{}, EngineConfig{
+		Kind: rounds.RS, T: 1,
 		RoundDuration: 30 * time.Millisecond,
 		Network:       nw,
-	})
+	}, initial, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,17 +314,16 @@ func TestLiveOverTCP(t *testing.T) {
 func TestEngineConfigValidation(t *testing.T) {
 	before := goruntime.NumGoroutine()
 	for name, cfg := range map[string]EngineConfig{
-		"empty cluster":            {N: 0},
-		"n past the 63 bound":      {N: 64, T: 1},
-		"RS without RoundDuration": {N: 2, T: 1, Kind: rounds.RS},
-		"unknown model kind":       {N: 2, T: 1, Kind: rounds.ModelKind(9)},
+		"empty cluster":       {N: 0},
+		"n past the 63 bound": {N: 64, T: 1},
+		"unknown model kind":  {N: 2, T: 1, Kind: rounds.ModelKind(9)},
 	} {
 		cfg.Metrics = obs.NewRegistry()
 		if _, err := StartEngine(consensus.FloodSet{}, cfg); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	if _, err := RunCluster(consensus.FloodSet{}, ClusterConfig{Kind: rounds.RS}); err == nil {
+	if _, err := RunCluster(consensus.FloodSet{}, EngineConfig{Kind: rounds.RS}, nil, OpenOptions{}); err == nil {
 		t.Error("RunCluster accepted an empty cluster")
 	}
 	if after := goruntime.NumGoroutine(); after > before {
@@ -548,27 +543,27 @@ func TestRunClusterFaultsVerdict(t *testing.T) {
 	// A partition longer than the run: the detector falsely suspects p3 (it
 	// never crashed), the sticky audit catches it, and the verdict flips —
 	// while consensus still terminates on every node.
-	cr, err := RunCluster(consensus.FloodSetWS{}, ClusterConfig{
-		Kind: rounds.RWS, Initial: vals(4, 2, 7), T: 1,
+	cr, err := RunCluster(consensus.FloodSetWS{}, EngineConfig{
+		Kind: rounds.RWS, T: 1,
 		Faults: &faults.Config{
 			Seed:       3,
 			Partitions: []faults.Partition{{Start: 0, End: time.Second, Group: model.Singleton(3)}},
 			Metrics:    obs.NewRegistry(),
 		},
-		RWSWaitBound: 100 * time.Millisecond,
-	})
+		WaitBound: 100 * time.Millisecond,
+	}, vals(4, 2, 7), OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cr.DetectorWasPerfect {
+	if cr.Stats.DetectorWasPerfect {
 		t.Error("verdict claims perfection across a partition longer than the timeout")
 	}
-	if cr.FalselySuspected == 0 {
+	if cr.Stats.FalselySuspected == 0 {
 		t.Error("sticky audit counted no false suspicions")
 	}
-	for i := 1; i < len(cr.Results); i++ {
-		if !cr.Results[i].Decided {
-			t.Errorf("p%d did not terminate", i)
+	for i, decided := range cr.Outcome.Decided {
+		if !decided {
+			t.Errorf("p%d did not terminate", i+1)
 		}
 	}
 	if len(cr.PartitionLog) == 0 {
@@ -576,13 +571,13 @@ func TestRunClusterFaultsVerdict(t *testing.T) {
 	}
 
 	// And the control: no faults, the verdict stays perfect.
-	cr, err = RunCluster(consensus.FloodSetWS{}, ClusterConfig{
-		Kind: rounds.RWS, Initial: vals(4, 2, 7), T: 1,
-	})
+	cr, err = RunCluster(consensus.FloodSetWS{}, EngineConfig{
+		Kind: rounds.RWS, T: 1,
+	}, vals(4, 2, 7), OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cr.DetectorWasPerfect || cr.FalseSuspicions != 0 || cr.FalselySuspected != 0 {
+	if !cr.Stats.DetectorWasPerfect || cr.Stats.FalseSuspicions != 0 || cr.Stats.FalselySuspected != 0 {
 		t.Errorf("clean run not perfect: %+v", cr)
 	}
 }

@@ -15,12 +15,12 @@ import (
 // liveTraced runs a live cluster with a tracer interposed on its event
 // stream, checks conformance, and returns the trace together with the
 // engine replay of the projected schedule.
-func liveTraced(t *testing.T, alg rounds.Algorithm, cfg runtime.ClusterConfig) (*Trace, *rounds.Run) {
+func liveTraced(t *testing.T, alg rounds.Algorithm, cfg runtime.EngineConfig,
+	initial []model.Value, open runtime.OpenOptions) (*Trace, *rounds.Run) {
 	t.Helper()
-	n := len(cfg.Initial) // ClusterConfig.Initial[i] is p_{i+1}'s value
-	tracer := NewTracer(alg.Name(), cfg.Kind.String(), n, cfg.T, cfg.Events)
+	tracer := NewTracer(alg.Name(), cfg.Kind.String(), len(initial), cfg.T, cfg.Events)
 	cfg.Events = tracer
-	report, _, err := conform.CheckLive(alg, cfg, conform.Options{})
+	report, _, err := conform.CheckLive(alg, cfg, initial, open, conform.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,15 +41,15 @@ func liveTraced(t *testing.T, alg rounds.Algorithm, cfg runtime.ClusterConfig) (
 func TestLiveAttributionA1RWSvsRS(t *testing.T) {
 	initial := []model.Value{3, 1, 4}
 
-	rsTrace, rsRun := liveTraced(t, consensus.A1{}, runtime.ClusterConfig{
-		Kind: rounds.RS, Initial: initial, T: 1,
+	rsTrace, rsRun := liveTraced(t, consensus.A1{}, runtime.EngineConfig{
+		Kind: rounds.RS, T: 1,
 		RoundDuration: 40 * time.Millisecond,
 		Metrics:       obs.NewRegistry(),
-	})
-	rwsTrace, rwsRun := liveTraced(t, consensus.FloodSetWS{}, runtime.ClusterConfig{
-		Kind: rounds.RWS, Initial: initial, T: 1,
+	}, initial, runtime.OpenOptions{})
+	rwsTrace, rwsRun := liveTraced(t, consensus.FloodSetWS{}, runtime.EngineConfig{
+		Kind: rounds.RWS, T: 1,
 		Metrics: obs.NewRegistry(),
-	})
+	}, initial, runtime.OpenOptions{})
 
 	rs, rws := Attribute(rsTrace), Attribute(rwsTrace)
 	for name, a := range map[string]*Attribution{"A1/RS": rs, "FloodSetWS/RWS": rws} {
@@ -103,11 +103,10 @@ func TestLiveAttributionA1RWSvsRS(t *testing.T) {
 // crashing RWS process truncates its trace, the survivors' waits show
 // detector time for the missing sender, and everything still reconciles.
 func TestLiveAttributionWithCrash(t *testing.T) {
-	trace, run := liveTraced(t, consensus.FloodSetWS{}, runtime.ClusterConfig{
-		Kind: rounds.RWS, Initial: []model.Value{5, 9, 2}, T: 1,
-		Crashes: map[model.ProcessID]runtime.CrashPlan{1: {Round: 1, Reach: 0}},
+	trace, run := liveTraced(t, consensus.FloodSetWS{}, runtime.EngineConfig{
+		Kind: rounds.RWS, T: 1,
 		Metrics: obs.NewRegistry(),
-	})
+	}, []model.Value{5, 9, 2}, runtime.OpenOptions{Crashes: map[model.ProcessID]runtime.CrashPlan{1: {Round: 1, Reach: 0}}})
 	a := Attribute(trace)
 	if err := a.CheckSums(); err != nil {
 		t.Fatal(err)

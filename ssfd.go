@@ -21,8 +21,11 @@
 //     and §5.2 variants;
 //   - specification checking (CheckConsensus) and latency analysis
 //     (Latency);
-//   - the live goroutine/channel runtime (RunLive) with heartbeat-based
-//     failure detection over in-process or TCP transports;
+//   - the live goroutine/channel runtime — one engine, configured by
+//     EngineConfig and read through InstanceOutcome and LiveEngineStats:
+//     StartLiveEngine opens instances on demand, RunLive is its
+//     one-instance helper — with heartbeat-based failure detection over
+//     in-process or TCP transports;
 //   - the paper's experiments E1–E15 (Experiments, RunExperiments).
 //
 // See examples/quickstart for a five-minute tour.
@@ -79,25 +82,19 @@ type (
 	// Degrees aggregates the paper's latency measures lat, Lat, Lat(·,f), Λ.
 	Degrees = latency.Degrees
 
-	// ClusterConfig configures a live cluster: one consensus instance on
-	// its own mesh, executed as a one-instance run of the engine.
-	ClusterConfig = runtime.ClusterConfig
-	// CrashPlan crash-stops a live node mid-round (ClusterConfig.Crashes,
-	// LiveOpenOptions.Crashes).
+	// CrashPlan crash-stops a live node mid-round (LiveOpenOptions.Crashes).
 	CrashPlan = runtime.CrashPlan
-	// ClusterResult is a live cluster's outcome.
+	// ClusterResult is a finished RunLive: the instance's InstanceOutcome,
+	// the engine's closing LiveEngineStats and the whole-run logs.
 	ClusterResult = runtime.ClusterResult
 	// AgreementStatus is a run's three-way agreement verdict
 	// (none/reached/violated) — see ClusterResult.Agreement.
 	AgreementStatus = runtime.AgreementStatus
 
-	// EngineConfig configures a shared-mesh multi-instance execution: N
-	// nodes, one physical mesh, one failure detector per node, and many
-	// consensus instances multiplexed over them.
+	// EngineConfig is the one configuration of a live run: N nodes, one
+	// physical mesh, one failure detector per node, and any number of
+	// consensus instances multiplexed over them (RunLive opens exactly one).
 	EngineConfig = runtime.EngineConfig
-	// EngineResult aggregates every instance's outcome plus the shared
-	// mesh's amortized cost accounting.
-	EngineResult = runtime.EngineResult
 	// BatcherConfig tunes the engine's per-link send batching.
 	BatcherConfig = runtime.BatcherConfig
 
@@ -105,7 +102,7 @@ type (
 	// runtime programs against (the "oracle" of the paper's SP model).
 	Detector = runtime.Detector
 	// DetectorSpec names a detector construction and builds per-node
-	// instances; plug into ClusterConfig.Detector (nil: all-to-all
+	// instances; plug into EngineConfig.Detector (nil: all-to-all
 	// heartbeat). See DetectorSpecs for the bundled zoo.
 	DetectorSpec = runtime.DetectorSpec
 	// DetectorConfig is what a DetectorSpec factory receives for each node.
@@ -113,7 +110,7 @@ type (
 
 	// FaultConfig scripts a seeded adversarial network for live clusters
 	// (loss, duplication, reordering, delay spikes, partitions,
-	// crash/recovery blackholes); plug into ClusterConfig.Faults.
+	// crash/recovery blackholes); plug into EngineConfig.Faults.
 	FaultConfig = faults.Config
 	// LinkFaults is one link's random-fault menu.
 	LinkFaults = faults.LinkFaults
@@ -129,14 +126,14 @@ type (
 
 	// CostSummary is a live run's transport cost accounting —
 	// messages/decision and bytes/decision, total and data-only — found on
-	// ClusterResult.Cost after every RunLive.
+	// ClusterResult.Stats.Cost after every RunLive.
 	CostSummary = obs.CostSummary
 	// LinkTelemetry is a live network's per-link send/recv/drop counters
 	// and queue high-water marks (ClusterResult.Links).
 	LinkTelemetry = netobs.LinkTap
 	// FlightRecorder is the fixed-size ring of recent transport/FD records
 	// dumped for post-mortem on crash or conformance failure; plug into
-	// ClusterConfig.Flight and chain it into the event stream.
+	// EngineConfig.Flight and chain it into the event stream.
 	FlightRecorder = netobs.Recorder
 	// FlightRecord is one entry of a flight recorder ring or dump.
 	FlightRecord = netobs.Record
@@ -166,8 +163,8 @@ const (
 )
 
 // The three-way agreement verdicts (ClusterResult.Agreement,
-// EngineResult.InstanceAgreement): no decisions at all, all decided nodes
-// agree, or two decided nodes differ.
+// InstanceOutcome.Agreement): no decisions at all, all decided nodes agree,
+// or two decided nodes differ.
 const (
 	AgreementNone     = runtime.AgreementNone
 	AgreementReached  = runtime.AgreementReached
@@ -268,20 +265,11 @@ func SDDCandidates() []SDDAlgorithm { return sdd.Candidates() }
 func SDDInSS(phi, delta int) SDDAlgorithm { return sdd.NewSS(phi, delta) }
 
 // RunLive executes one live consensus run (heartbeat failure detection,
-// wall-clock rounds) as a one-instance run of the shared-mesh engine; see
-// runtime.ClusterConfig for knobs.
-func RunLive(alg Algorithm, cfg ClusterConfig) (*ClusterResult, error) {
-	return runtime.RunCluster(alg, cfg)
-}
-
-// RunLiveEngine executes cfg.Instances concurrent consensus instances of
-// alg over ONE shared mesh with ONE failure detector per node — the
-// multi-instance counterpart of RunLive. Per-instance round traffic is
-// batched per link and demultiplexed by the envelope's instance id; the
-// detector's control traffic is shared, so its cost per decision falls as
-// the instance count grows (EngineResult.Cost).
-func RunLiveEngine(alg Algorithm, cfg EngineConfig) (*EngineResult, error) {
-	return runtime.RunEngine(alg, cfg)
+// wall-clock rounds): start the engine cfg describes with N = len(initial),
+// open one instance where p_{i+1} proposes initial[i] under opts, wait it
+// out and close. For many instances over one mesh use StartLiveEngine.
+func RunLive(alg Algorithm, cfg EngineConfig, initial []Value, opts LiveOpenOptions) (*ClusterResult, error) {
+	return runtime.RunCluster(alg, cfg, initial, opts)
 }
 
 // ParseFaultSpec parses the compact chaos grammar ("loss=0.3,spike=5ms@0.5,
@@ -382,7 +370,7 @@ func Experiments() []core.Experiment { return core.All() }
 // DetectorSpecs returns the bundled failure-detector zoo (internal/fdimpl)
 // in registry order: all-to-all heartbeat, bounded-message ◇P, ring
 // forwarding, and the two-process SDD harness. Plug one into
-// ClusterConfig.Detector, or race them with RaceDetectors.
+// EngineConfig.Detector, or race them with RaceDetectors.
 func DetectorSpecs() []*DetectorSpec { return fdimpl.Specs() }
 
 // DetectorRace parameterizes RaceDetectors; DetectorScore is one row of
@@ -428,10 +416,11 @@ type (
 	ExploreOptions = explore.Options
 )
 
-// CheckLive executes one live cluster run of alg under cfg and
+// CheckLive executes one live cluster run (RunLive's arguments) and
 // conformance-checks it; see ConformReport.OK.
-func CheckLive(alg Algorithm, cfg ClusterConfig, opts ConformOptions) (*ConformReport, *ClusterResult, error) {
-	return conform.CheckLive(alg, cfg, opts)
+func CheckLive(alg Algorithm, cfg EngineConfig, initial []Value, open LiveOpenOptions,
+	opts ConformOptions) (*ConformReport, *ClusterResult, error) {
+	return conform.CheckLive(alg, cfg, initial, open, opts)
 }
 
 // CheckEvents conformance-checks a recorded live event stream.
@@ -464,7 +453,7 @@ type (
 	// decide, crash).
 	CausalPoint = tracing.Point
 	// CausalTracer observes a live cluster's event stream (plug it in as
-	// ClusterConfig.Events) and assembles the CausalTrace; chain the
+	// EngineConfig.Events) and assembles the CausalTrace; chain the
 	// original sink through NewCausalTracer to keep JSONL logging.
 	CausalTracer = tracing.Tracer
 	// LatencyAttribution decomposes decision latency per process and per
@@ -516,7 +505,7 @@ func WriteHTMLTimeline(tr *CausalTrace, w io.Writer) error { return tr.WriteHTML
 type (
 	// LiveEngine is a long-lived shared-mesh execution: one physical mesh,
 	// one failure detector per node, consensus instances opened on demand
-	// (Open/OpenValue) instead of the fixed batch RunLiveEngine executes.
+	// (Open/OpenValue).
 	LiveEngine = runtime.Engine
 	// LiveInstance is one open instance's handle: Done() closes when every
 	// node has halted, Outcome() carries the per-node decisions.
@@ -573,9 +562,8 @@ var (
 )
 
 // StartLiveEngine boots the shared mesh and detectors of cfg and returns a
-// running engine with no instances; cfg.Instances and cfg.Initial are
-// ignored (instances are opened on demand). Drain() stops admission,
-// Close() drains and tears the mesh down.
+// running engine with no instances (they are opened on demand). Drain()
+// stops admission, Close() drains and tears the mesh down.
 func StartLiveEngine(alg Algorithm, cfg EngineConfig) (*LiveEngine, error) {
 	return runtime.StartEngine(alg, cfg)
 }
