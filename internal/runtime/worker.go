@@ -1,0 +1,496 @@
+package runtime
+
+import (
+	"fmt"
+	"sync"
+	"time"
+
+	"repro/internal/model"
+	"repro/internal/obs"
+	"repro/internal/rounds"
+	"repro/internal/wire"
+)
+
+// engEvent is one worker mailbox entry: either a routed round message (a
+// decoded envelope plus the node it was delivered to) or — when slab is
+// non-nil — an instance registration from Open.
+type engEvent struct {
+	node model.ProcessID
+	env  wire.Envelope
+	slab *instSlab
+}
+
+// mailbox is a worker's unbounded inbox. Unbounded by design: the demux
+// goroutines must never block on a busy worker (a blocked demux stops
+// feeding the failure detector, manufacturing false suspicions), so
+// backpressure is traded for memory that is bounded in practice by
+// instances × rounds.
+type mailbox struct {
+	mu     sync.Mutex
+	q      []engEvent
+	notify chan struct{}
+}
+
+func (mb *mailbox) push(ev engEvent) {
+	mb.mu.Lock()
+	mb.q = append(mb.q, ev)
+	mb.mu.Unlock()
+	mb.wake()
+}
+
+// pushAll queues one packet's worth of events under one lock and one wake.
+func (mb *mailbox) pushAll(evs []engEvent) {
+	mb.mu.Lock()
+	mb.q = append(mb.q, evs...)
+	mb.mu.Unlock()
+	mb.wake()
+}
+
+// wake nudges the worker without queueing anything.
+func (mb *mailbox) wake() {
+	select {
+	case mb.notify <- struct{}{}:
+	default:
+	}
+}
+
+// empty reports whether the queue is drained (used by the shutdown check:
+// a closing worker may not exit with a registration still queued).
+func (mb *mailbox) empty() bool {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	return len(mb.q) == 0
+}
+
+// drain swaps the queue against the (emptied) spare buffer.
+func (mb *mailbox) drain(spare []engEvent) []engEvent {
+	mb.mu.Lock()
+	q := mb.q
+	mb.q = spare[:0]
+	mb.mu.Unlock()
+	return q
+}
+
+// instRow buffers one round's inbound messages for one (instance, node)
+// automaton: presence bits (a null message is a present message with a nil
+// payload) plus the lazily allocated payload row, freed after Trans.
+type instRow struct {
+	got  model.ProcSet
+	msgs []rounds.Message
+}
+
+// instState is one (instance, node) automaton multiplexed on the mesh.
+type instState struct {
+	proc rounds.Process
+	slab *instSlab
+	id   model.ProcessID
+
+	round   int32 // round currently executing; 0 = halted
+	sent    bool  // this round's messages already transmitted
+	queued  bool  // sitting in the worker's dirty list
+	selfMsg rounds.Message
+	started time.Time // when the current round began
+	rows    []instRow // index 1..MaxRounds
+
+	decided  bool
+	decision model.Value
+	out      NodeOutcome
+}
+
+// instSlab is one instance's n automata, allocated as a unit when the
+// instance is opened and released as a unit when the last automaton halts.
+// Keeping each instance in its own slab gives the worker stable automaton
+// pointers across dynamic registration (a single growing states slice
+// would invalidate pointers on every append).
+type instSlab struct {
+	inst      uint64
+	states    []instState // index id-1
+	remaining int         // automata not yet halted
+	epoch     time.Time   // RS: round r closes at epoch + r·RoundDuration
+	events    obs.Sink    // nil for unobserved instances (the common case)
+	crashes   map[model.ProcessID]CrashPlan
+}
+
+// engWorker owns the instances k with k mod Groups == idx and advances
+// their n automata from its mailbox.
+type engWorker struct {
+	run *engineRun
+	idx int
+
+	mb     mailbox
+	spare  []engEvent
+	slabs  []*instSlab // index inst/Groups - base; nil once the instance completed
+	base   int         // local index of slabs[0]: the completed prefix is trimmed
+	active int
+	dirty  []*instState
+
+	suspects     []model.ProcSet // cached per node, 1..n
+	crashed      model.ProcSet   // cached engineRun.crashed
+	now          time.Time       // the sweep's clock, read once per sweep
+	nextDeadline time.Time       // earliest round deadline among blocked automata
+	scratch      []rounds.Message
+}
+
+// slabFor maps an instance id to its slab, or nil once it completed (late
+// duplicates for a finished instance are dropped).
+func (w *engWorker) slabFor(inst uint64) *instSlab {
+	local := int(inst)/len(w.run.workers) - w.base
+	if local < 0 || local >= len(w.slabs) {
+		return nil
+	}
+	return w.slabs[local]
+}
+
+// register files a newly opened instance with its owning worker.
+func (w *engWorker) register(sl *instSlab) {
+	local := int(sl.inst)/len(w.run.workers) - w.base
+	for len(w.slabs) <= local {
+		w.slabs = append(w.slabs, nil)
+	}
+	w.slabs[local] = sl
+	w.active += len(sl.states)
+	for i := range sl.states {
+		w.enqueue(&sl.states[i])
+	}
+}
+
+// enqueue marks st for advancement in the current sweep.
+func (w *engWorker) enqueue(st *instState) {
+	if st.queued || st.round == 0 {
+		return
+	}
+	st.queued = true
+	w.dirty = append(w.dirty, st)
+}
+
+// enqueueAll schedules a full rescan — a suspicion changed, a round
+// deadline passed or a node crash-stopped, any of which can release (or
+// halt) any blocked automaton. The walk is O(in-flight): completed
+// instances are trimmed from w.slabs.
+func (w *engWorker) enqueueAll() {
+	for _, sl := range w.slabs {
+		if sl == nil {
+			continue
+		}
+		for i := range sl.states {
+			w.enqueue(&sl.states[i])
+		}
+	}
+}
+
+// refreshCrashed re-reads the engine's crash-stopped set and reports
+// whether it grew.
+func (w *engWorker) refreshCrashed() bool {
+	c := model.ProcSet(w.run.crashed.Load())
+	if c == w.crashed {
+		return false
+	}
+	w.crashed = c
+	return true
+}
+
+// refreshSuspects snapshots each live node's suspicion set once per sweep
+// and reports whether any changed. Polling here (not per automaton) keeps
+// the detector cost independent of the instance count — the whole point. A
+// crash-stopped node no longer consults its detector.
+func (w *engWorker) refreshSuspects() bool {
+	changed := false
+	for i := 1; i <= w.run.n; i++ {
+		fd := w.run.fds[i]
+		if fd == nil || w.crashed.Has(model.ProcessID(i)) {
+			continue
+		}
+		if s := fd.Suspects(); s != w.suspects[i] {
+			w.suspects[i] = s
+			changed = true
+		}
+	}
+	return changed
+}
+
+// loop is the worker body: drain events, advance dirty automata, flush the
+// batched sends, sleep until traffic, the tick or the next round deadline.
+func (w *engWorker) loop(wg *sync.WaitGroup) {
+	defer wg.Done()
+	tick := w.run.cfg.SuspectTimeout / 4
+	if tick < time.Millisecond {
+		tick = time.Millisecond
+	}
+	if tick > 50*time.Millisecond {
+		tick = 50 * time.Millisecond
+	}
+	// One timer serves both wake-up reasons: it is armed to the tick (the
+	// suspicion poll) or to the earliest round deadline, whichever is first,
+	// and re-armed only after it fired or when a deadline precedes it.
+	timer := time.NewTimer(tick)
+	defer timer.Stop()
+	armed := time.Now().Add(tick)
+	fired := false
+
+	for {
+		// Crashes before suspicions: see engineRun.crashed.
+		rescan := w.refreshCrashed()
+		if w.refreshSuspects() || rescan {
+			w.enqueueAll()
+		}
+		events := w.mb.drain(w.spare)
+		for i := range events {
+			w.deliver(&events[i])
+			events[i] = engEvent{} // drop slab/payload references for reuse
+		}
+		w.spare = events
+		// Round stamps and deadline checks share one clock reading per sweep:
+		// an automaton is advanced on every delivery, and a clock read per
+		// advance is measurable at 10^5 deliveries a second.
+		w.now = time.Now()
+		if !w.nextDeadline.IsZero() && !w.now.Before(w.nextDeadline) {
+			w.nextDeadline = time.Time{}
+			w.enqueueAll()
+		}
+		for len(w.dirty) > 0 {
+			st := w.dirty[len(w.dirty)-1]
+			w.dirty = w.dirty[:len(w.dirty)-1]
+			st.queued = false
+			w.advance(st)
+		}
+		// Round completions above queued sends on the node batchers; push
+		// them out now so peers don't wait out the flush timer.
+		for i := 1; i <= w.run.n; i++ {
+			if err := w.run.batchers[i].Flush(); err != nil && err != ErrClosed {
+				w.run.abort(err)
+			}
+		}
+		// A long-lived engine's workers idle through empty sweeps; they only
+		// exit once the engine is closing, every owned automaton has halted
+		// and no registration is waiting in the mailbox (Close orders Open
+		// registrations strictly before the closing flag).
+		if w.active == 0 && w.run.closing.Load() && w.mb.empty() {
+			return
+		}
+		if due := w.nextDeadline; fired || (!due.IsZero() && due.Before(armed)) {
+			now, d := time.Now(), tick
+			if !due.IsZero() && due.Sub(now) < d {
+				d = due.Sub(now)
+			}
+			if !fired && !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
+			}
+			timer.Reset(d)
+			armed, fired = now.Add(d), false
+		}
+		select {
+		case <-w.mb.notify:
+		case <-timer.C:
+			fired = true
+		case <-w.run.abortCh:
+			return
+		}
+	}
+}
+
+// deliver files one mailbox event: a registration, or a round message into
+// its automaton's row.
+func (w *engWorker) deliver(ev *engEvent) {
+	if ev.slab != nil {
+		w.register(ev.slab)
+		return
+	}
+	sl := w.slabFor(ev.env.Instance)
+	if sl == nil {
+		return // instance completed (late duplicate) or never registered
+	}
+	st := &sl.states[int(ev.node)-1]
+	r := ev.env.Round
+	if st.round == 0 || r < int(st.round) || r > w.run.maxRounds {
+		return // automaton halted, round already closed, or out of range
+	}
+	row := &st.rows[r]
+	if row.msgs == nil {
+		row.msgs = make([]rounds.Message, w.run.n+1)
+	}
+	row.msgs[ev.env.From] = ev.env.Payload
+	if sl.events != nil && !row.got.Has(ev.env.From) {
+		// One arrival per (sender, round): duplicated deliveries must not
+		// double a causal tracer's happens-before edges.
+		sl.events.Emit(obs.Event{Type: obs.EventArrive, Round: r,
+			Proc: int(ev.node), From: int(ev.env.From)})
+	}
+	row.got = row.got.Add(ev.env.From)
+	w.enqueue(st)
+}
+
+// deadline is when st's current round stops waiting: the round barrier in
+// RS, the WaitBound liveness guard in RWS (zero: wait unbounded).
+func (w *engWorker) deadline(st *instState) time.Time {
+	cfg := &w.run.cfg
+	if cfg.Kind == rounds.RS {
+		return st.slab.epoch.Add(time.Duration(st.round) * cfg.RoundDuration)
+	}
+	if cfg.WaitBound < 0 {
+		return time.Time{}
+	}
+	return st.started.Add(cfg.WaitBound)
+}
+
+// advance drives one automaton as far as it can go: halt if it is quiet
+// (decided, nothing to send), otherwise send the current round's messages if
+// not yet sent, close the round when its model's close rule allows,
+// transition, repeat.
+func (w *engWorker) advance(st *instState) {
+	er, sl := w.run, st.slab
+	peers := model.FullSet(er.n).Remove(st.id)
+	for st.round != 0 {
+		if w.crashed.Has(st.id) {
+			w.crash(st)
+			return
+		}
+		r := int(st.round)
+		if !st.sent {
+			reach, crashing := er.n-1, false
+			if sl.crashes != nil {
+				if plan := sl.crashes[st.id]; plan.Round == r {
+					reach, crashing = plan.Reach, true
+				}
+			}
+			// Quiescence (the rounds.Process contract): decided and nothing left
+			// to send is halted. The round never starts — no event, no null
+			// frames, no wait. A crash plan for this round still fires.
+			msgs := st.proc.Msgs(r)
+			if st.decided && msgs == nil && !crashing {
+				w.halt(st)
+				return
+			}
+			st.started = w.now
+			if sl.events != nil {
+				if fd := er.fds[st.id]; fd != nil {
+					fd.NoteRound(r) // tags the detector's suspect/retract events
+				}
+				sl.events.Emit(obs.Event{Type: obs.EventRoundStart, Round: r, Proc: int(st.id)})
+			}
+			if err := w.sendRound(st, r, reach, msgs); err != nil {
+				er.abort(fmt.Errorf("node %d: %w", st.id, err))
+				w.halt(st)
+				return
+			}
+			if crashing {
+				// Crash: no transition, no further rounds, in any instance;
+				// the node's detector dies with it.
+				er.crashNode(st.id)
+				if w.refreshCrashed() {
+					w.enqueueAll()
+				}
+				w.crash(st)
+				return
+			}
+			st.sent = true
+		}
+		row := &st.rows[r]
+		// The close rule is the one place the round models differ. RWS: every
+		// peer delivered or is suspected (weak round synchrony), the deadline
+		// being only a liveness guard. RS: the round deadline itself.
+		complete := er.cfg.Kind == rounds.RWS &&
+			peers.Minus(row.got).Minus(w.suspects[st.id]).Empty()
+		if !complete {
+			if due := w.deadline(st); due.IsZero() || w.now.Before(due) {
+				if !due.IsZero() && (w.nextDeadline.IsZero() || due.Before(w.nextDeadline)) {
+					w.nextDeadline = due
+				}
+				return
+			}
+			if er.cfg.Kind == rounds.RWS {
+				// The network is losing data messages from peers the detector
+				// (correctly) refuses to suspect: proceed with what we have.
+				st.out.WaitTimeouts++
+				er.waitTimeouts.Add(1)
+				er.metrics.waitTimeouts.Inc()
+			}
+		}
+		if sl.events != nil {
+			// Reception record, emitted even when empty: round completion
+			// itself is what the conformance projector needs to observe.
+			got := make([]int, 0, er.n)
+			row.got.ForEach(func(j model.ProcessID) bool { got = append(got, int(j)); return true })
+			sl.events.Emit(obs.Event{Type: obs.EventRecv, Round: r, Proc: int(st.id), Peers: got})
+		}
+		in := w.scratch
+		for j := range in {
+			in[j] = nil
+		}
+		if row.msgs != nil {
+			copy(in, row.msgs)
+		}
+		in[st.id] = st.selfMsg
+		st.proc.Trans(r, in)
+		row.msgs = nil // free the payload row; the round is closed
+		st.out.Rounds = st.round
+		er.metrics.rounds.Inc()
+		er.metrics.roundDuration.Observe(w.now.Sub(st.started).Nanoseconds())
+		if !st.decided {
+			if v, ok := st.proc.Decision(); ok {
+				st.decided = true
+				st.decision = v
+				st.out.DecidedAt = st.round
+				er.decidedCtr.Inc()
+				er.decidedNodes.Add(1)
+				if sl.events != nil {
+					sl.events.Emit(obs.Event{Type: obs.EventDecide, Round: r,
+						Proc: int(st.id), Value: obs.Int64(int64(v))})
+				}
+			}
+		}
+		st.round++
+		st.sent = false
+		st.selfMsg = nil
+		if int(st.round) > er.maxRounds {
+			w.halt(st)
+		}
+	}
+}
+
+// crash halts an automaton of a crash-stopped node, during whatever round
+// it had reached.
+func (w *engWorker) crash(st *instState) {
+	st.out.Crashed = true
+	if sink := st.slab.events; sink != nil {
+		sink.Emit(obs.Event{Type: obs.EventCrash, Round: int(st.round), Proc: int(st.id)})
+	}
+	w.halt(st)
+}
+
+// halt retires an automaton; when it is the instance's last one, the slab
+// is released and the instance resolved.
+func (w *engWorker) halt(st *instState) {
+	if st.round == 0 {
+		return
+	}
+	st.round = 0
+	w.active--
+	sl := st.slab
+	sl.remaining--
+	if sl.remaining > 0 {
+		return
+	}
+	n := w.run.n
+	out := InstanceOutcome{
+		N:         n,
+		Decided:   make([]bool, n),
+		Decisions: make([]model.Value, n),
+		Nodes:     make([]NodeOutcome, n),
+	}
+	for i := range sl.states {
+		s := &sl.states[i]
+		out.Decided[i] = s.decided
+		out.Decisions[i] = s.decision
+		out.Nodes[i] = s.out
+		out.WaitTimeouts += int(s.out.WaitTimeouts)
+	}
+	w.slabs[int(sl.inst)/len(w.run.workers)-w.base] = nil
+	for len(w.slabs) > 0 && w.slabs[0] == nil {
+		w.slabs = w.slabs[1:]
+		w.base++
+	}
+	w.run.finish(sl.inst, out)
+}
