@@ -44,6 +44,9 @@ drain() {
 }
 
 job_test() {
+  local unformatted
+  unformatted=$(gofmt -l . bench)
+  [ -z "$unformatted" ] || { echo "gofmt -l reports:"; echo "$unformatted"; return 1; }
   go vet ./...
   go build ./...
   go test -race ./...
@@ -104,7 +107,7 @@ job_chaos() {
 # the batcher's buffer-ownership discipline are what -race -count=2 shakes
 # out.
 job_multi_instance() {
-  go test -race -count=2 -run 'TestEngine|TestStartEngine|TestBatch|TestCluster|TestAgreement|TestLiveRSA1' ./internal/runtime/ ./internal/wire/
+  go test -race -count=2 -run 'TestEngine|TestStartEngine|TestOpenAfterAbort|TestBatch|TestCluster|TestAgreement|TestLiveRSA1' ./internal/runtime/ ./internal/wire/
   go test -race -count=2 -run 'TestCrashOnMultiplexedMesh' ./internal/fdimpl/
   floor ./internal/wire/ 85
   floor ./internal/runtime/ 85

@@ -186,7 +186,6 @@ func runEngineBench(instances, nodes int, stdout, stderr io.Writer) int {
 	start := time.Now()
 	handles := make([]*runtime.Instance, instances)
 	for inst := range handles {
-		inst := inst
 		handles[inst], err = e.Open(func(id model.ProcessID) model.Value {
 			return model.Value((inst + int(id)) % 7)
 		})

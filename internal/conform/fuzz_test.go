@@ -128,10 +128,10 @@ func fuzzCoordinate(t *testing.T, feed *byteFeed) (rounds.Algorithm, rounds.Mode
 // model-admissible and value-origin-clean, and the algorithm/model pairs
 // the paper proves correct reach uniform consensus under every schedule.
 func FuzzAdversarySchedule(f *testing.F) {
-	f.Add([]byte{})                                        // failure-free FloodSet/RS n=2
-	f.Add([]byte{0, 0, 1, 0, 1, 2, 3, 0, 0, 0, 0})         // FloodSet/RS n=3
-	f.Add([]byte{1, 1, 2, 1, 3, 1, 0, 2, 0, 4, 0, 255, 3}) // FloodSetWS/RWS n=4 t=2
-	f.Add([]byte{2, 0, 1, 0, 2, 1, 0, 0, 8, 1})            // A1/RS n=3
+	f.Add([]byte{})                                                  // failure-free FloodSet/RS n=2
+	f.Add([]byte{0, 0, 1, 0, 1, 2, 3, 0, 0, 0, 0})                   // FloodSet/RS n=3
+	f.Add([]byte{1, 1, 2, 1, 3, 1, 0, 2, 0, 4, 0, 255, 3})           // FloodSetWS/RWS n=4 t=2
+	f.Add([]byte{2, 0, 1, 0, 2, 1, 0, 0, 8, 1})                      // A1/RS n=3
 	f.Add([]byte{1, 1, 1, 1, 0, 3, 0, 0, 0, 12, 7, 0, 0, 1, 0, 255}) // RWS drops
 	f.Fuzz(func(t *testing.T, data []byte) {
 		feed := &byteFeed{data: data}

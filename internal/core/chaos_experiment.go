@@ -110,16 +110,10 @@ func E14Chaos(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		decided := 0
-		for _, d := range cr.Outcome.Decided {
-			if d {
-				decided++
-			}
-		}
-		waits := cr.Outcome.WaitTimeouts
+		decided := cr.Stats.DecidedNodes
 		_, agree := cr.Agreement()
 		table.AddRow(sc.name, sc.regime, cr.Stats.DetectorWasPerfect, cr.Stats.FalseSuspicions,
-			cr.Stats.FalselySuspected, fmt.Sprintf("%d/3", decided), agree, waits)
+			cr.Stats.FalselySuspected, fmt.Sprintf("%d/3", decided), agree, cr.Outcome.WaitTimeouts)
 		if cr.Stats.DetectorWasPerfect != sc.wantPerfect {
 			pass = false
 		}

@@ -295,14 +295,10 @@ func E11Matrix(cfg Config) (*Report, error) {
 				return nil, err
 			}
 			var maxRound int32
-			decided := 0
-			for i, nd := range cr.Outcome.Nodes {
-				if cr.Outcome.Decided[i] {
-					decided++
-					maxRound = max(maxRound, nd.DecidedAt)
-				}
+			for _, nd := range cr.Outcome.Nodes {
+				maxRound = max(maxRound, nd.DecidedAt) // 0 while undecided
 			}
-			live.AddRow(tc.alg.Name(), tc.kind, decided, maxRound, cr.Elapsed.Round(time.Millisecond))
+			live.AddRow(tc.alg.Name(), tc.kind, cr.Stats.DecidedNodes, maxRound, cr.Elapsed.Round(time.Millisecond))
 		}
 		r.Notes = append(r.Notes, live.String())
 	}

@@ -57,8 +57,8 @@ type CrashPlan struct {
 // ONE physical mesh, ONE failure detector per node, and any number of
 // concurrent consensus instances multiplexed over them.
 //
-// This is the repository's only live runtime; RunCluster is a one-instance
-// run of it. Both round models execute on the same send → receive →
+// This is the repository's only live runtime and this its only config;
+// RunCluster is a one-instance run of it. Both round models execute on the same send → receive →
 // transition loop and differ in one rule, when a round may close (Kind).
 type EngineConfig struct {
 	// Kind selects the close rule; zero means rounds.RWS. RWS closes a round

@@ -81,7 +81,6 @@ func runInstances(alg rounds.Algorithm, cfg EngineConfig, instances int,
 	}
 	handles := make([]*Instance, instances)
 	for k := range handles {
-		k := k
 		if handles[k], err = e.Open(func(id model.ProcessID) model.Value { return initial(k, id) }); err != nil {
 			_ = e.Close()
 			return nil, EngineStats{}, err

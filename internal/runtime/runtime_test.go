@@ -149,13 +149,7 @@ func requireAgreementValidity(t *testing.T, cr *ClusterResult, initial []model.V
 	if _, st := cr.Agreement(); st != AgreementReached {
 		t.Fatalf("agreement verdict %v: decisions %v", st, cr.Outcome.Decisions)
 	}
-	decided := 0
-	for _, d := range cr.Outcome.Decided {
-		if d {
-			decided++
-		}
-	}
-	if decided < wantDecided {
+	if decided := cr.Stats.DecidedNodes; decided < int64(wantDecided) {
 		t.Fatalf("only %d nodes decided, want ≥ %d", decided, wantDecided)
 	}
 }

@@ -208,8 +208,8 @@ type Tracer struct {
 	lastTS   int64
 	nextID   SpanID
 	procs    map[int]*procTrack
-	sends    map[sendKey]int64  // Lamport clock of each (sender, round) send
-	open     map[SpanID]int     // open span ID → index in trace.Spans
+	sends    map[sendKey]int64 // Lamport clock of each (sender, round) send
+	open     map[SpanID]int    // open span ID → index in trace.Spans
 	parts    map[string]SpanID // open partition spans by group signature
 	holes    map[int]SpanID    // open blackhole spans by process
 	trace    *Trace
