@@ -77,6 +77,8 @@ job_tracing() {
 
 job_telemetry() {
   go test -race -count=2 ./internal/netobs/ ./internal/wire/
+  fuzz FuzzDecode ./internal/wire/
+  fuzz FuzzBatchSplit ./internal/wire/
   floor ./internal/netobs/ 85
   # Flight-recorder smoke: SIGQUIT a conforming live run mid-flight (a 2s
   # round duration keeps it alive long enough), expect the dump-and-exit
@@ -103,11 +105,13 @@ job_chaos() {
 
 # The engine's equivalence guarantees (sharded == unsharded == the round
 # model), crash-stop on the multiplexed mesh, halting at quiescence, the
-# exact per-decision costs (TestEngineCostShape, TestClusterDataCost) and
-# the batcher's buffer-ownership discipline are what -race -count=2 shakes
-# out.
+# exact per-decision costs (TestEngineCostShape, TestClusterDataCost,
+# TestEngineCostExactAtCallback), the detector's Observe contract, the
+# in-process mesh's delivery queues (TestChanNetwork*, TestDeliveryQueue*)
+# and the batcher's buffer-ownership discipline are what -race -count=2
+# shakes out.
 job_multi_instance() {
-  go test -race -count=2 -run 'TestEngine|TestStartEngine|TestOpenAfterAbort|TestBatch|TestCluster|TestAgreement|TestLiveRSA1' ./internal/runtime/ ./internal/wire/
+  go test -race -count=2 -run 'TestEngine|TestStartEngine|TestOpenAfterAbort|TestBatch|TestCluster|TestAgreement|TestLiveRSA1|TestChanNetwork|TestDeliveryQueue' ./internal/runtime/ ./internal/wire/
   go test -race -count=2 -run 'TestCrashOnMultiplexedMesh' ./internal/fdimpl/
   floor ./internal/wire/ 85
   floor ./internal/runtime/ 85
@@ -124,7 +128,11 @@ job_benchmark() {
   go -C bench vet ./...
   go -C bench test ./...
   bash bench/run.sh --workload engine_lat --seed 1 --seconds 2 --trace 0 | tee "$tmp/engine_lat.out"
-  tail -n 1 "$tmp/engine_lat.out" | jq -e '.correct == true and .metrics.rounds_per_commit.value == 2'
+  tail -n 1 "$tmp/engine_lat.out" | jq -e '.correct == true and .failed == 0 and .metrics.rounds_per_commit.value == 2'
+  # And the saturating one, where a data-path change that loses or degrades
+  # instances shows as failed > 0; n=5 t=2 halts after T+1 = 3 rounds.
+  bash bench/run.sh --workload engine_sat --seed 1 --seconds 2 --trace 0 | tee "$tmp/engine_sat.out"
+  tail -n 1 "$tmp/engine_sat.out" | jq -e '.correct == true and .failed == 0 and .metrics.rounds_per_commit.value == 3'
 }
 
 # The serving stack is concurrency all the way down (closed-loop clients,

@@ -182,6 +182,22 @@ func NewValueSet(vals ...Value) ValueSet {
 	return s
 }
 
+// ValueSetOfSorted returns the set containing exactly the given values,
+// adopting vals as the set's storage when it is already strictly increasing
+// (the caller surrenders the slice). Unsorted or duplicate input is rebuilt
+// through NewValueSet; empty input is the zero set.
+func ValueSetOfSorted(vals []Value) ValueSet {
+	if len(vals) == 0 {
+		return ValueSet{}
+	}
+	for i := 1; i < len(vals); i++ {
+		if vals[i-1] >= vals[i] {
+			return NewValueSet(vals...)
+		}
+	}
+	return ValueSet{vs: vals}
+}
+
 // Insert adds v to the set.
 func (s *ValueSet) Insert(v Value) {
 	i := sort.Search(len(s.vs), func(i int) bool { return s.vs[i] >= v })
@@ -193,11 +209,44 @@ func (s *ValueSet) Insert(v Value) {
 	s.vs[i] = v
 }
 
-// UnionWith adds every element of o to the set.
+// UnionWith adds every element of o to the set: one linear merge of the two
+// sorted sequences. o is only read, and the result never shares storage with
+// it. When o ⊆ s — the common case once flooding has converged — nothing is
+// written or allocated.
 func (s *ValueSet) UnionWith(o ValueSet) {
-	for _, v := range o.vs {
-		s.Insert(v)
+	a, b := s.vs, o.vs
+	missing, i := 0, 0
+	for _, v := range b {
+		for i < len(a) && a[i] < v {
+			i++
+		}
+		if i == len(a) || a[i] != v {
+			missing++
+		}
 	}
+	if missing == 0 {
+		return
+	}
+	// Grow by the missing count (the appended values are placeholders) and
+	// merge from the back, so every element moves at most once.
+	i = len(a) - 1
+	a = append(a, b[:missing]...)
+	k := len(a) - 1
+	for j := len(b) - 1; j >= 0; k-- {
+		switch {
+		case i >= 0 && a[i] > b[j]:
+			a[k] = a[i]
+			i--
+		case i >= 0 && a[i] == b[j]:
+			a[k] = a[i]
+			i--
+			j--
+		default:
+			a[k] = b[j]
+			j--
+		}
+	}
+	s.vs = a
 }
 
 // Has reports whether v is a member.
@@ -217,6 +266,10 @@ func (s ValueSet) Min() (v Value, ok bool) {
 
 // Len returns the cardinality of the set.
 func (s ValueSet) Len() int { return len(s.vs) }
+
+// At returns the i-th smallest element, 0 ≤ i < Len(): iteration without the
+// copy Values makes.
+func (s ValueSet) At(i int) Value { return s.vs[i] }
 
 // Values returns the elements in increasing order. The slice is a copy.
 func (s ValueSet) Values() []Value {

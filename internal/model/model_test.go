@@ -391,3 +391,122 @@ func TestFDHistoryMonotoneInTime(t *testing.T) {
 		t.Errorf("history monotone-in-time property failed: %v", err)
 	}
 }
+
+// unionByInsert is the reference UnionWith is held to: one Insert per element.
+func unionByInsert(s, o ValueSet) ValueSet {
+	out := s.Clone()
+	for _, v := range o.Values() {
+		out.Insert(v)
+	}
+	return out
+}
+
+// TestValueSetUnionWithMatchesInsert: the linear merge means what inserting
+// one element at a time means, over the shapes a flood produces (empty on
+// either side, subset, disjoint, interleaved, negatives, duplicates in the
+// input), and only ever reads its argument.
+func TestValueSetUnionWithMatchesInsert(t *testing.T) {
+	check := func(t *testing.T, a, b []Value) {
+		t.Helper()
+		s, o := NewValueSet(a...), NewValueSet(b...)
+		want, oBefore := unionByInsert(s, o), o.Values()
+		s.UnionWith(o)
+		if !reflect.DeepEqual(s.Values(), want.Values()) {
+			t.Errorf("%v ∪ %v = %v, want %v", a, b, s, want)
+		}
+		if !reflect.DeepEqual(o.Values(), oBefore) {
+			t.Errorf("%v ∪ %v mutated its argument: %v", a, b, o)
+		}
+	}
+	for _, tc := range []struct{ a, b []Value }{
+		{nil, nil},
+		{nil, []Value{1, 2}},
+		{[]Value{1, 2}, nil},
+		{[]Value{1, 2, 3}, []Value{2}},              // subset
+		{[]Value{1, 2, 3}, []Value{1, 2, 3}},        // equal
+		{[]Value{1, 2}, []Value{7, 9}},              // disjoint, all above
+		{[]Value{7, 9}, []Value{1, 2}},              // disjoint, all below
+		{[]Value{1, 5, 9}, []Value{0, 3, 5, 7, 11}}, // interleaved
+		{[]Value{-4, 0, 4}, []Value{-9, -4, 2, 2, 2}},
+		{[]Value{NoValue, 3}, []Value{-1, NoValue}},
+	} {
+		check(t, tc.a, tc.b)
+	}
+	f := func(a, b []int8) bool {
+		av, bv := make([]Value, len(a)), make([]Value, len(b))
+		for i, x := range a {
+			av[i] = Value(x)
+		}
+		for i, x := range b {
+			bv[i] = Value(x)
+		}
+		check(t, av, bv)
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(3))}); err != nil {
+		t.Errorf("UnionWith vs insert reference: %v", err)
+	}
+}
+
+// TestValueSetUnionWithOwnsItsStorage: after a union the two sets share no
+// backing array, whichever was empty — mutating one leaves the other alone.
+func TestValueSetUnionWithOwnsItsStorage(t *testing.T) {
+	for _, tc := range []struct{ a, b []Value }{
+		{nil, []Value{1, 2, 3}},
+		{[]Value{2}, []Value{1, 2, 3}},
+		{[]Value{1, 2, 3}, []Value{2}},
+		{[]Value{5}, []Value{1, 9}},
+	} {
+		s, o := NewValueSet(tc.a...), NewValueSet(tc.b...)
+		s.UnionWith(o)
+		sWant, oWant := s.Values(), o.Values()
+		s.Insert(-100)
+		if !reflect.DeepEqual(o.Values(), oWant) {
+			t.Errorf("%v ∪ %v: inserting into the result changed the argument to %v", tc.a, tc.b, o)
+		}
+		o.Insert(-200)
+		o.Insert(2)
+		if !reflect.DeepEqual(s.Values(), append([]Value{-100}, sWant...)) {
+			t.Errorf("%v ∪ %v: inserting into the argument changed the result to %v", tc.a, tc.b, s)
+		}
+	}
+}
+
+// TestValueSetUnionWithSubsetAllocatesNothing pins the fast path flooding
+// lives on once it has converged.
+func TestValueSetUnionWithSubsetAllocatesNothing(t *testing.T) {
+	s, o := NewValueSet(1, 2, 3, 4, 5), NewValueSet(2, 4, 5)
+	if n := testing.AllocsPerRun(100, func() { s.UnionWith(o) }); n != 0 {
+		t.Errorf("UnionWith of a subset allocates %v times, want 0", n)
+	}
+}
+
+// TestValueSetOfSorted: strictly increasing input is adopted as it stands;
+// anything else means what NewValueSet means.
+func TestValueSetOfSorted(t *testing.T) {
+	for _, in := range [][]Value{
+		{1, 2, 3},
+		{-5, 0, 7},
+		{3, 1, 2},      // unsorted
+		{1, 1, 2},      // duplicate
+		{2, 2},         // duplicate only
+		{9, -9, 9, -9}, // both
+		{4},
+	} {
+		got := ValueSetOfSorted(append([]Value(nil), in...))
+		if want := NewValueSet(in...); !reflect.DeepEqual(got, want) {
+			t.Errorf("ValueSetOfSorted(%v) = %v, want %v", in, got, want)
+		}
+	}
+	for _, empty := range [][]Value{nil, {}, make([]Value, 0, 8)} {
+		if got := ValueSetOfSorted(empty); !reflect.DeepEqual(got, NewValueSet()) {
+			t.Errorf("ValueSetOfSorted(empty, cap %d) = %#v, want the zero set", cap(empty), got)
+		}
+	}
+	s := ValueSetOfSorted([]Value{1, 5, 9})
+	for i, want := range []Value{1, 5, 9} {
+		if s.At(i) != want {
+			t.Errorf("At(%d) = %d, want %d", i, s.At(i), want)
+		}
+	}
+}

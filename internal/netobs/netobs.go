@@ -78,7 +78,9 @@ const (
 
 // WireStats counts codec traffic per message type. It implements wire.Tap;
 // hand it to a wire.Codec and every successful Encode/Decode lands in both
-// the registry counters and the private per-kind totals.
+// the registry counters and the private per-kind totals. The engine's data
+// path does not go through the tap: it tallies per packet and per sweep and
+// folds the totals in with AddEncoded/AddDecoded.
 type WireStats struct {
 	perKind [wire.MaxKind + 1]struct {
 		encMsgs, encBytes, decMsgs, decBytes atomic.Int64
@@ -109,25 +111,33 @@ func NewWireStats(reg *obs.Registry) *WireStats {
 func validKind(k wire.Kind) bool { return k >= wire.KindNull && k <= wire.MaxKind }
 
 // OnEncode implements wire.Tap.
-func (ws *WireStats) OnEncode(k wire.Kind, bytes int) {
-	if ws == nil || !validKind(k) {
-		return
-	}
-	ws.perKind[k].encMsgs.Add(1)
-	ws.perKind[k].encBytes.Add(int64(bytes))
-	ws.enc[k].Inc()
-	ws.encB[k].Add(int64(bytes))
-}
+func (ws *WireStats) OnEncode(k wire.Kind, bytes int) { ws.AddEncoded(k, 1, int64(bytes)) }
 
 // OnDecode implements wire.Tap.
-func (ws *WireStats) OnDecode(k wire.Kind, bytes int) {
+func (ws *WireStats) OnDecode(k wire.Kind, bytes int) { ws.AddDecoded(k, 1, int64(bytes)) }
+
+// AddEncoded counts msgs successful encodes of kind k totalling bytes — the
+// bulk form of OnEncode, for a caller that tallies locally and folds in once
+// per batch instead of touching the shared counters on every frame.
+func (ws *WireStats) AddEncoded(k wire.Kind, msgs, bytes int64) {
 	if ws == nil || !validKind(k) {
 		return
 	}
-	ws.perKind[k].decMsgs.Add(1)
-	ws.perKind[k].decBytes.Add(int64(bytes))
-	ws.dec[k].Inc()
-	ws.decB[k].Add(int64(bytes))
+	ws.perKind[k].encMsgs.Add(msgs)
+	ws.perKind[k].encBytes.Add(bytes)
+	ws.enc[k].Add(msgs)
+	ws.encB[k].Add(bytes)
+}
+
+// AddDecoded is the decode-side counterpart of AddEncoded.
+func (ws *WireStats) AddDecoded(k wire.Kind, msgs, bytes int64) {
+	if ws == nil || !validKind(k) {
+		return
+	}
+	ws.perKind[k].decMsgs.Add(msgs)
+	ws.perKind[k].decBytes.Add(bytes)
+	ws.dec[k].Add(msgs)
+	ws.decB[k].Add(bytes)
 }
 
 // KindTotals is one message type's accounting.

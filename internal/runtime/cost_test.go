@@ -2,13 +2,16 @@ package runtime
 
 import (
 	goruntime "runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/consensus"
 	"repro/internal/model"
+	"repro/internal/netobs"
 	"repro/internal/obs"
 	"repro/internal/rounds"
+	"repro/internal/wire"
 )
 
 // The paper states its efficiency results in rounds and messages, and in a
@@ -168,5 +171,171 @@ func TestEngineCostShape(t *testing.T) {
 	perDecision := func(r costRun) float64 { return float64(r.allocs) / float64(r.cost.Decisions) }
 	if s, d := perDecision(shared), perDecision(dedicated); s >= d {
 		t.Errorf("no alloc win: %.1f allocs/decision shared vs %.1f dedicated", s, d)
+	}
+}
+
+// TestEngineCostExactAtCallback: the engine counts encoded round frames per
+// sweep, not per frame, yet whoever learns that an instance is done reads a
+// Stats().Cost that already holds every frame the instance sent.
+func TestEngineCostExactAtCallback(t *testing.T) {
+	// (n−1)(t+1) = 8 data messages per node decision, read inside the last
+	// OnInstanceDone callback and again right after the last Done().
+	t.Run("failure-free", func(t *testing.T) {
+		const instances = 400
+		var e *Engine
+		var completed atomic.Int64
+		atCallback := make(chan EngineStats, 1)
+		var err error
+		e, err = StartEngine(consensus.FloodSetWS{}, EngineConfig{
+			N: costN, T: costT,
+			Groups:          2,
+			HeartbeatPeriod: 2 * time.Millisecond,
+			SuspectTimeout:  2 * time.Second,
+			Metrics:         obs.NewRegistry(),
+			OnInstanceDone: func(uint64, InstanceOutcome) {
+				if completed.Add(1) == instances {
+					atCallback <- e.Stats()
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = e.Close() }()
+		handles := make([]*Instance, instances)
+		for k := range handles {
+			if handles[k], err = e.Open(func(id model.ProcessID) model.Value { return model.Value((k + int(id)) % 7) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, h := range handles {
+			<-h.Done()
+		}
+		afterDone := e.Stats()
+		for when, st := range map[string]EngineStats{"inside the last OnInstanceDone": <-atCallback, "after the last Done()": afterDone} {
+			if st.DecidedNodes != instances*costN {
+				t.Fatalf("%s: %d/%d node decisions", when, st.DecidedNodes, instances*costN)
+			}
+			if want := (costN - 1) * (costT + 1) * st.DecidedNodes; st.Cost.DataMessages != want {
+				t.Errorf("%s: Cost.DataMessages = %d, want exactly %d (8 per node decision)", when, st.Cost.DataMessages, want)
+			}
+		}
+	})
+	// An instance that opens, sends both its rounds and completes within one
+	// sweep — its only peer is crash-stopped and already suspected — has its
+	// frames counted before its callback runs, not at the end of that sweep.
+	t.Run("within one sweep", func(t *testing.T) {
+		var e *Engine
+		atCallback := make(chan EngineStats, 2)
+		var err error
+		e, err = StartEngine(consensus.FloodSetWS{}, EngineConfig{
+			N: 2, T: 1,
+			Groups:          1,
+			HeartbeatPeriod: 2 * time.Millisecond,
+			SuspectTimeout:  50 * time.Millisecond,
+			Metrics:         obs.NewRegistry(),
+			OnInstanceDone:  func(uint64, InstanceOutcome) { atCallback <- e.Stats() },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = e.Close() }()
+		// Instance 0: p2 crashes in round 1 before sending; p1 sends a frame
+		// in each of its two rounds and closes them on the suspicion.
+		h, err := e.OpenWith(nil, OpenOptions{Crashes: map[model.ProcessID]CrashPlan{2: {Round: 1, Reach: 0}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-h.Done()
+		if st := <-atCallback; st.Cost.DataMessages != 2 {
+			t.Fatalf("after the crash instance: %d data messages, want 2", st.Cost.DataMessages)
+		}
+		if h, err = e.OpenValue(7); err != nil {
+			t.Fatal(err)
+		}
+		<-h.Done()
+		if st := <-atCallback; st.Cost.DataMessages != 4 || st.DecidedNodes != 2 {
+			t.Errorf("inside the second instance's callback: %d data messages for %d decisions, want 4 for 2",
+				st.Cost.DataMessages, st.DecidedNodes)
+		}
+	})
+}
+
+// countingDetector counts what the demultiplexer shows the heartbeat
+// detector it wraps.
+type countingDetector struct {
+	Detector
+	control, round atomic.Int64
+}
+
+func (d *countingDetector) Observe(env wire.Envelope) {
+	if env.Kind.Control() {
+		d.control.Add(1)
+	} else {
+		d.round.Add(1)
+	}
+	d.Detector.Observe(env)
+}
+
+// TestEngineObserveContract pins Detector.Observe's contract from the
+// detector's side: every control envelope the node decoded, and round
+// traffic once per packet per sender — a data packet is one batcher flush
+// and carries one sender's frames, so in a loss-free run the round observes
+// equal the flushes, far fewer than the frames.
+func TestEngineObserveContract(t *testing.T) {
+	reg := obs.NewRegistry()
+	var built []*countingDetector
+	inner := HeartbeatDetector()
+	_, st, err := runInstances(consensus.FloodSetWS{}, EngineConfig{
+		N: costN, T: costT,
+		Groups:          2,
+		HeartbeatPeriod: 2 * time.Millisecond,
+		SuspectTimeout:  2 * time.Second,
+		Metrics:         reg,
+		Detector: &DetectorSpec{Name: inner.Name, New: func(cfg DetectorConfig) (Detector, error) {
+			d, err := inner.New(cfg)
+			if err != nil {
+				return nil, err
+			}
+			cd := &countingDetector{Detector: d}
+			built = append(built, cd)
+			return cd, nil
+		}},
+	}, 1000, func(inst int, id model.ProcessID) model.Value { return model.Value((inst + int(id)) % 7) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.DetectorWasPerfect || st.DecidedNodes != 1000*costN {
+		t.Fatalf("precondition: %d/%d decisions, detector perfect = %v", st.DecidedNodes, 1000*costN, st.DetectorWasPerfect)
+	}
+	var control, round int64
+	for _, d := range built {
+		control += d.control.Load()
+		round += d.round.Load()
+	}
+	var controlDecoded, framesDecoded int64
+	for _, k := range wire.Kinds() {
+		decoded := reg.Counter(obs.Label(netobs.MetricWireDecoded, "kind", k.String())).Value()
+		if k.Control() {
+			controlDecoded += decoded
+		} else {
+			framesDecoded += decoded
+		}
+	}
+	var packets int64
+	for _, reason := range []string{"count", "timer", "close"} {
+		packets += reg.Counter(obs.Label(MetricBatcherFlushes, "reason", reason)).Value()
+	}
+	if control == 0 || control != controlDecoded {
+		t.Errorf("detectors observed %d control envelopes, the nodes decoded %d: want every one", control, controlDecoded)
+	}
+	if framesDecoded != st.Cost.DataMessages {
+		t.Fatalf("precondition: %d round frames decoded of %d sent", framesDecoded, st.Cost.DataMessages)
+	}
+	if round != packets {
+		t.Errorf("detectors observed round traffic %d times over %d data packets: want once per packet", round, packets)
+	}
+	if round*2 > framesDecoded {
+		t.Errorf("%d round observes for %d frames: batching saved the detector nothing", round, framesDecoded)
 	}
 }

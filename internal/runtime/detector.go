@@ -27,10 +27,14 @@ type Detector interface {
 	// Stop halts them and joins their goroutines. From the peers'
 	// viewpoint the process crash-stops once its last message ages out.
 	Stop()
-	// Observe feeds the detector one decoded inbound envelope. The node's
-	// demultiplexer calls it for every packet — control or data — since
-	// any traffic proves the sender was recently alive; reactive
-	// constructions (ping/ack, ring forwarding) also answer from here.
+	// Observe feeds the detector one decoded inbound envelope, from the
+	// owning node's demultiplexer goroutine only. The contract: every control
+	// envelope; round traffic at least once per packet per sender. Any
+	// traffic proves the sender was recently alive, and the frames batched
+	// into one packet left the sender together, so the second one is no
+	// newer evidence than the first — a detector must not count round frames
+	// or expect to see each. Reactive constructions (ping/ack, ring
+	// forwarding) also answer from here.
 	Observe(env wire.Envelope)
 	// Suspects returns the current suspicion set. Polling it is what
 	// advances suspicion/retraction edge accounting.

@@ -281,9 +281,10 @@ type engineRun struct {
 	n         int
 	maxRounds int
 
-	codec    wire.Codec
-	batchers []*Batcher // 1..n, round traffic only
-	fds      []Detector // 1..n, shared per node; nil entries under RS
+	codec    wire.Codec        // the detectors' control traffic, tapped per message
+	ws       *netobs.WireStats // round traffic: folded in bulk (see kindTally)
+	batchers []*Batcher        // 1..n, round traffic only
+	fds      []Detector        // 1..n, shared per node; nil entries under RS
 	workers  []*engWorker
 	// crashed is the set of crash-stopped nodes (a model.ProcSet). A bit is
 	// set before the node's detector stops, and workers read it before they
@@ -455,6 +456,7 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 		n:          n,
 		maxRounds:  cfg.MaxRounds,
 		codec:      wire.Codec{Tap: ws},
+		ws:         ws,
 		batchers:   make([]*Batcher, n+1),
 		fds:        make([]Detector, n+1),
 		metrics:    newNodeMetrics(reg, alg.Name(), cfg.Kind),

@@ -131,9 +131,9 @@ func (fd *HeartbeatFD) broadcastLoop(stop <-chan struct{}) {
 	}
 }
 
-// Observe records liveness evidence from a peer. The node's demultiplexer
-// calls it for every decoded envelope (control or data): any traffic
-// proves the sender was recently alive.
+// Observe records liveness evidence from a peer: any traffic, control or
+// data, proves the sender was recently alive (see Detector.Observe for how
+// often the demultiplexer calls it).
 func (fd *HeartbeatFD) Observe(env wire.Envelope) {
 	if !env.From.Valid(fd.N()) {
 		return

@@ -9,6 +9,29 @@ import (
 	"repro/internal/wire"
 )
 
+// kindTally is one goroutine's private count of codec conversions per kind,
+// folded into the shared netobs.WireStats in bulk: the demultiplexer once per
+// packet, a worker once per sweep. A packet's frames are nearly all one kind,
+// so a fold costs four atomic adds where counting per frame cost four per
+// frame, on cache lines every node's goroutines share.
+type kindTally [wire.MaxKind + 1]struct{ msgs, bytes int64 }
+
+func (t *kindTally) add(k wire.Kind, bytes int) {
+	t[k].msgs++
+	t[k].bytes += int64(bytes)
+}
+
+// fold hands the tally to add (WireStats.AddEncoded or AddDecoded) and
+// zeroes it.
+func (t *kindTally) fold(add func(k wire.Kind, msgs, bytes int64)) {
+	for k := range t {
+		if t[k].msgs != 0 {
+			add(wire.Kind(k), t[k].msgs, t[k].bytes)
+			t[k].msgs, t[k].bytes = 0, 0
+		}
+	}
+}
+
 // demuxLoop decodes one node's inbound packets (splitting batches), feeds
 // the shared detector and routes round messages to the owning worker.
 func (er *engineRun) demuxLoop(wg *sync.WaitGroup, id model.ProcessID, tr Transport, stop <-chan struct{}) {
@@ -17,6 +40,7 @@ func (er *engineRun) demuxLoop(wg *sync.WaitGroup, id model.ProcessID, tr Transp
 	// A packet's frames reach each owning worker in one push: a batch of 32
 	// frames takes the mailbox lock once per worker, not 32 times.
 	routed := make([][]engEvent, len(er.workers))
+	var decoded kindTally
 	for {
 		select {
 		case <-stop:
@@ -25,19 +49,30 @@ func (er *engineRun) demuxLoop(wg *sync.WaitGroup, id model.ProcessID, tr Transp
 			if !ok {
 				return
 			}
+			// Instance ids only grow and a frame is sent after its instance was
+			// opened, so one read per packet bounds every id the packet carries.
+			opened := er.opened.Load()
+			// observed: senders whose round traffic in this packet the detector
+			// has already seen (the Detector.Observe contract).
+			var observed model.ProcSet
 			_ = wire.SplitBatch(pkt.Data, func(frame []byte) error {
-				env, err := er.codec.Decode(frame)
+				env, err := wire.Decode(frame)
 				if err != nil {
 					return nil // corrupt frame: drop, keep the batch
 				}
-				if fd != nil {
-					fd.Observe(env)
-				}
+				decoded.add(env.Kind, len(frame))
 				if env.Kind.Control() {
+					if fd != nil {
+						fd.Observe(env)
+					}
 					er.metrics.heartbeats.Inc()
 					return nil
 				}
-				if env.Instance >= er.opened.Load() ||
+				if fd != nil && !observed.Has(env.From) {
+					observed = observed.Add(env.From)
+					fd.Observe(env)
+				}
+				if env.Instance >= opened ||
 					env.From < 1 || int(env.From) > er.n {
 					er.unknown.Inc()
 					er.unknownCount.Add(1)
@@ -47,6 +82,7 @@ func (er *engineRun) demuxLoop(wg *sync.WaitGroup, id model.ProcessID, tr Transp
 				routed[w] = append(routed[w], engEvent{node: id, env: env})
 				return nil
 			})
+			decoded.fold(er.ws.AddDecoded)
 			for w, evs := range routed {
 				if len(evs) == 0 {
 					continue
@@ -97,10 +133,14 @@ func (w *engWorker) sendRound(st *instState, r, reach int, msgs []rounds.Message
 			return err
 		}
 		env.Instance = st.slab.inst
-		data, err := w.run.codec.Encode(env)
+		// The batcher copies the frame into the link's pending buffer, so one
+		// scratch buffer serves every frame this worker ever encodes.
+		data, err := wire.AppendEnvelope(w.frame[:0], env)
 		if err != nil {
 			return err
 		}
+		w.frame = data
+		w.encoded.add(env.Kind, len(data))
 		if err := w.run.batchers[st.id].Send(dest, data); err != nil {
 			return err
 		}

@@ -34,7 +34,10 @@ type Transport interface {
 	// LocalID returns the endpoint's process identity.
 	LocalID() model.ProcessID
 	// Send transmits data to the destination. It never blocks on the
-	// receiver; delivery is asynchronous.
+	// receiver; delivery is asynchronous. The caller surrenders data: a
+	// transport may hold the slice until delivery (ChanNetwork does, and
+	// observers keep captured packets), so it is never written or reused
+	// after the call. Batcher, which copies, is the one exception.
 	Send(to model.ProcessID, data []byte) error
 	// Recv returns the endpoint's delivery channel. The channel is closed
 	// when the transport closes.
@@ -73,23 +76,93 @@ type ChanConfig struct {
 }
 
 // ChanNetwork is a fully connected in-process network with per-message
-// delivery delays.
+// delivery delays. Each destination has one delivery queue — a min-heap on
+// (due time, send order) — drained by at most one goroutine per inbox, which
+// sleeps on one timer armed to the earliest due time: the goroutine count is
+// bounded by n however many packets are in flight.
 type ChanNetwork struct {
-	n   int
-	cfg ChanConfig
+	n     int
+	cfg   ChanConfig
+	start time.Time // due times are offsets from it (monotonic clock)
 
 	mu     sync.Mutex
 	rng    *rand.Rand
+	seq    uint64 // packets accepted so far: the send order
 	closed bool
 
 	inboxes []chan Packet
+	queues  []deliveryQueue // by destination
 	done    chan struct{}
-	wg      sync.WaitGroup
+	wg      sync.WaitGroup // the running drain goroutines
 
 	tm *netobs.LinkTap
 }
 
-// NewChanNetwork builds an n-endpoint in-process network.
+// delivery is one packet in flight.
+type delivery struct {
+	due  time.Duration // since ChanNetwork.start
+	seq  uint64
+	from model.ProcessID
+	data []byte
+}
+
+func (d *delivery) before(o *delivery) bool {
+	return d.due < o.due || (d.due == o.due && d.seq < o.seq)
+}
+
+// deliveryQueue is one inbox's packets in flight, earliest first. The heap is
+// written out because container/heap would box every delivery through an
+// interface — an allocation per packet on the path this type exists to trim.
+type deliveryQueue struct {
+	mu      sync.Mutex
+	heap    []delivery
+	running bool          // a drain goroutine owns the queue
+	closed  bool          // the network closed: nothing is queued or started any more
+	wake    chan struct{} // 1-buffered: a push became the earliest
+}
+
+// push files d and reports whether it is now the earliest.
+func (q *deliveryQueue) push(d delivery) bool {
+	h := append(q.heap, d)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[i].before(&h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	q.heap = h
+	return i == 0
+}
+
+// pop removes and returns the earliest delivery.
+func (q *deliveryQueue) pop() delivery {
+	h := q.heap
+	top := h[0]
+	last := len(h) - 1
+	h[0], h[last] = h[last], delivery{} // drop the vacated slot's data reference
+	h = h[:last]
+	for i := 0; ; {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < last; c++ {
+			if h[c].before(&h[least]) {
+				least = c
+			}
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	q.heap = h
+	return top
+}
+
+// NewChanNetwork builds an n-endpoint in-process network. It holds no
+// goroutine until a packet is in flight.
 func NewChanNetwork(n int, cfg ChanConfig) *ChanNetwork {
 	if cfg.MaxDelay <= 0 {
 		cfg.MaxDelay = time.Millisecond
@@ -104,13 +177,16 @@ func NewChanNetwork(n int, cfg ChanConfig) *ChanNetwork {
 	nw := &ChanNetwork{
 		n:       n,
 		cfg:     cfg,
+		start:   time.Now(),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		inboxes: make([]chan Packet, n+1),
+		queues:  make([]deliveryQueue, n+1),
 		done:    make(chan struct{}),
 		tm:      netobs.NewLinkTap(reg, "chan", cfg.Flight),
 	}
 	for i := 1; i <= n; i++ {
 		nw.inboxes[i] = make(chan Packet, cfg.Buffer)
+		nw.queues[i].wake = make(chan struct{}, 1)
 	}
 	return nw
 }
@@ -127,7 +203,22 @@ func (nw *ChanNetwork) Endpoint(id model.ProcessID) Transport {
 // failure detection builds on.
 func (nw *ChanNetwork) MaxDelay() time.Duration { return nw.cfg.MaxDelay }
 
-// send queues a delayed delivery.
+// delay draws one packet's in-flight delay: the hook's answer, or the next
+// value of the seeded generator. Called with nw.mu held, in send order, so a
+// seed fixes the delay sequence.
+func (nw *ChanNetwork) delay(from, to model.ProcessID, data []byte) time.Duration {
+	if nw.cfg.Delay != nil {
+		return nw.cfg.Delay(from, to, data)
+	}
+	d := nw.cfg.MinDelay
+	if span := nw.cfg.MaxDelay - nw.cfg.MinDelay; span > 0 {
+		d += time.Duration(nw.rng.Int63n(int64(span)))
+	}
+	return d
+}
+
+// send queues a delayed delivery. The network keeps data until it is
+// delivered: the caller surrenders the slice.
 func (nw *ChanNetwork) send(from, to model.ProcessID, data []byte) error {
 	if !to.Valid(nw.n) {
 		return fmt.Errorf("runtime: send to invalid destination %v", to)
@@ -137,53 +228,124 @@ func (nw *ChanNetwork) send(from, to model.ProcessID, data []byte) error {
 		nw.mu.Unlock()
 		return ErrClosed
 	}
-	var delay time.Duration
-	if nw.cfg.Delay != nil {
-		delay = nw.cfg.Delay(from, to, data)
-	} else {
-		span := nw.cfg.MaxDelay - nw.cfg.MinDelay
-		delay = nw.cfg.MinDelay
-		if span > 0 {
-			delay += time.Duration(nw.rng.Int63n(int64(span)))
-		}
-	}
-	nw.wg.Add(1)
-	nw.mu.Unlock()
-	nw.tm.Sent(from, to, len(data))
-
+	delay := nw.delay(from, to, data)
 	if delay < 0 {
-		nw.wg.Done()
+		nw.mu.Unlock()
+		nw.tm.Sent(from, to, len(data))
 		nw.tm.Dropped(from, to, netobs.DropLoss) // injected link loss: sent but never delivered
 		return nil
 	}
-	// One goroutine per in-flight message, owned by the network and joined
-	// in Close. Message counts in these experiments are small.
-	go func() {
-		defer nw.wg.Done()
-		timer := time.NewTimer(delay)
-		defer timer.Stop()
+	nw.seq++
+	d := delivery{due: time.Since(nw.start) + delay, seq: nw.seq, from: from, data: data}
+	nw.mu.Unlock()
+
+	// The queue has its own lock, taken after nw.mu is released: a sender
+	// waiting out a drain goroutine's pops must not stall every other link.
+	q := &nw.queues[to]
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
+		return ErrClosed
+	}
+	earliest := q.push(d)
+	spawn := !q.running
+	if spawn {
+		q.running = true
+		nw.wg.Add(1) // under q.mu and before q.closed: Close waits for it
+	}
+	q.mu.Unlock()
+	nw.tm.Sent(from, to, len(data))
+
+	switch {
+	case spawn:
+		go nw.drain(to)
+	case earliest:
 		select {
-		case <-timer.C:
-		case <-nw.done:
-			return
-		}
-		pkt := Packet{From: from, Data: data}
-		select {
-		case nw.inboxes[to] <- pkt:
-			nw.tm.Received(from, to, len(data))
-			nw.tm.QueueDepth(from, to, len(nw.inboxes[to]))
-		case <-nw.done:
+		case q.wake <- struct{}{}:
 		default:
-			// Inbox full: a stalled receiver must not wedge the delivery
-			// goroutine (and, transitively, Close) forever. The overflow is
-			// documented link loss, visible in the dropped counter.
-			nw.tm.Dropped(from, to, netobs.DropOverflow)
 		}
-	}()
+	}
 	return nil
 }
 
-// Close shuts the network down and joins all in-flight deliveries.
+// drain delivers inbox to's packets as they fall due and exits when none is
+// left in flight (the next send starts another) or the network closes.
+func (nw *ChanNetwork) drain(to model.ProcessID) {
+	defer nw.wg.Done()
+	q := &nw.queues[to]
+	var timer *time.Timer // created on the first wait: a lone packet pays for one timer, armed once
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
+	var due []delivery
+	for {
+		q.mu.Lock()
+		now := time.Since(nw.start)
+		for len(q.heap) > 0 && q.heap[0].due <= now {
+			due = append(due, q.pop())
+		}
+		if len(due) == 0 && len(q.heap) == 0 {
+			q.running = false
+			q.mu.Unlock()
+			return
+		}
+		var wait time.Duration
+		if len(due) == 0 {
+			wait = q.heap[0].due - now
+		}
+		q.mu.Unlock()
+
+		if len(due) > 0 {
+			for i := range due {
+				nw.deliver(to, &due[i])
+				due[i] = delivery{}
+			}
+			due = due[:0]
+			select {
+			case <-nw.done:
+				return
+			default:
+				continue
+			}
+		}
+		if timer == nil {
+			timer = time.NewTimer(wait)
+		} else {
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
+			}
+			timer.Reset(wait)
+		}
+		select {
+		case <-timer.C:
+		case <-q.wake:
+		case <-nw.done:
+			return
+		}
+	}
+}
+
+// deliver hands one due packet to its inbox.
+func (nw *ChanNetwork) deliver(to model.ProcessID, d *delivery) {
+	select {
+	case nw.inboxes[to] <- Packet{From: d.from, Data: d.data}:
+		nw.tm.Received(d.from, to, len(d.data))
+		nw.tm.QueueDepth(d.from, to, len(nw.inboxes[to]))
+	default:
+		// Inbox full: a stalled receiver must not wedge the delivery
+		// goroutine (and, transitively, Close) forever. The overflow is
+		// documented link loss, visible in the dropped counter.
+		nw.tm.Dropped(d.from, to, netobs.DropOverflow)
+	}
+}
+
+// Close shuts the network down, dropping what is still in flight, and joins
+// the drain goroutines.
 func (nw *ChanNetwork) Close() error {
 	nw.mu.Lock()
 	if nw.closed {
@@ -193,6 +355,15 @@ func (nw *ChanNetwork) Close() error {
 	nw.closed = true
 	close(nw.done)
 	nw.mu.Unlock()
+	// A send that passed the closed check above may still be on its way to a
+	// queue: closing each queue under its lock means it either started its
+	// drain goroutine before this point or never will.
+	for i := range nw.queues {
+		q := &nw.queues[i]
+		q.mu.Lock()
+		q.closed = true
+		q.mu.Unlock()
+	}
 	nw.wg.Wait()
 	return nil
 }

@@ -129,6 +129,9 @@ type engWorker struct {
 	now          time.Time       // the sweep's clock, read once per sweep
 	nextDeadline time.Time       // earliest round deadline among blocked automata
 	scratch      []rounds.Message
+
+	frame   []byte    // encode scratch: Batcher.Send copies out of it
+	encoded kindTally // frames encoded since the last fold into WireStats
 }
 
 // slabFor maps an instance id to its slab, or nil once it completed (late
@@ -253,6 +256,7 @@ func (w *engWorker) loop(wg *sync.WaitGroup) {
 			st.queued = false
 			w.advance(st)
 		}
+		w.encoded.fold(w.run.ws.AddEncoded)
 		// Round completions above queued sends on the node batchers; push
 		// them out now so peers don't wait out the flush timer.
 		for i := 1; i <= w.run.n; i++ {
@@ -492,5 +496,9 @@ func (w *engWorker) halt(st *instState) {
 		w.slabs = w.slabs[1:]
 		w.base++
 	}
+	// Whoever learns the instance is done — the callback, a Done() waiter —
+	// may read Stats().Cost next: every frame the instance sent is counted
+	// first, not at the end of the sweep.
+	w.encoded.fold(w.run.ws.AddEncoded)
 	w.run.finish(sl.inst, out)
 }

@@ -1,0 +1,192 @@
+package wire
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+
+	"repro/internal/consensus"
+	"repro/internal/model"
+	"repro/internal/nbac"
+	"repro/internal/rounds"
+)
+
+// canonicalEnvelopes is one envelope per kind, as in the golden size table,
+// each bare and instance-tagged.
+func canonicalEnvelopes() []Envelope {
+	payloads := []struct {
+		kind    Kind
+		payload rounds.Message
+	}{
+		{KindNull, nil},
+		{KindW, consensus.WMsg{W: model.NewValueSet(0, 1, 2)}},
+		{KindW, consensus.WMsg{}},
+		{KindD, consensus.DMsg{V: 5}},
+		{KindA1Val, consensus.A1Val{V: 5}},
+		{KindA1Fwd, consensus.A1Fwd{V: -5}},
+		{KindVotes, nbac.VotesMsg{Known: []int8{1, 0, -1}}},
+		{KindHeartbeat, nil},
+		{KindFDPing, nil},
+		{KindFDAck, nil},
+		{KindFDRing, RingInfo{Origins: []RingOrigin{{Proc: 1, Seq: 1}, {Proc: 2, Seq: 2}, {Proc: 3, Seq: 3}}}},
+	}
+	var out []Envelope
+	for _, p := range payloads {
+		for _, inst := range []uint64{0, 3, 99999} {
+			out = append(out, Envelope{From: 1, To: 2, Round: 1, Kind: p.kind, Instance: inst, Payload: p.payload})
+		}
+	}
+	return out
+}
+
+// hostileCounts are frames whose element count promises more than the frame
+// holds: a count of 2^63 (nine 0xff bytes and a 0x01) and one of 2^31, for
+// each repeated payload. Before the count was checked against the bytes that
+// remain, the first panicked in makeslice — in the demultiplexer goroutine,
+// taking the daemon down — and the second asked for gigabytes.
+func hostileCounts() [][]byte {
+	var out [][]byte
+	for _, k := range []Kind{KindW, KindVotes, KindFDRing} {
+		head := []byte{1, 1, 1, byte(k)}
+		out = append(out,
+			append(append([]byte(nil), head...), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
+			append(append([]byte(nil), head...), 0x80, 0x80, 0x80, 0x80, 0x08),
+			append(append([]byte(nil), head...), 0x03, 0x01, 0x02)) // says three, holds two
+	}
+	return out
+}
+
+func TestDecodeHostileCounts(t *testing.T) {
+	for _, frame := range hostileCounts() {
+		if _, err := Decode(frame); !errors.Is(err, ErrTruncated) {
+			t.Errorf("Decode(%x) = %v, want ErrTruncated", frame, err)
+		}
+	}
+}
+
+// TestDecodeOwnsPayload: a decoded envelope keeps nothing of the frame it was
+// read from — receivers hold payloads across rounds while the transport's
+// buffers move on.
+func TestDecodeOwnsPayload(t *testing.T) {
+	for _, env := range canonicalEnvelopes() {
+		frame, err := Encode(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range frame {
+			frame[i] = 0xAA
+		}
+		if !reflect.DeepEqual(got, env) {
+			t.Errorf("kind %v: overwriting the frame changed the decoded envelope: %+v, want %+v", env.Kind, got, env)
+		}
+	}
+	w := consensus.WMsg{W: model.NewValueSet(-3, 8, 1000, 1<<40)}
+	frame, _ := Encode(Envelope{From: 1, To: 2, Round: 1, Kind: KindW, Payload: w})
+	got, err := Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(frame)
+	if set := got.Payload.(consensus.WMsg).W; !set.Equal(w.W) {
+		t.Errorf("W after the frame was cleared = %v, want %v", set, w.W)
+	}
+}
+
+// TestDecodeSortsWhatAnEncoderWouldNot: a W frame whose values arrive
+// unsorted or repeated still decodes to a proper set.
+func TestDecodeSortsWhatAnEncoderWouldNot(t *testing.T) {
+	frame := []byte{1, 2, 1, byte(KindW), 4}
+	for _, v := range []int64{9, -2, 9, 0} {
+		frame = appendVarint(frame, v)
+	}
+	env, err := Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := env.Payload.(consensus.WMsg).W, model.NewValueSet(-2, 0, 9); !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded %v, want %v", got, want)
+	}
+}
+
+// TestCodecAllocs pins what the codec costs the allocator: a decoded W frame
+// is its value slice and the boxed payload, and encoding into a buffer with
+// room is free.
+func TestCodecAllocs(t *testing.T) {
+	env := Envelope{From: 1, To: 2, Round: 1, Kind: KindW, Instance: 12345,
+		Payload: consensus.WMsg{W: model.NewValueSet(10, 20, 30, 40, 50)}}
+	frame, err := Encode(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink Envelope
+	if n := testing.AllocsPerRun(200, func() { sink, _ = Decode(frame) }); n > 2 {
+		t.Errorf("Decode of a 5-value W frame allocates %v times, want ≤ 2", n)
+	}
+	if !reflect.DeepEqual(sink, env) {
+		t.Fatalf("decoded %+v, want %+v", sink, env)
+	}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(200, func() { buf, _ = AppendEnvelope(buf[:0], env) }); n != 0 {
+		t.Errorf("AppendEnvelope into sufficient capacity allocates %v times, want 0", n)
+	}
+	if string(buf) != string(frame) {
+		t.Errorf("AppendEnvelope wrote %x, Encode %x", buf, frame)
+	}
+}
+
+// TestAppendEnvelopeAppends: the encoding lands after what the buffer holds,
+// and every kind's bytes are Encode's bytes.
+func TestAppendEnvelopeAppends(t *testing.T) {
+	for _, env := range canonicalEnvelopes() {
+		want, err := Encode(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendEnvelope([]byte("prefix"), env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != "prefix"+string(want) {
+			t.Errorf("kind %v: AppendEnvelope = %x, want prefix+%x", env.Kind, got, want)
+		}
+	}
+	if got, err := AppendEnvelope([]byte("prefix"), Envelope{From: 1, To: 2, Round: 1, Kind: KindW}); err == nil || got != nil {
+		t.Errorf("AppendEnvelope of a W envelope without a WMsg = (%x, %v), want (nil, error)", got, err)
+	}
+}
+
+// FuzzDecode: Decode never panics on any input, and whatever it accepts
+// re-encodes to bytes that decode to the same envelope.
+func FuzzDecode(f *testing.F) {
+	for _, env := range canonicalEnvelopes() {
+		frame, err := Encode(env)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	for _, frame := range hostileCounts() {
+		f.Add(frame)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		env, err := Decode(data)
+		if err != nil {
+			return
+		}
+		again, err := Encode(env)
+		if err != nil {
+			t.Fatalf("decoded %+v does not re-encode: %v", env, err)
+		}
+		back, err := Decode(again)
+		if err != nil {
+			t.Fatalf("re-encoding %x of %+v does not decode: %v", again, env, err)
+		}
+		if !reflect.DeepEqual(back, env) {
+			t.Fatalf("round trip changed the envelope: %+v, then %+v", env, back)
+		}
+	})
+}

@@ -168,9 +168,15 @@ func appendVarint(buf []byte, v int64) []byte {
 	return binary.AppendVarint(buf, v)
 }
 
-// Encode serializes an envelope.
+// Encode serializes an envelope into a fresh buffer.
 func Encode(e Envelope) ([]byte, error) {
-	buf := make([]byte, 0, 64)
+	return AppendEnvelope(make([]byte, 0, 64), e)
+}
+
+// AppendEnvelope appends e's encoding to buf and returns the extended
+// buffer; with enough capacity it allocates nothing. The payload is only
+// read. On error the result is nil.
+func AppendEnvelope(buf []byte, e Envelope) ([]byte, error) {
 	buf = appendUvarint(buf, uint64(e.From))
 	buf = appendUvarint(buf, uint64(e.To))
 	buf = appendUvarint(buf, uint64(e.Round))
@@ -193,10 +199,9 @@ func Encode(e Envelope) ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("wire: kind W with payload %T", e.Payload)
 		}
-		vs := m.W.Values()
-		buf = appendUvarint(buf, uint64(len(vs)))
-		for _, v := range vs {
-			buf = appendVarint(buf, int64(v))
+		buf = appendUvarint(buf, uint64(m.W.Len()))
+		for i := 0; i < m.W.Len(); i++ {
+			buf = appendVarint(buf, int64(m.W.At(i)))
 		}
 	case KindD:
 		m, ok := e.Payload.(consensus.DMsg)
@@ -262,6 +267,20 @@ func (r *reader) varint() (int64, error) {
 	return v, nil
 }
 
+// count reads an element count. Every element of every repeated payload
+// takes at least one byte, so a count beyond the bytes that remain is a
+// truncated (or hostile) frame — rejected before anything is allocated for it.
+func (r *reader) count() (int, error) {
+	c, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if c > uint64(len(r.buf)-r.pos) {
+		return 0, ErrTruncated
+	}
+	return int(c), nil
+}
+
 func (r *reader) byte() (byte, error) {
 	if r.pos >= len(r.buf) {
 		return 0, ErrTruncated
@@ -296,12 +315,12 @@ func Decode(data []byte) (Envelope, error) {
 	case KindNull, KindHeartbeat, KindFDPing, KindFDAck:
 		// no payload
 	case KindFDRing:
-		count, err := r.uvarint()
+		count, err := r.count()
 		if err != nil {
 			return e, err
 		}
 		origins := make([]RingOrigin, 0, count)
-		for i := uint64(0); i < count; i++ {
+		for i := 0; i < count; i++ {
 			proc, err := r.uvarint()
 			if err != nil {
 				return e, err
@@ -314,19 +333,21 @@ func Decode(data []byte) (Envelope, error) {
 		}
 		e.Payload = RingInfo{Origins: origins}
 	case KindW:
-		count, err := r.uvarint()
+		count, err := r.count()
 		if err != nil {
 			return e, err
 		}
 		vals := make([]model.Value, 0, count)
-		for i := uint64(0); i < count; i++ {
+		for i := 0; i < count; i++ {
 			v, err := r.varint()
 			if err != nil {
 				return e, err
 			}
 			vals = append(vals, model.Value(v))
 		}
-		e.Payload = consensus.WMsg{W: model.NewValueSet(vals...)}
+		// vals is this call's own allocation — never the frame's bytes — and
+		// an encoder writes a set in increasing order, so it becomes the set.
+		e.Payload = consensus.WMsg{W: model.ValueSetOfSorted(vals)}
 	case KindD:
 		v, err := r.varint()
 		if err != nil {
@@ -346,12 +367,12 @@ func Decode(data []byte) (Envelope, error) {
 		}
 		e.Payload = consensus.A1Fwd{V: model.Value(v)}
 	case KindVotes:
-		count, err := r.uvarint()
+		count, err := r.count()
 		if err != nil {
 			return e, err
 		}
 		known := make([]int8, 0, count)
-		for i := uint64(0); i < count; i++ {
+		for i := 0; i < count; i++ {
 			v, err := r.varint()
 			if err != nil {
 				return e, err
