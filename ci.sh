@@ -35,6 +35,9 @@ fails() {
 # fuzz <target> <pkg>: ten seconds of one fuzz target.
 fuzz() { go test -run '^$' -fuzz "$1" -fuzztime 10s "$2"; }
 
+# golines: total lines of the files named on stdin.
+golines() { xargs cat | wc -l; }
+
 # drain <pid>: SIGTERM the daemon and require a graceful exit 0.
 drain() {
   local rc=0
@@ -53,6 +56,12 @@ job_test() {
   # Part of ./... above; run again by name so a regression in the explorer's
   # worker pool is named in the job log, not buried in a package failure.
   go test -race -run 'TestParallel|TestExploreMerges|TestMaxCrashesCap|TestComputeParallelEquality' ./internal/explore/ ./internal/latency/
+  # The size of the tree, so "net lines removed" is read off a job log rather
+  # than counted by hand (ROADMAP item 9, CHANGES.md).
+  local root
+  root=$(git ls-files '*.go' | grep -v '^bench/')
+  echo "go lines: root non-test $(grep -v '_test\.go$' <<<"$root" | golines)," \
+    "root test $(grep '_test\.go$' <<<"$root" | golines), bench $(git ls-files '*.go' | grep '^bench/' | golines)"
 }
 
 # Explorer throughput (runs/sec, allocs/op) has no committed baseline; the
@@ -107,11 +116,12 @@ job_chaos() {
 # model), crash-stop on the multiplexed mesh, halting at quiescence, the
 # exact per-decision costs (TestEngineCostShape, TestClusterDataCost,
 # TestEngineCostExactAtCallback), the detector's Observe contract, the
-# in-process mesh's delivery queues (TestChanNetwork*, TestDeliveryQueue*)
-# and the batcher's buffer-ownership discipline are what -race -count=2
-# shakes out.
+# in-process mesh's delivery queues (TestChanNetwork*, TestDeliveryQueue*),
+# the detectors' one send seam (TestDetectorSend*, TestDetectorRegistry*) and
+# the batcher's buffer-ownership discipline are what -race -count=2 shakes
+# out.
 job_multi_instance() {
-  go test -race -count=2 -run 'TestEngine|TestStartEngine|TestOpenAfterAbort|TestBatch|TestCluster|TestAgreement|TestLiveRSA1|TestChanNetwork|TestDeliveryQueue' ./internal/runtime/ ./internal/wire/
+  go test -race -count=2 -run 'TestEngine|TestStartEngine|TestOpenAfterAbort|TestBatch|TestCluster|TestAgreement|TestLiveRSA1|TestChanNetwork|TestDeliveryQueue|TestDetectorSend|TestDetectorRegistry' ./internal/runtime/ ./internal/wire/
   go test -race -count=2 -run 'TestCrashOnMultiplexedMesh' ./internal/fdimpl/
   floor ./internal/wire/ 85
   floor ./internal/runtime/ 85

@@ -2,16 +2,15 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/consensus"
 	"repro/internal/faults"
+	"repro/internal/fdimpl"
 	"repro/internal/model"
 	"repro/internal/rounds"
 	"repro/internal/runtime"
 	"repro/internal/stats"
-	"repro/internal/wire"
 )
 
 // E14Chaos puts the live RWS stack under a seeded adversarial network and
@@ -29,7 +28,7 @@ import (
 //     force false suspicions: the detector the same code implements is now
 //     only ◇P, exactly Chandra–Toueg's weakening.
 //
-// A final soak runs the adaptive detector (EnableAdaptiveTimeout) against
+// A final soak runs the adaptive detector (DetectorConfig.Adaptive) against
 // recurring partitions and watches the ◇P construction converge: each
 // retraction doubles the timeout until the outages fit inside the window.
 func E14Chaos(cfg Config) (*Report, error) {
@@ -149,64 +148,30 @@ func E14Chaos(cfg Config) (*Report, error) {
 	return r, nil
 }
 
-// adaptiveSoak drives two raw heartbeat detectors — no consensus on top —
-// through recurring partitions longer than the initial timeout and reports
-// how the adaptive (◇P) mode converged: retraction count and the grown
-// window, plus the initial window for comparison.
+// adaptiveSoak drives two raw heartbeat detectors — an fdimpl.Mesh, no
+// consensus on top — through recurring partitions longer than the initial
+// timeout and reports how the adaptive (◇P) mode converged: retraction
+// count and the grown window, plus the initial window for comparison.
 func adaptiveSoak(seed int64) (retractions int64, grewTo, initial time.Duration, err error) {
 	const ms = time.Millisecond
 	initial = 15 * ms
-	nw := runtime.NewChanNetwork(2, runtime.ChanConfig{MaxDelay: ms, Seed: seed})
-	inj := faults.NewInjector(faults.Config{
-		Seed: seed,
-		Partitions: []faults.Partition{
+	m, err := fdimpl.StartMesh(runtime.HeartbeatDetector(), fdimpl.MeshConfig{
+		N: 2, Seed: seed, Period: 2 * ms, Timeout: initial, AdaptiveMax: 200 * ms,
+		Chaos: &faults.Config{Partitions: []faults.Partition{
 			{Start: 20 * ms, End: 60 * ms, Group: model.Singleton(2)},
 			{Start: 110 * ms, End: 150 * ms, Group: model.Singleton(2)},
 			{Start: 200 * ms, End: 240 * ms, Group: model.Singleton(2)},
-		},
+		}},
 	})
-	ep1 := inj.Wrap(nw.Endpoint(1))
-	ep2 := inj.Wrap(nw.Endpoint(2))
-	fd1 := runtime.NewHeartbeatFD(ep1, 2, 2*ms, initial)
-	fd1.EnableAdaptiveTimeout(200 * ms)
-	fd2 := runtime.NewHeartbeatFD(ep2, 2, 2*ms, initial)
-
-	// Observer pump: without a node on top, somebody must feed arrivals to
-	// the detector. The quit channel matters — ChanNetwork does not close
-	// inbox channels on Close (endpoints outlive crashing nodes).
-	quit := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-quit:
-				return
-			case pkt, ok := <-ep1.Recv():
-				if !ok {
-					return
-				}
-				fd1.Observe(wire.Envelope{From: pkt.From})
-			}
-		}
-	}()
-
-	inj.Start()
-	fd1.Start()
-	fd2.Start()
+	if err != nil {
+		return 0, 0, initial, err
+	}
+	defer m.Close()
+	fd1 := m.Detectors[1].(*runtime.HeartbeatFD)
 	deadline := time.Now().Add(320 * ms)
 	for time.Now().Before(deadline) {
 		fd1.Suspects() // suspicion edges (and adaptive growth) happen at poll time
 		time.Sleep(ms)
 	}
-	retractions = fd1.FalseSuspicions()
-	grewTo = fd1.CurrentTimeout()
-	fd1.Stop()
-	fd2.Stop()
-	_ = inj.Close()
-	_ = nw.Close()
-	close(quit)
-	wg.Wait()
-	return retractions, grewTo, initial, nil
+	return fd1.FalseSuspicions(), fd1.CurrentTimeout(), initial, nil
 }

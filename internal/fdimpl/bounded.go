@@ -34,12 +34,8 @@ import (
 // costs one retraction and buys a doubled bound.
 type BoundedFD struct {
 	*runtime.DetectorCore
-	transport runtime.Transport
-	period    time.Duration
-	maxBound  time.Duration
-
-	life  runtime.Lifecycle
-	codec wire.Codec
+	period   time.Duration
+	maxBound time.Duration
 
 	mu    sync.Mutex
 	links []boundedLink // indexed by peer id; [0] and [id] unused
@@ -70,8 +66,7 @@ func newBoundedFD(cfg runtime.DetectorConfig) *BoundedFD {
 		maxBound = cfg.Timeout * 64
 	}
 	fd := &BoundedFD{
-		DetectorCore: runtime.NewDetectorCore("bounded", cfg.Transport.LocalID(), cfg.N),
-		transport:    cfg.Transport,
+		DetectorCore: runtime.NewDetectorCore("bounded", cfg),
 		period:       cfg.Period,
 		maxBound:     maxBound,
 		links:        make([]boundedLink, cfg.N+1),
@@ -83,31 +78,13 @@ func newBoundedFD(cfg runtime.DetectorConfig) *BoundedFD {
 	return fd
 }
 
-// UseCodec routes ping/ack encodes through c. Call before Start.
-func (fd *BoundedFD) UseCodec(c wire.Codec) { fd.codec = c }
-
 // Start launches the silence prober.
-func (fd *BoundedFD) Start() { fd.life.Go(fd.probeLoop) }
-
-// Stop halts it; idempotent and safe before Start.
-func (fd *BoundedFD) Stop() { fd.life.Stop() }
-
-func (fd *BoundedFD) probeLoop(stop <-chan struct{}) {
-	ticker := time.NewTicker(fd.period)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			fd.probe(time.Now())
-		}
-	}
-}
+func (fd *BoundedFD) Start() { fd.Every(fd.period, fd.probe) }
 
 // probe sends pings where silence warrants them. Sends happen outside the
 // lock (a fault injector's wrapped Send may do real work).
-func (fd *BoundedFD) probe(now time.Time) {
+func (fd *BoundedFD) probe() {
+	now := time.Now()
 	var pings []model.ProcessID
 	fd.mu.Lock()
 	for j := 1; j <= fd.N(); j++ {
@@ -137,18 +114,7 @@ func (fd *BoundedFD) probe(now time.Time) {
 	}
 	fd.mu.Unlock()
 	for _, j := range pings {
-		fd.sendCtl(j, wire.KindFDPing)
-	}
-}
-
-func (fd *BoundedFD) sendCtl(to model.ProcessID, kind wire.Kind) {
-	data, err := fd.codec.Encode(wire.Envelope{From: fd.ID(), To: to, Kind: kind})
-	if err != nil {
-		fd.NoteEncodeError()
-		return
-	}
-	if fd.transport.Send(to, data) == nil {
-		fd.NoteSent()
+		fd.Send(wire.Envelope{To: j, Kind: wire.KindFDPing})
 	}
 }
 
@@ -162,10 +128,8 @@ func (fd *BoundedFD) Observe(env wire.Envelope) {
 	l.lastHeard = time.Now()
 	l.pingAt = time.Time{} // evidence answers any outstanding probe
 	fd.mu.Unlock()
-	// A stopped detector is a crash-stopped process: it may still observe
-	// (the demux drains), but it must not answer.
-	if env.Kind == wire.KindFDPing && !fd.life.Stopped() {
-		fd.sendCtl(env.From, wire.KindFDAck)
+	if env.Kind == wire.KindFDPing {
+		fd.Send(wire.Envelope{To: env.From, Kind: wire.KindFDAck}) // refused once stopped
 	}
 }
 

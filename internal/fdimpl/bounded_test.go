@@ -118,24 +118,24 @@ func TestBoundedPingAckConversation(t *testing.T) {
 		window = 3 * bound
 	)
 	z := startZoo(t, BoundedDetector(), 2, 5, nil, period, bound)
-	defer z.teardown()
+	defer z.Close()
 	soak := time.Now().Add(window)
 	for time.Now().Before(soak) {
 		for i := 1; i <= 2; i++ {
-			if s := z.dets[i].Suspects(); !s.Empty() {
+			if s := z.Detectors[i].Suspects(); !s.Empty() {
 				t.Fatalf("observer %d falsely suspects %v on a healthy network", i, s)
 			}
 		}
 		time.Sleep(period)
 	}
-	fd := z.dets[1].(*BoundedFD)
+	fd := z.Detectors[1].(*BoundedFD)
 	if fd.LinkPings(2) == 0 {
 		t.Error("no pings on a silent link: liveness evidence came from nowhere")
 	}
 	if fd.LinkBound(2) != bound {
 		t.Errorf("bound moved to %v without any retraction", fd.LinkBound(2))
 	}
-	msgs, bytes := z.ws.ControlEncoded()
+	msgs, bytes := z.Wire.ControlEncoded()
 	if msgs == 0 || bytes == 0 {
 		t.Errorf("control accounting empty: msgs=%d bytes=%d", msgs, bytes)
 	}

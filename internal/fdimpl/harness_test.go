@@ -1,111 +1,24 @@
 package fdimpl
 
 import (
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
 	"repro/internal/model"
-	"repro/internal/netobs"
-	"repro/internal/obs"
 	"repro/internal/runtime"
-	"repro/internal/wire"
 )
 
-// zoo is a standalone detector cluster — no consensus nodes on top — with
-// per-endpoint pump goroutines standing in for the node demultiplexers.
-type zoo struct {
-	n          int
-	dets       []runtime.Detector
-	transports []runtime.Transport
-	nw         *runtime.ChanNetwork
-	inj        *faults.Injector
-	reg        *obs.Registry
-	ws         *netobs.WireStats
-
-	quit chan struct{}
-	once sync.Once
-	wg   sync.WaitGroup
-}
-
-// startZoo builds and starts n instances of spec over a seeded network,
-// optionally behind a fault injector. Callers must defer z.teardown().
+// startZoo starts a Mesh of n instances of spec, optionally behind a fault
+// injector. Callers must defer z.Close().
 func startZoo(t *testing.T, spec *runtime.DetectorSpec, n int, seed int64, chaos *faults.Config,
-	period, timeout time.Duration) *zoo {
+	period, timeout time.Duration) *Mesh {
 	t.Helper()
-	z := &zoo{
-		n:          n,
-		dets:       make([]runtime.Detector, n+1),
-		transports: make([]runtime.Transport, n+1),
-		reg:        obs.NewRegistry(),
-		quit:       make(chan struct{}),
-	}
-	z.nw = runtime.NewChanNetwork(n, runtime.ChanConfig{Seed: seed, Metrics: z.reg})
-	if chaos != nil {
-		fc := *chaos
-		fc.Seed = seed
-		fc.Metrics = z.reg
-		z.inj = faults.NewInjector(fc)
-	}
-	z.ws = netobs.NewWireStats(z.reg)
-	codec := wire.Codec{Tap: z.ws}
-	for i := 1; i <= n; i++ {
-		var tr runtime.Transport = z.nw.Endpoint(model.ProcessID(i))
-		if z.inj != nil {
-			tr = z.inj.Wrap(tr)
-		}
-		z.transports[i] = tr
-		d, err := spec.New(runtime.DetectorConfig{
-			Transport: tr, N: n, Period: period, Timeout: timeout, Adaptive: true,
-		})
-		if err != nil {
-			t.Fatalf("spec %q: %v", spec.Name, err)
-		}
-		d.Instrument(z.reg, nil)
-		d.UseCodec(codec)
-		z.dets[i] = d
-	}
-	for i := 1; i <= n; i++ {
-		z.wg.Add(1)
-		go func(i int) {
-			defer z.wg.Done()
-			for {
-				select {
-				case <-z.quit:
-					return
-				case pkt, ok := <-z.transports[i].Recv():
-					if !ok {
-						return
-					}
-					if env, err := codec.Decode(pkt.Data); err == nil {
-						z.dets[i].Observe(env)
-					}
-				}
-			}
-		}(i)
-	}
-	if z.inj != nil {
-		z.inj.Start()
-	}
-	for i := 1; i <= n; i++ {
-		z.dets[i].Start()
+	z, err := StartMesh(spec, MeshConfig{N: n, Seed: seed, Chaos: chaos, Period: period, Timeout: timeout})
+	if err != nil {
+		t.Fatalf("spec %q: %v", spec.Name, err)
 	}
 	return z
-}
-
-func (z *zoo) teardown() {
-	z.once.Do(func() {
-		for i := 1; i <= z.n; i++ {
-			z.dets[i].Stop()
-		}
-		close(z.quit)
-		z.wg.Wait()
-		if z.inj != nil {
-			_ = z.inj.Close()
-		}
-		_ = z.nw.Close()
-	})
 }
 
 // awaitSuspicion polls observer's Suspects until it contains target or the

@@ -3,17 +3,14 @@ package fdimpl
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/consensus"
 	"repro/internal/faults"
 	"repro/internal/model"
-	"repro/internal/netobs"
 	"repro/internal/obs"
 	"repro/internal/rounds"
 	"repro/internal/runtime"
-	"repro/internal/wire"
 )
 
 // RaceConfig parameterizes one detector race: every listed construction
@@ -112,79 +109,21 @@ func Race(cfg RaceConfig) ([]Score, error) {
 	return scores, nil
 }
 
-// detectionProbe races one construction: n detectors over a seeded
-// network (chaos injected when configured), the victim crash-stops at
-// CrashAt, and the probe polls every live observer until all suspect it.
+// detectionProbe races one construction on a Mesh (chaos injected when
+// configured): the victim crash-stops at CrashAt, and the probe polls every
+// live observer until all suspect it.
 func detectionProbe(spec *runtime.DetectorSpec, cfg RaceConfig) Score {
 	score := Score{Detector: spec.Name, Supported: true}
 	n := cfg.N
-	reg := obs.NewRegistry()
-	nw := runtime.NewChanNetwork(n, runtime.ChanConfig{Seed: cfg.Seed, Metrics: reg})
-	defer func() { _ = nw.Close() }()
-	var inj *faults.Injector
-	if cfg.Chaos != nil {
-		fc := *cfg.Chaos
-		fc.Seed = cfg.Seed
-		fc.Metrics = reg
-		inj = faults.NewInjector(fc)
-		defer func() { _ = inj.Close() }()
+	m, err := StartMesh(spec, MeshConfig{
+		N: n, Seed: cfg.Seed, Chaos: cfg.Chaos, Period: cfg.Period, Timeout: cfg.Timeout,
+	})
+	if err != nil {
+		score.Supported = false
+		score.Note = err.Error()
+		return score
 	}
-	ws := netobs.NewWireStats(reg)
-	codec := wire.Codec{Tap: ws}
-
-	dets := make([]runtime.Detector, n+1)
-	transports := make([]runtime.Transport, n+1)
-	for i := 1; i <= n; i++ {
-		var tr runtime.Transport = nw.Endpoint(model.ProcessID(i))
-		if inj != nil {
-			tr = inj.Wrap(tr)
-		}
-		transports[i] = tr
-		d, err := spec.New(runtime.DetectorConfig{
-			Transport: tr, N: n,
-			Period: cfg.Period, Timeout: cfg.Timeout, Adaptive: true,
-		})
-		if err != nil {
-			score.Supported = false
-			score.Note = err.Error()
-			return score
-		}
-		d.Instrument(reg, nil)
-		d.UseCodec(codec)
-		dets[i] = d
-	}
-
-	// Pumps: without nodes on top, somebody must demultiplex arrivals into
-	// each detector (ChanNetwork keeps inboxes open past Close, so the quit
-	// channel is what ends them).
-	quit := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 1; i <= n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for {
-				select {
-				case <-quit:
-					return
-				case pkt, ok := <-transports[i].Recv():
-					if !ok {
-						return
-					}
-					if env, err := codec.Decode(pkt.Data); err == nil {
-						dets[i].Observe(env)
-					}
-				}
-			}
-		}(i)
-	}
-
-	if inj != nil {
-		inj.Start()
-	}
-	for i := 1; i <= n; i++ {
-		dets[i].Start()
-	}
+	dets := m.Detectors
 
 	victim := model.ProcessID(n)
 	start := time.Now()
@@ -218,13 +157,8 @@ func detectionProbe(spec *runtime.DetectorSpec, cfg RaceConfig) Score {
 		score.Retractions += dets[i].Retractions()
 	}
 
-	for i := 1; i <= n; i++ {
-		dets[i].Stop()
-	}
-	close(quit)
-	wg.Wait()
-
-	score.CtrlMsgs, score.CtrlBytes = ws.ControlEncoded()
+	m.Close() // stop the senders before reading the accounting
+	score.CtrlMsgs, score.CtrlBytes = m.Wire.ControlEncoded()
 	score.MsgsPerPeriod = float64(score.CtrlMsgs) * float64(cfg.Period) / float64(cfg.Window)
 	return score
 }

@@ -29,12 +29,8 @@ import (
 // detected, after which the ring heals around it.
 type RingFD struct {
 	*runtime.DetectorCore
-	transport runtime.Transport
-	period    time.Duration
-	maxStall  time.Duration
-
-	life  runtime.Lifecycle
-	codec wire.Codec
+	period   time.Duration
+	maxStall time.Duration
 
 	mu           sync.Mutex
 	stall        time.Duration // current stall window (adaptive growth)
@@ -70,8 +66,7 @@ func newRingFD(cfg runtime.DetectorConfig) *RingFD {
 		maxStall = stall * 64
 	}
 	fd := &RingFD{
-		DetectorCore: runtime.NewDetectorCore("ring", cfg.Transport.LocalID(), cfg.N),
-		transport:    cfg.Transport,
+		DetectorCore: runtime.NewDetectorCore("ring", cfg),
 		period:       cfg.Period,
 		stall:        stall,
 		maxStall:     maxStall,
@@ -85,32 +80,15 @@ func newRingFD(cfg runtime.DetectorConfig) *RingFD {
 	return fd
 }
 
-// UseCodec routes digest encodes through c. Call before Start.
-func (fd *RingFD) UseCodec(c wire.Codec) { fd.codec = c }
-
 // Start launches the ring forwarder.
-func (fd *RingFD) Start() { fd.life.Go(fd.forwardLoop) }
-
-// Stop halts it; idempotent and safe before Start.
-func (fd *RingFD) Stop() { fd.life.Stop() }
-
-func (fd *RingFD) forwardLoop(stop <-chan struct{}) {
-	ticker := time.NewTicker(fd.period)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			fd.forward(time.Now())
-		}
-	}
-}
+func (fd *RingFD) Start() { fd.Every(fd.period, fd.forward) }
 
 // forward bumps the own sequence and ships the digest to the successor.
-func (fd *RingFD) forward(now time.Time) {
+func (fd *RingFD) forward() {
+	now := time.Now()
 	fd.mu.Lock()
 	fd.seq++
+	seq := fd.seq
 	fd.maxSeq[fd.ID()] = fd.seq
 	fd.lastAdvanced[fd.ID()] = now
 	info := wire.RingInfo{Origins: make([]wire.RingOrigin, 0, fd.N())}
@@ -130,19 +108,7 @@ func (fd *RingFD) forward(now time.Time) {
 	if succ == 0 {
 		return // every other member looks dead; nobody to tell
 	}
-	env, err := wire.EnvelopeFor(fd.ID(), succ, int(fd.seq), info)
-	if err != nil {
-		fd.NoteEncodeError()
-		return
-	}
-	data, err := fd.codec.Encode(env)
-	if err != nil {
-		fd.NoteEncodeError()
-		return
-	}
-	if fd.transport.Send(succ, data) == nil {
-		fd.NoteSent()
-	}
+	fd.Send(wire.Envelope{To: succ, Round: int(seq), Kind: wire.KindFDRing, Payload: info})
 }
 
 // successorLocked picks the first member after the local id in ring order

@@ -15,11 +15,11 @@ func TestRingMessageRateIsLinear(t *testing.T) {
 		window = 200 * time.Millisecond
 	)
 	z := startZoo(t, RingDetector(), n, 3, nil, period, 30*time.Millisecond)
-	defer z.teardown()
+	defer z.Close()
 	time.Sleep(window)
-	z.teardown() // stop the forwarders before reading the accounting
+	z.Close() // stop the forwarders before reading the accounting
 
-	msgs, _ := z.ws.ControlEncoded()
+	msgs, _ := z.Wire.ControlEncoded()
 	periods := int64(window / period)
 	// One digest per member per period, with scheduling slack; the
 	// heartbeat construction would be n(n−1) = 12 per period.
@@ -44,24 +44,24 @@ func TestRingReroutesAroundCrashedSuccessor(t *testing.T) {
 		stall  = 500 * time.Millisecond
 	)
 	z := startZoo(t, RingDetector(), 3, 9, nil, period, stall)
-	defer z.teardown()
+	defer z.Close()
 
 	// Healthy soak: freshness circulates, nobody suspected.
 	soak := time.Now().Add(2 * stall)
 	for time.Now().Before(soak) {
 		for i := 1; i <= 3; i++ {
-			if s := z.dets[i].Suspects(); !s.Empty() {
+			if s := z.Detectors[i].Suspects(); !s.Empty() {
 				t.Fatalf("observer %d falsely suspects %v on a healthy ring", i, s)
 			}
 		}
 		time.Sleep(period)
 	}
 
-	z.dets[2].Stop() // p2, p1's ring successor, crash-stops
-	if !awaitSuspicion(z.dets[1], 2, 10*stall) {
+	z.Detectors[2].Stop() // p2, p1's ring successor, crash-stops
+	if !awaitSuspicion(z.Detectors[1], 2, 10*stall) {
 		t.Fatal("p1 never suspected its crashed successor")
 	}
-	if !awaitSuspicion(z.dets[3], 2, 10*stall) {
+	if !awaitSuspicion(z.Detectors[3], 2, 10*stall) {
 		t.Fatal("p3 never suspected p2")
 	}
 
@@ -71,13 +71,13 @@ func TestRingReroutesAroundCrashedSuccessor(t *testing.T) {
 	// fall due about now; watch for longer than one more stall window.
 	heal := time.Now().Add(stall + stall/2)
 	for time.Now().Before(heal) {
-		if s := z.dets[3].Suspects(); s.Has(1) {
+		if s := z.Detectors[3].Suspects(); s.Has(1) {
 			t.Fatalf("p3 falsely suspects live p1 after reroute: %v", s)
 		}
-		z.dets[1].Suspects() // keep p1's edge accounting moving too
+		z.Detectors[1].Suspects() // keep p1's edge accounting moving too
 		time.Sleep(period)
 	}
-	fd1 := z.dets[1].(*RingFD)
+	fd1 := z.Detectors[1].(*RingFD)
 	if fd1.Reroutes() == 0 {
 		t.Error("p1 never rerouted past its crashed successor")
 	}

@@ -33,14 +33,11 @@ import (
 // this detector would have diverged from its SS twin.
 type SDDFD struct {
 	*runtime.DetectorCore
-	transport runtime.Transport
-	peer      model.ProcessID
-	period    time.Duration
-	ssWindow  time.Duration
-	spWindow  time.Duration
-
-	life  runtime.Lifecycle
-	codec wire.Codec
+	peer     model.ProcessID
+	period   time.Duration
+	ssWindow time.Duration
+	spWindow time.Duration
+	seq      int // heartbeat sequence; the ticker goroutine's own
 
 	lastHeard     atomic.Int64 // unix nanos of last traffic from the peer
 	boundaryPolls atomic.Int64 // polls with SS-suspected but not SP-suspected
@@ -60,11 +57,9 @@ func SDDDetector() *runtime.DetectorSpec {
 			if cfg.N != 2 {
 				return nil, fmt.Errorf("sdd detector requires exactly 2 processes, got %d", cfg.N)
 			}
-			id := cfg.Transport.LocalID()
 			fd := &SDDFD{
-				DetectorCore: runtime.NewDetectorCore("sdd", id, cfg.N),
-				transport:    cfg.Transport,
-				peer:         model.ProcessID(3 - int(id)),
+				DetectorCore: runtime.NewDetectorCore("sdd", cfg),
+				peer:         model.ProcessID(3 - int(cfg.Transport.LocalID())),
 				period:       cfg.Period,
 				ssWindow:     cfg.Timeout,
 				spWindow:     4 * cfg.Timeout,
@@ -75,35 +70,12 @@ func SDDDetector() *runtime.DetectorSpec {
 	}
 }
 
-// UseCodec routes heartbeat encodes through c. Call before Start.
-func (fd *SDDFD) UseCodec(c wire.Codec) { fd.codec = c }
-
 // Start launches the heartbeat stream to the single peer.
-func (fd *SDDFD) Start() { fd.life.Go(fd.beatLoop) }
+func (fd *SDDFD) Start() { fd.Every(fd.period, fd.beat) }
 
-// Stop halts it; idempotent and safe before Start.
-func (fd *SDDFD) Stop() { fd.life.Stop() }
-
-func (fd *SDDFD) beatLoop(stop <-chan struct{}) {
-	ticker := time.NewTicker(fd.period)
-	defer ticker.Stop()
-	seq := 0
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			seq++
-			data, err := fd.codec.Encode(wire.Envelope{From: fd.ID(), To: fd.peer, Round: seq, Kind: wire.KindHeartbeat})
-			if err != nil {
-				fd.NoteEncodeError()
-				continue
-			}
-			if fd.transport.Send(fd.peer, data) == nil {
-				fd.NoteSent()
-			}
-		}
-	}
+func (fd *SDDFD) beat() {
+	fd.seq++
+	fd.Send(wire.Envelope{To: fd.peer, Round: fd.seq, Kind: wire.KindHeartbeat})
 }
 
 // Observe records liveness evidence from the peer.

@@ -92,23 +92,23 @@ func TestSDDLiveBoundary(t *testing.T) {
 	// The soak spans three SS windows, so a peer that sent no heartbeats
 	// would be caught by it.
 	z := startZoo(t, SDDDetector(), 2, 17, nil, 2*time.Millisecond, 200*time.Millisecond)
-	defer z.teardown()
+	defer z.Close()
 	soak := time.Now().Add(600 * time.Millisecond)
 	for time.Now().Before(soak) {
 		for i := 1; i <= 2; i++ {
-			if s := z.dets[i].Suspects(); !s.Empty() {
+			if s := z.Detectors[i].Suspects(); !s.Empty() {
 				t.Fatalf("observer %d suspects %v on a healthy network", i, s)
 			}
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	fd1 := z.dets[1].(*SDDFD)
+	fd1 := z.Detectors[1].(*SDDFD)
 	if got := fd1.BoundaryPolls(); got != 0 {
 		t.Errorf("%d boundary polls over a network honoring its bounds", got)
 	}
 
-	z.dets[2].Stop()
-	if !awaitSuspicion(z.dets[1], 2, 2*time.Second) {
+	z.Detectors[2].Stop()
+	if !awaitSuspicion(z.Detectors[1], 2, 2*time.Second) {
 		t.Fatal("crashed peer never suspected")
 	}
 	// The silence grew through the gap on its way to the SP window, so the

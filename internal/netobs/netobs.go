@@ -6,8 +6,8 @@
 //
 // Three instruments cooperate:
 //
-//   - WireStats implements wire.Tap and counts every codec conversion per
-//     message type (count and byte size, encode and decode side).
+//   - WireStats counts codec conversions per message type (count and byte
+//     size, encode and decode side), folded in by whoever converts.
 //   - LinkTap carries the per-link accounting of a transport flavour:
 //     send/receive message and byte counters per ordered link, drop
 //     counters by reason, queue-depth high-water gauges, and the TCP
@@ -76,11 +76,11 @@ const (
 	DropGiveUp   = "giveup"   // TCP frame abandoned after its retry budget
 )
 
-// WireStats counts codec traffic per message type. It implements wire.Tap;
-// hand it to a wire.Codec and every successful Encode/Decode lands in both
-// the registry counters and the private per-kind totals. The engine's data
-// path does not go through the tap: it tallies per packet and per sweep and
-// folds the totals in with AddEncoded/AddDecoded.
+// WireStats counts codec traffic per message type, in both the registry
+// counters and private per-kind totals. AddEncoded/AddDecoded are the only
+// way in: the engine's data path tallies per packet and per sweep and folds
+// the totals in bulk, a detector folds one control message per send. Only
+// successful conversions are counted.
 type WireStats struct {
 	perKind [wire.MaxKind + 1]struct {
 		encMsgs, encBytes, decMsgs, decBytes atomic.Int64
@@ -88,11 +88,9 @@ type WireStats struct {
 	enc, encB, dec, decB [wire.MaxKind + 1]*obs.Counter
 }
 
-var _ wire.Tap = (*WireStats)(nil)
-
 // NewWireStats registers the per-kind counter families on reg (they appear
-// in the exposition immediately, at zero) and returns the tap. A nil
-// registry yields a tap that only keeps private totals.
+// in the exposition immediately, at zero). A nil registry yields stats that
+// only keep private totals.
 func NewWireStats(reg *obs.Registry) *WireStats {
 	ws := &WireStats{}
 	for _, k := range wire.Kinds() {
@@ -110,15 +108,10 @@ func NewWireStats(reg *obs.Registry) *WireStats {
 // valid reports whether k indexes the per-kind tables.
 func validKind(k wire.Kind) bool { return k >= wire.KindNull && k <= wire.MaxKind }
 
-// OnEncode implements wire.Tap.
-func (ws *WireStats) OnEncode(k wire.Kind, bytes int) { ws.AddEncoded(k, 1, int64(bytes)) }
-
-// OnDecode implements wire.Tap.
-func (ws *WireStats) OnDecode(k wire.Kind, bytes int) { ws.AddDecoded(k, 1, int64(bytes)) }
-
-// AddEncoded counts msgs successful encodes of kind k totalling bytes — the
-// bulk form of OnEncode, for a caller that tallies locally and folds in once
-// per batch instead of touching the shared counters on every frame.
+// AddEncoded counts msgs successful encodes of kind k totalling bytes. A
+// hot caller tallies locally and folds in once per batch instead of touching
+// the shared counters on every frame. A nil receiver and an unknown kind are
+// ignored.
 func (ws *WireStats) AddEncoded(k wire.Kind, msgs, bytes int64) {
 	if ws == nil || !validKind(k) {
 		return
@@ -503,7 +496,7 @@ func (lt *LinkTap) SortedLinks() []Link {
 
 // ComputeCost derives a run's cost summary: transport-level totals from the
 // link tap (nil: fall back to encode counts) and deterministic data-only
-// figures from the wire tap, divided by the number of decisions.
+// figures from the wire stats, divided by the number of decisions.
 func ComputeCost(decisions int, ws *WireStats, lt *LinkTap) *obs.CostSummary {
 	c := &obs.CostSummary{Decisions: decisions}
 	c.DataMessages, c.DataBytes = ws.DataEncoded()

@@ -31,7 +31,6 @@ func findAlg(t *testing.T, name string) rounds.Algorithm {
 func TestWireStatsPerKind(t *testing.T) {
 	reg := obs.NewRegistry()
 	ws := netobs.NewWireStats(reg)
-	c := wire.Codec{Tap: ws}
 
 	envs := []wire.Envelope{
 		{From: 1, To: 2, Round: 1, Kind: wire.KindNull},
@@ -41,15 +40,14 @@ func TestWireStatsPerKind(t *testing.T) {
 	}
 	var wantMsgs, wantBytes int64
 	for _, e := range envs {
-		data, err := c.Encode(e)
+		data, err := wire.Encode(e)
 		if err != nil {
 			t.Fatalf("encode %v: %v", e.Kind, err)
 		}
 		wantMsgs++
 		wantBytes += int64(len(data))
-		if _, err := c.Decode(data); err != nil {
-			t.Fatalf("decode %v: %v", e.Kind, err)
-		}
+		ws.AddEncoded(e.Kind, 1, int64(len(data)))
+		ws.AddDecoded(e.Kind, 1, int64(len(data)))
 	}
 
 	msgs, b := ws.Encoded()
@@ -86,10 +84,12 @@ func TestWireStatsPerKind(t *testing.T) {
 		t.Fatalf("registry W encode counter = %d, want 1", got)
 	}
 
-	// A nil tap and an unknown kind are both safely ignored.
+	// A nil receiver and an unknown kind are both safely ignored.
 	var nilWS *netobs.WireStats
-	nilWS.OnEncode(wire.KindW, 3)
-	ws.OnEncode(wire.Kind(200), 3)
+	nilWS.AddEncoded(wire.KindW, 1, 3)
+	nilWS.AddDecoded(wire.KindW, 1, 3)
+	ws.AddEncoded(wire.Kind(200), 1, 3)
+	ws.AddDecoded(wire.Kind(200), 1, 3)
 	if m, _ := ws.Encoded(); m != wantMsgs {
 		t.Fatalf("unknown kind leaked into totals: %d", m)
 	}
@@ -282,17 +282,10 @@ func TestLinkTapQueueHighWaterAndResilience(t *testing.T) {
 func TestComputeCost(t *testing.T) {
 	reg := obs.NewRegistry()
 	ws := netobs.NewWireStats(reg)
-	c := wire.Codec{Tap: ws}
-	for i := 0; i < 4; i++ {
-		if _, err := c.Encode(wire.Envelope{From: 1, To: 2, Round: 1, Kind: wire.KindNull}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := c.Encode(wire.Envelope{From: 1, To: 2, Round: 1, Kind: wire.KindHeartbeat}); err != nil {
-		t.Fatal(err)
-	}
+	ws.AddEncoded(wire.KindNull, 4, 16)
+	ws.AddEncoded(wire.KindHeartbeat, 1, 4)
 
-	// Without a link tap the codec totals stand in for transport totals.
+	// Without a link tap the encode totals stand in for transport totals.
 	cost := netobs.ComputeCost(2, ws, nil)
 	if cost.Messages != 5 || cost.DataMessages != 4 || cost.Heartbeats != 1 {
 		t.Fatalf("cost totals: %+v", cost)

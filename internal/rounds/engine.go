@@ -1,7 +1,6 @@
 package rounds
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/model"
@@ -13,10 +12,6 @@ import (
 // decision forwarding), so t+3 rounds is a safe, exact horizon; we leave a
 // little extra headroom for experimental variants.
 func DefaultRoundLimit(t int) int { return t + 4 }
-
-// ErrRoundLimit is wrapped into the error returned when an execution
-// exceeds its round limit without all live processes deciding.
-var ErrRoundLimit = errors.New("rounds: round limit exceeded before all live processes decided")
 
 // Engine executes a round-based algorithm in RS or RWS under a given
 // adversary. The zero value is not usable; construct with NewEngine.

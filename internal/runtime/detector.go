@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/netobs"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -17,10 +18,11 @@ import (
 // all-to-all heartbeats, bounded-message ◇P, ring forwarding, ... — is a
 // pluggable choice raced by experiment E15.
 //
-// Lifecycle: construct → Instrument/UseCodec → Start → (Observe/Suspects/
-// NoteRound from the node, concurrently) → Stop. Stop is idempotent and
-// safe before Start; Start and Stop must not be called concurrently with
-// each other. All other methods are safe for concurrent use after Start.
+// Lifecycle: construct → Start → (Observe/Suspects/NoteRound from the node,
+// concurrently) → Stop. A detector is built complete from its
+// DetectorConfig; there is no wiring phase. Stop is idempotent and safe
+// before Start; Start and Stop must not be called concurrently with each
+// other. All other methods are safe for concurrent use after Start.
 type Detector interface {
 	// Start launches the detector's background senders.
 	Start()
@@ -42,12 +44,6 @@ type Detector interface {
 	// NoteRound tags subsequent suspect/retract events with the protocol
 	// round the owning node is executing (attribution only).
 	NoteRound(r int)
-	// Instrument redirects counters to reg (nil disables) and streams
-	// suspect/retract events to sink (nil disables). Call before Start.
-	Instrument(reg *obs.Registry, sink obs.Sink)
-	// UseCodec routes control-message encodes through c so a wire tap
-	// sees detector traffic alongside round messages. Call before Start.
-	UseCodec(c wire.Codec)
 	// Name reports the implementation's registered name (metric label).
 	Name() string
 
@@ -58,16 +54,24 @@ type Detector interface {
 	EncodeErrors() int64
 }
 
-// DetectorConfig is what a cluster hands a detector factory: the node's
-// wrapped transport (fault injection included) and the cluster's timing
-// knobs. Implementations are free to reinterpret Period/Timeout for their
-// own message discipline but must honor the intent: Period paces proactive
-// traffic, Timeout is the initial suspicion window.
+// DetectorConfig is everything a cluster hands a detector factory: the
+// node's wrapped transport (fault injection included), the cluster's timing
+// knobs and where the detector's telemetry goes. Implementations are free to
+// reinterpret Period/Timeout for their own message discipline but must honor
+// the intent: Period paces proactive traffic, Timeout is the initial
+// suspicion window.
 type DetectorConfig struct {
 	Transport Transport
 	N         int
 	Period    time.Duration
 	Timeout   time.Duration
+	// Metrics receives the ssfd_fd_*{detector="..."} families (nil means
+	// obs.Default), Events the suspect/retract stream (nil disables it) and
+	// Wire the per-kind accounting of every control message sent (nil
+	// disables it).
+	Metrics *obs.Registry
+	Events  obs.Sink
+	Wire    *netobs.WireStats
 	// Adaptive selects the ◇P variant where retractions grow the window
 	// (up to AdaptiveMax; 0 means 64× Timeout) for constructions that
 	// support it.
@@ -90,85 +94,36 @@ type DetectorSpec struct {
 func HeartbeatDetector() *DetectorSpec {
 	return &DetectorSpec{
 		Name: "heartbeat",
-		New: func(cfg DetectorConfig) (Detector, error) {
-			fd := NewHeartbeatFD(cfg.Transport, cfg.N, cfg.Period, cfg.Timeout)
-			if cfg.Adaptive {
-				fd.EnableAdaptiveTimeout(cfg.AdaptiveMax)
-			}
-			return fd, nil
-		},
+		New:  func(cfg DetectorConfig) (Detector, error) { return NewHeartbeatFD(cfg), nil },
 	}
 }
 
-// Lifecycle owns a detector's background goroutines and gives every
-// implementation the same Stop discipline: idempotent, safe before the
-// first Go, and joining all spawned goroutines before returning. The zero
-// value is ready to use. Go/Stop must not race each other (the node calls
-// them sequentially); everything else is safe concurrently.
-type Lifecycle struct {
-	initOnce sync.Once
-	stopOnce sync.Once
-	stopped  atomic.Bool
-	stop     chan struct{}
-	wg       sync.WaitGroup
-}
-
-func (l *Lifecycle) init() {
-	l.initOnce.Do(func() { l.stop = make(chan struct{}) })
-}
-
-// Go spawns fn as an owned goroutine; fn must return when stop closes.
-// After Stop it is a no-op returning false, so a crashed node's detector
-// cannot be resurrected.
-func (l *Lifecycle) Go(fn func(stop <-chan struct{})) bool {
-	l.init()
-	if l.stopped.Load() {
-		return false
-	}
-	l.wg.Add(1)
-	go func() {
-		defer l.wg.Done()
-		fn(l.stop)
-	}()
-	return true
-}
-
-// Stopping exposes the stop channel for goroutines with their own selects.
-func (l *Lifecycle) Stopping() <-chan struct{} {
-	l.init()
-	return l.stop
-}
-
-// Stopped reports whether Stop has been called. Reactive detectors check
-// it before answering probes: a crash-stopped process must not send, even
-// though its demultiplexer may still be draining inbound packets.
-func (l *Lifecycle) Stopped() bool {
-	return l.stopped.Load()
-}
-
-// Stop closes the stop channel (once) and joins every spawned goroutine.
-// Safe to call repeatedly and before any Go.
-func (l *Lifecycle) Stop() {
-	l.init()
-	l.stopped.Store(true)
-	l.stopOnce.Do(func() { close(l.stop) })
-	l.wg.Wait()
-}
-
-// DetectorCore is the bookkeeping every detector construction shares:
-// suspicion-edge accounting with the sticky strong-accuracy audit, the
-// retraction/false-suspicion/encode-error counters, per-detector-labelled
-// metrics and the suspect/retract event stream. Implementations embed a
-// *DetectorCore and call Raise/Retract from their Suspects poll; the
-// promoted methods satisfy most of the Detector interface.
+// DetectorCore is everything a detector construction does not decide for
+// itself: the endpoint and the one way to send on it (Send), the stop
+// discipline and the one ticker loop (Every, Stop), suspicion-edge
+// accounting with the sticky strong-accuracy audit, the retraction/false-
+// suspicion/encode-error counters, per-detector-labelled metrics and the
+// suspect/retract event stream. A construction embeds a *DetectorCore and
+// supplies its state, Observe, Suspects (calling Raise/Retract) and a tick
+// handed to Every from Start; the promoted methods are the rest of the
+// Detector interface.
 type DetectorCore struct {
-	name string
-	id   model.ProcessID
-	n    int
+	name     string
+	id       model.ProcessID
+	n        int
+	endpoint Transport
+	wire     *netobs.WireStats
 
 	round   atomic.Int64 // current protocol round, for event attribution
 	metrics fdMetrics
 	sink    obs.Sink
+
+	// mu orders Send against Stop: a Send in flight finishes before Stop
+	// returns, and none starts after.
+	mu      sync.RWMutex
+	stopped bool
+	stop    chan struct{}
+	wg      sync.WaitGroup
 
 	falseSuspicions atomic.Int64 // retraction edges (perfection counterexamples)
 	retractions     atomic.Int64
@@ -177,15 +132,24 @@ type DetectorCore struct {
 	sticky          []atomic.Bool // ever raised, never cleared (accuracy audit)
 }
 
-// NewDetectorCore builds the shared bookkeeping for one observer endpoint.
-func NewDetectorCore(name string, id model.ProcessID, n int) *DetectorCore {
+// NewDetectorCore builds the shared half of one observer endpoint's
+// detector, named name in its metric labels.
+func NewDetectorCore(name string, cfg DetectorConfig) *DetectorCore {
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = obs.Default
+	}
 	return &DetectorCore{
 		name:      name,
-		id:        id,
-		n:         n,
-		metrics:   newFDMetrics(obs.Default, name),
-		suspected: make([]atomic.Bool, n+1),
-		sticky:    make([]atomic.Bool, n+1),
+		id:        cfg.Transport.LocalID(),
+		n:         cfg.N,
+		endpoint:  cfg.Transport,
+		wire:      cfg.Wire,
+		metrics:   newFDMetrics(reg, name),
+		sink:      cfg.Events,
+		stop:      make(chan struct{}),
+		suspected: make([]atomic.Bool, cfg.N+1),
+		sticky:    make([]atomic.Bool, cfg.N+1),
 	}
 }
 
@@ -198,12 +162,69 @@ func (c *DetectorCore) N() int { return c.n }
 // Name reports the construction's registered name.
 func (c *DetectorCore) Name() string { return c.name }
 
-// Instrument redirects the counters to reg (nil disables them) and streams
-// suspect/retract events to sink (nil disables the stream). Call before
-// Start.
-func (c *DetectorCore) Instrument(reg *obs.Registry, sink obs.Sink) {
-	c.metrics = newFDMetrics(reg, c.name)
-	c.sink = sink
+// Every runs tick once per period on an owned goroutine until Stop — the
+// body of a construction's Start. After Stop it is a no-op, so a crashed
+// node's detector cannot be resurrected.
+func (c *DetectorCore) Every(period time.Duration, tick func()) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if c.stopped {
+		return
+	}
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		ticker := time.NewTicker(period)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-c.stop:
+				return
+			case <-ticker.C:
+				tick()
+			}
+		}
+	}()
+}
+
+// Stop silences the detector and joins its tickers. Idempotent and safe
+// before Start. From the peers' viewpoint the process crash-stops once its
+// last message ages out.
+func (c *DetectorCore) Stop() {
+	c.mu.Lock()
+	if !c.stopped {
+		c.stopped = true
+		close(c.stop)
+	}
+	c.mu.Unlock()
+	c.wg.Wait()
+}
+
+// Send is the one way a detector puts a control message on the wire: env
+// goes to env.To stamped with the local id. A stopped detector is a
+// crash-stopped process — it may still Observe (the demultiplexer drains)
+// but it must not send, proactively or in reply. The encoding is a fresh
+// slice surrendered to the transport. A message that fails to encode is a
+// silent partial crash, counted so the run verdict can see it; one that
+// encodes is counted per kind whether or not the transport then takes it
+// (best effort; closure races are benign).
+func (c *DetectorCore) Send(env wire.Envelope) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if c.stopped {
+		return
+	}
+	env.From = c.id
+	data, err := wire.Encode(env)
+	if err != nil {
+		c.encodeErrors.Add(1)
+		c.metrics.encodeErrors.Inc()
+		return
+	}
+	c.wire.AddEncoded(env.Kind, 1, int64(len(data)))
+	if c.endpoint.Send(env.To, data) == nil {
+		c.metrics.heartbeatsSent.Inc()
+	}
 }
 
 // NoteRound tags subsequent suspect/retract events with the protocol round
@@ -246,16 +267,6 @@ func (c *DetectorCore) Retract(j model.ProcessID) bool {
 		c.sink.Emit(obs.Event{Type: obs.EventRetract, Round: c.Round(), Proc: int(j), By: int(c.id)})
 	}
 	return true
-}
-
-// NoteSent counts one control message successfully handed to the transport.
-func (c *DetectorCore) NoteSent() { c.metrics.heartbeatsSent.Inc() }
-
-// NoteEncodeError counts a control message lost to envelope encoding — a
-// silent partial crash the run verdict should see.
-func (c *DetectorCore) NoteEncodeError() {
-	c.encodeErrors.Add(1)
-	c.metrics.encodeErrors.Inc()
 }
 
 // FalseSuspicions reports how many suspicion retractions this observer went

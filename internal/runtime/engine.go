@@ -13,7 +13,6 @@ import (
 	"repro/internal/netobs"
 	"repro/internal/obs"
 	"repro/internal/rounds"
-	"repro/internal/wire"
 )
 
 // Engine metric names.
@@ -281,8 +280,7 @@ type engineRun struct {
 	n         int
 	maxRounds int
 
-	codec    wire.Codec        // the detectors' control traffic, tapped per message
-	ws       *netobs.WireStats // round traffic: folded in bulk (see kindTally)
+	ws       *netobs.WireStats // round traffic folds in bulk (see kindTally), detectors per Send
 	batchers []*Batcher        // 1..n, round traffic only
 	fds      []Detector        // 1..n, shared per node; nil entries under RS
 	workers  []*engWorker
@@ -455,7 +453,6 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 		alg:        alg,
 		n:          n,
 		maxRounds:  cfg.MaxRounds,
-		codec:      wire.Codec{Tap: ws},
 		ws:         ws,
 		batchers:   make([]*Batcher, n+1),
 		fds:        make([]Detector, n+1),
@@ -508,6 +505,7 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 				Transport: tr, N: n,
 				Period: cfg.HeartbeatPeriod, Timeout: cfg.SuspectTimeout,
 				Adaptive: cfg.AdaptiveTimeout,
+				Metrics:  reg, Events: cfg.Events, Wire: ws,
 			})
 			if err != nil {
 				// Already-built detectors hold no goroutines before Start,
@@ -523,8 +521,6 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 				_ = network.Close()
 				return nil, fmt.Errorf("runtime: engine node %d: detector %q: %w", i, spec.Name, err)
 			}
-			d.Instrument(reg, cfg.Events)
-			d.UseCodec(er.codec)
 			er.fds[i] = d
 		}
 		er.batchers[i] = NewBatcher(tr, bcfg)

@@ -24,18 +24,16 @@ type stubDetector struct {
 	stopped atomic.Int32
 }
 
-func (s *stubDetector) Start()                             { s.started.Add(1) }
-func (s *stubDetector) Stop()                              { s.stopped.Add(1) }
-func (s *stubDetector) Observe(wire.Envelope)              {}
-func (s *stubDetector) Suspects() model.ProcSet            { return 0 }
-func (s *stubDetector) NoteRound(int)                      {}
-func (s *stubDetector) Instrument(*obs.Registry, obs.Sink) {}
-func (s *stubDetector) UseCodec(wire.Codec)                {}
-func (s *stubDetector) Name() string                       { return "stub" }
-func (s *stubDetector) EverSuspected() model.ProcSet       { return 0 }
-func (s *stubDetector) FalseSuspicions() int64             { return 0 }
-func (s *stubDetector) Retractions() int64                 { return 0 }
-func (s *stubDetector) EncodeErrors() int64                { return 0 }
+func (s *stubDetector) Start()                       { s.started.Add(1) }
+func (s *stubDetector) Stop()                        { s.stopped.Add(1) }
+func (s *stubDetector) Observe(wire.Envelope)        {}
+func (s *stubDetector) Suspects() model.ProcSet      { return 0 }
+func (s *stubDetector) NoteRound(int)                {}
+func (s *stubDetector) Name() string                 { return "stub" }
+func (s *stubDetector) EverSuspected() model.ProcSet { return 0 }
+func (s *stubDetector) FalseSuspicions() int64       { return 0 }
+func (s *stubDetector) Retractions() int64           { return 0 }
+func (s *stubDetector) EncodeErrors() int64          { return 0 }
 
 // failAfterSpec builds stub detectors until node `failAt`, then errors —
 // the construction-failure scenario for the leak tests.

@@ -22,7 +22,7 @@ import (
 // because a live peer's next heartbeat always lands inside the window. Over
 // an unbounded network the same code is merely eventually perfect — the
 // experiments use exactly this to show which model a deployment actually
-// lives in. The optional adaptive mode (EnableAdaptiveTimeout) completes
+// lives in. The optional adaptive mode (DetectorConfig.Adaptive) completes
 // the degradation gracefully: growing the timeout on every retraction is
 // the classic ◇P construction, converging to accuracy once the timeout
 // overtakes the network's actual (unbounded-model) delays.
@@ -31,53 +31,39 @@ import (
 // and internal/fdimpl); its cost is O(n²) messages per period cluster-wide.
 type HeartbeatFD struct {
 	*DetectorCore
-	period    time.Duration
-	timeout   atomic.Int64 // current suspicion window, nanoseconds
-	transport Transport
+	period  time.Duration
+	timeout atomic.Int64 // current suspicion window, nanoseconds
 
 	adaptive   bool
 	maxTimeout time.Duration
 
 	lastHeard []atomic.Int64 // unix nanos of last traffic per peer
-
-	life  Lifecycle
-	codec wire.Codec
+	seq       int            // heartbeat sequence; the ticker goroutine's own
 }
 
-// NewHeartbeatFD builds (but does not start) a detector for the endpoint.
-func NewHeartbeatFD(t Transport, n int, period, timeout time.Duration) *HeartbeatFD {
+// NewHeartbeatFD builds (but does not start) a detector for cfg's endpoint.
+// With cfg.Adaptive it is the ◇P construction instead of P-over-a-
+// synchronous-network: every retraction doubles the suspicion timeout
+// (capped at cfg.AdaptiveMax; 0 means 64× the initial timeout), so over a
+// network that violates its Δ bound the detector is eventually accurate
+// instead of permanently suspecting live peers.
+func NewHeartbeatFD(cfg DetectorConfig) *HeartbeatFD {
 	fd := &HeartbeatFD{
-		DetectorCore: NewDetectorCore("heartbeat", t.LocalID(), n),
-		period:       period,
-		transport:    t,
-		lastHeard:    make([]atomic.Int64, n+1),
+		DetectorCore: NewDetectorCore("heartbeat", cfg),
+		period:       cfg.Period,
+		adaptive:     cfg.Adaptive,
+		maxTimeout:   cfg.AdaptiveMax,
+		lastHeard:    make([]atomic.Int64, cfg.N+1),
 	}
-	fd.timeout.Store(int64(timeout))
+	if fd.maxTimeout <= 0 {
+		fd.maxTimeout = cfg.Timeout * 64
+	}
+	fd.timeout.Store(int64(cfg.Timeout))
 	now := time.Now().UnixNano()
-	for i := 1; i <= n; i++ {
+	for i := 1; i <= cfg.N; i++ {
 		fd.lastHeard[i].Store(now)
 	}
 	return fd
-}
-
-// UseCodec routes the broadcaster's heartbeat encodes through c, so a wire
-// tap sees detector traffic alongside the nodes' round messages. Call
-// before Start.
-func (fd *HeartbeatFD) UseCodec(c wire.Codec) {
-	fd.codec = c
-}
-
-// EnableAdaptiveTimeout switches the detector from P-over-a-synchronous-
-// network to the ◇P construction: every retraction doubles the suspicion
-// timeout (capped at max; 0 means 64× the initial timeout), so over a
-// network that violates its Δ bound the detector is eventually accurate
-// instead of permanently suspecting live peers. Call before Start.
-func (fd *HeartbeatFD) EnableAdaptiveTimeout(max time.Duration) {
-	fd.adaptive = true
-	if max <= 0 {
-		max = time.Duration(fd.timeout.Load()) * 64
-	}
-	fd.maxTimeout = max
 }
 
 // CurrentTimeout returns the active suspicion window — grown past its
@@ -87,46 +73,13 @@ func (fd *HeartbeatFD) CurrentTimeout() time.Duration {
 }
 
 // Start launches the heartbeat broadcaster.
-func (fd *HeartbeatFD) Start() {
-	fd.life.Go(fd.broadcastLoop)
-}
+func (fd *HeartbeatFD) Start() { fd.Every(fd.period, fd.broadcast) }
 
-// Stop halts the broadcaster (the process "crashes" from the peers'
-// viewpoint once its last heartbeat ages out). Idempotent, and safe to
-// call before Start.
-func (fd *HeartbeatFD) Stop() {
-	fd.life.Stop()
-}
-
-func (fd *HeartbeatFD) broadcastLoop(stop <-chan struct{}) {
-	ticker := time.NewTicker(fd.period)
-	defer ticker.Stop()
-	seq := 0
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			seq++
-			env := wire.Envelope{From: fd.ID(), Round: seq, Kind: wire.KindHeartbeat}
-			for j := 1; j <= fd.N(); j++ {
-				dest := model.ProcessID(j)
-				if dest == fd.ID() {
-					continue
-				}
-				e := env
-				e.To = dest
-				data, err := fd.codec.Encode(e)
-				if err != nil {
-					// A liveness beacon that fails to encode is a silent
-					// partial crash; count it so the run verdict can see it.
-					fd.NoteEncodeError()
-					continue
-				}
-				if fd.transport.Send(dest, data) == nil { // best effort; closure races are benign
-					fd.NoteSent()
-				}
-			}
+func (fd *HeartbeatFD) broadcast() {
+	fd.seq++
+	for j := 1; j <= fd.N(); j++ {
+		if dest := model.ProcessID(j); dest != fd.ID() {
+			fd.Send(wire.Envelope{To: dest, Round: fd.seq, Kind: wire.KindHeartbeat})
 		}
 	}
 }

@@ -91,8 +91,11 @@ func TestTCPNetworkDelivers(t *testing.T) {
 func TestHeartbeatFDPerfectOverSynchronousNetwork(t *testing.T) {
 	nw := NewChanNetwork(2, ChanConfig{MaxDelay: time.Millisecond})
 	defer func() { _ = nw.Close() }()
-	fd1 := NewHeartbeatFD(nw.Endpoint(1), 2, 2*time.Millisecond, 40*time.Millisecond)
-	fd2 := NewHeartbeatFD(nw.Endpoint(2), 2, 2*time.Millisecond, 40*time.Millisecond)
+	cfg := DetectorConfig{N: 2, Period: 2 * time.Millisecond, Timeout: 40 * time.Millisecond}
+	cfg.Transport = nw.Endpoint(1)
+	fd1 := NewHeartbeatFD(cfg)
+	cfg.Transport = nw.Endpoint(2)
+	fd2 := NewHeartbeatFD(cfg)
 	fd1.Start()
 	fd2.Start()
 
@@ -483,8 +486,10 @@ func TestTCPConcurrentCloseAndSend(t *testing.T) {
 func TestHeartbeatFDAdaptiveTimeoutGrowsAndCaps(t *testing.T) {
 	nw := NewChanNetwork(2, ChanConfig{})
 	defer func() { _ = nw.Close() }()
-	fd := NewHeartbeatFD(nw.Endpoint(1), 2, time.Millisecond, 5*time.Millisecond)
-	fd.EnableAdaptiveTimeout(8 * time.Millisecond)
+	fd := NewHeartbeatFD(DetectorConfig{
+		Transport: nw.Endpoint(1), N: 2, Period: time.Millisecond, Timeout: 5 * time.Millisecond,
+		Adaptive: true, AdaptiveMax: 8 * time.Millisecond,
+	})
 	// Never started: we drive liveness evidence by hand.
 	fd.Observe(wire.Envelope{From: 2, Kind: wire.KindHeartbeat})
 	time.Sleep(10 * time.Millisecond)
@@ -510,7 +515,7 @@ func TestHeartbeatFDAdaptiveTimeoutGrowsAndCaps(t *testing.T) {
 }
 
 // TestHeartbeatFDStopIdempotent pins the lifecycle contract every zoo
-// detector inherits from runtime.Lifecycle: Stop before Start is a no-op,
+// detector inherits from DetectorCore: Stop before Start is a no-op,
 // repeated Stops don't panic or hang, and a stopped detector cannot be
 // restarted (its broadcaster would outlive a "crashed" node otherwise).
 func TestHeartbeatFDStopIdempotent(t *testing.T) {
@@ -518,7 +523,9 @@ func TestHeartbeatFDStopIdempotent(t *testing.T) {
 	defer func() { _ = nw.Close() }()
 
 	// Stop without Start: must return immediately, twice.
-	cold := NewHeartbeatFD(nw.Endpoint(1), 2, time.Millisecond, 5*time.Millisecond)
+	cfg := DetectorConfig{N: 2, Period: time.Millisecond, Timeout: 5 * time.Millisecond}
+	cfg.Transport = nw.Endpoint(1)
+	cold := NewHeartbeatFD(cfg)
 	cold.Stop()
 	cold.Stop()
 	// Start after Stop must not revive the broadcaster.
@@ -526,7 +533,8 @@ func TestHeartbeatFDStopIdempotent(t *testing.T) {
 	cold.Stop() // joins nothing; would hang if a goroutine had leaked past the guard
 
 	// The normal path: Start, then double Stop.
-	fd := NewHeartbeatFD(nw.Endpoint(2), 2, time.Millisecond, 5*time.Millisecond)
+	cfg.Transport = nw.Endpoint(2)
+	fd := NewHeartbeatFD(cfg)
 	fd.Start()
 	time.Sleep(3 * time.Millisecond)
 	fd.Stop()

@@ -89,7 +89,6 @@ type TCPOption func(*tcpOptions)
 type tcpOptions struct {
 	metrics *obs.Registry
 	retry   TCPRetryConfig
-	flight  *netobs.Recorder
 }
 
 // WithTCPMetrics redirects the mesh's message/byte counters (labelled
@@ -101,12 +100,6 @@ func WithTCPMetrics(reg *obs.Registry) TCPOption {
 // WithTCPRetry overrides the default reconnect/backoff policy.
 func WithTCPRetry(cfg TCPRetryConfig) TCPOption {
 	return func(o *tcpOptions) { o.retry = cfg }
-}
-
-// WithTCPFlight mirrors the mesh's transport records into a flight
-// recorder.
-func WithTCPFlight(rec *netobs.Recorder) TCPOption {
-	return func(o *tcpOptions) { o.flight = rec }
 }
 
 // NewTCPNetwork starts n listeners on 127.0.0.1 and returns the mesh.
@@ -123,7 +116,7 @@ func NewTCPNetwork(n int, opts ...TCPOption) (*TCPNetwork, error) {
 		inboxes:   make([]chan Packet, n+1),
 		links:     make(map[linkKey]*tcpLink),
 		done:      make(chan struct{}),
-		tm:        netobs.NewLinkTap(options.metrics, "tcp", options.flight),
+		tm:        netobs.NewLinkTap(options.metrics, "tcp", nil),
 	}
 	for i := 1; i <= n; i++ {
 		l, err := net.Listen("tcp", "127.0.0.1:0")

@@ -66,32 +66,6 @@ func TestGoldenWireSizes(t *testing.T) {
 	}
 }
 
-// TestCodecZeroValue proves the instrumented codec's zero value is
-// byte-identical to the plain functions — the no-telemetry path costs
-// nothing and changes nothing.
-func TestCodecZeroValue(t *testing.T) {
-	var c Codec
-	env := Envelope{From: 1, To: 2, Round: 3, Kind: KindD, Payload: consensus.DMsg{V: -7}}
-	plain, err := Encode(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tapped, err := c.Encode(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(plain) != string(tapped) {
-		t.Fatalf("zero-value codec produced different bytes: %x vs %x", plain, tapped)
-	}
-	back, err := c.Decode(tapped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Payload.(consensus.DMsg).V != -7 {
-		t.Fatalf("round-trip payload: %+v", back.Payload)
-	}
-}
-
 // TestGoldenInstanceWireSizes pins the instance-tagged encoding the
 // shared-mesh engine multiplexes on: the instance id rides as a trailing
 // uvarint, present exactly when nonzero. The single-instance rows prove the
@@ -166,33 +140,5 @@ func TestInstanceZeroByteIdentity(t *testing.T) {
 		if back.Instance != 0 {
 			t.Fatalf("kind %v: pre-instance frame decoded with instance %d", env.Kind, back.Instance)
 		}
-	}
-}
-
-// tapCount is a minimal Tap for the error-path test.
-type tapCount struct{ enc, dec int }
-
-func (tc *tapCount) OnEncode(Kind, int) { tc.enc++ }
-func (tc *tapCount) OnDecode(Kind, int) { tc.dec++ }
-
-// TestCodecTapSkipsErrors: failed conversions never reach the tap, so the
-// accounting counts only bytes that actually exist.
-func TestCodecTapSkipsErrors(t *testing.T) {
-	tap := &tapCount{}
-	c := Codec{Tap: tap}
-	if _, err := c.Encode(Envelope{Kind: Kind(99)}); err == nil {
-		t.Fatal("unknown kind should fail to encode")
-	}
-	if _, err := c.Decode([]byte{0x01}); err == nil {
-		t.Fatal("truncated frame should fail to decode")
-	}
-	if tap.enc != 0 || tap.dec != 0 {
-		t.Fatalf("tap saw failed conversions: enc=%d dec=%d", tap.enc, tap.dec)
-	}
-	if _, err := c.Encode(Envelope{From: 1, To: 2, Round: 1, Kind: KindNull}); err != nil {
-		t.Fatal(err)
-	}
-	if tap.enc != 1 {
-		t.Fatalf("tap missed a successful encode: %d", tap.enc)
 	}
 }

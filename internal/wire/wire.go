@@ -393,43 +393,6 @@ func Decode(data []byte) (Envelope, error) {
 	return e, nil
 }
 
-// Tap observes codec traffic: one callback per successful Encode/Decode
-// with the envelope's kind and its encoded size in bytes. Implementations
-// must be safe for concurrent use (a cluster's nodes share one tap) and
-// must tolerate being invoked from hot paths — counting only, no I/O.
-// Package netobs provides the standard implementation.
-type Tap interface {
-	OnEncode(k Kind, bytes int)
-	OnDecode(k Kind, bytes int)
-}
-
-// Codec is an instrumented view of the package-level Encode/Decode pair:
-// the zero value behaves identically to the plain functions, and a non-nil
-// Tap additionally observes every successful conversion. It exists so the
-// runtime can thread per-message-type accounting through every codec call
-// site without the wire format itself growing global state.
-type Codec struct {
-	Tap Tap
-}
-
-// Encode serializes an envelope, reporting its kind and size to the tap.
-func (c Codec) Encode(e Envelope) ([]byte, error) {
-	data, err := Encode(e)
-	if err == nil && c.Tap != nil {
-		c.Tap.OnEncode(e.Kind, len(data))
-	}
-	return data, err
-}
-
-// Decode parses an envelope, reporting its kind and size to the tap.
-func (c Codec) Decode(data []byte) (Envelope, error) {
-	e, err := Decode(data)
-	if err == nil && c.Tap != nil {
-		c.Tap.OnDecode(e.Kind, len(data))
-	}
-	return e, err
-}
-
 // EnvelopeFor wraps a round-model payload, inferring the kind.
 func EnvelopeFor(from, to model.ProcessID, round int, payload rounds.Message) (Envelope, error) {
 	e := Envelope{From: from, To: to, Round: round, Payload: payload}
@@ -453,29 +416,4 @@ func EnvelopeFor(from, to model.ProcessID, round int, payload rounds.Message) (E
 		return e, fmt.Errorf("wire: unsupported payload type %T", payload)
 	}
 	return e, nil
-}
-
-// AppendFrame appends a length-prefixed envelope to buf (the TCP framing).
-func AppendFrame(buf []byte, e Envelope) ([]byte, error) {
-	body, err := Encode(e)
-	if err != nil {
-		return nil, err
-	}
-	buf = appendUvarint(buf, uint64(len(body)))
-	return append(buf, body...), nil
-}
-
-// ReadFrame consumes one length-prefixed envelope from data, returning the
-// envelope and the remaining bytes. It returns ErrTruncated when data does
-// not hold a complete frame yet.
-func ReadFrame(data []byte) (Envelope, []byte, error) {
-	l, n := binary.Uvarint(data)
-	if n <= 0 || uint64(len(data)-n) < l {
-		return Envelope{}, data, ErrTruncated
-	}
-	e, err := Decode(data[n : n+int(l)])
-	if err != nil {
-		return Envelope{}, data, err
-	}
-	return e, data[n+int(l):], nil
 }

@@ -89,41 +89,6 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestFrames(t *testing.T) {
-	var buf []byte
-	var err error
-	want := []Envelope{}
-	for i := 1; i <= 5; i++ {
-		e, ferr := EnvelopeFor(model.ProcessID(i), 1, i, consensus.DMsg{V: model.Value(i * 11)})
-		if ferr != nil {
-			t.Fatal(ferr)
-		}
-		want = append(want, e)
-		buf, err = AppendFrame(buf, e)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	rest := buf
-	for i := 0; i < 5; i++ {
-		var e Envelope
-		e, rest, err = ReadFrame(rest)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(e, want[i]) {
-			t.Errorf("frame %d mismatch: %+v vs %+v", i, e, want[i])
-		}
-	}
-	if len(rest) != 0 {
-		t.Errorf("%d trailing bytes", len(rest))
-	}
-	// A partial frame must report ErrTruncated and leave data untouched.
-	if _, _, err := ReadFrame(buf[:3]); !errors.Is(err, ErrTruncated) {
-		t.Errorf("partial frame: err = %v, want ErrTruncated", err)
-	}
-}
-
 // Property: W messages round-trip for arbitrary value sets.
 func TestWRoundTripProperty(t *testing.T) {
 	f := func(raw []int32, from, to uint8, round uint16) bool {
@@ -199,33 +164,5 @@ func TestDetectorControlRoundTrips(t *testing.T) {
 	empty := roundTrip(t, Envelope{From: 1, To: 2, Round: 1, Kind: KindFDRing, Payload: RingInfo{}})
 	if ri, ok := empty.Payload.(RingInfo); !ok || len(ri.Origins) != 0 {
 		t.Errorf("empty ring digest: %#v", empty.Payload)
-	}
-}
-
-// TestReadFrameChunked simulates a TCP stream arriving byte-by-byte: every
-// strict prefix reports ErrTruncated without consuming input, and the full
-// buffer yields the frame exactly once.
-func TestReadFrameChunked(t *testing.T) {
-	e, err := EnvelopeFor(2, 3, 9, consensus.WMsg{W: model.NewValueSet(7, -2, 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, err := AppendFrame(nil, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut < len(buf); cut++ {
-		if _, rest, err := ReadFrame(buf[:cut]); !errors.Is(err, ErrTruncated) {
-			t.Fatalf("prefix %d: err = %v, want ErrTruncated", cut, err)
-		} else if len(rest) != cut {
-			t.Fatalf("prefix %d consumed input", cut)
-		}
-	}
-	got, rest, err := ReadFrame(buf)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("full frame: err=%v rest=%d", err, len(rest))
-	}
-	if !reflect.DeepEqual(got, e) {
-		t.Errorf("frame mismatch")
 	}
 }

@@ -105,7 +105,10 @@ type (
 	// instances; plug into EngineConfig.Detector (nil: all-to-all
 	// heartbeat). See DetectorSpecs for the bundled zoo.
 	DetectorSpec = runtime.DetectorSpec
-	// DetectorConfig is what a DetectorSpec factory receives for each node.
+	// DetectorConfig is everything a DetectorSpec factory receives for each
+	// node — endpoint, timing, and the metrics registry, event sink and wire
+	// stats its telemetry goes to. The detector it returns is complete: the
+	// lifecycle is construct → Start → Stop.
 	DetectorConfig = runtime.DetectorConfig
 
 	// FaultConfig scripts a seeded adversarial network for live clusters
