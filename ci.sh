@@ -116,12 +116,13 @@ job_chaos() {
 # model), crash-stop on the multiplexed mesh, halting at quiescence, the
 # exact per-decision costs (TestEngineCostShape, TestClusterDataCost,
 # TestEngineCostExactAtCallback), the detector's Observe contract, the
-# in-process mesh's delivery queues (TestChanNetwork*, TestDeliveryQueue*),
-# the detectors' one send seam (TestDetectorSend*, TestDetectorRegistry*) and
-# the batcher's buffer-ownership discipline are what -race -count=2 shakes
-# out.
+# in-process mesh's delivery queues and pacer (TestChanNetwork*,
+# TestDeliveryQueue*, and TestPeekControl for the classification the pacer is
+# gated on), the detectors' one send seam (TestDetectorSend*,
+# TestDetectorRegistry*) and the batcher's buffer-ownership discipline and
+# parking flusher (TestBatch*) are what -race -count=2 shakes out.
 job_multi_instance() {
-  go test -race -count=2 -run 'TestEngine|TestStartEngine|TestOpenAfterAbort|TestBatch|TestCluster|TestAgreement|TestLiveRSA1|TestChanNetwork|TestDeliveryQueue|TestDetectorSend|TestDetectorRegistry' ./internal/runtime/ ./internal/wire/
+  go test -race -count=2 -run 'TestEngine|TestStartEngine|TestOpenAfterAbort|TestBatch|TestCluster|TestAgreement|TestLiveRSA1|TestChanNetwork|TestDeliveryQueue|TestPeekControl|TestDetectorSend|TestDetectorRegistry' ./internal/runtime/ ./internal/wire/
   go test -race -count=2 -run 'TestCrashOnMultiplexedMesh' ./internal/fdimpl/
   floor ./internal/wire/ 85
   floor ./internal/runtime/ 85
@@ -143,6 +144,10 @@ job_benchmark() {
   # instances shows as failed > 0; n=5 t=2 halts after T+1 = 3 rounds.
   bash bench/run.sh --workload engine_sat --seed 1 --seconds 2 --trace 0 | tee "$tmp/engine_sat.out"
   tail -n 1 "$tmp/engine_sat.out" | jq -e '.correct == true and .failed == 0 and .metrics.rounds_per_commit.value == 3'
+  # And the daemon path, whose HTTP goroutines share the cores with the
+  # mesh's pacing goroutine: every CAS must still commit, in T+1 = 2 rounds.
+  bash bench/run.sh --workload kv_write --seed 1 --seconds 2 --trace 0 | tee "$tmp/kv_write.out"
+  tail -n 1 "$tmp/kv_write.out" | jq -e '.correct == true and .failed == 0 and .metrics.rounds_per_commit.value == 2'
 }
 
 # The serving stack is concurrency all the way down (closed-loop clients,
@@ -155,7 +160,21 @@ job_serve() {
   go build -o "$tmp/ssfd-serve" ./cmd/ssfd-serve
   go build -o "$tmp/ssfd-load" ./cmd/ssfd-load
   go build -o "$tmp/ssfd-trace" ./cmd/ssfd-trace
-  local pid id url
+  local pid id url before after
+
+  # Idle-burn smoke: a daemon nobody talks to exchanges heartbeats and
+  # nothing else, so the mesh's pacing goroutine must never start and the
+  # batchers' flushers must park. utime+stime over 5 s reads 24-42 ticks
+  # here; a pacer that ran for heartbeats read 168-265.
+  "$tmp/ssfd-serve" -addr 127.0.0.1:18079 -nodes 3 -t 1 &
+  pid=$!
+  sleep 1
+  before=$(awk '{ print $14 + $15 }' "/proc/$pid/stat")
+  sleep 5
+  after=$(awk '{ print $14 + $15 }' "/proc/$pid/stat")
+  echo "idle daemon: $((after - before)) CPU ticks in 5 s"
+  [ $((after - before)) -le 100 ] || { echo "an idle daemon burned $((after - before)) CPU ticks in 5 s, want at most 100"; return 1; }
+  drain "$pid"
 
   # Daemon smoke: boot the real binary, drive a linearizability-checked load
   # through the KV surface over TCP, then require a graceful drain with a

@@ -22,10 +22,12 @@ type BatcherConfig struct {
 	// MaxBatch flushes a link once this many frames are pending
 	// (default 32).
 	MaxBatch int
-	// FlushEvery bounds how long a pending frame may wait for company
-	// before the timer flushes it (default 500µs). Worst-case added
-	// latency is below 2×FlushEvery (the background flusher ticks at
-	// FlushEvery and a frame can arrive just after a tick).
+	// FlushEvery is the period of the background flusher, which sends
+	// whatever is pending at each tick (default 500µs): a frame nothing else
+	// flushes waits one period for company, plus however late the tick
+	// fires — up to a millisecond in an otherwise idle process. The flusher
+	// parks after a tick that saw no Send and the next Send restarts it, so
+	// an idle batcher wakes nobody.
 	FlushEvery time.Duration
 	// Metrics receives the batcher's counters. Nil uses obs.Default.
 	Metrics *obs.Registry
@@ -49,7 +51,10 @@ type Batcher struct {
 	mu      sync.Mutex
 	pending []linkPending // indexed by destination process id
 	closed  bool
+	sent    bool // a Send since the flusher's last tick
+	parked  bool // the flusher stopped its ticker and waits for kick
 
+	kick chan struct{} // 1-buffered: the Send that found the flusher parked
 	done chan struct{}
 	wg   sync.WaitGroup
 
@@ -104,6 +109,7 @@ func NewBatcher(inner Transport, cfg BatcherConfig) *Batcher {
 	b := &Batcher{
 		inner:      inner,
 		cfg:        cfg,
+		kick:       make(chan struct{}, 1),
 		done:       make(chan struct{}),
 		flushCount: l("count"),
 		flushTimer: l("timer"),
@@ -146,6 +152,11 @@ func (b *Batcher) Send(to model.ProcessID, data []byte) error {
 	}
 	p.count++
 	b.frames.Inc()
+	b.sent = true
+	if b.parked {
+		b.parked = false
+		b.kick <- struct{}{} // never blocks: one kick per park
+	}
 	if p.count >= b.cfg.MaxBatch {
 		return b.flushLocked(to, b.flushCount)
 	}
@@ -215,7 +226,10 @@ func (b *Batcher) flushAllLocked(reason *obs.Counter) error {
 	return err
 }
 
-// flushLoop is the background timer flush.
+// flushLoop is the background timer flush. Everything sent before a tick is
+// flushed by it, so a tick that saw no Send since the one before leaves
+// nothing pending: the flusher stops its ticker and parks until the next
+// Send kicks it.
 func (b *Batcher) flushLoop() {
 	defer b.wg.Done()
 	ticker := time.NewTicker(b.cfg.FlushEvery)
@@ -228,7 +242,20 @@ func (b *Batcher) flushLoop() {
 				b.mu.Unlock()
 				return
 			}
-			_ = b.flushAllLocked(b.flushTimer)
+			if b.sent {
+				b.sent = false
+				_ = b.flushAllLocked(b.flushTimer)
+				continue
+			}
+			b.parked = true
+			b.mu.Unlock()
+			ticker.Stop()
+			select {
+			case <-b.kick:
+				ticker.Reset(b.cfg.FlushEvery)
+			case <-b.done:
+				return
+			}
 		case <-b.done:
 			return
 		}

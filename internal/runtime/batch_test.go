@@ -209,3 +209,58 @@ func TestBatcherInFlightIsolation(t *testing.T) {
 		}
 	}
 }
+
+// awaitParked waits until b's flusher has stopped its ticker for want of
+// traffic.
+func awaitParked(t *testing.T, b *Batcher) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		b.mu.Lock()
+		parked := b.parked
+		b.mu.Unlock()
+		if parked {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the flusher never parked on an idle batcher")
+		}
+	}
+}
+
+// TestBatcherParksAndRestarts: a batcher nobody sends through parks its
+// flusher; a frame sent to a parked batcher is still flushed by the timer,
+// with no Flush call and no second frame to fill the batch; and Close on a
+// parked batcher joins the flusher.
+func TestBatcherParksAndRestarts(t *testing.T) {
+	nw := NewChanNetwork(2, ChanConfig{Metrics: obs.NewRegistry(), MaxDelay: 100 * time.Microsecond})
+	defer nw.Close()
+	reg := obs.NewRegistry()
+	b := NewBatcher(nw.Endpoint(1), BatcherConfig{MaxBatch: 100, FlushEvery: time.Millisecond, Metrics: reg})
+	for round := 1; round <= 3; round++ {
+		awaitParked(t, b)
+		frame, err := wire.Encode(wire.Envelope{From: 1, To: 2, Round: round, Kind: wire.KindNull})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Send(2, frame); err != nil {
+			t.Fatal(err)
+		}
+		if got := recvFrames(t, nw.Endpoint(2), 5*time.Second); len(got) != 1 || string(got[0]) != string(frame) {
+			t.Fatalf("round %d: received %x, want the one frame %x", round, got, frame)
+		}
+	}
+	if got := reg.Counter(obs.Label(MetricBatcherFlushes, "reason", "timer")).Value(); got != 3 {
+		t.Errorf("timer flushes = %d, want 3: one per frame, none for an empty tick", got)
+	}
+	awaitParked(t, b)
+	closed := make(chan error, 1)
+	go func() { closed <- b.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close on a parked batcher did not return")
+	}
+}

@@ -79,27 +79,36 @@ type costRun struct {
 	allocs uint64 // heap allocations between StartEngine and Close
 }
 
-const costN, costT = 5, 1
+const (
+	costN, costT  = 5, 1
+	costHeartbeat = 2 * time.Millisecond
+)
 
 // measureCost runs instances concurrent instances over one shared mesh —
 // one heartbeat detector per node, whatever the instance count — and
 // requires the run to be the one the constants describe: every node
-// decided in every instance and no suspicion was ever raised.
-func measureCost(t *testing.T, instances, groups int, batch BatcherConfig) costRun {
+// decided in every instance and no suspicion was ever raised. A nonzero
+// linkDelay replaces the default mesh's random delay with that constant.
+func measureCost(t *testing.T, instances, groups int, batch BatcherConfig, linkDelay time.Duration) costRun {
 	t.Helper()
 	reg := obs.NewRegistry()
 	batch.Metrics = reg
-	var before, after goruntime.MemStats
-	goruntime.GC()
-	goruntime.ReadMemStats(&before)
-	_, st, err := runInstances(consensus.FloodSetWS{}, EngineConfig{
+	cfg := EngineConfig{
 		N: costN, T: costT,
 		Groups:          groups,
-		HeartbeatPeriod: 2 * time.Millisecond,
+		HeartbeatPeriod: costHeartbeat,
 		SuspectTimeout:  2 * time.Second,
 		Batch:           batch,
 		Metrics:         reg,
-	}, instances, func(inst int, id model.ProcessID) model.Value {
+	}
+	var before, after goruntime.MemStats
+	goruntime.GC()
+	goruntime.ReadMemStats(&before)
+	if linkDelay > 0 {
+		cfg.Network = NewChanNetwork(costN, ChanConfig{Metrics: reg,
+			Delay: func(_, _ model.ProcessID, _ []byte) time.Duration { return linkDelay }})
+	}
+	_, st, err := runInstances(consensus.FloodSetWS{}, cfg, instances, func(inst int, id model.ProcessID) model.Value {
 		return model.Value((inst + int(id)) % 7)
 	})
 	goruntime.ReadMemStats(&after)
@@ -129,20 +138,15 @@ func measureCost(t *testing.T, instances, groups int, batch BatcherConfig) costR
 // allocations spread over more decisions.
 func TestEngineCostShape(t *testing.T) {
 	// The dedicated baseline is a one-instance, one-worker engine sending
-	// every frame as its own packet. Max of three, because a run that
-	// finishes inside the first heartbeat period pays no control
-	// traffic at all and would make the amortization comparison vacuous.
-	var dedicated costRun
-	for i := 0; i < 3; i++ {
-		r := measureCost(t, 1, 1, BatcherConfig{MaxBatch: 1})
-		if dedicated.cost == nil || r.cost.ControlMessages > dedicated.cost.ControlMessages {
-			dedicated = r
-		}
-	}
+	// every frame as its own packet. Each link takes two heartbeat periods,
+	// so its two rounds outlast the first heartbeats by a wide margin: a run
+	// that paid no control traffic at all would make the amortization
+	// comparison vacuous.
+	dedicated := measureCost(t, 1, 1, BatcherConfig{MaxBatch: 1}, 2*costHeartbeat)
 	if dedicated.cost.ControlMessages == 0 {
 		t.Fatal("dedicated baseline ran without a single heartbeat")
 	}
-	shared := measureCost(t, 2000, 0, BatcherConfig{})
+	shared := measureCost(t, 2000, 0, BatcherConfig{}, 0)
 
 	for _, r := range []costRun{dedicated, shared} {
 		d := int64(r.cost.Decisions)
@@ -169,6 +173,11 @@ func TestEngineCostShape(t *testing.T) {
 		t.Errorf("no batching win: %.2f transport packets/decision vs %.2f data frames/decision", pk, fr)
 	}
 	perDecision := func(r costRun) float64 { return float64(r.allocs) / float64(r.cost.Decisions) }
+	for _, r := range []costRun{dedicated, shared} { // README's engine table is these two rows
+		t.Logf("%d decisions: %.2f data msgs, %.3f control msgs, %.2f transport packets, %.0f allocs per decision",
+			r.cost.Decisions, r.cost.DataMessagesPerDecision, r.cost.ControlMessagesPerDecision,
+			r.cost.MessagesPerDecision, perDecision(r))
+	}
 	if s, d := perDecision(shared), perDecision(dedicated); s >= d {
 		t.Errorf("no alloc win: %.1f allocs/decision shared vs %.1f dedicated", s, d)
 	}

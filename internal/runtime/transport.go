@@ -14,7 +14,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	goruntime "runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/model"
@@ -58,7 +60,10 @@ type DelayFunc func(from, to model.ProcessID, data []byte) time.Duration
 // ChanConfig configures an in-process network.
 type ChanConfig struct {
 	// MinDelay and MaxDelay bound the uniform random per-message delay.
-	// The defaults (0, 1ms) model a fast synchronous network.
+	// The defaults (0, 1ms) model a fast synchronous network. Round traffic
+	// is delivered when it falls due (see paceBelow); a control packet with
+	// no round traffic in flight to its inbox waits on a timer, which an
+	// idle process fires up to a millisecond late.
 	MinDelay, MaxDelay time.Duration
 	// Seed drives the random delays.
 	Seed int64
@@ -75,11 +80,21 @@ type ChanConfig struct {
 	Flight *netobs.Recorder
 }
 
+// paceBelow is the wait a drain goroutine does not sleep through while round
+// traffic is in flight: an idle Go process sleeps in the netpoller with a
+// whole-millisecond timeout, so a sub-millisecond timer fires up to a
+// millisecond late. It is that rounding plus margin; a longer wait arms its
+// timer this much early and hands the remainder to the pacer.
+const paceBelow = 1500 * time.Microsecond
+
 // ChanNetwork is a fully connected in-process network with per-message
 // delivery delays. Each destination has one delivery queue — a min-heap on
-// (due time, send order) — drained by at most one goroutine per inbox, which
-// sleeps on one timer armed to the earliest due time: the goroutine count is
-// bounded by n however many packets are in flight.
+// (due time, send order) — drained by at most one goroutine per inbox. A
+// queue holding only control packets sleeps on one timer armed to the
+// earliest due time; one holding round traffic registers that due time with
+// the network's one pacing goroutine instead, which yields in a loop and
+// wakes each queue as its time comes. The goroutine count is bounded by n+1
+// however many packets are in flight.
 type ChanNetwork struct {
 	n     int
 	cfg   ChanConfig
@@ -93,17 +108,23 @@ type ChanNetwork struct {
 	inboxes []chan Packet
 	queues  []deliveryQueue // by destination
 	done    chan struct{}
-	wg      sync.WaitGroup // the running drain goroutines
+	wg      sync.WaitGroup // the running drain goroutines and the pacer
+
+	paceBelow   time.Duration // the constant of that name; tests widen it to hold a paced wait still
+	paceMu      sync.Mutex
+	pacing      bool // the pacer is running
+	pacerStarts int  // pacers started so far (tests read it)
 
 	tm *netobs.LinkTap
 }
 
 // delivery is one packet in flight.
 type delivery struct {
-	due  time.Duration // since ChanNetwork.start
-	seq  uint64
-	from model.ProcessID
-	data []byte
+	due     time.Duration // since ChanNetwork.start
+	seq     uint64
+	from    model.ProcessID
+	control bool // one bare control frame: never worth pacing for
+	data    []byte
 }
 
 func (d *delivery) before(o *delivery) bool {
@@ -116,13 +137,28 @@ func (d *delivery) before(o *delivery) bool {
 type deliveryQueue struct {
 	mu      sync.Mutex
 	heap    []delivery
+	rounds  int           // packets in the heap that are not control
 	running bool          // a drain goroutine owns the queue
 	closed  bool          // the network closed: nothing is queued or started any more
-	wake    chan struct{} // 1-buffered: a push became the earliest
+	wake    chan struct{} // 1-buffered: a push the drainer must look at, or the pacer's call
+	// paced is the due time (since ChanNetwork.start, never zero) the drain
+	// goroutine is waiting out on the pacer; zero when it is not.
+	paced atomic.Int64
+}
+
+// signal wakes the queue's drain goroutine, if it is waiting.
+func (q *deliveryQueue) signal() {
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
 }
 
 // push files d and reports whether it is now the earliest.
 func (q *deliveryQueue) push(d delivery) bool {
+	if !d.control {
+		q.rounds++
+	}
 	h := append(q.heap, d)
 	i := len(h) - 1
 	for i > 0 {
@@ -158,6 +194,9 @@ func (q *deliveryQueue) pop() delivery {
 		i = least
 	}
 	q.heap = h
+	if !top.control {
+		q.rounds--
+	}
 	return top
 }
 
@@ -183,6 +222,8 @@ func NewChanNetwork(n int, cfg ChanConfig) *ChanNetwork {
 		queues:  make([]deliveryQueue, n+1),
 		done:    make(chan struct{}),
 		tm:      netobs.NewLinkTap(reg, "chan", cfg.Flight),
+
+		paceBelow: paceBelow,
 	}
 	for i := 1; i <= n; i++ {
 		nw.inboxes[i] = make(chan Packet, cfg.Buffer)
@@ -199,8 +240,11 @@ func (nw *ChanNetwork) Endpoint(id model.ProcessID) Transport {
 	return &chanEndpoint{nw: nw, id: id}
 }
 
-// MaxDelay returns the network's delivery bound — the Δ that timeout-based
-// failure detection builds on.
+// MaxDelay returns the network's delay bound — the Δ that timeout-based
+// failure detection builds on. Round traffic meets it; a control packet with
+// no round traffic in flight to its inbox can arrive about 1.2ms past it
+// (its timer's lateness in an idle process), which a suspicion timeout of
+// tens of milliseconds absorbs.
 func (nw *ChanNetwork) MaxDelay() time.Duration { return nw.cfg.MaxDelay }
 
 // delay draws one packet's in-flight delay: the hook's answer, or the next
@@ -238,6 +282,7 @@ func (nw *ChanNetwork) send(from, to model.ProcessID, data []byte) error {
 	nw.seq++
 	d := delivery{due: time.Since(nw.start) + delay, seq: nw.seq, from: from, data: data}
 	nw.mu.Unlock()
+	d.control = wire.PeekControl(data)
 
 	// The queue has its own lock, taken after nw.mu is released: a sender
 	// waiting out a drain goroutine's pops must not stall every other link.
@@ -247,7 +292,9 @@ func (nw *ChanNetwork) send(from, to model.ProcessID, data []byte) error {
 		q.mu.Unlock()
 		return ErrClosed
 	}
-	earliest := q.push(d)
+	// A drainer sleeping on its timer must look again when this packet is
+	// the earliest, or the first round traffic behind a control packet.
+	look := q.push(d) || (!d.control && q.rounds == 1)
 	spawn := !q.running
 	if spawn {
 		q.running = true
@@ -259,11 +306,8 @@ func (nw *ChanNetwork) send(from, to model.ProcessID, data []byte) error {
 	switch {
 	case spawn:
 		go nw.drain(to)
-	case earliest:
-		select {
-		case q.wake <- struct{}{}:
-		default:
-		}
+	case look:
+		q.signal()
 	}
 	return nil
 }
@@ -291,9 +335,18 @@ func (nw *ChanNetwork) drain(to model.ProcessID) {
 			q.mu.Unlock()
 			return
 		}
-		var wait time.Duration
+		var wait, paced time.Duration // paced: the due time to wait out on the pacer, if any
 		if len(due) == 0 {
 			wait = q.heap[0].due - now
+			// Round traffic in flight: the pacer takes the last paceBelow of
+			// the wait, the timer whatever comes before it.
+			switch {
+			case q.rounds == 0:
+			case wait < nw.paceBelow:
+				paced = q.heap[0].due
+			default:
+				wait -= nw.paceBelow
+			}
 		}
 		q.mu.Unlock()
 
@@ -309,6 +362,17 @@ func (nw *ChanNetwork) drain(to model.ProcessID) {
 			default:
 				continue
 			}
+		}
+		if paced != 0 {
+			q.paced.Store(int64(paced))
+			nw.startPacer()
+			select {
+			case <-q.wake:
+			case <-nw.done:
+				return
+			}
+			q.paced.Store(0)
+			continue
 		}
 		if timer == nil {
 			timer = time.NewTimer(wait)
@@ -330,6 +394,61 @@ func (nw *ChanNetwork) drain(to model.ProcessID) {
 	}
 }
 
+// startPacer makes sure the pacer is running. Its caller is a drain
+// goroutine that has registered its due time: the pacer either sees it or
+// has already given up paceMu on its way out.
+func (nw *ChanNetwork) startPacer() {
+	nw.paceMu.Lock()
+	if !nw.pacing {
+		nw.pacing = true
+		nw.pacerStarts++
+		nw.wg.Add(1) // the caller is itself counted, so Close cannot have finished waiting
+		go nw.pace()
+	}
+	nw.paceMu.Unlock()
+}
+
+// pace is the network's one spinning goroutine: it wakes each registered
+// queue when its due time comes, yields the processor between looks, and
+// exits once no queue is registered or the network closes.
+func (nw *ChanNetwork) pace() {
+	defer nw.wg.Done()
+	for {
+		if !nw.wakeDue() {
+			nw.paceMu.Lock()
+			if !nw.wakeDue() {
+				nw.pacing = false
+				nw.paceMu.Unlock()
+				return
+			}
+			nw.paceMu.Unlock()
+		}
+		select {
+		case <-nw.done:
+			return
+		default:
+		}
+		goruntime.Gosched()
+	}
+}
+
+// wakeDue wakes the registered queues whose time has come and reports
+// whether any is still waiting.
+func (nw *ChanNetwork) wakeDue() (waiting bool) {
+	now := int64(time.Since(nw.start))
+	for i := 1; i <= nw.n; i++ {
+		q := &nw.queues[i]
+		switch due := q.paced.Load(); {
+		case due == 0:
+		case due > now:
+			waiting = true
+		case q.paced.CompareAndSwap(due, 0):
+			q.signal()
+		}
+	}
+	return waiting
+}
+
 // deliver hands one due packet to its inbox.
 func (nw *ChanNetwork) deliver(to model.ProcessID, d *delivery) {
 	select {
@@ -345,7 +464,7 @@ func (nw *ChanNetwork) deliver(to model.ProcessID, d *delivery) {
 }
 
 // Close shuts the network down, dropping what is still in flight, and joins
-// the drain goroutines.
+// the drain goroutines and the pacer.
 func (nw *ChanNetwork) Close() error {
 	nw.mu.Lock()
 	if nw.closed {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/netobs"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // hookDelay is a Delay hook that reads each packet's delay off its first
@@ -53,6 +54,46 @@ func waitGoroutines(t *testing.T, want int) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// heartbeat is one bare control frame from p1 to p2, as a detector sends it.
+func heartbeat(t *testing.T, seq int) []byte {
+	t.Helper()
+	frame, err := wire.Encode(wire.Envelope{From: 1, To: 2, Round: seq, Kind: wire.KindHeartbeat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// pacerStarts reads how many pacing goroutines nw has started so far.
+func pacerStarts(nw *ChanNetwork) int {
+	nw.paceMu.Lock()
+	defer nw.paceMu.Unlock()
+	return nw.pacerStarts
+}
+
+// awaitPaced waits until inbox to's drain goroutine has registered a due time
+// with the pacer, and returns it.
+func awaitPaced(t *testing.T, nw *ChanNetwork, to model.ProcessID) time.Duration {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if due := nw.queues[to].paced.Load(); due != 0 {
+			return time.Duration(due)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("inbox %v never registered with the pacer", to)
+		}
+	}
+}
+
+// roundsInFlight reads inbox to's count of undelivered round packets and its
+// heap size.
+func roundsInFlight(nw *ChanNetwork, to model.ProcessID) (rounds, queued int) {
+	q := &nw.queues[to]
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.rounds, len(q.heap)
 }
 
 // TestDeliveryQueueOrder: the heap pops by due time, and by send order among
@@ -193,13 +234,14 @@ func TestChanNetworkSeedPinsDelays(t *testing.T) {
 }
 
 // TestChanNetworkGoroutinesBoundedByInboxes: ten thousand packets in flight
-// hold one goroutine per inbox, not one each; Close drops them, returns at
-// once and leaves no goroutine behind; Send afterwards is refused.
+// hold one goroutine per inbox and one pacer, not one each; Close drops them,
+// returns at once and leaves no goroutine behind; Send afterwards is refused.
 func TestChanNetworkGoroutinesBoundedByInboxes(t *testing.T) {
 	const n, packets = 4, 10000
 	goruntime.GC()
 	before := goruntime.NumGoroutine()
 	nw := NewChanNetwork(n, ChanConfig{Delay: hookDelay, Metrics: obs.NewRegistry()})
+	nw.paceBelow = 2 * time.Hour // every inbox waits on the pacer, not on its timer
 	if got := goruntime.NumGoroutine(); got != before {
 		t.Errorf("an idle network holds %d goroutines", got-before)
 	}
@@ -209,8 +251,14 @@ func TestChanNetworkGoroutinesBoundedByInboxes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := goruntime.NumGoroutine() - before; got > n {
-		t.Errorf("%d packets in flight hold %d goroutines, want ≤ %d", packets, got, n)
+	for i := 1; i <= n; i++ {
+		awaitPaced(t, nw, model.ProcessID(i))
+	}
+	if got := goruntime.NumGoroutine() - before; got > n+1 {
+		t.Errorf("%d packets in flight hold %d goroutines, want ≤ %d", packets, got, n+1)
+	}
+	if got := pacerStarts(nw); got != 1 {
+		t.Errorf("%d pacers were started for %d waiting inboxes, want 1", got, n)
 	}
 	start := time.Now()
 	if err := nw.Close(); err != nil {
@@ -240,5 +288,111 @@ func TestChanNetworkIdleQueueHoldsNoGoroutine(t *testing.T) {
 			t.Errorf("got packet %d, want %d", pkt.Data[1], i)
 		}
 		waitGoroutines(t, before)
+	}
+}
+
+// TestChanNetworkControlNeverPaces: heartbeats alone are delivered off the
+// timer — no pacer is ever started for them, however wide the pacing window —
+// and the network is back to no goroutine once they have arrived.
+func TestChanNetworkControlNeverPaces(t *testing.T) {
+	goruntime.GC()
+	before := goruntime.NumGoroutine()
+	nw := NewChanNetwork(2, ChanConfig{Seed: 3, Metrics: obs.NewRegistry()})
+	defer func() { _ = nw.Close() }()
+	nw.paceBelow = time.Hour
+	const beats = 50
+	for seq := 1; seq <= beats; seq++ {
+		if err := nw.Endpoint(1).Send(2, heartbeat(t, seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < beats; i++ {
+		if pkt := recvWithin(t, nw.Endpoint(2), 5*time.Second); !wire.PeekControl(pkt.Data) {
+			t.Fatalf("received %x, want a heartbeat", pkt.Data)
+		}
+	}
+	if got := pacerStarts(nw); got != 0 {
+		t.Errorf("control-only traffic started the pacer %d times", got)
+	}
+	waitGoroutines(t, before)
+}
+
+// TestChanNetworkRoundBehindControlIsPaced: an inbox holding one heartbeat
+// sleeps on its timer; a round packet filed behind it — not the earliest, so
+// no wake-up on that account — takes the inbox off the timer, and what it
+// registers with the pacer is the heartbeat's due time, the earliest.
+func TestChanNetworkRoundBehindControlIsPaced(t *testing.T) {
+	goruntime.GC()
+	before := goruntime.NumGoroutine()
+	nw := NewChanNetwork(2, ChanConfig{Metrics: obs.NewRegistry(), Delay: func(_, _ model.ProcessID, data []byte) time.Duration {
+		if wire.PeekControl(data) {
+			return 10 * time.Minute
+		}
+		return 20 * time.Minute
+	}})
+	nw.paceBelow = time.Hour
+	if err := nw.Endpoint(1).Send(2, heartbeat(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if rounds, queued := roundsInFlight(nw, 2); rounds != 0 || queued != 1 {
+		t.Fatalf("after one heartbeat: %d round packets of %d queued, want 0 of 1", rounds, queued)
+	}
+	if due, starts := nw.queues[2].paced.Load(), pacerStarts(nw); due != 0 || starts != 0 {
+		t.Fatalf("a heartbeat alone registered due time %v and started %d pacers", time.Duration(due), starts)
+	}
+
+	frame, err := wire.Encode(wire.Envelope{From: 1, To: 2, Round: 1, Kind: wire.KindNull, Instance: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Endpoint(1).Send(2, frame); err != nil {
+		t.Fatal(err)
+	}
+	due := awaitPaced(t, nw, 2)
+	if lo, hi := 9*time.Minute, 11*time.Minute; due < lo || due > hi {
+		t.Errorf("registered due time %v, want the heartbeat's (about 10m), not the round packet's", due)
+	}
+	if rounds, queued := roundsInFlight(nw, 2); rounds != 1 || queued != 2 {
+		t.Errorf("%d round packets of %d queued, want 1 of 2", rounds, queued)
+	}
+	if got := pacerStarts(nw); got != 1 {
+		t.Errorf("%d pacers started, want 1", got)
+	}
+
+	// Close in the middle of the paced wait returns promptly and joins both
+	// the drain goroutine and the pacer.
+	closed := make(chan struct{})
+	go func() { _ = nw.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close waited out a paced wait")
+	}
+	waitGoroutines(t, before)
+}
+
+// TestChanNetworkRoundCountSettles: the count of round packets in flight is
+// back to zero once the last of them was delivered, dropped on a full inbox
+// or lost to the delay hook — and the drain goroutine and the pacer leave
+// with it.
+func TestChanNetworkRoundCountSettles(t *testing.T) {
+	goruntime.GC()
+	before := goruntime.NumGoroutine()
+	nw := NewChanNetwork(2, ChanConfig{Delay: hookDelay, Buffer: 2, Metrics: obs.NewRegistry()})
+	defer func() { _ = nw.Close() }()
+	nw.paceBelow = time.Hour
+	// Five round packets 10ms out into a 2-deep inbox nobody reads (two
+	// delivered, three overflow) and one lost outright.
+	for _, p := range []string{"\x01a", "\x01b", "\x01c", "\xfelost", "\x01d", "\x01e"} {
+		if err := nw.Endpoint(1).Send(2, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitGoroutines(t, before) // nothing is in flight any more
+	if rounds, queued := roundsInFlight(nw, 2); rounds != 0 || queued != 0 {
+		t.Errorf("settled: %d round packets of %d queued, want 0 of 0", rounds, queued)
+	}
+	if tot := nw.Telemetry().Totals(); tot.MsgsSent != 6 || tot.MsgsReceived != 2 || tot.Dropped != 4 {
+		t.Errorf("totals %+v, want 6 sent, 2 received, 4 dropped", tot)
 	}
 }

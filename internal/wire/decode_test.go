@@ -159,8 +159,51 @@ func TestAppendEnvelopeAppends(t *testing.T) {
 	}
 }
 
-// FuzzDecode: Decode never panics on any input, and whatever it accepts
-// re-encodes to bytes that decode to the same envelope.
+// TestPeekControl: every kind, bare and instance-tagged, is control exactly
+// when its kind says so; cut short at any length it is control only if what
+// is left still decodes as a control frame; inside a batch container, alone
+// or in company, it never is.
+func TestPeekControl(t *testing.T) {
+	kinds := map[Kind]bool{}
+	var batch []byte
+	for _, env := range canonicalEnvelopes() {
+		kinds[env.Kind] = true
+		frame, err := Encode(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := PeekControl(frame); got != env.Kind.Control() {
+			t.Errorf("PeekControl(%v, instance %d) = %v", env.Kind, env.Instance, got)
+		}
+		for cut := 0; cut < len(frame); cut++ {
+			short, err := Decode(frame[:cut])
+			if want := err == nil && short.Kind.Control(); PeekControl(frame[:cut]) != want {
+				t.Errorf("PeekControl(%v frame cut to %d of %d bytes) = %v", env.Kind, cut, len(frame), !want)
+			}
+		}
+		if PeekControl(AppendToBatch(nil, frame)) {
+			t.Errorf("PeekControl(a batch of one %v frame) = true", env.Kind)
+		}
+		batch = AppendToBatch(batch, frame)
+	}
+	for _, k := range Kinds() {
+		if !kinds[k] {
+			t.Errorf("kind %v has no canonical envelope: the table above skips it", k)
+		}
+	}
+	if PeekControl(batch) || PeekControl(nil) || PeekControl([]byte{}) {
+		t.Error("PeekControl is true of a batch of every kind, or of no bytes at all")
+	}
+	// A batch whose second and third bytes read as a heartbeat's kind and
+	// nothing after: only the marker says it is not one.
+	if disguised := []byte{batchMarker, 1, 1, byte(KindHeartbeat)}; PeekControl(disguised) {
+		t.Errorf("PeekControl(%x) = true for a packet that starts with the batch marker", disguised)
+	}
+}
+
+// FuzzDecode: Decode never panics on any input, whatever it accepts
+// re-encodes to bytes that decode to the same envelope, and PeekControl says
+// control of exactly the bare frames that decode to a control kind.
 func FuzzDecode(f *testing.F) {
 	for _, env := range canonicalEnvelopes() {
 		frame, err := Encode(env)
@@ -174,6 +217,9 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := Decode(data)
+		if want := err == nil && !IsBatch(data) && env.Kind.Control(); PeekControl(data) != want {
+			t.Fatalf("PeekControl(%x) = %v; Decode says (%+v, %v)", data, !want, env, err)
+		}
 		if err != nil {
 			return
 		}

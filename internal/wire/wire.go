@@ -393,6 +393,27 @@ func Decode(data []byte) (Envelope, error) {
 	return e, nil
 }
 
+// PeekControl reports whether data is exactly one bare control frame — what a
+// detector puts on the wire. A batch container, a round frame and anything
+// that does not decode are all not control. A round frame is turned away at
+// its kind byte; only control frames are decoded in full.
+func PeekControl(data []byte) bool {
+	if IsBatch(data) {
+		return false
+	}
+	r := reader{buf: data}
+	for i := 0; i < 3; i++ { // from, to, round
+		if _, err := r.uvarint(); err != nil {
+			return false
+		}
+	}
+	if kb, err := r.byte(); err != nil || !Kind(kb).Control() {
+		return false
+	}
+	_, err := Decode(data)
+	return err == nil
+}
+
 // EnvelopeFor wraps a round-model payload, inferring the kind.
 func EnvelopeFor(from, to model.ProcessID, round int, payload rounds.Message) (Envelope, error) {
 	e := Envelope{From: from, To: to, Round: round, Payload: payload}
