@@ -115,7 +115,9 @@ job_chaos() {
 # The engine's equivalence guarantees (sharded == unsharded == the round
 # model), crash-stop on the multiplexed mesh, halting at quiescence, the
 # exact per-decision costs (TestEngineCostShape, TestClusterDataCost,
-# TestEngineCostExactAtCallback), the detector's Observe contract, the
+# TestEngineCostExactAtCallback), the first-decision callback a serving layer
+# commits at (TestEngineDecidedCallback: once, before the halt callback, at
+# the round the latency degrees predict), the detector's Observe contract, the
 # in-process mesh's delivery queues and pacer (TestChanNetwork*,
 # TestDeliveryQueue*, and TestPeekControl for the classification the pacer is
 # gated on), the detectors' one send seam (TestDetectorSend*,
@@ -145,13 +147,16 @@ job_benchmark() {
   bash bench/run.sh --workload engine_sat --seed 1 --seconds 2 --trace 0 | tee "$tmp/engine_sat.out"
   tail -n 1 "$tmp/engine_sat.out" | jq -e '.correct == true and .failed == 0 and .metrics.rounds_per_commit.value == 3'
   # And the daemon path, whose HTTP goroutines share the cores with the
-  # mesh's pacing goroutine: every CAS must still commit, in T+1 = 2 rounds.
+  # mesh's pacing goroutine: every CAS must still commit. It is answered at
+  # its instance's round-1 decision, and the instance still floods through
+  # round T+1 = 2 behind the answer — the count is read after the tails.
   bash bench/run.sh --workload kv_write --seed 1 --seconds 2 --trace 0 | tee "$tmp/kv_write.out"
   tail -n 1 "$tmp/kv_write.out" | jq -e '.correct == true and .failed == 0 and .metrics.rounds_per_commit.value == 2'
 }
 
 # The serving stack is concurrency all the way down (closed-loop clients,
-# one engine callback committing KV versions, drain racing late proposals, a
+# one engine callback committing KV versions at the first decision and another
+# settling them at the halt, drain racing late proposals and running tails, a
 # mutexed trace sampler hammered from every handler).
 job_serve() {
   go test -race -count=2 ./internal/serve/ ./cmd/ssfd-serve/ ./cmd/ssfd-load/
@@ -160,15 +165,24 @@ job_serve() {
   go build -o "$tmp/ssfd-serve" ./cmd/ssfd-serve
   go build -o "$tmp/ssfd-load" ./cmd/ssfd-load
   go build -o "$tmp/ssfd-trace" ./cmd/ssfd-trace
-  local pid id url before after
+  local pid id url before after rc=0
+
+  # A write is committed at its instance's first decision, so the daemon
+  # refuses, at the flag, an algorithm that is not uniform in RWS, and the
+  # default is the one that decides a unanimous proposal in round 1.
+  "$tmp/ssfd-serve" -alg FloodSet 2>"$tmp/refused.err" || rc=$?
+  [ "$rc" -eq 2 ] && grep -q 'FloodSetWS, C_OptFloodSetWS, F_OptFloodSetWS' "$tmp/refused.err" ||
+    { echo "ssfd-serve -alg FloodSet: exit $rc, want 2 and the served set named"; cat "$tmp/refused.err"; return 1; }
 
   # Idle-burn smoke: a daemon nobody talks to exchanges heartbeats and
   # nothing else, so the mesh's pacing goroutine must never start and the
   # batchers' flushers must park. utime+stime over 5 s reads 24-42 ticks
   # here; a pacer that ran for heartbeats read 168-265.
-  "$tmp/ssfd-serve" -addr 127.0.0.1:18079 -nodes 3 -t 1 &
+  "$tmp/ssfd-serve" -addr 127.0.0.1:18079 -nodes 3 -t 1 >"$tmp/banner.out" &
   pid=$!
   sleep 1
+  head -n 1 "$tmp/banner.out" | grep -q ' C_OptFloodSetWS on http://' ||
+    { echo "the daemon's banner does not name C_OptFloodSetWS:"; cat "$tmp/banner.out"; return 1; }
   before=$(awk '{ print $14 + $15 }' "/proc/$pid/stat")
   sleep 5
   after=$(awk '{ print $14 + $15 }' "/proc/$pid/stat")

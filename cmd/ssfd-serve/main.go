@@ -3,7 +3,8 @@
 // HTTP/JSON API. Clients open raw consensus instances with POST
 // /v1/propose, read decisions with GET /v1/instance/{id}, and use the
 // linearizable KV surface (POST /v1/kv/{key}/cas, GET /v1/kv/{key}) where
-// every version of a key is the decision of one consensus instance. The
+// every version of a key is the decision of one consensus instance,
+// committed and answered at the instance's first decision. The
 // obs endpoints (/metrics, /healthz) ride the same listener; /v1/status
 // reports engine statistics and, with -conform, the in-production
 // conformance tally.
@@ -16,7 +17,7 @@
 // Usage:
 //
 //	ssfd-serve -addr 127.0.0.1:8080 -nodes 3 -t 1 -conform
-//	ssfd-serve -nodes 4 -t 2 -alg FloodSetWS -detector ring
+//	ssfd-serve -nodes 4 -t 2 -alg F_OptFloodSetWS -detector ring
 //	ssfd-serve -faults "seed=7,loss=0.1,spike=1ms-3ms@0.2" -conform
 package main
 
@@ -30,6 +31,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -38,6 +40,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/fdimpl"
 	"repro/internal/obscli"
+	"repro/internal/rounds"
 	"repro/internal/runtime"
 	"repro/internal/serve"
 )
@@ -48,13 +51,23 @@ func main() {
 	os.Exit(run(os.Args[1:], stop, os.Stdout, os.Stderr))
 }
 
+// algNames lists the algorithms' names.
+func algNames(algs []rounds.Algorithm) []string {
+	names := make([]string, len(algs))
+	for i, a := range algs {
+		names[i] = a.Name()
+	}
+	return names
+}
+
 func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("ssfd-serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 	nodes := fs.Int("nodes", 3, "cluster size n")
 	t := fs.Int("t", 1, "resilience bound")
-	algName := fs.String("alg", "FloodSetWS", "consensus algorithm every instance runs")
+	served := algNames(consensus.ForModel(rounds.RWS))
+	algName := fs.String("alg", consensus.COptFloodSetWS{}.Name(), "consensus algorithm every instance runs (uniform in RWS: "+strings.Join(served, ", ")+")")
 	modelName := fs.String("model", "RWS", "round model (the daemon serves RWS only)")
 	detector := fs.String("detector", "", "failure-detector construction (registered: "+strings.Join(fdimpl.Names(), ", ")+")")
 	groups := fs.Int("groups", 0, "engine shard workers (0: runtime default)")
@@ -92,9 +105,14 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) (code i
 		}
 	}()
 
+	// A write is answered at its instance's first decision, so the chain
+	// cannot refuse a fork after the fact: only algorithms uniform in RWS are
+	// served. Checked by name, here at the flag — serve.Config.Algorithm takes
+	// any rounds.Algorithm, wrappers included.
 	alg, ok := consensus.ByName(*algName)
-	if !ok {
-		fmt.Fprintf(stderr, "unknown algorithm %q\n", *algName)
+	if !ok || !slices.Contains(served, alg.Name()) {
+		fmt.Fprintf(stderr, "-alg %q is not served: a write is committed at its instance's first decision, so the daemon runs only the algorithms uniform in RWS (%s)\n",
+			*algName, strings.Join(served, ", "))
 		return 2
 	}
 	var detSpec *runtime.DetectorSpec

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -96,6 +97,54 @@ func TestServeDrainOnSignal(t *testing.T) {
 	for _, want := range []string{"draining", "conformance: checked", "kv keys"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stdout missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestServeDefaultAlgorithm: the start-up banner names the algorithm the
+// daemon serves without -alg, and it is the one serve.New falls back to.
+func TestServeDefaultAlgorithm(t *testing.T) {
+	_, stop, exit, stdout := startDaemon(t, []string{"-nodes", "3", "-t", "1"})
+	stop <- syscall.SIGTERM
+	if code := <-exit; code != 0 {
+		t.Fatalf("exit code %d\n%s", code, stdout)
+	}
+	srv, err := serve.New(serve.Config{N: 3, T: 1, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	fallback := srv.Engine().Algorithm().Name()
+	banner := strings.SplitN(stdout.String(), "\n", 2)[0]
+	if fallback != "C_OptFloodSetWS" || !strings.Contains(banner, " "+fallback+" ") {
+		t.Errorf("banner %q, serve.New fallback %q: want both C_OptFloodSetWS", banner, fallback)
+	}
+}
+
+// TestServeRefusesNonUniformAlgorithms: a write is committed at its
+// instance's first decision, so the algorithms that are not uniform in RWS
+// (A1 is the repo's own witness) are refused at the flag, naming the served
+// set; the three RWS algorithms are not.
+func TestServeRefusesNonUniformAlgorithms(t *testing.T) {
+	for _, name := range []string{"FloodSet", "C_OptFloodSet", "F_OptFloodSet", "A1", "a1"} {
+		var out, errOut bytes.Buffer
+		if code := run([]string{"-model", "RWS", "-alg", name}, make(chan os.Signal), &out, &errOut); code != 2 {
+			t.Errorf("-alg %s: exit %d, want 2", name, code)
+		}
+		for _, want := range []string{"FloodSetWS, C_OptFloodSetWS, F_OptFloodSetWS", "first decision"} {
+			if !strings.Contains(errOut.String(), want) {
+				t.Errorf("-alg %s: stderr %q does not say %q", name, errOut.String(), want)
+			}
+		}
+	}
+	for _, name := range []string{"FloodSetWS", "C_OptFloodSetWS", "f_optfloodsetws"} {
+		_, stop, exit, stdout := startDaemon(t, []string{"-alg", name})
+		stop <- syscall.SIGTERM
+		if code := <-exit; code != 0 {
+			t.Errorf("-alg %s: exit %d\n%s", name, code, stdout)
+		}
+		if banner := stdout.String(); !strings.Contains(strings.ToLower(banner), " "+strings.ToLower(name)+" ") {
+			t.Errorf("-alg %s: banner %q does not name it", name, banner)
 		}
 	}
 }

@@ -232,40 +232,64 @@ func TestEngineCostExactAtCallback(t *testing.T) {
 	})
 	// An instance that opens, sends both its rounds and completes within one
 	// sweep — its only peer is crash-stopped and already suspected — has its
-	// frames counted before its callback runs, not at the end of that sweep.
+	// frames counted before its callbacks run, not at the end of that sweep:
+	// the halt callback sees both frames, and the decision callback every
+	// frame sent up to that decision. FloodSetWS decides in round t+1, with
+	// both frames out; F_OptFloodSetWS decides in round 1 on its n−t = 1
+	// message, with one frame out and the round-2 frame of its tail to come.
 	t.Run("within one sweep", func(t *testing.T) {
-		var e *Engine
-		atCallback := make(chan EngineStats, 2)
-		var err error
-		e, err = StartEngine(consensus.FloodSetWS{}, EngineConfig{
-			N: 2, T: 1,
-			Groups:          1,
-			HeartbeatPeriod: 2 * time.Millisecond,
-			SuspectTimeout:  50 * time.Millisecond,
-			Metrics:         obs.NewRegistry(),
-			OnInstanceDone:  func(uint64, InstanceOutcome) { atCallback <- e.Stats() },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = e.Close() }()
-		// Instance 0: p2 crashes in round 1 before sending; p1 sends a frame
-		// in each of its two rounds and closes them on the suspicion.
-		h, err := e.OpenWith(nil, OpenOptions{Crashes: map[model.ProcessID]CrashPlan{2: {Round: 1, Reach: 0}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-h.Done()
-		if st := <-atCallback; st.Cost.DataMessages != 2 {
-			t.Fatalf("after the crash instance: %d data messages, want 2", st.Cost.DataMessages)
-		}
-		if h, err = e.OpenValue(7); err != nil {
-			t.Fatal(err)
-		}
-		<-h.Done()
-		if st := <-atCallback; st.Cost.DataMessages != 4 || st.DecidedNodes != 2 {
-			t.Errorf("inside the second instance's callback: %d data messages for %d decisions, want 4 for 2",
-				st.Cost.DataMessages, st.DecidedNodes)
+		for _, tc := range []struct {
+			alg            rounds.Algorithm
+			atFirst, atSec int64 // data messages inside the two decision callbacks
+		}{
+			{consensus.FloodSetWS{}, 2, 4},
+			{consensus.FOptFloodSetWS{}, 1, 3},
+		} {
+			t.Run(tc.alg.Name(), func(t *testing.T) {
+				var e *Engine
+				atCallback := make(chan EngineStats, 2)
+				atDecision := make(chan EngineStats, 2)
+				var err error
+				e, err = StartEngine(tc.alg, EngineConfig{
+					N: 2, T: 1,
+					Groups:            1,
+					HeartbeatPeriod:   2 * time.Millisecond,
+					SuspectTimeout:    50 * time.Millisecond,
+					Metrics:           obs.NewRegistry(),
+					OnInstanceDecided: func(uint64, model.Value, int) { atDecision <- e.Stats() },
+					OnInstanceDone:    func(uint64, InstanceOutcome) { atCallback <- e.Stats() },
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { _ = e.Close() }()
+				// Instance 0: p2 crashes in round 1 before sending; p1 sends a frame
+				// in each of its two rounds and closes them on the suspicion.
+				h, err := e.OpenWith(nil, OpenOptions{Crashes: map[model.ProcessID]CrashPlan{2: {Round: 1, Reach: 0}}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				<-h.Done()
+				if st := <-atDecision; st.Cost.DataMessages != tc.atFirst || st.DecidedNodes != 1 {
+					t.Errorf("inside the crash instance's decision callback: %d data messages for %d decisions, want %d for 1",
+						st.Cost.DataMessages, st.DecidedNodes, tc.atFirst)
+				}
+				if st := <-atCallback; st.Cost.DataMessages != 2 {
+					t.Fatalf("after the crash instance: %d data messages, want 2", st.Cost.DataMessages)
+				}
+				if h, err = e.OpenValue(7); err != nil {
+					t.Fatal(err)
+				}
+				<-h.Done()
+				if st := <-atDecision; st.Cost.DataMessages != tc.atSec || st.DecidedNodes != 2 {
+					t.Errorf("inside the second instance's decision callback: %d data messages for %d decisions, want %d for 2",
+						st.Cost.DataMessages, st.DecidedNodes, tc.atSec)
+				}
+				if st := <-atCallback; st.Cost.DataMessages != 4 || st.DecidedNodes != 2 {
+					t.Errorf("inside the second instance's callback: %d data messages for %d decisions, want 4 for 2",
+						st.Cost.DataMessages, st.DecidedNodes)
+				}
+			})
 		}
 	})
 }

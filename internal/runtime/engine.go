@@ -144,6 +144,15 @@ type EngineConfig struct {
 	// A serving layer uses it to resolve waiters and feed its conformance
 	// monitor without a goroutine per instance.
 	OnInstanceDone func(inst uint64, out InstanceOutcome)
+	// OnInstanceDecided, when non-nil, is invoked at most once per instance,
+	// the moment its first automaton decides v at the end of the given round
+	// — before OnInstanceDone, from the same worker goroutine and under the
+	// same must-not-block rule. Under uniform agreement that first decision
+	// is the instance's only possible one, so a serving layer answers its
+	// client here and lets the relaying tail (the remaining rounds, the
+	// quiescence halt) run behind the answer. An instance in which no node
+	// decides never fires it.
+	OnInstanceDecided func(inst uint64, v model.Value, round int)
 
 	// Metrics receives the engine's instruments; nil uses obs.Default.
 	Metrics *obs.Registry

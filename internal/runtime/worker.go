@@ -109,6 +109,7 @@ type instSlab struct {
 	epoch     time.Time   // RS: round r closes at epoch + r·RoundDuration
 	events    obs.Sink    // nil for unobserved instances (the common case)
 	crashes   map[model.ProcessID]CrashPlan
+	announced bool // OnInstanceDecided has fired
 }
 
 // engWorker owns the instances k with k mod Groups == idx and advances
@@ -442,6 +443,13 @@ func (w *engWorker) advance(st *instState) {
 				if sl.events != nil {
 					sl.events.Emit(obs.Event{Type: obs.EventDecide, Round: r,
 						Proc: int(st.id), Value: obs.Int64(int64(v))})
+				}
+				if cb := er.cfg.OnInstanceDecided; cb != nil && !sl.announced {
+					// The instance's first decision. As in halt, whoever hears of
+					// it may read Stats().Cost next: count this sweep's frames first.
+					sl.announced = true
+					w.encoded.fold(er.ws.AddEncoded)
+					cb(sl.inst, v, r)
 				}
 			}
 		}

@@ -30,9 +30,9 @@ func TestChaosServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, client := newTestServer(t, func(c *Config) {
-		// n=4, t=2: FloodSetWS tolerates two silent peers per round, so a
-		// dropped batch degrades liveness, not safety.
+	srv, client := newTestServer(t, func(c *Config) {
+		// n=4, t=2: the flooding algorithms tolerate two silent peers per
+		// round, so a dropped batch degrades liveness, not safety.
 		c.N, c.T = 4, 2
 		c.Faults = &spec
 		// Quick wait bound: a starved round proceeds with what arrived
@@ -61,6 +61,7 @@ func TestChaosServing(t *testing.T) {
 	}
 	t.Logf("chaos load: %s", rep)
 
+	quiesce(t, srv)
 	status, err := client.Status(context.Background())
 	if err != nil {
 		t.Fatal(err)

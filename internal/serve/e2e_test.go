@@ -13,7 +13,7 @@ import (
 // from meaning a thousand sockets; every request still crosses the full
 // HTTP handler, KV chain and consensus engine.
 func TestThousandClientsLinearizable(t *testing.T) {
-	_, client := newTestServer(t, func(c *Config) {
+	srv, client := newTestServer(t, func(c *Config) {
 		c.ProposeTimeout = 60 * time.Second
 	})
 	rep, err := RunLoad(context.Background(), LoadConfig{
@@ -45,6 +45,7 @@ func TestThousandClientsLinearizable(t *testing.T) {
 		t.Fatalf("linearizability violated: %v", err)
 	}
 
+	quiesce(t, srv)
 	status, err := client.Status(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -19,9 +19,9 @@ import (
 // actual head attached, and the client retries from there.
 var errCASConflict = errors.New("serve: cas conflict")
 
-// errUndecided reports a KV instance that completed without reaching
-// agreement (possible under heavy chaos: every automaton ran out of rounds
-// undecided). The slot is released; the write did not happen.
+// errUndecided reports a KV instance that halted with no node decided
+// (possible under heavy chaos: every automaton ran out of rounds undecided).
+// The slot is released; the write did not happen.
 var errUndecided = errors.New("serve: consensus instance completed undecided")
 
 // KVVersion is one committed version in a key's chain: version k of a key
@@ -30,6 +30,9 @@ type KVVersion struct {
 	Version  int         `json:"version"`
 	Value    model.Value `json:"value"`
 	Instance uint64      `json:"instance"`
+	// DecideRound is the round of the instance's first decision, the one
+	// this version was committed at.
+	DecideRound int `json:"decide_round,omitempty"`
 }
 
 // kvFlight is one in-flight KV write: the consensus instance opened for a
@@ -45,9 +48,9 @@ type kvFlight struct {
 	// set before done closes
 	ver *KVVersion
 	err error
-	// committedAt is stamped at commit() entry, before done closes: the
-	// consensus/commit boundary for the waiter's phase attribution. The
-	// close(done) happens-before edge publishes it.
+	// committedAt is stamped at commit() (or release()) entry, before done
+	// closes: the consensus/commit boundary for the waiter's phase
+	// attribution. The close(done) happens-before edge publishes it.
 	committedAt time.Time
 }
 
@@ -176,11 +179,11 @@ func matches(old *int64, head *KVVersion) bool {
 }
 
 // CAS executes one check-and-set: if the key's head matches old, open a
-// consensus instance proposing new at every node and commit its decision
-// as the next version. On a lost race it returns errCASConflict with the
-// head that won. On ctx expiry the flight keeps running — the commit, if
-// the instance decides, still lands, and the retrying client observes it
-// as a conflict.
+// consensus instance proposing new at every node and commit its first
+// decision as the next version. On a lost race it returns errCASConflict
+// with the head that won. On ctx expiry the flight keeps running — the
+// commit, if the instance decides, still lands, and the retrying client
+// observes it as a conflict.
 func (kv *kvStore) CAS(ctx context.Context, key string, old *int64, val model.Value) (*KVVersion, error) {
 	tk := trackerFrom(ctx)
 	first := true
@@ -248,9 +251,12 @@ func (kv *kvStore) CAS(ctx context.Context, key string, old *int64, val model.Va
 		}
 		select {
 		case <-fl.done:
-			// Retro-split at the commit callback's entry stamp: consensus
-			// ends where commit() began, commit ends where this waiter woke.
+			// Retro-split at the decision callback's entry stamp: consensus
+			// ends where commit() began — at the instance's first decision —
+			// and commit ends where this waiter woke. The instance's tail is
+			// still emitting, so the tracer is sealed before the window closes.
 			tk.markAt(tracing.KindCommit, fl.committedAt)
+			tk.seal()
 			tk.mark(tracing.KindHandler)
 			if fl.err != nil {
 				return nil, fl.err
@@ -258,43 +264,61 @@ func (kv *kvStore) CAS(ctx context.Context, key string, old *int64, val model.Va
 			return fl.ver, nil
 		case <-ctx.Done():
 			// The instance keeps running; commit() will land the version.
+			tk.seal()
 			tk.mark(tracing.KindHandler)
 			return nil, ctx.Err()
 		}
 	}
 }
 
-// commit lands a completed KV instance: append the decided value as the
+// commit lands a KV instance's decision: append the decided value as the
 // key's next version and release the flight. Called from the engine's
-// completion callback.
-func (kv *kvStore) commit(fl *kvFlight, inst uint64, out runtime.InstanceOutcome) {
+// decision callback, at the instance's first decision — which uniform
+// agreement makes its only one — so the client is answered while the
+// instance's relaying tail is still running.
+func (kv *kvStore) commit(fl *kvFlight, inst uint64, v model.Value, round int) {
 	fl.committedAt = time.Now()
-	v, verdict := out.Agreement()
 	kv.mu.Lock()
 	k := kv.keys[fl.key]
-	switch {
-	case out.Err != nil:
-		fl.err = out.Err
-	case verdict == runtime.AgreementReached:
-		ver := KVVersion{Version: len(k.versions) + 1, Value: v, Instance: inst}
-		k.versions = append(k.versions, ver)
-		fl.ver = &ver
-	case verdict == runtime.AgreementViolated:
-		// Safety violation: refuse to extend the chain from a forked
-		// decision. The monitor (if attached) has already tallied it.
-		fl.err = fmt.Errorf("serve: agreement violated in kv instance for %q", fl.key)
-	default:
-		fl.err = errUndecided
-	}
-	if k != nil && k.inflight == fl {
+	ver := KVVersion{Version: len(k.versions) + 1, Value: v, Instance: inst, DecideRound: round}
+	k.versions = append(k.versions, ver)
+	fl.ver = &ver
+	if k.inflight == fl {
 		k.inflight = nil
 	}
 	kv.mu.Unlock()
 	close(fl.done)
 }
 
-// release abandons a flight whose instance never opened.
+// settle closes a flight's books when its instance halts. A flight nobody
+// decided still holds the key's slot: release it, the write did not happen.
+// A committed flight has nothing left to change; its halted outcome is
+// checked against the version the chain already holds, and a node that
+// decided anything else is the agreement violation the chain could no
+// longer refuse.
+func (kv *kvStore) settle(fl *kvFlight, inst uint64, out runtime.InstanceOutcome) {
+	if fl.ver == nil { // written by commit on this goroutine, or never
+		err := out.Err
+		if err == nil {
+			err = errUndecided
+		}
+		kv.release(fl, err)
+		return
+	}
+	for i, d := range out.Decided {
+		if d && out.Decisions[i] != fl.ver.Value {
+			kv.srv.mon.fork(fmt.Sprintf(
+				"instance %d: %q version %d committed %d at the first decision, node %d decided %d",
+				inst, fl.key, fl.ver.Version, int64(fl.ver.Value), i+1, int64(out.Decisions[i])))
+			return
+		}
+	}
+}
+
+// release abandons a flight that commits nothing: its instance never
+// opened, or halted with no node decided.
 func (kv *kvStore) release(fl *kvFlight, err error) {
+	fl.committedAt = time.Now()
 	kv.mu.Lock()
 	if k := kv.keys[fl.key]; k != nil && k.inflight == fl {
 		k.inflight = nil

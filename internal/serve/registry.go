@@ -10,7 +10,7 @@ import (
 
 // instRecord is the server's view of one consensus instance: the engine
 // handle, the proposal vector (what the conformance monitor checks validity
-// against) and, for KV instances, the flight the completion commits.
+// against) and, for KV instances, the flight its first decision commits.
 type instRecord struct {
 	id        uint64
 	handle    *runtime.Instance
@@ -19,10 +19,9 @@ type instRecord struct {
 }
 
 // instanceRegistry maps instance ids to records. Open and the engine's
-// completion callback race by construction — the callback can fire on a
-// worker goroutine before Open's caller has even seen the id — so the
-// registry holds its lock across the engine Open: by the time the lock
-// drops, the record is findable.
+// callbacks race by construction — one can fire on a worker goroutine before
+// Open's caller has even seen the id — so the registry holds its lock across
+// the engine Open: by the time the lock drops, the record is findable.
 type instanceRegistry struct {
 	mu   sync.Mutex
 	recs map[uint64]*instRecord
@@ -48,17 +47,10 @@ func (ir *instanceRegistry) open(eng *runtime.Engine, proposals []model.Value, f
 	return rec, nil
 }
 
-// get looks an instance up; nil if never opened here.
+// get looks an instance up; nil if never opened here. Records are kept after
+// completion so GET /v1/instance stays answerable; the engine handle already
+// carries the outcome, so this costs one map entry per instance.
 func (ir *instanceRegistry) get(id uint64) *instRecord {
-	ir.mu.Lock()
-	defer ir.mu.Unlock()
-	return ir.recs[id]
-}
-
-// complete returns the record for a finished instance. Records are kept
-// after completion so GET /v1/instance stays answerable; the engine handle
-// already carries the outcome, so this costs one map entry per instance.
-func (ir *instanceRegistry) complete(id uint64, _ runtime.InstanceOutcome) *instRecord {
 	ir.mu.Lock()
 	defer ir.mu.Unlock()
 	return ir.recs[id]

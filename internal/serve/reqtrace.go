@@ -73,6 +73,17 @@ func (tk *reqTracker) mark(phase string) {
 	tk.markAt(phase, time.Now())
 }
 
+// seal finishes the request's instance tracer, if it has one, so every
+// runtime span it holds ends before the mark that follows. A CAS is answered
+// at its instance's first decision while the relaying tail is still running:
+// the tail's events arrive after the seal and are dropped by design — the
+// trace is of the request, and the request's consensus ended at the decision.
+func (tk *reqTracker) seal() {
+	if tk != nil && tk.tracer != nil {
+		tk.tracer.Finish()
+	}
+}
+
 type trackerKeyType struct{}
 
 func withTracker(ctx context.Context, tk *reqTracker) context.Context {
@@ -93,9 +104,10 @@ type RequestPhases struct {
 	QueueNS int64 `json:"queue_ns"`
 	// ContentionNS: CAS head checks, slot acquisition and retry overhead.
 	ContentionNS int64 `json:"contention_ns"`
-	// ConsensusNS: own instance open → engine completion callback.
+	// ConsensusNS: own instance open → engine decision callback (the
+	// instance's first decision; its tail is not the request's time).
 	ConsensusNS int64 `json:"consensus_ns"`
-	// CommitNS: completion callback → waiter wakeup.
+	// CommitNS: decision callback → waiter wakeup.
 	CommitNS int64 `json:"commit_ns"`
 }
 
@@ -173,8 +185,8 @@ func (tk *reqTracker) finish(s *Server, end time.Time, code int) *RequestTrace {
 		rec.Trace, consensus = assembleTrace(s.eng.Algorithm().Name(), s.eng.N(), s.cfg.T,
 			tk.start, total, tk.marks)
 		if tk.tracer != nil {
-			// Finish seals the tracer: an instance still in flight (a 504'd
-			// request) keeps emitting, but the record no longer changes.
+			// Sealed when the CAS stopped waiting (Finish is idempotent): the
+			// instance keeps emitting, but the record no longer changes.
 			rec.Trace.Graft(consensus, tk.tracer.Finish(), tk.tracer.Epoch().Sub(tk.start).Nanoseconds())
 		}
 	}
@@ -233,8 +245,8 @@ func VerifyRequestTrace(rec *RequestTrace) error {
 		return fmt.Errorf("serve: request %s instance attribution: %w", rec.ID, err)
 	}
 	// Containment: the instance's spans must sit inside the request's
-	// consensus phase (plus commit — the callback that stamps the instance
-	// done runs at the consensus/commit boundary).
+	// consensus phase (plus commit — the decision callback runs at the
+	// consensus/commit boundary, and the tracer is sealed as commit ends).
 	var lo, hi int64 = -1, -1
 	for i := range rec.Trace.Spans {
 		sp := &rec.Trace.Spans[i]

@@ -4,9 +4,11 @@
 // opened with POST /v1/propose and read back with GET /v1/instance/{id};
 // on top of them the package layers a linearizable check-and-set KV store
 // where each key's version history is a chain of consensus instances — the
-// classic state-machine-replication construction. An optional conformance
-// monitor checks the paper's agreement and validity predicates on every
-// completed instance, in production, not just in tests.
+// classic state-machine-replication construction. A write is committed and
+// answered at its instance's first decision, which uniform agreement makes
+// final; the instance's remaining rounds run behind the answer. An optional
+// conformance monitor checks the paper's agreement and validity predicates on
+// every halted instance, in production, not just in tests.
 package serve
 
 import (
@@ -52,9 +54,11 @@ type Config struct {
 	// N is the cluster size, T the resilience bound.
 	N, T int
 	// Algorithm is the consensus algorithm every instance runs; nil defaults
-	// to FloodSetWS (the engine runs the RWS discipline, where plain
-	// FloodSet's crash-bounded round count does not apply and A1 is
-	// incorrect).
+	// to C_OptFloodSetWS, which decides a unanimous proposal — every KV write
+	// — in round 1 (lat = 1, §5.2). It must be uniform in RWS, the discipline
+	// the engine runs: a CAS is answered at its instance's first decision,
+	// so an algorithm whose decisions can fork there (FloodSet, A1) would fork
+	// the chain. cmd/ssfd-serve refuses those by name.
 	Algorithm rounds.Algorithm
 	// Detector selects the failure-detector construction (nil: all-to-all
 	// heartbeat). One detector per node serves every instance.
@@ -77,13 +81,14 @@ type Config struct {
 	Faults *faults.Config
 
 	// Conform attaches the per-instance conformance monitor: every
-	// completed instance is checked against the paper's agreement and
+	// halted instance is checked against the paper's agreement and
 	// validity predicates and tallied into /v1/status.
 	Conform bool
 
-	// ProposeTimeout bounds how long a synchronous request (instance wait,
-	// KV CAS) blocks on a decision before answering 504 (default 30s). The
-	// instance keeps running; a timed-out CAS can still commit.
+	// ProposeTimeout bounds how long a synchronous request blocks — an
+	// instance wait on the halt, a KV CAS on the first decision — before
+	// answering 504 (default 30s). The instance keeps running; a timed-out
+	// CAS can still commit.
 	ProposeTimeout time.Duration
 	// MaxBody caps request bodies in bytes (default 1 MiB).
 	MaxBody int64
@@ -130,7 +135,7 @@ type Server struct {
 // Shutdown or Close it.
 func New(cfg Config) (*Server, error) {
 	if cfg.Algorithm == nil {
-		cfg.Algorithm = consensus.FloodSetWS{}
+		cfg.Algorithm = consensus.COptFloodSetWS{}
 	}
 	if cfg.ProposeTimeout <= 0 {
 		cfg.ProposeTimeout = 30 * time.Second
@@ -175,15 +180,16 @@ func New(cfg Config) (*Server, error) {
 	}
 	eng, err := runtime.StartEngine(cfg.Algorithm, runtime.EngineConfig{
 		N: cfg.N, T: cfg.T,
-		Groups:          cfg.Groups,
-		HeartbeatPeriod: cfg.HeartbeatPeriod,
-		SuspectTimeout:  cfg.SuspectTimeout,
-		Detector:        cfg.Detector,
-		MaxRounds:       cfg.MaxRounds,
-		WaitBound:       cfg.WaitBound,
-		Faults:          cfg.Faults,
-		Metrics:         reg,
-		OnInstanceDone:  s.instanceDone,
+		Groups:            cfg.Groups,
+		HeartbeatPeriod:   cfg.HeartbeatPeriod,
+		SuspectTimeout:    cfg.SuspectTimeout,
+		Detector:          cfg.Detector,
+		MaxRounds:         cfg.MaxRounds,
+		WaitBound:         cfg.WaitBound,
+		Faults:            cfg.Faults,
+		Metrics:           reg,
+		OnInstanceDecided: s.instanceDecided,
+		OnInstanceDone:    s.instanceDone,
 	})
 	if err != nil {
 		return nil, err
@@ -193,17 +199,32 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// instanceDone is the engine callback: resolve the registry record, feed
-// the conformance monitor, and commit any KV flight riding the instance.
-// It runs on a shard-worker goroutine — everything here is a short
-// critical section.
+// instanceDecided is the engine's first-decision callback and the serving
+// path's commit point: a KV flight riding the instance lands its version and
+// answers its client here. Uniform agreement makes the first decision of any
+// node the instance's only possible one, so nothing the tail does can change
+// it. Like instanceDone it runs on a shard-worker goroutine — everything
+// here is a short critical section.
+func (s *Server) instanceDecided(inst uint64, v model.Value, round int) {
+	if rec := s.insts.get(inst); rec != nil && rec.flight != nil {
+		s.kv.commit(rec.flight, inst, v, round)
+	}
+}
+
+// instanceDone is the engine's halt callback: feed the conformance monitor
+// the whole per-node outcome, and settle any KV flight riding the instance —
+// release it if nobody decided, otherwise check the outcome against the
+// version its first decision committed.
 func (s *Server) instanceDone(inst uint64, out runtime.InstanceOutcome) {
-	rec := s.insts.complete(inst, out)
-	if s.mon != nil && rec != nil {
+	rec := s.insts.get(inst)
+	if rec == nil {
+		return
+	}
+	if s.mon != nil {
 		s.mon.Note(inst, rec.proposals, out)
 	}
-	if rec != nil && rec.flight != nil {
-		s.kv.commit(rec.flight, inst, out)
+	if rec.flight != nil {
+		s.kv.settle(rec.flight, inst, out)
 	}
 }
 
@@ -243,7 +264,7 @@ func (s *Server) Close() error {
 }
 
 // open admits one instance through the engine with the given per-node
-// proposals, registering it before the completion callback can race past.
+// proposals, registering it before the engine's callbacks can race past.
 func (s *Server) open(proposals []model.Value, fl *kvFlight, events obs.Sink) (*instRecord, error) {
 	if s.draining.Load() {
 		s.drained.Inc()
@@ -475,16 +496,21 @@ func (s *Server) handlePropose(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ProposeResponse{Instance: rec.id})
 }
 
-// InstanceStatus is one instance's externally visible state.
+// InstanceStatus is one instance's externally visible state, reported once
+// its last automaton has halted. DecideRound is the round of the first
+// decision (the paper's latency measure, and where a KV write riding the
+// instance was answered); HaltRound is the last round any node completed.
 type InstanceStatus struct {
-	Instance  uint64  `json:"instance"`
-	Done      bool    `json:"done"`
-	Agreement string  `json:"agreement,omitempty"`
-	Value     *int64  `json:"value,omitempty"`
-	Decided   []bool  `json:"decided,omitempty"`
-	Decisions []int64 `json:"decisions,omitempty"`
-	Waits     int     `json:"wait_timeouts,omitempty"`
-	Error     string  `json:"error,omitempty"`
+	Instance    uint64  `json:"instance"`
+	Done        bool    `json:"done"`
+	Agreement   string  `json:"agreement,omitempty"`
+	Value       *int64  `json:"value,omitempty"`
+	Decided     []bool  `json:"decided,omitempty"`
+	Decisions   []int64 `json:"decisions,omitempty"`
+	DecideRound int     `json:"decide_round,omitempty"`
+	HaltRound   int     `json:"halt_round,omitempty"`
+	Waits       int     `json:"wait_timeouts,omitempty"`
+	Error       string  `json:"error,omitempty"`
 }
 
 func statusOf(id uint64, out runtime.InstanceOutcome, done bool) InstanceStatus {
@@ -505,6 +531,12 @@ func statusOf(id uint64, out runtime.InstanceOutcome, done bool) InstanceStatus 
 	st.Decisions = make([]int64, len(out.Decisions))
 	for i, d := range out.Decisions {
 		st.Decisions[i] = int64(d)
+	}
+	for _, nd := range out.Nodes {
+		if d := int(nd.DecidedAt); d > 0 && (st.DecideRound == 0 || d < st.DecideRound) {
+			st.DecideRound = d
+		}
+		st.HaltRound = max(st.HaltRound, int(nd.Rounds))
 	}
 	st.Waits = out.WaitTimeouts
 	return st
@@ -547,13 +579,16 @@ type CASRequest struct {
 
 // CASResponse reports the verdict. On success Version/Value name the
 // committed version; on conflict (HTTP 409) they name the head the CAS
-// lost to.
+// lost to. DecideRound is the round of the instance's first decision — the
+// one the version was committed and this answer sent at, with the instance
+// still running its tail.
 type CASResponse struct {
-	OK       bool   `json:"ok"`
-	Key      string `json:"key"`
-	Version  int    `json:"version,omitempty"`
-	Value    int64  `json:"value,omitempty"`
-	Instance uint64 `json:"instance,omitempty"`
+	OK          bool   `json:"ok"`
+	Key         string `json:"key"`
+	Version     int    `json:"version,omitempty"`
+	Value       int64  `json:"value,omitempty"`
+	Instance    uint64 `json:"instance,omitempty"`
+	DecideRound int    `json:"decide_round,omitempty"`
 }
 
 func (s *Server) handleCAS(w http.ResponseWriter, r *http.Request) {
@@ -574,6 +609,7 @@ func (s *Server) handleCAS(w http.ResponseWriter, r *http.Request) {
 		s.casOK.Inc()
 		writeJSON(w, http.StatusOK, CASResponse{
 			OK: true, Key: key, Version: ver.Version, Value: int64(ver.Value), Instance: ver.Instance,
+			DecideRound: ver.DecideRound,
 		})
 	case errors.Is(err, errCASConflict):
 		s.casConflicts.Inc()
@@ -582,6 +618,7 @@ func (s *Server) handleCAS(w http.ResponseWriter, r *http.Request) {
 			resp.Version = ver.Version
 			resp.Value = int64(ver.Value)
 			resp.Instance = ver.Instance
+			resp.DecideRound = ver.DecideRound
 		}
 		writeJSON(w, http.StatusConflict, resp)
 	case errors.Is(err, runtime.ErrEngineDraining):

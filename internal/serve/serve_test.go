@@ -56,6 +56,27 @@ func newTestServer(t *testing.T, mod func(*Config)) (*Server, *Client) {
 	return srv, client
 }
 
+// quiesce waits, bounded, until every opened instance has halted and its halt
+// callback has run. A CAS is answered at its instance's first decision, so
+// right after an answer the engine's completion stats and the monitor's tally
+// still trail it by the instance's tail. The engine counts an instance
+// complete just before it runs the halt callback, hence the second condition:
+// the monitor has checked every instance opened.
+func quiesce(t *testing.T, srv *Server) StatusReport {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		st := srv.Status()
+		if st.Engine.InFlight == 0 && (st.Conform == nil || st.Conform.Checked == st.Engine.Opened) {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("engine never went quiet: %+v conform %+v", st.Engine, st.Conform)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestProposeAndInstance(t *testing.T) {
 	_, client := newTestServer(t, nil)
 	ctx := context.Background()
@@ -234,6 +255,7 @@ func TestStatusAndObs(t *testing.T) {
 	if _, err := client.CAS(ctx, "s", nil, 1); err != nil {
 		t.Fatal(err)
 	}
+	quiesce(t, srv)
 	rep, err := client.Status(ctx)
 	if err != nil {
 		t.Fatalf("Status: %v", err)
@@ -297,7 +319,7 @@ func TestEngineAccessors(t *testing.T) {
 	if srv.Monitor() == nil {
 		t.Fatal("Monitor() nil with Conform set")
 	}
-	if got := srv.Engine().Algorithm().Name(); got != "FloodSetWS" {
+	if got := srv.Engine().Algorithm().Name(); got != "C_OptFloodSetWS" {
 		t.Errorf("default algorithm = %q", got)
 	}
 	if err := srv.Engine().Err(); err != nil {
