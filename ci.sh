@@ -52,6 +52,10 @@ job_test() {
   [ -z "$unformatted" ] || { echo "gofmt -l reports:"; echo "$unformatted"; return 1; }
   go vet ./...
   go build ./...
+  # ChanNetwork's kernel clock is a Linux timerfd; elsewhere round traffic
+  # waits on a timer. Keep that fallback compiling.
+  GOOS=darwin go vet ./internal/runtime/
+  GOOS=windows go build ./...
   go test -race ./...
   # Part of ./... above; run again by name so a regression in the explorer's
   # worker pool is named in the job log, not buried in a package failure.
@@ -118,11 +122,12 @@ job_chaos() {
 # TestEngineCostExactAtCallback), the first-decision callback a serving layer
 # commits at (TestEngineDecidedCallback: once, before the halt callback, at
 # the round the latency degrees predict), the detector's Observe contract, the
-# in-process mesh's delivery queues and pacer (TestChanNetwork*,
-# TestDeliveryQueue*, and TestPeekControl for the classification the pacer is
-# gated on), the detectors' one send seam (TestDetectorSend*,
-# TestDetectorRegistry*) and the batcher's buffer-ownership discipline and
-# parking flusher (TestBatch*) are what -race -count=2 shakes out.
+# in-process mesh's delivery queues and kernel clocks (TestChanNetwork*, Close
+# racing Send included; TestDeliveryQueue*; and TestPeekControl for the
+# classification the clock is gated on), the detectors' one send seam
+# (TestDetectorSend*, TestDetectorRegistry*) and the batcher's
+# buffer-ownership discipline and parking flusher (TestBatch*) are what
+# -race -count=2 shakes out.
 job_multi_instance() {
   go test -race -count=2 -run 'TestEngine|TestStartEngine|TestOpenAfterAbort|TestBatch|TestCluster|TestAgreement|TestLiveRSA1|TestChanNetwork|TestDeliveryQueue|TestPeekControl|TestDetectorSend|TestDetectorRegistry' ./internal/runtime/ ./internal/wire/
   go test -race -count=2 -run 'TestCrashOnMultiplexedMesh' ./internal/fdimpl/
@@ -147,11 +152,15 @@ job_benchmark() {
   bash bench/run.sh --workload engine_sat --seed 1 --seconds 2 --trace 0 | tee "$tmp/engine_sat.out"
   tail -n 1 "$tmp/engine_sat.out" | jq -e '.correct == true and .failed == 0 and .metrics.rounds_per_commit.value == 3'
   # And the daemon path, whose HTTP goroutines share the cores with the
-  # mesh's pacing goroutine: every CAS must still commit. It is answered at
+  # mesh's drain goroutines: every CAS must still commit. It is answered at
   # its instance's round-1 decision, and the instance still floods through
   # round T+1 = 2 behind the answer — the count is read after the tails.
   bash bench/run.sh --workload kv_write --seed 1 --seconds 2 --trace 0 | tee "$tmp/kv_write.out"
   tail -n 1 "$tmp/kv_write.out" | jq -e '.correct == true and .failed == 0 and .metrics.rounds_per_commit.value == 2'
+  # And two closed-loop clients on one hot key, where GETs that never reach
+  # the engine compete for the cores with round deliveries.
+  bash bench/run.sh --workload kv_hot_mixed --seed 1 --seconds 2 --trace 0 | tee "$tmp/kv_hot_mixed.out"
+  tail -n 1 "$tmp/kv_hot_mixed.out" | jq -e '.correct == true and .failed == 0 and .metrics.rounds_per_commit.value == 2'
 }
 
 # The serving stack is concurrency all the way down (closed-loop clients,
@@ -175,9 +184,10 @@ job_serve() {
     { echo "ssfd-serve -alg FloodSet: exit $rc, want 2 and the served set named"; cat "$tmp/refused.err"; return 1; }
 
   # Idle-burn smoke: a daemon nobody talks to exchanges heartbeats and
-  # nothing else, so the mesh's pacing goroutine must never start and the
-  # batchers' flushers must park. utime+stime over 5 s reads 24-42 ticks
-  # here; a pacer that ran for heartbeats read 168-265.
+  # nothing else, so its inboxes must stay on their timers (no kernel clock)
+  # and the batchers' flushers must park. utime+stime over 5 s reads 31-45
+  # ticks here; heartbeats on the kernel clock read 91-107, and a spinning
+  # goroutine that paced heartbeats read 168-265.
   "$tmp/ssfd-serve" -addr 127.0.0.1:18079 -nodes 3 -t 1 >"$tmp/banner.out" &
   pid=$!
   sleep 1

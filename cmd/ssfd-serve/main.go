@@ -9,6 +9,10 @@
 // reports engine statistics and, with -conform, the in-production
 // conformance tally.
 //
+// The n nodes are one process sharing one runtime.ChanNetwork: every message
+// takes a simulated delay drawn uniformly from [0, 1ms) and crosses no wire,
+// so a request's latency is that delay plus the stack, not a network's.
+//
 // SIGTERM/SIGINT drains gracefully: new proposals answer 503, in-flight
 // instances run to their decisions, then the mesh tears down. The exit
 // code reports conformance: a daemon that ever saw a safety violation
@@ -64,7 +68,7 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) (code i
 	fs := flag.NewFlagSet("ssfd-serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
-	nodes := fs.Int("nodes", 3, "cluster size n")
+	nodes := fs.Int("nodes", 3, "cluster size n: in-process nodes sharing one mesh with a simulated uniform [0, 1ms) delay per message, so latency is that delay plus the stack, not a wire")
 	t := fs.Int("t", 1, "resilience bound")
 	served := algNames(consensus.ForModel(rounds.RWS))
 	algName := fs.String("alg", consensus.COptFloodSetWS{}.Name(), "consensus algorithm every instance runs (uniform in RWS: "+strings.Join(served, ", ")+")")

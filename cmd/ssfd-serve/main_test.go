@@ -165,3 +165,15 @@ func TestServeFlagValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestServeUsageStatesTheMesh: -h says the nodes' mesh is in-process with a
+// simulated delay.
+func TestServeUsageStatesTheMesh(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-h"}, make(chan os.Signal), &out, &errOut); code != 2 {
+		t.Errorf("-h: exit %d, want 2", code)
+	}
+	if !strings.Contains(errOut.String(), "simulated uniform [0, 1ms) delay") {
+		t.Errorf("-h does not state the simulated delay:\n%s", errOut.String())
+	}
+}

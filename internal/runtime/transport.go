@@ -14,9 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	goruntime "runtime"
+	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/model"
@@ -61,9 +60,8 @@ type DelayFunc func(from, to model.ProcessID, data []byte) time.Duration
 type ChanConfig struct {
 	// MinDelay and MaxDelay bound the uniform random per-message delay.
 	// The defaults (0, 1ms) model a fast synchronous network. Round traffic
-	// is delivered when it falls due (see paceBelow); a control packet with
-	// no round traffic in flight to its inbox waits on a timer, which an
-	// idle process fires up to a millisecond late.
+	// is delivered when it falls due, off a kernel clock (newClock); other
+	// waits use a timer, which an idle process fires up to 1ms late.
 	MinDelay, MaxDelay time.Duration
 	// Seed drives the random delays.
 	Seed int64
@@ -80,20 +78,13 @@ type ChanConfig struct {
 	Flight *netobs.Recorder
 }
 
-// paceBelow is the wait a drain goroutine does not sleep through while round
-// traffic is in flight: an idle Go process sleeps in the netpoller with a
-// whole-millisecond timeout, so a sub-millisecond timer fires up to a
-// millisecond late. It is that rounding plus margin; a longer wait arms its
-// timer this much early and hands the remainder to the pacer.
-const paceBelow = 1500 * time.Microsecond
-
 // ChanNetwork is a fully connected in-process network with per-message
 // delivery delays. Each destination has one delivery queue — a min-heap on
 // (due time, send order) — drained by at most one goroutine per inbox. A
-// queue holding only control packets sleeps on one timer armed to the
-// earliest due time; one holding round traffic registers that due time with
-// the network's one pacing goroutine instead, which yields in a loop and
-// wakes each queue as its time comes. The goroutine count is bounded by n+1
+// queue holding only control packets sleeps on a timer armed to the earliest
+// due time; one holding round traffic blocks on its own kernel clock, whose
+// expiry wakes the netpoller to the microsecond, not the whole millisecond a
+// timer rounds to in an idle process. The goroutine count is bounded by n
 // however many packets are in flight.
 type ChanNetwork struct {
 	n     int
@@ -107,13 +98,7 @@ type ChanNetwork struct {
 
 	inboxes []chan Packet
 	queues  []deliveryQueue // by destination
-	done    chan struct{}
-	wg      sync.WaitGroup // the running drain goroutines and the pacer
-
-	paceBelow   time.Duration // the constant of that name; tests widen it to hold a paced wait still
-	paceMu      sync.Mutex
-	pacing      bool // the pacer is running
-	pacerStarts int  // pacers started so far (tests read it)
+	wg      sync.WaitGroup  // the running drain goroutines
 
 	tm *netobs.LinkTap
 }
@@ -123,7 +108,7 @@ type delivery struct {
 	due     time.Duration // since ChanNetwork.start
 	seq     uint64
 	from    model.ProcessID
-	control bool // one bare control frame: never worth pacing for
+	control bool // one bare control frame: never worth the kernel clock
 	data    []byte
 }
 
@@ -140,10 +125,34 @@ type deliveryQueue struct {
 	rounds  int           // packets in the heap that are not control
 	running bool          // a drain goroutine owns the queue
 	closed  bool          // the network closed: nothing is queued or started any more
-	wake    chan struct{} // 1-buffered: a push the drainer must look at, or the pacer's call
-	// paced is the due time (since ChanNetwork.start, never zero) the drain
-	// goroutine is waiting out on the pacer; zero when it is not.
-	paced atomic.Int64
+	wake    chan struct{} // 1-buffered: a push the drainer on its timer must look at, or Close
+	// clock is the inbox's kernel timer, made on its first wait with round
+	// traffic in flight and armed or closed under mu only while the queue is
+	// open; noClock: none could be made or used, so the timer it is.
+	clock   *os.File
+	noClock bool
+	ticking bool // the drainer is blocked on clock: a push that becomes the earliest re-arms it
+}
+
+// armClock arms the queue's clock to expire wait from now, making it on
+// first use, and returns it; nil means wait on the timer. Called with q.mu held.
+func (q *deliveryQueue) armClock(wait time.Duration) *os.File {
+	if q.clock == nil && !q.noClock {
+		q.clock, _ = newClock() // nil where none can be made, given up below
+	}
+	if q.clock == nil || setClock(q.clock, wait) != nil {
+		q.dropClock()
+		return nil
+	}
+	q.ticking = true
+	return q.clock
+}
+
+// dropClock gives the queue's clock up for good: a drainer blocked on it
+// wakes and waits on its timer instead. Called with q.mu held.
+func (q *deliveryQueue) dropClock() {
+	_ = q.clock.Close() // a nil *os.File refuses with ErrInvalid
+	q.clock, q.noClock = nil, true
 }
 
 // signal wakes the queue's drain goroutine, if it is waiting.
@@ -220,10 +229,7 @@ func NewChanNetwork(n int, cfg ChanConfig) *ChanNetwork {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		inboxes: make([]chan Packet, n+1),
 		queues:  make([]deliveryQueue, n+1),
-		done:    make(chan struct{}),
 		tm:      netobs.NewLinkTap(reg, "chan", cfg.Flight),
-
-		paceBelow: paceBelow,
 	}
 	for i := 1; i <= n; i++ {
 		nw.inboxes[i] = make(chan Packet, cfg.Buffer)
@@ -241,10 +247,9 @@ func (nw *ChanNetwork) Endpoint(id model.ProcessID) Transport {
 }
 
 // MaxDelay returns the network's delay bound — the Δ that timeout-based
-// failure detection builds on. Round traffic meets it; a control packet with
-// no round traffic in flight to its inbox can arrive about 1.2ms past it
-// (its timer's lateness in an idle process), which a suspicion timeout of
-// tens of milliseconds absorbs.
+// failure detection builds on. Round traffic meets it but for the clock's
+// wake-up (tens of µs); a packet that waits on a timer (see ChanConfig) can
+// arrive about 1.2ms past it, which suspicion timeouts of tens of ms absorb.
 func (nw *ChanNetwork) MaxDelay() time.Duration { return nw.cfg.MaxDelay }
 
 // delay draws one packet's in-flight delay: the hook's answer, or the next
@@ -292,22 +297,26 @@ func (nw *ChanNetwork) send(from, to model.ProcessID, data []byte) error {
 		q.mu.Unlock()
 		return ErrClosed
 	}
-	// A drainer sleeping on its timer must look again when this packet is
-	// the earliest, or the first round traffic behind a control packet.
-	look := q.push(d) || (!d.control && q.rounds == 1)
+	// A drainer blocked on its clock has it re-armed when this packet is the
+	// earliest; one sleeping on its timer must look again then, or at the
+	// first round traffic behind a control packet.
+	first := q.push(d)
 	spawn := !q.running
-	if spawn {
+	switch {
+	case spawn:
 		q.running = true
 		nw.wg.Add(1) // under q.mu and before q.closed: Close waits for it
+	case q.ticking:
+		if first {
+			q.armClock(d.due - time.Since(nw.start))
+		}
+	case first || (!d.control && q.rounds == 1):
+		q.signal()
 	}
 	q.mu.Unlock()
 	nw.tm.Sent(from, to, len(data))
-
-	switch {
-	case spawn:
+	if spawn {
 		go nw.drain(to)
-	case look:
-		q.signal()
 	}
 	return nil
 }
@@ -324,8 +333,14 @@ func (nw *ChanNetwork) drain(to model.ProcessID) {
 		}
 	}()
 	var due []delivery
+	var ticks [8]byte // a clock read: the count of expirations, unused
 	for {
 		q.mu.Lock()
+		q.ticking = false
+		if q.closed {
+			q.mu.Unlock()
+			return
+		}
 		now := time.Since(nw.start)
 		for len(q.heap) > 0 && q.heap[0].due <= now {
 			due = append(due, q.pop())
@@ -335,43 +350,30 @@ func (nw *ChanNetwork) drain(to model.ProcessID) {
 			q.mu.Unlock()
 			return
 		}
-		var wait, paced time.Duration // paced: the due time to wait out on the pacer, if any
-		if len(due) == 0 {
-			wait = q.heap[0].due - now
-			// Round traffic in flight: the pacer takes the last paceBelow of
-			// the wait, the timer whatever comes before it.
-			switch {
-			case q.rounds == 0:
-			case wait < nw.paceBelow:
-				paced = q.heap[0].due
-			default:
-				wait -= nw.paceBelow
-			}
-		}
-		q.mu.Unlock()
-
 		if len(due) > 0 {
+			q.mu.Unlock()
 			for i := range due {
 				nw.deliver(to, &due[i])
 				due[i] = delivery{}
 			}
 			due = due[:0]
-			select {
-			case <-nw.done:
-				return
-			default:
-				continue
-			}
+			continue
 		}
-		if paced != 0 {
-			q.paced.Store(int64(paced))
-			nw.startPacer()
-			select {
-			case <-q.wake:
-			case <-nw.done:
-				return
+		wait := q.heap[0].due - now
+		var c *os.File // round traffic in flight: wait on the kernel clock
+		if q.rounds > 0 {
+			c = q.armClock(wait)
+		}
+		q.mu.Unlock()
+
+		if c != nil {
+			if _, err := c.Read(ticks[:]); err != nil {
+				q.mu.Lock()
+				if !q.closed {
+					q.dropClock() // closed by a failed re-arm, or unusable
+				}
+				q.mu.Unlock()
 			}
-			q.paced.Store(0)
 			continue
 		}
 		if timer == nil {
@@ -388,65 +390,8 @@ func (nw *ChanNetwork) drain(to model.ProcessID) {
 		select {
 		case <-timer.C:
 		case <-q.wake:
-		case <-nw.done:
-			return
 		}
 	}
-}
-
-// startPacer makes sure the pacer is running. Its caller is a drain
-// goroutine that has registered its due time: the pacer either sees it or
-// has already given up paceMu on its way out.
-func (nw *ChanNetwork) startPacer() {
-	nw.paceMu.Lock()
-	if !nw.pacing {
-		nw.pacing = true
-		nw.pacerStarts++
-		nw.wg.Add(1) // the caller is itself counted, so Close cannot have finished waiting
-		go nw.pace()
-	}
-	nw.paceMu.Unlock()
-}
-
-// pace is the network's one spinning goroutine: it wakes each registered
-// queue when its due time comes, yields the processor between looks, and
-// exits once no queue is registered or the network closes.
-func (nw *ChanNetwork) pace() {
-	defer nw.wg.Done()
-	for {
-		if !nw.wakeDue() {
-			nw.paceMu.Lock()
-			if !nw.wakeDue() {
-				nw.pacing = false
-				nw.paceMu.Unlock()
-				return
-			}
-			nw.paceMu.Unlock()
-		}
-		select {
-		case <-nw.done:
-			return
-		default:
-		}
-		goruntime.Gosched()
-	}
-}
-
-// wakeDue wakes the registered queues whose time has come and reports
-// whether any is still waiting.
-func (nw *ChanNetwork) wakeDue() (waiting bool) {
-	now := int64(time.Since(nw.start))
-	for i := 1; i <= nw.n; i++ {
-		q := &nw.queues[i]
-		switch due := q.paced.Load(); {
-		case due == 0:
-		case due > now:
-			waiting = true
-		case q.paced.CompareAndSwap(due, 0):
-			q.signal()
-		}
-	}
-	return waiting
 }
 
 // deliver hands one due packet to its inbox.
@@ -464,7 +409,7 @@ func (nw *ChanNetwork) deliver(to model.ProcessID, d *delivery) {
 }
 
 // Close shuts the network down, dropping what is still in flight, and joins
-// the drain goroutines and the pacer.
+// the drain goroutines.
 func (nw *ChanNetwork) Close() error {
 	nw.mu.Lock()
 	if nw.closed {
@@ -472,16 +417,18 @@ func (nw *ChanNetwork) Close() error {
 		return nil
 	}
 	nw.closed = true
-	close(nw.done)
 	nw.mu.Unlock()
 	// A send that passed the closed check above may still be on its way to a
 	// queue: closing each queue under its lock means it either started its
-	// drain goroutine before this point or never will.
+	// drain goroutine before this point or never will. Then the drainer is
+	// woken wherever it waits, and no arm follows.
 	for i := range nw.queues {
 		q := &nw.queues[i]
 		q.mu.Lock()
 		q.closed = true
+		_ = q.clock.Close() // nil-safe, as in dropClock
 		q.mu.Unlock()
+		q.signal()
 	}
 	nw.wg.Wait()
 	return nil

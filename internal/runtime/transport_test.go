@@ -1,9 +1,13 @@
 package runtime
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
 	goruntime "runtime"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -66,25 +70,67 @@ func heartbeat(t *testing.T, seq int) []byte {
 	return frame
 }
 
-// pacerStarts reads how many pacing goroutines nw has started so far.
-func pacerStarts(nw *ChanNetwork) int {
-	nw.paceMu.Lock()
-	defer nw.paceMu.Unlock()
-	return nw.pacerStarts
+// haveClock reports whether the platform makes kernel clocks.
+func haveClock() bool {
+	c, err := newClock()
+	if err == nil {
+		_ = c.Close()
+	}
+	return err == nil
 }
 
-// awaitPaced waits until inbox to's drain goroutine has registered a due time
-// with the pacer, and returns it.
-func awaitPaced(t *testing.T, nw *ChanNetwork, to model.ProcessID) time.Duration {
+// needClock skips the test where the platform has no kernel clock.
+func needClock(t *testing.T) {
+	t.Helper()
+	if !haveClock() {
+		t.Skip("no kernel clock on this platform")
+	}
+}
+
+// clockOf reads inbox to's clock and whether its drainer is blocked on it.
+func clockOf(nw *ChanNetwork, to model.ProcessID) (c *os.File, ticking bool) {
+	q := &nw.queues[to]
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.clock, q.ticking
+}
+
+// awaitTicking waits until inbox to's drain goroutine is blocked on its
+// clock, and returns the clock.
+func awaitTicking(t *testing.T, nw *ChanNetwork, to model.ProcessID) *os.File {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if due := nw.queues[to].paced.Load(); due != 0 {
-			return time.Duration(due)
+		if c, ticking := clockOf(nw, to); ticking {
+			return c
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("inbox %v never registered with the pacer", to)
+			t.Fatalf("inbox %v never waited on its clock", to)
 		}
 	}
+}
+
+// clockRemaining reads how long c has to run, off the timerfd's fdinfo.
+func clockRemaining(t *testing.T, c *os.File) time.Duration {
+	t.Helper()
+	info, err := os.ReadFile(fmt.Sprintf("/proc/self/fdinfo/%d", c.Fd()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(info), "\n") {
+		var sec, nsec int64
+		if _, err := fmt.Sscanf(line, "it_value: (%d, %d)", &sec, &nsec); err == nil {
+			return time.Duration(sec)*time.Second + time.Duration(nsec)
+		}
+	}
+	t.Fatalf("no it_value in the clock's fdinfo:\n%s", info)
+	return 0
+}
+
+// openFDs counts the process's open file descriptors; ok is false where
+// /proc/self/fd does not exist.
+func openFDs() (n int, ok bool) {
+	fds, err := os.ReadDir("/proc/self/fd")
+	return len(fds), err == nil
 }
 
 // roundsInFlight reads inbox to's count of undelivered round packets and its
@@ -234,14 +280,15 @@ func TestChanNetworkSeedPinsDelays(t *testing.T) {
 }
 
 // TestChanNetworkGoroutinesBoundedByInboxes: ten thousand packets in flight
-// hold one goroutine per inbox and one pacer, not one each; Close drops them,
-// returns at once and leaves no goroutine behind; Send afterwards is refused.
+// hold one goroutine per inbox, not one each, and one clock; Close drops
+// them, returns at once and leaves no goroutine or file descriptor behind;
+// Send afterwards is refused.
 func TestChanNetworkGoroutinesBoundedByInboxes(t *testing.T) {
 	const n, packets = 4, 10000
 	goruntime.GC()
 	before := goruntime.NumGoroutine()
+	fdsBefore, haveFDs := openFDs()
 	nw := NewChanNetwork(n, ChanConfig{Delay: hookDelay, Metrics: obs.NewRegistry()})
-	nw.paceBelow = 2 * time.Hour // every inbox waits on the pacer, not on its timer
 	if got := goruntime.NumGoroutine(); got != before {
 		t.Errorf("an idle network holds %d goroutines", got-before)
 	}
@@ -251,14 +298,13 @@ func TestChanNetworkGoroutinesBoundedByInboxes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 1; i <= n; i++ {
-		awaitPaced(t, nw, model.ProcessID(i))
+	if haveClock() { // round traffic an hour out: every inbox waits on its clock
+		for i := 1; i <= n; i++ {
+			awaitTicking(t, nw, model.ProcessID(i))
+		}
 	}
-	if got := goruntime.NumGoroutine() - before; got > n+1 {
-		t.Errorf("%d packets in flight hold %d goroutines, want ≤ %d", packets, got, n+1)
-	}
-	if got := pacerStarts(nw); got != 1 {
-		t.Errorf("%d pacers were started for %d waiting inboxes, want 1", got, n)
+	if got := goruntime.NumGoroutine() - before; got > n {
+		t.Errorf("%d packets in flight hold %d goroutines, want ≤ %d", packets, got, n)
 	}
 	start := time.Now()
 	if err := nw.Close(); err != nil {
@@ -271,6 +317,9 @@ func TestChanNetworkGoroutinesBoundedByInboxes(t *testing.T) {
 		t.Errorf("Send after Close = %v, want ErrClosed", err)
 	}
 	waitGoroutines(t, before)
+	if fds, _ := openFDs(); haveFDs && fds != fdsBefore {
+		t.Errorf("%d file descriptors open after Close, want the %d before the network", fds, fdsBefore)
+	}
 }
 
 // TestChanNetworkIdleQueueHoldsNoGoroutine: once nothing is in flight the
@@ -292,14 +341,13 @@ func TestChanNetworkIdleQueueHoldsNoGoroutine(t *testing.T) {
 }
 
 // TestChanNetworkControlNeverPaces: heartbeats alone are delivered off the
-// timer — no pacer is ever started for them, however wide the pacing window —
-// and the network is back to no goroutine once they have arrived.
+// timer — no clock is ever made for them — and the network is back to no
+// goroutine once they have arrived.
 func TestChanNetworkControlNeverPaces(t *testing.T) {
 	goruntime.GC()
 	before := goruntime.NumGoroutine()
 	nw := NewChanNetwork(2, ChanConfig{Seed: 3, Metrics: obs.NewRegistry()})
 	defer func() { _ = nw.Close() }()
-	nw.paceBelow = time.Hour
 	const beats = 50
 	for seq := 1; seq <= beats; seq++ {
 		if err := nw.Endpoint(1).Send(2, heartbeat(t, seq)); err != nil {
@@ -311,17 +359,19 @@ func TestChanNetworkControlNeverPaces(t *testing.T) {
 			t.Fatalf("received %x, want a heartbeat", pkt.Data)
 		}
 	}
-	if got := pacerStarts(nw); got != 0 {
-		t.Errorf("control-only traffic started the pacer %d times", got)
-	}
 	waitGoroutines(t, before)
+	if c, _ := clockOf(nw, 2); c != nil {
+		t.Error("control-only traffic made the inbox a clock")
+	}
 }
 
 // TestChanNetworkRoundBehindControlIsPaced: an inbox holding one heartbeat
 // sleeps on its timer; a round packet filed behind it — not the earliest, so
-// no wake-up on that account — takes the inbox off the timer, and what it
-// registers with the pacer is the heartbeat's due time, the earliest.
+// no wake-up on that account — moves the inbox onto its clock, armed to the
+// heartbeat's due time, the earliest. Close in the middle of that wait
+// returns promptly and joins the drain goroutine.
 func TestChanNetworkRoundBehindControlIsPaced(t *testing.T) {
+	needClock(t)
 	goruntime.GC()
 	before := goruntime.NumGoroutine()
 	nw := NewChanNetwork(2, ChanConfig{Metrics: obs.NewRegistry(), Delay: func(_, _ model.ProcessID, data []byte) time.Duration {
@@ -330,15 +380,14 @@ func TestChanNetworkRoundBehindControlIsPaced(t *testing.T) {
 		}
 		return 20 * time.Minute
 	}})
-	nw.paceBelow = time.Hour
 	if err := nw.Endpoint(1).Send(2, heartbeat(t, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if rounds, queued := roundsInFlight(nw, 2); rounds != 0 || queued != 1 {
 		t.Fatalf("after one heartbeat: %d round packets of %d queued, want 0 of 1", rounds, queued)
 	}
-	if due, starts := nw.queues[2].paced.Load(), pacerStarts(nw); due != 0 || starts != 0 {
-		t.Fatalf("a heartbeat alone registered due time %v and started %d pacers", time.Duration(due), starts)
+	if c, _ := clockOf(nw, 2); c != nil {
+		t.Fatal("a heartbeat alone made the inbox a clock")
 	}
 
 	frame, err := wire.Encode(wire.Envelope{From: 1, To: 2, Round: 1, Kind: wire.KindNull, Instance: 4})
@@ -348,39 +397,32 @@ func TestChanNetworkRoundBehindControlIsPaced(t *testing.T) {
 	if err := nw.Endpoint(1).Send(2, frame); err != nil {
 		t.Fatal(err)
 	}
-	due := awaitPaced(t, nw, 2)
-	if lo, hi := 9*time.Minute, 11*time.Minute; due < lo || due > hi {
-		t.Errorf("registered due time %v, want the heartbeat's (about 10m), not the round packet's", due)
+	c := awaitTicking(t, nw, 2)
+	if left, lo, hi := clockRemaining(t, c), 9*time.Minute, 10*time.Minute; left < lo || left > hi {
+		t.Errorf("the clock expires in %v, want the heartbeat's due time (under 10m), not the round packet's", left)
 	}
 	if rounds, queued := roundsInFlight(nw, 2); rounds != 1 || queued != 2 {
 		t.Errorf("%d round packets of %d queued, want 1 of 2", rounds, queued)
 	}
-	if got := pacerStarts(nw); got != 1 {
-		t.Errorf("%d pacers started, want 1", got)
-	}
 
-	// Close in the middle of the paced wait returns promptly and joins both
-	// the drain goroutine and the pacer.
 	closed := make(chan struct{})
 	go func() { _ = nw.Close(); close(closed) }()
 	select {
 	case <-closed:
 	case <-time.After(2 * time.Second):
-		t.Fatal("Close waited out a paced wait")
+		t.Fatal("Close waited out a clock's wait")
 	}
 	waitGoroutines(t, before)
 }
 
 // TestChanNetworkRoundCountSettles: the count of round packets in flight is
 // back to zero once the last of them was delivered, dropped on a full inbox
-// or lost to the delay hook — and the drain goroutine and the pacer leave
-// with it.
+// or lost to the delay hook — and the drain goroutine leaves with it.
 func TestChanNetworkRoundCountSettles(t *testing.T) {
 	goruntime.GC()
 	before := goruntime.NumGoroutine()
 	nw := NewChanNetwork(2, ChanConfig{Delay: hookDelay, Buffer: 2, Metrics: obs.NewRegistry()})
 	defer func() { _ = nw.Close() }()
-	nw.paceBelow = time.Hour
 	// Five round packets 10ms out into a 2-deep inbox nobody reads (two
 	// delivered, three overflow) and one lost outright.
 	for _, p := range []string{"\x01a", "\x01b", "\x01c", "\xfelost", "\x01d", "\x01e"} {
@@ -394,5 +436,76 @@ func TestChanNetworkRoundCountSettles(t *testing.T) {
 	}
 	if tot := nw.Telemetry().Totals(); tot.MsgsSent != 6 || tot.MsgsReceived != 2 || tot.Dropped != 4 {
 		t.Errorf("totals %+v, want 6 sent, 2 received, 4 dropped", tot)
+	}
+}
+
+// TestChanNetworkRoundTrafficOnTime: in an idle process, round traffic is
+// handed over when it falls due. A timer there fires ≈ 800µs late at this
+// delay, so the bound fails if round traffic falls back to the timer.
+func TestChanNetworkRoundTrafficOnTime(t *testing.T) {
+	needClock(t)
+	const delay, packets = 300 * time.Microsecond, 200
+	nw := NewChanNetwork(2, ChanConfig{Metrics: obs.NewRegistry(), Delay: func(_, _ model.ProcessID, _ []byte) time.Duration {
+		return delay
+	}})
+	defer func() { _ = nw.Close() }()
+	late := make([]time.Duration, packets)
+	for i := range late {
+		sent := time.Now()
+		if err := nw.Endpoint(1).Send(2, []byte{0, byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		recvWithin(t, nw.Endpoint(2), 5*time.Second)
+		late[i] = time.Since(sent) - delay
+	}
+	sort.Slice(late, func(i, j int) bool { return late[i] < late[j] })
+	if p50 := late[packets/2]; p50 >= 250*time.Microsecond {
+		t.Errorf("median lateness %v at a %v delay, want < 250µs (p90 %v)", p50, delay, late[packets*9/10])
+	}
+}
+
+// TestChanNetworkCloseRacesSend: senders re-arm their destinations' clocks
+// while Close closes them, and no arm or read ever fails — a timerfd_settime
+// on a closed descriptor would (EBADF), and the inbox would give its clock
+// up. No descriptor outlives its network.
+func TestChanNetworkCloseRacesSend(t *testing.T) {
+	needClock(t)
+	const n = 3
+	fdsBefore, _ := openFDs()
+	clocks := 0
+	for iter := 0; iter < 30; iter++ {
+		nw := NewChanNetwork(n, ChanConfig{MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond, Buffer: 64, Metrics: obs.NewRegistry()})
+		var senders sync.WaitGroup
+		for from := 1; from <= n; from++ {
+			senders.Add(1)
+			go func(ep Transport) {
+				defer senders.Done()
+				for i := 0; ; i++ {
+					if err := ep.Send(model.ProcessID(1+i%n), []byte{0}); err != nil {
+						return
+					}
+				}
+			}(nw.Endpoint(model.ProcessID(from)))
+		}
+		time.Sleep(time.Duration(iter%4) * time.Millisecond)
+		_ = nw.Close()
+		senders.Wait()
+		for to := 1; to <= n; to++ {
+			q := &nw.queues[to]
+			q.mu.Lock()
+			if q.noClock {
+				t.Errorf("run %d: inbox %d gave up its clock: an arm or read failed", iter, to)
+			}
+			if q.clock != nil {
+				clocks++
+			}
+			q.mu.Unlock()
+		}
+	}
+	if clocks == 0 {
+		t.Fatal("no inbox ever waited on its clock")
+	}
+	if fds, ok := openFDs(); ok && fds != fdsBefore {
+		t.Errorf("%d file descriptors open after the networks closed, want %d", fds, fdsBefore)
 	}
 }
