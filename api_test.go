@@ -10,6 +10,17 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/abcast"
+	"repro/internal/conform"
+	"repro/internal/core"
+	"repro/internal/fdimpl"
+	"repro/internal/nbac"
+	"repro/internal/netobs"
+	"repro/internal/obs"
+	"repro/internal/rounds"
+	"repro/internal/serve"
+	"repro/internal/tracing"
 )
 
 func TestQuickConsensusRun(t *testing.T) {
@@ -88,16 +99,6 @@ func TestRefutersAPI(t *testing.T) {
 	}
 }
 
-func TestNBACAPI(t *testing.T) {
-	rates, err := CommitRates(4, 100, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rates.RSRate() <= rates.RWSRate() {
-		t.Errorf("rates: %s — expected the RS > RWS gap", rates)
-	}
-}
-
 func TestRunLiveAPI(t *testing.T) {
 	cr, err := RunLive(FloodSetWS(), EngineConfig{
 		Kind: RWS, T: 1,
@@ -109,12 +110,11 @@ func TestRunLiveAPI(t *testing.T) {
 		t.Errorf("live agreement = (%d,%v), want (2,reached)", v, st)
 	}
 	// Every live run carries its transport cost accounting.
-	var cost *CostSummary = cr.Stats.Cost
+	cost := cr.Stats.Cost
 	if cost == nil || cost.Decisions != 3 || cost.DataMessagesPerDecision <= 0 {
 		t.Errorf("cost summary = %+v, want 3 decisions with positive data cost", cost)
 	}
-	var links *LinkTelemetry = cr.Links
-	if links == nil || links.Totals().MsgsSent == 0 {
+	if cr.Links == nil || cr.Links.Totals().MsgsSent == 0 {
 		t.Error("no per-link telemetry on the cluster result")
 	}
 }
@@ -191,8 +191,10 @@ func TestLiveEngineAPI(t *testing.T) {
 	}
 }
 
+// TestServingAPI drives the daemon from its internal package and checks the
+// exported client and linearizability checker against it.
 func TestServingAPI(t *testing.T) {
-	srv, err := NewServer(ServeConfig{
+	srv, err := serve.New(serve.Config{
 		N: 3, T: 1,
 		HeartbeatPeriod: 2 * time.Millisecond,
 		SuspectTimeout:  500 * time.Millisecond,
@@ -205,7 +207,7 @@ func TestServingAPI(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	rep, err := RunServeLoad(context.Background(), LoadConfig{
+	rep, err := serve.RunLoad(context.Background(), serve.LoadConfig{
 		BaseURL:      ts.URL,
 		Clients:      4,
 		Keys:         2,
@@ -237,11 +239,11 @@ func TestServingAPI(t *testing.T) {
 	}
 }
 
-// TestRequestTracingAPI drives the root-package view of PR 10: the daemon
-// samples a request, the debug surface returns its record, and the
-// exported verifier confirms the exact-tiling invariants.
+// TestRequestTracingAPI: the daemon samples a request, the debug surface
+// returns its record through the exported client, and the serve verifier
+// confirms the exact-tiling invariants.
 func TestRequestTracingAPI(t *testing.T) {
-	srv, err := NewServer(ServeConfig{
+	srv, err := serve.New(serve.Config{
 		N: 3, T: 1,
 		HeartbeatPeriod: 2 * time.Millisecond,
 		SuspectTimeout:  500 * time.Millisecond,
@@ -259,11 +261,11 @@ func TestRequestTracingAPI(t *testing.T) {
 	if _, err := client.CAS(ctx, "api", nil, 3); err != nil {
 		t.Fatal(err)
 	}
-	var dt *ServeDebugTraces
+	var dt *serve.DebugTraces
 	if dt, err = client.DebugTraces(ctx); err != nil {
 		t.Fatal(err)
 	}
-	var sampling ServeSamplingStats = dt.Sampling
+	var sampling serve.SamplingStats = dt.Sampling
 	if sampling.Rate != 1 || sampling.Sampled == 0 {
 		t.Fatalf("sampling = %+v, want rate 1 with sampled requests", sampling)
 	}
@@ -273,18 +275,18 @@ func TestRequestTracingAPI(t *testing.T) {
 			id = r.ID
 		}
 	}
-	var rec *RequestTrace
+	var rec *serve.RequestTrace
 	if rec, err = client.DebugTrace(ctx, id); err != nil {
 		t.Fatal(err)
 	}
-	var phases RequestPhases = rec.Phases
+	var phases serve.RequestPhases = rec.Phases
 	if phases.Total() != rec.TotalNS {
 		t.Fatalf("phases %+v do not tile total %d", phases, rec.TotalNS)
 	}
-	if err := VerifyRequestTrace(rec); err != nil {
+	if err := serve.VerifyRequestTrace(rec); err != nil {
 		t.Fatalf("VerifyRequestTrace: %v", err)
 	}
-	var keys []ServeKeyStats
+	var keys []serve.KeyStats
 	if keys, err = client.DebugKeys(ctx, 0); err != nil || len(keys) == 0 {
 		t.Fatalf("DebugKeys = %v rows, err %v", len(keys), err)
 	}
@@ -302,8 +304,23 @@ func TestAgreementStatusAPI(t *testing.T) {
 	}
 }
 
+// The tests below drive the internal packages an in-module program imports
+// beside the root package: detectors, experiments, the flight recorder,
+// NBAC, atomic broadcast, observability, conformance and causal tracing.
+// Each composes them with the root run surface.
+
+func TestNBACAPI(t *testing.T) {
+	rates, err := nbac.MeasureRates(4, 100, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rates.RSRate() <= rates.RWSRate() {
+		t.Errorf("rates: %s — expected the RS > RWS gap", rates)
+	}
+}
+
 func TestFlightRecorderAPI(t *testing.T) {
-	rec := NewFlightRecorder(64, nil)
+	rec := netobs.NewRecorder(64, nil)
 	cr, err := RunLive(FloodSet(), EngineConfig{
 		Kind: RS, T: 1,
 		Flight: rec, Events: rec,
@@ -318,7 +335,7 @@ func TestFlightRecorderAPI(t *testing.T) {
 	if err := rec.DumpTo(path); err != nil {
 		t.Fatal(err)
 	}
-	dump, err := ReadFlightDump(path)
+	dump, err := netobs.ReadDumpFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +344,7 @@ func TestFlightRecorderAPI(t *testing.T) {
 	}
 	var sends, decides int
 	for _, r := range dump.Records {
-		var rec FlightRecord = r
+		var rec netobs.Record = r
 		switch rec.Kind {
 		case "send":
 			sends++
@@ -341,20 +358,20 @@ func TestFlightRecorderAPI(t *testing.T) {
 }
 
 func TestExperimentsAPI(t *testing.T) {
-	if len(Experiments()) != 15 {
-		t.Errorf("experiments = %d, want 15", len(Experiments()))
+	if len(core.All()) != 15 {
+		t.Errorf("experiments = %d, want 15", len(core.All()))
 	}
 }
 
 func TestDetectorZooAPI(t *testing.T) {
-	specs := DetectorSpecs()
+	specs := fdimpl.Specs()
 	if len(specs) != 4 {
 		t.Fatalf("zoo size = %d, want 4", len(specs))
 	}
 	if specs[0].Name != "heartbeat" {
 		t.Errorf("first spec = %q, want the default heartbeat", specs[0].Name)
 	}
-	scores, err := RaceDetectors(DetectorRace{
+	scores, err := fdimpl.Race(fdimpl.RaceConfig{
 		Detectors: []string{"heartbeat"},
 		Seed:      3, CrashAt: 30 * time.Millisecond, Window: 150 * time.Millisecond,
 	})
@@ -364,18 +381,18 @@ func TestDetectorZooAPI(t *testing.T) {
 	if len(scores) != 1 || !scores[0].Detected {
 		t.Fatalf("race scores = %+v", scores)
 	}
-	if card := RenderDetectorScores(scores); !strings.Contains(card, "heartbeat") {
+	if card := fdimpl.RenderScores(scores); !strings.Contains(card, "heartbeat") {
 		t.Errorf("scorecard missing the detector row:\n%s", card)
 	}
 }
 
 func TestAtomicBroadcastAPI(t *testing.T) {
-	bc, err := NewAtomicBroadcast(RWS, 3, 1)
+	bc, err := abcast.New(RWS, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for id := int64(1); id <= 3; id++ {
-		if err := bc.Submit(ProcessID(id), MsgIDFor(id)); err != nil {
+		if err := bc.Submit(ProcessID(id), abcast.MsgID(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -390,10 +407,11 @@ func TestAtomicBroadcastAPI(t *testing.T) {
 }
 
 func TestObservabilityAPI(t *testing.T) {
-	reg := NewMetricsRegistry()
+	reg := obs.NewRegistry()
 	var buf bytes.Buffer
-	run, err := RunObserved(RWS, FloodSetWS(), []Value{4, 2, 7}, 1,
-		RandomAdversary(11, 0.3, 0.3), reg, NewEventLog(&buf))
+	run, err := rounds.RunAlgorithm(RWS, FloodSetWS(), []Value{4, 2, 7}, 1,
+		RandomAdversary(11, 0.3, 0.3),
+		rounds.WithMetrics(reg), rounds.WithEventSink(obs.NewEmitter(&buf)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,18 +423,18 @@ func TestObservabilityAPI(t *testing.T) {
 		t.Errorf("delivered counter = %d, want %d", got, run.TotalMessages())
 	}
 
-	events, err := ReadEvents(&buf)
+	events, err := obs.ReadEvents(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	narrative, err := RenderEvents(events)
+	narrative, err := obs.RenderEvents(events)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if narrative != RenderRun(run) {
 		t.Errorf("RenderEvents disagrees with RenderRun:\n%s\n--vs--\n%s", narrative, RenderRun(run))
 	}
-	replayed, err := RenderEvents(EventsFromRun(run))
+	replayed, err := obs.RenderEvents(rounds.EventsFromRun(run))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +444,7 @@ func TestObservabilityAPI(t *testing.T) {
 }
 
 func TestServeMetricsAPI(t *testing.T) {
-	srv, err := ServeMetrics("127.0.0.1:0", nil)
+	srv, err := obs.StartServer("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,23 +464,23 @@ func TestCausalTracingAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := SynthesizeTrace(run)
-	attr := Attribute(tr)
+	tr := tracing.Synthesize(run)
+	attr := tracing.Attribute(tr)
 	if err := attr.CheckSums(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ReconcileTrace(attr, run); err != nil {
+	if err := tracing.ReconcileRounds(attr, run); err != nil {
 		t.Fatal(err)
 	}
 
 	var chrome, html bytes.Buffer
-	if err := WriteChromeTrace(tr, &chrome); err != nil {
+	if err := tr.WriteChrome(&chrome); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteHTMLTimeline(tr, &html); err != nil {
+	if err := tr.WriteHTML(&html); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadChromeTrace(&chrome)
+	back, err := tracing.ReadChrome(&chrome)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,22 +492,22 @@ func TestCausalTracingAPI(t *testing.T) {
 	// Live tracing composes with conformance checking: the tracer rides the
 	// cluster's event chain and the live attribution reconciles against the
 	// engine replay of the projected schedule.
-	tracer := NewCausalTracer("FloodSetWS", "RWS", 3, 1, nil)
-	rep, _, err := CheckLive(FloodSetWS(), EngineConfig{
+	tracer := tracing.NewTracer("FloodSetWS", "RWS", 3, 1, nil)
+	rep, _, err := conform.CheckLive(FloodSetWS(), EngineConfig{
 		Kind: RWS, T: 1,
-		Metrics: NewMetricsRegistry(), Events: tracer,
-	}, []Value{3, 1, 4}, LiveOpenOptions{}, ConformOptions{})
+		Metrics: obs.NewRegistry(), Events: tracer,
+	}, []Value{3, 1, 4}, LiveOpenOptions{}, conform.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.OK() {
 		t.Fatalf("live run does not conform:\n%s", rep)
 	}
-	liveAttr := Attribute(tracer.Finish())
+	liveAttr := tracing.Attribute(tracer.Finish())
 	if err := liveAttr.CheckSums(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ReconcileTrace(liveAttr, rep.Run); err != nil {
+	if err := tracing.ReconcileRounds(liveAttr, rep.Run); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -60,12 +60,19 @@ job_test() {
   # Part of ./... above; run again by name so a regression in the explorer's
   # worker pool is named in the job log, not buried in a package failure.
   go test -race -run 'TestParallel|TestExploreMerges|TestMaxCrashesCap|TestComputeParallelEquality' ./internal/explore/ ./internal/latency/
-  # The size of the tree, so "net lines removed" is read off a job log rather
-  # than counted by hand (ROADMAP item 9, CHANGES.md).
+  # The examples are the root package's callers: run each, not just build it.
+  local ex
+  for ex in examples/*/; do
+    echo "go run ./$ex"
+    go run "./$ex" >/dev/null
+  done
+  # The size of the tree and of the root package's surface, so "net lines
+  # removed" is read off a job log rather than counted by hand (CHANGES.md).
   local root
   root=$(git ls-files '*.go' | grep -v '^bench/')
   echo "go lines: root non-test $(grep -v '_test\.go$' <<<"$root" | golines)," \
-    "root test $(grep '_test\.go$' <<<"$root" | golines), bench $(git ls-files '*.go' | grep '^bench/' | golines)"
+    "root test $(grep '_test\.go$' <<<"$root" | golines), bench $(git ls-files '*.go' | grep '^bench/' | golines);" \
+    "root exports $(go doc -short . | wc -l)"
 }
 
 # Explorer throughput (runs/sec, allocs/op) has no committed baseline; the

@@ -44,7 +44,7 @@ func main() {
 	fmt.Println("\nIn RWS, the vote can be pending — suspected before delivered: ABORT.")
 	fmt.Print(trace.RenderRun(out.RWSRun))
 
-	rates, err := repro.CommitRates(n, 2000, 7)
+	rates, err := nbac.MeasureRates(n, 2000, 7)
 	if err != nil {
 		log.Fatal(err)
 	}

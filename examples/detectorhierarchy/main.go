@@ -57,7 +57,7 @@ func main() {
 	fmt.Println("\nChandra–Toueg consensus under ◇S (n=3, t=1, 90% false-suspicion noise")
 	fmt.Println("before stabilization; p1 crashes at step 5):")
 	inputs := []repro.Value{3, 1, 2}
-	res, err := repro.RunDiamondS(inputs, ctoueg.RunConfig{
+	res, err := ctoueg.Run(inputs, ctoueg.RunConfig{
 		T: 1, Seed: 7,
 		CrashAt:            map[model.ProcessID]int{1: 5},
 		FalseSuspicionRate: 0.9,

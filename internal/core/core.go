@@ -2,8 +2,7 @@
 // E1–E15 (see DESIGN.md §4 for the index). Each experiment regenerates one
 // table, figure or theorem-level claim of Charron-Bost, Guerraoui and
 // Schiper (DSN 2000) and reports measured-vs-paper outcomes; cmd/ssfd-bench
-// prints them all, the root package re-exports them, and bench_test.go
-// times them.
+// prints them all and bench_test.go times them.
 package core
 
 import (

@@ -511,8 +511,17 @@ func TestFlightThroughCluster(t *testing.T) {
 	if cr.Stats.Cost == nil || cr.Stats.Cost.Decisions == 0 {
 		t.Fatalf("faulty run still decides under RS; cost = %+v", cr.Stats.Cost)
 	}
+	// Count from the dump file a post-mortem reads, not from the ring.
+	path := t.TempDir() + "/flight.jsonl"
+	if err := rec.DumpTo(path); err != nil {
+		t.Fatal(err)
+	}
+	dump, err := netobs.ReadDumpFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sends, injected, decides int
-	for _, r := range rec.Records() {
+	for _, r := range dump.Records {
 		switch r.Kind {
 		case "send":
 			sends++
@@ -522,8 +531,8 @@ func TestFlightThroughCluster(t *testing.T) {
 			decides++
 		}
 	}
-	if sends == 0 || injected == 0 || decides == 0 {
-		t.Fatalf("flight ring misses categories: sends=%d injected=%d decides=%d",
+	if sends == 0 || injected == 0 || decides != 3 {
+		t.Fatalf("flight dump misses categories: sends=%d injected=%d decides=%d (want 3)",
 			sends, injected, decides)
 	}
 }

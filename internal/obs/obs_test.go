@@ -172,4 +172,21 @@ func TestServerServesMetricsAndHealth(t *testing.T) {
 		t.Errorf("close: %v", err)
 	}
 	_ = srv.Close() // idempotent
+
+	// A nil registry serves the process-wide Default (closed by the defer
+	// above, which reads srv at return).
+	Default.Counter("ssfd_test_default_total").Inc()
+	srv, err = StartServer("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Get(srv.URL() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "ssfd_test_default_total ") {
+		t.Errorf("nil-registry /metrics = %d:\n%s", resp.StatusCode, body)
+	}
 }
