@@ -427,19 +427,14 @@ func TestObservabilityAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	narrative, err := obs.RenderEvents(events)
+	meta := conform.Meta{Alg: FloodSetWS(), Kind: RWS, T: 1, Initial: []Value{4, 2, 7}}
+	rep, err := conform.CheckEvents(meta, events, conform.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if narrative != RenderRun(run) {
-		t.Errorf("RenderEvents disagrees with RenderRun:\n%s\n--vs--\n%s", narrative, RenderRun(run))
-	}
-	replayed, err := obs.RenderEvents(rounds.EventsFromRun(run))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replayed != narrative {
-		t.Error("EventsFromRun replay disagrees with the live event stream")
+	if !rep.OK() || rep.Fingerprint != conform.Fingerprint(run) {
+		t.Errorf("JSONL stream does not replay to its run:\n%s\n replay %s\n engine %s",
+			rep, rep.Fingerprint, conform.Fingerprint(run))
 	}
 }
 

@@ -72,7 +72,7 @@ job_test() {
   root=$(git ls-files '*.go' | grep -v '^bench/')
   echo "go lines: root non-test $(grep -v '_test\.go$' <<<"$root" | golines)," \
     "root test $(grep '_test\.go$' <<<"$root" | golines), bench $(git ls-files '*.go' | grep '^bench/' | golines);" \
-    "root exports $(go doc -short . | wc -l)"
+    "internal packages $(go list ./internal/... | wc -l); root exports $(go doc -short . | wc -l)"
 }
 
 # Explorer throughput (runs/sec, allocs/op) has no committed baseline; the
@@ -83,6 +83,10 @@ job_bench() {
 
 job_conformance() {
   go test -race -count=2 ./internal/conform/
+  # Part of the line above; run again by name so a break in the one event
+  # vocabulary (a round-engine stream must project and replay to its own
+  # run) is named in the job log.
+  go test -race -run 'TestRoundTrip|FuzzAdversarySchedule|TestObsCountersMatchRunTotals' ./internal/conform/ ./internal/rounds/
   fuzz FuzzAdversarySchedule ./internal/conform/
   fuzz FuzzFaultSpec ./internal/conform/
   floor ./internal/check/ 85

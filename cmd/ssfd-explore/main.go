@@ -23,7 +23,6 @@ import (
 	"repro/internal/latency"
 	"repro/internal/obscli"
 	"repro/internal/rounds"
-	"repro/internal/trace"
 )
 
 func modelByName(name string) (rounds.ModelKind, bool) {
@@ -96,8 +95,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintln(stderr, line)
 		}
 	}
-	// emitRun streams a printed witness run to the -events file, so the
-	// JSONL twin of every narrative shown on stdout is preserved.
+	// emitRun streams a printed witness run to the -events file, so every
+	// run narrated on stdout is also kept as its JSONL event stream.
 	emitRun := func(run *rounds.Run) {
 		if sink == nil {
 			return
@@ -115,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			return 1
 		}
 		fmt.Fprintf(stdout, "refutation of %s (n=%d, t=%d): %v\n%s\n", alg.Name(), *n, *t, ref.Kind, ref.Detail)
-		fmt.Fprintln(stdout, trace.RenderRun(ref.Run))
+		fmt.Fprintln(stdout, rounds.RenderRun(ref.Run))
 		emitRun(ref.Run)
 	case *counter:
 		found := false
@@ -129,7 +128,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				}
 				if bad := check.FirstViolation(run); bad != nil {
 					found = true
-					fmt.Fprintf(stdout, "violation: %s\n%s", bad, trace.RenderRun(run))
+					fmt.Fprintf(stdout, "violation: %s\n%s", bad, rounds.RenderRun(run))
 					emitRun(run)
 					return false
 				}

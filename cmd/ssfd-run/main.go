@@ -37,7 +37,6 @@ import (
 	"repro/internal/obscli"
 	"repro/internal/rounds"
 	"repro/internal/runtime"
-	"repro/internal/trace"
 	"repro/internal/tracing"
 )
 
@@ -260,7 +259,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	fmt.Fprint(stdout, trace.RenderRun(run))
+	fmt.Fprint(stdout, rounds.RenderRun(run))
 	if !writeTraces(tracing.Synthesize(run), *tracePath, *traceHTML, stderr) {
 		return 1
 	}

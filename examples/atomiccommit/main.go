@@ -14,7 +14,6 @@ import (
 
 	repro "repro"
 	"repro/internal/nbac"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -40,9 +39,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nIn RS, message synchrony already delivered the vote: COMMIT.")
-	fmt.Print(trace.RenderRun(out.RSRun))
+	fmt.Print(repro.RenderRun(out.RSRun))
 	fmt.Println("\nIn RWS, the vote can be pending — suspected before delivered: ABORT.")
-	fmt.Print(trace.RenderRun(out.RWSRun))
+	fmt.Print(repro.RenderRun(out.RWSRun))
 
 	rates, err := nbac.MeasureRates(n, 2000, 7)
 	if err != nil {

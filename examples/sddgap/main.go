@@ -15,7 +15,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/sdd"
 	"repro/internal/step"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -71,5 +70,5 @@ func main() {
 	}
 	fmt.Printf("\nwitness run for %s (sender input %d, observer decided %d):\n",
 		ref.Algorithm, int64(ref.WitnessInput), int64(ref.StarvedDecision))
-	fmt.Print(trace.RenderSteps(ref.Witness, 12))
+	fmt.Print(step.RenderSteps(ref.Witness, 12))
 }

@@ -24,48 +24,6 @@ func algByName(t *testing.T, name string) rounds.Algorithm {
 	return nil
 }
 
-// liveEventsFromRun synthesizes the event stream a fault-free live cluster
-// executing exactly run would produce: reception records for every
-// completer (null-message envelopes from surviving senders arrive, a
-// crasher delivers exactly its reach set), crash and decide events in
-// round order.
-func liveEventsFromRun(run *rounds.Run) []obs.Event {
-	var evs []obs.Event
-	for idx := range run.Rounds {
-		rr := &run.Rounds[idx]
-		r := rr.Round
-		rr.Crashed.ForEach(func(q model.ProcessID) bool {
-			evs = append(evs, obs.Event{Type: obs.EventCrash, Round: r, Proc: int(q)})
-			return true
-		})
-		survivors := rr.AliveStart.Minus(rr.Crashed)
-		survivors.ForEach(func(i model.ProcessID) bool {
-			var peers []int
-			for j := 1; j <= run.N; j++ {
-				pj := model.ProcessID(j)
-				if pj == i || !rr.AliveStart.Has(pj) {
-					continue
-				}
-				delivered := rr.Reached[j].Has(i)
-				if !delivered && !rr.Crashed.Has(pj) && !rr.Sent[j].Has(i) {
-					// Null message from a survivor: the envelope still arrives.
-					delivered = true
-				}
-				if delivered {
-					peers = append(peers, j)
-				}
-			}
-			evs = append(evs, obs.Event{Type: obs.EventRecv, Round: r, Proc: int(i), Peers: peers})
-			if run.DecidedAt[i] == r {
-				evs = append(evs, obs.Event{Type: obs.EventDecide, Round: r, Proc: int(i),
-					Value: obs.Int64(int64(run.DecisionOf[i]))})
-			}
-			return true
-		})
-	}
-	return evs
-}
-
 func mustRun(t *testing.T, meta conform.Meta, script *rounds.Script) *rounds.Run {
 	t.Helper()
 	run, err := rounds.RunAlgorithm(meta.Kind, meta.Alg, meta.Initial, meta.T, script)
@@ -76,9 +34,9 @@ func mustRun(t *testing.T, meta conform.Meta, script *rounds.Script) *rounds.Run
 }
 
 // TestRoundTrip pins the pipeline end to end without wall-clock: an engine
-// run converted to a live event stream must project, replay to an
-// identical fingerprint, diff cleanly, and be a member of its coordinate's
-// enumerated space.
+// run's event stream (the vocabulary the live runtime emits) must project,
+// replay to an identical fingerprint, diff cleanly, and be a member of its
+// coordinate's enumerated space.
 func TestRoundTrip(t *testing.T) {
 	vals := []model.Value{3, 1, 2}
 	cases := []struct {
@@ -130,7 +88,7 @@ func TestRoundTrip(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			orig := mustRun(t, tc.meta, tc.script)
-			events := liveEventsFromRun(orig)
+			events := rounds.EventsFromRun(orig)
 			rep, err := conform.CheckEvents(tc.meta, events, conform.Options{
 				Enumerate:       true,
 				ExpectConsensus: tc.consensus,
@@ -182,7 +140,7 @@ func TestRoundTripNonConsensus(t *testing.T) {
 	if ua := check.UniformAgreement(run); ua.OK {
 		t.Fatal("expected the disagreement counterexample, but uniform agreement held")
 	}
-	events := liveEventsFromRun(run)
+	events := rounds.EventsFromRun(run)
 
 	rep, err := conform.CheckEvents(meta, events, conform.Options{})
 	if err != nil {
@@ -214,7 +172,7 @@ func TestScheduleExtraction(t *testing.T) {
 		{Drops: map[model.ProcessID]model.ProcSet{3: model.Singleton(4)}},
 	}}
 	run := mustRun(t, meta, script)
-	lr, err := conform.Project(meta, liveEventsFromRun(run))
+	lr, err := conform.Project(meta, rounds.EventsFromRun(run))
 	if err != nil {
 		t.Fatalf("Project: %v", err)
 	}

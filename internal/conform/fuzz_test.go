@@ -125,8 +125,9 @@ func fuzzCoordinate(t *testing.T, feed *byteFeed) (rounds.Algorithm, rounds.Mode
 // through the round engines at byte-chosen coordinates and holds the
 // harness's invariants: the engine accepts every legal plan, execution is
 // deterministic (byte-identical fingerprints on re-execution), every run is
-// model-admissible and value-origin-clean, and the algorithm/model pairs
-// the paper proves correct reach uniform consensus under every schedule.
+// model-admissible and value-origin-clean, its event stream projects and
+// replays to its own fingerprint, and the algorithm/model pairs the paper
+// proves correct reach uniform consensus under every schedule.
 func FuzzAdversarySchedule(f *testing.F) {
 	f.Add([]byte{})                                                  // failure-free FloodSet/RS n=2
 	f.Add([]byte{0, 0, 1, 0, 1, 2, 3, 0, 0, 0, 0})                   // FloodSet/RS n=3
@@ -161,6 +162,15 @@ func FuzzAdversarySchedule(f *testing.F) {
 		}
 		if run.Truncated {
 			t.Fatalf("run truncated at round limit %d: the fuzz adversary's budget should bound every run", tt+4)
+		}
+		meta := conform.Meta{Alg: alg, Kind: kind, T: tt, Initial: initial}
+		rep, err := conform.CheckEvents(meta, rounds.EventsFromRun(run), conform.Options{})
+		if err != nil {
+			t.Fatalf("the engine's own event stream does not project: %v\nrun: %v", err, run)
+		}
+		if !rep.OK() || rep.Fingerprint != conform.Fingerprint(run) {
+			t.Fatalf("event stream does not replay to its run:\n%s\n replay %s\n engine %s",
+				rep, rep.Fingerprint, conform.Fingerprint(run))
 		}
 		correctPair := (alg.Name() == "FloodSet" && kind == rounds.RS) ||
 			alg.Name() == "FloodSetWS" ||

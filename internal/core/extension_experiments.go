@@ -9,7 +9,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/rounds"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // E12Extensions collects the reproduction's extension results, which push
@@ -68,7 +67,7 @@ func E12Extensions(cfg Config) (*Report, error) {
 	} else {
 		r.Notes = append(r.Notes,
 			"t=3 three-crash chain defeating naive early stopping (uniform agreement fails, plain agreement survives):\n"+
-				trace.RenderRun(broken))
+				rounds.RenderRun(broken))
 	}
 
 	// The consensus-vs-uniform separation witness.
@@ -85,7 +84,7 @@ func E12Extensions(cfg Config) (*Report, error) {
 		pass = false
 	} else {
 		r.Notes = append(r.Notes,
-			"EarlyDecideFloodSet separating consensus from uniform consensus in RS:\n"+trace.RenderRun(witness))
+			"EarlyDecideFloodSet separating consensus from uniform consensus in RS:\n"+rounds.RenderRun(witness))
 	}
 
 	r.Pass = pass

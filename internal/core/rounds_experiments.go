@@ -10,7 +10,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/rounds"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // sweepExhaustive explores every admissible run of alg from every latency
@@ -91,7 +90,7 @@ func E2FloodSetWS(cfg Config) (*Report, error) {
 		Table:    table,
 	}
 	if witness != nil {
-		r.Notes = append(r.Notes, "FloodSet counterexample:\n"+trace.RenderRun(witness))
+		r.Notes = append(r.Notes, "FloodSet counterexample:\n"+rounds.RenderRun(witness))
 	}
 	return r, nil
 }
@@ -293,7 +292,7 @@ func E7Lambda(cfg Config) (*Report, error) {
 	if check.UniformAgreement(witness).OK {
 		pass = false
 	} else {
-		r.Notes = append(r.Notes, "A1 in RWS, the §5.3 scenario:\n"+trace.RenderRun(witness))
+		r.Notes = append(r.Notes, "A1 in RWS, the §5.3 scenario:\n"+rounds.RenderRun(witness))
 	}
 
 	// Generic lower-bound refuter against A1 (and hence any deterministic

@@ -11,27 +11,27 @@ import (
 // EventType classifies a structured run event.
 type EventType string
 
-// The event vocabulary. Round-model runs produce run_start, round_start,
-// send, drop, crash, decide and run_end; the live runtime additionally
-// produces suspect and retract from its failure detectors; the fault
-// injector (package faults) produces partition, heal and recover.
+// The event vocabulary, one for the round model and the live runtime alike.
+// Both produce round_start and send per process, crash, recv and decide,
+// and a round-model stream is framed by run_start and run_end. The live
+// runtime additionally produces arrive per message, suspect and retract
+// from its failure detectors, and cost; the fault injector (package faults)
+// produces partition, heal and recover.
 const (
 	EventRunStart   EventType = "run_start"
 	EventRoundStart EventType = "round_start"
 	EventSend       EventType = "send"
-	EventDrop       EventType = "drop"
 	EventCrash      EventType = "crash"
 	EventSuspect    EventType = "suspect"
 	EventRetract    EventType = "retract"
 	EventDecide     EventType = "decide"
 	EventRunEnd     EventType = "run_end"
 
-	// EventRecv marks a live node completing a round's reception: Proc
+	// EventRecv marks a process completing a round's reception: Proc
 	// closed Round having received the round's messages from exactly the
-	// Peers senders. Emitted by the live runtime only — the round engines
-	// record receptions in the run record itself — and consumed by the
-	// conformance projector (package conform), which rebuilds the
-	// round-model delivery pattern from these events.
+	// Peers senders (a null message's envelope counts as received). The
+	// conformance projector (package conform) rebuilds the round-model
+	// delivery pattern from these events.
 	EventRecv EventType = "recv"
 
 	// EventArrive marks one data message landing at a live node's
@@ -110,9 +110,9 @@ func (c *CostSummary) String() string {
 		c.ControlMessagesPerDecision, c.ControlBytesPerDecision)
 }
 
-// Event is one structured run event — the machine-readable twin of one
-// line of trace.RenderRun's narrative. Unused fields are omitted from the
-// JSON encoding; process identifiers are plain 1-based integers.
+// Event is one structured run event, from a round-model run or a live one.
+// Unused fields are omitted from the JSON encoding; process identifiers are
+// plain 1-based integers.
 type Event struct {
 	Type EventType `json:"type"`
 
@@ -125,14 +125,10 @@ type Event struct {
 
 	Round int `json:"round,omitempty"` // 1-based round number
 
-	// Alive is the set of processes alive at the start of a round
-	// (round_start only).
-	Alive []int `json:"alive,omitempty"`
+	From int   `json:"from,omitempty"` // sender (send, arrive)
+	To   []int `json:"to,omitempty"`   // destinations addressed (send), isolated group (partition)
 
-	From int   `json:"from,omitempty"` // sender (send, drop)
-	To   []int `json:"to,omitempty"`   // destinations reached (send) or missed (drop)
-
-	Proc int `json:"proc,omitempty"` // subject process (crash, decide, suspect, retract, recv)
+	Proc int `json:"proc,omitempty"` // subject process (round_start, crash, decide, suspect, retract, recv, arrive)
 	By   int `json:"by,omitempty"`   // observing process (suspect, retract)
 
 	// Peers holds the senders whose round messages Proc had received when it

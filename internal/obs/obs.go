@@ -7,7 +7,8 @@
 // detector suspicions — and this package makes them machine-readable: the
 // round engines, the exhaustive explorer and the live runtime all thread
 // their counters through a Registry, and emit their runs as typed events
-// that round-trip back into the narratives of package trace.
+// in one vocabulary that the conformance projector (package conform) reads
+// back into round-model runs.
 //
 // Everything is safe for concurrent use, and every method is nil-receiver
 // safe so instrumented code can hold a nil *Registry (or nil metric) to

@@ -58,9 +58,9 @@ func WithMetrics(reg *obs.Registry) Option {
 }
 
 // WithEventSink streams structured run events (run_start, round_start, send,
-// drop, crash, decide, run_end) to sink as the engine executes. The stream
-// is the machine-readable twin of trace.RenderRun: obs.RenderEvents on the
-// collected events reproduces the rendered narrative exactly.
+// crash, recv, decide, run_end) to sink as the engine executes, in the live
+// runtime's vocabulary. The stream equals EventsFromRun of the finished run
+// and is what conform.Project reads.
 func WithEventSink(sink obs.Sink) Option {
 	return func(e *Engine) { e.sink = sink }
 }
@@ -318,7 +318,7 @@ func (e *Engine) Step(adv Adversary) error {
 
 	// 6. Observability: counters count exactly what the record tallies (the
 	// property tests hold the registry to Run.Totals()), and the event sink
-	// receives the round's structured twin of the trace narrative.
+	// receives the round in the live runtime's event vocabulary.
 	rt := rec.Totals()
 	decisions := 0
 	for p := 1; p <= e.n; p++ {
@@ -334,7 +334,7 @@ func (e *Engine) Step(adv Adversary) error {
 	e.metrics.crashes.Add(int64(rt.Crashes))
 	e.metrics.decisions.Add(int64(decisions))
 	if e.sink != nil {
-		recordEvents(&rec, e.n, e.decidedAt, e.decisionOf, e.sink.Emit)
+		recordEvents(&rec, e.decidedAt, e.decisionOf, e.sink.Emit)
 	}
 	return nil
 }

@@ -120,40 +120,59 @@ func setInts(s model.ProcSet) []int {
 	return ids
 }
 
-// recordEvents converts one round record (plus the per-process decision
-// table, which the record itself does not carry) into its event sequence:
-// round_start, then send/drop per sender ascending, then crashes ascending,
-// then decisions ascending.
-func recordEvents(rec *RoundRecord, n int, decidedAt []int, decisionOf []model.Value, emit func(obs.Event)) {
-	emit(obs.Event{Type: obs.EventRoundStart, Round: rec.Round, Alive: setInts(rec.AliveStart)})
-	for j := 1; j <= n; j++ {
-		pj := model.ProcessID(j)
-		if !rec.AliveStart.Has(pj) || rec.Sent[j].Empty() {
-			continue
+// heardBy returns the senders whose round envelope pi received, in the live
+// runtime's terms: a sender that reached pi, and a surviving sender that
+// addressed pi a null message (the envelope still arrives). A crasher is
+// heard exactly by its Reached set.
+func (rr *RoundRecord) heardBy(i model.ProcessID) model.ProcSet {
+	var heard model.ProcSet
+	rr.AliveStart.Remove(i).ForEach(func(j model.ProcessID) bool {
+		if rr.Reached[j].Has(i) || (!rr.Crashed.Has(j) && !rr.Sent[j].Has(i)) {
+			heard = heard.Add(j)
 		}
-		emit(obs.Event{Type: obs.EventSend, Round: rec.Round, From: j,
-			To: setInts(rec.Reached[j].Remove(pj))})
-		if dropped := rec.dropped(pj).Remove(pj); !dropped.Empty() {
-			emit(obs.Event{Type: obs.EventDrop, Round: rec.Round, From: j,
-				To: setInts(dropped)})
-		}
-	}
-	rec.Crashed.ForEach(func(p model.ProcessID) bool {
-		emit(obs.Event{Type: obs.EventCrash, Round: rec.Round, Proc: int(p)})
 		return true
 	})
-	for p := 1; p <= n; p++ {
-		if decidedAt[p] == rec.Round {
-			emit(obs.Event{Type: obs.EventDecide, Round: rec.Round, Proc: p,
+	return heard
+}
+
+// recordEvents converts one round record (plus the per-process decision
+// table, which the record itself does not carry) into the live runtime's
+// event vocabulary: round_start and send (to the destinations addressed a
+// non-null message, if any) per alive process ascending, then crashes
+// ascending, then one recv per survivor ascending, then decisions
+// ascending. The model emits no arrive events: round-level reception is
+// the recv record alone.
+func recordEvents(rec *RoundRecord, decidedAt []int, decisionOf []model.Value, emit func(obs.Event)) {
+	r := rec.Round
+	rec.AliveStart.ForEach(func(p model.ProcessID) bool {
+		emit(obs.Event{Type: obs.EventRoundStart, Round: r, Proc: int(p)})
+		if to := rec.Sent[p].Remove(p); !to.Empty() {
+			emit(obs.Event{Type: obs.EventSend, Round: r, From: int(p), To: setInts(to)})
+		}
+		return true
+	})
+	rec.Crashed.ForEach(func(p model.ProcessID) bool {
+		emit(obs.Event{Type: obs.EventCrash, Round: r, Proc: int(p)})
+		return true
+	})
+	survivors := rec.AliveStart.Minus(rec.Crashed)
+	survivors.ForEach(func(p model.ProcessID) bool {
+		emit(obs.Event{Type: obs.EventRecv, Round: r, Proc: int(p), Peers: setInts(rec.heardBy(p))})
+		return true
+	})
+	survivors.ForEach(func(p model.ProcessID) bool {
+		if decidedAt[p] == r {
+			emit(obs.Event{Type: obs.EventDecide, Round: r, Proc: int(p),
 				Value: obs.Int64(int64(decisionOf[p]))})
 		}
-	}
+		return true
+	})
 }
 
 // EventsFromRun converts a completed run record into the structured event
 // stream the engine would have emitted live: run_start, the per-round
-// events, run_end. obs.RenderEvents applied to the result reproduces
-// trace.RenderRun(run) byte for byte.
+// events, run_end. It is what conform.Project reads: projecting it replays
+// to a run with conform.Fingerprint(run).
 func EventsFromRun(run *Run) []obs.Event {
 	values := make([]int64, run.N)
 	for p := 1; p <= run.N; p++ {
@@ -168,7 +187,7 @@ func EventsFromRun(run *Run) []obs.Event {
 		Values:    values,
 	}}
 	for i := range run.Rounds {
-		recordEvents(&run.Rounds[i], run.N, run.DecidedAt, run.DecisionOf,
+		recordEvents(&run.Rounds[i], run.DecidedAt, run.DecisionOf,
 			func(ev obs.Event) { events = append(events, ev) })
 	}
 	return append(events, obs.Event{Type: obs.EventRunEnd, Truncated: run.Truncated})

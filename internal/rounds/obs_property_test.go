@@ -6,17 +6,18 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/conform"
 	"repro/internal/consensus"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/rounds"
-	"repro/internal/trace"
 )
 
 // TestObsCountersMatchRunTotals is the instrumentation acceptance property:
 // for seeded RandomAdversary runs in both models, the engine's counters
-// exactly equal the totals recomputed from the run record, and the JSONL
-// event stream re-renders to the same narrative trace.RenderRun produces.
+// exactly equal the totals recomputed from the run record, the sink's stream
+// equals EventsFromRun, and the JSONL file projects (conform.Project) to a
+// schedule that replays to the run's own fingerprint.
 func TestObsCountersMatchRunTotals(t *testing.T) {
 	cases := []struct {
 		kind rounds.ModelKind
@@ -86,18 +87,19 @@ func TestObsCountersMatchRunTotals(t *testing.T) {
 				t.Errorf("%s: live events differ from EventsFromRun:\n live: %+v\nreplay: %+v",
 					name, collected.Events(), replayed)
 			}
-			// …and the JSONL file must round-trip to the exact narrative.
+			// …and the JSONL file must replay to the very same run.
 			back, err := obs.ReadEvents(&jsonl)
 			if err != nil {
 				t.Fatalf("%s: ReadEvents: %v", name, err)
 			}
-			narrative, err := obs.RenderEvents(back)
+			meta := conform.Meta{Alg: tc.alg, Kind: tc.kind, T: 2, Initial: initial}
+			rep, err := conform.CheckEvents(meta, back, conform.Options{})
 			if err != nil {
-				t.Fatalf("%s: RenderEvents: %v", name, err)
+				t.Fatalf("%s: CheckEvents: %v", name, err)
 			}
-			if want := trace.RenderRun(run); narrative != want {
-				t.Errorf("%s: re-rendered narrative differs:\n--- events ---\n%s--- trace ---\n%s",
-					name, narrative, want)
+			if !rep.OK() || rep.Fingerprint != conform.Fingerprint(run) {
+				t.Errorf("%s: JSONL stream does not replay to its run:\n%s\n replay %s\n engine %s",
+					name, rep, rep.Fingerprint, conform.Fingerprint(run))
 			}
 		}
 	}

@@ -1,15 +1,12 @@
-package trace
+package rounds_test
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/consensus"
 	"repro/internal/model"
 	"repro/internal/rounds"
-	"repro/internal/sdd"
-	"repro/internal/step"
 )
 
 func TestRenderRun(t *testing.T) {
@@ -20,7 +17,7 @@ func TestRenderRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := RenderRun(run)
+	out := rounds.RenderRun(run)
 	for _, want := range []string{
 		"FloodSet in RS: n=3 t=1",
 		"p1=0 p2=5 p3=9",
@@ -46,34 +43,12 @@ func TestRenderRunUndecided(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := RenderRun(run)
+	out := rounds.RenderRun(run)
 	if !strings.Contains(out, "⊥") {
 		t.Errorf("undecided marker missing:\n%s", out)
 	}
 	if strings.Contains(out, "latency degree") {
 		t.Errorf("truncated run should not report a latency:\n%s", out)
-	}
-}
-
-func TestRenderSteps(t *testing.T) {
-	alg := sdd.NewSS(1, 1)
-	eng, err := step.NewEngine(alg, []model.Value{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := &step.FairScheduler{Stop: step.StopWhenDecided(model.Singleton(sdd.DefaultObserver))}
-	tr, err := eng.Run(sched, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := RenderSteps(tr, 0)
-	if !strings.Contains(out, "p1 steps") || !strings.Contains(out, "p2 decided 1") {
-		t.Errorf("RenderSteps output incomplete:\n%s", out)
-	}
-	// Truncation marker.
-	short := RenderSteps(tr, 1)
-	if !strings.Contains(short, "more events") {
-		t.Errorf("truncation marker missing:\n%s", short)
 	}
 }
 
@@ -88,7 +63,7 @@ func TestRenderRunPendingDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := RenderRun(run)
+	out := rounds.RenderRun(run)
 	lines := strings.Split(out, "\n")
 	round1 := -1
 	for i, l := range lines {
@@ -108,46 +83,4 @@ func TestRenderRunPendingDrop(t *testing.T) {
 	if !strings.Contains(out, "crashes {p1}") {
 		t.Errorf("obligated round-2 crash missing:\n%s", out)
 	}
-}
-
-func TestRenderStepsTruncationCount(t *testing.T) {
-	eng, err := step.NewEngine(sdd.NewSS(4, 4), []model.Value{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := &step.ScriptScheduler{Decisions: []step.Decision{
-		{Proc: 1}, {Proc: 2}, {Proc: 1}, {Proc: 2}, {Proc: 1}, {Proc: 2},
-	}}
-	tr, err := eng.Run(sched, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := len(tr.Events)
-	if total != 6 {
-		t.Fatalf("scripted trace has %d events, want 6", total)
-	}
-	out := RenderSteps(tr, total-2)
-	if want := fmt.Sprintf("… (%d more events)", 2); !strings.Contains(out, want) {
-		t.Errorf("marker %q missing:\n%s", want, out)
-	}
-	// The rendered events stop exactly at the cut.
-	if got := strings.Count(out, "\n") - 1 - countDecisionLines(tr); got != total-2 {
-		t.Errorf("rendered %d event lines, want %d", got, total-2)
-	}
-	// maxEvents at or above the event count renders everything, no marker.
-	for _, m := range []int{total, total + 7, 0} {
-		if strings.Contains(RenderSteps(tr, m), "more events") {
-			t.Errorf("maxEvents=%d must not truncate", m)
-		}
-	}
-}
-
-func countDecisionLines(tr *step.Trace) int {
-	n := 0
-	for p := 1; p <= tr.N; p++ {
-		if tr.Decided[p] {
-			n++
-		}
-	}
-	return n
 }

@@ -23,6 +23,7 @@ package rounds
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/model"
 )
@@ -231,4 +232,56 @@ func (r *Run) String() string {
 	}
 	return fmt.Sprintf("%s/%s n=%d t=%d f=%d rounds=%d latency=%s",
 		r.Algorithm, r.Model, r.N, r.T, r.NumFaulty(), len(r.Rounds), lat)
+}
+
+// RenderRun renders a run as the round-by-round narrative the CLIs and
+// experiment reports print: the round table, decisions and latency degree.
+func RenderRun(run *Run) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s in %s: n=%d t=%d\n", run.Algorithm, run.Model, run.N, run.T)
+	fmt.Fprintf(&b, "initial values:")
+	for p := 1; p <= run.N; p++ {
+		fmt.Fprintf(&b, " %v=%d", model.ProcessID(p), int64(run.Initial[p]))
+	}
+	b.WriteByte('\n')
+	for i := range run.Rounds {
+		rr := &run.Rounds[i]
+		fmt.Fprintf(&b, "round %d: alive %v", rr.Round, rr.AliveStart)
+		if !rr.Crashed.Empty() {
+			fmt.Fprintf(&b, ", crashes %v", rr.Crashed)
+		}
+		b.WriteByte('\n')
+		for j := 1; j <= run.N; j++ {
+			pj := model.ProcessID(j)
+			if !rr.AliveStart.Has(pj) {
+				continue
+			}
+			dropped := rr.dropped(pj).Remove(pj)
+			switch {
+			case rr.Sent[j].Empty():
+				// silent round: nothing to report
+			case dropped.Empty():
+				fmt.Fprintf(&b, "  %v → %v\n", pj, rr.Reached[j].Remove(pj))
+			default:
+				fmt.Fprintf(&b, "  %v → %v (NOT received by %v)\n", pj, rr.Reached[j].Remove(pj), dropped)
+			}
+		}
+	}
+	b.WriteString("decisions:")
+	for p := 1; p <= run.N; p++ {
+		pid := model.ProcessID(p)
+		switch {
+		case run.DecidedAt[p] != 0:
+			fmt.Fprintf(&b, " %v=%d@r%d", pid, int64(run.DecisionOf[p]), run.DecidedAt[p])
+		case run.CrashRound[p] != 0:
+			fmt.Fprintf(&b, " %v=✝r%d", pid, run.CrashRound[p])
+		default:
+			fmt.Fprintf(&b, " %v=⊥", pid)
+		}
+	}
+	b.WriteByte('\n')
+	if lat, ok := run.Latency(); ok {
+		fmt.Fprintf(&b, "latency degree |r| = %d\n", lat)
+	}
+	return b.String()
 }

@@ -31,6 +31,7 @@ package step
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/model"
 )
@@ -173,4 +174,31 @@ func (tr *Trace) TookStep(p model.ProcessID) bool { return tr.LocalSteps[p] > 0 
 // paper's "initially dead" condition from the SDD validity clause.
 func (tr *Trace) InitiallyCrashed(p model.ProcessID) bool {
 	return tr.CrashedAt[p] != 0 && tr.LocalSteps[p] == 0
+}
+
+// RenderSteps renders a step-level trace, limiting output to maxEvents
+// events (0 = all).
+func RenderSteps(tr *Trace, maxEvents int) string {
+	var b strings.Builder
+	events := tr.Events
+	truncated := false
+	if maxEvents > 0 && len(events) > maxEvents {
+		events = events[:maxEvents]
+		truncated = true
+	}
+	for _, ev := range events {
+		b.WriteString(ev.String())
+		b.WriteByte('\n')
+	}
+	if truncated {
+		fmt.Fprintf(&b, "… (%d more events)\n", len(tr.Events)-maxEvents)
+	}
+	for p := 1; p <= tr.N; p++ {
+		pid := model.ProcessID(p)
+		if tr.Decided[p] {
+			fmt.Fprintf(&b, "%v decided %d at its local step %d\n",
+				pid, int64(tr.DecidedValue[p]), tr.DecidedAtLocal[p])
+		}
+	}
+	return b.String()
 }

@@ -38,7 +38,6 @@ import (
 	"repro/internal/runtime"
 	"repro/internal/sdd"
 	"repro/internal/serve"
-	"repro/internal/trace"
 )
 
 // The round models and the paper's results.
@@ -244,4 +243,4 @@ func CheckLinearizable(chains map[string][]KVVersion, ops []OpRecord) error {
 func CheckConsensus(run *RoundRun) []CheckResult { return check.Consensus(run) }
 
 // RenderRun pretty-prints a run as a round-by-round narrative.
-func RenderRun(run *RoundRun) string { return trace.RenderRun(run) }
+func RenderRun(run *RoundRun) string { return rounds.RenderRun(run) }
