@@ -136,11 +136,14 @@ job_chaos() {
 # in-process mesh's delivery queues and kernel clocks (TestChanNetwork*, Close
 # racing Send included; TestDeliveryQueue*; and TestPeekControl for the
 # classification the clock is gated on), the detectors' one send seam
-# (TestDetectorSend*, TestDetectorRegistry*) and the batcher's
-# buffer-ownership discipline and parking flusher (TestBatch*) are what
+# (TestDetectorSend*, TestDetectorRegistry*), the batcher's buffer-ownership
+# discipline with no lock and no goroutine of its own (TestBatch*), and the
+# one owner of every round packet — the worker that batched it is the worker
+# that decodes it, clean and under duplication and reordering
+# (TestEnginePacketsHaveOneOwner, TestEngineOwnershipUnderFaults) — are what
 # -race -count=2 shakes out.
 job_multi_instance() {
-  go test -race -count=2 -run 'TestEngine|TestStartEngine|TestOpenAfterAbort|TestBatch|TestCluster|TestAgreement|TestLiveRSA1|TestChanNetwork|TestDeliveryQueue|TestPeekControl|TestDetectorSend|TestDetectorRegistry' ./internal/runtime/ ./internal/wire/
+  go test -race -count=2 -run 'TestEngine|TestStartEngine|TestOpenAfterAbort|TestBatch|TestCluster|TestAgreement|TestLiveRSA1|TestChanNetwork|TestDeliveryQueue|TestPeekControl|TestDetectorSend|TestDetectorRegistry|TestEnginePacketsHaveOneOwner|TestEngineOwnershipUnderFaults' ./internal/runtime/ ./internal/wire/
   go test -race -count=2 -run 'TestCrashOnMultiplexedMesh' ./internal/fdimpl/
   floor ./internal/wire/ 85
   floor ./internal/runtime/ 85
@@ -196,7 +199,7 @@ job_serve() {
 
   # Idle-burn smoke: a daemon nobody talks to exchanges heartbeats and
   # nothing else, so its inboxes must stay on their timers (no kernel clock)
-  # and the batchers' flushers must park. utime+stime over 5 s reads 31-45
+  # and only heartbeats and the workers' suspicion polls wake it. utime+stime over 5 s reads 31-45
   # ticks here; heartbeats on the kernel clock read 91-107, and a spinning
   # goroutine that paced heartbeats read 168-265.
   "$tmp/ssfd-serve" -addr 127.0.0.1:18079 -nodes 3 -t 1 >"$tmp/banner.out" &

@@ -1,9 +1,13 @@
 package runtime
 
 import (
+	goruntime "runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/consensus"
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -30,11 +34,7 @@ func recvFrames(tb testing.TB, tr Transport, timeout time.Duration) [][]byte {
 func TestBatcherCountFlush(t *testing.T) {
 	nw := NewChanNetwork(2, ChanConfig{Metrics: obs.NewRegistry(), MaxDelay: 100 * time.Microsecond})
 	defer nw.Close()
-	b := NewBatcher(nw.Endpoint(1), BatcherConfig{
-		MaxBatch:   3,
-		FlushEvery: time.Hour, // the timer must not fire; only the count threshold may flush
-		Metrics:    obs.NewRegistry(),
-	})
+	b := NewBatcher(nw.Endpoint(1), BatcherConfig{MaxBatch: 3, Metrics: obs.NewRegistry()})
 	defer b.Close()
 
 	var sent [][]byte
@@ -59,46 +59,10 @@ func TestBatcherCountFlush(t *testing.T) {
 	}
 }
 
-func TestBatcherTimerFlushSingleFrameIsBare(t *testing.T) {
-	nw := NewChanNetwork(2, ChanConfig{Metrics: obs.NewRegistry(), MaxDelay: 100 * time.Microsecond})
-	defer nw.Close()
-	b := NewBatcher(nw.Endpoint(1), BatcherConfig{
-		MaxBatch:   100,
-		FlushEvery: time.Millisecond,
-		Metrics:    obs.NewRegistry(),
-	})
-	defer b.Close()
-
-	frame, err := wire.Encode(wire.Envelope{From: 1, To: 2, Round: 9, Kind: wire.KindNull})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Send(2, frame); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case pkt := <-nw.Endpoint(2).Recv():
-		// A lone frame must be flushed by the timer AND travel bare: the
-		// container wrapper would cost 2 bytes on every unbatched message.
-		if wire.IsBatch(pkt.Data) {
-			t.Fatalf("single-frame flush arrived wrapped: %x", pkt.Data)
-		}
-		if string(pkt.Data) != string(frame) {
-			t.Fatalf("frame altered: %x vs %x", pkt.Data, frame)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("timer flush never delivered the frame")
-	}
-}
-
 func TestBatcherExplicitFlush(t *testing.T) {
 	nw := NewChanNetwork(2, ChanConfig{Metrics: obs.NewRegistry(), MaxDelay: 100 * time.Microsecond})
 	defer nw.Close()
-	b := NewBatcher(nw.Endpoint(1), BatcherConfig{
-		MaxBatch:   100,
-		FlushEvery: time.Hour,
-		Metrics:    obs.NewRegistry(),
-	})
+	b := NewBatcher(nw.Endpoint(1), BatcherConfig{MaxBatch: 100, Metrics: obs.NewRegistry()})
 	defer b.Close()
 
 	for i := 1; i <= 2; i++ {
@@ -119,14 +83,135 @@ func TestBatcherExplicitFlush(t *testing.T) {
 	}
 }
 
+// recordingTransport keeps every packet sent through it and starts no
+// goroutine.
+type recordingTransport struct{ sent [][]byte }
+
+func (r *recordingTransport) LocalID() model.ProcessID { return 1 }
+func (r *recordingTransport) Recv() <-chan Packet      { return nil }
+func (r *recordingTransport) Close() error             { return nil }
+func (r *recordingTransport) Send(_ model.ProcessID, data []byte) error {
+	r.sent = append(r.sent, data)
+	return nil
+}
+
+// TestBatcherFlushSingleFrameIsBare: a lone frame leaves at the owner's
+// Flush, bare — the container wrapper would cost 2 bytes on every unbatched
+// message — and each flush is labelled by what triggered it.
+func TestBatcherFlushSingleFrameIsBare(t *testing.T) {
+	reg := obs.NewRegistry()
+	tr := &recordingTransport{}
+	b := NewBatcher(tr, BatcherConfig{MaxBatch: 2, Metrics: reg})
+	frame, err := wire.Encode(wire.Envelope{From: 1, To: 2, Round: 9, Kind: wire.KindNull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(to model.ProcessID) {
+		if err := b.Send(to, frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(2)
+	send(2) // MaxBatch: link 2 flushes itself
+	send(3)
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.sent) != 2 || !wire.IsBatch(tr.sent[0]) || string(tr.sent[1]) != string(frame) {
+		t.Fatalf("after the count flush and a Flush: packets %x, want a batch then the bare frame %x", tr.sent, frame)
+	}
+	send(2)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.sent) != 3 || string(tr.sent[2]) != string(frame) {
+		t.Fatalf("Close sent %x, want the pending bare frame", tr.sent[2:])
+	}
+	for reason, want := range map[string]int64{"count": 1, "sweep": 1, "close": 1} {
+		if got := reg.Counter(obs.Label(MetricBatcherFlushes, "reason", reason)).Value(); got != want {
+			t.Errorf("%s flushes = %d, want %d", reason, got, want)
+		}
+	}
+	if got := reg.Counter(MetricBatcherFrames).Value(); got != 4 {
+		t.Errorf("frames = %d, want 4", got)
+	}
+}
+
+// TestBatcherOneAllocPerBatch: a link's next batch buffer is sized from its
+// last, so a full batch costs the one buffer it surrenders to the transport
+// and nothing else.
+func TestBatcherOneAllocPerBatch(t *testing.T) {
+	const maxBatch = 32
+	b := NewBatcher(discardTransport{}, BatcherConfig{MaxBatch: maxBatch, Metrics: obs.NewRegistry()})
+	frame, err := wire.Encode(wire.Envelope{From: 1, To: 2, Round: 1, Kind: wire.KindD, Instance: 1 << 20,
+		Payload: consensus.DMsg{V: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < maxBatch; i++ {
+			if err := b.Send(2, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("%v allocations per %d-frame batch, want 1", allocs, maxBatch)
+	}
+}
+
+// discardTransport drops every packet.
+type discardTransport struct{}
+
+func (discardTransport) LocalID() model.ProcessID           { return 1 }
+func (discardTransport) Recv() <-chan Packet                { return nil }
+func (discardTransport) Close() error                       { return nil }
+func (discardTransport) Send(model.ProcessID, []byte) error { return nil }
+
+// goroutinesRunning counts the scheduled goroutines, other than the
+// caller's, whose stack mentions fn.
+func goroutinesRunning(fn string) int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:goruntime.Stack(buf, true)]
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n")[1:] { // the caller's stack comes first
+		if strings.Contains(g, fn) {
+			count++
+		}
+	}
+	return count
+}
+
+// TestBatcherStartsNoGoroutine: the batcher is its owner's code, not a
+// service — construction, Send, Flush and Close run on the caller's
+// goroutine and leave none behind.
+func TestBatcherStartsNoGoroutine(t *testing.T) {
+	before := goruntime.NumGoroutine()
+	b := NewBatcher(&recordingTransport{}, BatcherConfig{Metrics: obs.NewRegistry()})
+	frame, err := wire.Encode(wire.Envelope{From: 1, To: 2, Round: 1, Kind: wire.KindNull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := b.Send(model.ProcessID(2+i%3), frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := goroutinesRunning("Batcher"); n != 0 || goruntime.NumGoroutine() > before {
+		t.Errorf("after 100 Sends: %d goroutines in the batcher, %d in all (%d before)", n, goruntime.NumGoroutine(), before)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if goruntime.NumGoroutine() > before {
+		t.Errorf("after Close: %d goroutines, %d before", goruntime.NumGoroutine(), before)
+	}
+}
+
 func TestBatcherCloseFlushesAndRejects(t *testing.T) {
 	nw := NewChanNetwork(2, ChanConfig{Metrics: obs.NewRegistry(), MaxDelay: 100 * time.Microsecond})
 	defer nw.Close()
-	b := NewBatcher(nw.Endpoint(1), BatcherConfig{
-		MaxBatch:   100,
-		FlushEvery: time.Hour,
-		Metrics:    obs.NewRegistry(),
-	})
+	b := NewBatcher(nw.Endpoint(1), BatcherConfig{MaxBatch: 100, Metrics: obs.NewRegistry()})
 
 	frame, err := wire.Encode(wire.Envelope{From: 1, To: 2, Round: 1, Kind: wire.KindNull})
 	if err != nil {
@@ -156,11 +241,7 @@ func TestBatcherCloseFlushesAndRejects(t *testing.T) {
 func TestBatcherInFlightIsolation(t *testing.T) {
 	nw := NewChanNetwork(2, ChanConfig{Metrics: obs.NewRegistry(), MaxDelay: 200 * time.Microsecond})
 	defer nw.Close()
-	b := NewBatcher(nw.Endpoint(1), BatcherConfig{
-		MaxBatch:   2,
-		FlushEvery: time.Hour,
-		Metrics:    obs.NewRegistry(),
-	})
+	b := NewBatcher(nw.Endpoint(1), BatcherConfig{MaxBatch: 2, Metrics: obs.NewRegistry()})
 	defer b.Close()
 
 	const batches = 50
@@ -207,60 +288,5 @@ func TestBatcherInFlightIsolation(t *testing.T) {
 		if c != 0 {
 			t.Fatalf("frame %x count off by %d — in-flight corruption", frame, c)
 		}
-	}
-}
-
-// awaitParked waits until b's flusher has stopped its ticker for want of
-// traffic.
-func awaitParked(t *testing.T, b *Batcher) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		b.mu.Lock()
-		parked := b.parked
-		b.mu.Unlock()
-		if parked {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the flusher never parked on an idle batcher")
-		}
-	}
-}
-
-// TestBatcherParksAndRestarts: a batcher nobody sends through parks its
-// flusher; a frame sent to a parked batcher is still flushed by the timer,
-// with no Flush call and no second frame to fill the batch; and Close on a
-// parked batcher joins the flusher.
-func TestBatcherParksAndRestarts(t *testing.T) {
-	nw := NewChanNetwork(2, ChanConfig{Metrics: obs.NewRegistry(), MaxDelay: 100 * time.Microsecond})
-	defer nw.Close()
-	reg := obs.NewRegistry()
-	b := NewBatcher(nw.Endpoint(1), BatcherConfig{MaxBatch: 100, FlushEvery: time.Millisecond, Metrics: reg})
-	for round := 1; round <= 3; round++ {
-		awaitParked(t, b)
-		frame, err := wire.Encode(wire.Envelope{From: 1, To: 2, Round: round, Kind: wire.KindNull})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Send(2, frame); err != nil {
-			t.Fatal(err)
-		}
-		if got := recvFrames(t, nw.Endpoint(2), 5*time.Second); len(got) != 1 || string(got[0]) != string(frame) {
-			t.Fatalf("round %d: received %x, want the one frame %x", round, got, frame)
-		}
-	}
-	if got := reg.Counter(obs.Label(MetricBatcherFlushes, "reason", "timer")).Value(); got != 3 {
-		t.Errorf("timer flushes = %d, want 3: one per frame, none for an empty tick", got)
-	}
-	awaitParked(t, b)
-	closed := make(chan error, 1)
-	go func() { closed <- b.Close() }()
-	select {
-	case err := <-closed:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Close on a parked batcher did not return")
 	}
 }

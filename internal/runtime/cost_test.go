@@ -74,9 +74,20 @@ func TestClusterDataCost(t *testing.T) {
 // costRun is one failure-free FloodSetWS run on the n=5, t=1 mesh, reduced
 // to what TestEngineCostShape compares.
 type costRun struct {
-	cost   *obs.CostSummary
-	rounds int64  // MetricNodeRounds: automaton rounds run, all nodes
-	allocs uint64 // heap allocations between StartEngine and Close
+	cost    *obs.CostSummary
+	rounds  int64  // MetricNodeRounds: automaton rounds run, all nodes
+	packets int64  // round packets: flushes of the workers' links
+	allocs  uint64 // heap allocations between StartEngine and Close
+}
+
+// dataPackets sums the batchers' flushes: every flush of a worker's link is
+// one round packet on the mesh.
+func dataPackets(reg *obs.Registry) int64 {
+	var packets int64
+	for _, reason := range []string{"count", "sweep", "close"} {
+		packets += reg.Counter(obs.Label(MetricBatcherFlushes, "reason", reason)).Value()
+	}
+	return packets
 }
 
 const (
@@ -121,10 +132,16 @@ func measureCost(t *testing.T, instances, groups int, batch BatcherConfig, linkD
 	if !st.DetectorWasPerfect {
 		t.Fatalf("%d instances: precondition: detector was not perfect", instances)
 	}
+	packets := dataPackets(reg)
+	if carried := st.Cost.Messages - st.Cost.ControlMessages; packets != carried {
+		t.Fatalf("%d instances: the workers' links flushed %d packets, the mesh carried %d round packets",
+			instances, packets, carried)
+	}
 	return costRun{
-		cost:   st.Cost,
-		rounds: reg.Counter(MetricNodeRounds).Value(),
-		allocs: after.Mallocs - before.Mallocs,
+		cost:    st.Cost,
+		rounds:  reg.Counter(MetricNodeRounds).Value(),
+		packets: packets,
+		allocs:  after.Mallocs - before.Mallocs,
 	}
 }
 
@@ -169,16 +186,19 @@ func TestEngineCostShape(t *testing.T) {
 	if s, d := shared.cost.ControlBytesPerDecision, dedicated.cost.ControlBytesPerDecision; s >= d {
 		t.Errorf("no amortization: %.2f control B/decision shared vs %.1f dedicated", s, d)
 	}
-	if pk, fr := shared.cost.MessagesPerDecision, shared.cost.DataMessagesPerDecision; pk >= fr {
-		t.Errorf("no batching win: %.2f transport packets/decision vs %.2f data frames/decision", pk, fr)
+	if dedicated.packets != dedicated.cost.DataMessages {
+		t.Errorf("MaxBatch 1: %d round packets for %d frames, want one each", dedicated.packets, dedicated.cost.DataMessages)
 	}
-	perDecision := func(r costRun) float64 { return float64(r.allocs) / float64(r.cost.Decisions) }
+	perDecision := func(r costRun, x float64) float64 { return x / float64(r.cost.Decisions) }
+	if pk, fr := perDecision(shared, float64(shared.packets)), shared.cost.DataMessagesPerDecision; pk >= fr {
+		t.Errorf("no batching win: %.2f round packets/decision vs %.2f data frames/decision", pk, fr)
+	}
 	for _, r := range []costRun{dedicated, shared} { // README's engine table is these two rows
-		t.Logf("%d decisions: %.2f data msgs, %.3f control msgs, %.2f transport packets, %.0f allocs per decision",
+		t.Logf("%d decisions: %.2f data msgs, %.3f control msgs, %.2f round packets, %.0f allocs per decision",
 			r.cost.Decisions, r.cost.DataMessagesPerDecision, r.cost.ControlMessagesPerDecision,
-			r.cost.MessagesPerDecision, perDecision(r))
+			perDecision(r, float64(r.packets)), perDecision(r, float64(r.allocs)))
 	}
-	if s, d := perDecision(shared), perDecision(dedicated); s >= d {
+	if s, d := perDecision(shared, float64(shared.allocs)), perDecision(dedicated, float64(dedicated.allocs)); s >= d {
 		t.Errorf("no alloc win: %.1f allocs/decision shared vs %.1f dedicated", s, d)
 	}
 }
@@ -355,10 +375,7 @@ func TestEngineObserveContract(t *testing.T) {
 			framesDecoded += decoded
 		}
 	}
-	var packets int64
-	for _, reason := range []string{"count", "timer", "close"} {
-		packets += reg.Counter(obs.Label(MetricBatcherFlushes, "reason", reason)).Value()
-	}
+	packets := dataPackets(reg)
 	if control == 0 || control != controlDecoded {
 		t.Errorf("detectors observed %d control envelopes, the nodes decoded %d: want every one", control, controlDecoded)
 	}

@@ -18,9 +18,10 @@ import (
 // Engine metric names.
 const (
 	// MetricEngineUnknownInstance counts inbound round messages carrying an
-	// instance id outside the engine's opened range — dropped at the
-	// demultiplexer (stray traffic from a misconfigured peer, or corruption
-	// that survived decoding).
+	// instance id outside the engine's opened range, or riding in another
+	// worker's packet — dropped by the worker that decoded them (stray
+	// traffic from a misconfigured peer, or corruption that survived
+	// decoding).
 	MetricEngineUnknownInstance = "ssfd_engine_unknown_instance_total"
 	// MetricEngineInstancesDecided counts (instance, node) decisions.
 	MetricEngineInstancesDecided = "ssfd_engine_decisions_total"
@@ -127,9 +128,11 @@ type EngineConfig struct {
 	// model-faithful unbounded wait.
 	WaitBound time.Duration
 
-	// Batch tunes the per-link send batching of round traffic. Detector
-	// control traffic is never batched — a queued heartbeat is a false
-	// suspicion waiting to happen.
+	// Batch tunes the per-link send batching of round traffic. Every shard
+	// worker batches its own instances' frames on its own links and flushes
+	// them at the end of each sweep, so a packet never waits on a timer.
+	// Detector control traffic is never batched — a queued heartbeat is a
+	// false suspicion waiting to happen.
 	Batch BatcherConfig
 
 	// Faults, when non-nil, interposes the seeded per-link injector between
@@ -263,9 +266,10 @@ type EngineStats struct {
 	WaitTimeouts         int64
 	UnknownInstanceDrops int64
 
-	// Backlog is the number of events (round messages, registrations)
+	// Backlog is the number of round packets and instance registrations
 	// queued in the shard workers' mailboxes at snapshot time — the
-	// at-a-glance congestion figure a drain decision reads.
+	// at-a-glance congestion figure a drain decision reads. A packet may
+	// carry up to Batch.MaxBatch frames.
 	Backlog int64
 
 	// Detector audit, summed over the n shared detectors: FalselySuspected
@@ -289,10 +293,9 @@ type engineRun struct {
 	n         int
 	maxRounds int
 
-	ws       *netobs.WireStats // round traffic folds in bulk (see kindTally), detectors per Send
-	batchers []*Batcher        // 1..n, round traffic only
-	fds      []Detector        // 1..n, shared per node; nil entries under RS
-	workers  []*engWorker
+	ws      *netobs.WireStats // round traffic folds in bulk (see kindTally), detectors per Send
+	fds     []Detector        // 1..n, shared per node; nil entries under RS
+	workers []*engWorker
 	// crashed is the set of crash-stopped nodes (a model.ProcSet). A bit is
 	// set before the node's detector stops, and workers read it before they
 	// poll suspicions, so whoever sees the suspicion also sees the crash.
@@ -386,7 +389,8 @@ type Engine struct {
 		Endpoint(model.ProcessID) Transport
 		Close() error
 	}
-	inj *faults.Injector
+	endpoints []Transport // 1..n, shared by the node's detector, demux and batchers
+	inj       *faults.Injector
 
 	stopDemux chan struct{}
 	demuxWG   sync.WaitGroup
@@ -463,7 +467,6 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 		n:          n,
 		maxRounds:  cfg.MaxRounds,
 		ws:         ws,
-		batchers:   make([]*Batcher, n+1),
 		fds:        make([]Detector, n+1),
 		metrics:    newNodeMetrics(reg, alg.Name(), cfg.Kind),
 		unknown:    reg.Counter(MetricEngineUnknownInstance),
@@ -495,12 +498,9 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 		inj = faults.NewInjector(fcfg)
 	}
 
-	// Per-node plumbing: endpoint → (injector) → {detector, batcher, demux}.
+	// Per-node plumbing: endpoint → (injector) → {detector, demux, one
+	// batcher per worker}.
 	endpoints := make([]Transport, n+1)
-	bcfg := cfg.Batch
-	if bcfg.Metrics == nil {
-		bcfg.Metrics = reg
-	}
 	for i := 1; i <= n; i++ {
 		var tr Transport = network.Endpoint(model.ProcessID(i))
 		if inj != nil {
@@ -522,7 +522,7 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 				// constructions with eager resources rely on it.
 				for j := 1; j < i; j++ {
 					er.fds[j].Stop()
-					_ = er.batchers[j].Close()
+					_ = endpoints[j].Close()
 				}
 				if inj != nil {
 					_ = inj.Close()
@@ -532,17 +532,25 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 			}
 			er.fds[i] = d
 		}
-		er.batchers[i] = NewBatcher(tr, bcfg)
 	}
 
-	// Shard workers: worker w owns instances {k : k mod Groups == w}.
+	// Shard workers: worker w owns instances {k : k mod Groups == w} and
+	// sends their frames through its own batcher per node.
+	bcfg := cfg.Batch
+	if bcfg.Metrics == nil {
+		bcfg.Metrics = reg
+	}
 	er.workers = make([]*engWorker, cfg.Groups)
 	for w := range er.workers {
 		ew := &engWorker{
 			run:      er,
 			idx:      w,
+			links:    make([]*Batcher, n+1),
 			suspects: make([]model.ProcSet, n+1),
 			scratch:  make([]rounds.Message, n+1),
+		}
+		for i := 1; i <= n; i++ {
+			ew.links[i] = NewBatcher(endpoints[i], bcfg)
 		}
 		ew.mb.notify = make(chan struct{}, 1)
 		er.workers[w] = ew
@@ -553,6 +561,7 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 		reg:       reg,
 		ws:        ws,
 		network:   network,
+		endpoints: endpoints,
 		inj:       inj,
 		stopDemux: make(chan struct{}),
 		start:     time.Now(),
@@ -729,8 +738,9 @@ func (e *Engine) Close() error {
 		}
 		close(e.stopDemux)
 		e.demuxWG.Wait()
-		for i := 1; i <= er.n; i++ {
-			_ = er.batchers[i].Close()
+		// The workers flushed their links at the end of their last sweep.
+		for _, tr := range e.endpoints[1:] {
+			_ = tr.Close()
 		}
 		if e.inj != nil {
 			_ = e.inj.Close()

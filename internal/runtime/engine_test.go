@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"maps"
 	goruntime "runtime"
 	"sync/atomic"
 	"testing"
@@ -191,8 +192,8 @@ func TestEngineShardingInvariance(t *testing.T) {
 }
 
 // TestEngineUnknownInstanceDrops: a round message carrying an out-of-range
-// instance id is dropped at the demultiplexer and counted, without
-// disturbing the in-range instances.
+// instance id is dropped by the worker the packet reached and counted,
+// without disturbing the in-range instances.
 func TestEngineUnknownInstanceDrops(t *testing.T) {
 	reg := obs.NewRegistry()
 	// A 4-endpoint mesh for a 3-node engine: endpoint 4 is the test's hand,
@@ -240,7 +241,7 @@ func TestEngineBatchedRun(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, st, err := runInstances(consensus.FloodSetWS{}, EngineConfig{
 		N: 3, T: 1,
-		Batch:           BatcherConfig{MaxBatch: 8, FlushEvery: 2 * time.Millisecond},
+		Batch:           BatcherConfig{MaxBatch: 8},
 		HeartbeatPeriod: 5 * time.Millisecond,
 		SuspectTimeout:  500 * time.Millisecond,
 		Metrics:         reg,
@@ -255,10 +256,7 @@ func TestEngineBatchedRun(t *testing.T) {
 	if frames := snap.Counter(MetricBatcherFrames); frames == 0 {
 		t.Error("batcher saw no frames")
 	}
-	flushes := snap.Counter(obs.Label(MetricBatcherFlushes, "reason", "count")) +
-		snap.Counter(obs.Label(MetricBatcherFlushes, "reason", "timer")) +
-		snap.Counter(obs.Label(MetricBatcherFlushes, "reason", "close"))
-	if flushes == 0 {
+	if dataPackets(reg) == 0 {
 		t.Error("batcher never flushed")
 	}
 	if st.Cost == nil || st.Cost.Decisions != 120 {
@@ -674,5 +672,263 @@ func TestEngineQuiescenceRS(t *testing.T) {
 		if nd.DecidedAt != 1 || nd.Rounds != 2 {
 			t.Errorf("p%d outcome %+v, want decision at round 1 and 2 rounds run", i+1, nd)
 		}
+	}
+}
+
+// ownerCheckNetwork is a ChanNetwork whose endpoints check every round
+// packet on its way out: its frames must all belong to one worker, that is
+// share one instance mod groups.
+type ownerCheckNetwork struct {
+	*ChanNetwork
+	groups                  uint64
+	packets, batched, mixed atomic.Int64
+}
+
+func (nw *ownerCheckNetwork) Endpoint(id model.ProcessID) Transport {
+	return &ownerCheckEndpoint{Transport: nw.ChanNetwork.Endpoint(id), nw: nw}
+}
+
+type ownerCheckEndpoint struct {
+	Transport
+	nw *ownerCheckNetwork
+}
+
+func (e *ownerCheckEndpoint) Send(to model.ProcessID, data []byte) error {
+	if !wire.PeekControl(data) {
+		owner, frames, mixed := uint64(0), 0, false
+		_ = wire.SplitBatch(data, func(frame []byte) error {
+			env, err := wire.Decode(frame)
+			if err != nil {
+				mixed = true
+				return nil
+			}
+			if w := env.Instance % e.nw.groups; frames == 0 {
+				owner = w
+			} else if w != owner {
+				mixed = true
+			}
+			frames++
+			return nil
+		})
+		e.nw.packets.Add(1)
+		if frames > 1 {
+			e.nw.batched.Add(1)
+		}
+		if mixed {
+			e.nw.mixed.Add(1)
+		}
+	}
+	return e.Transport.Send(to, data)
+}
+
+// TestEnginePacketsHaveOneOwner: a worker batches only its own instances,
+// so every round packet on the mesh belongs to one worker and the worker it
+// is routed to files all of it; a stray frame someone else batched in is
+// dropped and counted, and never reaches the instance it names.
+func TestEnginePacketsHaveOneOwner(t *testing.T) {
+	const n, groups, instances = 4, 3, 300
+	reg := obs.NewRegistry()
+	nw := &ownerCheckNetwork{ChanNetwork: NewChanNetwork(n, ChanConfig{MaxDelay: time.Millisecond, Metrics: reg}), groups: groups}
+	outs, st, err := runInstances(consensus.FloodSetWS{}, EngineConfig{
+		N: n, T: 1, Groups: groups,
+		Network:         nw,
+		HeartbeatPeriod: 5 * time.Millisecond,
+		SuspectTimeout:  2 * time.Second,
+		Metrics:         reg,
+	}, instances, func(inst int, id model.ProcessID) model.Value { return model.Value((inst + int(id)) % 7) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for inst, out := range outs {
+		if _, verdict := out.Agreement(); verdict != AgreementReached {
+			t.Errorf("instance %d: verdict %v", inst, verdict)
+		}
+	}
+	if mixed, packets := nw.mixed.Load(), nw.packets.Load(); mixed != 0 || packets != dataPackets(reg) {
+		t.Errorf("%d of %d round packets mix workers' instances (the links flushed %d): want none", mixed, packets, dataPackets(reg))
+	}
+	if nw.batched.Load() == 0 {
+		t.Error("no packet carried more than one frame: the ownership check was vacuous")
+	}
+	if st.UnknownInstanceDrops != 0 || reg.Counter(MetricEngineUnknownInstance).Value() != 0 {
+		t.Errorf("UnknownInstanceDrops = %d, want 0", st.UnknownInstanceDrops)
+	}
+
+	t.Run("stray frame in a batch", func(t *testing.T) {
+		// Endpoint n+1 is the test's hand. Links between the nodes take 50ms,
+		// so both instances are still in round 1 when the hand's batch, which
+		// travels at once, reaches node 1.
+		reg := obs.NewRegistry()
+		nw := NewChanNetwork(n+1, ChanConfig{Metrics: reg, Delay: func(from, _ model.ProcessID, _ []byte) time.Duration {
+			if from == n+1 {
+				return 0
+			}
+			return 50 * time.Millisecond
+		}})
+		e, err := StartEngine(consensus.FloodSetWS{}, EngineConfig{
+			N: n, T: 1, Groups: groups,
+			Network:         nw,
+			HeartbeatPeriod: 5 * time.Millisecond,
+			SuspectTimeout:  2 * time.Second,
+			Metrics:         reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		initial := func(id model.ProcessID) model.Value { return model.Value(id) }
+		var owned, other obs.Collector
+		hOwned, err := e.OpenWith(initial, OpenOptions{Events: &owned}) // instance 0, worker 0
+		if err != nil {
+			t.Fatal(err)
+		}
+		hOther, err := e.OpenWith(initial, OpenOptions{Events: &other}) // instance 1, worker 1
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Round T+2 = 3 is one FloodSetWS never sends in (it halts at
+		// quiescence), so an arrival there can only be the hand's frame.
+		var batch []byte
+		for _, inst := range []uint64{0, 1} {
+			frame, err := wire.Encode(wire.Envelope{From: 2, To: 1, Round: 3, Kind: wire.KindD,
+				Instance: inst, Payload: consensus.DMsg{V: 9}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch = wire.AppendToBatch(batch, frame)
+		}
+		if err := nw.Endpoint(n+1).Send(1, batch); err != nil {
+			t.Fatal(err)
+		}
+		<-hOwned.Done()
+		<-hOther.Done()
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		arrivedAt3 := func(c *obs.Collector) bool {
+			for _, ev := range c.Events() {
+				if ev.Type == obs.EventArrive && ev.Round == 3 && ev.Proc == 1 && ev.From == 2 {
+					return true
+				}
+			}
+			return false
+		}
+		if !arrivedAt3(&owned) {
+			t.Error("instance 0 never saw the first frame of the packet routed to its worker")
+		}
+		if arrivedAt3(&other) {
+			t.Error("instance 1 received the frame worker 0 was handed in instance 0's packet")
+		}
+		if got := e.Stats().UnknownInstanceDrops; got != 1 {
+			t.Errorf("UnknownInstanceDrops = %d, want 1: the stray frame", got)
+		}
+		for _, h := range []*Instance{hOwned, hOther} {
+			if out, _ := h.Outcome(); !out.Decided[0] || out.Decisions[0] != 1 {
+				t.Errorf("instance %d: node 1 decided (%d,%v), want 1", h.ID(), int64(out.Decisions[0]), out.Decided[0])
+			}
+		}
+	})
+}
+
+// TestEngineOwnershipUnderFaults: duplicated and reordered packets still
+// carry one worker's frames. Every instance decides, value and round, what
+// the round model decides from its proposals, and no frame is counted as
+// stray.
+func TestEngineOwnershipUnderFaults(t *testing.T) {
+	const instances = 200
+	want := make([]*rounds.Run, len(engineInitials))
+	for i, initial := range engineInitials {
+		run, err := rounds.RunAlgorithm(rounds.RWS, consensus.FloodSetWS{}, initial, 1, rounds.NoFailures)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = run
+	}
+	reg := obs.NewRegistry()
+	outs, st, err := runInstances(consensus.FloodSetWS{}, EngineConfig{
+		N: 3, T: 1, Groups: 2,
+		Faults:          &faults.Config{Seed: 11, Default: faults.LinkFaults{Duplicate: 0.2, Reorder: 0.2}},
+		HeartbeatPeriod: 5 * time.Millisecond,
+		SuspectTimeout:  2 * time.Second,
+		Metrics:         reg,
+	}, instances, engineInitialFn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.DetectorWasPerfect {
+		t.Fatal("precondition: the detector was not perfect")
+	}
+	if reg.Counter(faults.MetricDuplicated).Value() == 0 || reg.Counter(faults.MetricReordered).Value() == 0 {
+		t.Fatal("precondition: the injector neither duplicated nor reordered")
+	}
+	for inst, out := range outs {
+		run := want[inst%len(want)]
+		for id := 1; id <= 3; id++ {
+			if !out.Decided[id-1] || out.Decisions[id-1] != run.DecisionOf[id] || int(out.Nodes[id-1].DecidedAt) != run.DecidedAt[id] {
+				t.Errorf("instance %d node %d: decided (%d,%v) at round %d; the round model decides %d at round %d",
+					inst, id, int64(out.Decisions[id-1]), out.Decided[id-1], out.Nodes[id-1].DecidedAt,
+					int64(run.DecisionOf[id]), run.DecidedAt[id])
+			}
+		}
+	}
+	if st.UnknownInstanceDrops != 0 {
+		t.Errorf("UnknownInstanceDrops = %d, want 0", st.UnknownInstanceDrops)
+	}
+}
+
+// TestEngineGoroutineAccounting: StartEngine starts one demultiplexer per
+// node, one goroutine per shard worker and whatever the detectors start —
+// one heartbeat ticker per node — and nothing else: a worker's batchers run
+// on the worker.
+func TestEngineGoroutineAccounting(t *testing.T) {
+	const n, groups = 4, 3
+	nw := NewChanNetwork(n, ChanConfig{Metrics: obs.NewRegistry()})
+	kinds := map[string]string{
+		"demux":    "(*engineRun).demuxLoop",
+		"worker":   "(*engWorker).loop",
+		"detector": "(*DetectorCore).Every",
+		"batcher":  "Batcher",
+	}
+	count := func() map[string]int {
+		m := map[string]int{}
+		for kind, fn := range kinds {
+			m[kind] = goroutinesRunning(fn)
+		}
+		return m
+	}
+	// Earlier tests closed their engines, but a goroutine that has signalled
+	// its WaitGroup may still be on its way out.
+	deadline := time.Now().Add(5 * time.Second)
+	for left := count(); left["demux"]+left["worker"]+left["detector"] > 0; left = count() {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines of closed engines still running: %v", left)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	total := goruntime.NumGoroutine()
+	e, err := StartEngine(consensus.FloodSetWS{}, EngineConfig{
+		N: n, T: 1, Groups: groups,
+		Network: nw,
+		// No heartbeat is due during the test, so the mesh starts no delivery
+		// goroutine either.
+		HeartbeatPeriod: time.Hour,
+		SuspectTimeout:  2 * time.Hour,
+		Metrics:         obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = e.Close() }()
+	// A goroutine shows in a stack dump once it has been scheduled.
+	want := map[string]int{"demux": n, "worker": groups, "detector": n, "batcher": 0}
+	deadline = time.Now().Add(5 * time.Second)
+	after := count()
+	for ; !maps.Equal(after, want) && time.Now().Before(deadline); after = count() {
+		time.Sleep(time.Millisecond)
+	}
+	if !maps.Equal(after, want) {
+		t.Errorf("goroutines started by kind: %v, want %v", after, want)
+	}
+	if started := goruntime.NumGoroutine() - total; started > 2*n+groups {
+		t.Errorf("StartEngine started %d goroutines, want %d", started, 2*n+groups)
 	}
 }

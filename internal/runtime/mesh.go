@@ -11,7 +11,7 @@ import (
 
 // kindTally is one goroutine's private count of codec conversions per kind,
 // folded into the shared netobs.WireStats in bulk: the demultiplexer once per
-// packet, a worker once per sweep. A packet's frames are nearly all one kind,
+// packet, a worker once per sweep. A sweep's frames are nearly all one kind,
 // so a fold costs four atomic adds where counting per frame cost four per
 // frame, on cache lines every node's goroutines share.
 type kindTally [wire.MaxKind + 1]struct{ msgs, bytes int64 }
@@ -32,14 +32,16 @@ func (t *kindTally) fold(add func(k wire.Kind, msgs, bytes int64)) {
 	}
 }
 
-// demuxLoop decodes one node's inbound packets (splitting batches), feeds
-// the shared detector and routes round messages to the owning worker.
+// demuxLoop feeds one node's inbound packets to the shared detector and
+// hands each round packet, whole, to the worker that owns it. Every node
+// shards instances alike and a worker batches only its own instances, so a
+// packet's first round frame names the owner of all of them. The demux
+// decodes control frames and that first round frame — the detector hears
+// from a sender once per packet (the Detector.Observe contract) — and
+// leaves the rest of the packet to the owner.
 func (er *engineRun) demuxLoop(wg *sync.WaitGroup, id model.ProcessID, tr Transport, stop <-chan struct{}) {
 	defer wg.Done()
 	fd := er.fds[id]
-	// A packet's frames reach each owning worker in one push: a batch of 32
-	// frames takes the mailbox lock once per worker, not 32 times.
-	routed := make([][]engEvent, len(er.workers))
 	var decoded kindTally
 	for {
 		select {
@@ -49,55 +51,44 @@ func (er *engineRun) demuxLoop(wg *sync.WaitGroup, id model.ProcessID, tr Transp
 			if !ok {
 				return
 			}
-			// Instance ids only grow and a frame is sent after its instance was
-			// opened, so one read per packet bounds every id the packet carries.
-			opened := er.opened.Load()
-			// observed: senders whose round traffic in this packet the detector
-			// has already seen (the Detector.Observe contract).
-			var observed model.ProcSet
+			ev := engEvent{node: id, pkt: pkt.Data}
+			var owner *engWorker
 			_ = wire.SplitBatch(pkt.Data, func(frame []byte) error {
+				if owner == nil {
+					ev.skip++
+				} else if !wire.PeekControl(frame) {
+					return nil // the owner's to decode
+				}
 				env, err := wire.Decode(frame)
 				if err != nil {
 					return nil // corrupt frame: drop, keep the batch
 				}
-				decoded.add(env.Kind, len(frame))
 				if env.Kind.Control() {
+					decoded.add(env.Kind, len(frame))
 					if fd != nil {
 						fd.Observe(env)
 					}
 					er.metrics.heartbeats.Inc()
 					return nil
 				}
-				if fd != nil && !observed.Has(env.From) {
-					observed = observed.Add(env.From)
+				if fd != nil {
 					fd.Observe(env)
 				}
-				if env.Instance >= opened ||
-					env.From < 1 || int(env.From) > er.n {
-					er.unknown.Inc()
-					er.unknownCount.Add(1)
-					return nil
-				}
-				w := int(env.Instance % uint64(len(er.workers)))
-				routed[w] = append(routed[w], engEvent{node: id, env: env})
+				ev.first = env
+				owner = er.workers[env.Instance%uint64(len(er.workers))]
 				return nil
 			})
 			decoded.fold(er.ws.AddDecoded)
-			for w, evs := range routed {
-				if len(evs) == 0 {
-					continue
-				}
-				er.workers[w].mb.pushAll(evs)
-				clear(evs) // drop the payload references
-				routed[w] = evs[:0]
+			if owner != nil {
+				owner.mb.push(ev)
 			}
 		}
 	}
 }
 
 // sendRound transmits st's round-r messages (msgs, the automaton's Msgs(r))
-// through the owning node's batcher, tagged with the instance id, to the
-// first reach destinations (all n−1 unless the node is crashing).
+// through this worker's batcher for st's node, tagged with the instance id,
+// to the first reach destinations (all n−1 unless the node is crashing).
 func (w *engWorker) sendRound(st *instState, r, reach int, msgs []rounds.Message) error {
 	if msgs != nil {
 		st.selfMsg = msgs[st.id]
@@ -141,7 +132,7 @@ func (w *engWorker) sendRound(st *instState, r, reach int, msgs []rounds.Message
 		}
 		w.frame = data
 		w.encoded.add(env.Kind, len(data))
-		if err := w.run.batchers[st.id].Send(dest, data); err != nil {
+		if err := w.links[st.id].Send(dest, data); err != nil {
 			return err
 		}
 	}

@@ -11,13 +11,17 @@ import (
 	"repro/internal/wire"
 )
 
-// engEvent is one worker mailbox entry: either a routed round message (a
-// decoded envelope plus the node it was delivered to) or — when slab is
-// non-nil — an instance registration from Open.
+// engEvent is one worker mailbox entry: a round packet delivered to node,
+// whole, or — when slab is non-nil — an instance registration from Open.
+// The demultiplexer handled the packet's first skip frames: any control or
+// corrupt frames, then first, the decoded round frame that routed the
+// packet here.
 type engEvent struct {
-	node model.ProcessID
-	env  wire.Envelope
-	slab *instSlab
+	node  model.ProcessID
+	pkt   []byte
+	skip  int
+	first wire.Envelope
+	slab  *instSlab
 }
 
 // mailbox is a worker's unbounded inbox. Unbounded by design: the demux
@@ -34,14 +38,6 @@ type mailbox struct {
 func (mb *mailbox) push(ev engEvent) {
 	mb.mu.Lock()
 	mb.q = append(mb.q, ev)
-	mb.mu.Unlock()
-	mb.wake()
-}
-
-// pushAll queues one packet's worth of events under one lock and one wake.
-func (mb *mailbox) pushAll(evs []engEvent) {
-	mb.mu.Lock()
-	mb.q = append(mb.q, evs...)
 	mb.mu.Unlock()
 	mb.wake()
 }
@@ -112,12 +108,14 @@ type instSlab struct {
 	announced bool // OnInstanceDecided has fired
 }
 
-// engWorker owns the instances k with k mod Groups == idx and advances
-// their n automata from its mailbox.
+// engWorker owns the instances k with k mod Groups == idx: it advances their
+// n automata from its mailbox, batches their frames on its own links and
+// decodes the packets that carry them.
 type engWorker struct {
 	run *engineRun
 	idx int
 
+	links  []*Batcher // 1..n: node i's round traffic for this worker's instances
 	mb     mailbox
 	spare  []engEvent
 	slabs  []*instSlab // index inst/Groups - base; nil once the instance completed
@@ -133,12 +131,20 @@ type engWorker struct {
 
 	frame   []byte    // encode scratch: Batcher.Send copies out of it
 	encoded kindTally // frames encoded since the last fold into WireStats
+	decoded kindTally // round frames decoded since the last fold
 }
 
-// slabFor maps an instance id to its slab, or nil once it completed (late
-// duplicates for a finished instance are dropped).
-func (w *engWorker) slabFor(inst uint64) *instSlab {
-	local := int(inst)/len(w.run.workers) - w.base
+// fold hands the frames counted since the last fold to WireStats.
+func (w *engWorker) fold() {
+	w.encoded.fold(w.run.ws.AddEncoded)
+	w.decoded.fold(w.run.ws.AddDecoded)
+}
+
+// slabAt maps an owned instance's local index (its id / Groups) to its slab,
+// or nil once it completed (late duplicates for a finished instance are
+// dropped).
+func (w *engWorker) slabAt(local int) *instSlab {
+	local -= w.base
 	if local < 0 || local >= len(w.slabs) {
 		return nil
 	}
@@ -257,11 +263,11 @@ func (w *engWorker) loop(wg *sync.WaitGroup) {
 			st.queued = false
 			w.advance(st)
 		}
-		w.encoded.fold(w.run.ws.AddEncoded)
-		// Round completions above queued sends on the node batchers; push
-		// them out now so peers don't wait out the flush timer.
-		for i := 1; i <= w.run.n; i++ {
-			if err := w.run.batchers[i].Flush(); err != nil && err != ErrClosed {
+		w.fold()
+		// Round completions above queued sends on this worker's links; push
+		// them out now, a round's messages together.
+		for _, b := range w.links[1:] {
+			if err := b.Flush(); err != nil && err != ErrClosed {
 				w.run.abort(err)
 			}
 		}
@@ -296,34 +302,72 @@ func (w *engWorker) loop(wg *sync.WaitGroup) {
 	}
 }
 
-// deliver files one mailbox event: a registration, or a round message into
-// its automaton's row.
+// deliver files one mailbox event: a registration, or a round packet's
+// frames into their automata's rows.
 func (w *engWorker) deliver(ev *engEvent) {
 	if ev.slab != nil {
 		w.register(ev.slab)
 		return
 	}
-	sl := w.slabFor(ev.env.Instance)
-	if sl == nil {
-		return // instance completed (late duplicate) or never registered
+	// Instance ids only grow and a frame is sent after its instance was
+	// opened, so one read after the drain bounds every id the packet carries.
+	opened := w.run.opened.Load()
+	i := 0
+	_ = wire.SplitBatch(ev.pkt, func(frame []byte) error {
+		i++
+		switch {
+		case i < ev.skip:
+			return nil // control or corrupt: the demultiplexer's
+		case i == ev.skip:
+			w.decoded.add(ev.first.Kind, len(frame))
+			w.file(ev.node, &ev.first, opened)
+			return nil
+		}
+		env, err := wire.Decode(frame)
+		if err != nil || env.Kind.Control() {
+			return nil // corrupt, or observed by the demultiplexer
+		}
+		w.decoded.add(env.Kind, len(frame))
+		w.file(ev.node, &env, opened)
+		return nil
+	})
+}
+
+// file puts one round frame delivered to node into its automaton's row. A
+// frame from no node of the mesh, or for an instance never opened or owned
+// by another worker, is stray: dropped and counted, never filed into a
+// neighbour's round state.
+func (w *engWorker) file(node model.ProcessID, env *wire.Envelope, opened uint64) {
+	er := w.run
+	groups := uint64(len(er.workers))
+	local := env.Instance / groups
+	if env.Instance >= opened || env.Instance-local*groups != uint64(w.idx) ||
+		env.From < 1 || int(env.From) > er.n {
+		er.unknown.Inc()
+		er.unknownCount.Add(1)
+		return
 	}
-	st := &sl.states[int(ev.node)-1]
-	r := ev.env.Round
-	if st.round == 0 || r < int(st.round) || r > w.run.maxRounds {
+	sl := w.slabAt(int(local))
+	if sl == nil {
+		return // instance completed (late duplicate)
+	}
+	st := &sl.states[int(node)-1]
+	r := env.Round
+	if st.round == 0 || r < int(st.round) || r > er.maxRounds {
 		return // automaton halted, round already closed, or out of range
 	}
 	row := &st.rows[r]
 	if row.msgs == nil {
-		row.msgs = make([]rounds.Message, w.run.n+1)
+		row.msgs = make([]rounds.Message, er.n+1)
 	}
-	row.msgs[ev.env.From] = ev.env.Payload
-	if sl.events != nil && !row.got.Has(ev.env.From) {
+	row.msgs[env.From] = env.Payload
+	if sl.events != nil && !row.got.Has(env.From) {
 		// One arrival per (sender, round): duplicated deliveries must not
 		// double a causal tracer's happens-before edges.
 		sl.events.Emit(obs.Event{Type: obs.EventArrive, Round: r,
-			Proc: int(ev.node), From: int(ev.env.From)})
+			Proc: int(node), From: int(env.From)})
 	}
-	row.got = row.got.Add(ev.env.From)
+	row.got = row.got.Add(env.From)
 	w.enqueue(st)
 }
 
@@ -448,7 +492,7 @@ func (w *engWorker) advance(st *instState) {
 					// The instance's first decision. As in halt, whoever hears of
 					// it may read Stats().Cost next: count this sweep's frames first.
 					sl.announced = true
-					w.encoded.fold(er.ws.AddEncoded)
+					w.fold()
 					cb(sl.inst, v, r)
 				}
 			}
@@ -505,8 +549,8 @@ func (w *engWorker) halt(st *instState) {
 		w.base++
 	}
 	// Whoever learns the instance is done — the callback, a Done() waiter —
-	// may read Stats().Cost next: every frame the instance sent is counted
-	// first, not at the end of the sweep.
-	w.encoded.fold(w.run.ws.AddEncoded)
+	// may read Stats().Cost next: every frame the instance sent or decoded
+	// is counted first, not at the end of the sweep.
+	w.fold()
 	w.run.finish(sl.inst, out)
 }
