@@ -140,10 +140,13 @@ job_chaos() {
 # discipline with no lock and no goroutine of its own (TestBatch*), and the
 # one owner of every round packet — the worker that batched it is the worker
 # that decodes it, clean and under duplication and reordering
-# (TestEnginePacketsHaveOneOwner, TestEngineOwnershipUnderFaults) — are what
-# -race -count=2 shakes out.
+# (TestEnginePacketsHaveOneOwner, TestEngineOwnershipUnderFaults) — the
+# recycled inbox that decodes a repeated payload once
+# (TestEngineInboxDecodesRepeatsOnce), the header-only split
+# (TestSplitAllocatesNothing, TestDecodeHostileCounts) and the per-sweep
+# histogram fold (TestHistogramTallyFolds) are what -race -count=2 shakes out.
 job_multi_instance() {
-  go test -race -count=2 -run 'TestEngine|TestStartEngine|TestOpenAfterAbort|TestBatch|TestCluster|TestAgreement|TestLiveRSA1|TestChanNetwork|TestDeliveryQueue|TestPeekControl|TestDetectorSend|TestDetectorRegistry|TestEnginePacketsHaveOneOwner|TestEngineOwnershipUnderFaults' ./internal/runtime/ ./internal/wire/
+  go test -race -count=2 -run 'TestEngine|TestStartEngine|TestOpenAfterAbort|TestBatch|TestCluster|TestAgreement|TestLiveRSA1|TestChanNetwork|TestDeliveryQueue|TestPeekControl|TestDetectorSend|TestDetectorRegistry|TestEnginePacketsHaveOneOwner|TestEngineOwnershipUnderFaults|TestEngineInboxDecodesRepeatsOnce|TestSplitAllocatesNothing|TestDecodeHostileCounts|TestHistogramTallyFolds' ./internal/runtime/ ./internal/wire/ ./internal/obs/
   go test -race -count=2 -run 'TestCrashOnMultiplexedMesh' ./internal/fdimpl/
   floor ./internal/wire/ 85
   floor ./internal/runtime/ 85
@@ -188,7 +191,7 @@ job_serve() {
   go build -o "$tmp/ssfd-serve" ./cmd/ssfd-serve
   go build -o "$tmp/ssfd-load" ./cmd/ssfd-load
   go build -o "$tmp/ssfd-trace" ./cmd/ssfd-trace
-  local pid id url before after rc=0
+  local pid id url out before after rc=0
 
   # A write is committed at its instance's first decision, so the daemon
   # refuses, at the flag, an algorithm that is not uniform in RWS, and the
@@ -237,7 +240,9 @@ job_serve() {
   curl -sf "$url/v1/debug/trace/$id" | grep -q '"phases"' || { echo "trace $id not retrievable"; return 1; }
   curl -sf "$url/v1/debug/trace/$id?format=chrome" >/dev/null
   curl -sf "$url/v1/debug/keys" | grep -q '"attempts"' || { echo "hot-key table empty"; return 1; }
-  "$tmp/ssfd-trace" -serve "$url" "$id" | grep -q 'phases tile the total exactly' ||
+  # Captured first: grep -q stops reading at its match, and under pipefail
+  # the lines ssfd-trace still writes would fail the pipe with SIGPIPE.
+  out=$("$tmp/ssfd-trace" -serve "$url" "$id") && grep -q 'phases tile the total exactly' <<<"$out" ||
     { echo "ssfd-trace -serve failed to verify $id"; return 1; }
   drain "$pid"
 }

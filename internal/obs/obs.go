@@ -114,7 +114,9 @@ func (g *Gauge) Value() int64 {
 
 // Histogram is a fixed-bucket histogram over int64 observations. Buckets
 // are defined by ascending upper bounds; observations above the last bound
-// land in an implicit overflow bucket.
+// land in an implicit overflow bucket. Observe records one observation
+// with three atomic adds; a hot loop observes into a private
+// HistogramTally and folds it in bulk instead.
 type Histogram struct {
 	uppers []int64
 	counts []atomic.Uint64 // len(uppers)+1; last entry is the overflow bucket
@@ -137,10 +139,60 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	i := sort.Search(len(h.uppers), func(i int) bool { return h.uppers[i] >= v })
-	h.counts[i].Add(1)
+	h.counts[h.bucket(v)].Add(1)
 	h.sum.Add(v)
 	h.count.Add(1)
+}
+
+// bucket is the index of the bucket v falls in.
+func (h *Histogram) bucket(v int64) int {
+	return sort.Search(len(h.uppers), func(i int) bool { return h.uppers[i] >= v })
+}
+
+// HistogramTally is one goroutine's private count of observations bound for
+// a Histogram. Observe touches no shared memory; Fold adds the whole tally
+// to the histogram in bulk — one atomic add per touched bucket, not three
+// per observation — and zeroes it. A tally is not safe for concurrent use.
+type HistogramTally struct {
+	h      *Histogram
+	counts []uint64 // per bucket of h, overflow last
+	sum    int64
+	n      uint64
+}
+
+// Tally returns an empty tally for h. A nil histogram's tally discards
+// everything.
+func (h *Histogram) Tally() HistogramTally {
+	if h == nil {
+		return HistogramTally{}
+	}
+	return HistogramTally{h: h, counts: make([]uint64, len(h.counts))}
+}
+
+// Observe records one observation in the tally.
+func (t *HistogramTally) Observe(v int64) {
+	if t.h == nil {
+		return
+	}
+	t.counts[t.h.bucket(v)]++
+	t.sum += v
+	t.n++
+}
+
+// Fold adds the tally to its histogram and zeroes it.
+func (t *HistogramTally) Fold() {
+	if t.n == 0 {
+		return
+	}
+	for i, c := range t.counts {
+		if c != 0 {
+			t.h.counts[i].Add(c)
+			t.counts[i] = 0
+		}
+	}
+	t.h.sum.Add(t.sum)
+	t.h.count.Add(t.n)
+	t.sum, t.n = 0, 0
 }
 
 // snapshot freezes the histogram's state.

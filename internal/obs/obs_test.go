@@ -3,6 +3,7 @@ package obs
 import (
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -68,6 +69,34 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	if q := s.Quantile(1.0); q != 1000 {
 		t.Errorf("p100 = %d, want 1000 (overflow reports the largest finite bound)", q)
 	}
+}
+
+// TestHistogramTallyFolds: a tally folded twice leaves the histogram exactly
+// as observing directly would, shows nothing before its fold, and a nil
+// histogram's tally is a no-op.
+func TestHistogramTallyFolds(t *testing.T) {
+	r := NewRegistry()
+	direct, bulk := r.Histogram("direct", []int64{10, 100, 1000}), r.Histogram("bulk", []int64{10, 100, 1000})
+	tally := bulk.Tally()
+	for i, batch := range [][]int64{{1, 5, 10, 11}, {50, 200, 5000, 5000}} {
+		for _, v := range batch {
+			direct.Observe(v)
+			tally.Observe(v)
+		}
+		if i == 0 && r.Snapshot().Histograms["bulk"].Count != 0 {
+			t.Fatal("a tally reached the histogram before its fold")
+		}
+		tally.Fold()
+	}
+	tally.Fold() // an empty fold adds nothing
+	s := r.Snapshot()
+	if got, want := s.Histograms["bulk"], s.Histograms["direct"]; !reflect.DeepEqual(got, want) {
+		t.Errorf("folded %+v, observed directly %+v", got, want)
+	}
+	var none *Histogram
+	nt := none.Tally()
+	nt.Observe(1)
+	nt.Fold()
 }
 
 func TestLabel(t *testing.T) {

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"encoding/binary"
+
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -31,6 +33,12 @@ type BatcherConfig struct {
 // wrapper, so a Batcher can front any envelope stream whose receiver drains
 // packets through wire.SplitBatch.
 //
+// Each link appends its frames to one staging buffer that it reuses for
+// every batch; a flush copies the container out into an exactly sized
+// packet and surrenders that to the transport, so a batch costs one
+// allocation of the bytes it sends. The staging buffer never leaves the
+// Batcher.
+//
 // A Batcher has one owner and is not safe for concurrent use: it holds no
 // lock and starts no goroutine. The engine gives every shard worker its own
 // Batcher per node, so a round packet only ever carries the frames of one
@@ -49,30 +57,28 @@ type Batcher struct {
 	frames     *obs.Counter
 }
 
-// linkPending is one destination's unsent frames. The first frame is kept
-// bare so a single-frame flush skips the container; the second arrival
-// promotes both into a batch buffer sized from the link's last batch.
+// linkPending is one destination's unsent frames: a batch container being
+// built in a staging buffer the link keeps across flushes.
 type linkPending struct {
-	first []byte
-	batch []byte
-	count int
-	last  int // length of the link's last flushed batch
+	staged []byte
+	count  int
 }
 
-// detach hands the pending buffer to the caller and resets the link. The
-// flushed slice is surrendered (not recycled): the inner transport may hold
-// a reference to it until delivery, so reusing it for the next batch would
-// corrupt in-flight packets.
-func (p *linkPending) detach() []byte {
-	var out []byte
+// packet copies the pending frames out into a fresh, exactly sized packet —
+// the lone frame bare, several in their container — and empties the
+// staging buffer for the next batch. The packet is surrendered (not
+// recycled): the inner transport may hold a reference to it until
+// delivery.
+func (p *linkPending) packet() []byte {
+	out := p.staged
 	if p.count == 1 {
-		out, p.first = p.first, nil
-	} else {
-		out, p.batch = p.batch, nil
-		p.last = len(out)
+		_, n := binary.Uvarint(out[1:]) // skip the marker and the frame's length
+		out = out[1+n:]
 	}
-	p.count = 0
-	return out
+	pkt := make([]byte, len(out))
+	copy(pkt, out)
+	p.staged, p.count = p.staged[:0], 0
+	return pkt
 }
 
 var _ Transport = (*Batcher)(nil)
@@ -108,7 +114,7 @@ func (b *Batcher) LocalID() model.ProcessID { return b.inner.LocalID() }
 func (b *Batcher) Recv() <-chan Packet { return b.inner.Recv() }
 
 // Send implements Transport. The frame is copied into the destination's
-// pending buffer, so the caller may reuse data immediately.
+// staging buffer, so the caller may reuse data immediately.
 func (b *Batcher) Send(to model.ProcessID, data []byte) error {
 	if b.closed {
 		return ErrClosed
@@ -117,15 +123,7 @@ func (b *Batcher) Send(to model.ProcessID, data []byte) error {
 		b.pending = append(b.pending, linkPending{})
 	}
 	p := &b.pending[to]
-	switch p.count {
-	case 0:
-		p.first = append(p.first[:0], data...)
-	case 1:
-		p.batch = wire.AppendToBatch(make([]byte, 0, p.last), p.first)
-		p.batch = wire.AppendToBatch(p.batch, data)
-	default:
-		p.batch = wire.AppendToBatch(p.batch, data)
-	}
+	p.staged = wire.AppendToBatch(p.staged, data)
 	p.count++
 	if p.count >= b.maxBatch {
 		return b.flush(to, b.flushCount)
@@ -155,7 +153,7 @@ func (b *Batcher) flush(to model.ProcessID, reason *obs.Counter) error {
 	p := &b.pending[to]
 	reason.Inc()
 	b.frames.Add(int64(p.count))
-	return b.inner.Send(to, p.detach())
+	return b.inner.Send(to, p.packet())
 }
 
 // flushAll flushes every destination with pending frames.

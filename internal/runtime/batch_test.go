@@ -137,9 +137,9 @@ func TestBatcherFlushSingleFrameIsBare(t *testing.T) {
 	}
 }
 
-// TestBatcherOneAllocPerBatch: a link's next batch buffer is sized from its
-// last, so a full batch costs the one buffer it surrenders to the transport
-// and nothing else.
+// TestBatcherOneAllocPerBatch: a link stages its frames in a buffer it keeps,
+// so a full batch costs the one exactly sized packet it surrenders to the
+// transport and nothing else.
 func TestBatcherOneAllocPerBatch(t *testing.T) {
 	const maxBatch = 32
 	b := NewBatcher(discardTransport{}, BatcherConfig{MaxBatch: maxBatch, Metrics: obs.NewRegistry()})
@@ -157,6 +157,24 @@ func TestBatcherOneAllocPerBatch(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Errorf("%v allocations per %d-frame batch, want 1", allocs, maxBatch)
+	}
+	tr := &recordingTransport{}
+	b = NewBatcher(tr, BatcherConfig{MaxBatch: maxBatch, Metrics: obs.NewRegistry()})
+	for i := 0; i < maxBatch+1; i++ {
+		if err := b.Send(2, frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, pkt := range tr.sent {
+		if cap(pkt) != len(pkt) {
+			t.Errorf("a %d-byte packet carries a %d-byte buffer", len(pkt), cap(pkt))
+		}
+	}
+	if len(tr.sent) != 2 || wire.BatchLen(tr.sent[0]) != maxBatch || string(tr.sent[1]) != string(frame) {
+		t.Errorf("packets %x, want a full batch then the bare frame", tr.sent)
 	}
 }
 

@@ -152,7 +152,8 @@ func measureCost(t *testing.T, instances, groups int, batch BatcherConfig, linkD
 // margin: the shared detector's control traffic per decision falls below
 // what a dedicated cluster pays for its own detector; batching puts many
 // data frames into one transport packet; the engine's fixed setup
-// allocations spread over more decisions.
+// allocations spread over more decisions. One ceiling: the shared run's
+// allocations per decision.
 func TestEngineCostShape(t *testing.T) {
 	// The dedicated baseline is a one-instance, one-worker engine sending
 	// every frame as its own packet. Each link takes two heartbeat periods,
@@ -201,29 +202,47 @@ func TestEngineCostShape(t *testing.T) {
 	if s, d := perDecision(shared, float64(shared.allocs)), perDecision(dedicated, float64(dedicated.allocs)); s >= d {
 		t.Errorf("no alloc win: %.1f allocs/decision shared vs %.1f dedicated", s, d)
 	}
+	// 25–27 as measured (1, 2 and 4 CPUs, under load and under -race); 31
+	// when every frame was decoded for itself into a row allocated per round.
+	const allocCeiling = 30
+	if s := perDecision(shared, float64(shared.allocs)); s > allocCeiling {
+		t.Errorf("%.1f allocs/decision shared, want at most %d", s, allocCeiling)
+	}
 }
 
-// TestEngineCostExactAtCallback: the engine counts encoded round frames per
-// sweep, not per frame, yet whoever learns that an instance is done reads a
-// Stats().Cost that already holds every frame the instance sent.
+// TestEngineCostExactAtCallback: the engine counts encoded round frames,
+// closed rounds and decisions per sweep, not one by one, yet whoever learns
+// that an instance is done reads a Stats().Cost that already holds every
+// frame the instance sent, and metrics that have lost nothing.
 func TestEngineCostExactAtCallback(t *testing.T) {
 	// (n−1)(t+1) = 8 data messages per node decision, read inside the last
-	// OnInstanceDone callback and again right after the last Done().
+	// OnInstanceDone callback and again right after the last Done(); the
+	// decisions counter equals Stats().DecidedNodes at both points, and at
+	// quiescence the rounds counter and the round-duration histogram each
+	// count every round an automaton closed.
 	t.Run("failure-free", func(t *testing.T) {
 		const instances = 400
+		type reading struct {
+			st        EngineStats
+			decisions int64
+		}
+		reg := obs.NewRegistry()
+		read := func(e *Engine) reading {
+			return reading{e.Stats(), reg.Counter(MetricEngineInstancesDecided).Value()}
+		}
 		var e *Engine
 		var completed atomic.Int64
-		atCallback := make(chan EngineStats, 1)
+		atCallback := make(chan reading, 1)
 		var err error
 		e, err = StartEngine(consensus.FloodSetWS{}, EngineConfig{
 			N: costN, T: costT,
 			Groups:          2,
 			HeartbeatPeriod: 2 * time.Millisecond,
 			SuspectTimeout:  2 * time.Second,
-			Metrics:         obs.NewRegistry(),
+			Metrics:         reg,
 			OnInstanceDone: func(uint64, InstanceOutcome) {
 				if completed.Add(1) == instances {
-					atCallback <- e.Stats()
+					atCallback <- read(e)
 				}
 			},
 		})
@@ -237,17 +256,36 @@ func TestEngineCostExactAtCallback(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		var closed int64 // Σ NodeOutcome.Rounds
 		for _, h := range handles {
 			<-h.Done()
+			out, _ := h.Outcome()
+			for _, nd := range out.Nodes {
+				closed += int64(nd.Rounds)
+			}
 		}
-		afterDone := e.Stats()
-		for when, st := range map[string]EngineStats{"inside the last OnInstanceDone": <-atCallback, "after the last Done()": afterDone} {
+		afterDone := read(e)
+		for when, r := range map[string]reading{"inside the last OnInstanceDone": <-atCallback, "after the last Done()": afterDone} {
+			st := r.st
 			if st.DecidedNodes != instances*costN {
 				t.Fatalf("%s: %d/%d node decisions", when, st.DecidedNodes, instances*costN)
+			}
+			if r.decisions != st.DecidedNodes {
+				t.Errorf("%s: %s = %d, Stats().DecidedNodes = %d", when, MetricEngineInstancesDecided, r.decisions, st.DecidedNodes)
 			}
 			if want := (costN - 1) * (costT + 1) * st.DecidedNodes; st.Cost.DataMessages != want {
 				t.Errorf("%s: Cost.DataMessages = %d, want exactly %d (8 per node decision)", when, st.Cost.DataMessages, want)
 			}
+		}
+		hist := obs.Label(obs.Label(MetricRoundDuration, "algorithm", consensus.FloodSetWS{}.Name()), "model", rounds.RWS.String())
+		if want := int64(instances * costN * (costT + 1)); closed != want {
+			t.Fatalf("precondition: the outcomes report %d rounds, want %d", closed, want)
+		}
+		if got := reg.Counter(MetricNodeRounds).Value(); got != closed {
+			t.Errorf("%s = %d, Σ NodeOutcome.Rounds = %d", MetricNodeRounds, got, closed)
+		}
+		if got := reg.Snapshot().Histograms[hist].Count; int64(got) != closed {
+			t.Errorf("%s count = %d, Σ NodeOutcome.Rounds = %d", hist, got, closed)
 		}
 	})
 	// An instance that opens, sends both its rounds and completes within one

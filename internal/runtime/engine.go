@@ -543,11 +543,12 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 	er.workers = make([]*engWorker, cfg.Groups)
 	for w := range er.workers {
 		ew := &engWorker{
-			run:      er,
-			idx:      w,
-			links:    make([]*Batcher, n+1),
-			suspects: make([]model.ProcSet, n+1),
-			scratch:  make([]rounds.Message, n+1),
+			run:       er,
+			idx:       w,
+			links:     make([]*Batcher, n+1),
+			suspects:  make([]model.ProcSet, n+1),
+			scratch:   make([]rounds.Message, n+1),
+			durations: er.metrics.roundDuration.Tally(),
 		}
 		for i := 1; i <= n; i++ {
 			ew.links[i] = NewBatcher(endpoints[i], bcfg)

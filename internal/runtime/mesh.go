@@ -36,9 +36,9 @@ func (t *kindTally) fold(add func(k wire.Kind, msgs, bytes int64)) {
 // hands each round packet, whole, to the worker that owns it. Every node
 // shards instances alike and a worker batches only its own instances, so a
 // packet's first round frame names the owner of all of them. The demux
-// decodes control frames and that first round frame — the detector hears
-// from a sender once per packet (the Detector.Observe contract) — and
-// leaves the rest of the packet to the owner.
+// decodes control frames and splits the header off that first round frame
+// — the detector hears from a sender once per packet (the Detector.Observe
+// contract) — and leaves every round frame to the owner.
 func (er *engineRun) demuxLoop(wg *sync.WaitGroup, id model.ProcessID, tr Transport, stop <-chan struct{}) {
 	defer wg.Done()
 	fd := er.fds[id]
@@ -57,13 +57,14 @@ func (er *engineRun) demuxLoop(wg *sync.WaitGroup, id model.ProcessID, tr Transp
 				if owner == nil {
 					ev.skip++
 				} else if !wire.PeekControl(frame) {
-					return nil // the owner's to decode
+					return nil // the owner's to file
 				}
-				env, err := wire.Decode(frame)
+				env, payload, err := wire.Split(frame)
 				if err != nil {
 					return nil // corrupt frame: drop, keep the batch
 				}
 				if env.Kind.Control() {
+					env.Payload, _ = wire.DecodePayload(env.Kind, payload) // Split validated it
 					decoded.add(env.Kind, len(frame))
 					if fd != nil {
 						fd.Observe(env)
@@ -74,7 +75,6 @@ func (er *engineRun) demuxLoop(wg *sync.WaitGroup, id model.ProcessID, tr Transp
 				if fd != nil {
 					fd.Observe(env)
 				}
-				ev.first = env
 				owner = er.workers[env.Instance%uint64(len(er.workers))]
 				return nil
 			})

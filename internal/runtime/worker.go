@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"time"
@@ -13,15 +14,14 @@ import (
 
 // engEvent is one worker mailbox entry: a round packet delivered to node,
 // whole, or — when slab is non-nil — an instance registration from Open.
-// The demultiplexer handled the packet's first skip frames: any control or
-// corrupt frames, then first, the decoded round frame that routed the
-// packet here.
+// The packet's skip-th frame is its first round frame, whose header routed
+// the packet here; the demultiplexer handled the control or corrupt frames
+// before it, and the worker files every round frame itself.
 type engEvent struct {
-	node  model.ProcessID
-	pkt   []byte
-	skip  int
-	first wire.Envelope
-	slab  *instSlab
+	node model.ProcessID
+	pkt  []byte
+	skip int
+	slab *instSlab
 }
 
 // mailbox is a worker's unbounded inbox. Unbounded by design: the demux
@@ -69,10 +69,41 @@ func (mb *mailbox) drain(spare []engEvent) []engEvent {
 
 // instRow buffers one round's inbound messages for one (instance, node)
 // automaton: presence bits (a null message is a present message with a nil
-// payload) plus the lazily allocated payload row, freed after Trans.
+// payload) plus the inbox holding the payloads, taken from the worker's free
+// list at the row's first arrival and returned after Trans. (A row its
+// automaton halted before running leaves its inbox to the collector.)
 type instRow struct {
-	got  model.ProcSet
-	msgs []rounds.Message
+	got model.ProcSet
+	in  *inbox
+}
+
+// inbox holds one row's payloads, indexed by sender, and the kind, bytes and
+// message of the last payload it decoded. In a flooding round most senders
+// send the same bytes — FloodSetWS's W sets coincide after a failure-free
+// round — and equal bytes decode to an equal message, so a repeat shares
+// the message already decoded instead of decoding its own. Sharing is safe
+// because a received message is read-only (rounds.Process); the round model
+// gives every destination of a broadcast the same message too. The worker
+// reuses the inbox, never the messages: release drops them.
+type inbox struct {
+	msgs []rounds.Message // 1..n
+	kind wire.Kind        // of the last decoded payload; 0 before the first
+	raw  []byte           // its bytes, copied out of the packet
+	last rounds.Message
+}
+
+// payload returns the message data encodes, decoding only when kind or
+// bytes differ from the last payload this inbox decoded.
+func (in *inbox) payload(kind wire.Kind, data []byte) (rounds.Message, error) {
+	if kind == in.kind && bytes.Equal(data, in.raw) {
+		return in.last, nil
+	}
+	m, err := wire.DecodePayload(kind, data)
+	if err != nil {
+		return nil, err
+	}
+	in.kind, in.raw, in.last = kind, append(in.raw[:0], data...), m
+	return m, nil
 }
 
 // instState is one (instance, node) automaton multiplexed on the mesh.
@@ -123,21 +154,61 @@ type engWorker struct {
 	active int
 	dirty  []*instState
 
-	suspects     []model.ProcSet // cached per node, 1..n
-	crashed      model.ProcSet   // cached engineRun.crashed
-	now          time.Time       // the sweep's clock, read once per sweep
-	nextDeadline time.Time       // earliest round deadline among blocked automata
-	scratch      []rounds.Message
+	suspects     []model.ProcSet  // cached per node, 1..n
+	crashed      model.ProcSet    // cached engineRun.crashed
+	now          time.Time        // the sweep's clock, read once per sweep
+	nextDeadline time.Time        // earliest round deadline among blocked automata
+	scratch      []rounds.Message // what Trans is handed
+	frame        []byte           // encode scratch: Batcher.Send copies out of it
+	free         []*inbox         // emptied inboxes, for rows' first arrivals
 
-	frame   []byte    // encode scratch: Batcher.Send copies out of it
-	encoded kindTally // frames encoded since the last fold into WireStats
-	decoded kindTally // round frames decoded since the last fold
+	// Tallied since the last fold, which hands them to the shared instruments.
+	encoded   kindTally // frames encoded
+	decoded   kindTally // round frames received and split
+	roundsRun int64     // automaton rounds closed
+	durations obs.HistogramTally
+	decisions int64 // (instance, node) decisions
 }
 
-// fold hands the frames counted since the last fold to WireStats.
+// fold hands what the worker counted since the last fold to the shared
+// instruments: once per sweep, and before any callback that lets someone
+// read them.
 func (w *engWorker) fold() {
-	w.encoded.fold(w.run.ws.AddEncoded)
-	w.decoded.fold(w.run.ws.AddDecoded)
+	er := w.run
+	w.encoded.fold(er.ws.AddEncoded)
+	w.decoded.fold(er.ws.AddDecoded)
+	if w.roundsRun != 0 {
+		er.metrics.rounds.Add(w.roundsRun)
+		w.roundsRun = 0
+	}
+	w.durations.Fold()
+	if w.decisions != 0 {
+		er.decidedCtr.Add(w.decisions)
+		er.decidedNodes.Add(w.decisions)
+		w.decisions = 0
+	}
+}
+
+// takeInbox hands out an empty inbox, recycled when one is free.
+func (w *engWorker) takeInbox() *inbox {
+	if k := len(w.free); k > 0 {
+		in := w.free[k-1]
+		w.free = w.free[:k-1]
+		return in
+	}
+	return &inbox{msgs: make([]rounds.Message, w.run.n+1)}
+}
+
+// release empties row's inbox, if it has one, back onto the free list.
+func (w *engWorker) release(row *instRow) {
+	in := row.in
+	if in == nil {
+		return
+	}
+	clear(in.msgs)
+	in.kind, in.raw, in.last = 0, in.raw[:0], nil
+	w.free = append(w.free, in)
+	row.in = nil
 }
 
 // slabAt maps an owned instance's local index (its id / Groups) to its slab,
@@ -314,30 +385,24 @@ func (w *engWorker) deliver(ev *engEvent) {
 	opened := w.run.opened.Load()
 	i := 0
 	_ = wire.SplitBatch(ev.pkt, func(frame []byte) error {
-		i++
-		switch {
-		case i < ev.skip:
+		if i++; i < ev.skip {
 			return nil // control or corrupt: the demultiplexer's
-		case i == ev.skip:
-			w.decoded.add(ev.first.Kind, len(frame))
-			w.file(ev.node, &ev.first, opened)
-			return nil
 		}
-		env, err := wire.Decode(frame)
+		env, payload, err := wire.Split(frame)
 		if err != nil || env.Kind.Control() {
 			return nil // corrupt, or observed by the demultiplexer
 		}
 		w.decoded.add(env.Kind, len(frame))
-		w.file(ev.node, &env, opened)
+		w.file(ev.node, &env, payload, opened)
 		return nil
 	})
 }
 
-// file puts one round frame delivered to node into its automaton's row. A
-// frame from no node of the mesh, or for an instance never opened or owned
-// by another worker, is stray: dropped and counted, never filed into a
-// neighbour's round state.
-func (w *engWorker) file(node model.ProcessID, env *wire.Envelope, opened uint64) {
+// file puts one round frame delivered to node — its split header and raw
+// payload — into its automaton's row. A frame from no node of the mesh, or
+// for an instance never opened or owned by another worker, is stray:
+// dropped and counted, never filed into a neighbour's round state.
+func (w *engWorker) file(node model.ProcessID, env *wire.Envelope, payload []byte, opened uint64) {
 	er := w.run
 	groups := uint64(len(er.workers))
 	local := env.Instance / groups
@@ -357,10 +422,14 @@ func (w *engWorker) file(node model.ProcessID, env *wire.Envelope, opened uint64
 		return // automaton halted, round already closed, or out of range
 	}
 	row := &st.rows[r]
-	if row.msgs == nil {
-		row.msgs = make([]rounds.Message, er.n+1)
+	if row.in == nil {
+		row.in = w.takeInbox()
 	}
-	row.msgs[env.From] = env.Payload
+	msg, err := row.in.payload(env.Kind, payload)
+	if err != nil {
+		return // Split validated the frame; unreachable
+	}
+	row.in.msgs[env.From] = msg
 	if sl.events != nil && !row.got.Has(env.From) {
 		// One arrival per (sender, round): duplicated deliveries must not
 		// double a causal tracer's happens-before edges.
@@ -465,25 +534,23 @@ func (w *engWorker) advance(st *instState) {
 			sl.events.Emit(obs.Event{Type: obs.EventRecv, Round: r, Proc: int(st.id), Peers: got})
 		}
 		in := w.scratch
-		for j := range in {
-			in[j] = nil
-		}
-		if row.msgs != nil {
-			copy(in, row.msgs)
+		if row.in != nil {
+			copy(in, row.in.msgs)
+		} else {
+			clear(in)
 		}
 		in[st.id] = st.selfMsg
 		st.proc.Trans(r, in)
-		row.msgs = nil // free the payload row; the round is closed
+		w.release(row) // the round is closed
 		st.out.Rounds = st.round
-		er.metrics.rounds.Inc()
-		er.metrics.roundDuration.Observe(w.now.Sub(st.started).Nanoseconds())
+		w.roundsRun++
+		w.durations.Observe(w.now.Sub(st.started).Nanoseconds())
 		if !st.decided {
 			if v, ok := st.proc.Decision(); ok {
 				st.decided = true
 				st.decision = v
 				st.out.DecidedAt = st.round
-				er.decidedCtr.Inc()
-				er.decidedNodes.Add(1)
+				w.decisions++
 				if sl.events != nil {
 					sl.events.Emit(obs.Event{Type: obs.EventDecide, Round: r,
 						Proc: int(st.id), Value: obs.Int64(int64(v))})

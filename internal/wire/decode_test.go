@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -53,13 +54,40 @@ func hostileCounts() [][]byte {
 			append(append([]byte(nil), head...), 0x80, 0x80, 0x80, 0x80, 0x08),
 			append(append([]byte(nil), head...), 0x03, 0x01, 0x02)) // says three, holds two
 	}
-	return out
+	// Counts that pass the byte bound while their elements do not fit, which
+	// Split must find by skipping: a ring digest's origin is two varints, and
+	// a W element's continuation bits run off the end, or past ten bytes.
+	return append(out,
+		[]byte{1, 1, 1, byte(KindFDRing), 0x02, 0x01, 0x01, 0x01},
+		[]byte{1, 1, 1, byte(KindW), 0x02, 0x01, 0x81},
+		[]byte{1, 1, 1, byte(KindW), 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 }
 
 func TestDecodeHostileCounts(t *testing.T) {
 	for _, frame := range hostileCounts() {
 		if _, err := Decode(frame); !errors.Is(err, ErrTruncated) {
 			t.Errorf("Decode(%x) = %v, want ErrTruncated", frame, err)
+		}
+		if _, _, err := Split(frame); !errors.Is(err, ErrTruncated) {
+			t.Errorf("Split(%x) = %v, want ErrTruncated", frame, err)
+		}
+	}
+}
+
+// TestSplitAllocatesNothing: splitting a frame off its payload costs the
+// allocator nothing, and the payload bytes are the frame's own.
+func TestSplitAllocatesNothing(t *testing.T) {
+	for _, env := range canonicalEnvelopes() {
+		frame, err := Encode(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var payload []byte
+		if n := testing.AllocsPerRun(100, func() { _, payload, _ = Split(frame) }); n != 0 {
+			t.Errorf("Split of a %v frame allocates %v times, want 0", env.Kind, n)
+		}
+		if len(payload) > 0 && &payload[0] != &frame[4] {
+			t.Errorf("%v: payload does not alias the frame right after its 4-byte header", env.Kind)
 		}
 	}
 }
@@ -203,7 +231,9 @@ func TestPeekControl(t *testing.T) {
 
 // FuzzDecode: Decode never panics on any input, whatever it accepts
 // re-encodes to bytes that decode to the same envelope, and PeekControl says
-// control of exactly the bare frames that decode to a control kind.
+// control of exactly the bare frames that decode to a control kind. Split
+// accepts and rejects exactly what Decode does, with the same header, and
+// DecodePayload of what it split off is Decode's payload.
 func FuzzDecode(f *testing.F) {
 	for _, env := range canonicalEnvelopes() {
 		frame, err := Encode(env)
@@ -216,12 +246,29 @@ func FuzzDecode(f *testing.F) {
 		f.Add(frame)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		r := reader{buf: data}
+		if _, n := binary.Uvarint(data); (r.skip(1) == nil) != (n > 0) || (n > 0 && r.pos != n) {
+			t.Fatalf("skip over %x stops at %d; binary.Uvarint reads %d bytes", data, r.pos, n)
+		}
 		env, err := Decode(data)
 		if want := err == nil && !IsBatch(data) && env.Kind.Control(); PeekControl(data) != want {
 			t.Fatalf("PeekControl(%x) = %v; Decode says (%+v, %v)", data, !want, env, err)
 		}
+		head, payload, serr := Split(data)
+		if (serr == nil) != (err == nil) {
+			t.Fatalf("Split(%x) error %v, Decode error %v", data, serr, err)
+		}
 		if err != nil {
 			return
+		}
+		want := env
+		want.Payload = nil
+		if !reflect.DeepEqual(head, want) {
+			t.Fatalf("Split(%x) header %+v, Decode %+v", data, head, env)
+		}
+		msg, err := DecodePayload(head.Kind, payload)
+		if err != nil || !reflect.DeepEqual(msg, env.Payload) {
+			t.Fatalf("DecodePayload(%v, %x) = (%+v, %v), Decode's payload %+v", head.Kind, payload, msg, err, env.Payload)
 		}
 		again, err := Encode(env)
 		if err != nil {

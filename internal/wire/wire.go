@@ -7,9 +7,12 @@
 //
 // Envelope layout (all integers unsigned varints unless noted):
 //
-//	from | to | round | kind | payload...
+//	from | to | round | kind | payload... | [instance]
 //
-// TCP framing adds a uvarint length prefix in front of each envelope.
+// Decoding is two steps a receiver may take apart: Split validates a frame
+// and returns its header and raw payload bytes without allocating, and
+// DecodePayload builds the payload. Decode is the two in sequence. TCP
+// framing adds a uvarint length prefix in front of each envelope.
 package wire
 
 import (
@@ -250,6 +253,12 @@ type reader struct {
 }
 
 func (r *reader) uvarint() (uint64, error) {
+	// Fast path: ids, rounds, element counts and small values are one byte.
+	if r.pos < len(r.buf) && r.buf[r.pos] < 0x80 {
+		v := uint64(r.buf[r.pos])
+		r.pos++
+		return v, nil
+	}
 	v, n := binary.Uvarint(r.buf[r.pos:])
 	if n <= 0 {
 		return 0, ErrTruncated
@@ -258,13 +267,14 @@ func (r *reader) uvarint() (uint64, error) {
 	return v, nil
 }
 
+// varint reads a zig-zag signed varint (binary.Varint's encoding).
 func (r *reader) varint() (int64, error) {
-	v, n := binary.Varint(r.buf[r.pos:])
-	if n <= 0 {
-		return 0, ErrTruncated
+	u, err := r.uvarint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
 	}
-	r.pos += n
-	return v, nil
+	return v, err
 }
 
 // count reads an element count. Every element of every repeated payload
@@ -281,6 +291,27 @@ func (r *reader) count() (int, error) {
 	return int(c), nil
 }
 
+// skip steps over k varints by their continuation bits alone, accepting
+// exactly what binary.Uvarint accepts: at most ten bytes, the tenth at most 1.
+func (r *reader) skip(k int) error {
+	for ; k > 0; k-- {
+		for n := 0; ; n++ {
+			if r.pos >= len(r.buf) || n == binary.MaxVarintLen64 {
+				return ErrTruncated
+			}
+			b := r.buf[r.pos]
+			r.pos++
+			if b < 0x80 {
+				if n == binary.MaxVarintLen64-1 && b > 1 {
+					return ErrTruncated
+				}
+				break
+			}
+		}
+	}
+	return nil
+}
+
 func (r *reader) byte() (byte, error) {
 	if r.pos >= len(r.buf) {
 		return 0, ErrTruncated
@@ -290,113 +321,157 @@ func (r *reader) byte() (byte, error) {
 	return b, nil
 }
 
-// Decode parses an envelope.
-func Decode(data []byte) (Envelope, error) {
-	r := &reader{buf: data}
+// Split parses frame's header and validates the whole frame — payload and
+// trailing instance included — without building the payload: it returns
+// the envelope with a nil Payload and the payload's bytes, which alias
+// frame. Split accepts exactly the frames Decode accepts, so
+// DecodePayload(e.Kind, payload) cannot fail afterwards. A receiver that
+// routes on the header, or has already decoded an identical payload, pays
+// no allocation for the frame.
+func Split(frame []byte) (Envelope, []byte, error) {
+	r := reader{buf: frame}
 	var e Envelope
 	from, err := r.uvarint()
 	if err != nil {
-		return e, err
+		return e, nil, err
 	}
 	to, err := r.uvarint()
 	if err != nil {
-		return e, err
+		return e, nil, err
 	}
 	round, err := r.uvarint()
 	if err != nil {
-		return e, err
+		return e, nil, err
 	}
 	kb, err := r.byte()
 	if err != nil {
-		return e, err
+		return e, nil, err
 	}
 	e.From, e.To, e.Round, e.Kind = model.ProcessID(from), model.ProcessID(to), int(round), Kind(kb)
+	start := r.pos
 	switch e.Kind {
+	case KindNull, KindHeartbeat, KindFDPing, KindFDAck:
+		// no payload
+	case KindD, KindA1Val, KindA1Fwd:
+		err = r.skip(1)
+	case KindW, KindVotes, KindFDRing:
+		var count int
+		if count, err = r.count(); err == nil {
+			if e.Kind == KindFDRing {
+				count *= 2 // (proc, seq) per origin
+			}
+			err = r.skip(count)
+		}
+	default:
+		return e, nil, fmt.Errorf("%w: %d", ErrBadKind, kb)
+	}
+	if err != nil {
+		return e, nil, err
+	}
+	payload := frame[start:r.pos]
+	if r.pos < len(r.buf) {
+		// Every payload is self-delimiting: what remains is the instance tag.
+		if e.Instance, err = r.uvarint(); err != nil {
+			return e, nil, err
+		}
+	}
+	return e, payload, nil
+}
+
+// DecodePayload builds the round-model message of the given kind from its
+// encoded bytes (Split's payload: all of data, nothing after it). The
+// message owns its storage — it never aliases data (TestDecodeOwnsPayload).
+// Kinds without a payload decode to nil.
+func DecodePayload(kind Kind, data []byte) (rounds.Message, error) {
+	r := reader{buf: data}
+	var m rounds.Message
+	switch kind {
 	case KindNull, KindHeartbeat, KindFDPing, KindFDAck:
 		// no payload
 	case KindFDRing:
 		count, err := r.count()
 		if err != nil {
-			return e, err
+			return nil, err
 		}
 		origins := make([]RingOrigin, 0, count)
 		for i := 0; i < count; i++ {
 			proc, err := r.uvarint()
 			if err != nil {
-				return e, err
+				return nil, err
 			}
 			seq, err := r.uvarint()
 			if err != nil {
-				return e, err
+				return nil, err
 			}
 			origins = append(origins, RingOrigin{Proc: model.ProcessID(proc), Seq: seq})
 		}
-		e.Payload = RingInfo{Origins: origins}
+		m = RingInfo{Origins: origins}
 	case KindW:
 		count, err := r.count()
 		if err != nil {
-			return e, err
+			return nil, err
 		}
 		vals := make([]model.Value, 0, count)
 		for i := 0; i < count; i++ {
 			v, err := r.varint()
 			if err != nil {
-				return e, err
+				return nil, err
 			}
 			vals = append(vals, model.Value(v))
 		}
 		// vals is this call's own allocation — never the frame's bytes — and
 		// an encoder writes a set in increasing order, so it becomes the set.
-		e.Payload = consensus.WMsg{W: model.ValueSetOfSorted(vals)}
-	case KindD:
+		m = consensus.WMsg{W: model.ValueSetOfSorted(vals)}
+	case KindD, KindA1Val, KindA1Fwd:
 		v, err := r.varint()
 		if err != nil {
-			return e, err
+			return nil, err
 		}
-		e.Payload = consensus.DMsg{V: model.Value(v)}
-	case KindA1Val:
-		v, err := r.varint()
-		if err != nil {
-			return e, err
+		switch kind {
+		case KindD:
+			m = consensus.DMsg{V: model.Value(v)}
+		case KindA1Val:
+			m = consensus.A1Val{V: model.Value(v)}
+		default:
+			m = consensus.A1Fwd{V: model.Value(v)}
 		}
-		e.Payload = consensus.A1Val{V: model.Value(v)}
-	case KindA1Fwd:
-		v, err := r.varint()
-		if err != nil {
-			return e, err
-		}
-		e.Payload = consensus.A1Fwd{V: model.Value(v)}
 	case KindVotes:
 		count, err := r.count()
 		if err != nil {
-			return e, err
+			return nil, err
 		}
 		known := make([]int8, 0, count)
 		for i := 0; i < count; i++ {
 			v, err := r.varint()
 			if err != nil {
-				return e, err
+				return nil, err
 			}
 			known = append(known, int8(v))
 		}
-		e.Payload = nbac.VotesMsg{Known: known}
+		m = nbac.VotesMsg{Known: known}
 	default:
-		return e, fmt.Errorf("%w: %d", ErrBadKind, kb)
+		return nil, fmt.Errorf("%w: %d", ErrBadKind, byte(kind))
 	}
-	if r.pos < len(r.buf) {
-		inst, err := r.uvarint()
-		if err != nil {
-			return e, err
-		}
-		e.Instance = inst
+	if r.pos != len(data) {
+		return nil, fmt.Errorf("wire: %d bytes after the %v payload", len(data)-r.pos, kind)
 	}
-	return e, nil
+	return m, nil
+}
+
+// Decode parses an envelope: Split, then DecodePayload.
+func Decode(data []byte) (Envelope, error) {
+	e, payload, err := Split(data)
+	if err != nil {
+		return e, err
+	}
+	e.Payload, err = DecodePayload(e.Kind, payload)
+	return e, err
 }
 
 // PeekControl reports whether data is exactly one bare control frame — what a
 // detector puts on the wire. A batch container, a round frame and anything
 // that does not decode are all not control. A round frame is turned away at
-// its kind byte; only control frames are decoded in full.
+// its kind byte; only control frames are validated in full.
 func PeekControl(data []byte) bool {
 	if IsBatch(data) {
 		return false
@@ -410,7 +485,7 @@ func PeekControl(data []byte) bool {
 	if kb, err := r.byte(); err != nil || !Kind(kb).Control() {
 		return false
 	}
-	_, err := Decode(data)
+	_, _, err := Split(data)
 	return err == nil
 }
 
