@@ -255,6 +255,10 @@ job_detector_zoo() {
   # conforming live run, and prove unknown names are rejected.
   go run ./cmd/ssfd-bench -detectors -seed 7
   go run ./cmd/ssfd-bench -detectors -faults "loss=0.2,spike=2ms-5ms@0.3,seed=7"
+  # The two experiments whose detectors run on a zero-instance engine (E14's
+  # adaptive soak, E15's race), by name in the job log.
+  go run ./cmd/ssfd-bench -only E14
+  go run ./cmd/ssfd-bench -only E15
   go run ./cmd/ssfd-run -alg FloodSetWS -model RWS -values 0,1,2 -conform -detector ring
   fails go run ./cmd/ssfd-run -alg FloodSetWS -model RWS -values 0,1,2 -conform -detector nosuch
 }

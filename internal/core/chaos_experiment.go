@@ -8,6 +8,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/fdimpl"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/rounds"
 	"repro/internal/runtime"
 	"repro/internal/stats"
@@ -148,26 +149,34 @@ func E14Chaos(cfg Config) (*Report, error) {
 	return r, nil
 }
 
-// adaptiveSoak drives two raw heartbeat detectors — an fdimpl.Mesh, no
-// consensus on top — through recurring partitions longer than the initial
-// timeout and reports how the adaptive (◇P) mode converged: retraction
-// count and the grown window, plus the initial window for comparison.
+// adaptiveSoak drives two raw heartbeat detectors — an engine that never
+// opens an instance, no consensus on top — through recurring partitions
+// longer than the initial timeout and reports how the adaptive (◇P) mode
+// converged: retraction count and the grown window, plus the initial window
+// for comparison.
 func adaptiveSoak(seed int64) (retractions int64, grewTo, initial time.Duration, err error) {
 	const ms = time.Millisecond
 	initial = 15 * ms
-	m, err := fdimpl.StartMesh(runtime.HeartbeatDetector(), fdimpl.MeshConfig{
-		N: 2, Seed: seed, Period: 2 * ms, Timeout: initial, AdaptiveMax: 200 * ms,
-		Chaos: &faults.Config{Partitions: []faults.Partition{
+	dets := make([]runtime.Detector, 3)
+	reg := obs.NewRegistry()
+	e, err := runtime.StartEngine(consensus.FloodSetWS{}, runtime.EngineConfig{
+		N: 2, Groups: 1,
+		Network:         runtime.NewChanNetwork(2, runtime.ChanConfig{Seed: seed, Metrics: reg}),
+		HeartbeatPeriod: 2 * ms, SuspectTimeout: initial,
+		Detector: fdimpl.Filed(runtime.HeartbeatDetector(), dets), AdaptiveTimeout: true,
+		Faults: &faults.Config{Seed: seed, Partitions: []faults.Partition{
 			{Start: 20 * ms, End: 60 * ms, Group: model.Singleton(2)},
 			{Start: 110 * ms, End: 150 * ms, Group: model.Singleton(2)},
 			{Start: 200 * ms, End: 240 * ms, Group: model.Singleton(2)},
 		}},
+		Metrics: reg,
 	})
 	if err != nil {
 		return 0, 0, initial, err
 	}
-	defer m.Close()
-	fd1 := m.Detectors[1].(*runtime.HeartbeatFD)
+	e.Injector().Start() // anchor the partition offsets now, as a first send would
+	defer e.Close()
+	fd1 := dets[1].(*runtime.HeartbeatFD)
 	deadline := time.Now().Add(320 * ms)
 	for time.Now().Before(deadline) {
 		fd1.Suspects() // suspicion edges (and adaptive growth) happen at poll time

@@ -60,12 +60,6 @@ type Options struct {
 	// Explore with a merge-friendly Visitor; plain Runs visitors are
 	// serialized through a mutex when Workers is set.
 	Workers int
-	// ForkRounds bounds how deep the parallel explorer forks branches onto
-	// the shared queue instead of recursing in-worker (values < 1 default
-	// to 2 rounds). Shallow forking keeps queue traffic low; the first two
-	// rounds of any nontrivial space already yield far more branches than
-	// workers. Ignored in sequential mode.
-	ForkRounds int
 
 	// Metrics receives the exploration counters (runs, plans, forks,
 	// truncated runs) and the forked engines' round counters. Nil uses the
@@ -93,13 +87,11 @@ func (o Options) workerCount() int {
 	return o.Workers
 }
 
-// forkRounds resolves Options.ForkRounds.
-func (o Options) forkRounds() int {
-	if o.ForkRounds < 1 {
-		return 2
-	}
-	return o.ForkRounds
-}
+// forkRounds bounds how deep the parallel explorer forks branches onto the
+// shared queue instead of recursing in-worker. Shallow forking keeps queue
+// traffic low; the first two rounds of any nontrivial space already yield
+// far more branches than workers.
+const forkRounds = 2
 
 // ErrBudget is returned when Options.MaxRuns stops an exploration early.
 var ErrBudget = errors.New("explore: run budget exhausted before the space was covered")
@@ -253,7 +245,7 @@ type explorer struct {
 }
 
 // dfs explores every branch reachable from eng. In parallel mode, branches
-// forked at rounds ≤ ForkRounds are pushed to the pool's queue instead of
+// forked at rounds ≤ forkRounds are pushed to the pool's queue instead of
 // being recursed into, which is how work spreads across workers.
 func (e *explorer) dfs(eng *rounds.Engine) error {
 	if e.shared.stop.Load() {
@@ -276,7 +268,7 @@ func (e *explorer) dfs(eng *rounds.Engine) error {
 	e.stats.Plans += len(plans)
 	e.shard.plans += int64(len(plans))
 	e.shared.plans.Add(int64(len(plans)))
-	fork := e.pool != nil && view.Round <= e.opts.forkRounds()
+	fork := e.pool != nil && view.Round <= forkRounds
 	var err error
 	for i, plan := range plans {
 		last := i == len(plans)-1

@@ -60,15 +60,13 @@ func BoundedDetector() *runtime.DetectorSpec {
 	}
 }
 
+// newBoundedFD starts every link's bound at cfg.Timeout; retractions
+// double it, up to 64× that.
 func newBoundedFD(cfg runtime.DetectorConfig) *BoundedFD {
-	maxBound := cfg.AdaptiveMax
-	if maxBound <= 0 {
-		maxBound = cfg.Timeout * 64
-	}
 	fd := &BoundedFD{
 		DetectorCore: runtime.NewDetectorCore("bounded", cfg),
 		period:       cfg.Period,
-		maxBound:     maxBound,
+		maxBound:     cfg.Timeout * 64,
 		links:        make([]boundedLink, cfg.N+1),
 	}
 	now := time.Now()

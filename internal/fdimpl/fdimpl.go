@@ -61,3 +61,23 @@ func New(name string) (*runtime.DetectorSpec, error) {
 	}
 	return nil, fmt.Errorf("unknown detector %q (registered: %s)", name, strings.Join(Names(), ", "))
 }
+
+// Filed wraps spec so that every detector it builds is also filed in dets
+// under its node's id (dets needs n+1 entries). An engine over the wrapped
+// spec that never opens an instance is a standalone detector mesh: the
+// engine's demultiplexers feed the detectors, its Stats().Cost counts their
+// control traffic, and the caller polls, crash-stops (Stop) and audits them
+// by id. The engine builds its detectors one at a time, so dets needs no
+// lock.
+func Filed(spec *runtime.DetectorSpec, dets []runtime.Detector) *runtime.DetectorSpec {
+	return &runtime.DetectorSpec{
+		Name: spec.Name,
+		New: func(cfg runtime.DetectorConfig) (runtime.Detector, error) {
+			d, err := spec.New(cfg)
+			if err == nil {
+				dets[cfg.Transport.LocalID()] = d
+			}
+			return d, err
+		},
+	}
+}

@@ -109,21 +109,32 @@ func Race(cfg RaceConfig) ([]Score, error) {
 	return scores, nil
 }
 
-// detectionProbe races one construction on a Mesh (chaos injected when
-// configured): the victim crash-stops at CrashAt, and the probe polls every
-// live observer until all suspect it.
+// detectionProbe races one construction on an engine that never opens an
+// instance (chaos injected when configured): the victim crash-stops at
+// CrashAt, and the probe polls every live observer until all suspect it.
 func detectionProbe(spec *runtime.DetectorSpec, cfg RaceConfig) Score {
 	score := Score{Detector: spec.Name, Supported: true}
 	n := cfg.N
-	m, err := StartMesh(spec, MeshConfig{
-		N: n, Seed: cfg.Seed, Chaos: cfg.Chaos, Period: cfg.Period, Timeout: cfg.Timeout,
-	})
+	dets := make([]runtime.Detector, n+1)
+	reg := obs.NewRegistry()
+	ecfg := runtime.EngineConfig{
+		N: n, Groups: 1,
+		Network:         runtime.NewChanNetwork(n, runtime.ChanConfig{Seed: cfg.Seed, Metrics: reg}),
+		HeartbeatPeriod: cfg.Period, SuspectTimeout: cfg.Timeout,
+		Detector: Filed(spec, dets), AdaptiveTimeout: true,
+		Metrics: reg,
+	}
+	if cfg.Chaos != nil {
+		fc := *cfg.Chaos
+		fc.Seed = cfg.Seed
+		ecfg.Faults = &fc
+	}
+	e, err := runtime.StartEngine(consensus.FloodSetWS{}, ecfg)
 	if err != nil {
 		score.Supported = false
 		score.Note = err.Error()
 		return score
 	}
-	dets := m.Detectors
 
 	victim := model.ProcessID(n)
 	start := time.Now()
@@ -157,8 +168,9 @@ func detectionProbe(spec *runtime.DetectorSpec, cfg RaceConfig) Score {
 		score.Retractions += dets[i].Retractions()
 	}
 
-	m.Close() // stop the senders before reading the accounting
-	score.CtrlMsgs, score.CtrlBytes = m.Wire.ControlEncoded()
+	_ = e.Close() // stop the senders before reading the accounting
+	cost := e.Stats().Cost
+	score.CtrlMsgs, score.CtrlBytes = cost.ControlMessages, cost.ControlBytes
 	score.MsgsPerPeriod = float64(score.CtrlMsgs) * float64(cfg.Period) / float64(cfg.Window)
 	return score
 }

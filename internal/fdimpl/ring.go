@@ -53,6 +53,8 @@ func RingDetector() *runtime.DetectorSpec {
 	}
 }
 
+// newRingFD sizes the initial stall window; retractions double it, up to
+// 64× that.
 func newRingFD(cfg runtime.DetectorConfig) *RingFD {
 	// The stall window must cover a full circulation: n−1 forwarding hops,
 	// each waiting up to one period, plus delivery slack. The configured
@@ -61,15 +63,11 @@ func newRingFD(cfg runtime.DetectorConfig) *RingFD {
 	if ringFloor := time.Duration(4*cfg.N) * cfg.Period; stall < ringFloor {
 		stall = ringFloor
 	}
-	maxStall := cfg.AdaptiveMax
-	if maxStall <= 0 {
-		maxStall = stall * 64
-	}
 	fd := &RingFD{
 		DetectorCore: runtime.NewDetectorCore("ring", cfg),
 		period:       cfg.Period,
 		stall:        stall,
-		maxStall:     maxStall,
+		maxStall:     stall * 64,
 		maxSeq:       make([]uint64, cfg.N+1),
 		lastAdvanced: make([]time.Time, cfg.N+1),
 	}

@@ -19,7 +19,7 @@ func TestRingMessageRateIsLinear(t *testing.T) {
 	time.Sleep(window)
 	z.Close() // stop the forwarders before reading the accounting
 
-	msgs, _ := z.Wire.ControlEncoded()
+	msgs := z.Stats().Cost.ControlMessages
 	periods := int64(window / period)
 	// One digest per member per period, with scheduling slack; the
 	// heartbeat construction would be n(n−1) = 12 per period.

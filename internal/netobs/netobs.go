@@ -248,7 +248,8 @@ type LinkTotals struct {
 type linkCounters struct {
 	name                                         string
 	msgsSent, bytesSent, msgsRecv, bytesRecv     atomic.Int64
-	dropped, reconnects, retries, queueHW        atomic.Int64
+	dropped, reconnects, retries                 atomic.Int64
+	queueHW                                      obs.Gauge // raised with Max: several goroutines send on one link
 	cMsgsSent, cBytesSent, cMsgsRecv, cBytesRecv *obs.Counter
 	cReconnects, cRetries                        *obs.Counter
 	gQueueHW                                     *obs.Gauge
@@ -395,7 +396,7 @@ func (lt *LinkTap) QueueDepth(from, to model.ProcessID, depth int) {
 		return
 	}
 	lc := lt.link(Link{from, to})
-	lc.queueHW.Store(maxInt64(lc.queueHW.Load(), int64(depth)))
+	lc.queueHW.Max(int64(depth))
 	lc.gQueueHW.Max(int64(depth))
 }
 
@@ -435,7 +436,7 @@ func (lt *LinkTap) Totals() LinkTotals {
 	var hw int64
 	lt.mu.RLock()
 	for _, lc := range lt.links {
-		hw = maxInt64(hw, lc.queueHW.Load())
+		hw = max(hw, lc.queueHW.Value())
 	}
 	lt.mu.RUnlock()
 	return LinkTotals{
@@ -467,7 +468,7 @@ func (lt *LinkTap) PerLink() map[Link]LinkTotals {
 			Dropped:        lc.dropped.Load(),
 			Reconnects:     lc.reconnects.Load(),
 			Retries:        lc.retries.Load(),
-			QueueHighWater: lc.queueHW.Load(),
+			QueueHighWater: lc.queueHW.Value(),
 		}
 	}
 	return out
@@ -529,11 +530,4 @@ func PublishCost(reg *obs.Registry, c *obs.CostSummary) {
 	reg.Gauge(MetricCostDecisions).Set(int64(c.Decisions))
 	reg.Gauge(MetricCostMessagesPerDecisionMilli).Set(int64(c.MessagesPerDecision*1000 + 0.5))
 	reg.Gauge(MetricCostBytesPerDecisionMilli).Set(int64(c.BytesPerDecision*1000 + 0.5))
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -260,6 +261,39 @@ func TestLinkTapQueueHighWaterAndResilience(t *testing.T) {
 		"transport", "test"), "link", "p1>p2"), "reason", netobs.DropGiveUp)
 	if got := snap.Counter(dropName); got != 1 {
 		t.Fatalf("reasoned drop counter = %d, want 1", got)
+	}
+
+	// Concurrent senders on one link (a node's detector and each worker's
+	// batcher send on it): the largest depth any of them reports is the high
+	// water, in the totals and in the gauge alike. Every sender reports a
+	// rising ramp with a shallow depth between its steps, so a racing
+	// shallow report would undercut a deeper one until the very end.
+	const senders, reports = 8, 20000
+	const top = senders*reports - 1
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < reports; i++ {
+				lt.QueueDepth(2, 1, i*senders+g)
+				lt.QueueDepth(2, 1, 1)
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	if got := lt.PerLink()[netobs.Link{From: 2, To: 1}].QueueHighWater; got != top {
+		t.Fatalf("concurrent per-link high water = %d, want %d", got, top)
+	}
+	if got := lt.Totals().QueueHighWater; got != top {
+		t.Fatalf("concurrent total high water = %d, want %d", got, top)
+	}
+	gname := obs.Label(obs.Label(netobs.MetricLinkQueueHighWater, "transport", "test"), "link", "p2>p1")
+	if got := reg.Snapshot().Gauges[gname]; got != top {
+		t.Fatalf("concurrent high-water gauge = %d, want %d", got, top)
 	}
 
 	// Nil taps absorb everything.

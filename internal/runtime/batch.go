@@ -25,13 +25,13 @@ type BatcherConfig struct {
 	Metrics *obs.Registry
 }
 
-// Batcher wraps a Transport and coalesces outbound frames per destination
-// into wire batch containers. A link is flushed when MaxBatch frames are
-// pending, at the owner's Flush and at Close — there is no timer, so a
-// frame waits for whichever comes first. A flush holding a single frame is
-// sent bare: un-batched traffic is byte-identical with or without the
-// wrapper, so a Batcher can front any envelope stream whose receiver drains
-// packets through wire.SplitBatch.
+// Batcher is one sender's outbound link buffer: it coalesces frames per
+// destination into wire batch containers and sends them on the endpoint it
+// was built over. A link is flushed when MaxBatch frames are pending, at the
+// owner's Flush and at Close — there is no timer, so a frame waits for
+// whichever comes first. A flush holding a single frame is sent bare:
+// un-batched traffic is byte-identical with or without the Batcher, so any
+// receiver that drains packets through wire.SplitBatch reads either.
 //
 // Each link appends its frames to one staging buffer that it reuses for
 // every batch; a flush copies the container out into an exactly sized
@@ -81,9 +81,7 @@ func (p *linkPending) packet() []byte {
 	return pkt
 }
 
-var _ Transport = (*Batcher)(nil)
-
-// NewBatcher wraps inner with per-link send batching.
+// NewBatcher buffers sends to inner per link.
 func NewBatcher(inner Transport, cfg BatcherConfig) *Batcher {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 32
@@ -105,15 +103,7 @@ func NewBatcher(inner Transport, cfg BatcherConfig) *Batcher {
 	}
 }
 
-// LocalID implements Transport.
-func (b *Batcher) LocalID() model.ProcessID { return b.inner.LocalID() }
-
-// Recv implements Transport. Receiving is untouched — batching is a
-// send-side concern; the peer's Batcher (or bare sender) decides what
-// arrives here.
-func (b *Batcher) Recv() <-chan Packet { return b.inner.Recv() }
-
-// Send implements Transport. The frame is copied into the destination's
+// Send queues one frame for to. The frame is copied into the destination's
 // staging buffer, so the caller may reuse data immediately.
 func (b *Batcher) Send(to model.ProcessID, data []byte) error {
 	if b.closed {

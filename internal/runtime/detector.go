@@ -72,11 +72,9 @@ type DetectorConfig struct {
 	Metrics *obs.Registry
 	Events  obs.Sink
 	Wire    *netobs.WireStats
-	// Adaptive selects the ◇P variant where retractions grow the window
-	// (up to AdaptiveMax; 0 means 64× Timeout) for constructions that
-	// support it.
-	Adaptive    bool
-	AdaptiveMax time.Duration
+	// Adaptive selects the ◇P variant where retractions grow the window,
+	// up to 64× its initial value, for constructions that support it.
+	Adaptive bool
 }
 
 // DetectorSpec names a detector construction and knows how to build one

@@ -43,20 +43,17 @@ type HeartbeatFD struct {
 
 // NewHeartbeatFD builds (but does not start) a detector for cfg's endpoint.
 // With cfg.Adaptive it is the ◇P construction instead of P-over-a-
-// synchronous-network: every retraction doubles the suspicion timeout
-// (capped at cfg.AdaptiveMax; 0 means 64× the initial timeout), so over a
-// network that violates its Δ bound the detector is eventually accurate
-// instead of permanently suspecting live peers.
+// synchronous-network: every retraction doubles the suspicion timeout,
+// capped at 64× the initial one, so over a network that violates its Δ
+// bound the detector is eventually accurate instead of permanently
+// suspecting live peers.
 func NewHeartbeatFD(cfg DetectorConfig) *HeartbeatFD {
 	fd := &HeartbeatFD{
 		DetectorCore: NewDetectorCore("heartbeat", cfg),
 		period:       cfg.Period,
 		adaptive:     cfg.Adaptive,
-		maxTimeout:   cfg.AdaptiveMax,
+		maxTimeout:   cfg.Timeout * 64,
 		lastHeard:    make([]atomic.Int64, cfg.N+1),
-	}
-	if fd.maxTimeout <= 0 {
-		fd.maxTimeout = cfg.Timeout * 64
 	}
 	fd.timeout.Store(int64(cfg.Timeout))
 	now := time.Now().UnixNano()

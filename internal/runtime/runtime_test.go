@@ -483,31 +483,41 @@ func TestTCPConcurrentCloseAndSend(t *testing.T) {
 	_ = nw.Close() // idempotent
 }
 
+// TestHeartbeatFDAdaptiveTimeoutGrowsAndCaps: in adaptive mode every
+// retraction doubles the suspicion window, up to 64× its initial value. An
+// 800µs window reaches its 51.2ms cap at the sixth retraction and stays there
+// at the seventh.
 func TestHeartbeatFDAdaptiveTimeoutGrowsAndCaps(t *testing.T) {
+	const initial = 800 * time.Microsecond
 	nw := NewChanNetwork(2, ChanConfig{})
 	defer func() { _ = nw.Close() }()
 	fd := NewHeartbeatFD(DetectorConfig{
-		Transport: nw.Endpoint(1), N: 2, Period: time.Millisecond, Timeout: 5 * time.Millisecond,
-		Adaptive: true, AdaptiveMax: 8 * time.Millisecond,
+		Transport: nw.Endpoint(1), N: 2, Period: time.Millisecond, Timeout: initial, Adaptive: true,
 	})
 	// Never started: we drive liveness evidence by hand.
-	fd.Observe(wire.Envelope{From: 2, Kind: wire.KindHeartbeat})
-	time.Sleep(10 * time.Millisecond)
-	if s := fd.Suspects(); !s.Has(2) {
-		t.Fatalf("p2 not suspected after silence: %v", s)
+	alive := wire.Envelope{From: 2, Kind: wire.KindHeartbeat}
+	const retractions = 7
+	want := initial
+	for k := 1; k <= retractions; k++ {
+		fd.Observe(alive)
+		time.Sleep(want + time.Millisecond)
+		if s := fd.Suspects(); !s.Has(2) {
+			t.Fatalf("retraction %d: p2 not suspected after silence: %v", k, s)
+		}
+		fd.Observe(alive) // p2 shows life: the suspicion was false
+		if s := fd.Suspects(); s.Has(2) {
+			t.Fatalf("retraction %d: suspicion not retracted: %v", k, s)
+		}
+		want = min(2*want, 64*initial)
+		if got := fd.CurrentTimeout(); got != want {
+			t.Fatalf("timeout after retraction %d = %v, want %v", k, got, want)
+		}
 	}
-	fd.Observe(wire.Envelope{From: 2, Kind: wire.KindHeartbeat}) // p2 shows life: the suspicion was false
-	if s := fd.Suspects(); s.Has(2) {
-		t.Fatalf("suspicion not retracted: %v", s)
+	if got := fd.FalseSuspicions(); got != retractions {
+		t.Errorf("FalseSuspicions = %d, want %d", got, retractions)
 	}
-	if got := fd.FalseSuspicions(); got != 1 {
-		t.Errorf("FalseSuspicions = %d, want 1", got)
-	}
-	if got := fd.Retractions(); got != 1 {
-		t.Errorf("Retractions = %d, want 1", got)
-	}
-	if got := fd.CurrentTimeout(); got != 8*time.Millisecond {
-		t.Errorf("timeout after retraction = %v, want the 8ms cap (5ms doubled, capped)", got)
+	if got := fd.Retractions(); got != retractions {
+		t.Errorf("Retractions = %d, want %d", got, retractions)
 	}
 	if ever := fd.EverSuspected(); !ever.Has(2) {
 		t.Errorf("sticky audit lost the suspicion: %v", ever)
