@@ -122,7 +122,6 @@ func TestRunLiveAPI(t *testing.T) {
 func TestLiveEngineInstancesAPI(t *testing.T) {
 	eng, err := StartLiveEngine(FloodSetWS(), EngineConfig{
 		N: 3, T: 1,
-		Batch: BatcherConfig{MaxBatch: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +319,7 @@ func TestNBACAPI(t *testing.T) {
 }
 
 func TestFlightRecorderAPI(t *testing.T) {
-	rec := netobs.NewRecorder(64, nil)
+	rec := netobs.NewRecorder(nil)
 	cr, err := RunLive(FloodSet(), EngineConfig{
 		Kind: RS, T: 1,
 		Flight: rec, Events: rec,

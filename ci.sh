@@ -38,6 +38,16 @@ fuzz() { go test -run '^$' -fuzz "$1" -fuzztime 10s "$2"; }
 # golines: total lines of the files named on stdin.
 golines() { xargs cat | wc -l; }
 
+# fields <pkg>.<Type>: the exported fields of a struct type, as go doc prints
+# it; `N, T int` counts two.
+fields() {
+  go doc "$1" | awk '
+    /^type .* struct \{$/ { in_struct = 1; next }
+    in_struct && /^\}/ { exit }
+    in_struct && match($0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)*/) { n += split(substr($0, 1, RLENGTH), _, ",") }
+    END { print n + 0 }'
+}
+
 # drain <pid>: SIGTERM the daemon and require a graceful exit 0.
 drain() {
   local rc=0
@@ -73,6 +83,16 @@ job_test() {
   echo "go lines: root non-test $(grep -v '_test\.go$' <<<"$root" | golines)," \
     "root test $(grep '_test\.go$' <<<"$root" | golines), bench $(git ls-files '*.go' | grep '^bench/' | golines);" \
     "internal packages $(go list ./internal/... | wc -l); root exports $(go doc -short . | wc -l)"
+  # And the live stack's settable options, so "options removed" is read off
+  # the same log.
+  local t n line="" total=0
+  for t in runtime.EngineConfig runtime.ChanConfig runtime.BatcherConfig runtime.TCPRetryConfig \
+    faults.Config faults.LinkFaults serve.Config; do
+    n=$(fields "./internal/$t")
+    line+="$t $n, "
+    total=$((total + n))
+  done
+  echo "options: ${line}total $total"
 }
 
 # Explorer throughput (runs/sec, allocs/op) has no committed baseline; the

@@ -73,17 +73,14 @@ type LinkFaults struct {
 	Drop float64
 	// Duplicate is the probability a message is delivered twice.
 	Duplicate float64
-	// Reorder is the probability a message is held back by ReorderDelay so
-	// that later sends on the link overtake it.
+	// Reorder is the probability a message is held back 2ms so that later
+	// sends on the link overtake it.
 	Reorder float64
 	// Spike is the probability of a delay spike; a spiked message is held
 	// for a uniform duration in [SpikeMin, SpikeMax] before the underlying
 	// send — injected latency beyond the transport's own MaxDelay.
 	Spike              float64
 	SpikeMin, SpikeMax time.Duration
-	// ReorderDelay is the holdback applied to reordered messages
-	// (default 2ms).
-	ReorderDelay time.Duration
 }
 
 // active reports whether any fault can fire on this link.
@@ -114,17 +111,16 @@ type NodeCrash struct {
 type Config struct {
 	// Seed drives every random fault decision.
 	Seed int64
-	// Default applies to every link without an override in Links.
+	// Default is the fault menu of every link.
 	Default LinkFaults
-	// Links overrides the menu per ordered link.
-	Links map[Link]LinkFaults
 	// Partitions is the scheduled partition windows.
 	Partitions []Partition
 	// Crashes is the scheduled crash/recovery blackholes.
 	Crashes []NodeCrash
 	// Filter, when non-nil, restricts random link faults (drop, duplicate,
 	// reorder, spike) to messages it returns true for; partition and crash
-	// blackholes always apply. E14 uses it to target heartbeats only.
+	// blackholes always apply. A test uses it to fault round traffic while
+	// heartbeats flow.
 	Filter func(from, to model.ProcessID, data []byte) bool
 	// RecordDecisions keeps an in-memory log of every fault decision
 	// (Injector.Decisions) — the determinism property tests and seed-replay
@@ -381,14 +377,6 @@ func (in *Injector) elapsed() time.Duration {
 	return time.Since(at)
 }
 
-// linkFaults resolves the menu for a link.
-func (in *Injector) linkFaults(l Link) LinkFaults {
-	if lf, ok := in.cfg.Links[l]; ok {
-		return lf
-	}
-	return in.cfg.Default
-}
-
 // state returns (creating on first use) the link's PRNG state. The PRNG
 // seed mixes the config seed with the link identity so links are
 // independent yet reproducible.
@@ -518,7 +506,7 @@ func (t *transport) Send(to model.ProcessID, data []byte) error {
 		return nil
 	}
 	l := Link{From: from, To: to}
-	lf := in.linkFaults(l)
+	lf := in.cfg.Default
 	if !lf.active() {
 		return t.next.Send(to, data)
 	}
@@ -545,11 +533,7 @@ func (t *transport) Send(to model.ProcessID, data []byte) error {
 	if d.Reorder {
 		in.reordered.Inc()
 		in.record(from, to, "inject-delay", "reorder")
-		rd := lf.ReorderDelay
-		if rd <= 0 {
-			rd = 2 * time.Millisecond
-		}
-		delay += rd
+		delay += 2 * time.Millisecond
 	}
 	if delay <= 0 {
 		var err error

@@ -187,6 +187,32 @@ func TestSpikeDelaysBeyondBound(t *testing.T) {
 	_ = in.Close()
 }
 
+// TestReorderHoldsBack: a reordered message is held back at least 2ms, so a
+// send right behind it on the link overtakes it.
+func TestReorderHoldsBack(t *testing.T) {
+	in := NewInjector(Config{Seed: 5, Default: LinkFaults{Reorder: 1}})
+	under := &memTransport{id: 1}
+	tr := in.Wrap(under)
+	start := time.Now()
+	if err := tr.Send(2, []byte("late")); err != nil {
+		t.Fatal(err)
+	}
+	if under.count() != 0 {
+		t.Error("reordered message delivered synchronously")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for under.count() == 0 && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if under.count() != 1 {
+		t.Fatalf("message lost: delivered %d", under.count())
+	}
+	if elapsed := time.Since(start); elapsed < 2*time.Millisecond {
+		t.Errorf("delivery after %v, want ≥ 2ms", elapsed)
+	}
+	_ = in.Close()
+}
+
 func TestPartitionBlackholesBoundaryOnly(t *testing.T) {
 	reg := obs.NewRegistry()
 	in := NewInjector(Config{

@@ -364,30 +364,43 @@ func TestLinkString(t *testing.T) {
 	}
 }
 
+// TestRecorderRingEviction: the ring holds DefaultFlightCapacity = 4096
+// records and evicts the oldest at the 4097th.
 func TestRecorderRingEviction(t *testing.T) {
-	rec := netobs.NewRecorder(4, nil)
-	for i := 0; i < 10; i++ {
+	const capacity = 4096
+	rec := netobs.NewRecorder(nil)
+	header := func() netobs.DumpHeader {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := rec.WriteDump(&buf); err != nil {
+			t.Fatal(err)
+		}
+		d, err := netobs.ReadDump(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.Header
+	}
+	for i := 0; i < capacity; i++ {
 		rec.Record(netobs.Record{Cat: netobs.CatNet, Kind: "send", Bytes: i})
 	}
+	if h := header(); h.Dropped != 0 || h.Capacity != capacity || h.Count != capacity {
+		t.Fatalf("full ring, dump header: %+v", h)
+	}
+	for i := capacity; i < capacity+6; i++ {
+		rec.Record(netobs.Record{Cat: netobs.CatNet, Kind: "send", Bytes: i})
+		if h := header(); h.Dropped != int64(i-capacity+1) || h.Count != capacity {
+			t.Fatalf("record %d, dump header: %+v", i+1, h)
+		}
+	}
 	got := rec.Records()
-	if len(got) != 4 {
-		t.Fatalf("ring holds %d records, want 4", len(got))
+	if len(got) != capacity {
+		t.Fatalf("ring holds %d records, want %d", len(got), capacity)
 	}
 	for i, r := range got {
 		if wantSeq := int64(6 + i); r.Seq != wantSeq || r.Bytes != 6+i {
 			t.Fatalf("record %d = %+v, want seq/bytes %d", i, r, wantSeq)
 		}
-	}
-	var buf bytes.Buffer
-	if err := rec.WriteDump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d, err := netobs.ReadDump(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Header.Dropped != 6 || d.Header.Capacity != 4 || d.Header.Count != 4 {
-		t.Fatalf("dump header: %+v", d.Header)
 	}
 
 	// Nil recorder: every entry point is a no-op.
@@ -404,7 +417,7 @@ func TestRecorderRingEviction(t *testing.T) {
 
 func TestRecorderSinkCaptureAndForward(t *testing.T) {
 	next := &obs.Collector{}
-	rec := netobs.NewRecorder(16, next)
+	rec := netobs.NewRecorder(next)
 	events := []obs.Event{
 		{Type: obs.EventSuspect, Proc: 3, By: 1, Round: 2},
 		{Type: obs.EventRetract, Proc: 3, By: 1, Round: 3},
@@ -437,7 +450,7 @@ func TestRecorderSinkCaptureAndForward(t *testing.T) {
 // dumps — the fixed-seed replay property the flight recorder guarantees.
 func TestDumpDeterministic(t *testing.T) {
 	build := func() []byte {
-		rec := netobs.NewRecorder(128, nil)
+		rec := netobs.NewRecorder(nil)
 		lt := netobs.NewLinkTap(obs.NewRegistry(), "chan", rec)
 		for i := 0; i < 40; i++ {
 			from := model.ProcessID(1 + i%3)
@@ -466,7 +479,7 @@ func TestDumpDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec2 := netobs.NewRecorder(128, nil)
+	rec2 := netobs.NewRecorder(nil)
 	for _, r := range d.Records {
 		rec2.Record(r)
 	}
@@ -489,7 +502,7 @@ func TestDumpDeterministic(t *testing.T) {
 }
 
 func TestDumpFileAndErrors(t *testing.T) {
-	rec := netobs.NewRecorder(0, nil) // default capacity
+	rec := netobs.NewRecorder(nil)
 	rec.Record(netobs.Record{Cat: netobs.CatNet, Kind: "send", Link: "p1>p2", Bytes: 6})
 	path := t.TempDir() + "/flight.jsonl"
 	if err := rec.DumpTo(path); err != nil {
@@ -526,7 +539,7 @@ func TestDumpFileAndErrors(t *testing.T) {
 // TestFlightThroughCluster: a seeded faulty cluster records injector and
 // transport activity into the flight ring, and the dump carries it.
 func TestFlightThroughCluster(t *testing.T) {
-	rec := netobs.NewRecorder(8192, nil)
+	rec := netobs.NewRecorder(nil)
 	cfg := runtime.EngineConfig{
 		Kind: rounds.RS, T: 1,
 		RoundDuration: 10 * time.Millisecond,

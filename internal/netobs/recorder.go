@@ -50,8 +50,7 @@ type Dump struct {
 	Records []Record
 }
 
-// DefaultFlightCapacity is the ring size used when NewRecorder is given a
-// non-positive capacity.
+// DefaultFlightCapacity is the flight recorder's ring size.
 const DefaultFlightCapacity = 4096
 
 // Recorder is the flight recorder: a fixed-size ring of recent Records.
@@ -72,14 +71,11 @@ type Recorder struct {
 
 var _ obs.Sink = (*Recorder)(nil)
 
-// NewRecorder returns a flight recorder holding the last capacity records
-// (DefaultFlightCapacity when capacity <= 0), forwarding sink events to
-// next (which may be nil).
-func NewRecorder(capacity int, next obs.Sink) *Recorder {
-	if capacity <= 0 {
-		capacity = DefaultFlightCapacity
-	}
-	return &Recorder{next: next, ring: make([]Record, capacity)}
+// NewRecorder returns a flight recorder holding the last
+// DefaultFlightCapacity records, forwarding sink events to next (which may
+// be nil).
+func NewRecorder(next obs.Sink) *Recorder {
+	return &Recorder{next: next, ring: make([]Record, DefaultFlightCapacity)}
 }
 
 // Record admits one record, stamping its sequence number.

@@ -126,7 +126,7 @@ func (f *Flags) Setup() (obs.Sink, func() error, error) {
 		// The recorder becomes the outermost event sink so detector and
 		// lifecycle events are captured alongside the transport records the
 		// runtime writes into it directly (via FlightRecorder below).
-		f.flight = netobs.NewRecorder(0, sink)
+		f.flight = netobs.NewRecorder(sink)
 		sink = f.flight
 		path := *f.Flight
 		// SIGQUIT dumps the ring and exits — the in-flight post-mortem hook

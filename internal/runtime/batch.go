@@ -16,18 +16,19 @@ const (
 	MetricBatcherFrames  = "ssfd_batcher_frames_total"
 )
 
-// BatcherConfig tunes per-link send batching.
+// maxBatch flushes a link once this many frames are pending. Anything short
+// of it waits for the owner's Flush.
+const maxBatch = 32
+
+// BatcherConfig configures a Batcher.
 type BatcherConfig struct {
-	// MaxBatch flushes a link once this many frames are pending
-	// (default 32). Anything short of it waits for the owner's Flush.
-	MaxBatch int
 	// Metrics receives the batcher's counters. Nil uses obs.Default.
 	Metrics *obs.Registry
 }
 
 // Batcher is one sender's outbound link buffer: it coalesces frames per
 // destination into wire batch containers and sends them on the endpoint it
-// was built over. A link is flushed when MaxBatch frames are pending, at the
+// was built over. A link is flushed when maxBatch frames are pending, at the
 // owner's Flush and at Close — there is no timer, so a frame waits for
 // whichever comes first. A flush holding a single frame is sent bare:
 // un-batched traffic is byte-identical with or without the Batcher, so any
@@ -46,10 +47,9 @@ type BatcherConfig struct {
 // endpoint: control traffic is latency-sensitive (a delayed heartbeat is a
 // false suspicion) and already amortized by being per-process.
 type Batcher struct {
-	inner    Transport
-	maxBatch int
-	pending  []linkPending // indexed by destination process id
-	closed   bool
+	inner   Transport
+	pending []linkPending // indexed by destination process id
+	closed  bool
 
 	flushCount *obs.Counter
 	flushSweep *obs.Counter
@@ -83,9 +83,6 @@ func (p *linkPending) packet() []byte {
 
 // NewBatcher buffers sends to inner per link.
 func NewBatcher(inner Transport, cfg BatcherConfig) *Batcher {
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 32
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.Default
@@ -95,7 +92,6 @@ func NewBatcher(inner Transport, cfg BatcherConfig) *Batcher {
 	}
 	return &Batcher{
 		inner:      inner,
-		maxBatch:   cfg.MaxBatch,
 		flushCount: l("count"),
 		flushSweep: l("sweep"),
 		flushClose: l("close"),
@@ -115,7 +111,7 @@ func (b *Batcher) Send(to model.ProcessID, data []byte) error {
 	p := &b.pending[to]
 	p.staged = wire.AppendToBatch(p.staged, data)
 	p.count++
-	if p.count >= b.maxBatch {
+	if p.count >= maxBatch {
 		return b.flush(to, b.flushCount)
 	}
 	return nil

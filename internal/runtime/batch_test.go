@@ -31,14 +31,18 @@ func recvFrames(tb testing.TB, tr Transport, timeout time.Duration) [][]byte {
 	}
 }
 
+// TestBatcherCountFlush: a link flushes itself at its 32nd pending frame, in
+// one packet that carries the frames unaltered and in order.
 func TestBatcherCountFlush(t *testing.T) {
 	nw := NewChanNetwork(2, ChanConfig{Metrics: obs.NewRegistry(), MaxDelay: 100 * time.Microsecond})
 	defer nw.Close()
-	b := NewBatcher(nw.Endpoint(1), BatcherConfig{MaxBatch: 3, Metrics: obs.NewRegistry()})
+	reg := obs.NewRegistry()
+	b := NewBatcher(nw.Endpoint(1), BatcherConfig{Metrics: reg})
 	defer b.Close()
+	countFlushes := reg.Counter(obs.Label(MetricBatcherFlushes, "reason", "count"))
 
 	var sent [][]byte
-	for i := 1; i <= 3; i++ {
+	for i := 1; i <= 32; i++ {
 		frame, err := wire.Encode(wire.Envelope{From: 1, To: 2, Round: i, Kind: wire.KindNull, Instance: uint64(i)})
 		if err != nil {
 			t.Fatal(err)
@@ -47,10 +51,13 @@ func TestBatcherCountFlush(t *testing.T) {
 		if err := b.Send(2, frame); err != nil {
 			t.Fatal(err)
 		}
+		if want := int64(i / 32); countFlushes.Value() != want {
+			t.Fatalf("after %d frames: %d count flushes, want %d", i, countFlushes.Value(), want)
+		}
 	}
 	frames := recvFrames(t, nw.Endpoint(2), 2*time.Second)
-	if len(frames) != 3 {
-		t.Fatalf("received %d frames, want 3 in one batch", len(frames))
+	if len(frames) != 32 {
+		t.Fatalf("received %d frames, want 32 in one batch", len(frames))
 	}
 	for i, f := range frames {
 		if string(f) != string(sent[i]) {
@@ -62,7 +69,7 @@ func TestBatcherCountFlush(t *testing.T) {
 func TestBatcherExplicitFlush(t *testing.T) {
 	nw := NewChanNetwork(2, ChanConfig{Metrics: obs.NewRegistry(), MaxDelay: 100 * time.Microsecond})
 	defer nw.Close()
-	b := NewBatcher(nw.Endpoint(1), BatcherConfig{MaxBatch: 100, Metrics: obs.NewRegistry()})
+	b := NewBatcher(nw.Endpoint(1), BatcherConfig{Metrics: obs.NewRegistry()})
 	defer b.Close()
 
 	for i := 1; i <= 2; i++ {
@@ -101,7 +108,7 @@ func (r *recordingTransport) Send(_ model.ProcessID, data []byte) error {
 func TestBatcherFlushSingleFrameIsBare(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := &recordingTransport{}
-	b := NewBatcher(tr, BatcherConfig{MaxBatch: 2, Metrics: reg})
+	b := NewBatcher(tr, BatcherConfig{Metrics: reg})
 	frame, err := wire.Encode(wire.Envelope{From: 1, To: 2, Round: 9, Kind: wire.KindNull})
 	if err != nil {
 		t.Fatal(err)
@@ -111,8 +118,9 @@ func TestBatcherFlushSingleFrameIsBare(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	send(2)
-	send(2) // MaxBatch: link 2 flushes itself
+	for i := 0; i < maxBatch; i++ { // the last fills link 2, which flushes itself
+		send(2)
+	}
 	send(3)
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
@@ -132,8 +140,8 @@ func TestBatcherFlushSingleFrameIsBare(t *testing.T) {
 			t.Errorf("%s flushes = %d, want %d", reason, got, want)
 		}
 	}
-	if got := reg.Counter(MetricBatcherFrames).Value(); got != 4 {
-		t.Errorf("frames = %d, want 4", got)
+	if got := reg.Counter(MetricBatcherFrames).Value(); got != maxBatch+2 {
+		t.Errorf("frames = %d, want %d", got, maxBatch+2)
 	}
 }
 
@@ -141,8 +149,7 @@ func TestBatcherFlushSingleFrameIsBare(t *testing.T) {
 // so a full batch costs the one exactly sized packet it surrenders to the
 // transport and nothing else.
 func TestBatcherOneAllocPerBatch(t *testing.T) {
-	const maxBatch = 32
-	b := NewBatcher(discardTransport{}, BatcherConfig{MaxBatch: maxBatch, Metrics: obs.NewRegistry()})
+	b := NewBatcher(discardTransport{}, BatcherConfig{Metrics: obs.NewRegistry()})
 	frame, err := wire.Encode(wire.Envelope{From: 1, To: 2, Round: 1, Kind: wire.KindD, Instance: 1 << 20,
 		Payload: consensus.DMsg{V: 3}})
 	if err != nil {
@@ -159,7 +166,7 @@ func TestBatcherOneAllocPerBatch(t *testing.T) {
 		t.Errorf("%v allocations per %d-frame batch, want 1", allocs, maxBatch)
 	}
 	tr := &recordingTransport{}
-	b = NewBatcher(tr, BatcherConfig{MaxBatch: maxBatch, Metrics: obs.NewRegistry()})
+	b = NewBatcher(tr, BatcherConfig{Metrics: obs.NewRegistry()})
 	for i := 0; i < maxBatch+1; i++ {
 		if err := b.Send(2, frame); err != nil {
 			t.Fatal(err)
@@ -229,7 +236,7 @@ func TestBatcherStartsNoGoroutine(t *testing.T) {
 func TestBatcherCloseFlushesAndRejects(t *testing.T) {
 	nw := NewChanNetwork(2, ChanConfig{Metrics: obs.NewRegistry(), MaxDelay: 100 * time.Microsecond})
 	defer nw.Close()
-	b := NewBatcher(nw.Endpoint(1), BatcherConfig{MaxBatch: 100, Metrics: obs.NewRegistry()})
+	b := NewBatcher(nw.Endpoint(1), BatcherConfig{Metrics: obs.NewRegistry()})
 
 	frame, err := wire.Encode(wire.Envelope{From: 1, To: 2, Round: 1, Kind: wire.KindNull})
 	if err != nil {
@@ -259,15 +266,15 @@ func TestBatcherCloseFlushesAndRejects(t *testing.T) {
 func TestBatcherInFlightIsolation(t *testing.T) {
 	nw := NewChanNetwork(2, ChanConfig{Metrics: obs.NewRegistry(), MaxDelay: 200 * time.Microsecond})
 	defer nw.Close()
-	b := NewBatcher(nw.Endpoint(1), BatcherConfig{MaxBatch: 2, Metrics: obs.NewRegistry()})
+	b := NewBatcher(nw.Endpoint(1), BatcherConfig{Metrics: obs.NewRegistry()})
 	defer b.Close()
 
 	const batches = 50
-	want := make([][]byte, 0, 2*batches)
+	want := make([][]byte, 0, maxBatch*batches)
 	for i := 0; i < batches; i++ {
-		for j := 0; j < 2; j++ {
+		for j := 0; j < maxBatch; j++ {
 			frame, err := wire.Encode(wire.Envelope{
-				From: 1, To: 2, Round: 2*i + j + 1, Kind: wire.KindNull, Instance: uint64(i),
+				From: 1, To: 2, Round: maxBatch*i + j + 1, Kind: wire.KindNull, Instance: uint64(i),
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -55,24 +55,6 @@ func TestClusterSlowStartHitsRoundOneBarrier(t *testing.T) {
 	}
 }
 
-// TestClusterEpochHeadroomOverride: an explicit EpochHeadroom survives a
-// deliberately generous value (the config plumbs through) and the run still
-// agrees.
-func TestClusterEpochHeadroomOverride(t *testing.T) {
-	cr, err := RunCluster(consensus.FloodSet{}, EngineConfig{
-		Kind: rounds.RS, T: 1,
-		EpochHeadroom: 40 * time.Millisecond,
-		RoundDuration: 20 * time.Millisecond,
-		Metrics:       obs.NewRegistry(),
-	}, vals(2, 5, 8), OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, st := cr.Agreement(); st != AgreementReached || v != 2 {
-		t.Fatalf("agreement (%d,%v), want (2,reached)", int64(v), st)
-	}
-}
-
 // TestClusterDetectorFailureStopsPrior: when a later node's detector
 // construction fails, RunCluster stops the detectors it already built
 // instead of leaking their eagerly acquired resources.

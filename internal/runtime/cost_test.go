@@ -100,16 +100,14 @@ const (
 // requires the run to be the one the constants describe: every node
 // decided in every instance and no suspicion was ever raised. A nonzero
 // linkDelay replaces the default mesh's random delay with that constant.
-func measureCost(t *testing.T, instances, groups int, batch BatcherConfig, linkDelay time.Duration) costRun {
+func measureCost(t *testing.T, instances, groups int, linkDelay time.Duration) costRun {
 	t.Helper()
 	reg := obs.NewRegistry()
-	batch.Metrics = reg
 	cfg := EngineConfig{
 		N: costN, T: costT,
 		Groups:          groups,
 		HeartbeatPeriod: costHeartbeat,
 		SuspectTimeout:  2 * time.Second,
-		Batch:           batch,
 		Metrics:         reg,
 	}
 	var before, after goruntime.MemStats
@@ -155,16 +153,17 @@ func measureCost(t *testing.T, instances, groups int, batch BatcherConfig, linkD
 // allocations spread over more decisions. One ceiling: the shared run's
 // allocations per decision.
 func TestEngineCostShape(t *testing.T) {
-	// The dedicated baseline is a one-instance, one-worker engine sending
-	// every frame as its own packet. Each link takes two heartbeat periods,
+	// The dedicated baseline is a one-instance, one-worker engine: a link
+	// holds one frame per sweep, so every frame leaves as its own packet.
+	// Each link takes two heartbeat periods,
 	// so its two rounds outlast the first heartbeats by a wide margin: a run
 	// that paid no control traffic at all would make the amortization
 	// comparison vacuous.
-	dedicated := measureCost(t, 1, 1, BatcherConfig{MaxBatch: 1}, 2*costHeartbeat)
+	dedicated := measureCost(t, 1, 1, 2*costHeartbeat)
 	if dedicated.cost.ControlMessages == 0 {
 		t.Fatal("dedicated baseline ran without a single heartbeat")
 	}
-	shared := measureCost(t, 2000, 0, BatcherConfig{}, 0)
+	shared := measureCost(t, 2000, 0, 0)
 
 	for _, r := range []costRun{dedicated, shared} {
 		d := int64(r.cost.Decisions)
@@ -188,7 +187,7 @@ func TestEngineCostShape(t *testing.T) {
 		t.Errorf("no amortization: %.2f control B/decision shared vs %.1f dedicated", s, d)
 	}
 	if dedicated.packets != dedicated.cost.DataMessages {
-		t.Errorf("MaxBatch 1: %d round packets for %d frames, want one each", dedicated.packets, dedicated.cost.DataMessages)
+		t.Errorf("one instance: %d round packets for %d frames, want one each", dedicated.packets, dedicated.cost.DataMessages)
 	}
 	perDecision := func(r costRun, x float64) float64 { return x / float64(r.cost.Decisions) }
 	if pk, fr := perDecision(shared, float64(shared.packets)), shared.cost.DataMessagesPerDecision; pk >= fr {

@@ -64,16 +64,13 @@ type EngineConfig struct {
 	// Kind selects the close rule; zero means rounds.RWS. RWS closes a round
 	// once every peer was heard from or is suspected by the node's detector
 	// (weak round synchrony, Lemma 4.1). RS closes round r of an instance at
-	// epoch + r·RoundDuration, the epoch being anchored EpochHeadroom after
+	// epoch + r·RoundDuration, the epoch being anchored 10ms + 2ms·N after
 	// the instance's Open (round synchrony: requires a network whose delay
 	// stays below RoundDuration); no failure detector is built.
 	Kind rounds.ModelKind
 	// RoundDuration paces RS rounds (default 25ms: comfortably above the
 	// default network's 1ms delay bound).
 	RoundDuration time.Duration
-	// EpochHeadroom is the slack between an RS instance's Open and its
-	// round-1 barrier. Zero scales with the cluster size (10ms + 2ms·n).
-	EpochHeadroom time.Duration
 
 	// N is the cluster size, T the resilience bound.
 	N, T int
@@ -127,13 +124,6 @@ type EngineConfig struct {
 	// must degrade one instance, not hang the process. Negative keeps the
 	// model-faithful unbounded wait.
 	WaitBound time.Duration
-
-	// Batch tunes the per-link send batching of round traffic. Every shard
-	// worker batches its own instances' frames on its own links and flushes
-	// them at the end of each sweep, so a packet never waits on a timer.
-	// Detector control traffic is never batched — a queued heartbeat is a
-	// false suspicion waiting to happen.
-	Batch BatcherConfig
 
 	// Faults, when non-nil, interposes the seeded per-link injector between
 	// every node and the mesh — beneath the batcher and the detector, so
@@ -269,7 +259,7 @@ type EngineStats struct {
 	// Backlog is the number of round packets and instance registrations
 	// queued in the shard workers' mailboxes at snapshot time — the
 	// at-a-glance congestion figure a drain decision reads. A packet may
-	// carry up to Batch.MaxBatch frames.
+	// carry up to maxBatch frames.
 	Backlog int64
 
 	// Detector audit, summed over the n shared detectors: FalselySuspected
@@ -427,9 +417,6 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 	if cfg.RoundDuration <= 0 {
 		cfg.RoundDuration = 25 * time.Millisecond
 	}
-	if cfg.EpochHeadroom <= 0 {
-		cfg.EpochHeadroom = 10*time.Millisecond + time.Duration(n)*2*time.Millisecond
-	}
 	if cfg.HeartbeatPeriod <= 0 {
 		cfg.HeartbeatPeriod = 2 * time.Millisecond
 	}
@@ -535,11 +522,9 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 	}
 
 	// Shard workers: worker w owns instances {k : k mod Groups == w} and
-	// sends their frames through its own batcher per node.
-	bcfg := cfg.Batch
-	if bcfg.Metrics == nil {
-		bcfg.Metrics = reg
-	}
+	// sends their frames through its own batcher per node, flushed at the
+	// end of each sweep. Detector control traffic is never batched — a
+	// queued heartbeat is a false suspicion waiting to happen.
 	er.workers = make([]*engWorker, cfg.Groups)
 	for w := range er.workers {
 		ew := &engWorker{
@@ -551,7 +536,7 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 			durations: er.metrics.roundDuration.Tally(),
 		}
 		for i := 1; i <= n; i++ {
-			ew.links[i] = NewBatcher(endpoints[i], bcfg)
+			ew.links[i] = NewBatcher(endpoints[i], BatcherConfig{Metrics: reg})
 		}
 		ew.mb.notify = make(chan struct{}, 1)
 		er.workers[w] = ew
@@ -624,7 +609,8 @@ func (e *Engine) OpenWith(initial func(model.ProcessID) model.Value, opts OpenOp
 	sl := &instSlab{inst: id, states: make([]instState, n), remaining: n,
 		events: opts.Events, crashes: opts.Crashes}
 	if er.cfg.Kind == rounds.RS {
-		sl.epoch = time.Now().Add(er.cfg.EpochHeadroom)
+		// The round-1 barrier leaves slack for setting up the n automata.
+		sl.epoch = time.Now().Add(10*time.Millisecond + time.Duration(n)*2*time.Millisecond)
 	}
 	rows := make([]instRow, n*(er.maxRounds+1)) // one allocation for the n automata
 	for i := 1; i <= n; i++ {

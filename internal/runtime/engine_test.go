@@ -236,14 +236,13 @@ func TestEngineUnknownInstanceDrops(t *testing.T) {
 	}
 }
 
-// TestEngineBatchedRun: with aggressive batching configured the run still
+// TestEngineBatchedRun: with the workers batching round traffic the run
 // reaches agreement everywhere, the batcher counters move, and the shared
 // detector's control cost lands in the cost summary.
 func TestEngineBatchedRun(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, st, err := runInstances(consensus.FloodSetWS{}, EngineConfig{
 		N: 3, T: 1,
-		Batch:           BatcherConfig{MaxBatch: 8},
 		HeartbeatPeriod: 5 * time.Millisecond,
 		SuspectTimeout:  500 * time.Millisecond,
 		Metrics:         reg,
@@ -317,11 +316,10 @@ func TestEngineDeadlineWakeup(t *testing.T) {
 // it missed.
 func deadlineWakeupAttempt(t *testing.T) (failures []string) {
 	fail := func(format string, args ...any) { failures = append(failures, fmt.Sprintf(format, args...)) }
-	const headroom = 5 * time.Millisecond
+	const headroom = 16 * time.Millisecond // the round-1 barrier: 10ms + 2ms·n after Open
 	e, err := StartEngine(consensus.FloodSet{}, EngineConfig{
 		Kind: rounds.RS, N: 3, T: 1, Groups: 1,
 		RoundDuration:  10 * time.Millisecond,
-		EpochHeadroom:  headroom,
 		SuspectTimeout: time.Second,
 		Metrics:        obs.NewRegistry(),
 	})
@@ -337,8 +335,8 @@ func deadlineWakeupAttempt(t *testing.T) (failures []string) {
 		t.Fatal(err)
 	}
 	<-h.Done()
-	if took := time.Since(start) - headroom; took >= 100*time.Millisecond {
-		fail("two 10ms rounds took %v after the epoch, want < 100ms", took)
+	if took := time.Since(start) - headroom; took < 20*time.Millisecond || took >= 100*time.Millisecond {
+		fail("two 10ms rounds took %v after the epoch, want within [20ms, 100ms)", took)
 	}
 	out, _ := h.Outcome()
 	if v, st := out.Agreement(); st != AgreementReached || v != 1 {
@@ -488,7 +486,7 @@ func TestEngineCrashOnMesh(t *testing.T) {
 // event sink and flight recorder, and its logs outlive Close.
 func TestEngineChaosEventsAndLogs(t *testing.T) {
 	var events obs.Collector
-	flight := netobs.NewRecorder(4096, nil)
+	flight := netobs.NewRecorder(nil)
 	e, err := StartEngine(consensus.FloodSetWS{}, EngineConfig{
 		N: 3, T: 1,
 		WaitBound: 100 * time.Millisecond,
@@ -643,13 +641,14 @@ func TestEngineQuiescenceWithCrash(t *testing.T) {
 // TestEngineQuiescenceRS: under RS a halted automaton does not sit out the
 // barrier of a round it will never run. A1 decides at round 1, forwards at
 // round 2 and is quiet from round 3: the instance resolves at the round-2
-// barrier, a full RoundDuration before the T+2 cap would have let it.
+// barrier, a full RoundDuration before the T+2 cap would have let it. The
+// epoch lies 10ms + 2ms·n after Open.
 func TestEngineQuiescenceRS(t *testing.T) {
-	const headroom, roundDur = 5 * time.Millisecond, 150 * time.Millisecond
+	const headroom, roundDur = 16 * time.Millisecond, 150 * time.Millisecond
 	e, err := StartEngine(consensus.A1{}, EngineConfig{
 		Kind: rounds.RS, N: 3, T: 1,
-		RoundDuration: roundDur, EpochHeadroom: headroom,
-		Metrics: obs.NewRegistry(),
+		RoundDuration: roundDur,
+		Metrics:       obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)

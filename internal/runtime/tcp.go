@@ -56,15 +56,11 @@ type TCPRetryConfig struct {
 	// (default 8).
 	MaxAttempts int
 	// BaseBackoff is the first retry delay; it doubles per attempt up to
-	// MaxBackoff (defaults 2ms and 250ms). Each delay gets ±50% seeded
-	// jitter so a mesh of retrying links does not thunder in lock-step.
+	// MaxBackoff (defaults 2ms and 250ms). Each delay gets ±50% jitter,
+	// seeded from the link's identity, so a mesh of retrying links does not
+	// thunder in lock-step.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// Seed drives the jitter (per link, mixed with the link identity).
-	Seed int64
-	// QueueLen is the per-link send queue capacity (default 1024); overflow
-	// drops the newest frame with a counter.
-	QueueLen int
 }
 
 func (c TCPRetryConfig) withDefaults() TCPRetryConfig {
@@ -76,9 +72,6 @@ func (c TCPRetryConfig) withDefaults() TCPRetryConfig {
 	}
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 250 * time.Millisecond
-	}
-	if c.QueueLen <= 0 {
-		c.QueueLen = 1024
 	}
 	return c
 }
@@ -282,12 +275,12 @@ type tcpLink struct {
 }
 
 func newTCPLink(nw *TCPNetwork, from, to model.ProcessID) *tcpLink {
-	seed := nw.cfg.Seed ^ (int64(from) * 7919) ^ (int64(to) * 104729)
+	seed := (int64(from) * 7919) ^ (int64(to) * 104729)
 	return &tcpLink{
 		nw:    nw,
 		from:  from,
 		to:    to,
-		queue: make(chan []byte, nw.cfg.QueueLen),
+		queue: make(chan []byte, 1024), // absorbs a peer's outage; overflow drops the newest frame (send)
 		rng:   rand.New(rand.NewSource(seed)),
 	}
 }

@@ -58,11 +58,12 @@ type DelayFunc func(from, to model.ProcessID, data []byte) time.Duration
 
 // ChanConfig configures an in-process network.
 type ChanConfig struct {
-	// MinDelay and MaxDelay bound the uniform random per-message delay.
-	// The defaults (0, 1ms) model a fast synchronous network. Round traffic
-	// is delivered when it falls due, off a kernel clock (newClock); other
-	// waits use a timer, which an idle process fires up to 1ms late.
-	MinDelay, MaxDelay time.Duration
+	// MaxDelay bounds the uniform random per-message delay, drawn from
+	// [0, MaxDelay). The default 1ms models a fast synchronous network.
+	// Round traffic is delivered when it falls due, off a kernel clock
+	// (newClock); other waits use a timer, which an idle process fires up to
+	// 1ms late.
+	MaxDelay time.Duration
 	// Seed drives the random delays.
 	Seed int64
 	// Delay, if set, overrides the random delay entirely — the hook tests
@@ -259,11 +260,7 @@ func (nw *ChanNetwork) delay(from, to model.ProcessID, data []byte) time.Duratio
 	if nw.cfg.Delay != nil {
 		return nw.cfg.Delay(from, to, data)
 	}
-	d := nw.cfg.MinDelay
-	if span := nw.cfg.MaxDelay - nw.cfg.MinDelay; span > 0 {
-		d += time.Duration(nw.rng.Int63n(int64(span)))
-	}
-	return d
+	return time.Duration(nw.rng.Int63n(int64(nw.cfg.MaxDelay)))
 }
 
 // send queues a delayed delivery. The network keeps data until it is

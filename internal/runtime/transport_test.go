@@ -261,21 +261,19 @@ func TestChanNetworkOverflowThenRecovers(t *testing.T) {
 }
 
 // TestChanNetworkSeedPinsDelays: a seed still means the delay sequence it
-// meant when every packet had its own goroutine — one Int63n(MaxDelay −
-// MinDelay) per accepted packet, in send order.
+// meant when every packet had its own goroutine — one Int63n(MaxDelay) per
+// accepted packet, in send order.
 func TestChanNetworkSeedPinsDelays(t *testing.T) {
-	pinned := []time.Duration{43955, 531224, 473942, 557379, 786506, 117713} // seed 7, span 1ms
-	for _, lo := range []time.Duration{0, 3 * time.Millisecond} {
-		nw := NewChanNetwork(3, ChanConfig{Seed: 7, MinDelay: lo, MaxDelay: lo + time.Millisecond, Metrics: obs.NewRegistry()})
-		for i, want := range pinned {
-			nw.mu.Lock()
-			got := nw.delay(1, model.ProcessID(2+i%2), nil)
-			nw.mu.Unlock()
-			if got != lo+want {
-				t.Errorf("MinDelay %v, draw %d = %v, want %v", lo, i, got, lo+want)
-			}
+	pinned := []time.Duration{43955, 531224, 473942, 557379, 786506, 117713} // seed 7, MaxDelay 1ms
+	nw := NewChanNetwork(3, ChanConfig{Seed: 7, MaxDelay: time.Millisecond, Metrics: obs.NewRegistry()})
+	defer nw.Close()
+	for i, want := range pinned {
+		nw.mu.Lock()
+		got := nw.delay(1, model.ProcessID(2+i%2), nil)
+		nw.mu.Unlock()
+		if got != want {
+			t.Errorf("draw %d = %v, want %v", i, got, want)
 		}
-		_ = nw.Close()
 	}
 }
 
@@ -474,7 +472,7 @@ func TestChanNetworkCloseRacesSend(t *testing.T) {
 	fdsBefore, _ := openFDs()
 	clocks := 0
 	for iter := 0; iter < 30; iter++ {
-		nw := NewChanNetwork(n, ChanConfig{MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond, Buffer: 64, Metrics: obs.NewRegistry()})
+		nw := NewChanNetwork(n, ChanConfig{MaxDelay: 500 * time.Microsecond, Buffer: 64, Metrics: obs.NewRegistry()})
 		var senders sync.WaitGroup
 		for from := 1; from <= n; from++ {
 			senders.Add(1)

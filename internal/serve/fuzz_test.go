@@ -30,7 +30,6 @@ func fuzzTarget(f *testing.F) http.Handler {
 			// Small wait budget: a fuzz input that opens a KV slot must not
 			// park an iteration for the serving default.
 			ProposeTimeout: 2 * time.Second,
-			MaxBody:        1 << 12,
 			Conform:        true,
 			Metrics:        obs.NewRegistry(),
 		})
@@ -66,6 +65,7 @@ func FuzzServeRequest(f *testing.F) {
 	f.Add("GET", "/v1/instance/0?wait=1", []byte(nil))
 	f.Add("POST", "/v1/kv/fuzz/cas", []byte(`{"old":null,"new":5}`))
 	f.Add("POST", "/v1/kv/fuzz/cas", []byte(`{"old":5,"new":6}`))
+	f.Add("GET", "/v1/kv/fuzz?history=1&from=2&limit=9223372036854775807", []byte(nil))
 	f.Add("GET", "/v1/kv/fuzz?history=1", []byte(nil))
 	f.Add("GET", "/v1/status", []byte(nil))
 	f.Add("DELETE", "/v1/kv/fuzz", []byte(nil))
@@ -75,7 +75,7 @@ func FuzzServeRequest(f *testing.F) {
 	h := fuzzTarget(f)
 	f.Fuzz(func(t *testing.T, method, path string, body []byte) {
 		if len(body) > 1<<14 {
-			return // MaxBody already bounds the server; cap the fuzz input
+			return // maxBody already bounds the server; cap the fuzz input
 		}
 		req, err := http.NewRequest(method, "http://fuzz.test"+path, bytes.NewReader(body))
 		if err != nil {

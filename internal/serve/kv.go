@@ -128,11 +128,11 @@ func (kv *kvStore) History(key string, from, limit int) (head *KVVersion, page [
 	if from > total {
 		return head, nil, total
 	}
-	end := from - 1 + limit
-	if limit <= 0 || end > total {
-		end = total
+	// Clamped before the add: from-1+limit overflows on a huge limit.
+	if rest := total - from + 1; limit <= 0 || limit > rest {
+		limit = rest
 	}
-	page = append(page, k.versions[from-1:end]...)
+	page = append(page, k.versions[from-1:from-1+limit]...)
 	return head, page, total
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	stdruntime "runtime"
@@ -254,6 +255,19 @@ func TestHistoryPagination(t *testing.T) {
 	if len(resp.History) != 5 || resp.History[0].Version != 100 || resp.NextFrom != 105 {
 		t.Fatalf("window = %d versions from %d next %d, want 5 from 100 next 105",
 			len(resp.History), resp.History[0].Version, resp.NextFrom)
+	}
+
+	// A limit that would overflow from-1+limit answers the rest of the chain.
+	resp = KVGetResponse{}
+	code, err = client.do(ctx, http.MethodGet,
+		fmt.Sprintf("/v1/kv/long?history=1&from=2&limit=%d", math.MaxInt64), nil, &resp)
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("huge limit: code %d err %v", code, err)
+	}
+	if len(resp.History) != chainLen-1 || resp.History[0].Version != 2 ||
+		resp.History[len(resp.History)-1].Version != chainLen || resp.NextFrom != 0 {
+		t.Fatalf("huge limit = %d versions next %d, want versions 2..%d with no cursor",
+			len(resp.History), resp.NextFrom, chainLen)
 	}
 
 	// A cursor past the end answers an empty page with no next cursor.

@@ -33,7 +33,8 @@ import (
 
 // Serving metric names.
 const (
-	// MetricServeRequests counts HTTP requests, labeled by route.
+	// MetricServeRequests counts HTTP requests, labeled by method: GET,
+	// HEAD, POST, or "other" for any method a client makes up.
 	MetricServeRequests = "ssfd_serve_requests_total"
 	// MetricServeCASOK / MetricServeCASConflicts count the KV CAS verdicts.
 	MetricServeCASOK        = "ssfd_serve_cas_ok_total"
@@ -90,8 +91,6 @@ type Config struct {
 	// answering 504 (default 30s). The instance keeps running; a timed-out
 	// CAS can still commit.
 	ProposeTimeout time.Duration
-	// MaxBody caps request bodies in bytes (default 1 MiB).
-	MaxBody int64
 
 	// Metrics receives the server's and engine's instruments; nil uses
 	// obs.Default.
@@ -125,10 +124,14 @@ type Server struct {
 	draining atomic.Bool
 	start    time.Time
 
+	requests     map[string]*obs.Counter // by method: GET, HEAD, POST, "other"
 	casOK        *obs.Counter
 	casConflicts *obs.Counter
 	drained      *obs.Counter
 }
+
+// maxBody caps request bodies in bytes.
+const maxBody = 1 << 20
 
 // New starts the engine and builds the server. Callers serve s.Handler()
 // however they like (http.Server, in-process transport in tests) and must
@@ -139,9 +142,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.ProposeTimeout <= 0 {
 		cfg.ProposeTimeout = 30 * time.Second
-	}
-	if cfg.MaxBody <= 0 {
-		cfg.MaxBody = 1 << 20
 	}
 	if cfg.WaitBound <= 0 {
 		cfg.WaitBound = 2 * time.Second
@@ -172,6 +172,10 @@ func New(cfg Config) (*Server, error) {
 		casOK:        reg.Counter(MetricServeCASOK),
 		casConflicts: reg.Counter(MetricServeCASConflicts),
 		drained:      reg.Counter(MetricServeDrained),
+		requests:     make(map[string]*obs.Counter),
+	}
+	for _, m := range []string{http.MethodGet, http.MethodHead, http.MethodPost, "other"} {
+		s.requests[m] = reg.Counter(obs.Label(MetricServeRequests, "method", m))
 	}
 	s.traces = newTraceStore(cfg.TraceSample, cfg.TraceRecent, cfg.TraceSlowest)
 	s.kv = newKVStore(s)
@@ -357,9 +361,13 @@ func (s *Server) Handler() http.Handler {
 			tk.key = kvKeyOf(r.URL.Path)
 		}
 		w.Header().Set("X-SSFD-Request", id)
-		s.reg.Counter(obs.Label(MetricServeRequests, "method", r.Method)).Inc()
+		c, ok := s.requests[r.Method]
+		if !ok { // a made-up method must not grow the registry
+			c = s.requests["other"]
+		}
+		c.Inc()
 		if r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
+			r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 		}
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		s.mux.ServeHTTP(&jsonErrWriter{ResponseWriter: sw},

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -172,15 +173,45 @@ func TestRoutingErrors(t *testing.T) {
 	}
 }
 
+// TestBodyTooLarge: a body of exactly 1 MiB is read, one byte more is a 413.
 func TestBodyTooLarge(t *testing.T) {
-	srv, _ := newTestServer(t, func(c *Config) { c.MaxBody = 64 })
+	srv, _ := newTestServer(t, nil)
 	h := srv.Handler()
-	big := `{"value":` + strings.Repeat("1", 200) + `}`
-	req := httptest.NewRequest(http.MethodPost, "/v1/propose", strings.NewReader(big))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("code %d, want 413 (body %s)", rec.Code, rec.Body)
+	const value = `{"value":1}`
+	for _, tc := range []struct {
+		size int
+		code int
+	}{{1 << 20, http.StatusOK}, {1<<20 + 1, http.StatusRequestEntityTooLarge}} {
+		body := strings.Repeat(" ", tc.size-len(value)) + value
+		req := httptest.NewRequest(http.MethodPost, "/v1/propose", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != tc.code {
+			t.Errorf("%d-byte body: code %d, want %d (body %s)", tc.size, rec.Code, tc.code, rec.Body)
+		}
+	}
+}
+
+// TestRequestMethodsBounded: made-up methods share one "other" series, so
+// however many a client invents, the requests family keeps at most four.
+func TestRequestMethodsBounded(t *testing.T) {
+	srv, _ := newTestServer(t, nil)
+	h, reg := srv.Handler(), srv.reg
+	for i := 0; i < 50; i++ {
+		req := httptest.NewRequest(fmt.Sprintf("M%02d", i), "/healthz", nil)
+		h.ServeHTTP(httptest.NewRecorder(), req)
+	}
+	series := 0
+	for name := range reg.Snapshot().Counters {
+		if strings.HasPrefix(name, MetricServeRequests+"{") {
+			series++
+		}
+	}
+	if series > 4 {
+		t.Errorf("50 distinct methods left %d %s series, want at most 4", series, MetricServeRequests)
+	}
+	if got := reg.Counter(obs.Label(MetricServeRequests, "method", "other")).Value(); got != 50 {
+		t.Errorf("other-method requests = %d, want 50", got)
 	}
 }
 

@@ -158,8 +158,6 @@ type (
 	// physical mesh, one failure detector per node, and any number of
 	// consensus instances multiplexed over them (RunLive opens exactly one).
 	EngineConfig = runtime.EngineConfig
-	// BatcherConfig tunes the engine's per-link send batching.
-	BatcherConfig = runtime.BatcherConfig
 	// LiveOpenOptions attaches an event sink and crash plans to one
 	// instance (LiveEngine.OpenWith).
 	LiveOpenOptions = runtime.OpenOptions
