@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/abcast"
 	"repro/internal/conform"
 	"repro/internal/core"
 	"repro/internal/fdimpl"
@@ -382,26 +381,6 @@ func TestDetectorZooAPI(t *testing.T) {
 	}
 	if card := fdimpl.RenderScores(scores); !strings.Contains(card, "heartbeat") {
 		t.Errorf("scorecard missing the detector row:\n%s", card)
-	}
-}
-
-func TestAtomicBroadcastAPI(t *testing.T) {
-	bc, err := abcast.New(RWS, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := int64(1); id <= 3; id++ {
-		if err := bc.Submit(ProcessID(id), abcast.MsgID(id)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bc.Drain(nil, 10); err != nil {
-		t.Fatal(err)
-	}
-	for p := 1; p <= 3; p++ {
-		if len(bc.Logs()[p]) != 3 {
-			t.Fatalf("p%d log = %v", p, bc.Logs()[p])
-		}
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/abcast"
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/emul"
@@ -495,32 +494,5 @@ func BenchmarkAblation_A1FastPathOff(b *testing.B) {
 		if off.Violations != 0 {
 			b.Fatalf("disabling the fast path broke the spec: %d violations", off.Violations)
 		}
-	}
-}
-
-// BenchmarkAtomicBroadcast drains a 5-message log through repeated uniform
-// consensus in each round model, under a random adversary.
-func BenchmarkAtomicBroadcast(b *testing.B) {
-	for _, kind := range []rounds.ModelKind{rounds.RS, rounds.RWS} {
-		b.Run(kind.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				bc, err := abcast.New(kind, 3, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for id := abcast.MsgID(1); id <= 5; id++ {
-					if err := bc.Submit(model.ProcessID(int(id)%3+1), id); err != nil {
-						b.Fatal(err)
-					}
-				}
-				drop := 0.0
-				if kind == rounds.RWS {
-					drop = 0.3
-				}
-				if err := bc.Drain(rounds.NewRandomAdversary(int64(i), 0.3, drop), 12); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -70,6 +70,11 @@ job_test() {
   # Part of ./... above; run again by name so a regression in the explorer's
   # worker pool is named in the job log, not buried in a package failure.
   go test -race -run 'TestParallel|TestExploreMerges|TestMaxCrashesCap|TestComputeParallelEquality' ./internal/explore/ ./internal/latency/
+  # Every internal package is imported by some program: a package only tests
+  # reach is dead code. (bench/ imports nothing a command does not.)
+  local orphans
+  orphans=$(comm -23 <(go list ./internal/... | sort) <(go list -deps ./cmd/... ./examples/... . | sort))
+  [ -z "$orphans" ] || { echo "internal packages no program imports:"; echo "$orphans"; return 1; }
   # The examples are the root package's callers: run each, not just build it.
   local ex
   for ex in examples/*/; do
@@ -86,7 +91,7 @@ job_test() {
   # And the live stack's settable options, so "options removed" is read off
   # the same log.
   local t n line="" total=0
-  for t in runtime.EngineConfig runtime.ChanConfig runtime.BatcherConfig runtime.TCPRetryConfig \
+  for t in runtime.EngineConfig runtime.ChanConfig runtime.BatcherConfig \
     faults.Config faults.LinkFaults serve.Config; do
     n=$(fields "./internal/$t")
     line+="$t $n, "

@@ -21,9 +21,9 @@
 // accuracy; ◇S = strong completeness + eventual weak accuracy; Q/W/◇Q/◇W
 // take weak completeness instead.
 //
-// Unlike the perfect detector, the weaker classes revoke suspicions, so the
-// package defines interval-based histories (History) rather than the
-// monotone model.FDHistory. Generators produce adversarial histories of
+// The weaker classes revoke suspicions, so a history (History) is a set of
+// suspicion intervals per pair; a perfect detector's monotone suspicion is
+// one interval that never ends. Generators produce adversarial histories of
 // each class from a failure pattern; checkers verify the axioms over a
 // finite horizon (the liveness axioms are read as "…by the horizon and
 // stable thereafter", which is exact for the generators here).
@@ -164,9 +164,6 @@ func NewHistory(n int) *History {
 	return h
 }
 
-// N returns the number of processes.
-func (h *History) N() int { return h.n }
-
 // AddInterval records that observer suspects subject throughout [start,
 // end). Intervals may be added in any order; overlapping intervals are
 // merged.
@@ -233,23 +230,6 @@ func (h *History) PermanentlySuspectedFrom(observer, subject model.ProcessID) mo
 		return model.TimeNever
 	}
 	return last.Start
-}
-
-// FromMonotone converts a monotone model.FDHistory (the perfect detector's
-// compact representation) into an interval history.
-func FromMonotone(mh *model.FDHistory) *History {
-	h := NewHistory(mh.N())
-	for i := 1; i <= mh.N(); i++ {
-		for j := 1; j <= mh.N(); j++ {
-			if t := mh.SuspicionTime(model.ProcessID(i), model.ProcessID(j)); t != model.TimeNever {
-				// Monotone histories never revoke.
-				if err := h.AddInterval(model.ProcessID(i), model.ProcessID(j), t, model.TimeNever); err != nil {
-					panic(fmt.Sprintf("fd: FromMonotone: %v", err))
-				}
-			}
-		}
-	}
-	return h
 }
 
 // Violationf builds a formatted violation.

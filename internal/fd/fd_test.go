@@ -59,6 +59,9 @@ func TestHistoryIntervals(t *testing.T) {
 	if got := h.PermanentlySuspectedFrom(1, 2); got != 20 {
 		t.Errorf("PermanentlySuspectedFrom = %v, want 20", got)
 	}
+	if h.Suspects(1, 2, 19) || !h.Suspects(1, 2, 20) || !h.Suspects(1, 2, 1_000_000) {
+		t.Error("a permanent suspicion must start at 20 and never end")
+	}
 }
 
 func TestHistoryValidation(t *testing.T) {
@@ -71,20 +74,6 @@ func TestHistoryValidation(t *testing.T) {
 	}
 	if err := h.AddInterval(1, 2, -1, 5); err == nil {
 		t.Error("negative start accepted")
-	}
-}
-
-func TestFromMonotone(t *testing.T) {
-	mh := model.NewFDHistory(2)
-	if err := mh.SetSuspicion(1, 2, 7); err != nil {
-		t.Fatal(err)
-	}
-	h := FromMonotone(mh)
-	if !h.Suspects(1, 2, 7) || h.Suspects(1, 2, 6) {
-		t.Error("conversion wrong")
-	}
-	if h.PermanentlySuspectedFrom(1, 2) != 7 {
-		t.Error("permanence lost in conversion")
 	}
 }
 

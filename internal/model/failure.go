@@ -97,11 +97,6 @@ func (f *FailurePattern) Correct() ProcSet {
 // NumFaulty returns |Faulty(F)|.
 func (f *FailurePattern) NumFaulty() int { return f.Faulty().Count() }
 
-// Clone returns an independent copy of the pattern.
-func (f *FailurePattern) Clone() *FailurePattern {
-	return &FailurePattern{n: f.n, crashAt: append([]Time(nil), f.crashAt...)}
-}
-
 // String renders the pattern, e.g. "F{p2@3}" (p2 crashes at time 3), or
 // "F{}" when failure-free.
 func (f *FailurePattern) String() string {

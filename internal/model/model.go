@@ -1,6 +1,7 @@
 // Package model defines the fundamental vocabulary shared by every other
 // package in this repository: process identifiers and sets, discrete time,
-// decision values, failure patterns, and failure-detector histories.
+// decision values and failure patterns. Failure-detector histories are
+// package fd's.
 //
 // The definitions follow Section 2 of Charron-Bost, Guerraoui and Schiper,
 // "Synchronous System and Perfect Failure Detector: solvability and
@@ -38,8 +39,8 @@ func (id ProcessID) String() string {
 }
 
 // Time is a tick of the discrete global clock T. Processes never observe it
-// directly; it exists to index failure patterns and failure-detector
-// histories.
+// directly; it exists to index failure patterns (and package fd's
+// failure-detector histories).
 type Time int
 
 // TimeNever is a sentinel meaning "does not happen" (e.g. a process that

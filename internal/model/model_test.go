@@ -312,86 +312,6 @@ func TestFailurePatternCumulative(t *testing.T) {
 	}
 }
 
-func TestFDHistoryBasics(t *testing.T) {
-	h := NewFDHistory(3)
-	if err := h.SetSuspicion(1, 2, 4); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.At(1, 3); !got.Empty() {
-		t.Errorf("At(p1,3) = %v, want empty", got)
-	}
-	if got := h.At(1, 4); got != Singleton(2) {
-		t.Errorf("At(p1,4) = %v, want {p2}", got)
-	}
-	if got := h.SuspicionTime(1, 2); got != 4 {
-		t.Errorf("SuspicionTime = %v, want 4", got)
-	}
-	if got := h.SuspicionTime(1, 3); got != TimeNever {
-		t.Errorf("SuspicionTime unsuspected = %v, want ∞", got)
-	}
-}
-
-func TestFDHistoryMonotone(t *testing.T) {
-	h := NewFDHistory(2)
-	if err := h.SetSuspicion(1, 2, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.SetSuspicion(1, 2, 8); err == nil {
-		t.Error("delaying an existing suspicion should be rejected")
-	}
-	if err := h.SetSuspicion(1, 2, 2); err != nil {
-		t.Errorf("advancing a suspicion should be allowed: %v", err)
-	}
-	if err := h.SetSuspicion(0, 1, 0); err == nil {
-		t.Error("invalid observer accepted")
-	}
-}
-
-func TestFDHistoryCloneIndependent(t *testing.T) {
-	h := NewFDHistory(2)
-	if err := h.SetSuspicion(1, 2, 1); err != nil {
-		t.Fatal(err)
-	}
-	c := h.Clone()
-	if err := c.SetSuspicion(2, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if h.SuspicionTime(2, 1) != TimeNever {
-		t.Error("Clone not independent")
-	}
-	if c.SuspicionTime(1, 2) != 1 {
-		t.Error("Clone lost data")
-	}
-}
-
-// Property: suspicions are monotone in time — H(p,t) ⊆ H(p,t+1).
-func TestFDHistoryMonotoneInTime(t *testing.T) {
-	f := func(times []uint8) bool {
-		n := 5
-		h := NewFDHistory(n)
-		k := 0
-		for i := 1; i <= n; i++ {
-			for j := 1; j <= n; j++ {
-				if k < len(times) && times[k] < 200 {
-					_ = h.SetSuspicion(ProcessID(i), ProcessID(j), Time(times[k]))
-				}
-				k++
-			}
-		}
-		for p := 1; p <= n; p++ {
-			for tm := Time(0); tm < 210; tm++ {
-				if !h.At(ProcessID(p), tm).Subset(h.At(ProcessID(p), tm+1)) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(4))}); err != nil {
-		t.Errorf("history monotone-in-time property failed: %v", err)
-	}
-}
-
 // unionByInsert is the reference UnionWith is held to: one Insert per element.
 func unionByInsert(s, o ValueSet) ValueSet {
 	out := s.Clone()

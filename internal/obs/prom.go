@@ -200,14 +200,6 @@ func (s *Server) URL() string {
 	return "http://" + s.Addr()
 }
 
-// Registry returns the registry the server exposes.
-func (s *Server) Registry() *Registry {
-	if s == nil {
-		return nil
-	}
-	return s.reg
-}
-
 // Close shuts the server down and joins its goroutine (nil-safe).
 func (s *Server) Close() error {
 	if s == nil {

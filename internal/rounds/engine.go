@@ -126,9 +126,6 @@ func NewEngine(kind ModelKind, alg Algorithm, initial []model.Value, t int, opts
 	return e, nil
 }
 
-// N returns the system size.
-func (e *Engine) N() int { return e.n }
-
 // T returns the resilience bound.
 func (e *Engine) T() int { return e.t }
 

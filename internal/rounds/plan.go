@@ -48,24 +48,6 @@ type Plan struct {
 // FailureFree is the empty plan: no crashes, no pending messages.
 var FailureFree = Plan{}
 
-// Clone returns an independent deep copy of the plan.
-func (p Plan) Clone() Plan {
-	c := Plan{}
-	if p.Crashes != nil {
-		c.Crashes = make(map[model.ProcessID]model.ProcSet, len(p.Crashes))
-		for k, v := range p.Crashes {
-			c.Crashes[k] = v
-		}
-	}
-	if p.Drops != nil {
-		c.Drops = make(map[model.ProcessID]model.ProcSet, len(p.Drops))
-		for k, v := range p.Drops {
-			c.Drops[k] = v
-		}
-	}
-	return c
-}
-
 // crashSet returns the set of processes the plan crashes.
 func (p Plan) crashSet() model.ProcSet {
 	var s model.ProcSet

@@ -6,12 +6,13 @@ import (
 	"repro/internal/rounds"
 )
 
-// Metric names exported by the live runtime. Transport metrics carry a
-// {transport="chan"} or {transport="tcp"} label; the round-duration
-// histogram carries {algorithm="...",model="..."}; the detector-owned
-// ssfd_fd_* families carry {detector="heartbeat"|"bounded"|...} (the
-// node-side ssfd_fd_heartbeats_received_total stays unlabelled — the
-// demultiplexer counts control traffic without knowing who sent it).
+// Metric names exported by the live runtime. The round-duration histogram
+// carries {algorithm="...",model="..."}; the detector-owned ssfd_fd_*
+// families carry {detector="heartbeat"|"bounded"|...} (the node-side
+// ssfd_fd_heartbeats_received_total stays unlabelled — the demultiplexer
+// counts control traffic without knowing who sent it). The transport
+// families (ssfd_transport_*, labelled {transport="chan"|"tcp"}) are package
+// netobs's: its per-link tap does all transport accounting.
 const (
 	MetricRoundDuration       = "ssfd_node_round_duration_ns" // histogram, nanoseconds
 	MetricNodeRounds          = "ssfd_node_rounds_total"
@@ -19,20 +20,7 @@ const (
 	MetricHeartbeatsReceived  = "ssfd_fd_heartbeats_received_total"
 	MetricSuspicionsRaised    = "ssfd_fd_suspicions_raised_total"
 	MetricSuspicionsRetracted = "ssfd_fd_suspicions_retracted_total"
-
-	// The transport families are owned by package netobs since the per-link
-	// telemetry layer took over transport accounting; the aliases keep the
-	// runtime's historical exports stable.
-	MetricTransportMessagesSent     = netobs.MetricTransportMessagesSent
-	MetricTransportMessagesReceived = netobs.MetricTransportMessagesReceived
-	MetricTransportMessagesDropped  = netobs.MetricTransportMessagesDropped
-	MetricTransportBytesSent        = netobs.MetricTransportBytesSent
-	MetricTransportBytesReceived    = netobs.MetricTransportBytesReceived
-
-	MetricFDEncodeErrors = "ssfd_fd_encode_errors_total"
-	// TCP-only resilience counters, labelled {transport="tcp"}.
-	MetricTransportReconnects = netobs.MetricTransportReconnects
-	MetricTransportRetries    = netobs.MetricTransportRetries
+	MetricFDEncodeErrors      = "ssfd_fd_encode_errors_total"
 	MetricNodeWaitTimeouts    = "ssfd_node_wait_timeouts_total"
 )
 

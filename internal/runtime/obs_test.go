@@ -53,7 +53,7 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 		MetricRoundDuration + "_count",
 		MetricNodeRounds,
 		MetricHeartbeatsSent,
-		obs.Label(MetricTransportMessagesSent, "transport", "chan"),
+		obs.Label(netobs.MetricTransportMessagesSent, "transport", "chan"),
 		// Counters a scrape must see even at zero, so dashboards and alert
 		// rules never face a missing series: the FD's encode-error count
 		// and the injector's fault counters (pre-registered by RunCluster

@@ -9,6 +9,7 @@ import (
 	"repro/internal/consensus"
 	"repro/internal/faults"
 	"repro/internal/model"
+	"repro/internal/netobs"
 	"repro/internal/obs"
 	"repro/internal/rounds"
 	"repro/internal/wire"
@@ -341,7 +342,7 @@ func TestChanNetworkInboxOverflowDropsInsteadOfWedging(t *testing.T) {
 	}
 	// Let the in-flight deliveries hit the full inbox before teardown
 	// (Close aborts deliveries still waiting out their delay).
-	droppedCounter := reg.Counter(obs.Label(MetricTransportMessagesDropped, "transport", "chan"))
+	droppedCounter := reg.Counter(obs.Label(netobs.MetricTransportMessagesDropped, "transport", "chan"))
 	for deadline := time.Now().Add(5 * time.Second); droppedCounter.Value() == 0; {
 		if time.Now().After(deadline) {
 			break
@@ -355,7 +356,7 @@ func TestChanNetworkInboxOverflowDropsInsteadOfWedging(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close wedged on a full inbox")
 	}
-	dropped := reg.Counter(obs.Label(MetricTransportMessagesDropped, "transport", "chan")).Value()
+	dropped := reg.Counter(obs.Label(netobs.MetricTransportMessagesDropped, "transport", "chan")).Value()
 	if dropped == 0 {
 		t.Error("overflow left no trace in the dropped counter")
 	}
@@ -371,15 +372,14 @@ func TestChanNetworkDelayHookDropCounted(t *testing.T) {
 	if err := nw.Endpoint(1).Send(2, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter(obs.Label(MetricTransportMessagesDropped, "transport", "chan")).Value(); got != 1 {
+	if got := reg.Counter(obs.Label(netobs.MetricTransportMessagesDropped, "transport", "chan")).Value(); got != 1 {
 		t.Errorf("dropped counter = %d, want 1", got)
 	}
 }
 
 func TestTCPReconnectAfterBreak(t *testing.T) {
 	reg := obs.NewRegistry()
-	nw, err := NewTCPNetwork(2, WithTCPMetrics(reg),
-		WithTCPRetry(TCPRetryConfig{BaseBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond}))
+	nw, err := NewTCPNetwork(2, WithTCPMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,17 +411,16 @@ func TestTCPReconnectAfterBreak(t *testing.T) {
 	}
 	recv("after")
 
-	if rc := reg.Counter(obs.Label(MetricTransportReconnects, "transport", "tcp")).Value(); rc < 2 {
+	if rc := reg.Counter(obs.Label(netobs.MetricTransportReconnects, "transport", "tcp")).Value(); rc < 2 {
 		t.Errorf("reconnects = %d, want >= 2 (initial dial + re-dial)", rc)
 	}
 }
 
 func TestTCPPeerCloseMidStream(t *testing.T) {
 	// The receiving side dying mid-round must not poison the sender: frames
-	// to the dead peer burn their retry budget and drop, and Send keeps
+	// to the dead peer queue behind a backing-off writer, and Send keeps
 	// returning nil (never blocks, never errors a healthy caller).
-	nw, err := NewTCPNetwork(2,
-		WithTCPRetry(TCPRetryConfig{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}))
+	nw, err := NewTCPNetwork(2)
 	if err != nil {
 		t.Fatal(err)
 	}

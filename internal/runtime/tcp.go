@@ -33,8 +33,7 @@ import (
 // network stack and is exercised by the integration tests, the chaos
 // tests, and the livecluster example.
 type TCPNetwork struct {
-	n   int
-	cfg TCPRetryConfig
+	n int
 
 	mu        sync.Mutex
 	closed    bool
@@ -50,49 +49,27 @@ type TCPNetwork struct {
 
 type linkKey struct{ from, to model.ProcessID }
 
-// TCPRetryConfig tunes the per-link reconnect/retry behavior.
-type TCPRetryConfig struct {
-	// MaxAttempts bounds dial+write attempts per frame before it is dropped
-	// (default 8).
-	MaxAttempts int
-	// BaseBackoff is the first retry delay; it doubles per attempt up to
-	// MaxBackoff (defaults 2ms and 250ms). Each delay gets ±50% jitter,
-	// seeded from the link's identity, so a mesh of retrying links does not
-	// thunder in lock-step.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-}
-
-func (c TCPRetryConfig) withDefaults() TCPRetryConfig {
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 8
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 2 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 250 * time.Millisecond
-	}
-	return c
-}
+// A frame gets maxAttempts dial+write attempts before it is dropped. The
+// first retry waits baseBackoff, doubling per attempt up to maxBackoff; each
+// delay gets ±50% jitter, seeded from the link's identity, so a mesh of
+// retrying links does not thunder in lock-step. Close interrupts a backoff.
+const (
+	maxAttempts = 8
+	baseBackoff = 2 * time.Millisecond
+	maxBackoff  = 250 * time.Millisecond
+)
 
 // TCPOption configures a TCPNetwork.
 type TCPOption func(*tcpOptions)
 
 type tcpOptions struct {
 	metrics *obs.Registry
-	retry   TCPRetryConfig
 }
 
 // WithTCPMetrics redirects the mesh's message/byte counters (labelled
 // {transport="tcp"}) to reg instead of obs.Default.
 func WithTCPMetrics(reg *obs.Registry) TCPOption {
 	return func(o *tcpOptions) { o.metrics = reg }
-}
-
-// WithTCPRetry overrides the default reconnect/backoff policy.
-func WithTCPRetry(cfg TCPRetryConfig) TCPOption {
-	return func(o *tcpOptions) { o.retry = cfg }
 }
 
 // NewTCPNetwork starts n listeners on 127.0.0.1 and returns the mesh.
@@ -103,7 +80,6 @@ func NewTCPNetwork(n int, opts ...TCPOption) (*TCPNetwork, error) {
 	}
 	nw := &TCPNetwork{
 		n:         n,
-		cfg:       options.retry.withDefaults(),
 		listeners: make([]net.Listener, n+1),
 		addrs:     make([]string, n+1),
 		inboxes:   make([]chan Packet, n+1),
@@ -312,9 +288,9 @@ func (l *tcpLink) current() net.Conn {
 // backoff sleeps the attempt's jittered exponential delay; false on mesh
 // close.
 func (l *tcpLink) backoff(attempt int) bool {
-	d := l.nw.cfg.BaseBackoff << uint(attempt)
-	if d > l.nw.cfg.MaxBackoff || d <= 0 {
-		d = l.nw.cfg.MaxBackoff
+	d := baseBackoff << uint(attempt)
+	if d > maxBackoff || d <= 0 {
+		d = maxBackoff
 	}
 	// ±50% jitter, seeded per link.
 	d = d/2 + time.Duration(l.rng.Int63n(int64(d)))
@@ -349,7 +325,7 @@ func (l *tcpLink) ensureConn() (net.Conn, error) {
 }
 
 // writeLoop drains the queue, dialing and re-dialing as needed. Each frame
-// gets MaxAttempts tries across connection generations; then it is dropped
+// gets maxAttempts tries across connection generations; then it is dropped
 // with a counter and the loop moves on — one poisoned frame must not dam
 // the link forever.
 func (l *tcpLink) writeLoop() {
@@ -362,7 +338,7 @@ func (l *tcpLink) writeLoop() {
 		case frame = <-l.queue:
 		}
 		for attempt := 0; ; attempt++ {
-			if attempt >= l.nw.cfg.MaxAttempts {
+			if attempt >= maxAttempts {
 				l.nw.tm.Dropped(l.from, l.to, netobs.DropGiveUp)
 				break
 			}

@@ -247,12 +247,6 @@ func (nw *ChanNetwork) Endpoint(id model.ProcessID) Transport {
 	return &chanEndpoint{nw: nw, id: id}
 }
 
-// MaxDelay returns the network's delay bound — the Δ that timeout-based
-// failure detection builds on. Round traffic meets it but for the clock's
-// wake-up (tens of µs); a packet that waits on a timer (see ChanConfig) can
-// arrive about 1.2ms past it, which suspicion timeouts of tens of ms absorb.
-func (nw *ChanNetwork) MaxDelay() time.Duration { return nw.cfg.MaxDelay }
-
 // delay draws one packet's in-flight delay: the hook's answer, or the next
 // value of the seeded generator. Called with nw.mu held, in send order, so a
 // seed fixes the delay sequence.

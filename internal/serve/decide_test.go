@@ -154,29 +154,36 @@ func TestUndecidedInstanceReleasesFlight(t *testing.T) {
 }
 
 // TestSettleChecksCommittedVersion: what instanceDone still does for a flight
-// its first decision already committed — a halted outcome in which a node
-// decided something else is tallied as the agreement violation it is, and a
-// matching one (or an engine that tore down under it) changes nothing.
+// its first decision already committed. A halted outcome in which a node
+// decided something else is one instance with one agreement violation (and,
+// here, one validity violation: nobody proposed 6) — counted once, by the
+// monitor's Note — and the committed version stays. A matching outcome, or
+// an engine that tore down under the flight, changes nothing.
 func TestSettleChecksCommittedVersion(t *testing.T) {
-	srv, _ := newTestServer(t, nil)
-	flight := func(key string) *kvFlight {
+	done := func(srv *Server, key string, inst uint64, out runtime.InstanceOutcome) *kvFlight {
 		fl := &kvFlight{key: key, val: 5, done: make(chan struct{})}
 		srv.kv.keys[key] = &kvKey{inflight: fl}
-		srv.kv.commit(fl, 7, 5, 1)
+		srv.insts.mu.Lock()
+		srv.insts.recs[inst] = &instRecord{id: inst, proposals: vals(5, 5, 5), flight: fl}
+		srv.insts.mu.Unlock()
+		srv.kv.commit(fl, inst, 5, 1)
+		srv.instanceDone(inst, out)
 		return fl
 	}
-	good := runtime.InstanceOutcome{N: 3, Decided: []bool{true, false, true}, Decisions: vals(5, 0, 5)}
-	srv.kv.settle(flight("same"), 7, good)
-	srv.kv.settle(flight("torn"), 7, runtime.InstanceOutcome{
+	srv, _ := newTestServer(t, nil)
+	done(srv, "same", 1, runtime.InstanceOutcome{N: 3, Decided: []bool{true, false, true}, Decisions: vals(5, 0, 5)})
+	done(srv, "torn", 2, runtime.InstanceOutcome{
 		N: 3, Decided: make([]bool, 3), Decisions: vals(0, 0, 0), Err: runtime.ErrEngineClosed})
-	if sum := srv.Monitor().Summary(); !sum.Clean {
-		t.Fatalf("matching outcomes tallied a violation: %+v", sum)
+	if sum := srv.Monitor().Summary(); !sum.Clean || sum.Checked != 2 {
+		t.Fatalf("matching outcomes: summary %+v, want clean over 2 checked", sum)
 	}
-	fl := flight("fork")
-	srv.kv.settle(fl, 7, runtime.InstanceOutcome{N: 3, Decided: []bool{true, true, true}, Decisions: vals(5, 6, 5)})
+
+	srv, _ = newTestServer(t, nil)
+	fl := done(srv, "fork", 7, runtime.InstanceOutcome{N: 3, Decided: []bool{true, true, true}, Decisions: vals(5, 6, 5)})
 	sum := srv.Monitor().Summary()
-	if sum.Clean || sum.AgreementViolations != 1 || !strings.Contains(sum.FirstViolation, "node 2 decided 6") {
-		t.Errorf("forked outcome: summary %+v, want one agreement violation naming node 2", sum)
+	if sum.Checked != 1 || sum.AgreementViolations != 1 || sum.ValidityViolations != 1 ||
+		!strings.Contains(sum.FirstViolation, "instance 7: agreement violated") {
+		t.Errorf("forked outcome: summary %+v, want 1 agreement and 1 validity violation over 1 checked", sum)
 	}
 	if head := srv.kv.Get("fork"); head == nil || head.Value != 5 || fl.err != nil {
 		t.Errorf("the committed version moved: head %+v, flight err %v", head, fl.err)

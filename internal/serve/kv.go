@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -292,27 +291,19 @@ func (kv *kvStore) commit(fl *kvFlight, inst uint64, v model.Value, round int) {
 
 // settle closes a flight's books when its instance halts. A flight nobody
 // decided still holds the key's slot: release it, the write did not happen.
-// A committed flight has nothing left to change; its halted outcome is
-// checked against the version the chain already holds, and a node that
-// decided anything else is the agreement violation the chain could no
-// longer refuse.
-func (kv *kvStore) settle(fl *kvFlight, inst uint64, out runtime.InstanceOutcome) {
-	if fl.ver == nil { // written by commit on this goroutine, or never
-		err := out.Err
-		if err == nil {
-			err = errUndecided
-		}
-		kv.release(fl, err)
+// A committed flight has nothing left to change: its version is the first
+// decider's value, so a node that decided anything else is a disagreement
+// among the nodes, which Monitor.Note (and the engine's own agreement tally)
+// counts.
+func (kv *kvStore) settle(fl *kvFlight, out runtime.InstanceOutcome) {
+	if fl.ver != nil { // written by commit on this goroutine, or never
 		return
 	}
-	for i, d := range out.Decided {
-		if d && out.Decisions[i] != fl.ver.Value {
-			kv.srv.mon.fork(fmt.Sprintf(
-				"instance %d: %q version %d committed %d at the first decision, node %d decided %d",
-				inst, fl.key, fl.ver.Version, int64(fl.ver.Value), i+1, int64(out.Decisions[i])))
-			return
-		}
+	err := out.Err
+	if err == nil {
+		err = errUndecided
 	}
+	kv.release(fl, err)
 }
 
 // release abandons a flight that commits nothing: its instance never

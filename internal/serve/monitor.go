@@ -75,23 +75,6 @@ func (m *Monitor) Note(inst uint64, proposals []model.Value, out runtime.Instanc
 	}
 }
 
-// fork records an agreement violation found outside Note: a KV instance
-// whose halted outcome contradicts the version committed at its first
-// decision. (If its nodes also disagree among themselves, Note has tallied
-// that as well: two observations of one instance.) Nil-safe — without a
-// monitor the engine's own verdict tally is what reports it.
-func (m *Monitor) fork(what string) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.agreement++
-	if m.firstBad == "" {
-		m.firstBad = what
-	}
-}
-
 // Clean reports whether no safety predicate ever failed.
 func (m *Monitor) Clean() bool {
 	m.mu.Lock()

@@ -217,8 +217,7 @@ func (s *Server) instanceDecided(inst uint64, v model.Value, round int) {
 
 // instanceDone is the engine's halt callback: feed the conformance monitor
 // the whole per-node outcome, and settle any KV flight riding the instance —
-// release it if nobody decided, otherwise check the outcome against the
-// version its first decision committed.
+// release it if nobody decided.
 func (s *Server) instanceDone(inst uint64, out runtime.InstanceOutcome) {
 	rec := s.insts.get(inst)
 	if rec == nil {
@@ -228,7 +227,7 @@ func (s *Server) instanceDone(inst uint64, out runtime.InstanceOutcome) {
 		s.mon.Note(inst, rec.proposals, out)
 	}
 	if rec.flight != nil {
-		s.kv.settle(rec.flight, inst, out)
+		s.kv.settle(rec.flight, out)
 	}
 }
 

@@ -251,48 +251,3 @@ func BucketQuantile(uppers []int64, counts []uint64, q float64) int64 {
 	}
 	return uppers[len(uppers)-1]
 }
-
-// Histogram counts occurrences of each value.
-type Histogram struct {
-	counts map[int]int
-	total  int
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{counts: make(map[int]int)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v int) {
-	h.counts[v]++
-	h.total++
-}
-
-// Count returns the occurrences of v.
-func (h *Histogram) Count(v int) int { return h.counts[v] }
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the share of observations equal to v.
-func (h *Histogram) Fraction(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.counts[v]) / float64(h.total)
-}
-
-// String renders the histogram in ascending value order.
-func (h *Histogram) String() string {
-	keys := make([]int, 0, len(h.counts))
-	for k := range h.counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%d:%d", k, h.counts[k])
-	}
-	return "{" + strings.Join(parts, " ") + "}"
-}

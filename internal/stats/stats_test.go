@@ -87,26 +87,6 @@ func TestSummaryProperties(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram()
-	for _, v := range []int{1, 2, 2, 3, 3, 3} {
-		h.Add(v)
-	}
-	if h.Total() != 6 || h.Count(3) != 3 || h.Count(9) != 0 {
-		t.Errorf("histogram wrong: %s", h)
-	}
-	if f := h.Fraction(2); f != 2.0/6 {
-		t.Errorf("Fraction(2) = %f", f)
-	}
-	if got := h.String(); got != "{1:1 2:2 3:3}" {
-		t.Errorf("String = %q", got)
-	}
-	empty := NewHistogram()
-	if empty.Fraction(1) != 0 {
-		t.Error("empty fraction nonzero")
-	}
-}
-
 func TestSummarizeInt64(t *testing.T) {
 	if got := SummarizeInt64(nil); got != (Int64Summary{}) {
 		t.Errorf("empty sample = %+v, want zero", got)

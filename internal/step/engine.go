@@ -141,12 +141,6 @@ func newEngine(alg Algorithm, inputs []model.Value, withFD bool) (*Engine, error
 	return e, nil
 }
 
-// N returns the system size.
-func (e *Engine) N() int { return e.n }
-
-// Alive returns the set of processes not yet crashed.
-func (e *Engine) Alive() model.ProcSet { return e.alive }
-
 // Trace returns the recorded trace so far. The engine keeps appending to
 // it; callers should treat it as read-only.
 func (e *Engine) Trace() *Trace { return e.trace }
