@@ -68,8 +68,9 @@ job_test() {
   GOOS=windows go build ./...
   go test -race ./...
   # Part of ./... above; run again by name so a regression in the explorer's
-  # worker pool is named in the job log, not buried in a package failure.
-  go test -race -run 'TestParallel|TestExploreMerges|TestMaxCrashesCap|TestComputeParallelEquality' ./internal/explore/ ./internal/latency/
+  # worker pool — or a clone writing a message its original already sent —
+  # is named in the job log, not buried in a package failure.
+  go test -race -run 'TestParallel|TestExploreMerges|TestMaxCrashesCap|TestComputeParallelEquality|TestSentMessagesStayImmutable' ./internal/explore/ ./internal/latency/
   # Every internal package is imported by some program: a package only tests
   # reach is dead code. (bench/ imports nothing a command does not.)
   local orphans
@@ -167,11 +168,15 @@ job_chaos() {
 # that decodes it, clean and under duplication and reordering
 # (TestEnginePacketsHaveOneOwner, TestEngineOwnershipUnderFaults) — the
 # recycled inbox that decodes a repeated payload once
-# (TestEngineInboxDecodesRepeatsOnce), the header-only split
+# (TestEngineInboxDecodesRepeatsOnce), the receiver that files its sender's
+# own message when the bytes match and decodes the frame when they do not
+# (TestEngineFilesSendersMessage, TestEngineDecodesFramesUnlikeTheSent), sent
+# messages that sender, self-delivery and peers share and nobody rewrites
+# (TestEngineSharedMessagesStayAsSent), the header-only split
 # (TestSplitAllocatesNothing, TestDecodeHostileCounts) and the per-sweep
 # histogram fold (TestHistogramTallyFolds) are what -race -count=2 shakes out.
 job_multi_instance() {
-  go test -race -count=2 -run 'TestEngine|TestStartEngine|TestOpenAfterAbort|TestBatch|TestCluster|TestAgreement|TestLiveRSA1|TestChanNetwork|TestDeliveryQueue|TestPeekControl|TestDetectorSend|TestDetectorRegistry|TestEnginePacketsHaveOneOwner|TestEngineOwnershipUnderFaults|TestEngineInboxDecodesRepeatsOnce|TestSplitAllocatesNothing|TestDecodeHostileCounts|TestHistogramTallyFolds' ./internal/runtime/ ./internal/wire/ ./internal/obs/
+  go test -race -count=2 -run 'TestEngine|TestStartEngine|TestOpenAfterAbort|TestBatch|TestCluster|TestAgreement|TestLiveRSA1|TestChanNetwork|TestDeliveryQueue|TestPeekControl|TestDetectorSend|TestDetectorRegistry|TestEnginePacketsHaveOneOwner|TestEngineOwnershipUnderFaults|TestEngineInboxDecodesRepeatsOnce|TestEngineFilesSendersMessage|TestEngineDecodesFramesUnlikeTheSent|TestEngineSharedMessagesStayAsSent|TestSplitAllocatesNothing|TestDecodeHostileCounts|TestHistogramTallyFolds' ./internal/runtime/ ./internal/wire/ ./internal/obs/
   go test -race -count=2 -run 'TestCrashOnMultiplexedMesh' ./internal/fdimpl/
   floor ./internal/wire/ 85
   floor ./internal/runtime/ 85

@@ -44,6 +44,8 @@ type a1Proc struct {
 	w        model.Value
 	decision model.Value
 	decided  bool
+	out      bcast
+	boxed    int // the round out.msg was built for
 }
 
 var (
@@ -58,16 +60,25 @@ var (
 //	    if decided = true then send (p1, w) to all
 //	    else if i = 2 then send w to all processes
 func (p *a1Proc) Msgs(round int) []rounds.Message {
-	switch {
-	case round == 1 && p.cfg.ID == 1:
-		return broadcast(p.cfg.N, A1Val{V: p.w})
-	case round == 2 && p.decided:
-		return broadcast(p.cfg.N, A1Fwd{V: p.w})
-	case round == 2 && p.cfg.ID == 2:
-		return broadcast(p.cfg.N, A1Val{V: p.w})
-	default:
+	if round != p.boxed {
+		// The message depends on the round and on the state Trans left: box
+		// it once per round, however often the round's Msgs is asked.
+		p.boxed = round
+		switch {
+		case round == 1 && p.cfg.ID == 1:
+			p.out.msg = A1Val{V: p.w}
+		case round == 2 && p.decided:
+			p.out.msg = A1Fwd{V: p.w}
+		case round == 2 && p.cfg.ID == 2:
+			p.out.msg = A1Val{V: p.w}
+		default:
+			p.out.msg = nil
+		}
+	}
+	if p.out.msg == nil {
 		return nil
 	}
+	return p.out.send(p.cfg.N)
 }
 
 // Trans implements rounds.Process, Figure 4's trans_i.
@@ -100,5 +111,6 @@ func (p *a1Proc) Decision() (model.Value, bool) { return p.decision, p.decided }
 // CloneProcess implements rounds.Cloner.
 func (p *a1Proc) CloneProcess() rounds.Process {
 	c := *p
+	c.out = p.out.fork()
 	return &c
 }

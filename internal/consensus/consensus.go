@@ -26,8 +26,9 @@ import (
 )
 
 // WMsg is the flooding message: the sender's current W, the set of all
-// values it has ever seen. Senders transmit a snapshot; receivers must
-// treat the set as read-only.
+// values it has ever seen. A sent set is immutable (rounds.Process): the
+// sender keeps the storage as its own W and grows W only into new storage,
+// and receivers only read it.
 type WMsg struct {
 	W model.ValueSet
 }
@@ -50,32 +51,104 @@ type A1Fwd struct {
 	V model.Value
 }
 
-// broadcast returns a message slice addressing every process (including the
-// sender itself: self-delivery models the paper's "a message has arrived
-// from every process" counting, under which a process counts its own
-// round-1 value among the n).
-func broadcast(n int, m rounds.Message) []rounds.Message {
-	out := make([]rounds.Message, n+1)
-	for i := 1; i <= n; i++ {
-		out[i] = m
-	}
-	return out
+// bcast is an automaton's cached broadcast: msg, boxed once, addressed to
+// every process — the sender itself included: self-delivery models the
+// paper's "a message has arrived from every process" counting, under which
+// a process counts its own round-1 value among the n. A sent message is
+// immutable, so msg is kept until the automaton's message changes (its
+// owner then sets msg to nil) and out is refilled in place.
+type bcast struct {
+	msg rounds.Message
+	out []rounds.Message // 1..n
 }
 
-// unionW folds every received WMsg into w and returns the set of senders a
-// message arrived from.
-func unionW(w *model.ValueSet, received []rounds.Message) model.ProcSet {
+// send returns the broadcast of msg.
+func (b *bcast) send(n int) []rounds.Message {
+	if b.out == nil {
+		b.out = make([]rounds.Message, n+1)
+	}
+	for i := 1; i <= n; i++ {
+		b.out[i] = b.msg
+	}
+	return b.out
+}
+
+// fork is the broadcast a clone starts from: the same immutable msg, never
+// the same out — the parallel explorer runs clones on other goroutines.
+func (b bcast) fork() bcast { return bcast{msg: b.msg} }
+
+// flood is the state the FloodSet family shares: W, the set of every value
+// seen, its cached broadcast and the decision.
+type flood struct {
+	cfg      rounds.ProcConfig
+	w        model.ValueSet
+	out      bcast // of WMsg{W}, unless an automaton sends something else
+	decision model.Value
+	decided  bool
+	initial  [1]model.Value // the first W's storage, never written again
+}
+
+// start sets f up in place (the first W lives in f itself).
+func (f *flood) start(cfg rounds.ProcConfig) {
+	f.cfg, f.initial[0] = cfg, cfg.Initial
+	f.w = model.ValueSetOfSorted(f.initial[:])
+}
+
+// Msgs implements rounds.Process: "if rounds ≤ t then send W to all
+// processes" — with the paper's pre-increment counter this means rounds
+// 1..t+1 in engine numbering. The message shares W's storage: W only ever
+// grows into new storage (unionW).
+func (f *flood) Msgs(round int) []rounds.Message {
+	if round > f.cfg.T+1 {
+		return nil
+	}
+	if f.out.msg == nil {
+		f.out.msg = WMsg{W: f.w}
+	}
+	return f.out.send(f.cfg.N)
+}
+
+// unionW folds every WMsg received from a sender outside halt into W and
+// returns the set of senders any message arrived from. W grows into new
+// storage, built in one allocation; a round that adds nothing allocates
+// nothing.
+func (f *flood) unionW(received []rounds.Message, halt model.ProcSet) model.ProcSet {
 	var arrived model.ProcSet
+	var buf [8]model.ValueSet
+	sets := buf[:0]
 	for j := 1; j < len(received); j++ {
 		if received[j] == nil {
 			continue
 		}
 		arrived = arrived.Add(model.ProcessID(j))
-		if m, ok := received[j].(WMsg); ok {
-			w.UnionWith(m.W)
+		if m, ok := received[j].(WMsg); ok && !halt.Has(model.ProcessID(j)) {
+			sets = append(sets, m.W)
 		}
 	}
+	if w := f.w.Union(sets...); w.Len() != f.w.Len() {
+		f.w, f.out.msg = w, nil
+	}
 	return arrived
+}
+
+// decideMin decides min(W) unless already decided.
+func (f *flood) decideMin() {
+	if !f.decided {
+		if v, ok := f.w.Min(); ok {
+			f.decision, f.decided = v, true
+		}
+	}
+}
+
+// Decision implements rounds.Process.
+func (f *flood) Decision() (model.Value, bool) { return f.decision, f.decided }
+
+// fork is the state a clone starts from: W and the message are immutable
+// and shared, the broadcast slice is not.
+func (f *flood) fork() flood {
+	c := *f
+	c.out = f.out.fork()
+	return c
 }
 
 // arrivedSet returns the set of senders any message arrived from.

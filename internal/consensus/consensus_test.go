@@ -371,3 +371,45 @@ func TestSuiteExhaustiveN4(t *testing.T) {
 		}
 	}
 }
+
+// TestFloodRoundsAllocateOnlyToGrow: a flood automaton broadcasts its W
+// itself, boxed once per change into a slice it keeps, and grows W into new
+// storage in one allocation however many senders add values. So a round
+// that adds values costs the new set and its box — two allocations — and a
+// converged round costs nothing, in every flood algorithm.
+func TestFloodRoundsAllocateOnlyToGrow(t *testing.T) {
+	const n = 4
+	algs := []rounds.Algorithm{FloodSet{}, FloodSetWS{}, COptFloodSet{}, COptFloodSetWS{},
+		FOptFloodSet{}, FOptFloodSetWS{}, EarlyStoppingFloodSet{}, EarlyDecideFloodSet{}}
+	for _, alg := range algs {
+		// t = n keeps every round below t+1, so nothing decides or stops.
+		p := alg.New(rounds.ProcConfig{ID: 1, N: n, T: n, Initial: 0})
+		grown := make([]rounds.Message, n+1)
+		for j := 1; j <= n; j++ {
+			grown[j] = WMsg{W: model.NewValueSet(0, model.Value(j))}
+		}
+		round := 0
+		step := func(received []rounds.Message) {
+			round++
+			p.Msgs(round)
+			p.Trans(round, received)
+		}
+		step(grown) // the first round allocates the broadcast slice
+		// AllocsPerRun(1, f) calls f twice: two rounds, in each of which
+		// every sender adds a value W lacks.
+		var more [2][]rounds.Message
+		for k := range more {
+			more[k] = make([]rounds.Message, n+1)
+			for j := 1; j <= n; j++ {
+				more[k][j] = WMsg{W: model.NewValueSet(model.Value(10*(k+1) + j))}
+			}
+		}
+		k := 0
+		if a := testing.AllocsPerRun(1, func() { step(more[k]); k++ }); a != 2 {
+			t.Errorf("%s: a round that grows W allocates %v times, want 2", alg.Name(), a)
+		}
+		if a := testing.AllocsPerRun(10, func() { step(grown) }); a != 0 {
+			t.Errorf("%s: a converged round allocates %v times, want 0", alg.Name(), a)
+		}
+	}
+}

@@ -20,14 +20,13 @@ func (COptFloodSet) Name() string { return "C_OptFloodSet" }
 
 // New implements rounds.Algorithm.
 func (COptFloodSet) New(cfg rounds.ProcConfig) rounds.Process {
-	return &cOptProc{cfg: cfg, w: model.NewValueSet(cfg.Initial)}
+	p := &cOptProc{}
+	p.start(cfg)
+	return p
 }
 
 type cOptProc struct {
-	cfg      rounds.ProcConfig
-	w        model.ValueSet
-	decision model.Value
-	decided  bool
+	flood
 }
 
 var (
@@ -35,42 +34,31 @@ var (
 	_ rounds.Cloner  = (*cOptProc)(nil)
 )
 
-// Msgs implements rounds.Process (unchanged from FloodSet).
-func (p *cOptProc) Msgs(round int) []rounds.Message {
-	if round > p.cfg.T+1 {
-		return nil
-	}
-	return broadcast(p.cfg.N, WMsg{W: p.w.Clone()})
-}
-
 // Trans implements rounds.Process with the §5.2 decision rule:
 //
 //	if rounds = 1 and a message has arrived from every process then
 //	    if |W| = 1 then decision := v, where W = {v}
 //	else if rounds = t+1 then decision := min(W)
 func (p *cOptProc) Trans(round int, received []rounds.Message) {
-	arrived := unionW(&p.w, received)
+	p.decideFast(round, p.unionW(received, 0))
+}
+
+// decideFast applies the §5.2 decision rule once W holds the round's union
+// and arrived is the set of senders heard from.
+func (f *flood) decideFast(round int, arrived model.ProcSet) {
 	switch {
-	case round == 1 && arrived == model.FullSet(p.cfg.N):
-		if !p.decided && p.w.Len() == 1 {
-			v, _ := p.w.Min()
-			p.decision, p.decided = v, true
+	case round == 1 && arrived == model.FullSet(f.cfg.N):
+		if f.w.Len() == 1 {
+			f.decideMin()
 		}
-	case round == p.cfg.T+1 && !p.decided:
-		if v, ok := p.w.Min(); ok {
-			p.decision, p.decided = v, true
-		}
+	case round == f.cfg.T+1:
+		f.decideMin()
 	}
 }
 
-// Decision implements rounds.Process.
-func (p *cOptProc) Decision() (model.Value, bool) { return p.decision, p.decided }
-
 // CloneProcess implements rounds.Cloner.
 func (p *cOptProc) CloneProcess() rounds.Process {
-	c := *p
-	c.w = p.w.Clone()
-	return &c
+	return &cOptProc{flood: p.fork()}
 }
 
 // COptFloodSetWS is the same configuration fast path grafted onto
@@ -86,15 +74,14 @@ func (COptFloodSetWS) Name() string { return "C_OptFloodSetWS" }
 
 // New implements rounds.Algorithm.
 func (COptFloodSetWS) New(cfg rounds.ProcConfig) rounds.Process {
-	return &cOptWSProc{cfg: cfg, w: model.NewValueSet(cfg.Initial)}
+	p := &cOptWSProc{}
+	p.start(cfg)
+	return p
 }
 
 type cOptWSProc struct {
-	cfg      rounds.ProcConfig
-	w        model.ValueSet
-	halt     model.ProcSet
-	decision model.Value
-	decided  bool
+	flood
+	halt model.ProcSet
 }
 
 var (
@@ -102,50 +89,15 @@ var (
 	_ rounds.Cloner  = (*cOptWSProc)(nil)
 )
 
-// Msgs implements rounds.Process.
-func (p *cOptWSProc) Msgs(round int) []rounds.Message {
-	if round > p.cfg.T+1 {
-		return nil
-	}
-	return broadcast(p.cfg.N, WMsg{W: p.w.Clone()})
-}
-
 // Trans implements rounds.Process: FloodSetWS's halt-filtered union with
 // the round-1 unanimity fast path.
 func (p *cOptWSProc) Trans(round int, received []rounds.Message) {
-	var arrived model.ProcSet
-	for j := 1; j <= p.cfg.N; j++ {
-		if received[j] == nil {
-			continue
-		}
-		arrived = arrived.Add(model.ProcessID(j))
-		if p.halt.Has(model.ProcessID(j)) {
-			continue
-		}
-		if m, ok := received[j].(WMsg); ok {
-			p.w.UnionWith(m.W)
-		}
-	}
+	arrived := p.unionW(received, p.halt)
 	p.halt = p.halt.Union(model.FullSet(p.cfg.N).Minus(arrived))
-	switch {
-	case round == 1 && arrived == model.FullSet(p.cfg.N):
-		if !p.decided && p.w.Len() == 1 {
-			v, _ := p.w.Min()
-			p.decision, p.decided = v, true
-		}
-	case round == p.cfg.T+1 && !p.decided:
-		if v, ok := p.w.Min(); ok {
-			p.decision, p.decided = v, true
-		}
-	}
+	p.decideFast(round, arrived)
 }
-
-// Decision implements rounds.Process.
-func (p *cOptWSProc) Decision() (model.Value, bool) { return p.decision, p.decided }
 
 // CloneProcess implements rounds.Cloner.
 func (p *cOptWSProc) CloneProcess() rounds.Process {
-	c := *p
-	c.w = p.w.Clone()
-	return &c
+	return &cOptWSProc{flood: p.fork(), halt: p.halt}
 }

@@ -30,15 +30,14 @@ func (EarlyStoppingFloodSet) Name() string { return "EarlyStoppingFloodSet" }
 
 // New implements rounds.Algorithm.
 func (EarlyStoppingFloodSet) New(cfg rounds.ProcConfig) rounds.Process {
-	return &earlyStopProc{cfg: cfg, w: model.NewValueSet(cfg.Initial)}
+	p := &earlyStopProc{}
+	p.start(cfg)
+	return p
 }
 
 type earlyStopProc struct {
-	cfg       rounds.ProcConfig
-	w         model.ValueSet
+	flood
 	prevHeard model.ProcSet
-	decision  model.Value
-	decided   bool
 }
 
 var (
@@ -46,35 +45,20 @@ var (
 	_ rounds.Cloner  = (*earlyStopProc)(nil)
 )
 
-// Msgs implements rounds.Process.
-func (p *earlyStopProc) Msgs(round int) []rounds.Message {
-	if round > p.cfg.T+1 {
-		return nil
-	}
-	return broadcast(p.cfg.N, WMsg{W: p.w.Clone()})
-}
-
 // Trans implements rounds.Process: union everything, then decide on a
 // stable heard-set or at the t+1 deadline.
 func (p *earlyStopProc) Trans(round int, received []rounds.Message) {
-	heard := unionW(&p.w, received)
+	heard := p.unionW(received, 0)
 	stable := round >= 2 && heard == p.prevHeard
 	p.prevHeard = heard
-	if !p.decided && (stable || round == p.cfg.T+1) {
-		if v, ok := p.w.Min(); ok {
-			p.decision, p.decided = v, true
-		}
+	if stable || round == p.cfg.T+1 {
+		p.decideMin()
 	}
 }
 
-// Decision implements rounds.Process.
-func (p *earlyStopProc) Decision() (model.Value, bool) { return p.decision, p.decided }
-
 // CloneProcess implements rounds.Cloner.
 func (p *earlyStopProc) CloneProcess() rounds.Process {
-	c := *p
-	c.w = p.w.Clone()
-	return &c
+	return &earlyStopProc{flood: p.fork(), prevHeard: p.prevHeard}
 }
 
 // EarlyDecideFloodSet is the one-round fast variant that separates plain
@@ -96,14 +80,13 @@ func (EarlyDecideFloodSet) Name() string { return "EarlyDecideFloodSet" }
 
 // New implements rounds.Algorithm.
 func (EarlyDecideFloodSet) New(cfg rounds.ProcConfig) rounds.Process {
-	return &earlyDecideProc{cfg: cfg, w: model.NewValueSet(cfg.Initial)}
+	p := &earlyDecideProc{}
+	p.start(cfg)
+	return p
 }
 
 type earlyDecideProc struct {
-	cfg      rounds.ProcConfig
-	w        model.ValueSet
-	decision model.Value
-	decided  bool
+	flood
 }
 
 var (
@@ -111,30 +94,15 @@ var (
 	_ rounds.Cloner  = (*earlyDecideProc)(nil)
 )
 
-// Msgs implements rounds.Process.
-func (p *earlyDecideProc) Msgs(round int) []rounds.Message {
-	if round > p.cfg.T+1 {
-		return nil
-	}
-	return broadcast(p.cfg.N, WMsg{W: p.w.Clone()})
-}
-
 // Trans implements rounds.Process.
 func (p *earlyDecideProc) Trans(round int, received []rounds.Message) {
-	heard := unionW(&p.w, received)
-	if !p.decided && ((round == 1 && heard == model.FullSet(p.cfg.N)) || round == p.cfg.T+1) {
-		if v, ok := p.w.Min(); ok {
-			p.decision, p.decided = v, true
-		}
+	heard := p.unionW(received, 0)
+	if (round == 1 && heard == model.FullSet(p.cfg.N)) || round == p.cfg.T+1 {
+		p.decideMin()
 	}
 }
-
-// Decision implements rounds.Process.
-func (p *earlyDecideProc) Decision() (model.Value, bool) { return p.decision, p.decided }
 
 // CloneProcess implements rounds.Cloner.
 func (p *earlyDecideProc) CloneProcess() rounds.Process {
-	c := *p
-	c.w = p.w.Clone()
-	return &c
+	return &earlyDecideProc{flood: p.fork()}
 }

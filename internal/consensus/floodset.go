@@ -23,14 +23,13 @@ func (FloodSet) Name() string { return "FloodSet" }
 
 // New implements rounds.Algorithm.
 func (FloodSet) New(cfg rounds.ProcConfig) rounds.Process {
-	return &floodSetProc{cfg: cfg, w: model.NewValueSet(cfg.Initial)}
+	p := &floodSetProc{}
+	p.start(cfg)
+	return p
 }
 
 type floodSetProc struct {
-	cfg      rounds.ProcConfig
-	w        model.ValueSet
-	decision model.Value
-	decided  bool
+	flood
 }
 
 var (
@@ -38,35 +37,18 @@ var (
 	_ rounds.Cloner  = (*floodSetProc)(nil)
 )
 
-// Msgs implements rounds.Process: "if rounds ≤ t then send W to all
-// processes" — with the paper's pre-increment counter this means rounds
-// 1..t+1 in engine numbering.
-func (p *floodSetProc) Msgs(round int) []rounds.Message {
-	if round > p.cfg.T+1 {
-		return nil
-	}
-	return broadcast(p.cfg.N, WMsg{W: p.w.Clone()})
-}
-
 // Trans implements rounds.Process: W := W ∪ ⋃ X_j; decide min(W) at round
 // t+1.
 func (p *floodSetProc) Trans(round int, received []rounds.Message) {
-	unionW(&p.w, received)
-	if round == p.cfg.T+1 && !p.decided {
-		if v, ok := p.w.Min(); ok {
-			p.decision, p.decided = v, true
-		}
+	p.unionW(received, 0)
+	if round == p.cfg.T+1 {
+		p.decideMin()
 	}
 }
 
-// Decision implements rounds.Process.
-func (p *floodSetProc) Decision() (model.Value, bool) { return p.decision, p.decided }
-
 // CloneProcess implements rounds.Cloner.
 func (p *floodSetProc) CloneProcess() rounds.Process {
-	c := *p
-	c.w = p.w.Clone()
-	return &c
+	return &floodSetProc{flood: p.fork()}
 }
 
 // FloodSetWS is the paper's Figure 2: FloodSet adapted to the RWS model.
@@ -84,15 +66,14 @@ func (FloodSetWS) Name() string { return "FloodSetWS" }
 
 // New implements rounds.Algorithm.
 func (FloodSetWS) New(cfg rounds.ProcConfig) rounds.Process {
-	return &floodSetWSProc{cfg: cfg, w: model.NewValueSet(cfg.Initial)}
+	p := &floodSetWSProc{}
+	p.start(cfg)
+	return p
 }
 
 type floodSetWSProc struct {
-	cfg      rounds.ProcConfig
-	w        model.ValueSet
-	halt     model.ProcSet
-	decision model.Value
-	decided  bool
+	flood
+	halt model.ProcSet
 }
 
 var (
@@ -100,44 +81,17 @@ var (
 	_ rounds.Cloner  = (*floodSetWSProc)(nil)
 )
 
-// Msgs implements rounds.Process.
-func (p *floodSetWSProc) Msgs(round int) []rounds.Message {
-	if round > p.cfg.T+1 {
-		return nil
-	}
-	return broadcast(p.cfg.N, WMsg{W: p.w.Clone()})
-}
-
 // Trans implements rounds.Process: W := W ∪ ⋃_{pj ∉ halt} X_j, then halt
 // every process from which no message arrived.
 func (p *floodSetWSProc) Trans(round int, received []rounds.Message) {
-	var arrived model.ProcSet
-	for j := 1; j <= p.cfg.N; j++ {
-		if received[j] == nil {
-			continue
-		}
-		arrived = arrived.Add(model.ProcessID(j))
-		if p.halt.Has(model.ProcessID(j)) {
-			continue // ignore messages from halted processes
-		}
-		if m, ok := received[j].(WMsg); ok {
-			p.w.UnionWith(m.W)
-		}
-	}
+	arrived := p.unionW(received, p.halt)
 	p.halt = p.halt.Union(model.FullSet(p.cfg.N).Minus(arrived))
-	if round == p.cfg.T+1 && !p.decided {
-		if v, ok := p.w.Min(); ok {
-			p.decision, p.decided = v, true
-		}
+	if round == p.cfg.T+1 {
+		p.decideMin()
 	}
 }
 
-// Decision implements rounds.Process.
-func (p *floodSetWSProc) Decision() (model.Value, bool) { return p.decision, p.decided }
-
 // CloneProcess implements rounds.Cloner.
 func (p *floodSetWSProc) CloneProcess() rounds.Process {
-	c := *p
-	c.w = p.w.Clone()
-	return &c
+	return &floodSetWSProc{flood: p.fork(), halt: p.halt}
 }

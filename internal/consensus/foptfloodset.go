@@ -22,14 +22,13 @@ func (FOptFloodSet) Name() string { return "F_OptFloodSet" }
 
 // New implements rounds.Algorithm.
 func (FOptFloodSet) New(cfg rounds.ProcConfig) rounds.Process {
-	return &fOptProc{cfg: cfg, w: model.NewValueSet(cfg.Initial)}
+	p := &fOptProc{}
+	p.start(cfg)
+	return p
 }
 
 type fOptProc struct {
-	cfg      rounds.ProcConfig
-	w        model.ValueSet
-	decision model.Value
-	decided  bool
+	flood
 }
 
 var (
@@ -42,14 +41,18 @@ var (
 //	if rounds ≤ t then
 //	    if decided = false then send W to all processes
 //	    else send (D, decision) to all processes
-func (p *fOptProc) Msgs(round int) []rounds.Message {
-	if round > p.cfg.T+1 {
-		return nil
+func (p *fOptProc) Msgs(round int) []rounds.Message { return p.msgsD(round) }
+
+// msgsD is Figure 3's msgs: W until decided, then (D, decision). Trans
+// drops the cached message when the decision is taken.
+func (f *flood) msgsD(round int) []rounds.Message {
+	if round > f.cfg.T+1 || !f.decided {
+		return f.Msgs(round)
 	}
-	if p.decided {
-		return broadcast(p.cfg.N, DMsg{V: p.decision})
+	if f.out.msg == nil {
+		f.out.msg = DMsg{V: f.decision}
 	}
-	return broadcast(p.cfg.N, WMsg{W: p.w.Clone()})
+	return f.out.send(f.cfg.N)
 }
 
 // Trans implements rounds.Process, Figure 3's transition:
@@ -59,6 +62,7 @@ func (p *fOptProc) Msgs(round int) []rounds.Message {
 //	else W := W ∪ ⋃_j X_j
 //	if rounds = t+1 and decided = false then decide min(W)
 func (p *fOptProc) Trans(round int, received []rounds.Message) {
+	was := p.decided
 	arrived := arrivedSet(received)
 	forced := model.NoValue
 	forcedOK := false
@@ -70,34 +74,26 @@ func (p *fOptProc) Trans(round int, received []rounds.Message) {
 	}
 	switch {
 	case round == 1 && arrived.Count() == p.cfg.N-p.cfg.T:
-		unionW(&p.w, received)
-		if !p.decided {
-			if v, ok := p.w.Min(); ok {
-				p.decision, p.decided = v, true
-			}
-		}
+		p.unionW(received, 0)
+		p.decideMin()
 	case forcedOK:
 		if !p.decided {
 			p.decision, p.decided = forced, true
 		}
 	default:
-		unionW(&p.w, received)
+		p.unionW(received, 0)
 	}
-	if round == p.cfg.T+1 && !p.decided {
-		if v, ok := p.w.Min(); ok {
-			p.decision, p.decided = v, true
-		}
+	if round == p.cfg.T+1 {
+		p.decideMin()
+	}
+	if p.decided != was {
+		p.out.msg = nil // the message is (D, decision) from now on
 	}
 }
 
-// Decision implements rounds.Process.
-func (p *fOptProc) Decision() (model.Value, bool) { return p.decision, p.decided }
-
 // CloneProcess implements rounds.Cloner.
 func (p *fOptProc) CloneProcess() rounds.Process {
-	c := *p
-	c.w = p.w.Clone()
-	return &c
+	return &fOptProc{flood: p.fork()}
 }
 
 // FOptFloodSetWS grafts Figure 3's n−t fast path onto FloodSetWS, the RWS
@@ -123,15 +119,14 @@ func (FOptFloodSetWS) Name() string { return "F_OptFloodSetWS" }
 
 // New implements rounds.Algorithm.
 func (FOptFloodSetWS) New(cfg rounds.ProcConfig) rounds.Process {
-	return &fOptWSProc{cfg: cfg, w: model.NewValueSet(cfg.Initial)}
+	p := &fOptWSProc{}
+	p.start(cfg)
+	return p
 }
 
 type fOptWSProc struct {
-	cfg      rounds.ProcConfig
-	w        model.ValueSet
-	halt     model.ProcSet
-	decision model.Value
-	decided  bool
+	flood
+	halt model.ProcSet
 }
 
 var (
@@ -139,20 +134,13 @@ var (
 	_ rounds.Cloner  = (*fOptWSProc)(nil)
 )
 
-// Msgs implements rounds.Process.
-func (p *fOptWSProc) Msgs(round int) []rounds.Message {
-	if round > p.cfg.T+1 {
-		return nil
-	}
-	if p.decided {
-		return broadcast(p.cfg.N, DMsg{V: p.decision})
-	}
-	return broadcast(p.cfg.N, WMsg{W: p.w.Clone()})
-}
+// Msgs implements rounds.Process (F_OptFloodSet's).
+func (p *fOptWSProc) Msgs(round int) []rounds.Message { return p.msgsD(round) }
 
 // Trans implements rounds.Process: Figure 3's rule with FloodSetWS's
 // halt-filtered union.
 func (p *fOptWSProc) Trans(round int, received []rounds.Message) {
+	was := p.decided
 	var arrived model.ProcSet
 	forced := model.NoValue
 	forcedOK := false
@@ -165,45 +153,27 @@ func (p *fOptWSProc) Trans(round int, received []rounds.Message) {
 			forced, forcedOK = m.V, true
 		}
 	}
-	unionVisible := func() {
-		for j := 1; j <= p.cfg.N; j++ {
-			if received[j] == nil || p.halt.Has(model.ProcessID(j)) {
-				continue
-			}
-			if m, ok := received[j].(WMsg); ok {
-				p.w.UnionWith(m.W)
-			}
-		}
-	}
 	switch {
 	case round == 1 && arrived.Count() == p.cfg.N-p.cfg.T:
-		unionVisible()
-		if !p.decided {
-			if v, ok := p.w.Min(); ok {
-				p.decision, p.decided = v, true
-			}
-		}
+		p.unionW(received, p.halt)
+		p.decideMin()
 	case forcedOK:
 		if !p.decided {
 			p.decision, p.decided = forced, true
 		}
 	default:
-		unionVisible()
+		p.unionW(received, p.halt)
 	}
 	p.halt = p.halt.Union(model.FullSet(p.cfg.N).Minus(arrived))
-	if round == p.cfg.T+1 && !p.decided {
-		if v, ok := p.w.Min(); ok {
-			p.decision, p.decided = v, true
-		}
+	if round == p.cfg.T+1 {
+		p.decideMin()
+	}
+	if p.decided != was {
+		p.out.msg = nil // the message is (D, decision) from now on
 	}
 }
 
-// Decision implements rounds.Process.
-func (p *fOptWSProc) Decision() (model.Value, bool) { return p.decision, p.decided }
-
 // CloneProcess implements rounds.Cloner.
 func (p *fOptWSProc) CloneProcess() rounds.Process {
-	c := *p
-	c.w = p.w.Clone()
-	return &c
+	return &fOptWSProc{flood: p.fork(), halt: p.halt}
 }

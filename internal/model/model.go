@@ -199,7 +199,8 @@ func ValueSetOfSorted(vals []Value) ValueSet {
 	return ValueSet{vs: vals}
 }
 
-// Insert adds v to the set.
+// Insert adds v to the set, writing its storage in place: use it only while
+// building a set no message shares yet.
 func (s *ValueSet) Insert(v Value) {
 	i := sort.Search(len(s.vs), func(i int) bool { return s.vs[i] >= v })
 	if i < len(s.vs) && s.vs[i] == v {
@@ -210,28 +211,55 @@ func (s *ValueSet) Insert(v Value) {
 	s.vs[i] = v
 }
 
-// UnionWith adds every element of o to the set: one linear merge of the two
-// sorted sequences. o is only read, and the result never shares storage with
-// it. When o ⊆ s — the common case once flooding has converged — nothing is
-// written or allocated.
-func (s *ValueSet) UnionWith(o ValueSet) {
-	a, b := s.vs, o.vs
-	missing, i := 0, 0
+// Union returns s ∪ o₁ ∪ … ∪ oₖ. It only reads its operands — a set a
+// message shares stays as it was sent — and never shares the result's
+// storage with any oᵢ. When every oᵢ ⊆ s (flooding has converged) it
+// returns s itself and allocates nothing; otherwise it counts the values s
+// lacks first and builds the union in one allocation with no spare capacity.
+func (s ValueSet) Union(os ...ValueSet) ValueSet {
+	grow := 0
+	for _, o := range os {
+		grow += missing(s.vs, o.vs)
+	}
+	if grow == 0 {
+		return s
+	}
+	// grow over-counts a value several oᵢ lack alike: the buffer only has to
+	// be large enough, since every merge below stays inside it.
+	out := append(make([]Value, 0, len(s.vs)+grow), s.vs...)
+	for _, o := range os {
+		out = mergeInto(out, o.vs)
+	}
+	return ValueSet{vs: out[:len(out):len(out)]}
+}
+
+// UnionWith sets s to s ∪ o (Union): the storage s had is never written.
+func (s *ValueSet) UnionWith(o ValueSet) { *s = s.Union(o) }
+
+// missing counts the elements of b that a lacks (both sorted).
+func missing(a, b []Value) int {
+	n, i := 0, 0
 	for _, v := range b {
 		for i < len(a) && a[i] < v {
 			i++
 		}
 		if i == len(a) || a[i] != v {
-			missing++
+			n++
 		}
 	}
-	if missing == 0 {
-		return
+	return n
+}
+
+// mergeInto merges b into a, whose spare capacity must hold the values it
+// lacks: one linear merge from the back, so every element moves at most
+// once.
+func mergeInto(a, b []Value) []Value {
+	m := missing(a, b)
+	if m == 0 {
+		return a
 	}
-	// Grow by the missing count (the appended values are placeholders) and
-	// merge from the back, so every element moves at most once.
-	i = len(a) - 1
-	a = append(a, b[:missing]...)
+	i := len(a) - 1
+	a = a[:len(a)+m]
 	k := len(a) - 1
 	for j := len(b) - 1; j >= 0; k-- {
 		switch {
@@ -247,7 +275,7 @@ func (s *ValueSet) UnionWith(o ValueSet) {
 			j--
 		}
 	}
-	s.vs = a
+	return a
 }
 
 // Has reports whether v is a member.

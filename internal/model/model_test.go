@@ -368,6 +368,29 @@ func TestValueSetUnionWithMatchesInsert(t *testing.T) {
 	}
 }
 
+// TestValueSetUnionAllocatesOnce: a union that adds values costs one
+// allocation however many sets it merges, leaves no spare capacity and
+// writes neither s nor an operand; a converged one returns s itself and
+// costs nothing.
+func TestValueSetUnionAllocatesOnce(t *testing.T) {
+	s := NewValueSet(5)
+	os := []ValueSet{NewValueSet(1, 5), NewValueSet(3, 9), NewValueSet(1, 9)}
+	var u ValueSet
+	if a := testing.AllocsPerRun(10, func() { u = s.Union(os...) }); a != 1 {
+		t.Errorf("a growing union allocates %v times, want 1", a)
+	}
+	if !u.Equal(NewValueSet(1, 3, 5, 9)) || cap(u.vs) != len(u.vs) {
+		t.Errorf("union = %v with capacity %d, want {1,3,5,9} with none spare", u, cap(u.vs))
+	}
+	if !s.Equal(NewValueSet(5)) || !os[0].Equal(NewValueSet(1, 5)) || !os[1].Equal(NewValueSet(3, 9)) {
+		t.Errorf("union wrote its operands: s=%v os=%v", s, os)
+	}
+	var v ValueSet
+	if a := testing.AllocsPerRun(10, func() { v = u.Union(os...) }); a != 0 || &v.vs[0] != &u.vs[0] {
+		t.Errorf("a converged union allocates %v times or copies, want s itself", a)
+	}
+}
+
 // TestValueSetUnionWithOwnsItsStorage: after a union the two sets share no
 // backing array, whichever was empty — mutating one leaves the other alone.
 func TestValueSetUnionWithOwnsItsStorage(t *testing.T) {

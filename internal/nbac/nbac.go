@@ -35,6 +35,7 @@ package nbac
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/rounds"
@@ -69,8 +70,9 @@ func DecisionString(v model.Value) string {
 const voteUnknown int8 = -1
 
 // VotesMsg carries a process's current knowledge of the vote vector:
-// Known[i] is p_i's vote (0/1) or voteUnknown. Index 0 is unused. Senders
-// transmit a snapshot; receivers must treat it as read-only.
+// Known[i] is p_i's vote (0/1) or voteUnknown. Index 0 is unused. A sent
+// vector is immutable (rounds.Process): the sender copies its vector before
+// the first write after a send, and receivers only read it.
 type VotesMsg struct {
 	Known []int8
 }
@@ -120,6 +122,11 @@ type proc struct {
 	halt     model.ProcSet
 	decided  bool
 	decision model.Value
+
+	// The cached broadcast: msg, when set, is VotesMsg{known}, and known is
+	// then copied before it is written (copy-on-write).
+	msg rounds.Message
+	out []rounds.Message // 1..n
 }
 
 var (
@@ -133,13 +140,16 @@ func (p *proc) Msgs(round int) []rounds.Message {
 	if round > p.cfg.T+1 {
 		return nil
 	}
-	snapshot := make([]int8, len(p.known))
-	copy(snapshot, p.known)
-	out := make([]rounds.Message, p.cfg.N+1)
-	for i := 1; i <= p.cfg.N; i++ {
-		out[i] = VotesMsg{Known: snapshot}
+	if p.msg == nil {
+		p.msg = VotesMsg{Known: p.known}
 	}
-	return out
+	if p.out == nil {
+		p.out = make([]rounds.Message, p.cfg.N+1)
+	}
+	for i := 1; i <= p.cfg.N; i++ {
+		p.out[i] = p.msg
+	}
+	return p.out
 }
 
 // Trans implements rounds.Process: merge incoming vote vectors (ignoring
@@ -158,6 +168,10 @@ func (p *proc) Trans(round int, received []rounds.Message) {
 		if m, ok := received[j].(VotesMsg); ok {
 			for i := 1; i <= p.cfg.N; i++ {
 				if p.known[i] == voteUnknown && m.Known[i] != voteUnknown {
+					if p.msg != nil {
+						p.known = slices.Clone(p.known) // the sent vector stays as sent
+						p.msg = nil
+					}
 					p.known[i] = m.Known[i]
 				}
 			}
@@ -181,9 +195,14 @@ func (p *proc) Trans(round int, received []rounds.Message) {
 // Decision implements rounds.Process.
 func (p *proc) Decision() (model.Value, bool) { return p.decision, p.decided }
 
-// CloneProcess implements rounds.Cloner.
+// CloneProcess implements rounds.Cloner. The clone shares a sent vector and
+// the message (both immutable), never the broadcast slice: the parallel
+// explorer runs clones on other goroutines.
 func (p *proc) CloneProcess() rounds.Process {
 	c := *p
-	c.known = append([]int8(nil), p.known...)
+	c.out = nil
+	if p.msg == nil {
+		c.known = slices.Clone(p.known) // unsent: p may still write it
+	}
 	return &c
 }

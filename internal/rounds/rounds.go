@@ -85,8 +85,12 @@ type ProcConfig struct {
 type Process interface {
 	// Msgs returns the message for each destination at the given 1-based
 	// round, indexed by destination ProcessID (index 0 is unused). A nil
-	// entry is a null message. Implementations may return a shared slice;
-	// engines do not retain it across rounds.
+	// entry is a null message. A returned message is immutable: neither
+	// its sender nor any engine or receiver writes it, or storage it
+	// shares, again — so an engine may hand one message to every
+	// destination and keep it past the round. Implementations may return
+	// a cached slice, refilled by the next call; engines do not retain it
+	// across rounds, and CloneProcess must not share it with the clone.
 	Msgs(round int) []Message
 
 	// Trans applies the state transition for the given round. received is
@@ -100,7 +104,9 @@ type Process interface {
 
 // Cloner is an optional Process extension enabling cheap state snapshots.
 // All algorithms in this repository implement it; the exhaustive explorer
-// uses it to fork executions at adversary choice points.
+// uses it to fork executions at adversary choice points. A clone may share
+// sent messages and the state they share (both immutable), never the slice
+// Msgs returns: the parallel explorer runs clones on other goroutines.
 type Cloner interface {
 	CloneProcess() Process
 }

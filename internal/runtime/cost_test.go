@@ -201,9 +201,8 @@ func TestEngineCostShape(t *testing.T) {
 	if s, d := perDecision(shared, float64(shared.allocs)), perDecision(dedicated, float64(dedicated.allocs)); s >= d {
 		t.Errorf("no alloc win: %.1f allocs/decision shared vs %.1f dedicated", s, d)
 	}
-	// 25–27 as measured (1, 2 and 4 CPUs, under load and under -race); 31
-	// when every frame was decoded for itself into a row allocated per round.
-	const allocCeiling = 30
+	// 9 as measured (1, 2 and 4 CPUs, and under -race).
+	const allocCeiling = 12
 	if s := perDecision(shared, float64(shared.allocs)); s > allocCeiling {
 		t.Errorf("%.1f allocs/decision shared, want at most %d", s, allocCeiling)
 	}

@@ -91,9 +91,7 @@ func (er *engineRun) demuxLoop(wg *sync.WaitGroup, id model.ProcessID, tr Transp
 // to the first reach destinations (all n−1 unless the node is crashing).
 func (w *engWorker) sendRound(st *instState, r, reach int, msgs []rounds.Message) error {
 	if msgs != nil {
-		st.selfMsg = msgs[st.id]
-	} else {
-		st.selfMsg = nil
+		st.rows[r].sent = msgs[st.id]
 	}
 	// The send event precedes the first transmission: a causal tracer on
 	// the sink must record this broadcast's Lamport clock before any of its

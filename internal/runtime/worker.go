@@ -67,14 +67,20 @@ func (mb *mailbox) drain(spare []engEvent) []engEvent {
 	return q
 }
 
-// instRow buffers one round's inbound messages for one (instance, node)
-// automaton: presence bits (a null message is a present message with a nil
-// payload) plus the inbox holding the payloads, taken from the worker's free
-// list at the row's first arrival and returned after Trans. (A row its
-// automaton halted before running leaves its inbox to the collector.)
+// instRow is one round of one (instance, node) automaton: the message it
+// sent itself that round, and the round's inbound messages — presence bits
+// (a null message is a present message with a nil payload) plus the inbox
+// holding the payloads, taken from the worker's free list at the row's first
+// arrival and returned after Trans. (A row its automaton halted before
+// running leaves its inbox to the collector.)
+//
+// sent is the automaton's self-delivery, and every peer's copy of that
+// message when the frame says so (engWorker.sentBy): a sent message is
+// immutable (rounds.Process), so the row keeps it until the instance ends.
 type instRow struct {
-	got model.ProcSet
-	in  *inbox
+	got  model.ProcSet
+	in   *inbox
+	sent rounds.Message
 }
 
 // inbox holds one row's payloads, indexed by sender, and the kind, bytes and
@@ -112,10 +118,9 @@ type instState struct {
 	slab *instSlab
 	id   model.ProcessID
 
-	round   int32 // round currently executing; 0 = halted
-	sent    bool  // this round's messages already transmitted
-	queued  bool  // sitting in the worker's dirty list
-	selfMsg rounds.Message
+	round   int32     // round currently executing; 0 = halted
+	sent    bool      // this round's messages already transmitted
+	queued  bool      // sitting in the worker's dirty list
 	started time.Time // when the current round began
 	rows    []instRow // index 1..MaxRounds
 
@@ -160,6 +165,7 @@ type engWorker struct {
 	nextDeadline time.Time        // earliest round deadline among blocked automata
 	scratch      []rounds.Message // what Trans is handed
 	frame        []byte           // encode scratch: Batcher.Send copies out of it
+	payload      []byte           // sentBy's encode scratch
 	free         []*inbox         // emptied inboxes, for rows' first arrivals
 
 	// Tallied since the last fold, which hands them to the shared instruments.
@@ -425,9 +431,12 @@ func (w *engWorker) file(node model.ProcessID, env *wire.Envelope, payload []byt
 	if row.in == nil {
 		row.in = w.takeInbox()
 	}
-	msg, err := row.in.payload(env.Kind, payload)
-	if err != nil {
-		return // Split validated the frame; unreachable
+	msg, ok := w.sentBy(sl, env, payload)
+	if !ok {
+		var err error
+		if msg, err = row.in.payload(env.Kind, payload); err != nil {
+			return // Split validated the frame; unreachable
+		}
 	}
 	row.in.msgs[env.From] = msg
 	if sl.events != nil && !row.got.Has(env.From) {
@@ -438,6 +447,24 @@ func (w *engWorker) file(node model.ProcessID, env *wire.Envelope, payload []byt
 	}
 	row.got = row.got.Add(env.From)
 	w.enqueue(st)
+}
+
+// sentBy returns the message env's sender recorded for env's round, if
+// payload is byte-identical to its encoding. Every automaton of an instance
+// lives on this worker, so the receiver files the sender's own immutable
+// message instead of decoding a copy of it. Any other frame — a different
+// message, a peer's hand-made or damaged bytes — is decoded as it came.
+func (w *engWorker) sentBy(sl *instSlab, env *wire.Envelope, payload []byte) (rounds.Message, bool) {
+	m := sl.states[env.From-1].rows[env.Round].sent
+	if m == nil {
+		return nil, false
+	}
+	enc, err := wire.AppendPayload(w.payload[:0], env.Kind, m)
+	if err != nil {
+		return nil, false // not the kind the frame carries
+	}
+	w.payload = enc
+	return m, bytes.Equal(enc, payload)
 }
 
 // deadline is when st's current round stops waiting: the round barrier in
@@ -539,7 +566,7 @@ func (w *engWorker) advance(st *instState) {
 		} else {
 			clear(in)
 		}
-		in[st.id] = st.selfMsg
+		in[st.id] = row.sent
 		st.proc.Trans(r, in)
 		w.release(row) // the round is closed
 		st.out.Rounds = st.round
@@ -566,7 +593,6 @@ func (w *engWorker) advance(st *instState) {
 		}
 		st.round++
 		st.sent = false
-		st.selfMsg = nil
 		if int(st.round) > er.maxRounds {
 			w.halt(st)
 		}

@@ -187,6 +187,35 @@ func TestAppendEnvelopeAppends(t *testing.T) {
 	}
 }
 
+// TestAppendPayloadMatchesSplit: AppendPayload writes exactly the bytes
+// Split returns as the frame's payload, for every kind — what a receiver
+// compares a frame against — and refuses a payload its kind cannot carry, so
+// a null frame never matches a message.
+func TestAppendPayloadMatchesSplit(t *testing.T) {
+	for _, env := range canonicalEnvelopes() {
+		frame, err := Encode(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, want, err := Split(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendPayload([]byte("prefix"), env.Kind, env.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != "prefix"+string(want) {
+			t.Errorf("kind %v: AppendPayload = %x, want prefix+%x", env.Kind, got, want)
+		}
+	}
+	for _, k := range []Kind{KindNull, KindHeartbeat, KindFDPing, KindFDAck} {
+		if got, err := AppendPayload(nil, k, consensus.DMsg{V: 1}); err == nil || got != nil {
+			t.Errorf("AppendPayload(%v, a DMsg) = (%x, %v), want (nil, error)", k, got, err)
+		}
+	}
+}
+
 // TestPeekControl: every kind, bare and instance-tagged, is control exactly
 // when its kind says so; cut short at any length it is control only if what
 // is left still decodes as a control frame; inside a batch container, alone

@@ -184,57 +184,9 @@ func AppendEnvelope(buf []byte, e Envelope) ([]byte, error) {
 	buf = appendUvarint(buf, uint64(e.To))
 	buf = appendUvarint(buf, uint64(e.Round))
 	buf = append(buf, byte(e.Kind))
-	switch e.Kind {
-	case KindNull, KindHeartbeat, KindFDPing, KindFDAck:
-		// no payload
-	case KindFDRing:
-		m, ok := e.Payload.(RingInfo)
-		if !ok {
-			return nil, fmt.Errorf("wire: kind fdring with payload %T", e.Payload)
-		}
-		buf = appendUvarint(buf, uint64(len(m.Origins)))
-		for _, o := range m.Origins {
-			buf = appendUvarint(buf, uint64(o.Proc))
-			buf = appendUvarint(buf, o.Seq)
-		}
-	case KindW:
-		m, ok := e.Payload.(consensus.WMsg)
-		if !ok {
-			return nil, fmt.Errorf("wire: kind W with payload %T", e.Payload)
-		}
-		buf = appendUvarint(buf, uint64(m.W.Len()))
-		for i := 0; i < m.W.Len(); i++ {
-			buf = appendVarint(buf, int64(m.W.At(i)))
-		}
-	case KindD:
-		m, ok := e.Payload.(consensus.DMsg)
-		if !ok {
-			return nil, fmt.Errorf("wire: kind D with payload %T", e.Payload)
-		}
-		buf = appendVarint(buf, int64(m.V))
-	case KindA1Val:
-		m, ok := e.Payload.(consensus.A1Val)
-		if !ok {
-			return nil, fmt.Errorf("wire: kind A1Val with payload %T", e.Payload)
-		}
-		buf = appendVarint(buf, int64(m.V))
-	case KindA1Fwd:
-		m, ok := e.Payload.(consensus.A1Fwd)
-		if !ok {
-			return nil, fmt.Errorf("wire: kind A1Fwd with payload %T", e.Payload)
-		}
-		buf = appendVarint(buf, int64(m.V))
-	case KindVotes:
-		m, ok := e.Payload.(nbac.VotesMsg)
-		if !ok {
-			return nil, fmt.Errorf("wire: kind Votes with payload %T", e.Payload)
-		}
-		buf = appendUvarint(buf, uint64(len(m.Known)))
-		for _, v := range m.Known {
-			buf = appendVarint(buf, int64(v))
-		}
-	default:
-		return nil, fmt.Errorf("%w: %v", ErrBadKind, e.Kind)
+	buf, err := AppendPayload(buf, e.Kind, e.Payload)
+	if err != nil {
+		return nil, err
 	}
 	if e.Instance != 0 {
 		// Trailing instance tag: every payload encoding above is
@@ -242,6 +194,68 @@ func AppendEnvelope(buf []byte, e Envelope) ([]byte, error) {
 		// bytes remain. Omitting it for instance 0 keeps single-instance
 		// frames byte-identical to the pre-instance format.
 		buf = appendUvarint(buf, e.Instance)
+	}
+	return buf, nil
+}
+
+// AppendPayload appends the encoding of a kind payload — the bytes Split
+// returns as a frame's payload — to buf, allocating nothing when buf has the
+// capacity. The payload must be the kind's message type, nil for the kinds
+// without a payload. On error the result is nil.
+func AppendPayload(buf []byte, kind Kind, payload rounds.Message) ([]byte, error) {
+	switch kind {
+	case KindNull, KindHeartbeat, KindFDPing, KindFDAck:
+		if payload != nil {
+			return nil, fmt.Errorf("wire: kind %v carries no payload, got %T", kind, payload)
+		}
+	case KindFDRing:
+		m, ok := payload.(RingInfo)
+		if !ok {
+			return nil, fmt.Errorf("wire: kind fdring with payload %T", payload)
+		}
+		buf = appendUvarint(buf, uint64(len(m.Origins)))
+		for _, o := range m.Origins {
+			buf = appendUvarint(buf, uint64(o.Proc))
+			buf = appendUvarint(buf, o.Seq)
+		}
+	case KindW:
+		m, ok := payload.(consensus.WMsg)
+		if !ok {
+			return nil, fmt.Errorf("wire: kind W with payload %T", payload)
+		}
+		buf = appendUvarint(buf, uint64(m.W.Len()))
+		for i := 0; i < m.W.Len(); i++ {
+			buf = appendVarint(buf, int64(m.W.At(i)))
+		}
+	case KindD:
+		m, ok := payload.(consensus.DMsg)
+		if !ok {
+			return nil, fmt.Errorf("wire: kind D with payload %T", payload)
+		}
+		buf = appendVarint(buf, int64(m.V))
+	case KindA1Val:
+		m, ok := payload.(consensus.A1Val)
+		if !ok {
+			return nil, fmt.Errorf("wire: kind A1Val with payload %T", payload)
+		}
+		buf = appendVarint(buf, int64(m.V))
+	case KindA1Fwd:
+		m, ok := payload.(consensus.A1Fwd)
+		if !ok {
+			return nil, fmt.Errorf("wire: kind A1Fwd with payload %T", payload)
+		}
+		buf = appendVarint(buf, int64(m.V))
+	case KindVotes:
+		m, ok := payload.(nbac.VotesMsg)
+		if !ok {
+			return nil, fmt.Errorf("wire: kind Votes with payload %T", payload)
+		}
+		buf = appendUvarint(buf, uint64(len(m.Known)))
+		for _, v := range m.Known {
+			buf = appendVarint(buf, int64(v))
+		}
+	default:
+		return nil, fmt.Errorf("%w: %v", ErrBadKind, kind)
 	}
 	return buf, nil
 }
