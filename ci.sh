@@ -167,16 +167,16 @@ job_chaos() {
 # one owner of every round packet — the worker that batched it is the worker
 # that decodes it, clean and under duplication and reordering
 # (TestEnginePacketsHaveOneOwner, TestEngineOwnershipUnderFaults) — the
-# recycled inbox that decodes a repeated payload once
-# (TestEngineInboxDecodesRepeatsOnce), the receiver that files its sender's
-# own message when the bytes match and decodes the frame when they do not
-# (TestEngineFilesSendersMessage, TestEngineDecodesFramesUnlikeTheSent), sent
-# messages that sender, self-delivery and peers share and nobody rewrites
+# receiver that files its sender's own message when the bytes match and
+# decodes the frame when they do not, both kinds in one row too
+# (TestEngineFilesSendersMessage, TestEngineDecodesFramesUnlikeTheSent,
+# TestEngineMixedRowFilesAndDecodes), sent messages that sender,
+# self-delivery and peers share and nobody rewrites
 # (TestEngineSharedMessagesStayAsSent), the header-only split
 # (TestSplitAllocatesNothing, TestDecodeHostileCounts) and the per-sweep
 # histogram fold (TestHistogramTallyFolds) are what -race -count=2 shakes out.
 job_multi_instance() {
-  go test -race -count=2 -run 'TestEngine|TestStartEngine|TestOpenAfterAbort|TestBatch|TestCluster|TestAgreement|TestLiveRSA1|TestChanNetwork|TestDeliveryQueue|TestPeekControl|TestDetectorSend|TestDetectorRegistry|TestEnginePacketsHaveOneOwner|TestEngineOwnershipUnderFaults|TestEngineInboxDecodesRepeatsOnce|TestEngineFilesSendersMessage|TestEngineDecodesFramesUnlikeTheSent|TestEngineSharedMessagesStayAsSent|TestSplitAllocatesNothing|TestDecodeHostileCounts|TestHistogramTallyFolds' ./internal/runtime/ ./internal/wire/ ./internal/obs/
+  go test -race -count=2 -run 'TestEngine|TestStartEngine|TestOpenAfterAbort|TestBatch|TestCluster|TestAgreement|TestLiveRSA1|TestChanNetwork|TestDeliveryQueue|TestPeekControl|TestDetectorSend|TestDetectorRegistry|TestEnginePacketsHaveOneOwner|TestEngineOwnershipUnderFaults|TestEngineFilesSendersMessage|TestEngineDecodesFramesUnlikeTheSent|TestEngineMixedRowFilesAndDecodes|TestEngineSharedMessagesStayAsSent|TestSplitAllocatesNothing|TestDecodeHostileCounts|TestHistogramTallyFolds' ./internal/runtime/ ./internal/wire/ ./internal/obs/
   go test -race -count=2 -run 'TestCrashOnMultiplexedMesh' ./internal/fdimpl/
   floor ./internal/wire/ 85
   floor ./internal/runtime/ 85

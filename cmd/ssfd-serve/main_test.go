@@ -166,6 +166,21 @@ func TestServeFlagValidation(t *testing.T) {
 	}
 }
 
+// TestServeRejectsResilienceOutOfRange: a -t outside [0, nodes) is a config
+// error the engine refuses, reported with exit 1 before anything is served.
+// (A daemon that did start drains at once on the queued signal.)
+func TestServeRejectsResilienceOutOfRange(t *testing.T) {
+	stop := make(chan os.Signal, 1)
+	stop <- syscall.SIGTERM
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-addr", "127.0.0.1:0", "-t", "-2"}, stop, &out, &errOut); code != 1 {
+		t.Errorf("-t -2: exit %d, want 1 (stderr: %s)", code, errOut.String())
+	}
+	if !strings.Contains(errOut.String(), "t=-2 out of range [0,3)") {
+		t.Errorf("-t -2: stderr does not name the bound:\n%s", errOut.String())
+	}
+}
+
 // TestServeUsageStatesTheMesh: -h says the nodes' mesh is in-process with a
 // simulated delay.
 func TestServeUsageStatesTheMesh(t *testing.T) {

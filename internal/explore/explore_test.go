@@ -273,7 +273,7 @@ func (p *minRoundOneProc) Msgs(round int) []rounds.Message {
 	}
 	out := make([]rounds.Message, p.cfg.N+1)
 	for i := 1; i <= p.cfg.N; i++ {
-		out[i] = consensus.WMsg{W: p.w.Clone()}
+		out[i] = consensus.WMsg{W: p.w}
 	}
 	return out
 }
@@ -281,7 +281,7 @@ func (p *minRoundOneProc) Msgs(round int) []rounds.Message {
 func (p *minRoundOneProc) Trans(round int, received []rounds.Message) {
 	for j := 1; j < len(received); j++ {
 		if m, ok := received[j].(consensus.WMsg); ok {
-			p.w.UnionWith(m.W)
+			p.w = p.w.Union(m.W)
 		}
 	}
 	if !p.decided {
@@ -292,11 +292,7 @@ func (p *minRoundOneProc) Trans(round int, received []rounds.Message) {
 }
 
 func (p *minRoundOneProc) Decision() (model.Value, bool) { return p.decision, p.decided }
-func (p *minRoundOneProc) CloneProcess() rounds.Process {
-	c := *p
-	c.w = p.w.Clone()
-	return &c
-}
+func (p *minRoundOneProc) CloneProcess() rounds.Process  { c := *p; return &c } // Union never writes W
 
 func TestRefuteRoundOneRWS(t *testing.T) {
 	tests := []struct {

@@ -233,9 +233,6 @@ func (s ValueSet) Union(os ...ValueSet) ValueSet {
 	return ValueSet{vs: out[:len(out):len(out)]}
 }
 
-// UnionWith sets s to s ∪ o (Union): the storage s had is never written.
-func (s *ValueSet) UnionWith(o ValueSet) { *s = s.Union(o) }
-
 // missing counts the elements of b that a lacks (both sorted).
 func missing(a, b []Value) int {
 	n, i := 0, 0
@@ -305,11 +302,6 @@ func (s ValueSet) Values() []Value {
 	out := make([]Value, len(s.vs))
 	copy(out, s.vs)
 	return out
-}
-
-// Clone returns an independent copy of the set.
-func (s ValueSet) Clone() ValueSet {
-	return ValueSet{vs: append([]Value(nil), s.vs...)}
 }
 
 // Equal reports whether two sets contain exactly the same elements.

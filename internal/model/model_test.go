@@ -178,6 +178,9 @@ func TestValueSetInsertAndMin(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d, want 3 (dedup)", s.Len())
 	}
+	if !s.Equal(NewValueSet(9, 5, 3)) || s.Equal(NewValueSet(3, 5)) || s.Equal(NewValueSet(3, 5, 8)) {
+		t.Error("Equal wrong")
+	}
 	v, ok := s.Min()
 	if !ok || v != 3 {
 		t.Fatalf("Min = (%d,%v), want (3,true)", v, ok)
@@ -189,27 +192,13 @@ func TestValueSetInsertAndMin(t *testing.T) {
 }
 
 func TestValueSetUnionWith(t *testing.T) {
-	a := NewValueSet(1, 2)
-	b := NewValueSet(2, 3)
-	a.UnionWith(b)
+	a := NewValueSet(1, 2).Union(NewValueSet(2, 3))
 	want := []Value{1, 2, 3}
 	if !reflect.DeepEqual(a.Values(), want) {
-		t.Errorf("UnionWith = %v, want %v", a.Values(), want)
+		t.Errorf("Union = %v, want %v", a.Values(), want)
 	}
 	if !a.Has(3) || a.Has(4) {
 		t.Error("Has wrong after union")
-	}
-}
-
-func TestValueSetCloneIndependent(t *testing.T) {
-	a := NewValueSet(1)
-	c := a.Clone()
-	c.Insert(2)
-	if a.Len() != 1 || c.Len() != 2 {
-		t.Errorf("Clone not independent: a=%v c=%v", a, c)
-	}
-	if !a.Equal(NewValueSet(1)) || a.Equal(c) {
-		t.Error("Equal wrong")
 	}
 }
 
@@ -312,9 +301,9 @@ func TestFailurePatternCumulative(t *testing.T) {
 	}
 }
 
-// unionByInsert is the reference UnionWith is held to: one Insert per element.
+// unionByInsert is the reference Union is held to: one Insert per element.
 func unionByInsert(s, o ValueSet) ValueSet {
-	out := s.Clone()
+	out := NewValueSet(s.Values()...)
 	for _, v := range o.Values() {
 		out.Insert(v)
 	}
@@ -324,18 +313,17 @@ func unionByInsert(s, o ValueSet) ValueSet {
 // TestValueSetUnionWithMatchesInsert: the linear merge means what inserting
 // one element at a time means, over the shapes a flood produces (empty on
 // either side, subset, disjoint, interleaved, negatives, duplicates in the
-// input), and only ever reads its argument.
+// input), and only ever reads its operands.
 func TestValueSetUnionWithMatchesInsert(t *testing.T) {
 	check := func(t *testing.T, a, b []Value) {
 		t.Helper()
 		s, o := NewValueSet(a...), NewValueSet(b...)
-		want, oBefore := unionByInsert(s, o), o.Values()
-		s.UnionWith(o)
-		if !reflect.DeepEqual(s.Values(), want.Values()) {
-			t.Errorf("%v ∪ %v = %v, want %v", a, b, s, want)
+		want, sBefore, oBefore := unionByInsert(s, o), s.Values(), o.Values()
+		if u := s.Union(o); !reflect.DeepEqual(u.Values(), want.Values()) {
+			t.Errorf("%v ∪ %v = %v, want %v", a, b, u, want)
 		}
-		if !reflect.DeepEqual(o.Values(), oBefore) {
-			t.Errorf("%v ∪ %v mutated its argument: %v", a, b, o)
+		if !reflect.DeepEqual(s.Values(), sBefore) || !reflect.DeepEqual(o.Values(), oBefore) {
+			t.Errorf("%v ∪ %v mutated an operand: %v, %v", a, b, s, o)
 		}
 	}
 	for _, tc := range []struct{ a, b []Value }{
@@ -364,7 +352,7 @@ func TestValueSetUnionWithMatchesInsert(t *testing.T) {
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(3))}); err != nil {
-		t.Errorf("UnionWith vs insert reference: %v", err)
+		t.Errorf("Union vs insert reference: %v", err)
 	}
 }
 
@@ -391,8 +379,9 @@ func TestValueSetUnionAllocatesOnce(t *testing.T) {
 	}
 }
 
-// TestValueSetUnionWithOwnsItsStorage: after a union the two sets share no
-// backing array, whichever was empty — mutating one leaves the other alone.
+// TestValueSetUnionWithOwnsItsStorage: the union shares no backing array
+// with its operand, whichever was empty — mutating one leaves the other
+// alone.
 func TestValueSetUnionWithOwnsItsStorage(t *testing.T) {
 	for _, tc := range []struct{ a, b []Value }{
 		{nil, []Value{1, 2, 3}},
@@ -401,7 +390,7 @@ func TestValueSetUnionWithOwnsItsStorage(t *testing.T) {
 		{[]Value{5}, []Value{1, 9}},
 	} {
 		s, o := NewValueSet(tc.a...), NewValueSet(tc.b...)
-		s.UnionWith(o)
+		s = s.Union(o)
 		sWant, oWant := s.Values(), o.Values()
 		s.Insert(-100)
 		if !reflect.DeepEqual(o.Values(), oWant) {
@@ -419,8 +408,8 @@ func TestValueSetUnionWithOwnsItsStorage(t *testing.T) {
 // lives on once it has converged.
 func TestValueSetUnionWithSubsetAllocatesNothing(t *testing.T) {
 	s, o := NewValueSet(1, 2, 3, 4, 5), NewValueSet(2, 4, 5)
-	if n := testing.AllocsPerRun(100, func() { s.UnionWith(o) }); n != 0 {
-		t.Errorf("UnionWith of a subset allocates %v times, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { s = s.Union(o) }); n != 0 {
+		t.Errorf("Union with a subset allocates %v times, want 0", n)
 	}
 }
 

@@ -18,10 +18,10 @@ import (
 // Engine metric names.
 const (
 	// MetricEngineUnknownInstance counts inbound round messages carrying an
-	// instance id outside the engine's opened range, or riding in another
-	// worker's packet — dropped by the worker that decoded them (stray
-	// traffic from a misconfigured peer, or corruption that survived
-	// decoding).
+	// instance id outside the engine's opened range, riding in another
+	// worker's packet, or naming as sender no node or the receiving node
+	// itself — dropped by the worker that decoded them (stray traffic from a
+	// misconfigured peer, or corruption that survived decoding).
 	MetricEngineUnknownInstance = "ssfd_engine_unknown_instance_total"
 	// MetricEngineInstancesDecided counts (instance, node) decisions.
 	MetricEngineInstancesDecided = "ssfd_engine_decisions_total"
@@ -72,7 +72,7 @@ type EngineConfig struct {
 	// default network's 1ms delay bound).
 	RoundDuration time.Duration
 
-	// N is the cluster size, T the resilience bound.
+	// N is the cluster size, T the resilience bound (0 ≤ T < N).
 	N, T int
 
 	// Groups is the number of shard workers instances are distributed
@@ -406,6 +406,9 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 	}
 	if n > 63 {
 		return nil, fmt.Errorf("runtime: engine: n=%d exceeds the 63-process bound", n)
+	}
+	if cfg.T < 0 || cfg.T >= n {
+		return nil, fmt.Errorf("runtime: engine: t=%d out of range [0,%d)", cfg.T, n)
 	}
 	switch cfg.Kind {
 	case 0:

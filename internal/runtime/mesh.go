@@ -51,12 +51,9 @@ func (er *engineRun) demuxLoop(wg *sync.WaitGroup, id model.ProcessID, tr Transp
 			if !ok {
 				return
 			}
-			ev := engEvent{node: id, pkt: pkt.Data}
 			var owner *engWorker
 			_ = wire.SplitBatch(pkt.Data, func(frame []byte) error {
-				if owner == nil {
-					ev.skip++
-				} else if !wire.PeekControl(frame) {
+				if owner != nil && !wire.PeekControl(frame) {
 					return nil // the owner's to file
 				}
 				env, payload, err := wire.Split(frame)
@@ -80,7 +77,7 @@ func (er *engineRun) demuxLoop(wg *sync.WaitGroup, id model.ProcessID, tr Transp
 			})
 			decoded.fold(er.ws.AddDecoded)
 			if owner != nil {
-				owner.mb.push(ev)
+				owner.mb.push(engEvent{node: id, pkt: pkt.Data})
 			}
 		}
 	}

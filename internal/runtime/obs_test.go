@@ -187,28 +187,33 @@ func TestRunClusterErrorPathLeaksNothing(t *testing.T) {
 }
 
 // TestStartEngineErrorPath covers the construction-time early return: a
-// rejected config leaves a caller-supplied network untouched (no goroutine
-// has started, nothing was closed on the caller's behalf).
+// rejected config — an unknown model, or a resilience bound outside
+// [0, n) — leaves a caller-supplied network untouched (no goroutine has
+// started, nothing was closed on the caller's behalf).
 func TestStartEngineErrorPath(t *testing.T) {
-	nw := NewChanNetwork(2, ChanConfig{Metrics: obs.NewRegistry()})
-	defer func() { _ = nw.Close() }()
-	before := goruntime.NumGoroutine()
-	cr, err := RunCluster(consensus.FloodSet{}, EngineConfig{
-		Kind: rounds.ModelKind(9), T: 1,
-		Network: nw, Metrics: obs.NewRegistry(),
-	}, vals(1, 2), OpenOptions{})
-	if err == nil || cr != nil {
-		t.Fatalf("RunCluster = (%v, %v), want a config error and no result", cr, err)
-	}
-	if err := nw.Endpoint(1).Send(2, []byte("still open")); err != nil {
-		t.Errorf("rejected config closed the caller's network: %v", err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := goruntime.NumGoroutine(); after > before {
-		t.Errorf("error path left goroutines behind: %d before, %d after", before, after)
+	for _, cfg := range []EngineConfig{
+		{Kind: rounds.ModelKind(9), T: 1},
+		{T: -2},
+		{T: 2},
+	} {
+		nw := NewChanNetwork(2, ChanConfig{Metrics: obs.NewRegistry()})
+		before := goruntime.NumGoroutine()
+		cfg.Network, cfg.Metrics = nw, obs.NewRegistry()
+		cr, err := RunCluster(consensus.FloodSet{}, cfg, vals(1, 2), OpenOptions{})
+		if err == nil || cr != nil {
+			t.Fatalf("kind %v t=%d: RunCluster = (%v, %v), want a config error and no result", cfg.Kind, cfg.T, cr, err)
+		}
+		if err := nw.Endpoint(1).Send(2, []byte("still open")); err != nil {
+			t.Errorf("kind %v t=%d: rejected config closed the caller's network: %v", cfg.Kind, cfg.T, err)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if after := goruntime.NumGoroutine(); after > before {
+			t.Errorf("kind %v t=%d: error path left goroutines behind: %d before, %d after", cfg.Kind, cfg.T, before, after)
+		}
+		_ = nw.Close()
 	}
 }
 

@@ -114,13 +114,6 @@ func TestEngineFilesSendersMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	storage := func(m rounds.Message) uintptr {
-		w, ok := m.(consensus.WMsg)
-		if !ok {
-			t.Fatalf("message %v, want a WMsg", m)
-		}
-		return reflect.ValueOf(w.W).Field(0).Pointer()
-	}
 	for r := 1; r <= tt+1; r++ {
 		for to := 1; to <= n; to++ {
 			got := log.got[[2]int{to, r}]
@@ -128,12 +121,22 @@ func TestEngineFilesSendersMessage(t *testing.T) {
 				t.Fatalf("node %d round %d: Trans never ran", to, r)
 			}
 			for from := 1; from <= n; from++ {
-				if storage(got[from]) != storage(log.self[[2]int{from, r}]) {
+				if wStorage(t, got[from]) != wStorage(t, log.self[[2]int{from, r}]) {
 					t.Errorf("round %d: node %d's Trans got a copy of node %d's W, not the W it sent", r, to, from)
 				}
 			}
 		}
 	}
+}
+
+// wStorage is the backing array of the W set m carries.
+func wStorage(t *testing.T, m rounds.Message) uintptr {
+	t.Helper()
+	w, ok := m.(consensus.WMsg)
+	if !ok {
+		t.Fatalf("message %v, want a WMsg", m)
+	}
+	return reflect.ValueOf(w.W).Field(0).Pointer()
 }
 
 // TestEngineSharedMessagesStayAsSent: live, a sent message is shared by its
@@ -212,16 +215,18 @@ func (s *sendWatch) Emit(ev obs.Event) {
 	}
 }
 
-// TestEngineDecodesFramesUnlikeTheSent: a frame is filed as its sender's
-// recorded message only when the bytes match. Nodes 2..4 have sent both
-// rounds before node 1 gets any of their frames — the mesh drops the real
-// ones, and a hand delivers frames carrying other sets — so every sender's
-// message is on record, and node 1 must still see and decide on the hand's
-// sets.
-func TestEngineDecodesFramesUnlikeTheSent(t *testing.T) {
+// handRun runs one FloodSetWS instance, proposals 10·id, on n = 4 nodes and
+// one more endpoint, the test's hand. The mesh drops every round frame to
+// node 1 from the senders in sets, so node 1 waits in round 1 while the
+// other nodes send round 2 and wait for it. Then — every sender's message
+// on record — the hand sends node 1, for rounds 1 and 2, a frame from each
+// of those senders carrying its set. Node 1 must decide 1, the least value
+// of the hand's sets.
+func handRun(t *testing.T, sets map[model.ProcessID]model.ValueSet) *sendLog {
+	t.Helper()
 	const n = 4
 	nw := NewChanNetwork(n+1, ChanConfig{Metrics: obs.NewRegistry(), Delay: func(from, to model.ProcessID, data []byte) time.Duration {
-		if to == 1 && from != n+1 && !wire.PeekControl(data) {
+		if _, hand := sets[from]; to == 1 && hand && !wire.PeekControl(data) {
 			return -1
 		}
 		return 100 * time.Microsecond
@@ -236,20 +241,21 @@ func TestEngineDecodesFramesUnlikeTheSent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Node 1 waits in round 1 for frames the mesh drops; nodes 2..4 reach
-	// round 2, send it and wait for node 1.
 	watch := &sendWatch{round: 2, want: n - 1, sent: make(chan struct{})}
 	h, err := e.OpenWith(func(id model.ProcessID) model.Value { return model.Value(10 * id) }, OpenOptions{Events: watch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-watch.sent
-	sets := map[model.ProcessID]model.ValueSet{2: model.NewValueSet(1, 20), 3: model.NewValueSet(2, 30), 4: model.NewValueSet(3, 40)}
 	var batch []byte
 	for r := 1; r <= 2; r++ {
 		for from := model.ProcessID(2); from <= n; from++ {
+			set, ok := sets[from]
+			if !ok {
+				continue
+			}
 			frame, err := wire.Encode(wire.Envelope{From: from, To: 1, Round: r, Kind: wire.KindW,
-				Payload: consensus.WMsg{W: sets[from]}})
+				Payload: consensus.WMsg{W: set}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,6 +278,34 @@ func TestEngineDecodesFramesUnlikeTheSent(t *testing.T) {
 			if m, ok := got[from].(consensus.WMsg); !ok || !m.W.Equal(want) {
 				t.Errorf("round %d: node 1's Trans saw %v from node %d, want the hand's W=%v", r, got[from], from, want)
 			}
+		}
+	}
+	return log
+}
+
+// TestEngineDecodesFramesUnlikeTheSent: a frame is filed as its sender's
+// recorded message only when the bytes match. Node 1 gets only the hand's
+// frames from nodes 2..4, each unlike what that node sent, and must see
+// and decide on the hand's sets — also when two senders' sets are
+// byte-equal, where each still reaches Trans as that sender's W.
+func TestEngineDecodesFramesUnlikeTheSent(t *testing.T) {
+	for name, sets := range map[string]map[model.ProcessID]model.ValueSet{
+		"distinct":   {2: model.NewValueSet(1, 20), 3: model.NewValueSet(2, 30), 4: model.NewValueSet(3, 40)},
+		"byte-equal": {2: model.NewValueSet(1, 2), 3: model.NewValueSet(1, 2), 4: model.NewValueSet(3)},
+	} {
+		t.Run(name, func(t *testing.T) { handRun(t, sets) })
+	}
+}
+
+// TestEngineMixedRowFilesAndDecodes: one row holds both kinds of frame.
+// Node 1 gets node 2's real frames, filed from the record — Trans sees node
+// 2's own W, same storage — and the hand's frames for nodes 3 and 4, which
+// are decoded; node 1 decides the least value of all.
+func TestEngineMixedRowFilesAndDecodes(t *testing.T) {
+	log := handRun(t, map[model.ProcessID]model.ValueSet{3: model.NewValueSet(1, 30), 4: model.NewValueSet(3, 40)})
+	for r := 1; r <= 2; r++ {
+		if got, sent := log.got[[2]int{1, r}][2], log.self[[2]int{2, r}]; wStorage(t, got) != wStorage(t, sent) {
+			t.Errorf("round %d: node 1's Trans got %v from node 2, not the W node 2 sent", r, got)
 		}
 	}
 }

@@ -14,13 +14,11 @@ import (
 
 // engEvent is one worker mailbox entry: a round packet delivered to node,
 // whole, or — when slab is non-nil — an instance registration from Open.
-// The packet's skip-th frame is its first round frame, whose header routed
-// the packet here; the demultiplexer handled the control or corrupt frames
-// before it, and the worker files every round frame itself.
+// The demultiplexer handled the packet's control frames; the worker files
+// every round frame itself.
 type engEvent struct {
 	node model.ProcessID
 	pkt  []byte
-	skip int
 	slab *instSlab
 }
 
@@ -68,48 +66,20 @@ func (mb *mailbox) drain(spare []engEvent) []engEvent {
 }
 
 // instRow is one round of one (instance, node) automaton: the message it
-// sent itself that round, and the round's inbound messages — presence bits
-// (a null message is a present message with a nil payload) plus the inbox
-// holding the payloads, taken from the worker's free list at the row's first
-// arrival and returned after Trans. (A row its automaton halted before
-// running leaves its inbox to the collector.)
+// sent that round and the senders heard (a null message is a present
+// message). Every automaton of an instance lives on one worker, so a frame
+// that carries its sender's recorded message (engWorker.sentBy) is filed as
+// that message — Trans reads it from the sender's row. Only a frame unlike
+// it is decoded, into a map made at the row's first such frame and dropped
+// after Trans.
 //
-// sent is the automaton's self-delivery, and every peer's copy of that
-// message when the frame says so (engWorker.sentBy): a sent message is
-// immutable (rounds.Process), so the row keeps it until the instance ends.
+// sent is the automaton's self-delivery and every peer's copy: a sent
+// message is immutable (rounds.Process), so the row keeps it until the
+// instance ends.
 type instRow struct {
-	got  model.ProcSet
-	in   *inbox
-	sent rounds.Message
-}
-
-// inbox holds one row's payloads, indexed by sender, and the kind, bytes and
-// message of the last payload it decoded. In a flooding round most senders
-// send the same bytes — FloodSetWS's W sets coincide after a failure-free
-// round — and equal bytes decode to an equal message, so a repeat shares
-// the message already decoded instead of decoding its own. Sharing is safe
-// because a received message is read-only (rounds.Process); the round model
-// gives every destination of a broadcast the same message too. The worker
-// reuses the inbox, never the messages: release drops them.
-type inbox struct {
-	msgs []rounds.Message // 1..n
-	kind wire.Kind        // of the last decoded payload; 0 before the first
-	raw  []byte           // its bytes, copied out of the packet
-	last rounds.Message
-}
-
-// payload returns the message data encodes, decoding only when kind or
-// bytes differ from the last payload this inbox decoded.
-func (in *inbox) payload(kind wire.Kind, data []byte) (rounds.Message, error) {
-	if kind == in.kind && bytes.Equal(data, in.raw) {
-		return in.last, nil
-	}
-	m, err := wire.DecodePayload(kind, data)
-	if err != nil {
-		return nil, err
-	}
-	in.kind, in.raw, in.last = kind, append(in.raw[:0], data...), m
-	return m, nil
+	got     model.ProcSet
+	decoded map[model.ProcessID]rounds.Message
+	sent    rounds.Message
 }
 
 // instState is one (instance, node) automaton multiplexed on the mesh.
@@ -166,7 +136,6 @@ type engWorker struct {
 	scratch      []rounds.Message // what Trans is handed
 	frame        []byte           // encode scratch: Batcher.Send copies out of it
 	payload      []byte           // sentBy's encode scratch
-	free         []*inbox         // emptied inboxes, for rows' first arrivals
 
 	// Tallied since the last fold, which hands them to the shared instruments.
 	encoded   kindTally // frames encoded
@@ -193,28 +162,6 @@ func (w *engWorker) fold() {
 		er.decidedNodes.Add(w.decisions)
 		w.decisions = 0
 	}
-}
-
-// takeInbox hands out an empty inbox, recycled when one is free.
-func (w *engWorker) takeInbox() *inbox {
-	if k := len(w.free); k > 0 {
-		in := w.free[k-1]
-		w.free = w.free[:k-1]
-		return in
-	}
-	return &inbox{msgs: make([]rounds.Message, w.run.n+1)}
-}
-
-// release empties row's inbox, if it has one, back onto the free list.
-func (w *engWorker) release(row *instRow) {
-	in := row.in
-	if in == nil {
-		return
-	}
-	clear(in.msgs)
-	in.kind, in.raw, in.last = 0, in.raw[:0], nil
-	w.free = append(w.free, in)
-	row.in = nil
 }
 
 // slabAt maps an owned instance's local index (its id / Groups) to its slab,
@@ -389,11 +336,7 @@ func (w *engWorker) deliver(ev *engEvent) {
 	// Instance ids only grow and a frame is sent after its instance was
 	// opened, so one read after the drain bounds every id the packet carries.
 	opened := w.run.opened.Load()
-	i := 0
 	_ = wire.SplitBatch(ev.pkt, func(frame []byte) error {
-		if i++; i < ev.skip {
-			return nil // control or corrupt: the demultiplexer's
-		}
 		env, payload, err := wire.Split(frame)
 		if err != nil || env.Kind.Control() {
 			return nil // corrupt, or observed by the demultiplexer
@@ -405,15 +348,15 @@ func (w *engWorker) deliver(ev *engEvent) {
 }
 
 // file puts one round frame delivered to node — its split header and raw
-// payload — into its automaton's row. A frame from no node of the mesh, or
-// for an instance never opened or owned by another worker, is stray:
-// dropped and counted, never filed into a neighbour's round state.
+// payload — into its automaton's row. A frame from no other node of the
+// mesh, or for an instance never opened or owned by another worker, is
+// stray: dropped and counted, never filed into a neighbour's round state.
 func (w *engWorker) file(node model.ProcessID, env *wire.Envelope, payload []byte, opened uint64) {
 	er := w.run
 	groups := uint64(len(er.workers))
 	local := env.Instance / groups
 	if env.Instance >= opened || env.Instance-local*groups != uint64(w.idx) ||
-		env.From < 1 || int(env.From) > er.n {
+		env.From < 1 || int(env.From) > er.n || env.From == node {
 		er.unknown.Inc()
 		er.unknownCount.Add(1)
 		return
@@ -428,17 +371,20 @@ func (w *engWorker) file(node model.ProcessID, env *wire.Envelope, payload []byt
 		return // automaton halted, round already closed, or out of range
 	}
 	row := &st.rows[r]
-	if row.in == nil {
-		row.in = w.takeInbox()
-	}
-	msg, ok := w.sentBy(sl, env, payload)
-	if !ok {
-		var err error
-		if msg, err = row.in.payload(env.Kind, payload); err != nil {
+	// The last frame per sender wins: a record match drops an earlier
+	// decoded frame from that sender.
+	if w.sentBy(sl, env, payload) {
+		delete(row.decoded, env.From)
+	} else {
+		msg, err := wire.DecodePayload(env.Kind, payload)
+		if err != nil {
 			return // Split validated the frame; unreachable
 		}
+		if row.decoded == nil {
+			row.decoded = make(map[model.ProcessID]rounds.Message)
+		}
+		row.decoded[env.From] = msg
 	}
-	row.in.msgs[env.From] = msg
 	if sl.events != nil && !row.got.Has(env.From) {
 		// One arrival per (sender, round): duplicated deliveries must not
 		// double a causal tracer's happens-before edges.
@@ -449,22 +395,21 @@ func (w *engWorker) file(node model.ProcessID, env *wire.Envelope, payload []byt
 	w.enqueue(st)
 }
 
-// sentBy returns the message env's sender recorded for env's round, if
-// payload is byte-identical to its encoding. Every automaton of an instance
-// lives on this worker, so the receiver files the sender's own immutable
-// message instead of decoding a copy of it. Any other frame — a different
-// message, a peer's hand-made or damaged bytes — is decoded as it came.
-func (w *engWorker) sentBy(sl *instSlab, env *wire.Envelope, payload []byte) (rounds.Message, bool) {
+// sentBy reports whether payload is byte-identical to the encoding of the
+// message env's sender recorded for env's round. Any other frame — a
+// different message, a peer's hand-made or damaged bytes, a silent sender's
+// null frame — is decoded as it came.
+func (w *engWorker) sentBy(sl *instSlab, env *wire.Envelope, payload []byte) bool {
 	m := sl.states[env.From-1].rows[env.Round].sent
 	if m == nil {
-		return nil, false
+		return false
 	}
 	enc, err := wire.AppendPayload(w.payload[:0], env.Kind, m)
 	if err != nil {
-		return nil, false // not the kind the frame carries
+		return false // not the kind the frame carries
 	}
 	w.payload = enc
-	return m, bytes.Equal(enc, payload)
+	return bytes.Equal(enc, payload)
 }
 
 // deadline is when st's current round stops waiting: the round barrier in
@@ -560,15 +505,19 @@ func (w *engWorker) advance(st *instState) {
 			row.got.ForEach(func(j model.ProcessID) bool { got = append(got, int(j)); return true })
 			sl.events.Emit(obs.Event{Type: obs.EventRecv, Round: r, Proc: int(st.id), Peers: got})
 		}
+		// Each sender heard, and st itself, delivered its recorded message
+		// unless a frame unlike it was decoded.
 		in := w.scratch
-		if row.in != nil {
-			copy(in, row.in.msgs)
-		} else {
-			clear(in)
+		clear(in)
+		row.got.Add(st.id).ForEach(func(j model.ProcessID) bool {
+			in[j] = sl.states[j-1].rows[r].sent
+			return true
+		})
+		for j, m := range row.decoded {
+			in[j] = m
 		}
-		in[st.id] = row.sent
 		st.proc.Trans(r, in)
-		w.release(row) // the round is closed
+		row.decoded = nil // the round is closed
 		st.out.Rounds = st.round
 		w.roundsRun++
 		w.durations.Observe(w.now.Sub(st.started).Nanoseconds())
