@@ -4,6 +4,12 @@
 // delay spikes beyond the synchrony bound, scheduled bidirectional
 // partitions, and per-node crash/recovery blackholes.
 //
+// The injector only decides: it drops a message or hands each copy to the
+// wrapped transport's SendAfter with the extra delay it drew, and the
+// transport holds it. As a Kumar–Welch ADD channel: drops and blackholes are
+// losses; every other message arrives within the network's own maximum
+// delay + SpikeMax (+2ms when reordered).
+//
 // The paper's central claim is that model strength decides solvability: the
 // heartbeat detector of package runtime is perfect exactly while the
 // network honors its Δ bound. This package is the other half of that
@@ -37,13 +43,13 @@ import (
 	"repro/internal/wire"
 )
 
-// Transport mirrors runtime.Transport method-for-method (runtime.Packet is
-// an alias of wire.Packet, so values of either interface satisfy the
-// other). Declaring it here keeps this package importable by the runtime
-// without a cycle.
+// Transport is runtime.Transport plus SendAfter: Send with extra in-flight
+// delay on top of the network's own (Send is SendAfter with 0). Declaring it
+// here keeps this package importable by the runtime without a cycle.
 type Transport interface {
 	LocalID() model.ProcessID
 	Send(to model.ProcessID, data []byte) error
+	SendAfter(to model.ProcessID, data []byte, extra time.Duration) error
 	Recv() <-chan wire.Packet
 	Close() error
 }
@@ -73,12 +79,12 @@ type LinkFaults struct {
 	Drop float64
 	// Duplicate is the probability a message is delivered twice.
 	Duplicate float64
-	// Reorder is the probability a message is held back 2ms so that later
-	// sends on the link overtake it.
+	// Reorder is the probability a message is held back 2ms more so that
+	// later sends on the link overtake it.
 	Reorder float64
 	// Spike is the probability of a delay spike; a spiked message is held
-	// for a uniform duration in [SpikeMin, SpikeMax] before the underlying
-	// send — injected latency beyond the transport's own MaxDelay.
+	// a uniform extra duration in [SpikeMin, SpikeMax] — injected latency
+	// beyond the transport's own MaxDelay.
 	Spike              float64
 	SpikeMin, SpikeMax time.Duration
 }
@@ -213,9 +219,9 @@ type linkState struct {
 }
 
 // Injector applies a Config to wrapped transports. Build one per run,
-// Wrap every endpoint, Start it alongside the run, and Close it before the
-// underlying network comes down (Close joins all delayed-delivery
-// goroutines).
+// Wrap every endpoint, Start it alongside the run, and Close it when the
+// run ends, before or after the underlying network: it holds no packet,
+// and Close joins only the transition scheduler.
 type Injector struct {
 	cfg Config
 
@@ -223,18 +229,11 @@ type Injector struct {
 	links     map[Link]*linkState
 	decisions []Decision
 	fired     []Transition
-	started   bool
-	startAt   time.Time
+	startAt   time.Time // the schedule's epoch; zero until started
 
 	closeOnce sync.Once
-	done      chan struct{}
-	// closeMu orders delayed-delivery spawns against Close: Send takes the
-	// read side around wg.Add, so every Add happens before Close's Wait and
-	// no goroutine is spawned once closed is set (a WaitGroup alone cannot
-	// guarantee that — Add concurrent with Wait is a race).
-	closeMu sync.RWMutex
-	closed  bool
-	wg      sync.WaitGroup
+	done      chan struct{}  // closed by Close: stops the scheduler
+	wg        sync.WaitGroup // the scheduler, if the config has a schedule
 
 	dropLoss, dropPartition, dropCrash *obs.Counter
 	duplicated, reordered, delayed     *obs.Counter
@@ -274,10 +273,9 @@ func (in *Injector) Start() {
 }
 
 func (in *Injector) startLocked() {
-	if in.started {
+	if !in.startAt.IsZero() {
 		return
 	}
-	in.started = true
 	in.startAt = time.Now()
 	sched := Schedule(in.cfg)
 	if len(sched) == 0 {
@@ -318,15 +316,10 @@ func (in *Injector) runSchedule(sched []Transition) {
 	}
 }
 
-// Close stops the scheduler and joins every delayed delivery. It does not
-// close the underlying transports — their owner does.
+// Close stops and joins the transition scheduler. The underlying transports,
+// and the packets they still hold, are their owner's to close.
 func (in *Injector) Close() error {
-	in.closeOnce.Do(func() {
-		in.closeMu.Lock()
-		in.closed = true
-		in.closeMu.Unlock()
-		close(in.done)
-	})
+	in.closeOnce.Do(func() { close(in.done) })
 	in.wg.Wait()
 	return nil
 }
@@ -454,9 +447,10 @@ func (in *Injector) partitioned(from, to model.ProcessID, now time.Duration) boo
 	return false
 }
 
-// record mirrors one injected fault into the flight recorder (no-op
-// without one).
-func (in *Injector) record(from, to model.ProcessID, kind, note string) {
+// record counts one injected fault on c and mirrors it into the flight
+// recorder, if there is one.
+func (in *Injector) record(c *obs.Counter, from, to model.ProcessID, kind, note string) {
+	c.Inc()
 	if in.flight == nil {
 		return
 	}
@@ -487,87 +481,48 @@ func (t *transport) Recv() <-chan wire.Packet { return t.next.Recv() }
 // Close implements Transport.
 func (t *transport) Close() error { return t.next.Close() }
 
-// Send implements Transport: it applies blackholes, then the per-link
-// random menu, then forwards (possibly delayed, possibly twice) to the
-// wrapped transport. Injected drops return nil — a lossy network does not
-// report loss to its sender.
-func (t *transport) Send(to model.ProcessID, data []byte) error {
+// Send implements Transport.
+func (t *transport) Send(to model.ProcessID, data []byte) error { return t.SendAfter(to, data, 0) }
+
+// SendAfter implements Transport: it applies blackholes, then the per-link
+// random menu, then hands each copy (two when duplicated) to the wrapped
+// transport with the spike and reorder holdback added to extra. Injected
+// drops return nil — a lossy network does not report loss to its sender.
+func (t *transport) SendAfter(to model.ProcessID, data []byte, extra time.Duration) error {
 	in := t.in
 	from := t.next.LocalID()
 	now := in.elapsed()
 	switch {
 	case in.crashed(from, now) || in.crashed(to, now):
-		in.dropCrash.Inc()
-		in.record(from, to, "inject-drop", "crash")
+		in.record(in.dropCrash, from, to, "inject-drop", "crash")
 		return nil
 	case in.partitioned(from, to, now):
-		in.dropPartition.Inc()
-		in.record(from, to, "inject-drop", "partition")
+		in.record(in.dropPartition, from, to, "inject-drop", "partition")
 		return nil
 	}
-	l := Link{From: from, To: to}
 	lf := in.cfg.Default
-	if !lf.active() {
-		return t.next.Send(to, data)
+	if !lf.active() || (in.cfg.Filter != nil && !in.cfg.Filter(from, to, data)) {
+		return t.next.SendAfter(to, data, extra)
 	}
-	if in.cfg.Filter != nil && !in.cfg.Filter(from, to, data) {
-		return t.next.Send(to, data)
-	}
-	d := in.decide(l, lf)
+	d := in.decide(Link{From: from, To: to}, lf)
 	if d.Drop {
-		in.dropLoss.Inc()
-		in.record(from, to, "inject-drop", "loss")
+		in.record(in.dropLoss, from, to, "inject-drop", "loss")
 		return nil
 	}
-	copies := 1
-	if d.Duplicate {
-		copies = 2
-		in.duplicated.Inc()
-		in.record(from, to, "inject-dup", "")
-	}
-	delay := d.Spike
 	if d.Spike > 0 {
-		in.delayed.Inc()
-		in.record(from, to, "inject-delay", "spike")
+		in.record(in.delayed, from, to, "inject-delay", "spike")
+		extra += d.Spike
 	}
 	if d.Reorder {
-		in.reordered.Inc()
-		in.record(from, to, "inject-delay", "reorder")
-		delay += 2 * time.Millisecond
+		in.record(in.reordered, from, to, "inject-delay", "reorder")
+		extra += 2 * time.Millisecond
 	}
-	if delay <= 0 {
-		var err error
-		for i := 0; i < copies; i++ {
-			if e := t.next.Send(to, data); e != nil && err == nil {
-				err = e
-			}
+	err := t.next.SendAfter(to, data, extra)
+	if d.Duplicate {
+		in.record(in.duplicated, from, to, "inject-dup", "")
+		if e := t.next.SendAfter(to, data, extra); err == nil {
+			err = e
 		}
-		return err
 	}
-	// Held-back copy: deliver after the injected delay from a goroutine the
-	// injector owns and joins on Close. Late send errors are dropped — by
-	// then the message is "in the network", and a lossy network loses it.
-	// A send racing Close is likewise lost: the goroutine would only have
-	// parked on in.done.
-	in.closeMu.RLock()
-	if in.closed {
-		in.closeMu.RUnlock()
-		return nil
-	}
-	in.wg.Add(1)
-	in.closeMu.RUnlock()
-	go func() {
-		defer in.wg.Done()
-		timer := time.NewTimer(delay)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-in.done:
-			return
-		}
-		for i := 0; i < copies; i++ {
-			_ = t.next.Send(to, data)
-		}
-	}()
-	return nil
+	return err
 }

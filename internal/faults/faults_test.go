@@ -12,22 +12,25 @@ import (
 	"repro/internal/wire"
 )
 
-// memTransport is a loopback transport for driving the injector directly.
+// memTransport records what the injector hands it, for driving the
+// injector directly.
 type memTransport struct {
 	id model.ProcessID
 
-	mu   sync.Mutex
-	sent []wire.Packet // To encoded in From field? no: record (to, data)
-	tos  []model.ProcessID
+	mu     sync.Mutex
+	extras []time.Duration // each send's extra delay, in send order
 }
 
 func (m *memTransport) LocalID() model.ProcessID { return m.id }
 
 func (m *memTransport) Send(to model.ProcessID, data []byte) error {
+	return m.SendAfter(to, data, 0)
+}
+
+func (m *memTransport) SendAfter(_ model.ProcessID, _ []byte, extra time.Duration) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.sent = append(m.sent, wire.Packet{From: m.id, Data: data})
-	m.tos = append(m.tos, to)
+	m.extras = append(m.extras, extra)
 	return nil
 }
 
@@ -37,7 +40,14 @@ func (m *memTransport) Close() error             { return nil }
 func (m *memTransport) count() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.sent)
+	return len(m.extras)
+}
+
+// held returns the extra delay of every send so far.
+func (m *memTransport) held() []time.Duration {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]time.Duration(nil), m.extras...)
 }
 
 // drive sends `sends` messages on each ordered link of an n-process system
@@ -161,56 +171,34 @@ func TestDropAndDuplicate(t *testing.T) {
 	}
 }
 
+// TestSpikeDelaysBeyondBound: a spiked message is handed to the transport at
+// once, held for the spike on top of the network's own delay.
 func TestSpikeDelaysBeyondBound(t *testing.T) {
 	in := NewInjector(Config{Seed: 3, Default: LinkFaults{
 		Spike: 1, SpikeMin: 30 * time.Millisecond, SpikeMax: 30 * time.Millisecond,
 	}})
+	defer func() { _ = in.Close() }()
 	under := &memTransport{id: 1}
-	tr := in.Wrap(under)
-	start := time.Now()
-	if err := tr.Send(2, []byte("slow")); err != nil {
+	if err := in.Wrap(under).Send(2, []byte("slow")); err != nil {
 		t.Fatal(err)
 	}
-	if under.count() != 0 {
-		t.Error("spiked message delivered synchronously")
+	if got := under.held(); len(got) != 1 || got[0] != 30*time.Millisecond {
+		t.Errorf("sends held %v, want one held 30ms", got)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for under.count() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if under.count() != 1 {
-		t.Fatalf("message lost: delivered %d", under.count())
-	}
-	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
-		t.Errorf("delivery after %v, want ≥ 30ms", elapsed)
-	}
-	_ = in.Close()
 }
 
-// TestReorderHoldsBack: a reordered message is held back at least 2ms, so a
-// send right behind it on the link overtakes it.
+// TestReorderHoldsBack: a reordered message is held back 2ms, so a send
+// right behind it on the link overtakes it.
 func TestReorderHoldsBack(t *testing.T) {
 	in := NewInjector(Config{Seed: 5, Default: LinkFaults{Reorder: 1}})
+	defer func() { _ = in.Close() }()
 	under := &memTransport{id: 1}
-	tr := in.Wrap(under)
-	start := time.Now()
-	if err := tr.Send(2, []byte("late")); err != nil {
+	if err := in.Wrap(under).Send(2, []byte("late")); err != nil {
 		t.Fatal(err)
 	}
-	if under.count() != 0 {
-		t.Error("reordered message delivered synchronously")
+	if got := under.held(); len(got) != 1 || got[0] != 2*time.Millisecond {
+		t.Errorf("sends held %v, want one held 2ms", got)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for under.count() == 0 && time.Now().Before(deadline) {
-		time.Sleep(100 * time.Microsecond)
-	}
-	if under.count() != 1 {
-		t.Fatalf("message lost: delivered %d", under.count())
-	}
-	if elapsed := time.Since(start); elapsed < 2*time.Millisecond {
-		t.Errorf("delivery after %v, want ≥ 2ms", elapsed)
-	}
-	_ = in.Close()
 }
 
 func TestPartitionBlackholesBoundaryOnly(t *testing.T) {

@@ -74,6 +74,7 @@ const (
 	DropLoss     = "loss"     // injected link loss (negative delay hook)
 	DropOverflow = "overflow" // bounded inbox or send queue was full
 	DropGiveUp   = "giveup"   // TCP frame abandoned after its retry budget
+	DropClosed   = "closed"   // still in flight when the network closed
 )
 
 // WireStats counts codec traffic per message type, in both the registry
@@ -374,7 +375,7 @@ func (lt *LinkTap) Received(from, to model.ProcessID, bytes int) {
 }
 
 // Dropped records one message the transport itself lost, labelled with the
-// reason (DropLoss, DropOverflow, DropGiveUp).
+// reason (DropLoss, DropOverflow, DropGiveUp, DropClosed).
 func (lt *LinkTap) Dropped(from, to model.ProcessID, reason string) {
 	if lt == nil {
 		return

@@ -102,7 +102,8 @@ func TestWireStatsPerKind(t *testing.T) {
 // TestClusterCostConservation is the no-faults conservation property: with
 // every encode followed by exactly one transport send, the sum of per-link
 // bytes equals the sum over message types of size × count, and after the
-// network has drained, sends equal deliveries plus transport drops.
+// network has closed, sends equal deliveries plus transport drops (what was
+// still in flight counts as dropped, reason "closed").
 func TestClusterCostConservation(t *testing.T) {
 	for _, kind := range []rounds.ModelKind{rounds.RS, rounds.RWS} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -152,11 +153,7 @@ func TestClusterCostConservation(t *testing.T) {
 				t.Fatalf("per-link sums (%d msgs, %d B) != wire encoded (%d msgs, %d B)",
 					linkMsgs, linkBytes, wireMsgs, wireBytes)
 			}
-			// Delivery conservation holds for RS, where the round barrier
-			// drains the network before teardown; an RWS run can have
-			// heartbeats still in flight when the network closes, and a
-			// cancelled delivery is neither received nor dropped.
-			if kind == rounds.RS && tot.MsgsSent != tot.MsgsReceived+tot.Dropped {
+			if tot.MsgsSent != tot.MsgsReceived+tot.Dropped {
 				t.Fatalf("sent %d != received %d + dropped %d",
 					tot.MsgsSent, tot.MsgsReceived, tot.Dropped)
 			}
@@ -176,7 +173,8 @@ func TestClusterCostConservation(t *testing.T) {
 // TestInjectorConservation drives a deterministic send sequence through a
 // drop+dup injector and checks the injector-level conservation law:
 // transport sends == logical sends − injected drops + injected dups, and
-// every transport send resolves into a delivery (no overflow here).
+// every transport send resolves into a delivery or, if the network closed
+// first, a drop.
 func TestInjectorConservation(t *testing.T) {
 	reg := obs.NewRegistry()
 	nw := runtime.NewChanNetwork(2, runtime.ChanConfig{
@@ -187,7 +185,7 @@ func TestInjectorConservation(t *testing.T) {
 		Default: faults.LinkFaults{Drop: 0.3, Duplicate: 0.2},
 		Metrics: reg,
 	})
-	ep := inj.Wrap(nw.Endpoint(1))
+	ep := inj.Wrap(nw.Endpoint(1).(faults.Transport))
 
 	const sends = 500
 	payload := []byte{1, 2, 0, byte(wire.KindNull)}
@@ -198,17 +196,6 @@ func TestInjectorConservation(t *testing.T) {
 	}
 	if err := inj.Close(); err != nil {
 		t.Fatalf("injector close: %v", err)
-	}
-	// Let the in-flight (delayed) deliveries resolve before closing: Close
-	// cancels pending deliveries, which would leave them neither received
-	// nor dropped.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		tot := nw.Telemetry().Totals()
-		if tot.MsgsReceived+tot.Dropped == tot.MsgsSent || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
 	}
 	if err := nw.Close(); err != nil {
 		t.Fatalf("network close: %v", err)

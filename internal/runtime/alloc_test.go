@@ -7,12 +7,13 @@ import (
 	"time"
 
 	"repro/internal/consensus"
+	"repro/internal/faults"
 	"repro/internal/model"
 )
 
 // The saturated engine's shape: FloodSetWS at n=5, t=2 over the default
 // mesh, a 5 ms / 3 s heartbeat detector, distinct proposals and a closed
-// loop holding satWindow instances open.
+// loop holding satWindow instances open; fc, when non-nil, faults the mesh.
 const (
 	satN, satT = 5, 2
 	satWindow  = 256
@@ -27,7 +28,7 @@ type satLoop struct {
 	next uint64
 }
 
-func startSaturated(tb testing.TB) *satLoop {
+func startSaturated(tb testing.TB, fc *faults.Config) *satLoop {
 	tb.Helper()
 	// In flight plus completed-but-unread never exceeds the window, so the
 	// callback never blocks a worker.
@@ -37,6 +38,7 @@ func startSaturated(tb testing.TB) *satLoop {
 		HeartbeatPeriod: 5 * time.Millisecond,
 		SuspectTimeout:  3 * time.Second,
 		OnInstanceDone:  func(_ uint64, out InstanceOutcome) { s.done <- out },
+		Faults:          fc,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -75,7 +77,7 @@ func (s *satLoop) commit(k int) {
 // loop; allocs/op is allocations per commit, process-wide (detectors and
 // mesh included).
 func BenchmarkEngineSaturated(b *testing.B) {
-	s := startSaturated(b)
+	s := startSaturated(b, nil)
 	s.commit(2 * satWindow) // warm-up: the recycled buffers reach steady state
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -111,7 +113,7 @@ func TestSaturatedAllocsPerCommit(t *testing.T) {
 		allocsCeil = 45
 		bytesCeil  = 5500
 	)
-	s := startSaturated(t)
+	s := startSaturated(t, nil)
 	s.commit(2 * satWindow)
 	var before, after goruntime.MemStats
 	goruntime.ReadMemStats(&before)
@@ -125,5 +127,32 @@ func TestSaturatedAllocsPerCommit(t *testing.T) {
 	}
 	if bytes > bytesCeil {
 		t.Errorf("%.0f B allocated per commit, want at most %d", bytes, bytesCeil)
+	}
+}
+
+// TestChaosGoroutinesBounded: a fault injector starts no goroutine per
+// packet — a spiked or reordered packet waits in the mesh's delivery queue —
+// so the saturated loop's goroutine peak under spikes and reorders stays
+// that of the same loop fault-free.
+func TestChaosGoroutinesBounded(t *testing.T) {
+	peak := func(fc *faults.Config) int {
+		s := startSaturated(t, fc)
+		defer func() { _ = s.e.Close() }()
+		most := 0
+		for end := time.Now().Add(500 * time.Millisecond); time.Now().Before(end); {
+			s.commit(50)
+			if g := goruntime.NumGoroutine(); g > most {
+				most = g
+			}
+		}
+		return most
+	}
+	free := peak(nil)
+	chaos := peak(&faults.Config{Seed: 1, Default: faults.LinkFaults{
+		Spike: 0.2, SpikeMin: time.Millisecond, SpikeMax: 3 * time.Millisecond, Reorder: 0.2,
+	}})
+	t.Logf("goroutine peak: %d fault-free, %d under spikes and reorders", free, chaos)
+	if chaos > free+2 {
+		t.Errorf("goroutine peak under chaos %d, want at most the fault-free %d + 2", chaos, free)
 	}
 }

@@ -129,6 +129,8 @@ type EngineConfig struct {
 	// every node and the mesh — beneath the batcher and the detector, so
 	// faults stay per-link: a dropped packet takes a whole batch, a delayed
 	// packet delays every instance riding in it, exactly like a real link.
+	// The mesh holds a delayed packet, so its endpoints must implement
+	// faults.Transport (both built-in networks do).
 	Faults *faults.Config
 
 	// OnInstanceDone, when non-nil, is invoked once per instance when its
@@ -488,13 +490,32 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 		inj = faults.NewInjector(fcfg)
 	}
 
+	// abandon tears down nodes 1..built (Stop frees eager detectors) and the mesh.
+	endpoints := make([]Transport, n+1)
+	abandon := func(built int) {
+		for j := 1; j <= built; j++ {
+			if er.fds[j] != nil {
+				er.fds[j].Stop()
+			}
+			_ = endpoints[j].Close()
+		}
+		if inj != nil {
+			_ = inj.Close()
+		}
+		_ = network.Close()
+	}
+
 	// Per-node plumbing: endpoint → (injector) → {detector, demux, one
 	// batcher per worker}.
-	endpoints := make([]Transport, n+1)
 	for i := 1; i <= n; i++ {
 		var tr Transport = network.Endpoint(model.ProcessID(i))
 		if inj != nil {
-			tr = inj.Wrap(tr)
+			ft, ok := tr.(faults.Transport)
+			if !ok {
+				abandon(i - 1)
+				return nil, fmt.Errorf("runtime: engine node %d: Faults needs an endpoint with SendAfter, %T has none", i, tr)
+			}
+			tr = inj.Wrap(ft)
 		}
 		endpoints[i] = tr
 		// Under RS er.fds[i] stays an untyped nil: the fd != nil guards rely
@@ -507,17 +528,7 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 				Metrics:  reg, Events: cfg.Events, Wire: ws,
 			})
 			if err != nil {
-				// Already-built detectors hold no goroutines before Start,
-				// but Stop anyway: the contract says it is safe, and
-				// constructions with eager resources rely on it.
-				for j := 1; j < i; j++ {
-					er.fds[j].Stop()
-					_ = endpoints[j].Close()
-				}
-				if inj != nil {
-					_ = inj.Close()
-				}
-				_ = network.Close()
+				abandon(i - 1)
 				return nil, fmt.Errorf("runtime: engine node %d: detector %q: %w", i, spec.Name, err)
 			}
 			er.fds[i] = d

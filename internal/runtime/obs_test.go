@@ -186,25 +186,39 @@ func TestRunClusterErrorPathLeaksNothing(t *testing.T) {
 	}
 }
 
-// TestStartEngineErrorPath covers the construction-time early return: a
+// TestStartEngineErrorPath covers the construction-time early returns: a
 // rejected config — an unknown model, or a resilience bound outside
 // [0, n) — leaves a caller-supplied network untouched (no goroutine has
-// started, nothing was closed on the caller's behalf).
+// started, nothing was closed on the caller's behalf). Faults over a
+// network whose endpoints cannot hold a packet back (no SendAfter) fails
+// once the engine has taken the network over: it names the endpoint type,
+// closes the network and leaves no goroutine either.
 func TestStartEngineErrorPath(t *testing.T) {
 	for _, cfg := range []EngineConfig{
 		{Kind: rounds.ModelKind(9), T: 1},
 		{T: -2},
 		{T: 2},
+		{T: 1, Faults: &faults.Config{}},
 	} {
 		nw := NewChanNetwork(2, ChanConfig{Metrics: obs.NewRegistry()})
 		before := goruntime.NumGoroutine()
 		cfg.Network, cfg.Metrics = nw, obs.NewRegistry()
+		if cfg.Faults != nil {
+			cfg.Network = &failingNetwork{inner: nw}
+		}
 		cr, err := RunCluster(consensus.FloodSet{}, cfg, vals(1, 2), OpenOptions{})
 		if err == nil || cr != nil {
 			t.Fatalf("kind %v t=%d: RunCluster = (%v, %v), want a config error and no result", cfg.Kind, cfg.T, cr, err)
 		}
-		if err := nw.Endpoint(1).Send(2, []byte("still open")); err != nil {
+		if cfg.Faults != nil && !strings.Contains(err.Error(), "*runtime.failingEndpoint") {
+			t.Errorf("faults over endpoints without SendAfter: error %q does not name the endpoint type", err)
+		}
+		err = nw.Endpoint(1).Send(2, []byte("still open"))
+		switch {
+		case cfg.Faults == nil && err != nil:
 			t.Errorf("kind %v t=%d: rejected config closed the caller's network: %v", cfg.Kind, cfg.T, err)
+		case cfg.Faults != nil && err != ErrClosed:
+			t.Errorf("faults over endpoints without SendAfter left the network open (send: %v)", err)
 		}
 		deadline := time.Now().Add(2 * time.Second)
 		for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {

@@ -451,6 +451,51 @@ func TestTCPPeerCloseMidStream(t *testing.T) {
 	}
 }
 
+// TestTCPSendAfter: a frame sent with extra delay is delivered no sooner
+// than that, and holds no goroutine while it waits; Close with a frame still
+// held returns, and the held frame is never sent.
+func TestTCPSendAfter(t *testing.T) {
+	const extra = 20 * time.Millisecond
+	nw, err := NewTCPNetwork(2, WithTCPMetrics(obs.NewRegistry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := nw.Endpoint(1).(faults.Transport)
+	sent := time.Now()
+	if err := src.SendAfter(2, []byte("held"), extra); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case pkt := <-nw.Endpoint(2).Recv():
+		if waited := time.Since(sent); string(pkt.Data) != "held" || waited < extra {
+			t.Errorf("got %q after %v, want %q after ≥ %v", pkt.Data, waited, "held", extra)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("held frame never arrived")
+	}
+
+	before := goruntime.NumGoroutine()
+	if err := src.SendAfter(2, []byte("late"), 50*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if after := goruntime.NumGoroutine(); after > before {
+		t.Errorf("a held frame started %d goroutines", after-before)
+	}
+	closed := make(chan struct{})
+	go func() { _ = nw.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung on a held frame")
+	}
+	if tot := nw.Telemetry().Totals(); tot.MsgsSent != 1 {
+		t.Errorf("%d frames sent, want 1: the frame held past Close must be refused", tot.MsgsSent)
+	}
+	if err := src.SendAfter(2, []byte("x"), extra); err != ErrClosed {
+		t.Errorf("SendAfter after Close = %v, want ErrClosed", err)
+	}
+}
+
 func TestTCPConcurrentCloseAndSend(t *testing.T) {
 	// Race exercise: senders hammering the mesh while Close tears it down.
 	// Run with -race; correctness here is "no panic, no deadlock, everything

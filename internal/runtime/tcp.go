@@ -376,6 +376,27 @@ func (e *tcpEndpoint) Send(to model.ProcessID, data []byte) error {
 	return e.nw.send(e.id, to, data)
 }
 
+// SendAfter is Send with extra in-flight delay (faults.Transport): the frame
+// waits on a runtime timer, with no goroutine, for its link's queue. Close
+// waits the timer out, and the send it then makes is refused.
+func (e *tcpEndpoint) SendAfter(to model.ProcessID, data []byte, extra time.Duration) error {
+	nw := e.nw
+	if extra <= 0 || !to.Valid(nw.n) {
+		return nw.send(e.id, to, data) // refuses an invalid destination
+	}
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	if nw.closed {
+		return ErrClosed
+	}
+	nw.wg.Add(1) // under nw.mu and before closed: Close waits for the timer
+	time.AfterFunc(extra, func() {
+		defer nw.wg.Done()
+		_ = nw.send(e.id, to, data)
+	})
+	return nil
+}
+
 // Recv implements Transport.
 func (e *tcpEndpoint) Recv() <-chan Packet { return e.nw.inboxes[e.id] }
 

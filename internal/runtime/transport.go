@@ -81,12 +81,13 @@ type ChanConfig struct {
 
 // ChanNetwork is a fully connected in-process network with per-message
 // delivery delays. Each destination has one delivery queue — a min-heap on
-// (due time, send order) — drained by at most one goroutine per inbox. A
+// (due time, send order) — drained by at most one goroutine per inbox; a
+// packet a fault injector holds back (SendAfter) waits in the same heap. A
 // queue holding only control packets sleeps on a timer armed to the earliest
 // due time; one holding round traffic blocks on its own kernel clock, whose
 // expiry wakes the netpoller to the microsecond, not the whole millisecond a
 // timer rounds to in an idle process. The goroutine count is bounded by n
-// however many packets are in flight.
+// however many packets are in flight, held back or not.
 type ChanNetwork struct {
 	n     int
 	cfg   ChanConfig
@@ -257,9 +258,9 @@ func (nw *ChanNetwork) delay(from, to model.ProcessID, data []byte) time.Duratio
 	return time.Duration(nw.rng.Int63n(int64(nw.cfg.MaxDelay)))
 }
 
-// send queues a delayed delivery. The network keeps data until it is
-// delivered: the caller surrenders the slice.
-func (nw *ChanNetwork) send(from, to model.ProcessID, data []byte) error {
+// send queues a delivery due after the drawn delay plus extra. The network
+// keeps data until it is delivered: the caller surrenders the slice.
+func (nw *ChanNetwork) send(from, to model.ProcessID, data []byte, extra time.Duration) error {
 	if !to.Valid(nw.n) {
 		return fmt.Errorf("runtime: send to invalid destination %v", to)
 	}
@@ -276,7 +277,7 @@ func (nw *ChanNetwork) send(from, to model.ProcessID, data []byte) error {
 		return nil
 	}
 	nw.seq++
-	d := delivery{due: time.Since(nw.start) + delay, seq: nw.seq, from: from, data: data}
+	d := delivery{due: time.Since(nw.start) + delay + extra, seq: nw.seq, from: from, data: data}
 	nw.mu.Unlock()
 	d.control = wire.PeekControl(data)
 
@@ -399,8 +400,8 @@ func (nw *ChanNetwork) deliver(to model.ProcessID, d *delivery) {
 	}
 }
 
-// Close shuts the network down, dropping what is still in flight, and joins
-// the drain goroutines.
+// Close shuts the network down, dropping what is still in flight (counted
+// with reason DropClosed), and joins the drain goroutines.
 func (nw *ChanNetwork) Close() error {
 	nw.mu.Lock()
 	if nw.closed {
@@ -418,6 +419,10 @@ func (nw *ChanNetwork) Close() error {
 		q.mu.Lock()
 		q.closed = true
 		_ = q.clock.Close() // nil-safe, as in dropClock
+		for j := range q.heap {
+			nw.tm.Dropped(q.heap[j].from, model.ProcessID(i), netobs.DropClosed)
+		}
+		q.heap, q.rounds = nil, 0
 		q.mu.Unlock()
 		q.signal()
 	}
@@ -437,7 +442,13 @@ func (e *chanEndpoint) LocalID() model.ProcessID { return e.id }
 
 // Send implements Transport.
 func (e *chanEndpoint) Send(to model.ProcessID, data []byte) error {
-	return e.nw.send(e.id, to, data)
+	return e.nw.send(e.id, to, data, 0)
+}
+
+// SendAfter is Send with extra in-flight delay on top of the drawn one
+// (faults.Transport): the packet waits in its inbox's delivery queue.
+func (e *chanEndpoint) SendAfter(to model.ProcessID, data []byte, extra time.Duration) error {
+	return e.nw.send(e.id, to, data, extra)
 }
 
 // Recv implements Transport.

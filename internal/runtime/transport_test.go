@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/model"
 	"repro/internal/netobs"
 	"repro/internal/obs"
@@ -189,7 +190,8 @@ func TestChanNetworkDeliversInDueOrder(t *testing.T) {
 
 // TestChanNetworkLongDelayHoldsNothingBack: a packet an hour out does not
 // delay one sent after it, and a dropped one (negative delay) is counted as
-// loss and never arrives.
+// loss and never arrives. Close drops the packet still in flight and counts
+// it, so sends equal deliveries plus drops.
 func TestChanNetworkLongDelayHoldsNothingBack(t *testing.T) {
 	reg := obs.NewRegistry()
 	nw := NewChanNetwork(2, ChanConfig{Delay: hookDelay, Metrics: reg})
@@ -219,6 +221,40 @@ func TestChanNetworkLongDelayHoldsNothingBack(t *testing.T) {
 	case <-closed:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close waited for the packet an hour out")
+	}
+	if got := dropsByReason(reg, netobs.DropClosed); got != 1 {
+		t.Errorf("closed drops = %d, want 1", got)
+	}
+	if tot := nw.Telemetry().Totals(); tot.MsgsSent != tot.MsgsReceived+tot.Dropped {
+		t.Errorf("totals %+v after Close, want sent = received + dropped", tot)
+	}
+}
+
+// TestChanNetworkSendAfter: a packet held back with extra delay waits in the
+// delivery queue, so a plain send right behind it overtakes it, and it
+// arrives no sooner than its extra delay.
+func TestChanNetworkSendAfter(t *testing.T) {
+	const extra = 2 * time.Millisecond
+	nw := NewChanNetwork(2, ChanConfig{Metrics: obs.NewRegistry(), Delay: func(_, _ model.ProcessID, _ []byte) time.Duration {
+		return 0
+	}})
+	defer func() { _ = nw.Close() }()
+	src, dst := nw.Endpoint(1).(faults.Transport), nw.Endpoint(2)
+	sent := time.Now()
+	if err := src.SendAfter(2, []byte("held"), extra); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Send(2, []byte("plain")); err != nil {
+		t.Fatal(err)
+	}
+	if pkt := recvWithin(t, dst, 5*time.Second); string(pkt.Data) != "plain" {
+		t.Errorf("first arrival %q, want the plain send", pkt.Data)
+	}
+	if pkt := recvWithin(t, dst, 5*time.Second); string(pkt.Data) != "held" {
+		t.Errorf("second arrival %q, want the held packet", pkt.Data)
+	}
+	if waited := time.Since(sent); waited < extra {
+		t.Errorf("held packet arrived %v after it was sent, want ≥ %v", waited, extra)
 	}
 }
 
