@@ -150,10 +150,13 @@ job_telemetry() {
 # (TestChaosGoroutinesBounded), a held packet waits in ChanNetwork's delivery
 # queue (TestChanNetworkSendAfter) or on a TCP timer (TestTCPSendAfter), and
 # what is still in flight at Close is counted as dropped
-# (TestClusterCostConservation). Named here so a regression shows by name.
+# (TestClusterCostConservation), and a 30%-loss mesh starves rounds into
+# WaitBound halts but never splits a decision
+# (TestEngineLossyMeshKeepsAgreement). Named here so a regression shows by
+# name.
 job_chaos() {
   go test -race -count=2 ./internal/faults/ ./internal/runtime/
-  go test -race -count=2 -run 'TestChaosGoroutinesBounded|TestChanNetworkSendAfter|TestTCPSendAfter' ./internal/runtime/
+  go test -race -count=2 -run 'TestChaosGoroutinesBounded|TestChanNetworkSendAfter|TestTCPSendAfter|TestEngineLossyMeshKeepsAgreement' ./internal/runtime/
   go test -race -count=2 -run 'TestClusterCostConservation' ./internal/netobs/
   go test -race -count=2 -run 'TestAllExperimentsPass' ./internal/core/
   go run ./cmd/ssfd-bench -faults "loss=0.3,seed=7"
@@ -181,10 +184,14 @@ job_chaos() {
 # TestEngineMixedRowFilesAndDecodes), sent messages that sender,
 # self-delivery and peers share and nobody rewrites
 # (TestEngineSharedMessagesStayAsSent), the header-only split
-# (TestSplitAllocatesNothing, TestDecodeHostileCounts) and the per-sweep
-# histogram fold (TestHistogramTallyFolds) are what -race -count=2 shakes out.
+# (TestSplitAllocatesNothing, TestDecodeHostileCounts), the per-sweep
+# histogram fold (TestHistogramTallyFolds) and the worker's sweep stepped
+# with no mesh or clock — every n=3 t=1 run of the round model replayed
+# through it (TestDriverMatchesRoundModel), §5.3 scripted
+# (TestDriverA1DisagreesInRWS) and the WaitBound halt
+# (TestDriverWaitBoundHaltsUndecided) — are what -race -count=2 shakes out.
 job_multi_instance() {
-  go test -race -count=2 -run 'TestEngine|TestStartEngine|TestOpenAfterAbort|TestBatch|TestCluster|TestAgreement|TestLiveRSA1|TestChanNetwork|TestDeliveryQueue|TestPeekControl|TestDetectorSend|TestDetectorRegistry|TestEnginePacketsHaveOneOwner|TestEngineOwnershipUnderFaults|TestEngineFilesSendersMessage|TestEngineDecodesFramesUnlikeTheSent|TestEngineMixedRowFilesAndDecodes|TestEngineSharedMessagesStayAsSent|TestSplitAllocatesNothing|TestDecodeHostileCounts|TestHistogramTallyFolds' ./internal/runtime/ ./internal/wire/ ./internal/obs/
+  go test -race -count=2 -run 'TestEngine|TestStartEngine|TestOpenAfterAbort|TestBatch|TestCluster|TestAgreement|TestLiveRSA1|TestChanNetwork|TestDeliveryQueue|TestPeekControl|TestDetectorSend|TestDetectorRegistry|TestEnginePacketsHaveOneOwner|TestEngineOwnershipUnderFaults|TestEngineFilesSendersMessage|TestEngineDecodesFramesUnlikeTheSent|TestEngineMixedRowFilesAndDecodes|TestEngineSharedMessagesStayAsSent|TestSplitAllocatesNothing|TestDecodeHostileCounts|TestHistogramTallyFolds|TestDriverMatchesRoundModel|TestDriverA1DisagreesInRWS|TestDriverWaitBoundHaltsUndecided' ./internal/runtime/ ./internal/wire/ ./internal/obs/
   go test -race -count=2 -run 'TestCrashOnMultiplexedMesh' ./internal/fdimpl/
   floor ./internal/wire/ 85
   floor ./internal/runtime/ 85

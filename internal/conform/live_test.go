@@ -13,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rounds"
 	"repro/internal/runtime"
+	"repro/internal/wire"
 )
 
 // liveInitials returns the fixed initial configuration used by every live
@@ -157,6 +158,56 @@ func TestLiveRunEndsAtHorizon(t *testing.T) {
 	if lr := rep.Live; lr.Truncated || lr.Horizon != len(lr.Rounds) || lr.Horizon != len(rep.Run.Rounds) {
 		t.Errorf("projection has %d rounds, horizon %d (truncated=%v), replay %d rounds; want all equal",
 			len(lr.Rounds), lr.Horizon, lr.Truncated, len(rep.Run.Rounds))
+	}
+}
+
+// TestLiveWaitBoundHaltIsNotACrash: a node whose round a lost frame starves
+// — the sender alive and unsuspected — halts at WaitBound without closing
+// the round. The projection must read that as a halt: no crash round, no
+// reception record for the starved round, and no Lemma 4.1 finding,
+// because nobody closed a round without a live peer's message.
+func TestLiveWaitBoundHaltIsNotACrash(t *testing.T) {
+	alg := algByName(t, "FloodSetWS")
+	meta := conform.Meta{Alg: alg, Kind: rounds.RWS, T: 1, Initial: liveInitials(3)}
+	var events obs.Collector
+	cr, err := runtime.RunCluster(alg, runtime.EngineConfig{
+		Kind: rounds.RWS, T: 1,
+		SuspectTimeout: 2 * time.Second,
+		WaitBound:      50 * time.Millisecond,
+		Faults: &faults.Config{
+			Default: faults.LinkFaults{Drop: 1},
+			// Lose p1's round-2 frame to p2, and nothing else.
+			Filter: func(from, to model.ProcessID, data []byte) bool {
+				lost := false
+				_ = wire.SplitBatch(data, func(frame []byte) error {
+					env, err := wire.Decode(frame)
+					lost = lost || err == nil && !env.Kind.Control() && env.Round == 2
+					return nil
+				})
+				return from == 1 && to == 2 && lost
+			},
+		},
+	}, meta.Initial, runtime.OpenOptions{Events: &events})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p2 := cr.Outcome.Nodes[1]; cr.Outcome.Decided[1] || p2.Crashed || p2.WaitTimeouts != 1 || p2.Rounds != 1 {
+		t.Fatalf("p2 = %+v (decided %v), want halted undecided after round 1 by one expiry", p2, cr.Outcome.Decided[1])
+	}
+	lr, err := conform.Project(meta, events.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 1; p <= 3; p++ {
+		if lr.CrashRound[p] != 0 {
+			t.Errorf("projection crashes p%d in round %d", p, lr.CrashRound[p])
+		}
+	}
+	if len(lr.Rounds) < 2 || lr.Rounds[1].Completed.Has(2) || lr.DecidedAt[2] != 0 {
+		t.Errorf("projection: rounds %+v, p2 decided at %d; want p2 never closing round 2", lr.Rounds, lr.DecidedAt[2])
+	}
+	if v := conform.OnlineInvariants(lr); len(v) != 0 {
+		t.Errorf("invariant findings on a halt: %v", v)
 	}
 }
 

@@ -147,7 +147,7 @@ func RunCluster(alg rounds.Algorithm, cfg EngineConfig, initial []model.Value, o
 		cr.PartitionLog = e.inj.PartitionLog()
 		cr.FaultDecisions = e.inj.Decisions()
 	}
-	cr.WireKinds = e.ws.PerKind()
+	cr.WireKinds = e.er.ws.PerKind()
 	cr.Links = e.links()
 	if err != nil {
 		return cr, fmt.Errorf("runtime: %w", err)

@@ -118,11 +118,11 @@ type EngineConfig struct {
 	// eventually suspected — but a network that *loses* data messages while
 	// heartbeats still flow starves the wait forever (the peer is provably
 	// alive, its message provably never coming). On expiry the automaton
-	// proceeds with what it has and the expiry is counted
-	// (ssfd_node_wait_timeouts_total, InstanceOutcome.WaitTimeouts). Zero
-	// defaults to 30s: with 100k instances in flight a single starved wait
-	// must degrade one instance, not hang the process. Negative keeps the
-	// model-faithful unbounded wait.
+	// halts without the round's transition, keeping any decision it took —
+	// closing the round without a live peer's message is an omission outside
+	// the crash model and could split the instance — and the expiry is
+	// counted (ssfd_node_wait_timeouts_total, InstanceOutcome.WaitTimeouts).
+	// Zero or negative means 30s: one starved wait must end one instance.
 	WaitBound time.Duration
 
 	// Faults, when non-nil, interposes the seeded per-link injector between
@@ -181,7 +181,7 @@ type OpenOptions struct {
 type NodeOutcome struct {
 	DecidedAt    int32 // round of the decision; 0 if undecided
 	Rounds       int32 // rounds completed (transitions applied)
-	WaitTimeouts int32 // rounds cut short under WaitBound
+	WaitTimeouts int32 // 1 if a WaitBound expiry halted the node
 	Crashed      bool  // the node crash-stopped before the instance ended
 }
 
@@ -191,7 +191,7 @@ type InstanceOutcome struct {
 	// Decided and Decisions are indexed id-1.
 	Decided   []bool
 	Decisions []model.Value
-	// WaitTimeouts counts rounds this instance cut short under WaitBound.
+	// WaitTimeouts counts the automata a WaitBound expiry halted.
 	WaitTimeouts int
 	// Nodes is indexed id-1 (nil when Err is set).
 	Nodes []NodeOutcome
@@ -375,7 +375,6 @@ func (er *engineRun) finish(inst uint64, out InstanceOutcome) {
 type Engine struct {
 	er  *engineRun
 	reg *obs.Registry
-	ws  *netobs.WireStats
 
 	network interface {
 		Endpoint(model.ProcessID) Transport
@@ -431,14 +430,11 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = cfg.T + 2
 	}
-	if cfg.WaitBound == 0 {
+	if cfg.WaitBound <= 0 {
 		cfg.WaitBound = 30 * time.Second
 	}
 	if cfg.Groups <= 0 {
-		cfg.Groups = stdruntime.GOMAXPROCS(0)
-		if cfg.Groups > 8 {
-			cfg.Groups = 8
-		}
+		cfg.Groups = min(stdruntime.GOMAXPROCS(0), 8)
 	}
 	if cfg.Buffer <= 0 {
 		cfg.Buffer = 1 << 15
@@ -450,23 +446,6 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 	spec := cfg.Detector
 	if spec == nil {
 		spec = HeartbeatDetector()
-	}
-
-	ws := netobs.NewWireStats(reg)
-	er := &engineRun{
-		cfg:        cfg,
-		alg:        alg,
-		n:          n,
-		maxRounds:  cfg.MaxRounds,
-		ws:         ws,
-		fds:        make([]Detector, n+1),
-		metrics:    newNodeMetrics(reg, alg.Name(), cfg.Kind),
-		unknown:    reg.Counter(MetricEngineUnknownInstance),
-		decidedCtr: reg.Counter(MetricEngineInstancesDecided),
-		openedCtr:  reg.Counter(MetricEngineInstancesOpened),
-		doneCtr:    reg.Counter(MetricEngineInstancesDone),
-		handles:    make(map[uint64]*Instance),
-		abortCh:    make(chan struct{}),
 	}
 
 	network := cfg.Network
@@ -491,10 +470,11 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 	}
 
 	// abandon tears down nodes 1..built (Stop frees eager detectors) and the mesh.
+	var er *engineRun
 	endpoints := make([]Transport, n+1)
 	abandon := func(built int) {
 		for j := 1; j <= built; j++ {
-			if er.fds[j] != nil {
+			if er != nil && er.fds[j] != nil {
 				er.fds[j].Stop()
 			}
 			_ = endpoints[j].Close()
@@ -518,48 +498,26 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 			tr = inj.Wrap(ft)
 		}
 		endpoints[i] = tr
-		// Under RS er.fds[i] stays an untyped nil: the fd != nil guards rely
-		// on it.
-		if cfg.Kind == rounds.RWS {
-			d, err := spec.New(DetectorConfig{
-				Transport: tr, N: n,
-				Period: cfg.HeartbeatPeriod, Timeout: cfg.SuspectTimeout,
-				Adaptive: cfg.AdaptiveTimeout,
-				Metrics:  reg, Events: cfg.Events, Wire: ws,
-			})
-			if err != nil {
-				abandon(i - 1)
-				return nil, fmt.Errorf("runtime: engine node %d: detector %q: %w", i, spec.Name, err)
-			}
-			er.fds[i] = d
-		}
 	}
-
-	// Shard workers: worker w owns instances {k : k mod Groups == w} and
-	// sends their frames through its own batcher per node, flushed at the
-	// end of each sweep. Detector control traffic is never batched — a
-	// queued heartbeat is a false suspicion waiting to happen.
-	er.workers = make([]*engWorker, cfg.Groups)
-	for w := range er.workers {
-		ew := &engWorker{
-			run:       er,
-			idx:       w,
-			links:     make([]*Batcher, n+1),
-			suspects:  make([]model.ProcSet, n+1),
-			scratch:   make([]rounds.Message, n+1),
-			durations: er.metrics.roundDuration.Tally(),
+	er = newEngineRun(alg, cfg, reg, endpoints)
+	// Under RS every er.fds entry stays an untyped nil (the fd != nil guards).
+	for i := 1; i <= n && cfg.Kind == rounds.RWS; i++ {
+		d, err := spec.New(DetectorConfig{
+			Transport: endpoints[i], N: n,
+			Period: cfg.HeartbeatPeriod, Timeout: cfg.SuspectTimeout,
+			Adaptive: cfg.AdaptiveTimeout,
+			Metrics:  reg, Events: cfg.Events, Wire: er.ws,
+		})
+		if err != nil {
+			abandon(n)
+			return nil, fmt.Errorf("runtime: engine node %d: detector %q: %w", i, spec.Name, err)
 		}
-		for i := 1; i <= n; i++ {
-			ew.links[i] = NewBatcher(endpoints[i], BatcherConfig{Metrics: reg})
-		}
-		ew.mb.notify = make(chan struct{}, 1)
-		er.workers[w] = ew
+		er.fds[i] = d
 	}
 
 	e := &Engine{
 		er:        er,
 		reg:       reg,
-		ws:        ws,
 		network:   network,
 		endpoints: endpoints,
 		inj:       inj,
@@ -585,6 +543,47 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 	return e, nil
 }
 
+// newEngineRun builds an engine's shared state over endpoints (1..n), cfg
+// complete, with no detector and no goroutine. Worker w owns instances k ≡ w
+// (mod Groups) and batches their frames on its own Batcher per node, flushed
+// each sweep; detector traffic is never batched (a queued heartbeat is a
+// false suspicion waiting to happen).
+func newEngineRun(alg rounds.Algorithm, cfg EngineConfig, reg *obs.Registry, endpoints []Transport) *engineRun {
+	n := cfg.N
+	er := &engineRun{
+		cfg:        cfg,
+		alg:        alg,
+		n:          n,
+		maxRounds:  cfg.MaxRounds,
+		ws:         netobs.NewWireStats(reg),
+		fds:        make([]Detector, n+1),
+		workers:    make([]*engWorker, cfg.Groups),
+		metrics:    newNodeMetrics(reg, alg.Name(), cfg.Kind),
+		unknown:    reg.Counter(MetricEngineUnknownInstance),
+		decidedCtr: reg.Counter(MetricEngineInstancesDecided),
+		openedCtr:  reg.Counter(MetricEngineInstancesOpened),
+		doneCtr:    reg.Counter(MetricEngineInstancesDone),
+		handles:    make(map[uint64]*Instance),
+		abortCh:    make(chan struct{}),
+	}
+	for w := range er.workers {
+		ew := &engWorker{
+			run:       er,
+			idx:       w,
+			links:     make([]*Batcher, n+1),
+			suspects:  make([]model.ProcSet, n+1),
+			scratch:   make([]rounds.Message, n+1),
+			durations: er.metrics.roundDuration.Tally(),
+		}
+		for i := 1; i <= n; i++ {
+			ew.links[i] = NewBatcher(endpoints[i], BatcherConfig{Metrics: reg})
+		}
+		ew.mb.notify = make(chan struct{}, 1)
+		er.workers[w] = ew
+	}
+	return er
+}
+
 // Open admits one consensus instance: node id proposes initial(id) (nil
 // proposes 0 everywhere). The returned handle resolves when every automaton
 // has halted. Open fails with ErrEngineDraining after Drain or Close, and
@@ -597,7 +596,6 @@ func (e *Engine) Open(initial func(model.ProcessID) model.Value) (*Instance, err
 // instance; the zero OpenOptions is exactly Open.
 func (e *Engine) OpenWith(initial func(model.ProcessID) model.Value, opts OpenOptions) (*Instance, error) {
 	er := e.er
-	n := er.n
 	// The drain lock orders Open against Close: once Close flips draining,
 	// every admitted instance's registration is already in its worker's
 	// mailbox, so the workers' exit check (closing && idle && empty
@@ -620,13 +618,23 @@ func (e *Engine) OpenWith(initial func(model.ProcessID) model.Value, opts OpenOp
 	er.handles[id] = h
 	er.handleMu.Unlock()
 
-	sl := &instSlab{inst: id, states: make([]instState, n), remaining: n,
-		events: opts.Events, crashes: opts.Crashes}
+	sl := er.newSlab(id, initial, opts)
 	if er.cfg.Kind == rounds.RS {
 		// The round-1 barrier leaves slack for setting up the n automata.
-		sl.epoch = time.Now().Add(10*time.Millisecond + time.Duration(n)*2*time.Millisecond)
+		sl.epoch = time.Now().Add(10*time.Millisecond + time.Duration(er.n)*2*time.Millisecond)
 	}
-	rows := make([]instRow, n*(er.maxRounds+1)) // one allocation for the n automata
+	er.openedCtr.Inc()
+	er.workers[int(id%uint64(len(er.workers)))].mb.push(engEvent{slab: sl})
+	return h, nil
+}
+
+// newSlab builds instance id's n automata and their rows in one allocation;
+// an RS instance's epoch is the caller's to set.
+func (er *engineRun) newSlab(id uint64, initial func(model.ProcessID) model.Value, opts OpenOptions) *instSlab {
+	n := er.n
+	sl := &instSlab{inst: id, states: make([]instState, n), remaining: n,
+		events: opts.Events, crashes: opts.Crashes}
+	rows := make([]instRow, n*(er.maxRounds+1))
 	for i := 1; i <= n; i++ {
 		var v model.Value
 		if initial != nil {
@@ -639,9 +647,7 @@ func (e *Engine) OpenWith(initial func(model.ProcessID) model.Value, opts OpenOp
 		st.round = 1
 		st.rows, rows = rows[:er.maxRounds+1:er.maxRounds+1], rows[er.maxRounds+1:]
 	}
-	er.openedCtr.Inc()
-	er.workers[int(id%uint64(len(er.workers)))].mb.push(engEvent{slab: sl})
-	return h, nil
+	return sl
 }
 
 // OpenValue admits an instance where every node proposes the same value —
@@ -714,7 +720,7 @@ func (e *Engine) Stats() EngineStats {
 		s.FalselySuspected += int64(fd.EverSuspected().Minus(crashed).Count())
 	}
 	s.DetectorWasPerfect = s.FalseSuspicions == 0 && s.FalselySuspected == 0
-	s.Cost = netobs.ComputeCost(int(s.DecidedNodes), e.ws, e.links())
+	s.Cost = netobs.ComputeCost(int(s.DecidedNodes), er.ws, e.links())
 	return s
 }
 
@@ -771,7 +777,7 @@ func (e *Engine) Close() error {
 				Err:       ferr,
 			})
 		}
-		cost := netobs.ComputeCost(int(er.decidedNodes.Load()), e.ws, e.links())
+		cost := netobs.ComputeCost(int(er.decidedNodes.Load()), er.ws, e.links())
 		netobs.PublishCost(e.reg, cost)
 		if er.cfg.Events != nil {
 			er.cfg.Events.Emit(obs.Event{Type: obs.EventCost, Cost: cost})

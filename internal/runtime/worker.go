@@ -131,7 +131,6 @@ type engWorker struct {
 
 	suspects     []model.ProcSet  // cached per node, 1..n
 	crashed      model.ProcSet    // cached engineRun.crashed
-	now          time.Time        // the sweep's clock, read once per sweep
 	nextDeadline time.Time        // earliest round deadline among blocked automata
 	scratch      []rounds.Message // what Trans is handed
 	frame        []byte           // encode scratch: Batcher.Send copies out of it
@@ -242,17 +241,12 @@ func (w *engWorker) refreshSuspects() bool {
 	return changed
 }
 
-// loop is the worker body: drain events, advance dirty automata, flush the
-// batched sends, sleep until traffic, the tick or the next round deadline.
+// loop is the worker's shell around sweep: it alone reads the clock, drains
+// the mailbox and polls the detectors, then flushes the batched sends and
+// sleeps until traffic, the tick or the next round deadline.
 func (w *engWorker) loop(wg *sync.WaitGroup) {
 	defer wg.Done()
-	tick := w.run.cfg.SuspectTimeout / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	if tick > 50*time.Millisecond {
-		tick = 50 * time.Millisecond
-	}
+	tick := min(max(w.run.cfg.SuspectTimeout/4, time.Millisecond), 50*time.Millisecond)
 	// One timer serves both wake-up reasons: it is armed to the tick (the
 	// suspicion poll) or to the earliest round deadline, whichever is first,
 	// and re-armed only after it fired or when a deadline precedes it.
@@ -267,26 +261,10 @@ func (w *engWorker) loop(wg *sync.WaitGroup) {
 		if w.refreshSuspects() || rescan {
 			w.enqueueAll()
 		}
-		events := w.mb.drain(w.spare)
-		for i := range events {
-			w.deliver(&events[i])
-			events[i] = engEvent{} // drop slab/payload references for reuse
-		}
-		w.spare = events
 		// Round stamps and deadline checks share one clock reading per sweep:
 		// an automaton is advanced on every delivery, and a clock read per
 		// advance is measurable at 10^5 deliveries a second.
-		w.now = time.Now()
-		if !w.nextDeadline.IsZero() && !w.now.Before(w.nextDeadline) {
-			w.nextDeadline = time.Time{}
-			w.enqueueAll()
-		}
-		for len(w.dirty) > 0 {
-			st := w.dirty[len(w.dirty)-1]
-			w.dirty = w.dirty[:len(w.dirty)-1]
-			st.queued = false
-			w.advance(st)
-		}
+		w.spare = w.sweep(w.mb.drain(w.spare), time.Now())
 		w.fold()
 		// Round completions above queued sends on this worker's links; push
 		// them out now, a round's messages together.
@@ -324,6 +302,30 @@ func (w *engWorker) loop(wg *sync.WaitGroup) {
 			return
 		}
 	}
+}
+
+// sweep is the round step: it files events (registrations, round packets)
+// and advances every automaton a frame, a suspicion or crash change, or now
+// passing a deadline released — sends, round closes, transitions, decisions,
+// halts. Its only inputs are events, w.suspects, w.crashed and now: it reads
+// no clock, mailbox or detector (fd.NoteRound tags an observed instance's),
+// so a test steps it with synthetic ones. It hands events back emptied.
+func (w *engWorker) sweep(events []engEvent, now time.Time) []engEvent {
+	for i := range events {
+		w.deliver(&events[i])
+		events[i] = engEvent{} // drop slab/payload references for reuse
+	}
+	if !w.nextDeadline.IsZero() && !now.Before(w.nextDeadline) {
+		w.nextDeadline = time.Time{}
+		w.enqueueAll()
+	}
+	for len(w.dirty) > 0 {
+		st := w.dirty[len(w.dirty)-1]
+		w.dirty = w.dirty[:len(w.dirty)-1]
+		st.queued = false
+		w.advance(st, now)
+	}
+	return events[:0]
 }
 
 // deliver files one mailbox event: a registration, or a round packet's
@@ -412,24 +414,11 @@ func (w *engWorker) sentBy(sl *instSlab, env *wire.Envelope, payload []byte) boo
 	return bytes.Equal(enc, payload)
 }
 
-// deadline is when st's current round stops waiting: the round barrier in
-// RS, the WaitBound liveness guard in RWS (zero: wait unbounded).
-func (w *engWorker) deadline(st *instState) time.Time {
-	cfg := &w.run.cfg
-	if cfg.Kind == rounds.RS {
-		return st.slab.epoch.Add(time.Duration(st.round) * cfg.RoundDuration)
-	}
-	if cfg.WaitBound < 0 {
-		return time.Time{}
-	}
-	return st.started.Add(cfg.WaitBound)
-}
-
 // advance drives one automaton as far as it can go: halt if it is quiet
 // (decided, nothing to send), otherwise send the current round's messages if
 // not yet sent, close the round when its model's close rule allows,
 // transition, repeat.
-func (w *engWorker) advance(st *instState) {
+func (w *engWorker) advance(st *instState, now time.Time) {
 	er, sl := w.run, st.slab
 	peers := model.FullSet(er.n).Remove(st.id)
 	for st.round != 0 {
@@ -440,10 +429,8 @@ func (w *engWorker) advance(st *instState) {
 		r := int(st.round)
 		if !st.sent {
 			reach, crashing := er.n-1, false
-			if sl.crashes != nil {
-				if plan := sl.crashes[st.id]; plan.Round == r {
-					reach, crashing = plan.Reach, true
-				}
+			if plan := sl.crashes[st.id]; plan.Round == r {
+				reach, crashing = plan.Reach, true
 			}
 			// Quiescence (the rounds.Process contract): decided and nothing left
 			// to send is halted. The round never starts — no event, no null
@@ -453,7 +440,7 @@ func (w *engWorker) advance(st *instState) {
 				w.halt(st)
 				return
 			}
-			st.started = w.now
+			st.started = now
 			if sl.events != nil {
 				if fd := er.fds[st.id]; fd != nil {
 					fd.NoteRound(r) // tags the detector's suspect/retract events
@@ -479,23 +466,32 @@ func (w *engWorker) advance(st *instState) {
 		}
 		row := &st.rows[r]
 		// The close rule is the one place the round models differ. RWS: every
-		// peer delivered or is suspected (weak round synchrony), the deadline
-		// being only a liveness guard. RS: the round deadline itself.
+		// peer delivered or is suspected (weak round synchrony), the WaitBound
+		// deadline being only a liveness guard. RS: the round barrier itself.
 		complete := er.cfg.Kind == rounds.RWS &&
 			peers.Minus(row.got).Minus(w.suspects[st.id]).Empty()
 		if !complete {
-			if due := w.deadline(st); due.IsZero() || w.now.Before(due) {
-				if !due.IsZero() && (w.nextDeadline.IsZero() || due.Before(w.nextDeadline)) {
+			due := st.started.Add(er.cfg.WaitBound)
+			if er.cfg.Kind == rounds.RS {
+				due = sl.epoch.Add(time.Duration(r) * er.cfg.RoundDuration)
+			}
+			if now.Before(due) {
+				if w.nextDeadline.IsZero() || due.Before(w.nextDeadline) {
 					w.nextDeadline = due
 				}
 				return
 			}
 			if er.cfg.Kind == rounds.RWS {
-				// The network is losing data messages from peers the detector
-				// (correctly) refuses to suspect: proceed with what we have.
+				// A live, unsuspected peer's message never came: the mesh lost
+				// it, an omission outside the crash model. Closing the round
+				// without it could split the instance, so the automaton halts
+				// here — no transition, a decision already taken kept — and
+				// the expiry is counted.
 				st.out.WaitTimeouts++
 				er.waitTimeouts.Add(1)
 				er.metrics.waitTimeouts.Inc()
+				w.halt(st)
+				return
 			}
 		}
 		if sl.events != nil {
@@ -520,7 +516,7 @@ func (w *engWorker) advance(st *instState) {
 		row.decoded = nil // the round is closed
 		st.out.Rounds = st.round
 		w.roundsRun++
-		w.durations.Observe(w.now.Sub(st.started).Nanoseconds())
+		w.durations.Observe(now.Sub(st.started).Nanoseconds())
 		if !st.decided {
 			if v, ok := st.proc.Decision(); ok {
 				st.decided = true

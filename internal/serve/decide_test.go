@@ -106,14 +106,13 @@ func TestCASAnswersBeforeHalt(t *testing.T) {
 
 // TestUndecidedInstanceReleasesFlight: with every round frame lost (the
 // heartbeats still flow, so nobody is suspected and each wait runs into
-// WaitBound) and the rounds capped below t+1, no node decides. The decision
-// callback never fires; the halt releases the flight with errUndecided, and
-// the key is writable again once the mesh delivers.
+// WaitBound) every node halts in round 1, undecided. The decision callback
+// never fires; the halt — a halt, not a crash — releases the flight with
+// errUndecided, and the key is writable again once the mesh delivers.
 func TestUndecidedInstanceReleasesFlight(t *testing.T) {
 	var lossy atomic.Bool
 	lossy.Store(true)
 	srv, client := newTestServer(t, func(c *Config) {
-		c.MaxRounds = 1
 		c.WaitBound = 30 * time.Millisecond
 		c.Faults = &faults.Config{
 			Default: faults.LinkFaults{Drop: 1},
@@ -139,8 +138,8 @@ func TestUndecidedInstanceReleasesFlight(t *testing.T) {
 	if st.KV.InFlight != 0 || st.KV.Versions != 0 {
 		t.Errorf("kv after the undecided instance = %+v, want the slot released and nothing committed", st.KV)
 	}
-	if st.Engine.AgreementNone != 1 || st.Engine.WaitTimeouts == 0 || !st.Engine.DetectorWasPerfect {
-		t.Errorf("engine = %+v, want one undecided instance cut short by WaitBound under a perfect detector", st.Engine)
+	if st.Engine.AgreementNone != 1 || st.Engine.WaitTimeouts != 3 || !st.Engine.DetectorWasPerfect {
+		t.Errorf("engine = %+v, want one undecided instance, its 3 nodes halted by WaitBound under a perfect detector", st.Engine)
 	}
 	if st.Conform == nil || !st.Conform.Clean || st.Conform.Undecided != 1 {
 		t.Errorf("conform = %+v, want clean with one undecided", st.Conform)
