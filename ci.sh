@@ -117,6 +117,13 @@ job_conformance() {
   fuzz FuzzFaultSpec ./internal/conform/
   floor ./internal/check/ 85
   floor ./internal/conform/ 85
+  # The step layer the §4 emulations and Theorem 3.1's refuter run on:
+  # crashes due together fire in id order, a crash plan is only read (a
+  # reused plan crashes every run), and a crash planned at step 0 fires.
+  go test -race -run 'TestCrashPlans|TestSSSchedulerCrashAtStepZero|TestRunRWSSimultaneousCrashes' ./internal/step/ ./internal/emul/
+  floor ./internal/emul/ 96
+  floor ./internal/step/ 88
+  floor ./internal/sdd/ 82
 }
 
 job_tracing() {

@@ -59,6 +59,10 @@ func E14Chaos(cfg Config) (*Report, error) {
 		timeout      time.Duration // 0: the default 30ms
 		waitBound    time.Duration
 		wantPerfect  bool
+		// outageEnd, when set, keeps the engine open until the outage has
+		// ended and two 30ms timeouts more have passed, so the heal and the
+		// retractions it brings land inside the run.
+		outageEnd time.Duration
 	}
 	// The rows gated on perfection measure the injected faults, not the
 	// host: their timeout sits above the 60–130 ms scheduling stalls a
@@ -86,7 +90,7 @@ func E14Chaos(cfg Config) (*Report, error) {
 			name: "partition {p3} for 100ms", regime: "beyond Δ: outage > timeout",
 			faults: &faults.Config{Seed: cfg.Seed + 16,
 				Partitions: []faults.Partition{{Start: 0, End: 100 * ms, Group: model.Singleton(3)}}},
-			waitBound: 80 * ms, wantPerfect: false,
+			waitBound: 80 * ms, wantPerfect: false, outageEnd: 100 * ms,
 		},
 		{
 			// The wait bound outlasts the timeout, or a starved round would
@@ -94,15 +98,24 @@ func E14Chaos(cfg Config) (*Report, error) {
 			name: "crash p3 @0ms, recover @40ms", regime: "outside crash-stop",
 			faults: &faults.Config{Seed: cfg.Seed + 17,
 				Crashes: []faults.NodeCrash{{Proc: 3, At: 0, For: 40 * ms}}},
-			waitBound: 80 * ms, wantPerfect: false,
+			waitBound: 80 * ms, wantPerfect: false, outageEnd: 40 * ms,
 		},
 	}
+	var healed []int64 // the outage rows' retractions
 	for _, sc := range scenarios {
-		cr, err := runtime.RunCluster(consensus.FloodSetWS{}, runtime.EngineConfig{
+		ecfg := runtime.EngineConfig{
 			Kind: rounds.RWS, T: 1,
 			Faults: sc.faults, SuspectTimeout: sc.timeout, WaitBound: sc.waitBound,
 			Events: cfg.Events,
-		}, []model.Value{4, 2, 7}, runtime.OpenOptions{})
+		}
+		initial := []model.Value{4, 2, 7}
+		var cr *runtime.ClusterResult
+		var err error
+		if sc.outageEnd > 0 {
+			cr, err = outageRun(ecfg, initial, sc.outageEnd+2*30*ms)
+		} else {
+			cr, err = runtime.RunCluster(consensus.FloodSetWS{}, ecfg, initial, runtime.OpenOptions{})
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -120,6 +133,14 @@ func E14Chaos(cfg Config) (*Report, error) {
 		}
 		if cr.Stats.DetectorWasPerfect && agree == runtime.AgreementViolated {
 			pass = false
+		}
+		// An outage that outlasts the timeout is a false suspicion the heal
+		// retracts: the ◇P behaviour the row exists to show.
+		if sc.outageEnd > 0 {
+			healed = append(healed, cr.Stats.FalseSuspicions)
+			if cr.Stats.FalseSuspicions < 1 || len(cr.PartitionLog) < 2 {
+				pass = false
+			}
 		}
 		if len(cr.PartitionLog) > 0 {
 			r.Notes = append(r.Notes, fmt.Sprintf("%s — transitions fired: %v", sc.name, cr.PartitionLog))
@@ -141,10 +162,50 @@ func E14Chaos(cfg Config) (*Report, error) {
 
 	r.Pass = pass
 	r.Measured = fmt.Sprintf(
-		"loss and sub-margin spikes leave P intact — spikes decide 3/3, while a node whose round 30%% loss starves halts undecided at WaitBound instead of closing the round, so nothing splits; a >timeout partition and a crash/recovery cycle each break P (sticky false suspicions) and split the decision; adaptive timeout retracted %d time(s) and converged",
-		retractions)
+		"loss and sub-margin spikes leave P intact — spikes decide 3/3, while a node whose round 30%% loss starves halts undecided at WaitBound instead of closing the round, so nothing splits; a >timeout partition and a crash/recovery cycle each break P (sticky false suspicions), split the decision and are retracted once the outage heals (%d and %d retractions); adaptive timeout retracted %d time(s) and converged",
+		healed[0], healed[1], retractions)
 	r.Table = table
 	return r, nil
+}
+
+// outageRun runs one FloodSetWS instance as RunCluster does, but keeps the
+// engine open until the instance has halted and hold has passed since the
+// start, polling every detector each millisecond as the workers do while
+// an instance runs: suspicion edges, retractions included, happen at poll
+// time, and an instance halts well inside a long outage.
+func outageRun(cfg runtime.EngineConfig, initial []model.Value, hold time.Duration) (*runtime.ClusterResult, error) {
+	dets := make([]runtime.Detector, len(initial)+1)
+	cfg.N, cfg.Groups = len(initial), 1
+	cfg.Detector = fdimpl.Filed(runtime.HeartbeatDetector(), dets)
+	e, err := runtime.StartEngine(consensus.FloodSetWS{}, cfg)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	h, err := e.OpenWith(func(id model.ProcessID) model.Value { return initial[id-1] },
+		runtime.OpenOptions{Events: cfg.Events})
+	if err != nil {
+		_ = e.Close()
+		return nil, err
+	}
+	for done := false; !done || time.Since(start) < hold; time.Sleep(time.Millisecond) {
+		select {
+		case <-h.Done():
+			done = true
+		default:
+			done = e.Err() != nil // an aborted engine resolves h only at Close
+		}
+		for _, d := range dets[1:] {
+			d.Suspects()
+		}
+	}
+	cr := &runtime.ClusterResult{Elapsed: time.Since(start)}
+	if err := e.Close(); err != nil {
+		return nil, err
+	}
+	cr.Outcome, _ = h.Outcome()
+	cr.Stats, cr.PartitionLog = e.Stats(), e.Injector().PartitionLog()
+	return cr, nil
 }
 
 // adaptiveSoak drives two raw heartbeat detectors — an engine that never

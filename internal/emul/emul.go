@@ -99,23 +99,33 @@ func (r *Result) Latency() (int, bool) {
 	return lat, true
 }
 
+// missed calls f(p, r, j) for every round r that p completed without pj's
+// round-r message.
+func (r *Result) missed(f func(p, round int, j model.ProcessID)) {
+	for p := 1; p <= r.N; p++ {
+		// Only rounds p actually completed count; arrivals for an
+		// in-progress round are necessarily partial.
+		for round := 1; round <= r.CompletedRounds[p] && round < len(r.ReceivedFrom[p]); round++ {
+			missing := model.FullSet(r.N).Minus(r.ReceivedFrom[p][round]).Remove(model.ProcessID(p))
+			missing.ForEach(func(j model.ProcessID) bool {
+				f(p, round, j)
+				return true
+			})
+		}
+	}
+}
+
 // PendingCount counts the pending messages of the run under both guises:
 // late arrivals (PendingObserved) plus messages whose sender completed the
 // round — hence finished sending — but whose receiver closed that round
 // without them and they never arrived within the run.
 func (r *Result) PendingCount() int {
 	count := len(r.PendingObserved)
-	for p := 1; p <= r.N; p++ {
-		for round := 1; round <= r.CompletedRounds[p] && round < len(r.ReceivedFrom[p]); round++ {
-			missing := model.FullSet(r.N).Minus(r.ReceivedFrom[p][round]).Remove(model.ProcessID(p))
-			missing.ForEach(func(j model.ProcessID) bool {
-				if len(r.SentThrough) > int(j) && r.SentThrough[j] >= round {
-					count++
-				}
-				return true
-			})
+	r.missed(func(_, round int, j model.ProcessID) {
+		if len(r.SentThrough) > int(j) && r.SentThrough[j] >= round {
+			count++
 		}
-	}
+	})
 	return count
 }
 
@@ -125,26 +135,18 @@ func (r *Result) PendingCount() int {
 // crashes. Violations falsify the emulation, not the algorithm.
 func (r *Result) CheckWeakRoundSynchrony() []string {
 	var out []string
-	for p := 1; p <= r.N; p++ {
-		// Only rounds p actually completed carry the guarantee; arrivals for
-		// an in-progress round are necessarily partial.
-		for round := 1; round <= r.CompletedRounds[p] && round < len(r.ReceivedFrom[p]); round++ {
-			missing := model.FullSet(r.N).Minus(r.ReceivedFrom[p][round]).Remove(model.ProcessID(p))
-			missing.ForEach(func(j model.ProcessID) bool {
-				if r.CompletedRounds[j] > round+1 {
-					out = append(out, fmt.Sprintf(
-						"p%d completed round %d without p%d's message, yet p%d completed round %d (> %d+1)",
-						p, round, j, j, r.CompletedRounds[j], round))
-				}
-				if !r.Crashed[j] {
-					out = append(out, fmt.Sprintf(
-						"p%d completed round %d without p%d's message, yet p%d never crashed",
-						p, round, j, j))
-				}
-				return true
-			})
+	r.missed(func(p, round int, j model.ProcessID) {
+		if r.CompletedRounds[j] > round+1 {
+			out = append(out, fmt.Sprintf(
+				"p%d completed round %d without p%d's message, yet p%d completed round %d (> %d+1)",
+				p, round, j, j, r.CompletedRounds[j], round))
 		}
-	}
+		if !r.Crashed[j] {
+			out = append(out, fmt.Sprintf(
+				"p%d completed round %d without p%d's message, yet p%d never crashed",
+				p, round, j, j))
+		}
+	})
 	return out
 }
 
@@ -159,23 +161,17 @@ func (r *Result) CheckRoundSynchrony() []string {
 			"pending message from p%d to p%d at round %d (impossible in RS)",
 			pm.Sender, pm.Receiver, pm.Round))
 	}
-	for p := 1; p <= r.N; p++ {
-		for round := 1; round <= r.CompletedRounds[p] && round < len(r.ReceivedFrom[p]); round++ {
-			missing := model.FullSet(r.N).Minus(r.ReceivedFrom[p][round]).Remove(model.ProcessID(p))
-			missing.ForEach(func(j model.ProcessID) bool {
-				if !r.Crashed[j] {
-					out = append(out, fmt.Sprintf(
-						"p%d missed p%d's round-%d message but p%d never crashed", p, j, round, j))
-				}
-				if r.CompletedRounds[j] >= round {
-					out = append(out, fmt.Sprintf(
-						"p%d missed p%d's round-%d message but p%d completed round %d",
-						p, j, round, j, r.CompletedRounds[j]))
-				}
-				return true
-			})
+	r.missed(func(p, round int, j model.ProcessID) {
+		if !r.Crashed[j] {
+			out = append(out, fmt.Sprintf(
+				"p%d missed p%d's round-%d message but p%d never crashed", p, j, round, j))
 		}
-	}
+		if r.CompletedRounds[j] >= round {
+			out = append(out, fmt.Sprintf(
+				"p%d missed p%d's round-%d message but p%d completed round %d",
+				p, j, round, j, r.CompletedRounds[j]))
+		}
+	})
 	return out
 }
 

@@ -1,10 +1,14 @@
 package emul
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/consensus"
 	"repro/internal/model"
+	"repro/internal/rounds"
 	"repro/internal/step"
 )
 
@@ -187,11 +191,11 @@ func TestRWSEmulationExhibitsA1Disagreement(t *testing.T) {
 }
 
 func TestRSEmulationName(t *testing.T) {
-	e := NewRSEmulation(consensus.FloodSet{}, 1, 1, 1, 2)
-	if e.Name() != "RS⟨FloodSet⟩" {
-		t.Errorf("Name = %q", e.Name())
+	e := newEmulation(rounds.RS, consensus.FloodSet{}, 1, 2, 3)
+	if e.Name() != "RS⟨FloodSet⟩" || e.result.Algorithm != e.Name() {
+		t.Errorf("Name = %q, result %q", e.Name(), e.result.Algorithm)
 	}
-	w := NewRWSEmulation(consensus.FloodSetWS{}, 1, 2)
+	w := newEmulation(rounds.RWS, consensus.FloodSetWS{}, 1, 2, 3)
 	if w.Name() != "RWS⟨FloodSetWS⟩" {
 		t.Errorf("Name = %q", w.Name())
 	}
@@ -199,11 +203,84 @@ func TestRSEmulationName(t *testing.T) {
 
 func TestDestFor(t *testing.T) {
 	// Process 2 of 3 sends to 1 then 3.
-	if destFor(2, 3, 1) != 1 || destFor(2, 3, 2) != 3 {
+	if destFor(2, 1) != 1 || destFor(2, 2) != 3 {
 		t.Error("destFor mapping wrong for p2")
 	}
 	// Process 1 of 3 sends to 2 then 3.
-	if destFor(1, 3, 1) != 2 || destFor(1, 3, 2) != 3 {
+	if destFor(1, 1) != 2 || destFor(1, 2) != 3 {
 		t.Error("destFor mapping wrong for p1")
+	}
+}
+
+// TestRunErrors: a cluster the step engine rejects, and a run that exhausts
+// its horizon because FloodSet cannot decide within one round at t = 1,
+// come back as errors naming the emulation.
+func TestRunErrors(t *testing.T) {
+	if _, err := RunRS(consensus.FloodSet{}, nil, 1, 1, 1, 3, 0, nil); err == nil {
+		t.Error("RunRS accepted an empty cluster")
+	}
+	if _, err := RunRWS(consensus.FloodSetWS{}, nil, 1, 3, 0, nil); err == nil {
+		t.Error("RunRWS accepted an empty cluster")
+	}
+	_, err := RunRS(consensus.FloodSet{}, vals(1, 2, 3), 1, 1, 1, 1, 0, nil)
+	if !errors.Is(err, step.ErrHorizon) || !strings.Contains(err.Error(), "RunRS(RS⟨FloodSet⟩)") {
+		t.Errorf("RunRS one round: err = %v", err)
+	}
+	_, err = RunRWS(consensus.FloodSetWS{}, vals(1, 2, 3), 1, 1, 0, nil)
+	if !errors.Is(err, step.ErrHorizon) || !strings.Contains(err.Error(), "RunRWS(RWS⟨FloodSetWS⟩)") {
+		t.Errorf("RunRWS one round: err = %v", err)
+	}
+}
+
+// TestRunRWSSimultaneousCrashes: two crashes due at one step give one run
+// per seed, and a crash plan reused for a second run crashes there too.
+func TestRunRWSSimultaneousCrashes(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		plan := map[model.ProcessID]int{1: 6, 2: 6}
+		first, err := RunRWS(consensus.FloodSetWS{}, vals(1, 0, 1, 0), 2, 4, seed, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			again, err := RunRWS(consensus.FloodSetWS{}, vals(1, 0, 1, 0), 2, 4, seed, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprintf("%+v", again) != fmt.Sprintf("%+v", first) {
+				t.Fatalf("seed %d: repeat %d differs:\n%+v\nwant\n%+v", seed, i, again, first)
+			}
+		}
+		if !first.Crashed[1] || !first.Crashed[2] {
+			t.Fatalf("seed %d: Crashed = %v, want p1 and p2", seed, first.Crashed)
+		}
+	}
+}
+
+// TestResultCheckers: a hand-built result in which p1 closed round 1
+// without p2's message and saw p3's arrive late, while p2 never crashed and
+// completed round 3, breaks every clause of both synchrony checks.
+func TestResultCheckers(t *testing.T) {
+	r := &Result{
+		N:               3,
+		Decided:         []bool{false, true, true, false},
+		DecidedAtRound:  []int{0, 1, 2, 0},
+		CompletedRounds: []int{0, 1, 3, 1},
+		SentThrough:     []int{0, 1, 3, 1},
+		Crashed:         []bool{false, false, false, true},
+		ReceivedFrom: [][]model.ProcSet{nil,
+			{0, model.Singleton(3)}, {0, model.FullSet(3)}, {0, model.FullSet(3)}},
+		PendingObserved: []PendingMessage{{Sender: 3, Receiver: 1, Round: 1}},
+	}
+	if lat, ok := r.Latency(); !ok || lat != 2 {
+		t.Errorf("Latency = (%d, %v), want (2, true): crashed p3 does not count", lat, ok)
+	}
+	if got := r.PendingCount(); got != 2 {
+		t.Errorf("PendingCount = %d, want 2 (p3's late message, p2's missed one)", got)
+	}
+	if v := r.CheckRoundSynchrony(); len(v) != 3 {
+		t.Errorf("CheckRoundSynchrony = %q, want the pending message, p2 alive, p2 past round 1", v)
+	}
+	if v := r.CheckWeakRoundSynchrony(); len(v) != 2 {
+		t.Errorf("CheckWeakRoundSynchrony = %q, want p2 past round 2 and p2 alive", v)
 	}
 }

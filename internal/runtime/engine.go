@@ -82,15 +82,13 @@ type EngineConfig struct {
 	Groups int
 
 	// Network supplies the shared mesh; nil builds the default in-process
-	// synchronous network with Buffer-deep inboxes.
+	// synchronous network with 2^15-deep inboxes (the multiplexed mesh
+	// carries every instance's traffic through n inboxes, so ChanConfig's
+	// single-instance default of 1024 would overflow).
 	Network interface {
 		Endpoint(model.ProcessID) Transport
 		Close() error
 	}
-	// Buffer sizes the default network's per-endpoint inbox (default 2^15:
-	// the multiplexed mesh carries every instance's traffic through n
-	// inboxes, so the single-instance default of 1024 would overflow).
-	Buffer int
 
 	// HeartbeatPeriod and SuspectTimeout configure the per-node failure
 	// detectors (defaults 2ms / 30ms: perfect over the default network).
@@ -436,9 +434,6 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 	if cfg.Groups <= 0 {
 		cfg.Groups = min(stdruntime.GOMAXPROCS(0), 8)
 	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 1 << 15
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.Default
@@ -451,7 +446,7 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 	network := cfg.Network
 	if network == nil {
 		network = NewChanNetwork(n, ChanConfig{
-			MaxDelay: time.Millisecond, Metrics: reg, Buffer: cfg.Buffer, Flight: cfg.Flight,
+			MaxDelay: time.Millisecond, Metrics: reg, Buffer: 1 << 15, Flight: cfg.Flight,
 		})
 	}
 	var inj *faults.Injector

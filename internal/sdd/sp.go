@@ -33,48 +33,12 @@ func NewReceiveOrSuspect() ReceiveOrSuspect {
 // Name implements step.Algorithm.
 func (a ReceiveOrSuspect) Name() string { return "SDD-SP-ReceiveOrSuspect" }
 
-// New implements step.Algorithm.
+// New implements step.Algorithm: GracePeriod with no grace. Local steps are
+// 1-based, so its observer decides 0 on the step that first shows the
+// suspicion.
 func (a ReceiveOrSuspect) New(cfg step.Config) step.Automaton {
-	switch cfg.ID {
-	case a.Sender:
-		return &ssSender{observer: a.Observer, value: cfg.Input}
-	case a.Observer:
-		return &rosObserver{sender: a.Sender}
-	default:
-		return idle{}
-	}
+	return GracePeriod{Sender: a.Sender, Observer: a.Observer}.New(cfg)
 }
-
-type rosObserver struct {
-	sender   model.ProcessID
-	decided  bool
-	decision model.Value
-}
-
-var (
-	_ step.Automaton = (*rosObserver)(nil)
-	_ step.Decider   = (*rosObserver)(nil)
-)
-
-// Step implements step.Automaton.
-func (o *rosObserver) Step(in step.Input) *step.Send {
-	if o.decided {
-		return nil
-	}
-	for _, m := range in.Received {
-		if vm, ok := m.Payload.(ValueMsg); ok && m.From == o.sender {
-			o.decision, o.decided = vm.V, true
-			return nil
-		}
-	}
-	if in.Suspects.Has(o.sender) {
-		o.decision, o.decided = 0, true
-	}
-	return nil
-}
-
-// Decision implements step.Decider.
-func (o *rosObserver) Decision() (model.Value, bool) { return o.decision, o.decided }
 
 // GracePeriod refines ReceiveOrSuspect: after first suspecting the sender,
 // the observer waits Grace further steps for a straggler message before
@@ -99,52 +63,8 @@ func (a GracePeriod) Name() string { return fmt.Sprintf("SDD-SP-GracePeriod(%d)"
 
 // New implements step.Algorithm.
 func (a GracePeriod) New(cfg step.Config) step.Automaton {
-	switch cfg.ID {
-	case a.Sender:
-		return &ssSender{observer: a.Observer, value: cfg.Input}
-	case a.Observer:
-		return &graceObserver{sender: a.Sender, grace: a.Grace}
-	default:
-		return idle{}
-	}
+	return cast(cfg, a.Sender, a.Observer, &observer{sender: a.Sender, grace: a.Grace})
 }
-
-type graceObserver struct {
-	sender model.ProcessID
-	grace  int
-
-	suspectedAt int // observer-local step at which suspicion was first seen
-	decided     bool
-	decision    model.Value
-}
-
-var (
-	_ step.Automaton = (*graceObserver)(nil)
-	_ step.Decider   = (*graceObserver)(nil)
-)
-
-// Step implements step.Automaton.
-func (o *graceObserver) Step(in step.Input) *step.Send {
-	if o.decided {
-		return nil
-	}
-	for _, m := range in.Received {
-		if vm, ok := m.Payload.(ValueMsg); ok && m.From == o.sender {
-			o.decision, o.decided = vm.V, true
-			return nil
-		}
-	}
-	if in.Suspects.Has(o.sender) && o.suspectedAt == 0 {
-		o.suspectedAt = in.Local
-	}
-	if o.suspectedAt != 0 && in.Local >= o.suspectedAt+o.grace {
-		o.decision, o.decided = 0, true
-	}
-	return nil
-}
-
-// Decision implements step.Decider.
-func (o *graceObserver) Decision() (model.Value, bool) { return o.decision, o.decided }
 
 // StepCountTimeout transplants the SS algorithm into SP verbatim: the
 // observer waits a fixed number K of its own steps and then decides
@@ -169,14 +89,7 @@ func (a StepCountTimeout) Name() string { return fmt.Sprintf("SDD-SP-StepCountTi
 
 // New implements step.Algorithm.
 func (a StepCountTimeout) New(cfg step.Config) step.Automaton {
-	switch cfg.ID {
-	case a.Sender:
-		return &ssSender{observer: a.Observer, value: cfg.Input}
-	case a.Observer:
-		return &ssObserver{deadline: a.K, sender: a.Sender}
-	default:
-		return idle{}
-	}
+	return cast(cfg, a.Sender, a.Observer, deadlineObserver(a.Sender, a.K))
 }
 
 // Candidates returns the SP protocol suite the experiments refute.

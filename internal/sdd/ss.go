@@ -40,11 +40,17 @@ func (a SSAlgorithm) Name() string { return "SDD-SS" }
 
 // New implements step.Algorithm.
 func (a SSAlgorithm) New(cfg step.Config) step.Automaton {
+	return cast(cfg, a.Sender, a.Observer, deadlineObserver(a.Sender, a.Phi+1+a.Delta))
+}
+
+// cast builds process cfg.ID of an SDD protocol: the sender sends its input
+// to the observer, the observer runs obs, and everyone else idles.
+func cast(cfg step.Config, sender, observerID model.ProcessID, obs step.Automaton) step.Automaton {
 	switch cfg.ID {
-	case a.Sender:
-		return &ssSender{observer: a.Observer, value: cfg.Input}
-	case a.Observer:
-		return &ssObserver{deadline: a.Phi + 1 + a.Delta, sender: a.Sender}
+	case sender:
+		return &ssSender{observer: observerID, value: cfg.Input}
+	case observerID:
+		return obs
 	default:
 		return idle{}
 	}
@@ -69,23 +75,35 @@ func (s *ssSender) Step(in step.Input) *step.Send {
 	return &step.Send{To: s.observer, Payload: ValueMsg{V: s.value}}
 }
 
-// ssObserver waits Φ+1+Δ of its own steps for the sender's value, deciding
-// the value on arrival or 0 at the deadline.
-type ssObserver struct {
-	deadline int
+// observer is every SDD protocol's observer; they differ only in when
+// silence turns into a decision. It decides the sender's value the moment
+// it arrives. Otherwise it decides 0 at its own step deadline — the SS
+// algorithm and StepCountTimeout, which ignore the detector — or, with no
+// deadline, grace steps after it first sees the sender suspected —
+// ReceiveOrSuspect (grace 0) and GracePeriod.
+type observer struct {
 	sender   model.ProcessID
+	deadline int // 0: none; watch the detector instead
+	grace    int
 
-	decided  bool
-	decision model.Value
+	suspectedAt int // observer-local step at which suspicion was first seen
+	decided     bool
+	decision    model.Value
 }
 
 var (
-	_ step.Automaton = (*ssObserver)(nil)
-	_ step.Decider   = (*ssObserver)(nil)
+	_ step.Automaton = (*observer)(nil)
+	_ step.Decider   = (*observer)(nil)
 )
 
+// deadlineObserver decides 0 at its k-th own step; a k below 1 is reached
+// at its first.
+func deadlineObserver(sender model.ProcessID, k int) *observer {
+	return &observer{sender: sender, deadline: max(k, 1)}
+}
+
 // Step implements step.Automaton.
-func (o *ssObserver) Step(in step.Input) *step.Send {
+func (o *observer) Step(in step.Input) *step.Send {
 	if o.decided {
 		return nil
 	}
@@ -95,14 +113,17 @@ func (o *ssObserver) Step(in step.Input) *step.Send {
 			return nil
 		}
 	}
-	if in.Local >= o.deadline {
+	if o.deadline == 0 && o.suspectedAt == 0 && in.Suspects.Has(o.sender) {
+		o.suspectedAt = in.Local
+	}
+	if (o.deadline > 0 && in.Local >= o.deadline) || (o.suspectedAt != 0 && in.Local >= o.suspectedAt+o.grace) {
 		o.decision, o.decided = 0, true
 	}
 	return nil
 }
 
 // Decision implements step.Decider.
-func (o *ssObserver) Decision() (model.Value, bool) { return o.decision, o.decided }
+func (o *observer) Decision() (model.Value, bool) { return o.decision, o.decided }
 
 // idle is the automaton of uninvolved processes.
 type idle struct{}

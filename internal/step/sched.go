@@ -79,8 +79,9 @@ func (s *FairScheduler) Next(v *View) Decision {
 // receiver's first step at global index ≥ sent+Δ; younger messages are
 // delivered early at random.
 //
-// Crashes are injected from CrashAtStep: process p crashes immediately
-// before the step that would make the global count reach CrashAtStep[p].
+// Crashes are injected from CrashAtStep (see dueCrash and atGlobal):
+// process p crashes immediately before the first step whose global index
+// reaches CrashAtStep[p].
 type SSScheduler struct {
 	Phi, Delta  int
 	Stop        StopWhen
@@ -117,13 +118,9 @@ func (s *SSScheduler) Next(v *View) Decision {
 			s.since[i] = make([]int, v.N+1)
 		}
 	}
-	// Crash injection first: a crash scheduled for this global step fires
-	// before anyone steps.
-	for p, at := range s.CrashAtStep {
-		if at == v.GlobalStep && v.Alive.Has(p) {
-			delete(s.CrashAtStep, p)
-			return Decision{Crash: p}
-		}
+	// Crash injection first: a due crash fires before anyone steps.
+	if p := dueCrash(s.CrashAtStep, v, atGlobal(v)); p != 0 {
+		return Decision{Crash: p}
 	}
 	if s.Stop != nil && s.Stop(v) {
 		return Decision{Suspend: true}
@@ -175,6 +172,26 @@ func (s *SSScheduler) Next(v *View) Decision {
 	return Decision{Proc: p, Deliver: deliver}
 }
 
+// dueCrash returns the lowest-numbered alive process p whose planned crash
+// has come, plan[p] ≤ reached(p), or 0. Crashes due together fire in
+// ascending id order, one per decision, and the plan is only read: a
+// caller may reuse it.
+func dueCrash(plan map[model.ProcessID]int, v *View, reached func(model.ProcessID) int) model.ProcessID {
+	var first model.ProcessID
+	for p, at := range plan {
+		if at <= reached(p) && v.Alive.Has(p) && (first == 0 || p < first) {
+			first = p
+		}
+	}
+	return first
+}
+
+// atGlobal reads a CrashAtStep plan: p crashes before the first step whose
+// global index reaches plan[p], so a plan of 0 or 1 crashes it before any.
+func atGlobal(v *View) func(model.ProcessID) int {
+	return func(model.ProcessID) int { return v.GlobalStep }
+}
+
 // ScriptScheduler replays a fixed decision list, then suspends.
 type ScriptScheduler struct {
 	Decisions []Decision
@@ -191,47 +208,4 @@ func (s *ScriptScheduler) Next(*View) Decision {
 	d := s.Decisions[s.i]
 	s.i++
 	return d
-}
-
-// DelayAllScheduler is the asynchronous adversary used by the Theorem 3.1
-// construction: it steps only the processes in Run (round-robin), never
-// delivers any message to them until Release returns true, and lets the
-// caller orchestrate crashes and suspicions up front via Prelude decisions.
-type DelayAllScheduler struct {
-	Prelude []Decision // executed first, verbatim
-	Run     model.ProcSet
-	Stop    StopWhen
-
-	i    int
-	next model.ProcessID
-}
-
-var _ Scheduler = (*DelayAllScheduler)(nil)
-
-// Next implements Scheduler.
-func (s *DelayAllScheduler) Next(v *View) Decision {
-	if s.i < len(s.Prelude) {
-		d := s.Prelude[s.i]
-		s.i++
-		return d
-	}
-	if s.Stop != nil && s.Stop(v) {
-		return Decision{Suspend: true}
-	}
-	target := s.Run.Intersect(v.Alive)
-	if target.Empty() {
-		return Decision{Suspend: true}
-	}
-	p := s.next
-	for i := 0; i < v.N; i++ {
-		p++
-		if p > model.ProcessID(v.N) {
-			p = 1
-		}
-		if target.Has(p) {
-			break
-		}
-	}
-	s.next = p
-	return Decision{Proc: p} // deliver nothing: all messages stay in flight
 }

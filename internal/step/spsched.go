@@ -23,6 +23,7 @@ import (
 //     eventually (strong completeness). Large delays are exactly the SP
 //     adversary the paper exploits: detection is reliable but unboundedly
 //     late.
+//   - Crashes: CrashAtStep as in SSScheduler (see dueCrash).
 type SPScheduler struct {
 	Stop              StopWhen
 	CrashAtStep       map[model.ProcessID]int
@@ -66,49 +67,29 @@ func NewSPScheduler(seed int64, stop StopWhen) *SPScheduler {
 	}
 }
 
-// Next implements Scheduler.
-func (s *SPScheduler) Next(v *View) Decision {
-	for p, k := range s.CrashAfterSteps {
-		if v.Alive.Has(p) && v.LocalSteps[p] >= k {
-			delete(s.CrashAfterSteps, p)
-			s.crashedAt[p] = v.GlobalStep
-			for o := 1; o <= v.N; o++ {
-				obs := model.ProcessID(o)
-				if obs == p {
-					continue
-				}
-				s.suspectAt[[2]model.ProcessID{obs, p}] = v.GlobalStep + s.rng.Intn(s.MaxSuspicionDelay+1)
-			}
-			return Decision{Crash: p}
-		}
-	}
-	if p := s.CrashOnDecide; p != 0 && v.Alive.Has(p) && v.Decided[p] {
-		s.CrashOnDecide = 0
-		s.crashedAt[p] = v.GlobalStep
-		for o := 1; o <= v.N; o++ {
-			obs := model.ProcessID(o)
-			if obs == p {
-				continue
-			}
+// crash crashes p now and draws, for every other process, the global step
+// from which it suspects p.
+func (s *SPScheduler) crash(p model.ProcessID, v *View) Decision {
+	s.crashedAt[p] = v.GlobalStep
+	for o := 1; o <= v.N; o++ {
+		if obs := model.ProcessID(o); obs != p {
 			s.suspectAt[[2]model.ProcessID{obs, p}] = v.GlobalStep + s.rng.Intn(s.MaxSuspicionDelay+1)
 		}
-		return Decision{Crash: p}
 	}
-	for p, at := range s.CrashAtStep {
-		if at <= v.GlobalStep && v.Alive.Has(p) {
-			delete(s.CrashAtStep, p)
-			s.crashedAt[p] = v.GlobalStep
-			// Draw each observer's detection delay now.
-			for o := 1; o <= v.N; o++ {
-				obs := model.ProcessID(o)
-				if obs == p {
-					continue
-				}
-				key := [2]model.ProcessID{obs, p}
-				s.suspectAt[key] = v.GlobalStep + s.rng.Intn(s.MaxSuspicionDelay+1)
-			}
-			return Decision{Crash: p}
-		}
+	return Decision{Crash: p}
+}
+
+// Next implements Scheduler. Planned crashes fire first, in ascending id
+// order and one per decision; the plans are only read.
+func (s *SPScheduler) Next(v *View) Decision {
+	if p := dueCrash(s.CrashAfterSteps, v, func(p model.ProcessID) int { return v.LocalSteps[p] }); p != 0 {
+		return s.crash(p, v)
+	}
+	if p := s.CrashOnDecide; p != 0 && v.Alive.Has(p) && v.Decided[p] {
+		return s.crash(p, v)
+	}
+	if p := dueCrash(s.CrashAtStep, v, atGlobal(v)); p != 0 {
+		return s.crash(p, v)
 	}
 	if s.Stop != nil && s.Stop(v) {
 		return Decision{Suspend: true}

@@ -309,3 +309,82 @@ func TestEventString(t *testing.T) {
 		t.Error("unknown kind string empty")
 	}
 }
+
+// runCrashPlan runs pingAlg on four processes for 40 steps under the SS
+// (Φ = Δ = 1) or the SP scheduler with the given crash plan.
+func runCrashPlan(t *testing.T, sp bool, seed int64, plan map[model.ProcessID]int) *Trace {
+	t.Helper()
+	ss := NewSSScheduler(1, 1, seed, nil)
+	ss.CrashAtStep = plan
+	var sched Scheduler = ss
+	newEngine := NewEngine
+	if sp {
+		s := NewSPScheduler(seed, nil)
+		s.CrashAtStep = plan
+		sched, newEngine = s, NewEngineWithFD
+	}
+	eng, err := newEngine(pingAlg{}, []model.Value{5, 0, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := eng.Run(sched, 40)
+	if !errors.Is(err, ErrHorizon) {
+		t.Fatalf("err = %v, want ErrHorizon", err)
+	}
+	return tr
+}
+
+// TestCrashPlansFireInIDOrder: two crashes due at one step fire p1 first,
+// then p3, so one seed gives one run — in SP too, where each crash draws
+// its observers' detection delays from the shared generator.
+func TestCrashPlansFireInIDOrder(t *testing.T) {
+	for _, sp := range []bool{false, true} {
+		for seed := int64(0); seed < 5; seed++ {
+			plan := func() map[model.ProcessID]int { return map[model.ProcessID]int{3: 3, 1: 3} }
+			tr := runCrashPlan(t, sp, seed, plan())
+			var crashed []model.ProcessID
+			for _, ev := range tr.Events {
+				if ev.Kind == CrashEvent {
+					crashed = append(crashed, ev.Proc)
+				}
+			}
+			if len(crashed) != 2 || crashed[0] != 1 || crashed[1] != 3 {
+				t.Fatalf("sp=%v seed=%d: crash order %v, want [p1 p3]", sp, seed, crashed)
+			}
+			want := RenderSteps(tr, 0)
+			for i := 0; i < 20; i++ {
+				if got := RenderSteps(runCrashPlan(t, sp, seed, plan()), 0); got != want {
+					t.Fatalf("sp=%v seed=%d: repeat %d differs:\n%s\nwant:\n%s", sp, seed, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCrashPlansAreOnlyRead: a crash plan reused for a second run crashes
+// its victims there too, and the caller's map is left as it was.
+func TestCrashPlansAreOnlyRead(t *testing.T) {
+	for _, sp := range []bool{false, true} {
+		plan := map[model.ProcessID]int{1: 2, 3: 5}
+		for run := 1; run <= 2; run++ {
+			tr := runCrashPlan(t, sp, 7, plan)
+			if tr.CrashedAt[1] != 2 || tr.CrashedAt[3] != 5 {
+				t.Fatalf("sp=%v run %d: CrashedAt = %v, want p1@2 p3@5", sp, run, tr.CrashedAt)
+			}
+		}
+		if len(plan) != 2 || plan[1] != 2 || plan[3] != 5 {
+			t.Fatalf("sp=%v: plan changed to %v", sp, plan)
+		}
+	}
+}
+
+// TestSSSchedulerCrashAtStepZero: a crash planned at step 0 is due before
+// the first step, as in SP.
+func TestSSSchedulerCrashAtStepZero(t *testing.T) {
+	for _, sp := range []bool{false, true} {
+		tr := runCrashPlan(t, sp, 3, map[model.ProcessID]int{1: 0})
+		if !tr.InitiallyCrashed(1) || tr.CrashedAt[1] != 1 {
+			t.Fatalf("sp=%v: CrashedAt[1] = %d, want 1 (initially crashed)", sp, tr.CrashedAt[1])
+		}
+	}
+}
