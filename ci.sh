@@ -89,6 +89,10 @@ job_test() {
   echo "go lines: root non-test $(grep -v '_test\.go$' <<<"$root" | golines)," \
     "root test $(grep '_test\.go$' <<<"$root" | golines), bench $(git ls-files '*.go' | grep '^bench/' | golines);" \
     "internal packages $(go list ./internal/... | wc -l); root exports $(go doc -short . | wc -l)"
+  # And the wall-clock reads a virtual clock would have to replace
+  # (ROADMAP item 6): printed, not gated.
+  echo "clock sites: $(git ls-files 'internal/runtime/*.go' 'internal/fdimpl/*.go' 'internal/faults/*.go' 'internal/serve/*.go' |
+    grep -v '_test\.go$' | xargs grep -oE 'time\.(Now|Since|NewTimer|AfterFunc|Sleep|NewTicker|After)\(' | wc -l)"
   # And the live stack's settable options, so "options removed" is read off
   # the same log.
   local t n line="" total=0
@@ -301,6 +305,10 @@ job_serve() {
 
 job_detector_zoo() {
   go test -race -count=2 ./internal/fdimpl/
+  # The one suspicion rule in DetectorCore, by name: a silent peer stays
+  # suspected across another peer's retraction, and concurrent pollers grow
+  # a window once per retraction edge.
+  go test -race -count=10 -run 'TestSilentPeerStaysSuspectedAcrossRetraction|TestConcurrentPollsGrowOncePerRetraction' ./internal/fdimpl/
   floor ./internal/fdimpl/ 85
   # Race the full zoo clean and under one chaos schedule (exit 1 if any
   # supported construction loses completeness), swap a zoo detector into a

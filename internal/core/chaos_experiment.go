@@ -241,5 +241,5 @@ func adaptiveSoak(seed int64) (retractions int64, grewTo, initial time.Duration,
 		fd1.Suspects() // suspicion edges (and adaptive growth) happen at poll time
 		time.Sleep(ms)
 	}
-	return fd1.FalseSuspicions(), fd1.CurrentTimeout(), initial, nil
+	return fd1.FalseSuspicions(), fd1.Window(2), initial, nil
 }

@@ -49,25 +49,10 @@ func E15DetectorZoo(cfg Config) (*Report, error) {
 	pass := true
 	table := stats.NewTable(
 		"detector races (period 2ms, timeout 25ms — 250ms fault-free at n=3; identical network seed and chaos schedule within each regime)",
-		"regime", "detector", "ok", "detected", "latency", "false", "retract", "ctrlmsgs", "msgs/period", "Λ-round")
-
+		append([]string{"regime"}, fdimpl.ScoreColumns...)...)
 	addRows := func(regime string, scores []fdimpl.Score) {
 		for _, s := range scores {
-			if !s.Supported {
-				table.AddRow(regime, s.Detector, "no", "-", "-", "-", "-", "-", "-", "-")
-				continue
-			}
-			lam := "-"
-			if s.ConsensusRan {
-				verdict := "!"
-				if s.ConsensusDecided && s.ConsensusAgree {
-					verdict = ""
-				}
-				lam = fmt.Sprintf("%d%s", s.ConsensusRounds, verdict)
-			}
-			table.AddRow(regime, s.Detector, "yes", s.Detected,
-				s.DetectLatency.Round(ms), s.FalseSuspicions, s.Retractions,
-				s.CtrlMsgs, fmt.Sprintf("%.1f", s.MsgsPerPeriod), lam)
+			table.AddRow(append([]any{regime}, s.Row()...)...)
 		}
 	}
 

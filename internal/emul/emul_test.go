@@ -232,6 +232,19 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRSRejectsBoundsBelowOne: a Φ or Δ below 1 is refused up front,
+// naming the bound, instead of emulating the whole run and then failing the
+// synchrony check against the raw value.
+func TestRunRSRejectsBoundsBelowOne(t *testing.T) {
+	for _, b := range []struct{ phi, delta int }{{0, 1}, {1, 0}, {0, 0}, {-1, 2}} {
+		_, err := RunRS(consensus.FloodSet{}, vals(0, 5, 9), 1, b.phi, b.delta, 3, 7, nil)
+		if err == nil || !strings.Contains(err.Error(), "at least 1") ||
+			!strings.Contains(err.Error(), fmt.Sprintf("Φ=%d Δ=%d", b.phi, b.delta)) {
+			t.Errorf("RunRS(Φ=%d, Δ=%d): err = %v, want the bad bound named", b.phi, b.delta, err)
+		}
+	}
+}
+
 // TestRunRWSSimultaneousCrashes: two crashes due at one step give one run
 // per seed, and a crash plan reused for a second run crashes there too.
 func TestRunRWSSimultaneousCrashes(t *testing.T) {

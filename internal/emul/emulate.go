@@ -215,9 +215,12 @@ func (p *proc) Decision() (model.Value, bool) { return p.inner.Decision() }
 
 // RunRS emulates the algorithm over the SS step engine under a seeded
 // SS-admissible scheduler, with optional crash injection (global step →
-// victim). It validates the produced schedule against the Φ/Δ conditions
-// and returns the round-level result.
+// victim). Φ and Δ must be at least 1. It validates the produced schedule
+// against the Φ/Δ conditions and returns the round-level result.
 func RunRS(inner rounds.Algorithm, initial []model.Value, t, phi, delta, maxRounds int, seed int64, crashAt map[model.ProcessID]int) (*Result, error) {
+	if phi < 1 || delta < 1 {
+		return nil, fmt.Errorf("emul: RunRS: synchrony bounds must be at least 1, got Φ=%d Δ=%d", phi, delta)
+	}
 	n := len(initial)
 	e := newEmulation(rounds.RS, inner, t, maxRounds, n)
 	e.deadlines = DeadlineSchedule(n, phi, delta, maxRounds)

@@ -98,12 +98,9 @@ func TestBoundedRetractionGrowsLinkBound(t *testing.T) {
 			t.Fatalf("retraction %d: suspicion not retracted: %v", k, s)
 		}
 		want = min(2*want, 64*initial)
-		if got := fd.LinkBound(2); got != want {
+		if got := fd.Window(2); got != want {
 			t.Fatalf("link bound after retraction %d = %v, want %v", k, got, want)
 		}
-	}
-	if got := fd.Retractions(); got != retractions {
-		t.Errorf("Retractions = %d, want %d", got, retractions)
 	}
 	if got := fd.FalseSuspicions(); got != retractions {
 		t.Errorf("FalseSuspicions = %d, want %d", got, retractions)
@@ -140,8 +137,8 @@ func TestBoundedPingAckConversation(t *testing.T) {
 	if fd.LinkPings(2) == 0 {
 		t.Error("no pings on a silent link: liveness evidence came from nowhere")
 	}
-	if fd.LinkBound(2) != bound {
-		t.Errorf("bound moved to %v without any retraction", fd.LinkBound(2))
+	if fd.Window(2) != bound {
+		t.Errorf("bound moved to %v without any retraction", fd.Window(2))
 	}
 	cost := z.Stats().Cost
 	msgs, bytes := cost.ControlMessages, cost.ControlBytes

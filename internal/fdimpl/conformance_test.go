@@ -58,9 +58,6 @@ func TestConformanceFaultFree(t *testing.T) {
 				if got := z.Detectors[i].FalseSuspicions(); got != 0 {
 					t.Errorf("observer %d: %d false suspicions over a fault-free synchronous network", i, got)
 				}
-				if got := z.Detectors[i].Retractions(); got != 0 {
-					t.Errorf("observer %d: %d retractions over a fault-free synchronous network", i, got)
-				}
 				if ever := z.Detectors[i].EverSuspected(); !ever.Has(victim) || ever.Count() != 1 {
 					t.Errorf("observer %d sticky audit = %v, want exactly {%d}", i, ever, victim)
 				}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rounds"
 	"repro/internal/runtime"
+	"repro/internal/stats"
 )
 
 // RaceConfig parameterizes one detector race: every listed construction
@@ -53,8 +54,7 @@ type Score struct {
 	Detected        bool          // every live observer suspected the victim
 	DetectLatency   time.Duration // crash → last live observer's suspicion
 	FalseSuspicions int64         // live observers, over the whole window
-	Retractions     int64
-	CtrlMsgs        int64 // control messages encoded over the window
+	CtrlMsgs        int64         // control messages encoded over the window
 	CtrlBytes       int64
 	MsgsPerPeriod   float64 // cluster-wide control sends per detector period
 
@@ -165,7 +165,6 @@ func detectionProbe(spec *runtime.DetectorSpec, cfg RaceConfig) Score {
 			score.DetectLatency = lat
 		}
 		score.FalseSuspicions += dets[i].FalseSuspicions()
-		score.Retractions += dets[i].Retractions()
 	}
 
 	_ = e.Close() // stop the senders before reading the accounting
@@ -221,28 +220,33 @@ func consensusProbe(spec *runtime.DetectorSpec, cfg RaceConfig, score *Score) {
 	score.ConsensusFalse = cr.Stats.FalseSuspicions
 }
 
-// RenderScores formats the scorecard; rows keep their Race order.
-func RenderScores(scores []Score) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %-6s %-9s %-8s %-6s %-8s %-9s %-10s %-8s %s\n",
-		"detector", "ok", "detected", "latency", "false", "retract", "ctrlmsgs", "msgs/period", "Λ-round", "note")
-	for _, s := range scores {
-		if !s.Supported {
-			fmt.Fprintf(&b, "%-10s %-6s %-9s %-8s %-6s %-8s %-9s %-10s %-8s %s\n",
-				s.Detector, "no", "-", "-", "-", "-", "-", "-", "-", s.Note)
-			continue
-		}
-		lam := "-"
-		if s.ConsensusRan {
-			verdict := "!"
-			if s.ConsensusDecided && s.ConsensusAgree {
-				verdict = ""
-			}
-			lam = fmt.Sprintf("%d%s", s.ConsensusRounds, verdict)
-		}
-		fmt.Fprintf(&b, "%-10s %-6s %-9v %-8s %-6d %-8d %-9d %-10.1f %-8s %s\n",
-			s.Detector, "yes", s.Detected, s.DetectLatency.Round(time.Millisecond),
-			s.FalseSuspicions, s.Retractions, s.CtrlMsgs, s.MsgsPerPeriod, lam, s.Note)
+// ScoreColumns heads the cells Score.Row renders, in order.
+var ScoreColumns = []string{"detector", "ok", "detected", "latency", "false", "ctrlmsgs", "msgs/period", "Λ-round"}
+
+// Row renders s as the ScoreColumns cells. The Λ-round cell is the
+// consensus decision round, marked "!" unless every live node decided and
+// agreed; "-" when no consensus ran.
+func (s Score) Row() []any {
+	if !s.Supported {
+		return []any{s.Detector, "no", "-", "-", "-", "-", "-", "-"}
 	}
-	return b.String()
+	lam := "-"
+	if s.ConsensusRan {
+		lam = fmt.Sprint(s.ConsensusRounds)
+		if !s.ConsensusDecided || !s.ConsensusAgree {
+			lam += "!"
+		}
+	}
+	return []any{s.Detector, "yes", s.Detected, s.DetectLatency.Round(time.Millisecond),
+		s.FalseSuspicions, s.CtrlMsgs, fmt.Sprintf("%.1f", s.MsgsPerPeriod), lam}
+}
+
+// RenderScores formats the scorecard, with each row's note last; rows keep
+// their Race order.
+func RenderScores(scores []Score) string {
+	t := stats.NewTable("", append(ScoreColumns, "note")...)
+	for _, s := range scores {
+		t.AddRow(append(s.Row(), s.Note)...)
+	}
+	return t.String()
 }

@@ -19,26 +19,27 @@ import (
 // cover ~n·Period plus delivery slack.
 //
 // A member j is suspected once j's sequence has not advanced (nor any
-// direct traffic from j arrived) for the stall window. A crashed member's
-// sequence stops advancing everywhere, so strong completeness survives any
-// chaos; a slow hop can stall a live member's sequence past the window,
-// which is the accuracy degradation the E15 scorecard prices.
+// direct traffic from j arrived) for the stall window: the construction
+// calls the embedded DetectorCore's Heard on direct traffic and on every
+// origin a digest advances, and the core times the silence (forced adaptive,
+// since the ring's latency depends on load, not just the network). A
+// crashed member's sequence stops advancing everywhere, so strong
+// completeness survives any chaos; a slow hop can stall a live member's
+// sequence past the window, which is the accuracy degradation the E15
+// scorecard prices.
 //
 // Rerouting: the digest goes to the first ring successor not currently
 // suspected, so a crashed successor only delays propagation until it is
 // detected, after which the ring heals around it.
 type RingFD struct {
 	*runtime.DetectorCore
-	period   time.Duration
-	maxStall time.Duration
+	period time.Duration
 
-	mu           sync.Mutex
-	stall        time.Duration // current stall window (adaptive growth)
-	seq          uint64        // own sequence, bumped per period
-	maxSeq       []uint64      // freshest known sequence per member
-	lastAdvanced []time.Time   // when that freshness last improved
-	forwards     int64         // digests sent
-	reroutes     int64         // digests sent past a suspected successor
+	mu       sync.Mutex
+	seq      uint64   // own sequence, bumped per period
+	maxSeq   []uint64 // freshest known sequence per member
+	forwards int64    // digests sent
+	reroutes int64    // digests sent past a suspected successor
 }
 
 var _ runtime.Detector = (*RingFD)(nil)
@@ -53,29 +54,19 @@ func RingDetector() *runtime.DetectorSpec {
 	}
 }
 
-// newRingFD sizes the initial stall window; retractions double it, up to
-// 64× that.
+// newRingFD sizes the initial stall window; retractions double a member's
+// window, up to 64× that, whatever cfg.Adaptive says.
 func newRingFD(cfg runtime.DetectorConfig) *RingFD {
 	// The stall window must cover a full circulation: n−1 forwarding hops,
 	// each waiting up to one period, plus delivery slack. The configured
 	// timeout is honored when it is already generous enough.
-	stall := cfg.Timeout
-	if ringFloor := time.Duration(4*cfg.N) * cfg.Period; stall < ringFloor {
-		stall = ringFloor
-	}
-	fd := &RingFD{
+	cfg.Timeout = max(cfg.Timeout, time.Duration(4*cfg.N)*cfg.Period)
+	cfg.Adaptive = true
+	return &RingFD{
 		DetectorCore: runtime.NewDetectorCore("ring", cfg),
 		period:       cfg.Period,
-		stall:        stall,
-		maxStall:     stall * 64,
 		maxSeq:       make([]uint64, cfg.N+1),
-		lastAdvanced: make([]time.Time, cfg.N+1),
 	}
-	now := time.Now()
-	for j := 1; j <= cfg.N; j++ {
-		fd.lastAdvanced[j] = now
-	}
-	return fd
 }
 
 // Start launches the ring forwarder.
@@ -83,44 +74,37 @@ func (fd *RingFD) Start() { fd.Every(fd.period, fd.forward) }
 
 // forward bumps the own sequence and ships the digest to the successor.
 func (fd *RingFD) forward() {
-	now := time.Now()
 	fd.mu.Lock()
 	fd.seq++
 	seq := fd.seq
 	fd.maxSeq[fd.ID()] = fd.seq
-	fd.lastAdvanced[fd.ID()] = now
 	info := wire.RingInfo{Origins: make([]wire.RingOrigin, 0, fd.N())}
 	for j := 1; j <= fd.N(); j++ {
 		if fd.maxSeq[j] > 0 {
 			info.Origins = append(info.Origins, wire.RingOrigin{Proc: model.ProcessID(j), Seq: fd.maxSeq[j]})
 		}
 	}
-	succ, rerouted := fd.successorLocked(now)
-	if succ != 0 {
-		fd.forwards++
-		if rerouted {
-			fd.reroutes++
-		}
+	succ, rerouted := fd.successor(time.Now())
+	if rerouted {
+		fd.reroutes++
 	}
+	fd.forwards++
 	fd.mu.Unlock()
-	if succ == 0 {
-		return // every other member looks dead; nobody to tell
-	}
 	fd.Send(wire.Envelope{To: succ, Round: int(seq), Kind: wire.KindFDRing, Payload: info})
 }
 
-// successorLocked picks the first member after the local id in ring order
-// whose freshness is younger than HALF the stall window; rerouted reports
-// whether a nearer (stale) successor was skipped. Rerouting at stall/2 —
+// successor picks the first member after the local id in ring order
+// whose freshness is younger than HALF its stall window; rerouted reports
+// whether a nearer (stale) successor was skipped. Rerouting at window/2 —
 // before the successor is formally suspected — matters for accuracy: while
 // a digest goes to a dead successor, everything this process knows stops
 // propagating, so waiting for full suspicion would let third parties stall
-// past their own windows and falsely suspect live members. Requires fd.mu.
-func (fd *RingFD) successorLocked(now time.Time) (succ model.ProcessID, rerouted bool) {
+// past their own windows and falsely suspect live members.
+func (fd *RingFD) successor(now time.Time) (succ model.ProcessID, rerouted bool) {
 	n := fd.N()
 	for k := 1; k < n; k++ {
 		j := model.ProcessID((int(fd.ID())-1+k)%n + 1)
-		if now.Sub(fd.lastAdvanced[j]) <= fd.stall/2 {
+		if fd.Silence(j, now) <= fd.Window(j)/2 {
 			return j, k > 1
 		}
 	}
@@ -134,48 +118,22 @@ func (fd *RingFD) Observe(env wire.Envelope) {
 	if !env.From.Valid(fd.N()) || env.From == fd.ID() {
 		return
 	}
-	now := time.Now()
-	fd.mu.Lock()
-	defer fd.mu.Unlock()
-	fd.lastAdvanced[env.From] = now // direct traffic is firsthand evidence
+	fd.Heard(env.From) // direct traffic is firsthand evidence
 	info, ok := env.Payload.(wire.RingInfo)
 	if !ok {
 		return
 	}
+	fd.mu.Lock()
+	defer fd.mu.Unlock()
 	for _, o := range info.Origins {
 		if !o.Proc.Valid(fd.N()) || o.Proc == fd.ID() {
 			continue
 		}
 		if o.Seq > fd.maxSeq[o.Proc] {
 			fd.maxSeq[o.Proc] = o.Seq
-			fd.lastAdvanced[o.Proc] = now
+			fd.Heard(o.Proc)
 		}
 	}
-}
-
-// Suspects returns the members whose freshness stalled past the window.
-func (fd *RingFD) Suspects() model.ProcSet {
-	var s model.ProcSet
-	now := time.Now()
-	fd.mu.Lock()
-	defer fd.mu.Unlock()
-	for j := 1; j <= fd.N(); j++ {
-		if model.ProcessID(j) == fd.ID() {
-			continue
-		}
-		if now.Sub(fd.lastAdvanced[j]) > fd.stall {
-			s = s.Add(model.ProcessID(j))
-			fd.Raise(model.ProcessID(j))
-		} else if fd.Retract(model.ProcessID(j)) {
-			// A retraction means the window undershot the ring's actual
-			// circulation time; grow it (the ◇P move, always on — the
-			// ring's latency depends on load, not just the network).
-			if fd.stall *= 2; fd.stall > fd.maxStall {
-				fd.stall = fd.maxStall
-			}
-		}
-	}
-	return s
 }
 
 // Forwards reports digests sent; Reroutes how many skipped a suspected
@@ -191,11 +149,4 @@ func (fd *RingFD) Reroutes() int64 {
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
 	return fd.reroutes
-}
-
-// StallWindow reports the current stall window (grown by retractions).
-func (fd *RingFD) StallWindow() time.Duration {
-	fd.mu.Lock()
-	defer fd.mu.Unlock()
-	return fd.stall
 }

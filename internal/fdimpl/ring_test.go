@@ -3,6 +3,8 @@ package fdimpl
 import (
 	"testing"
 	"time"
+
+	"repro/internal/model"
 )
 
 // TestRingMessageRateIsLinear pins the construction's reason to exist:
@@ -84,7 +86,9 @@ func TestRingReroutesAroundCrashedSuccessor(t *testing.T) {
 	if fd1.Forwards() == 0 {
 		t.Error("p1 forwarded nothing")
 	}
-	if fd1.StallWindow() < stall {
-		t.Errorf("stall window shrank to %v", fd1.StallWindow())
+	for j := 2; j <= 3; j++ {
+		if w := fd1.Window(model.ProcessID(j)); w < stall {
+			t.Errorf("p%d's stall window shrank to %v", j, w)
+		}
 	}
 }

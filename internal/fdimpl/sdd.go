@@ -36,10 +36,8 @@ type SDDFD struct {
 	peer     model.ProcessID
 	period   time.Duration
 	ssWindow time.Duration
-	spWindow time.Duration
 	seq      int // heartbeat sequence; the ticker goroutine's own
 
-	lastHeard     atomic.Int64 // unix nanos of last traffic from the peer
 	boundaryPolls atomic.Int64 // polls with SS-suspected but not SP-suspected
 	ssRaises      atomic.Int64 // SS-window suspicion edges
 	ssSuspected   atomic.Bool
@@ -49,7 +47,8 @@ var _ runtime.Detector = (*SDDFD)(nil)
 
 // SDDDetector registers the two-process SDD boundary harness. Its factory
 // rejects any cluster size but 2 — the hardness argument is specifically
-// about one observer timing one peer.
+// about one observer timing one peer. The core's window is the SP window
+// and never grows.
 func SDDDetector() *runtime.DetectorSpec {
 	return &runtime.DetectorSpec{
 		Name: "sdd",
@@ -57,15 +56,14 @@ func SDDDetector() *runtime.DetectorSpec {
 			if cfg.N != 2 {
 				return nil, fmt.Errorf("sdd detector requires exactly 2 processes, got %d", cfg.N)
 			}
-			fd := &SDDFD{
+			ss := cfg.Timeout
+			cfg.Timeout, cfg.Adaptive = 4*ss, false
+			return &SDDFD{
 				DetectorCore: runtime.NewDetectorCore("sdd", cfg),
 				peer:         model.ProcessID(3 - int(cfg.Transport.LocalID())),
 				period:       cfg.Period,
-				ssWindow:     cfg.Timeout,
-				spWindow:     4 * cfg.Timeout,
-			}
-			fd.lastHeard.Store(time.Now().UnixNano())
-			return fd, nil
+				ssWindow:     ss,
+			}, nil
 		},
 	}
 }
@@ -78,35 +76,19 @@ func (fd *SDDFD) beat() {
 	fd.Send(wire.Envelope{To: fd.peer, Round: fd.seq, Kind: wire.KindHeartbeat})
 }
 
-// Observe records liveness evidence from the peer.
-func (fd *SDDFD) Observe(env wire.Envelope) {
-	if env.From != fd.peer {
-		return
-	}
-	fd.lastHeard.Store(time.Now().UnixNano())
-}
-
-// Suspects times the peer's silence against both windows: the SP window
-// drives the returned set (and the edge accounting), the SS window drives
-// the boundary instrumentation.
+// Suspects times the peer's silence against both windows: the core's SP
+// window drives the returned set (and the edge accounting), the SS window
+// drives the boundary instrumentation.
 func (fd *SDDFD) Suspects() model.ProcSet {
-	var s model.ProcSet
-	silence := time.Duration(time.Now().UnixNano() - fd.lastHeard.Load())
-	ss := silence > fd.ssWindow
-	sp := silence > fd.spWindow
+	s := fd.DetectorCore.Suspects()
+	ss := fd.Silence(fd.peer, time.Now()) > fd.ssWindow
 	if ss && !fd.ssSuspected.Swap(true) {
 		fd.ssRaises.Add(1)
 	} else if !ss {
 		fd.ssSuspected.Store(false)
 	}
-	if ss && !sp {
+	if ss && !s.Has(fd.peer) {
 		fd.boundaryPolls.Add(1)
-	}
-	if sp {
-		s = s.Add(fd.peer)
-		fd.Raise(fd.peer)
-	} else {
-		fd.Retract(fd.peer)
 	}
 	return s
 }
@@ -120,4 +102,4 @@ func (fd *SDDFD) BoundaryPolls() int64 { return fd.boundaryPolls.Load() }
 func (fd *SDDFD) SSRaises() int64 { return fd.ssRaises.Load() }
 
 // Windows reports the harness's two silence bounds (SS, SP).
-func (fd *SDDFD) Windows() (ss, sp time.Duration) { return fd.ssWindow, fd.spWindow }
+func (fd *SDDFD) Windows() (ss, sp time.Duration) { return fd.ssWindow, fd.Window(fd.peer) }

@@ -71,8 +71,8 @@ func TestSDDBoundaryWindow(t *testing.T) {
 	if s := fd.Suspects(); !s.Empty() {
 		t.Fatalf("suspicion not retracted: %v", s)
 	}
-	if fd.Retractions() != 1 {
-		t.Errorf("Retractions = %d, want 1", fd.Retractions())
+	if fd.FalseSuspicions() != 1 {
+		t.Errorf("FalseSuspicions = %d, want 1", fd.FalseSuspicions())
 	}
 	// Irrelevant senders are ignored.
 	before := fd.BoundaryPolls()

@@ -14,9 +14,10 @@ import (
 // Detector is the failure-detector contract the RWS runtime programs
 // against. The paper treats the detector as an oracle with axioms
 // (completeness, accuracy); this interface is the oracle's operational
-// surface, extracted from HeartbeatFD so the detector *construction* —
-// all-to-all heartbeats, bounded-message ◇P, ring forwarding, ... — is a
-// pluggable choice raced by experiment E15.
+// surface, so the detector *construction* — all-to-all heartbeats,
+// bounded-message ◇P, ring forwarding, ... — is a pluggable choice raced by
+// experiment E15. Every construction embeds a DetectorCore, which owns the
+// one suspicion rule; a construction only supplies evidence and traffic.
 //
 // Lifecycle: construct → Start → (Observe/Suspects/NoteRound from the node,
 // concurrently) → Stop. A detector is built complete from its
@@ -50,7 +51,6 @@ type Detector interface {
 	// Audit hooks, read after the run.
 	EverSuspected() model.ProcSet
 	FalseSuspicions() int64
-	Retractions() int64
 	EncodeErrors() int64
 }
 
@@ -72,8 +72,9 @@ type DetectorConfig struct {
 	Metrics *obs.Registry
 	Events  obs.Sink
 	Wire    *netobs.WireStats
-	// Adaptive selects the ◇P variant where retractions grow the window,
-	// up to 64× its initial value, for constructions that support it.
+	// Adaptive selects the ◇P variant: each retraction doubles the
+	// retracted peer's window, up to 64× its initial value. The bounded
+	// and ring constructions always adapt; sdd never does.
 	Adaptive bool
 }
 
@@ -96,14 +97,20 @@ func HeartbeatDetector() *DetectorSpec {
 	}
 }
 
+// maxGrowth caps an adaptive window at this multiple of its initial value.
+const maxGrowth = 64
+
 // DetectorCore is everything a detector construction does not decide for
 // itself: the endpoint and the one way to send on it (Send), the stop
-// discipline and the one ticker loop (Every, Stop), suspicion-edge
-// accounting with the sticky strong-accuracy audit, the retraction/false-
-// suspicion/encode-error counters, per-detector-labelled metrics and the
-// suspect/retract event stream. A construction embeds a *DetectorCore and
-// supplies its state, Observe, Suspects (calling Raise/Retract) and a tick
-// handed to Every from Start; the promoted methods are the rest of the
+// discipline and the one ticker loop (Every, Stop), and the one suspicion
+// rule — per peer a last-evidence time and a window; a peer silent for
+// longer than its window is suspected, and an adaptive core doubles a peer's
+// window each time that peer's suspicion is retracted (Suspects). It also
+// keeps suspicion-edge accounting with the sticky strong-accuracy audit, the
+// false-suspicion/encode-error counters, per-detector-labelled metrics and
+// the suspect/retract event stream. A construction embeds a *DetectorCore
+// and supplies its evidence (Heard, from Observe) and its traffic (a tick
+// handed to Every from Start); the promoted methods are the rest of the
 // Detector interface.
 type DetectorCore struct {
 	name     string
@@ -123,21 +130,32 @@ type DetectorCore struct {
 	stop    chan struct{}
 	wg      sync.WaitGroup
 
+	peers     []peerState // indexed by process id; [0] and [id] unused
+	maxWindow int64
+	adaptive  bool
+
 	falseSuspicions atomic.Int64 // retraction edges (perfection counterexamples)
-	retractions     atomic.Int64
 	encodeErrors    atomic.Int64
-	suspected       []atomic.Bool // current suspicion edge state
-	sticky          []atomic.Bool // ever raised, never cleared (accuracy audit)
+}
+
+// peerState is the suspicion rule's state for one peer.
+type peerState struct {
+	heard     atomic.Int64 // unix nanos of the last evidence
+	window    atomic.Int64 // current suspicion window, nanoseconds
+	suspected atomic.Bool  // current suspicion edge state
+	sticky    atomic.Bool  // ever raised, never cleared (accuracy audit)
 }
 
 // NewDetectorCore builds the shared half of one observer endpoint's
-// detector, named name in its metric labels.
+// detector, named name in its metric labels. Every peer's window starts at
+// cfg.Timeout and grows only when cfg.Adaptive; every peer counts as heard
+// at construction.
 func NewDetectorCore(name string, cfg DetectorConfig) *DetectorCore {
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.Default
 	}
-	return &DetectorCore{
+	c := &DetectorCore{
 		name:      name,
 		id:        cfg.Transport.LocalID(),
 		n:         cfg.N,
@@ -146,9 +164,16 @@ func NewDetectorCore(name string, cfg DetectorConfig) *DetectorCore {
 		metrics:   newFDMetrics(reg, name),
 		sink:      cfg.Events,
 		stop:      make(chan struct{}),
-		suspected: make([]atomic.Bool, cfg.N+1),
-		sticky:    make([]atomic.Bool, cfg.N+1),
+		peers:     make([]peerState, cfg.N+1),
+		maxWindow: int64(cfg.Timeout) * maxGrowth,
+		adaptive:  cfg.Adaptive,
 	}
+	now := time.Now().UnixNano()
+	for j := 1; j <= cfg.N; j++ {
+		c.peers[j].heard.Store(now)
+		c.peers[j].window.Store(int64(cfg.Timeout))
+	}
+	return c
 }
 
 // ID is the owning process; N the cluster size.
@@ -235,31 +260,81 @@ func (c *DetectorCore) NoteRound(r int) { c.round.Store(int64(r)) }
 // Round reads the last noted round.
 func (c *DetectorCore) Round() int { return int(c.round.Load()) }
 
-// Raise records that peer j is currently suspected. Swap counts each raise
-// exactly once per transition, so the raised/retracted counters track
-// suspicion *edges*, not polls. Returns true on the raising poll.
-func (c *DetectorCore) Raise(j model.ProcessID) bool {
-	if c.suspected[j].Swap(true) {
-		return false
+// Heard records evidence that peer j was alive just now. Evidence about an
+// id outside the cluster, or about the observer itself, is ignored.
+func (c *DetectorCore) Heard(j model.ProcessID) {
+	if j.Valid(c.n) && j != c.id {
+		c.peers[j].heard.Store(time.Now().UnixNano())
 	}
-	c.sticky[j].Store(true)
+}
+
+// Observe is the default evidence rule: any envelope proves its sender was
+// recently alive (see Detector.Observe for how often the demultiplexer calls
+// it). Constructions that answer traffic override it and call Heard.
+func (c *DetectorCore) Observe(env wire.Envelope) { c.Heard(env.From) }
+
+// Silence reports how long peer j has been silent at now.
+func (c *DetectorCore) Silence(j model.ProcessID, now time.Time) time.Duration {
+	return time.Duration(now.UnixNano() - c.peers[j].heard.Load())
+}
+
+// Window reports peer j's current suspicion window: the configured timeout,
+// grown past it only by retractions of j in an adaptive core.
+func (c *DetectorCore) Window(j model.ProcessID) time.Duration {
+	return time.Duration(c.peers[j].window.Load())
+}
+
+// Suspects is the one suspicion rule: a peer silent for longer than its
+// window is suspected (raise), any other peer is not (retract). A
+// retraction means that peer's window undershot its actual delays, so an
+// adaptive core doubles that peer's window, capped at 64× the initial one —
+// the ◇P move. Only the poller that wins the retraction edge grows the
+// window, once per edge; the CompareAndSwap keeps it exact against other
+// pollers.
+func (c *DetectorCore) Suspects() model.ProcSet {
+	var s model.ProcSet
+	now := time.Now()
+	for j := 1; j <= c.n; j++ {
+		p := model.ProcessID(j)
+		if p == c.id {
+			continue
+		}
+		if c.Silence(p, now) > c.Window(p) {
+			s = s.Add(p)
+			c.raise(p)
+		} else if c.retract(p) && c.adaptive {
+			w := &c.peers[j].window
+			for old := w.Load(); !w.CompareAndSwap(old, min(2*old, c.maxWindow)); {
+				old = w.Load()
+			}
+		}
+	}
+	return s
+}
+
+// raise records that peer j is currently suspected. Swap counts each raise
+// exactly once per transition, so the raised/retracted counters track
+// suspicion *edges*, not polls.
+func (c *DetectorCore) raise(j model.ProcessID) {
+	if c.peers[j].suspected.Swap(true) {
+		return
+	}
+	c.peers[j].sticky.Store(true)
 	c.metrics.raised.Inc()
 	if c.sink != nil {
 		c.sink.Emit(obs.Event{Type: obs.EventSuspect, Round: c.Round(), Proc: int(j), By: int(c.id)})
 	}
-	return true
 }
 
-// Retract records that peer j is no longer suspected. A retraction is by
+// retract records that peer j is no longer suspected. A retraction is by
 // definition a false suspicion under crash-stop (a crashed process never
-// shows life again), so both counters advance on the edge. Returns true on
-// the retracting poll.
-func (c *DetectorCore) Retract(j model.ProcessID) bool {
-	if !c.suspected[j].Swap(false) {
+// shows life again), so it is counted as one. Returns true on the
+// retracting poll.
+func (c *DetectorCore) retract(j model.ProcessID) bool {
+	if !c.peers[j].suspected.Swap(false) {
 		return false
 	}
 	c.falseSuspicions.Add(1)
-	c.retractions.Add(1)
 	c.metrics.retracted.Inc()
 	if c.sink != nil {
 		c.sink.Emit(obs.Event{Type: obs.EventRetract, Round: c.Round(), Proc: int(j), By: int(c.id)})
@@ -271,12 +346,6 @@ func (c *DetectorCore) Retract(j model.ProcessID) bool {
 // through — zero in a run where the detector behaved perfectly.
 func (c *DetectorCore) FalseSuspicions() int64 { return c.falseSuspicions.Load() }
 
-// Retractions reports the retraction edges this observer polled through.
-// Under the crash-stop model it equals FalseSuspicions; it is kept as its
-// own counter because the adaptive constructions treat it as their control
-// signal (every retraction grows a timeout) rather than as a verdict.
-func (c *DetectorCore) Retractions() int64 { return c.retractions.Load() }
-
 // EncodeErrors reports control messages lost to envelope encoding failures.
 func (c *DetectorCore) EncodeErrors() int64 { return c.encodeErrors.Load() }
 
@@ -287,7 +356,7 @@ func (c *DetectorCore) EncodeErrors() int64 { return c.encodeErrors.Load() }
 func (c *DetectorCore) EverSuspected() model.ProcSet {
 	var s model.ProcSet
 	for j := 1; j <= c.n; j++ {
-		if c.sticky[j].Load() {
+		if c.peers[j].sticky.Load() {
 			s = s.Add(model.ProcessID(j))
 		}
 	}

@@ -12,12 +12,10 @@ import (
 	"repro/internal/wire"
 )
 
-// bareDetector is the least a construction can be: a DetectorCore that never
-// sends and never suspects.
+// bareDetector is a DetectorCore that never sends and never suspects.
 type bareDetector struct{ *DetectorCore }
 
 func (bareDetector) Start()                  {}
-func (bareDetector) Observe(wire.Envelope)   {}
 func (bareDetector) Suspects() model.ProcSet { return 0 }
 
 // TestDetectorSendCounts pins the one seam every control message leaves

@@ -264,6 +264,8 @@ type EngineStats struct {
 
 	// Detector audit, summed over the n shared detectors: FalselySuspected
 	// counts (observer, target) pairs whose target never crash-stopped.
+	// Every retraction is a false suspicion under crash-stop, so
+	// Retractions always equals FalseSuspicions.
 	FalseSuspicions    int64
 	Retractions        int64
 	FalselySuspected   int64
@@ -706,7 +708,6 @@ func (e *Engine) Stats() EngineStats {
 		}
 		s.Detector = fd.Name()
 		s.FalseSuspicions += fd.FalseSuspicions()
-		s.Retractions += fd.Retractions()
 		s.EncodeErrors += fd.EncodeErrors()
 		// Strong-accuracy audit: a sticky suspicion of a process that never
 		// crash-stopped is a perfection violation even when it was never
@@ -714,6 +715,7 @@ func (e *Engine) Stats() EngineStats {
 		// outside the crash-stop model.
 		s.FalselySuspected += int64(fd.EverSuspected().Minus(crashed).Count())
 	}
+	s.Retractions = s.FalseSuspicions
 	s.DetectorWasPerfect = s.FalseSuspicions == 0 && s.FalselySuspected == 0
 	s.Cost = netobs.ComputeCost(int(s.DecidedNodes), er.ws, e.links())
 	return s

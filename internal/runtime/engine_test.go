@@ -33,7 +33,6 @@ func (s *stubDetector) NoteRound(int)                {}
 func (s *stubDetector) Name() string                 { return "stub" }
 func (s *stubDetector) EverSuspected() model.ProcSet { return 0 }
 func (s *stubDetector) FalseSuspicions() int64       { return 0 }
-func (s *stubDetector) Retractions() int64           { return 0 }
 func (s *stubDetector) EncodeErrors() int64          { return 0 }
 
 // failAfterSpec builds stub detectors until node `failAt`, then errors —

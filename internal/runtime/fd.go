@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/model"
@@ -23,50 +22,28 @@ import (
 // an unbounded network the same code is merely eventually perfect — the
 // experiments use exactly this to show which model a deployment actually
 // lives in. The optional adaptive mode (DetectorConfig.Adaptive) completes
-// the degradation gracefully: growing the timeout on every retraction is
-// the classic ◇P construction, converging to accuracy once the timeout
-// overtakes the network's actual (unbounded-model) delays.
+// the degradation gracefully: growing a peer's timeout on every retraction
+// of it is the classic ◇P construction, converging to accuracy once the
+// timeout overtakes the network's actual (unbounded-model) delays.
 //
-// It is the "heartbeat" entry of the detector zoo (see HeartbeatDetector
-// and internal/fdimpl); its cost is O(n²) messages per period cluster-wide.
+// The construction is only the broadcaster: any inbound traffic is the
+// evidence, and the embedded DetectorCore times the silence. It is the
+// "heartbeat" entry of the detector zoo (see HeartbeatDetector and
+// internal/fdimpl); its cost is O(n²) messages per period cluster-wide.
 type HeartbeatFD struct {
 	*DetectorCore
-	period  time.Duration
-	timeout atomic.Int64 // current suspicion window, nanoseconds
-
-	adaptive   bool
-	maxTimeout time.Duration
-
-	lastHeard []atomic.Int64 // unix nanos of last traffic per peer
-	seq       int            // heartbeat sequence; the ticker goroutine's own
+	period time.Duration
+	seq    int // heartbeat sequence; the ticker goroutine's own
 }
 
 // NewHeartbeatFD builds (but does not start) a detector for cfg's endpoint.
 // With cfg.Adaptive it is the ◇P construction instead of P-over-a-
-// synchronous-network: every retraction doubles the suspicion timeout,
+// synchronous-network: every retraction doubles that peer's timeout,
 // capped at 64× the initial one, so over a network that violates its Δ
 // bound the detector is eventually accurate instead of permanently
 // suspecting live peers.
 func NewHeartbeatFD(cfg DetectorConfig) *HeartbeatFD {
-	fd := &HeartbeatFD{
-		DetectorCore: NewDetectorCore("heartbeat", cfg),
-		period:       cfg.Period,
-		adaptive:     cfg.Adaptive,
-		maxTimeout:   cfg.Timeout * 64,
-		lastHeard:    make([]atomic.Int64, cfg.N+1),
-	}
-	fd.timeout.Store(int64(cfg.Timeout))
-	now := time.Now().UnixNano()
-	for i := 1; i <= cfg.N; i++ {
-		fd.lastHeard[i].Store(now)
-	}
-	return fd
-}
-
-// CurrentTimeout returns the active suspicion window — grown past its
-// configured value only by adaptive retractions.
-func (fd *HeartbeatFD) CurrentTimeout() time.Duration {
-	return time.Duration(fd.timeout.Load())
+	return &HeartbeatFD{DetectorCore: NewDetectorCore("heartbeat", cfg), period: cfg.Period}
 }
 
 // Start launches the heartbeat broadcaster.
@@ -79,41 +56,4 @@ func (fd *HeartbeatFD) broadcast() {
 			fd.Send(wire.Envelope{To: dest, Round: fd.seq, Kind: wire.KindHeartbeat})
 		}
 	}
-}
-
-// Observe records liveness evidence from a peer: any traffic, control or
-// data, proves the sender was recently alive (see Detector.Observe for how
-// often the demultiplexer calls it).
-func (fd *HeartbeatFD) Observe(env wire.Envelope) {
-	if !env.From.Valid(fd.N()) {
-		return
-	}
-	fd.lastHeard[env.From].Store(time.Now().UnixNano())
-}
-
-// Suspects returns the current suspicion set. It also tracks retractions:
-// if a previously suspected peer shows life again, the detector was not
-// perfect in this run (FalseSuspicions counts those events), and in
-// adaptive mode each retraction doubles the timeout.
-func (fd *HeartbeatFD) Suspects() model.ProcSet {
-	var s model.ProcSet
-	now := time.Now().UnixNano()
-	timeout := fd.timeout.Load()
-	for j := 1; j <= fd.N(); j++ {
-		if model.ProcessID(j) == fd.ID() {
-			continue
-		}
-		if now-fd.lastHeard[j].Load() > timeout {
-			s = s.Add(model.ProcessID(j))
-			fd.Raise(model.ProcessID(j))
-		} else if fd.Retract(model.ProcessID(j)) && fd.adaptive {
-			grown := timeout * 2
-			if grown > int64(fd.maxTimeout) {
-				grown = int64(fd.maxTimeout)
-			}
-			// CompareAndSwap: concurrent pollers double once, not twice.
-			fd.timeout.CompareAndSwap(timeout, grown)
-		}
-	}
-	return s
 }
