@@ -117,10 +117,17 @@ job_conformance() {
   # vocabulary (a round-engine stream must project and replay to its own
   # run) is named in the job log.
   go test -race -run 'TestRoundTrip|FuzzAdversarySchedule|TestObsCountersMatchRunTotals' ./internal/conform/ ./internal/rounds/
+  # Round synchrony, Lemma 4.1 and the crash budget are each one function
+  # over rounds.Receptions: an execution written as an engine run, an
+  # emulation result and a live stream gets one verdict, every explorer run
+  # at n=3 t=1 is admissible and a moved dropper crash is flagged, and the
+  # RWS emulation conforms with no tolerance.
+  go test -race -run 'OneChecker|TestObligationRuleMatchesLemma41|TestExplorerRunsMeetTheRoundProperties|TestEmulRWSConformance|TestResultLemma41Bound' ./internal/conform/ ./internal/rounds/ ./internal/emul/
   fuzz FuzzAdversarySchedule ./internal/conform/
   fuzz FuzzFaultSpec ./internal/conform/
   floor ./internal/check/ 85
   floor ./internal/conform/ 85
+  floor ./internal/rounds/ 90
   # The step layer the §4 emulations and Theorem 3.1's refuter run on:
   # crashes due together fire in id order, a crash plan is only read (a
   # reused plan crashes every run), and a crash planned at step 0 fires.

@@ -95,7 +95,7 @@ func TestFailureDetails(t *testing.T) {
 				return results[len(results)-1]
 			},
 			property: "model admissibility",
-			want:     []string{"1 violations, first:", "1 crashes exceed t=0"},
+			want:     []string{"1 violations, first:", "exceeding the resilience bound t=0"},
 		},
 	}
 	for _, tt := range tests {

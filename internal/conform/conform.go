@@ -8,9 +8,10 @@
 //
 //  1. Projection (Project, ProjectEmul): a live execution's structured
 //     event stream — or an emulated execution's step-level result — is
-//     canonicalized into a LiveRun: per-round completion, reception and
-//     crash sets plus decisions and detector suspicions, truncated at the
-//     horizon where the round engines would declare the run finished.
+//     canonicalized into a LiveRun: the rounds.Receptions record
+//     (per-round completion, reception and crash sets) plus decisions and
+//     detector suspicions, with the horizon where the round engines would
+//     declare the run finished.
 //
 //  2. Replay (Replay): the adversary schedule implied by the projection
 //     (who crashed when reaching whom, which messages went missing) is
@@ -22,10 +23,12 @@
 //     the projection round by round.
 //
 //  3. Invariants (OnlineInvariants, check.Consensus): the model's
-//     synchrony property (round synchrony in RS, Lemma 4.1 in RWS), crash
-//     budget, crash-stop discipline and perfect-detector accuracy are
-//     asserted directly on the projection; the full specification
-//     predicates of package check run on the replayed run.
+//     synchrony property (round synchrony in RS, Lemma 4.1 in RWS) and the
+//     crash budget — rounds.CheckReceptions, the functions every run
+//     record is checked by — plus crash-stop discipline and
+//     perfect-detector accuracy are asserted directly on the projection;
+//     the full specification predicates of package check run on the
+//     replayed run.
 //
 //  4. Membership (EnumerateSpace, Space.Contains): for coordinates small
 //     enough to enumerate, the replayed run's Fingerprint must be a member

@@ -358,17 +358,17 @@ func TestOnlineInvariants(t *testing.T) {
 	mkRun := func(kind rounds.ModelKind) *conform.LiveRun {
 		meta := conform.Meta{Alg: alg, Kind: kind, T: 1, Initial: []model.Value{1, 2, 3}}
 		return &conform.LiveRun{
-			Meta:       meta,
-			CrashRound: make([]int, 4),
+			Meta: meta,
+			Receptions: rounds.Receptions{N: 3, T: 1, CrashRound: make([]int, 4),
+				Rounds: []rounds.Reception{{
+					Round:     1,
+					Completed: model.NewProcSet(1, 2, 3),
+					Received: []model.ProcSet{0,
+						model.NewProcSet(2, 3), model.NewProcSet(1, 3), model.NewProcSet(1, 2)},
+				}}},
 			DecidedAt:  []int{0, 1, 1, 1},
 			DecisionOf: []model.Value{0, 1, 1, 1},
-			Rounds: []conform.LiveRound{{
-				Round:     1,
-				Completed: model.NewProcSet(1, 2, 3),
-				Received: []model.ProcSet{0,
-					model.NewProcSet(2, 3), model.NewProcSet(1, 3), model.NewProcSet(1, 2)},
-			}},
-			Horizon: 1,
+			Horizon:    1,
 		}
 	}
 
@@ -404,7 +404,7 @@ func TestOnlineInvariants(t *testing.T) {
 		lr := mkRun(rounds.RWS)
 		lr.CrashRound[2] = 2
 		lr.DecidedAt[2] = 0
-		lr.Rounds = append(lr.Rounds, conform.LiveRound{
+		lr.Rounds = append(lr.Rounds, rounds.Reception{
 			Round:     2,
 			Completed: model.NewProcSet(1, 3),
 			Crashed:   model.NewProcSet(2),

@@ -4,19 +4,14 @@ import (
 	"fmt"
 
 	"repro/internal/emul"
-	"repro/internal/model"
 )
 
 // ProjectEmul canonicalizes an emulated execution (package emul: RS built
 // from the synchronous system, RWS built from the asynchronous system with
 // a perfect detector) into the same LiveRun form the live-cluster
 // projector produces, so emulations flow through the identical replay,
-// invariant and membership pipeline. The step-level result maps onto
-// rounds directly: a process completed round r iff it executed r
-// transitions, it received exactly the senders the emulation filed before
-// it closed the round (late arrivals are the paper's pending messages and
-// are correctly absent), and a crashed process fell during the round after
-// its last completed one.
+// invariant and membership pipeline. The rounds are the emulation's own
+// record (emul.Result.Receptions).
 func ProjectEmul(meta Meta, res *emul.Result) (*LiveRun, error) {
 	if err := meta.validate(); err != nil {
 		return nil, err
@@ -25,36 +20,13 @@ func ProjectEmul(meta Meta, res *emul.Result) (*LiveRun, error) {
 	if res.N != n {
 		return nil, fmt.Errorf("conform: emulated run has n=%d but meta has n=%d", res.N, n)
 	}
-	lr := &LiveRun{
-		Meta:       meta,
-		CrashRound: make([]int, n+1),
-		DecidedAt:  make([]int, n+1),
-		DecisionOf: make([]model.Value, n+1),
-	}
-	maxRound := 0
+	rec := res.Receptions()
+	lr := newLiveRun(meta)
+	lr.Rounds, lr.CrashRound = rec.Rounds, rec.CrashRound
 	for p := 1; p <= n; p++ {
-		if res.Crashed[p] {
-			lr.CrashRound[p] = res.CompletedRounds[p] + 1
-		}
 		if res.Decided[p] {
 			lr.DecidedAt[p] = res.DecidedAtRound[p]
 			lr.DecisionOf[p] = res.DecisionOf[p]
-		}
-		if res.CompletedRounds[p] > maxRound {
-			maxRound = res.CompletedRounds[p]
-		}
-	}
-	for r := 1; r <= maxRound; r++ {
-		rd := lr.round(r)
-		for p := 1; p <= n; p++ {
-			if res.CompletedRounds[p] < r {
-				continue
-			}
-			pid := model.ProcessID(p)
-			rd.Completed = rd.Completed.Add(pid)
-			if r < len(res.ReceivedFrom[p]) {
-				rd.Received[p] = res.ReceivedFrom[p][r].Remove(pid)
-			}
 		}
 	}
 	if err := lr.finalize(); err != nil {

@@ -3,7 +3,6 @@ package conform
 import (
 	"fmt"
 
-	"repro/internal/model"
 	"repro/internal/rounds"
 )
 
@@ -22,59 +21,24 @@ func (v InvariantViolation) String() string {
 }
 
 // OnlineInvariants evaluates the model's obligations directly on the
-// projected execution, before and independently of any replay: the crash
-// budget and crash-stop discipline, the model's synchrony property (round
-// synchrony in RS, Lemma 4.1 in RWS) over every observed round — not just
-// the replayed horizon — and the perfect-detector contract behind RWS
+// projected execution, before and independently of any replay: the
+// crash-stop discipline, the crash budget and the model's synchrony
+// property (rounds.CheckReceptions: round synchrony in RS, Lemma 4.1 in
+// RWS) over every observed round — not just the replayed horizon — and
+// the perfect-detector contract behind RWS
 // (strong accuracy: only crashed processes are ever suspected, and a
 // retraction is itself proof of imperfection). An empty result means the
 // live system stayed inside the model it claims to implement.
 func OnlineInvariants(lr *LiveRun) []InvariantViolation {
 	var out []InvariantViolation
-	n := lr.Meta.N()
 
 	for _, p := range lr.WallClockCrashes {
 		out = append(out, InvariantViolation{Detail: fmt.Sprintf(
 			"%v was killed by the fault injector outside the round structure (crash-stop model violated)", p)})
 	}
 
-	crashes := 0
-	for p := 1; p <= n; p++ {
-		if lr.CrashRound[p] != 0 {
-			crashes++
-		}
-	}
-	if crashes > lr.Meta.T {
-		out = append(out, InvariantViolation{Detail: fmt.Sprintf(
-			"%d processes crashed, exceeding the resilience bound t=%d", crashes, lr.Meta.T)})
-	}
-
-	// Synchrony: a completer of round r missing the round message of a
-	// sender alive at the start of r.
-	for i := range lr.Rounds {
-		rd := &lr.Rounds[i]
-		r := rd.Round
-		rd.Completed.ForEach(func(pi model.ProcessID) bool {
-			for j := 1; j <= n; j++ {
-				pj := model.ProcessID(j)
-				if pj == pi || !lr.aliveThrough(pj, r) || rd.Received[pi].Has(pj) {
-					continue
-				}
-				// pj survived round r yet pi closed it without pj's message.
-				switch lr.Meta.Kind {
-				case rounds.RS:
-					out = append(out, InvariantViolation{Round: r, Detail: fmt.Sprintf(
-						"round synchrony violated: %v closed the round without the message of %v, which survived it", pi, pj)})
-				case rounds.RWS:
-					if cr := lr.CrashRound[pj]; cr == 0 || cr > r+1 {
-						out = append(out, InvariantViolation{Round: r, Detail: fmt.Sprintf(
-							"Lemma 4.1 violated: %v closed the round without the message of %v, but %v does not crash by the end of round %d (crash round %d, 0 = never)",
-							pi, pj, pj, r+1, cr)})
-					}
-				}
-			}
-			return true
-		})
+	for _, v := range rounds.CheckReceptions(lr.Meta.Kind, &lr.Receptions) {
+		out = append(out, InvariantViolation{Round: v.Round, Detail: v.Reason})
 	}
 
 	// Perfect-detector contract.

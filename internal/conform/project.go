@@ -5,21 +5,8 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/rounds"
 )
-
-// LiveRound is the projection of one round of a live execution.
-type LiveRound struct {
-	Round int
-	// Completed is the set of processes that closed this round (emitted a
-	// reception record and applied their transition).
-	Completed model.ProcSet
-	// Crashed is the set of processes that crashed during this round.
-	Crashed model.ProcSet
-	// Received[i] is the set of senders whose round message p_i had
-	// received when it closed the round (index 0 unused; only meaningful
-	// for i ∈ Completed). Self-delivery is internal and never included.
-	Received []model.ProcSet
-}
 
 // Suspicion is one failure-detector edge observed during the execution.
 type Suspicion struct {
@@ -44,9 +31,10 @@ type Suspicion struct {
 type LiveRun struct {
 	Meta Meta
 
-	Rounds []LiveRound // Rounds[r-1] is round r
+	// Receptions holds the rounds (Rounds[r-1] is round r) and the crash
+	// round of every process (0 = never crashed).
+	rounds.Receptions
 
-	CrashRound []int         // 1..n; 0 = never crashed
 	DecidedAt  []int         // 1..n; 0 = never decided
 	DecisionOf []model.Value // meaningful iff DecidedAt > 0
 
@@ -64,23 +52,15 @@ type LiveRun struct {
 	Truncated bool
 }
 
-// aliveThrough reports whether p survives round r (does not crash during
-// r or earlier).
-func (lr *LiveRun) aliveThrough(p model.ProcessID, r int) bool {
-	cr := lr.CrashRound[p]
-	return cr == 0 || cr > r
-}
-
-// round returns the projection of round r, growing the slice as needed.
-func (lr *LiveRun) round(r int) *LiveRound {
-	n := lr.Meta.N()
-	for len(lr.Rounds) < r {
-		lr.Rounds = append(lr.Rounds, LiveRound{
-			Round:    len(lr.Rounds) + 1,
-			Received: make([]model.ProcSet, n+1),
-		})
+// newLiveRun returns an empty projection at meta's coordinate.
+func newLiveRun(meta Meta) *LiveRun {
+	n := meta.N()
+	return &LiveRun{
+		Meta:       meta,
+		Receptions: *rounds.NewReceptions(n, meta.T),
+		DecidedAt:  make([]int, n+1),
+		DecisionOf: make([]model.Value, n+1),
 	}
-	return &lr.Rounds[r-1]
 }
 
 // Project canonicalizes a live cluster's structured event stream into a
@@ -92,19 +72,14 @@ func Project(meta Meta, events []obs.Event) (*LiveRun, error) {
 		return nil, err
 	}
 	n := meta.N()
-	lr := &LiveRun{
-		Meta:       meta,
-		CrashRound: make([]int, n+1),
-		DecidedAt:  make([]int, n+1),
-		DecisionOf: make([]model.Value, n+1),
-	}
+	lr := newLiveRun(meta)
 	for _, ev := range events {
 		switch ev.Type {
 		case obs.EventRecv:
 			if err := checkProcRound(n, ev.Proc, ev.Round); err != nil {
 				return nil, fmt.Errorf("conform: recv event: %w", err)
 			}
-			rd := lr.round(ev.Round)
+			rd := lr.At(ev.Round)
 			p := model.ProcessID(ev.Proc)
 			if rd.Completed.Has(p) {
 				return nil, fmt.Errorf("conform: duplicate reception record for %v at round %d", p, ev.Round)
@@ -132,7 +107,7 @@ func Project(meta Meta, events []obs.Event) (*LiveRun, error) {
 			if lr.CrashRound[p] != 0 {
 				return nil, fmt.Errorf("conform: %v crashed twice (rounds %d and %d)", p, lr.CrashRound[p], ev.Round)
 			}
-			lr.CrashRound[p] = ev.Round
+			lr.Crash(p, ev.Round)
 		case obs.EventDecide:
 			if err := checkProcRound(n, ev.Proc, ev.Round); err != nil {
 				return nil, fmt.Errorf("conform: decide event: %w", err)
@@ -176,30 +151,21 @@ func checkProcRound(n, proc, round int) error {
 	return nil
 }
 
-// finalize validates the projection's internal consistency, fills the
-// per-round crash sets and computes the horizon.
+// finalize validates the projection's internal consistency and computes
+// the horizon. A crash round may lie past the last completed round (the
+// victim was the only process still running); rounds.Receptions.Crash has
+// materialized it, so the schedule can express the crash.
 func (lr *LiveRun) finalize() error {
 	n := lr.Meta.N()
-	if len(lr.Rounds) == 0 && !hasAnyCrash(lr.CrashRound) {
+	if len(lr.Rounds) == 0 {
 		return fmt.Errorf("conform: execution produced no rounds")
-	}
-	// A crash round may lie past the last completed round (the victim was
-	// the only process still running); materialize it so the schedule can
-	// express the crash.
-	for p := 1; p <= n; p++ {
-		if cr := lr.CrashRound[p]; cr > 0 {
-			lr.round(cr)
-		}
 	}
 	for i := range lr.Rounds {
 		rd := &lr.Rounds[i]
 		r := rd.Round
 		for p := 1; p <= n; p++ {
 			pid := model.ProcessID(p)
-			if lr.CrashRound[p] == r {
-				rd.Crashed = rd.Crashed.Add(pid)
-			}
-			if rd.Completed.Has(pid) && !lr.aliveThrough(pid, r) {
+			if rd.Completed.Has(pid) && !lr.AliveAtEnd(pid, r) {
 				return fmt.Errorf("conform: %v completed round %d at or after its crash round %d", pid, r, lr.CrashRound[p])
 			}
 		}
@@ -224,23 +190,13 @@ func (lr *LiveRun) finalize() error {
 	return nil
 }
 
-func hasAnyCrash(crashRound []int) bool {
-	for _, cr := range crashRound {
-		if cr > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // allAliveDecidedBy reports whether every process that survives round r
 // has decided by round r. A process whose crash lies beyond r counts as
 // alive: truncating the run at r erases that crash, so the round model
 // sees a live process that must have decided.
 func (lr *LiveRun) allAliveDecidedBy(r int) bool {
 	for p := 1; p <= lr.Meta.N(); p++ {
-		pid := model.ProcessID(p)
-		if !lr.aliveThrough(pid, r) {
+		if !lr.AliveAtEnd(model.ProcessID(p), r) {
 			continue
 		}
 		if d := lr.DecidedAt[p]; d == 0 || d > r {
@@ -254,20 +210,13 @@ func (lr *LiveRun) allAliveDecidedBy(r int) bool {
 // completer missed the round message of a sender that survived the round.
 func (lr *LiveRun) hasDropsAt(r int) bool {
 	rd := &lr.Rounds[r-1]
-	n := lr.Meta.N()
 	found := false
 	rd.Completed.ForEach(func(i model.ProcessID) bool {
-		for j := 1; j <= n; j++ {
-			pj := model.ProcessID(j)
-			if pj == i || !lr.aliveThrough(pj, r) {
-				continue
-			}
-			if !rd.Received[i].Has(pj) {
-				found = true
-				return false
-			}
-		}
-		return true
+		rd.Missed(i).ForEach(func(j model.ProcessID) bool {
+			found = lr.AliveAtEnd(j, r)
+			return !found
+		})
+		return !found
 	})
 	return found
 }

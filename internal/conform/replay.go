@@ -15,7 +15,6 @@ import (
 // may name destinations the algorithm addressed with a null message; the
 // engine canonicalizes by intersecting with the actual send pattern.
 func (lr *LiveRun) Schedule() *rounds.Script {
-	n := lr.Meta.N()
 	plans := make([]rounds.Plan, lr.Horizon)
 	for r := 1; r <= lr.Horizon; r++ {
 		rd := &lr.Rounds[r-1]
@@ -34,25 +33,18 @@ func (lr *LiveRun) Schedule() *rounds.Script {
 			plan.Crashes[q] = reach
 			return true
 		})
-		for j := 1; j <= n; j++ {
-			pj := model.ProcessID(j)
-			if !lr.aliveThrough(pj, r) {
-				continue
-			}
-			var missed model.ProcSet
-			rd.Completed.ForEach(func(i model.ProcessID) bool {
-				if i != pj && !rd.Received[i].Has(pj) {
-					missed = missed.Add(i)
+		rd.Completed.ForEach(func(i model.ProcessID) bool {
+			rd.Missed(i).ForEach(func(j model.ProcessID) bool {
+				if lr.AliveAtEnd(j, r) {
+					if plan.Drops == nil {
+						plan.Drops = make(map[model.ProcessID]model.ProcSet)
+					}
+					plan.Drops[j] = plan.Drops[j].Add(i)
 				}
 				return true
 			})
-			if !missed.Empty() {
-				if plan.Drops == nil {
-					plan.Drops = make(map[model.ProcessID]model.ProcSet)
-				}
-				plan.Drops[pj] = missed
-			}
-		}
+			return true
+		})
 	}
 	return &rounds.Script{Plans: plans}
 }

@@ -86,7 +86,7 @@ func TestFloodSetDisagreesInRWS(t *testing.T) {
 		{Crashes: map[model.ProcessID]model.ProcSet{1: model.Singleton(2)}},
 	}}
 	run := mustRun(t, rounds.RWS, FloodSet{}, vals(0, 1, 2), 1, script)
-	if v := rounds.CheckWeakRoundSynchrony(run); len(v) != 0 {
+	if v := rounds.WeakRoundSynchrony(run.Receptions()); len(v) != 0 {
 		t.Fatalf("scenario not RWS-admissible: %v", v[0].Error())
 	}
 	agr := check.UniformAgreement(run)
@@ -252,7 +252,7 @@ func TestA1DisagreesInRWS(t *testing.T) {
 		{Crashes: map[model.ProcessID]model.ProcSet{1: 0}},
 	}}
 	run := mustRun(t, rounds.RWS, A1{}, vals(3, 1, 2), 1, script)
-	if v := rounds.CheckWeakRoundSynchrony(run); len(v) != 0 {
+	if v := rounds.WeakRoundSynchrony(run.Receptions()); len(v) != 0 {
 		t.Fatalf("scenario not RWS-admissible: %v", v[0].Error())
 	}
 	if run.DecidedAt[1] != 1 || run.DecisionOf[1] != 3 {

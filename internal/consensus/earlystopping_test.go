@@ -77,7 +77,7 @@ func TestEarlyStoppingUniformityBreaksAtT3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := rounds.CheckRoundSynchrony(run); len(v) != 0 {
+	if v := rounds.RoundSynchrony(run.Receptions()); len(v) != 0 {
 		t.Fatalf("scenario not RS-admissible: %v", v[0].Error())
 	}
 	if run.DecidedAt[3] != 2 || run.DecisionOf[3] != 0 {

@@ -140,8 +140,8 @@ func boolToDecision(commit bool) model.Value {
 
 // E10Emulation: the §4 emulations hold their synchrony contracts — RS from
 // SS satisfies round synchrony, RWS from SP satisfies Lemma 4.1 (checked
-// inside RunRWS) — and the live runtime's timeout detector is perfect over
-// a synchronous network.
+// inside RunRWS), both by the functions rounds.Admissible uses — and the
+// live runtime's timeout detector is perfect over a synchronous network.
 func E10Emulation(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	pass := true
@@ -162,7 +162,7 @@ func E10Emulation(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		rsViol += len(res.CheckRoundSynchrony())
+		rsViol += len(rounds.RoundSynchrony(res.Receptions()))
 		if res.Steps > rsMax {
 			rsMax = res.Steps
 		}

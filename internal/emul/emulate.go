@@ -267,8 +267,8 @@ func RunRWS(inner rounds.Algorithm, initial []model.Value, t, maxRounds int, see
 	if v := step.CheckStrongAccuracy(tr); len(v) != 0 {
 		return nil, fmt.Errorf("emul: RunRWS: accuracy violated: %s", v[0].Error())
 	}
-	if v := e.result.CheckWeakRoundSynchrony(); len(v) != 0 {
-		return nil, fmt.Errorf("emul: RunRWS: Lemma 4.1 violated: %s", v[0])
+	if v := rounds.WeakRoundSynchrony(e.result.Receptions()); len(v) != 0 {
+		return nil, fmt.Errorf("emul: RunRWS: %s", v[0].Error())
 	}
 	return e.result, nil
 }

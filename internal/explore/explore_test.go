@@ -157,7 +157,7 @@ func TestExplorerFindsFloodSetRWSDisagreement(t *testing.T) {
 	if witness == nil {
 		t.Fatal("explorer failed to find FloodSet's RWS disagreement")
 	}
-	if v := rounds.CheckWeakRoundSynchrony(witness); len(v) != 0 {
+	if v := rounds.WeakRoundSynchrony(witness.Receptions()); len(v) != 0 {
 		t.Fatalf("witness is not RWS-admissible: %v", v[0].Error())
 	}
 }
@@ -327,7 +327,7 @@ func TestRefuteRoundOneRWS(t *testing.T) {
 				t.Fatal("refutation carries no witness run")
 			}
 			if tt.want == AgreementViolation {
-				if viol := rounds.CheckWeakRoundSynchrony(ref.Run); len(viol) != 0 {
+				if viol := rounds.WeakRoundSynchrony(ref.Run.Receptions()); len(viol) != 0 {
 					t.Errorf("witness not RWS-admissible: %v", viol[0].Error())
 				}
 				if check.UniformAgreement(ref.Run).OK {

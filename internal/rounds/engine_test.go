@@ -283,7 +283,7 @@ func TestScriptDischargesObligationsPastEnd(t *testing.T) {
 	if run.CrashRound[1] != 2 {
 		t.Errorf("p1 crash round = %d, want 2 (obligation discharged by script default)", run.CrashRound[1])
 	}
-	if v := CheckWeakRoundSynchrony(run); len(v) != 0 {
+	if v := WeakRoundSynchrony(run.Receptions()); len(v) != 0 {
 		t.Errorf("weak round synchrony violations: %v", v)
 	}
 }

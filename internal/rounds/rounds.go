@@ -224,12 +224,6 @@ func (r *Run) TotalMessages() int {
 	return total
 }
 
-// AliveAtEnd reports whether p is alive at the end of round round.
-func (r *Run) AliveAtEnd(p model.ProcessID, round int) bool {
-	cr := r.CrashRound[p]
-	return cr == 0 || cr > round
-}
-
 // String renders a compact single-line summary of the run.
 func (r *Run) String() string {
 	lat := "∞"

@@ -7,8 +7,9 @@ import (
 )
 
 // Violation describes where a run record breaks a model's synchrony
-// property. It is both a test aid and the mechanism by which experiment E10
-// certifies the engines and emulations.
+// property, the crash budget or a structural invariant. It is both a test
+// aid and the mechanism by which experiment E10 certifies the engines and
+// emulations.
 type Violation struct {
 	Round    int
 	Sender   model.ProcessID
@@ -21,91 +22,172 @@ func (v *Violation) Error() string {
 	return fmt.Sprintf("round %d: %v → %v: %s", v.Round, v.Sender, v.Receiver, v.Reason)
 }
 
-// CheckRoundSynchrony verifies the RS property over a run record: if pi is
-// alive at the end of round r and does not receive pj's round-r message
-// (which pj addressed to pi), then pj failed before sending to pi at round
-// r — i.e. pj crashed during round r (with pi outside its reach set) or
-// earlier. Additionally, in RS a message from a process that completes the
-// round must reach every addressee: pending messages are impossible.
-//
-// It returns all violations found (empty means the run is RS-admissible).
-func CheckRoundSynchrony(run *Run) []Violation {
+// Reception is one round as its receivers saw it.
+type Reception struct {
+	Round int
+	// Completed is the set of processes that closed this round (applied
+	// their transition).
+	Completed model.ProcSet
+	// Crashed is the set of processes that crashed during this round.
+	Crashed model.ProcSet
+	// Received[i] is the set of senders whose round message p_i had when it
+	// closed the round (index 0 unused; only meaningful for i ∈
+	// Completed). Self-delivery is internal and never included. A null
+	// message counts as received: it is still an envelope on the wire.
+	Received []model.ProcSet
+	// Late[i] is the set of senders whose round message reached p_i after
+	// it closed the round — the paper's pending messages, observed.
+	Late []model.ProcSet
+}
+
+// Missed returns the senders other than i whose round message p_i closed
+// the round without (late arrivals included).
+func (rd *Reception) Missed(i model.ProcessID) model.ProcSet {
+	return model.FullSet(len(rd.Received) - 1).Minus(rd.Received[i]).Remove(i)
+}
+
+// Receptions is an execution at the round level, receiver by receiver: the
+// one record round synchrony, Lemma 4.1 and the crash budget are stated
+// over. Run.Receptions, emul.Result and conform.LiveRun produce it.
+type Receptions struct {
+	N, T       int
+	Rounds     []Reception // Rounds[r-1] is round r
+	CrashRound []int       // 1..N; 0 = never crashed
+}
+
+// NewReceptions returns an empty record of n processes tolerating t crashes.
+func NewReceptions(n, t int) *Receptions {
+	return &Receptions{N: n, T: t, CrashRound: make([]int, n+1)}
+}
+
+// At returns round r's record, growing the record as needed.
+func (h *Receptions) At(r int) *Reception {
+	for len(h.Rounds) < r {
+		h.Rounds = append(h.Rounds, Reception{
+			Round:    len(h.Rounds) + 1,
+			Received: make([]model.ProcSet, h.N+1),
+			Late:     make([]model.ProcSet, h.N+1),
+		})
+	}
+	return &h.Rounds[r-1]
+}
+
+// Crash records that p crashed during round r.
+func (h *Receptions) Crash(p model.ProcessID, r int) {
+	h.CrashRound[p] = r
+	rd := h.At(r)
+	rd.Crashed = rd.Crashed.Add(p)
+}
+
+// AliveAtEnd reports whether p survives round r (does not crash during r
+// or earlier).
+func (h *Receptions) AliveAtEnd(p model.ProcessID, r int) bool {
+	cr := h.CrashRound[p]
+	return cr == 0 || cr > r
+}
+
+// Receptions returns the run as its receivers saw it: every process that
+// survives a round completes it and hears the senders that reached it,
+// plus every surviving sender that addressed it a null message.
+func (r *Run) Receptions() *Receptions {
+	h := NewReceptions(r.N, r.T)
+	copy(h.CrashRound, r.CrashRound)
+	for idx := range r.Rounds {
+		rr := &r.Rounds[idx]
+		rd := h.At(rr.Round)
+		rd.Crashed = rr.Crashed
+		rd.Completed = rr.AliveStart.Minus(rr.Crashed)
+		rd.Completed.ForEach(func(i model.ProcessID) bool {
+			rd.Received[i] = rr.heardBy(i)
+			return true
+		})
+	}
+	return h
+}
+
+// RoundSynchrony states the RS property (paper §4): if p_i completes round
+// r without p_j's message, p_j crashed before sending it — so every
+// completer heard every sender that survived the round, and no round
+// message arrived late. One violation per (receiver, sender, round).
+func RoundSynchrony(h *Receptions) []Violation {
 	var out []Violation
-	for idx := range run.Rounds {
-		rr := &run.Rounds[idx]
-		r := rr.Round
-		for j := 1; j <= run.N; j++ {
-			pj := model.ProcessID(j)
-			if !rr.AliveStart.Has(pj) {
-				continue
-			}
-			dropped := rr.dropped(pj)
-			if dropped.Empty() {
-				continue
-			}
-			if !rr.Crashed.Has(pj) {
-				// pj survived the round yet some addressee missed its
-				// message: impossible in RS.
-				dropped.ForEach(func(pi model.ProcessID) bool {
-					if pi != pj && run.AliveAtEnd(pi, r) {
-						out = append(out, Violation{
-							Round: r, Sender: pj, Receiver: pi,
-							Reason: "message from a surviving sender was not received (pending messages are impossible in RS)",
-						})
-					}
-					return true
-				})
-			}
-		}
+	for idx := range h.Rounds {
+		rd := &h.Rounds[idx]
+		rd.Completed.ForEach(func(i model.ProcessID) bool {
+			late := rd.Late[i]
+			rd.Missed(i).Union(late).ForEach(func(j model.ProcessID) bool {
+				switch {
+				case late.Has(j):
+					out = append(out, Violation{Round: rd.Round, Sender: j, Receiver: i, Reason: fmt.Sprintf(
+						"round synchrony violated: %v received the message of %v after closing the round", i, j)})
+				case h.AliveAtEnd(j, rd.Round):
+					out = append(out, Violation{Round: rd.Round, Sender: j, Receiver: i, Reason: fmt.Sprintf(
+						"round synchrony violated: %v closed the round without the message of %v, which survived it", i, j)})
+				}
+				return true
+			})
+			return true
+		})
 	}
 	return out
 }
 
-// CheckWeakRoundSynchrony verifies the RWS property (Lemma 4.1) over a run
-// record: if pi is alive at the end of round r and does not receive pj's
-// round-r message (addressed to pi), then pj crashes by the end of round
-// r+1.
-func CheckWeakRoundSynchrony(run *Run) []Violation {
+// WeakRoundSynchrony states the RWS property, the paper's Lemma 4.1: if
+// p_i completes round r without p_j's message, p_j crashes by the end of
+// round r+1. One violation per (receiver, sender, round).
+func WeakRoundSynchrony(h *Receptions) []Violation {
 	var out []Violation
-	for idx := range run.Rounds {
-		rr := &run.Rounds[idx]
-		r := rr.Round
-		for j := 1; j <= run.N; j++ {
-			pj := model.ProcessID(j)
-			if !rr.AliveStart.Has(pj) {
-				continue
-			}
-			dropped := rr.dropped(pj)
-			if dropped.Empty() {
-				continue
-			}
-			dropped.ForEach(func(pi model.ProcessID) bool {
-				if pi == pj || !run.AliveAtEnd(pi, r) {
-					return true // receiver crashed: no constraint
-				}
-				cr := run.CrashRound[pj]
-				if cr == 0 || cr > r+1 {
-					out = append(out, Violation{
-						Round: r, Sender: pj, Receiver: pi,
-						Reason: fmt.Sprintf("pending message but sender does not crash by the end of round %d (crash round %d, 0 = never)", r+1, cr),
-					})
+	for idx := range h.Rounds {
+		rd := &h.Rounds[idx]
+		r := rd.Round
+		rd.Completed.ForEach(func(i model.ProcessID) bool {
+			rd.Missed(i).ForEach(func(j model.ProcessID) bool {
+				if cr := h.CrashRound[j]; cr == 0 || cr > r+1 {
+					out = append(out, Violation{Round: r, Sender: j, Receiver: i, Reason: fmt.Sprintf(
+						"Lemma 4.1 violated: %v closed the round without the message of %v, but %v does not crash by the end of round %d (crash round %d, 0 = never)",
+						i, j, j, r+1, cr)})
 				}
 				return true
 			})
+			return true
+		})
+	}
+	return out
+}
+
+// CrashBudget states the resilience bound: at most T processes crash.
+func CrashBudget(h *Receptions) []Violation {
+	crashes := 0
+	for p := 1; p <= h.N; p++ {
+		if h.CrashRound[p] != 0 {
+			crashes++
 		}
+	}
+	if crashes > h.T {
+		return []Violation{{Reason: fmt.Sprintf(
+			"%d processes crashed, exceeding the resilience bound t=%d", crashes, h.T)}}
+	}
+	return nil
+}
+
+// CheckReceptions returns the record's violations of the crash budget and
+// of kind's synchrony property.
+func CheckReceptions(kind ModelKind, h *Receptions) []Violation {
+	out := CrashBudget(h)
+	switch kind {
+	case RS:
+		out = append(out, RoundSynchrony(h)...)
+	case RWS:
+		out = append(out, WeakRoundSynchrony(h)...)
 	}
 	return out
 }
 
 // CheckCrashConsistency verifies the structural invariants every run must
-// satisfy regardless of model: crashes are permanent, at most T processes
-// crash, crashed processes neither send nor receive afterwards, and alive
-// sets shrink monotonically.
+// satisfy regardless of model: crashes are permanent, crashed processes
+// neither send nor receive afterwards, and alive sets shrink monotonically.
 func CheckCrashConsistency(run *Run) []Violation {
 	var out []Violation
-	if f := run.NumFaulty(); f > run.T {
-		out = append(out, Violation{Reason: fmt.Sprintf("%d crashes exceed t=%d", f, run.T)})
-	}
 	prevAlive := model.FullSet(run.N)
 	for idx := range run.Rounds {
 		rr := &run.Rounds[idx]
@@ -131,15 +213,8 @@ func CheckCrashConsistency(run *Run) []Violation {
 	return out
 }
 
-// Admissible reports whether the run satisfies the synchrony property of
-// its own model plus the structural invariants.
+// Admissible reports whether the run satisfies the structural invariants,
+// the crash budget and the synchrony property of its own model.
 func Admissible(run *Run) []Violation {
-	out := CheckCrashConsistency(run)
-	switch run.Model {
-	case RS:
-		out = append(out, CheckRoundSynchrony(run)...)
-	case RWS:
-		out = append(out, CheckWeakRoundSynchrony(run)...)
-	}
-	return out
+	return append(CheckCrashConsistency(run), CheckReceptions(run.Model, run.Receptions())...)
 }

@@ -3,6 +3,7 @@ package runtime
 import (
 	goruntime "runtime"
 	"runtime/debug"
+	"syscall"
 	"testing"
 	"time"
 
@@ -81,9 +82,20 @@ func BenchmarkEngineSaturated(b *testing.B) {
 	s.commit(2 * satWindow) // warm-up: the recycled buffers reach steady state
 	b.ReportAllocs()
 	b.ResetTimer()
-	start := time.Now()
+	start, cpu := time.Now(), selfCPU()
 	s.commit(b.N)
 	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "commits/s")
+	b.ReportMetric(float64((selfCPU()-cpu).Microseconds())/float64(b.N), "cpu-us/commit")
+}
+
+// selfCPU is the process's user+system CPU time so far: the engine's cost
+// on every core, which commits/s alone hides once the host is not idle.
+func selfCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // raceEnabled reports whether the test binary was built with -race.
