@@ -120,9 +120,10 @@ job_conformance() {
   # Round synchrony, Lemma 4.1 and the crash budget are each one function
   # over rounds.Receptions: an execution written as an engine run, an
   # emulation result and a live stream gets one verdict, every explorer run
-  # at n=3 t=1 is admissible and a moved dropper crash is flagged, and the
-  # RWS emulation conforms with no tolerance.
-  go test -race -run 'OneChecker|TestObligationRuleMatchesLemma41|TestExplorerRunsMeetTheRoundProperties|TestEmulRWSConformance|TestResultLemma41Bound' ./internal/conform/ ./internal/rounds/ ./internal/emul/
+  # at n=3 t=1 is admissible and a moved dropper crash is flagged, a crash
+  # round moved off the round recording the crash breaks crash consistency,
+  # and the RWS emulation conforms with no tolerance.
+  go test -race -run 'OneChecker|TestObligationRuleMatchesLemma41|TestExplorerRunsMeetTheRoundProperties|TestCrashConsistencyPinsCrashRound|TestEmulRWSConformance|TestResultLemma41Bound' ./internal/conform/ ./internal/rounds/ ./internal/emul/
   fuzz FuzzAdversarySchedule ./internal/conform/
   fuzz FuzzFaultSpec ./internal/conform/
   floor ./internal/check/ 85
@@ -145,6 +146,9 @@ job_tracing() {
 
 job_telemetry() {
   go test -race -count=2 ./internal/netobs/ ./internal/wire/
+  # One count per fact: after a chaos run every Engine.Stats figure equals
+  # its registry family, and /v1/status agrees with a /metrics scrape.
+  go test -race -count=2 -run 'TestEngineStatsMatchMetrics|TestChaosStatusMatchesMetrics' ./internal/runtime/ ./internal/serve/
   fuzz FuzzDecode ./internal/wire/
   fuzz FuzzBatchSplit ./internal/wire/
   floor ./internal/netobs/ 85

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,6 +44,20 @@ func (f fabricated) run() *rounds.Run {
 		if f.crashRound != nil {
 			run.CrashRound[i] = f.crashRound[i-1]
 		}
+	}
+	// Each crash is recorded in its round, as the engine records it: the
+	// rounds up to the last crash, in which no process sends.
+	alive := model.FullSet(n)
+	for r := 1; r <= slices.Max(run.CrashRound); r++ {
+		rec := rounds.RoundRecord{Round: r, AliveStart: alive,
+			Sent: make([]model.ProcSet, n+1), Reached: make([]model.ProcSet, n+1)}
+		for i := 1; i <= n; i++ {
+			if run.CrashRound[i] == r {
+				rec.Crashed = rec.Crashed.Add(model.ProcessID(i))
+			}
+		}
+		alive = alive.Minus(rec.Crashed)
+		run.Rounds = append(run.Rounds, rec)
 	}
 	return run
 }

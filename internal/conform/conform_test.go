@@ -105,6 +105,9 @@ func TestRoundTrip(t *testing.T) {
 			if len(rep.Online) != 0 {
 				t.Fatalf("online violations: %v", rep.Online)
 			}
+			if v := rounds.CrashRecord(&rep.Live.Receptions); len(v) != 0 {
+				t.Fatalf("projection: %s", v[0].Error())
+			}
 			if got, want := rep.Fingerprint, conform.Fingerprint(orig); got != want {
 				t.Fatalf("fingerprint mismatch:\n replay %s\n engine %s", got, want)
 			}

@@ -137,6 +137,9 @@ func TestLiveDifferential(t *testing.T) {
 					t.Errorf("%v had crash plan %+v but the projection records no crash", p, plan)
 				}
 			}
+			if v := rounds.CrashRecord(&rep.Live.Receptions); len(v) != 0 {
+				t.Errorf("projection: %s", v[0].Error())
+			}
 		})
 	}
 }

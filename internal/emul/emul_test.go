@@ -98,7 +98,8 @@ func TestRSEmulationFailureFree(t *testing.T) {
 }
 
 // TestRSEmulationWithCrash injects a crash of p1 mid-run; consensus and
-// round synchrony must hold across crash timings.
+// round synchrony must hold across crash timings, and the record's crash
+// round must be the round recording the crash.
 func TestRSEmulationWithCrash(t *testing.T) {
 	for crashStep := 1; crashStep <= 20; crashStep += 2 {
 		for seed := int64(0); seed < 8; seed++ {
@@ -108,8 +109,9 @@ func TestRSEmulationWithCrash(t *testing.T) {
 				t.Fatalf("crash@%d seed=%d: %v", crashStep, seed, err)
 			}
 			checkAgreementValidity(t, res, vals(0, 5, 9), "FloodSet+crash")
-			if v := rounds.RoundSynchrony(res.Receptions()); len(v) != 0 {
-				t.Fatalf("crash@%d seed=%d: round synchrony: %s", crashStep, seed, v[0].Error())
+			h := res.Receptions()
+			if v := append(rounds.RoundSynchrony(h), rounds.CrashRecord(h)...); len(v) != 0 {
+				t.Fatalf("crash@%d seed=%d: %s", crashStep, seed, v[0].Error())
 			}
 		}
 	}
@@ -134,7 +136,8 @@ func TestRWSEmulationFailureFree(t *testing.T) {
 // TestRWSEmulationWithCrashes is experiment E10's core: across many crash
 // timings and schedules, the emulation satisfies Lemma 4.1 (checked inside
 // RunRWS) and FloodSetWS keeps uniform consensus — including in runs where
-// pending messages actually occurred.
+// pending messages actually occurred — and the record's crash round is the
+// round recording the crash.
 func TestRWSEmulationWithCrashes(t *testing.T) {
 	pendingSeen := 0
 	for crashStep := 1; crashStep <= 25; crashStep += 3 {
@@ -145,6 +148,9 @@ func TestRWSEmulationWithCrashes(t *testing.T) {
 				t.Fatalf("crash@%d seed=%d: %v", crashStep, seed, err)
 			}
 			checkAgreementValidity(t, res, vals(0, 5, 9), "FloodSetWS+crash")
+			if v := rounds.CrashRecord(res.Receptions()); len(v) != 0 {
+				t.Fatalf("crash@%d seed=%d: %s", crashStep, seed, v[0].Error())
+			}
 			pendingSeen += len(res.PendingObserved)
 		}
 	}

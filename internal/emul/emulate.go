@@ -3,6 +3,7 @@ package emul
 import (
 	"fmt"
 
+	"repro/internal/fd"
 	"repro/internal/model"
 	"repro/internal/rounds"
 	"repro/internal/step"
@@ -264,7 +265,8 @@ func RunRWS(inner rounds.Algorithm, initial []model.Value, t, maxRounds int, see
 	if err != nil {
 		return nil, err
 	}
-	if v := step.CheckStrongAccuracy(tr); len(v) != 0 {
+	fp, h := fd.FromTrace(tr)
+	if v := fd.CheckStrongAccuracy(fp, h, model.TimeNever); len(v) != 0 { // over the whole trace
 		return nil, fmt.Errorf("emul: RunRWS: accuracy violated: %s", v[0].Error())
 	}
 	if v := rounds.WeakRoundSynchrony(e.result.Receptions()); len(v) != 0 {

@@ -1,8 +1,10 @@
-package fd
+package fd_test
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/fd"
 	"repro/internal/model"
 	"repro/internal/sdd"
 	"repro/internal/step"
@@ -25,7 +27,7 @@ func TestFromTraceReconstruction(t *testing.T) {
 	apply(step.Decision{Proc: 2, NewSuspicions: []step.Suspicion{{Observer: 2, Subject: 1}}})
 	apply(step.Decision{Proc: 2})
 
-	fp, h := FromTrace(eng.Trace())
+	fp, h := fd.FromTrace(eng.Trace())
 	if fp.CrashTime(1) == model.TimeNever {
 		t.Error("p1's crash not reconstructed")
 	}
@@ -35,7 +37,7 @@ func TestFromTraceReconstruction(t *testing.T) {
 	if h.PermanentlySuspectedFrom(2, 1) == model.TimeNever {
 		t.Error("p2's suspicion of p1 not reconstructed")
 	}
-	if v := AuditPerfect(eng.Trace()); len(v) != 0 {
+	if v := fd.AuditPerfect(eng.Trace()); len(v) != 0 {
 		t.Errorf("audit of a legal SP trace failed: %v", v[0].Error())
 	}
 }
@@ -49,7 +51,7 @@ func TestAuditPerfectOnRefutationWitnesses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v := AuditPerfect(ref.Witness); len(v) != 0 {
+		if v := fd.AuditPerfect(ref.Witness); len(v) != 0 {
 			t.Errorf("%s: witness run's detector is not perfect: %v", cand.Name(), v[0].Error())
 		}
 	}
@@ -75,8 +77,36 @@ func TestAuditPerfectOnSPScheduler(t *testing.T) {
 		if _, err := eng.Run(sched, 50); err != nil && err != step.ErrHorizon {
 			t.Fatalf("seed %d: grace period: %v", seed, err)
 		}
-		if v := AuditPerfect(tr); len(v) != 0 {
+		if v := fd.AuditPerfect(tr); len(v) != 0 {
 			t.Errorf("seed %d: %v", seed, v[0].Error())
 		}
+	}
+}
+
+// TestAuditPerfectAgreesWithTheEngine audits offline what the step engine
+// enforces online: it rejects p2's suspicion of p1 while p1 is alive and
+// accepts it once p1 has crashed, and the trace it keeps satisfies P's
+// strong accuracy and strong completeness.
+func TestAuditPerfectAgreesWithTheEngine(t *testing.T) {
+	eng, err := step.NewEngineWithFD(sdd.NewReceiveOrSuspect(), []model.Value{1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	suspect := step.Decision{Proc: 2, NewSuspicions: []step.Suspicion{{Observer: 2, Subject: 1}}}
+	if _, err := eng.Apply(suspect); !errors.Is(err, step.ErrAccuracy) {
+		t.Fatalf("err = %v, want ErrAccuracy (p1 is alive)", err)
+	}
+	if _, err := eng.Apply(step.Decision{Crash: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Apply(suspect); err != nil {
+		t.Fatalf("legal suspicion rejected: %v", err)
+	}
+	fp, h := fd.FromTrace(eng.Trace())
+	if v := fd.CheckStrongAccuracy(fp, h, model.TimeNever); len(v) != 0 {
+		t.Errorf("offline accuracy check disagrees: %v", v[0].Error())
+	}
+	if v := fd.AuditPerfect(eng.Trace()); len(v) != 0 {
+		t.Errorf("completeness: %v", v[0].Error())
 	}
 }

@@ -11,17 +11,17 @@
 //   - LinkTap carries the per-link accounting of a transport flavour:
 //     send/receive message and byte counters per ordered link, drop
 //     counters by reason, queue-depth high-water gauges, and the TCP
-//     reconnect/retransmit counters — while still maintaining the
-//     aggregate {transport="..."} counter families the earlier PRs
-//     exposed.
+//     reconnect/retransmit counters, plus the aggregate
+//     {transport="..."} families. Its totals are the sums of its links.
 //   - Recorder (recorder.go) is the flight recorder: a fixed-size ring of
 //     recent transport/FD records dumped as deterministic JSONL on crash,
 //     conformance failure or SIGQUIT.
 //
-// All counters land on an obs.Registry (visible in the Prometheus
-// exposition); each instrument additionally keeps private atomic totals so
-// a single run's cost can be computed even when the registry is shared
-// across runs. Everything is nil-receiver safe: an un-instrumented
+// Each fact is counted once, in a scoped obs.Counter: the instrument reads
+// its own total from it (a single run's cost, even when the registry is
+// shared across runs), and every Add also lands in the registry family
+// the Prometheus exposition shows. A nil registry leaves the instrument
+// its own totals. Everything is nil-receiver safe: an un-instrumented
 // transport holds nil taps and pays only a branch.
 package netobs
 
@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -77,26 +76,23 @@ const (
 	DropClosed   = "closed"   // still in flight when the network closed
 )
 
-// WireStats counts codec traffic per message type, in both the registry
-// counters and private per-kind totals. AddEncoded/AddDecoded are the only
-// way in: the engine's data path tallies per packet and per sweep and folds
-// the totals in bulk, a detector folds one control message per send. Only
-// successful conversions are counted.
+// WireStats counts codec traffic per message type: one scoped counter per
+// kind and side (count and bytes), scoped under the {kind="..."} family.
+// AddEncoded/AddDecoded are the only way in: the engine's data path tallies
+// per packet and per sweep and folds the totals in bulk, a detector folds
+// one control message per send. Only successful conversions are counted.
 type WireStats struct {
-	perKind [wire.MaxKind + 1]struct {
-		encMsgs, encBytes, decMsgs, decBytes atomic.Int64
-	}
 	enc, encB, dec, decB [wire.MaxKind + 1]*obs.Counter
 }
 
 // NewWireStats registers the per-kind counter families on reg (they appear
 // in the exposition immediately, at zero). A nil registry yields stats that
-// only keep private totals.
+// only keep their own totals.
 func NewWireStats(reg *obs.Registry) *WireStats {
 	ws := &WireStats{}
 	for _, k := range wire.Kinds() {
 		label := func(name string) *obs.Counter {
-			return reg.Counter(obs.Label(name, "kind", k.String()))
+			return reg.Counter(obs.Label(name, "kind", k.String())).Scoped()
 		}
 		ws.enc[k] = label(MetricWireEncoded)
 		ws.encB[k] = label(MetricWireEncodedBytes)
@@ -117,8 +113,6 @@ func (ws *WireStats) AddEncoded(k wire.Kind, msgs, bytes int64) {
 	if ws == nil || !validKind(k) {
 		return
 	}
-	ws.perKind[k].encMsgs.Add(msgs)
-	ws.perKind[k].encBytes.Add(bytes)
 	ws.enc[k].Add(msgs)
 	ws.encB[k].Add(bytes)
 }
@@ -128,8 +122,6 @@ func (ws *WireStats) AddDecoded(k wire.Kind, msgs, bytes int64) {
 	if ws == nil || !validKind(k) {
 		return
 	}
-	ws.perKind[k].decMsgs.Add(msgs)
-	ws.perKind[k].decBytes.Add(bytes)
 	ws.dec[k].Add(msgs)
 	ws.decB[k].Add(bytes)
 }
@@ -150,13 +142,12 @@ func (ws *WireStats) PerKind() []KindTotals {
 	}
 	var out []KindTotals
 	for _, k := range wire.Kinds() {
-		s := &ws.perKind[k]
 		kt := KindTotals{
 			Kind:         k.String(),
-			Encoded:      s.encMsgs.Load(),
-			EncodedBytes: s.encBytes.Load(),
-			Decoded:      s.decMsgs.Load(),
-			DecodedBytes: s.decBytes.Load(),
+			Encoded:      ws.enc[k].Value(),
+			EncodedBytes: ws.encB[k].Value(),
+			Decoded:      ws.dec[k].Value(),
+			DecodedBytes: ws.decB[k].Value(),
 		}
 		if kt.Encoded != 0 || kt.Decoded != 0 {
 			out = append(out, kt)
@@ -165,16 +156,23 @@ func (ws *WireStats) PerKind() []KindTotals {
 	return out
 }
 
-// Encoded sums encode-side totals across every kind.
-func (ws *WireStats) Encoded() (msgs, bytes int64) {
+// encoded sums encode-side totals across the kinds keep selects.
+func (ws *WireStats) encoded(keep func(wire.Kind) bool) (msgs, bytes int64) {
 	if ws == nil {
 		return 0, 0
 	}
 	for _, k := range wire.Kinds() {
-		msgs += ws.perKind[k].encMsgs.Load()
-		bytes += ws.perKind[k].encBytes.Load()
+		if keep(k) {
+			msgs += ws.enc[k].Value()
+			bytes += ws.encB[k].Value()
+		}
 	}
 	return msgs, bytes
+}
+
+// Encoded sums encode-side totals across every kind.
+func (ws *WireStats) Encoded() (msgs, bytes int64) {
+	return ws.encoded(func(wire.Kind) bool { return true })
 }
 
 // DataEncoded sums encode-side totals across the round-message kinds —
@@ -182,48 +180,20 @@ func (ws *WireStats) Encoded() (msgs, bytes int64) {
 // digests), whose volume is a wall-clock artifact of the detector period
 // rather than a property of the algorithm.
 func (ws *WireStats) DataEncoded() (msgs, bytes int64) {
-	if ws == nil {
-		return 0, 0
-	}
-	for _, k := range wire.Kinds() {
-		if k.Control() {
-			continue
-		}
-		msgs += ws.perKind[k].encMsgs.Load()
-		bytes += ws.perKind[k].encBytes.Load()
-	}
-	return msgs, bytes
-}
-
-// Heartbeats returns the encode-side detector control-message count —
-// heartbeat beacons plus the zoo detectors' pings, acks and ring digests.
-func (ws *WireStats) Heartbeats() int64 {
-	if ws == nil {
-		return 0
-	}
-	var msgs int64
-	for _, k := range wire.Kinds() {
-		if k.Control() {
-			msgs += ws.perKind[k].encMsgs.Load()
-		}
-	}
-	return msgs
+	return ws.encoded(func(k wire.Kind) bool { return !k.Control() })
 }
 
 // ControlEncoded sums encode-side totals across the detector control kinds
 // — the detector zoo's message-cost figure (count and bytes).
 func (ws *WireStats) ControlEncoded() (msgs, bytes int64) {
-	if ws == nil {
-		return 0, 0
-	}
-	for _, k := range wire.Kinds() {
-		if !k.Control() {
-			continue
-		}
-		msgs += ws.perKind[k].encMsgs.Load()
-		bytes += ws.perKind[k].encBytes.Load()
-	}
-	return msgs, bytes
+	return ws.encoded(wire.Kind.Control)
+}
+
+// Heartbeats returns the encode-side detector control-message count —
+// heartbeat beacons plus the zoo detectors' pings, acks and ring digests.
+func (ws *WireStats) Heartbeats() int64 {
+	msgs, _ := ws.ControlEncoded()
+	return msgs
 }
 
 // Link is one ordered sender→receiver pair.
@@ -244,16 +214,41 @@ type LinkTotals struct {
 	QueueHighWater              int64
 }
 
-// linkCounters pairs one link's registry instruments with its private
-// totals. name is the link's label, rendered once: the taps run per packet.
+// linkCounters is one link's instruments. Each counter is scoped under the
+// link's {transport,link} family, so the tap reads the link's totals from
+// the counters the exposition sums. name is the link's label, rendered
+// once: the taps run per packet.
 type linkCounters struct {
-	name                                         string
-	msgsSent, bytesSent, msgsRecv, bytesRecv     atomic.Int64
-	dropped, reconnects, retries                 atomic.Int64
-	queueHW                                      obs.Gauge // raised with Max: several goroutines send on one link
-	cMsgsSent, cBytesSent, cMsgsRecv, cBytesRecv *obs.Counter
-	cReconnects, cRetries                        *obs.Counter
-	gQueueHW                                     *obs.Gauge
+	name                                     string
+	msgsSent, bytesSent, msgsRecv, bytesRecv *obs.Counter
+	reconnects, retries                      *obs.Counter
+	drops                                    sync.Map  // reason → *obs.Counter, made at the link's first drop for it
+	queueHW                                  obs.Gauge // raised with Max: several goroutines send on one link
+	gQueueHW                                 *obs.Gauge
+}
+
+// dropped sums the link's drops over every reason.
+func (lc *linkCounters) dropped() int64 {
+	var n int64
+	lc.drops.Range(func(_, c any) bool {
+		n += c.(*obs.Counter).Value()
+		return true
+	})
+	return n
+}
+
+// totals is the link's accounting.
+func (lc *linkCounters) totals() LinkTotals {
+	return LinkTotals{
+		MsgsSent:       lc.msgsSent.Value(),
+		BytesSent:      lc.bytesSent.Value(),
+		MsgsReceived:   lc.msgsRecv.Value(),
+		BytesReceived:  lc.bytesRecv.Value(),
+		Dropped:        lc.dropped(),
+		Reconnects:     lc.reconnects.Value(),
+		Retries:        lc.retries.Value(),
+		QueueHighWater: lc.queueHW.Value(),
+	}
 }
 
 // LinkTap is one transport flavour's telemetry: per-link counters plus the
@@ -265,12 +260,9 @@ type LinkTap struct {
 	flavour string
 	rec     *Recorder
 
-	// Aggregate registry counters (the pre-existing metric surface).
+	// The aggregate families; the tap's own totals are its links' sums.
 	aSent, aSentB, aRecv, aRecvB, aDropped *obs.Counter
 	aReconnects, aRetries                  *obs.Counter
-	// Aggregate private totals for per-run cost accounting.
-	tSent, tSentB, tRecv, tRecvB, tDropped atomic.Int64
-	tReconnects, tRetries                  atomic.Int64
 
 	mu    sync.RWMutex
 	links map[Link]*linkCounters
@@ -321,21 +313,26 @@ func (lt *LinkTap) link(l Link) *linkCounters {
 		return lc
 	}
 	name := l.String()
-	label := func(metric string) string {
-		return obs.Label(obs.Label(metric, "transport", lt.flavour), "link", name)
+	scoped := func(metric string) *obs.Counter {
+		return lt.reg.Counter(lt.linkLabel(metric, name)).Scoped()
 	}
 	lc = &linkCounters{
-		name:        name,
-		cMsgsSent:   lt.reg.Counter(label(MetricLinkMessagesSent)),
-		cBytesSent:  lt.reg.Counter(label(MetricLinkBytesSent)),
-		cMsgsRecv:   lt.reg.Counter(label(MetricLinkMessagesReceived)),
-		cBytesRecv:  lt.reg.Counter(label(MetricLinkBytesReceived)),
-		cReconnects: lt.reg.Counter(label(MetricTransportReconnects)),
-		cRetries:    lt.reg.Counter(label(MetricTransportRetries)),
-		gQueueHW:    lt.reg.Gauge(label(MetricLinkQueueHighWater)),
+		name:       name,
+		msgsSent:   scoped(MetricLinkMessagesSent),
+		bytesSent:  scoped(MetricLinkBytesSent),
+		msgsRecv:   scoped(MetricLinkMessagesReceived),
+		bytesRecv:  scoped(MetricLinkBytesReceived),
+		reconnects: scoped(MetricTransportReconnects),
+		retries:    scoped(MetricTransportRetries),
+		gQueueHW:   lt.reg.Gauge(lt.linkLabel(MetricLinkQueueHighWater, name)),
 	}
 	lt.links[l] = lc
 	return lc
+}
+
+// linkLabel labels metric with the tap's flavour and the link's name.
+func (lt *LinkTap) linkLabel(metric, link string) string {
+	return obs.Label(obs.Label(metric, "transport", lt.flavour), "link", link)
 }
 
 // Sent records one message handed to the transport for delivery.
@@ -344,12 +341,8 @@ func (lt *LinkTap) Sent(from, to model.ProcessID, bytes int) {
 		return
 	}
 	lc := lt.link(Link{from, to})
-	lc.msgsSent.Add(1)
+	lc.msgsSent.Inc()
 	lc.bytesSent.Add(int64(bytes))
-	lc.cMsgsSent.Inc()
-	lc.cBytesSent.Add(int64(bytes))
-	lt.tSent.Add(1)
-	lt.tSentB.Add(int64(bytes))
 	lt.aSent.Inc()
 	lt.aSentB.Add(int64(bytes))
 	lt.rec.Record(Record{Cat: CatNet, Kind: "send", Transport: lt.flavour,
@@ -362,12 +355,8 @@ func (lt *LinkTap) Received(from, to model.ProcessID, bytes int) {
 		return
 	}
 	lc := lt.link(Link{from, to})
-	lc.msgsRecv.Add(1)
+	lc.msgsRecv.Inc()
 	lc.bytesRecv.Add(int64(bytes))
-	lc.cMsgsRecv.Inc()
-	lc.cBytesRecv.Add(int64(bytes))
-	lt.tRecv.Add(1)
-	lt.tRecvB.Add(int64(bytes))
 	lt.aRecv.Inc()
 	lt.aRecvB.Add(int64(bytes))
 	lt.rec.Record(Record{Cat: CatNet, Kind: "recv", Transport: lt.flavour,
@@ -381,10 +370,12 @@ func (lt *LinkTap) Dropped(from, to model.ProcessID, reason string) {
 		return
 	}
 	lc := lt.link(Link{from, to})
-	lc.dropped.Add(1)
-	lt.reg.Counter(obs.Label(obs.Label(obs.Label(MetricLinkMessagesDropped,
-		"transport", lt.flavour), "link", lc.name), "reason", reason)).Inc()
-	lt.tDropped.Add(1)
+	c, ok := lc.drops.Load(reason)
+	if !ok {
+		c, _ = lc.drops.LoadOrStore(reason, lt.reg.Counter(obs.Label(
+			lt.linkLabel(MetricLinkMessagesDropped, lc.name), "reason", reason)).Scoped())
+	}
+	c.(*obs.Counter).Inc()
 	lt.aDropped.Inc()
 	lt.rec.Record(Record{Cat: CatNet, Kind: "drop", Transport: lt.flavour,
 		Link: lc.name, Note: reason})
@@ -407,9 +398,7 @@ func (lt *LinkTap) Reconnect(from, to model.ProcessID) {
 		return
 	}
 	lc := lt.link(Link{from, to})
-	lc.reconnects.Add(1)
-	lc.cReconnects.Inc()
-	lt.tReconnects.Add(1)
+	lc.reconnects.Inc()
 	lt.aReconnects.Inc()
 	lt.rec.Record(Record{Cat: CatNet, Kind: "reconnect", Transport: lt.flavour,
 		Link: lc.name})
@@ -421,35 +410,33 @@ func (lt *LinkTap) Retry(from, to model.ProcessID) {
 		return
 	}
 	lc := lt.link(Link{from, to})
-	lc.retries.Add(1)
-	lc.cRetries.Inc()
-	lt.tRetries.Add(1)
+	lc.retries.Inc()
 	lt.aRetries.Inc()
 	lt.rec.Record(Record{Cat: CatNet, Kind: "retry", Transport: lt.flavour,
 		Link: lc.name})
 }
 
-// Totals returns the transport's aggregate accounting.
+// Totals returns the transport's aggregate accounting: the sums of its
+// links' (the high-water mark is the highest link's).
 func (lt *LinkTap) Totals() LinkTotals {
+	var t LinkTotals
 	if lt == nil {
-		return LinkTotals{}
+		return t
 	}
-	var hw int64
 	lt.mu.RLock()
+	defer lt.mu.RUnlock()
 	for _, lc := range lt.links {
-		hw = max(hw, lc.queueHW.Value())
+		l := lc.totals()
+		t.MsgsSent += l.MsgsSent
+		t.BytesSent += l.BytesSent
+		t.MsgsReceived += l.MsgsReceived
+		t.BytesReceived += l.BytesReceived
+		t.Dropped += l.Dropped
+		t.Reconnects += l.Reconnects
+		t.Retries += l.Retries
+		t.QueueHighWater = max(t.QueueHighWater, l.QueueHighWater)
 	}
-	lt.mu.RUnlock()
-	return LinkTotals{
-		MsgsSent:       lt.tSent.Load(),
-		BytesSent:      lt.tSentB.Load(),
-		MsgsReceived:   lt.tRecv.Load(),
-		BytesReceived:  lt.tRecvB.Load(),
-		Dropped:        lt.tDropped.Load(),
-		Reconnects:     lt.tReconnects.Load(),
-		Retries:        lt.tRetries.Load(),
-		QueueHighWater: hw,
-	}
+	return t
 }
 
 // PerLink returns each link's accounting, keyed by link.
@@ -461,16 +448,7 @@ func (lt *LinkTap) PerLink() map[Link]LinkTotals {
 	defer lt.mu.RUnlock()
 	out := make(map[Link]LinkTotals, len(lt.links))
 	for l, lc := range lt.links {
-		out[l] = LinkTotals{
-			MsgsSent:       lc.msgsSent.Load(),
-			BytesSent:      lc.bytesSent.Load(),
-			MsgsReceived:   lc.msgsRecv.Load(),
-			BytesReceived:  lc.bytesRecv.Load(),
-			Dropped:        lc.dropped.Load(),
-			Reconnects:     lc.reconnects.Load(),
-			Retries:        lc.retries.Load(),
-			QueueHighWater: lc.queueHW.Value(),
-		}
+		out[l] = lc.totals()
 	}
 	return out
 }
@@ -503,7 +481,7 @@ func ComputeCost(decisions int, ws *WireStats, lt *LinkTap) *obs.CostSummary {
 	c := &obs.CostSummary{Decisions: decisions}
 	c.DataMessages, c.DataBytes = ws.DataEncoded()
 	c.ControlMessages, c.ControlBytes = ws.ControlEncoded()
-	c.Heartbeats = ws.Heartbeats()
+	c.Heartbeats = c.ControlMessages
 	if lt != nil {
 		t := lt.Totals()
 		c.Messages, c.Bytes, c.Dropped = t.MsgsSent, t.BytesSent, t.Dropped

@@ -79,7 +79,7 @@ func TestWireStatsPerKind(t *testing.T) {
 		}
 	}
 
-	// The registry counters mirror the private totals.
+	// The registry families show the stats' own counts.
 	snap := reg.Snapshot()
 	if got := snap.Counter(obs.Label(netobs.MetricWireEncoded, "kind", "W")); got != 1 {
 		t.Fatalf("registry W encode counter = %d, want 1", got)
@@ -96,6 +96,45 @@ func TestWireStatsPerKind(t *testing.T) {
 	}
 	if nilWS.PerKind() != nil {
 		t.Fatal("nil WireStats should have no kinds")
+	}
+}
+
+// TestSharedRegistryKeepsOwnTotals: two runs' instruments on one registry
+// each report their own counts while the families sum both, and
+// instruments without a registry still count.
+func TestSharedRegistryKeepsOwnTotals(t *testing.T) {
+	reg := obs.NewRegistry()
+	for _, r := range []*obs.Registry{reg, nil} {
+		ws1, ws2 := netobs.NewWireStats(r), netobs.NewWireStats(r)
+		lt1, lt2 := netobs.NewLinkTap(r, "chan", nil), netobs.NewLinkTap(r, "chan", nil)
+		ws1.AddEncoded(wire.KindW, 2, 20)
+		ws2.AddEncoded(wire.KindW, 3, 30)
+		lt1.Sent(1, 2, 10)
+		lt2.Sent(1, 2, 7)
+		lt2.Sent(2, 1, 5)
+		lt1.Dropped(1, 2, netobs.DropLoss)
+		lt2.Dropped(1, 2, netobs.DropLoss)
+		lt2.Dropped(1, 2, netobs.DropOverflow)
+		if m, b := ws1.Encoded(); m != 2 || b != 20 {
+			t.Errorf("registry %v: ws1 = (%d, %d), want (2, 20)", r != nil, m, b)
+		}
+		if got := lt2.Totals(); got.MsgsSent != 2 || got.BytesSent != 12 || got.Dropped != 2 {
+			t.Errorf("registry %v: lt2 totals = %+v, want 2 msgs, 12 B, 2 dropped", r != nil, got)
+		}
+		if got := lt2.PerLink()[netobs.Link{From: 1, To: 2}]; got.MsgsSent != 1 || got.Dropped != 2 {
+			t.Errorf("registry %v: lt2 p1>p2 = %+v, want 1 sent, 2 dropped", r != nil, got)
+		}
+	}
+	snap := reg.Snapshot()
+	for name, want := range map[string]int64{
+		obs.Label(netobs.MetricWireEncoded, "kind", "W"):                                                                                   5,
+		obs.Label(netobs.MetricTransportMessagesSent, "transport", "chan"):                                                                 3,
+		obs.Label(netobs.MetricTransportMessagesDropped, "transport", "chan"):                                                              3,
+		obs.Label(obs.Label(obs.Label(netobs.MetricLinkMessagesDropped, "transport", "chan"), "link", "p1>p2"), "reason", netobs.DropLoss): 2,
+	} {
+		if got := snap.Counter(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 

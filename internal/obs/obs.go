@@ -44,17 +44,25 @@ func Label(name, key, value string) string {
 	return fmt.Sprintf("%s{%s=%q}", name, key, value)
 }
 
-// Counter is a monotonically increasing atomic counter.
+// Counter is a monotonically increasing atomic counter. A scoped counter
+// (see Scoped) also adds everything it counts to its parent.
 type Counter struct {
-	v atomic.Int64
+	v      atomic.Int64
+	parent *Counter
 }
 
-// Add increments the counter by d (no-op on a nil counter).
+// Scoped returns a new counter whose Add also adds to c: one component's
+// own total of a fact that a registry family counts across components.
+// Its Value is its own total. A nil c yields a counter with no parent, so
+// a component without a registry still keeps its totals.
+func (c *Counter) Scoped() *Counter { return &Counter{parent: c} }
+
+// Add increments the counter, and its parents, by d (no-op on a nil
+// counter).
 func (c *Counter) Add(d int64) {
-	if c == nil {
-		return
+	for ; c != nil; c = c.parent {
+		c.v.Add(d)
 	}
-	c.v.Add(d)
 }
 
 // Inc increments the counter by one.

@@ -32,6 +32,24 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// TestScopedCounter: two components' scoped counters keep their own totals
+// and add up in the family they share; without a registry they still count.
+func TestScopedCounter(t *testing.T) {
+	r := NewRegistry()
+	a, b := r.Counter("f_total").Scoped(), r.Counter("f_total").Scoped()
+	a.Add(3)
+	b.Inc()
+	if a.Value() != 3 || b.Value() != 1 || r.Counter("f_total").Value() != 4 {
+		t.Errorf("a=%d b=%d family=%d, want 3, 1, 4", a.Value(), b.Value(), r.Counter("f_total").Value())
+	}
+	var nilReg *Registry
+	c := nilReg.Counter("f_total").Scoped()
+	c.Add(2)
+	if c.Value() != 2 {
+		t.Errorf("scoped counter without a registry = %d, want 2", c.Value())
+	}
+}
+
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Add(1)

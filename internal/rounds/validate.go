@@ -183,11 +183,35 @@ func CheckReceptions(kind ModelKind, h *Receptions) []Violation {
 	return out
 }
 
+// CrashRecord states that a record's two views of its crashes agree:
+// CrashRound[p] == r iff p is in round r's Crashed set. One violation per
+// process whose views differ.
+func CrashRecord(h *Receptions) []Violation {
+	var out []Violation
+	for p := 1; p <= h.N; p++ {
+		pid := model.ProcessID(p)
+		cr := h.CrashRound[p]
+		var in []int // the rounds whose Crashed set holds p
+		for idx := range h.Rounds {
+			if h.Rounds[idx].Crashed.Has(pid) {
+				in = append(in, h.Rounds[idx].Round)
+			}
+		}
+		if (len(in) != 0 || cr != 0) && (len(in) != 1 || in[0] != cr) {
+			out = append(out, Violation{Round: cr, Sender: pid, Reason: fmt.Sprintf(
+				"%v has crash round %d (0 = never) but the rounds recording its crash are %v", pid, cr, in)})
+		}
+	}
+	return out
+}
+
 // CheckCrashConsistency verifies the structural invariants every run must
 // satisfy regardless of model: crashes are permanent, crashed processes
-// neither send nor receive afterwards, and alive sets shrink monotonically.
+// neither send nor receive afterwards, alive sets shrink monotonically, and
+// each process's crash round is the one round recording its crash
+// (CrashRecord).
 func CheckCrashConsistency(run *Run) []Violation {
-	var out []Violation
+	out := CrashRecord(run.Receptions())
 	prevAlive := model.FullSet(run.N)
 	for idx := range run.Rounds {
 		rr := &run.Rounds[idx]

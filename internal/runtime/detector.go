@@ -133,9 +133,6 @@ type DetectorCore struct {
 	peers     []peerState // indexed by process id; [0] and [id] unused
 	maxWindow int64
 	adaptive  bool
-
-	falseSuspicions atomic.Int64 // retraction edges (perfection counterexamples)
-	encodeErrors    atomic.Int64
 }
 
 // peerState is the suspicion rule's state for one peer.
@@ -240,7 +237,6 @@ func (c *DetectorCore) Send(env wire.Envelope) {
 	env.From = c.id
 	data, err := wire.Encode(env)
 	if err != nil {
-		c.encodeErrors.Add(1)
 		c.metrics.encodeErrors.Inc()
 		return
 	}
@@ -334,7 +330,6 @@ func (c *DetectorCore) retract(j model.ProcessID) bool {
 	if !c.peers[j].suspected.Swap(false) {
 		return false
 	}
-	c.falseSuspicions.Add(1)
 	c.metrics.retracted.Inc()
 	if c.sink != nil {
 		c.sink.Emit(obs.Event{Type: obs.EventRetract, Round: c.Round(), Proc: int(j), By: int(c.id)})
@@ -344,10 +339,10 @@ func (c *DetectorCore) retract(j model.ProcessID) bool {
 
 // FalseSuspicions reports how many suspicion retractions this observer went
 // through — zero in a run where the detector behaved perfectly.
-func (c *DetectorCore) FalseSuspicions() int64 { return c.falseSuspicions.Load() }
+func (c *DetectorCore) FalseSuspicions() int64 { return c.metrics.retracted.Value() }
 
 // EncodeErrors reports control messages lost to envelope encoding failures.
-func (c *DetectorCore) EncodeErrors() int64 { return c.encodeErrors.Load() }
+func (c *DetectorCore) EncodeErrors() int64 { return c.metrics.encodeErrors.Value() }
 
 // EverSuspected returns every peer this observer suspected at any point,
 // retracted or not. Compared against which processes actually crashed it

@@ -293,19 +293,18 @@ type engineRun struct {
 	// poll suspicions, so whoever sees the suspicion also sees the crash.
 	crashed atomic.Uint64
 
-	metrics      nodeMetrics
-	unknown      *obs.Counter
-	decidedCtr   *obs.Counter
-	openedCtr    *obs.Counter
-	doneCtr      *obs.Counter
-	unknownCount atomic.Int64
-	waitTimeouts atomic.Int64
-	decidedNodes atomic.Int64
+	// The counts Stats reads are scoped under their registry families
+	// (/metrics), so both read one counter per fact; openedCtr counts
+	// beside opened, the instance-id allocator.
+	metrics   nodeMetrics
+	unknown   *obs.Counter // stray frames dropped
+	decided   *obs.Counter // node decisions
+	done      *obs.Counter // completed instances
+	openedCtr *obs.Counter
 
-	opened    atomic.Uint64 // next instance id; demux drops ids at or past it
-	closing   atomic.Bool   // workers exit once idle
-	completed atomic.Int64
-	tally     [3]atomic.Int64 // AgreementStatus tallies over completed instances
+	opened  atomic.Uint64   // next instance id; demux drops ids at or past it
+	closing atomic.Bool     // workers exit once idle
+	tally   [3]atomic.Int64 // AgreementStatus tallies over completed instances
 
 	handleMu sync.Mutex
 	handles  map[uint64]*Instance // in-flight only
@@ -351,8 +350,7 @@ func (er *engineRun) abort(err error) {
 func (er *engineRun) finish(inst uint64, out InstanceOutcome) {
 	_, status := agreementOf(out.Decisions, out.Decided)
 	er.tally[status].Add(1)
-	er.completed.Add(1)
-	er.doneCtr.Inc()
+	er.done.Inc()
 	er.handleMu.Lock()
 	h := er.handles[inst]
 	delete(er.handles, inst)
@@ -548,20 +546,20 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 func newEngineRun(alg rounds.Algorithm, cfg EngineConfig, reg *obs.Registry, endpoints []Transport) *engineRun {
 	n := cfg.N
 	er := &engineRun{
-		cfg:        cfg,
-		alg:        alg,
-		n:          n,
-		maxRounds:  cfg.MaxRounds,
-		ws:         netobs.NewWireStats(reg),
-		fds:        make([]Detector, n+1),
-		workers:    make([]*engWorker, cfg.Groups),
-		metrics:    newNodeMetrics(reg, alg.Name(), cfg.Kind),
-		unknown:    reg.Counter(MetricEngineUnknownInstance),
-		decidedCtr: reg.Counter(MetricEngineInstancesDecided),
-		openedCtr:  reg.Counter(MetricEngineInstancesOpened),
-		doneCtr:    reg.Counter(MetricEngineInstancesDone),
-		handles:    make(map[uint64]*Instance),
-		abortCh:    make(chan struct{}),
+		cfg:       cfg,
+		alg:       alg,
+		n:         n,
+		maxRounds: cfg.MaxRounds,
+		ws:        netobs.NewWireStats(reg),
+		fds:       make([]Detector, n+1),
+		workers:   make([]*engWorker, cfg.Groups),
+		metrics:   newNodeMetrics(reg, alg.Name(), cfg.Kind),
+		unknown:   reg.Counter(MetricEngineUnknownInstance).Scoped(),
+		decided:   reg.Counter(MetricEngineInstancesDecided).Scoped(),
+		done:      reg.Counter(MetricEngineInstancesDone).Scoped(),
+		openedCtr: reg.Counter(MetricEngineInstancesOpened),
+		handles:   make(map[uint64]*Instance),
+		abortCh:   make(chan struct{}),
 	}
 	for w := range er.workers {
 		ew := &engWorker{
@@ -685,13 +683,13 @@ func (e *Engine) Stats() EngineStats {
 		Groups:               len(er.workers),
 		Algorithm:            er.alg.Name(),
 		Opened:               int64(er.opened.Load()),
-		Completed:            er.completed.Load(),
-		DecidedNodes:         er.decidedNodes.Load(),
+		Completed:            er.done.Value(),
+		DecidedNodes:         er.decided.Value(),
 		AgreementNone:        er.tally[AgreementNone].Load(),
 		AgreementReached:     er.tally[AgreementReached].Load(),
 		AgreementViolated:    er.tally[AgreementViolated].Load(),
-		WaitTimeouts:         er.waitTimeouts.Load(),
-		UnknownInstanceDrops: er.unknownCount.Load(),
+		WaitTimeouts:         er.metrics.waitTimeouts.Value(),
+		UnknownInstanceDrops: er.unknown.Value(),
 		Uptime:               time.Since(e.start),
 	}
 	s.InFlight = s.Opened - s.Completed
@@ -774,7 +772,7 @@ func (e *Engine) Close() error {
 				Err:       ferr,
 			})
 		}
-		cost := netobs.ComputeCost(int(er.decidedNodes.Load()), er.ws, e.links())
+		cost := netobs.ComputeCost(int(er.decided.Value()), er.ws, e.links())
 		netobs.PublishCost(e.reg, cost)
 		if er.cfg.Events != nil {
 			er.cfg.Events.Emit(obs.Event{Type: obs.EventCost, Cost: cost})

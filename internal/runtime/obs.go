@@ -31,7 +31,7 @@ type nodeMetrics struct {
 	roundDuration *obs.Histogram
 	rounds        *obs.Counter
 	heartbeats    *obs.Counter // heartbeats observed by the demultiplexer
-	waitTimeouts  *obs.Counter // RWS wait-bound expiries (liveness guard)
+	waitTimeouts  *obs.Counter // RWS wait-bound expiries (liveness guard); the engine's own, scoped
 }
 
 func newNodeMetrics(reg *obs.Registry, algorithm string, kind rounds.ModelKind) nodeMetrics {
@@ -43,7 +43,7 @@ func newNodeMetrics(reg *obs.Registry, algorithm string, kind rounds.ModelKind) 
 		roundDuration: reg.Histogram(name, obs.DefaultDurationBuckets),
 		rounds:        reg.Counter(MetricNodeRounds),
 		heartbeats:    reg.Counter(MetricHeartbeatsReceived),
-		waitTimeouts:  reg.Counter(MetricNodeWaitTimeouts),
+		waitTimeouts:  reg.Counter(MetricNodeWaitTimeouts).Scoped(),
 	}
 }
 
@@ -53,8 +53,8 @@ func newNodeMetrics(reg *obs.Registry, algorithm string, kind rounds.ModelKind) 
 type fdMetrics struct {
 	heartbeatsSent *obs.Counter
 	raised         *obs.Counter
-	retracted      *obs.Counter
-	encodeErrors   *obs.Counter
+	retracted      *obs.Counter // the observer's own, scoped
+	encodeErrors   *obs.Counter // the observer's own, scoped
 }
 
 func newFDMetrics(reg *obs.Registry, detector string) fdMetrics {
@@ -62,8 +62,8 @@ func newFDMetrics(reg *obs.Registry, detector string) fdMetrics {
 	return fdMetrics{
 		heartbeatsSent: reg.Counter(l(MetricHeartbeatsSent)),
 		raised:         reg.Counter(l(MetricSuspicionsRaised)),
-		retracted:      reg.Counter(l(MetricSuspicionsRetracted)),
-		encodeErrors:   reg.Counter(l(MetricFDEncodeErrors)),
+		retracted:      reg.Counter(l(MetricSuspicionsRetracted)).Scoped(),
+		encodeErrors:   reg.Counter(l(MetricFDEncodeErrors)).Scoped(),
 	}
 }
 

@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"io"
+	"math/rand"
 	"net/http"
 	goruntime "runtime"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/netobs"
 	"repro/internal/obs"
 	"repro/internal/rounds"
+	"repro/internal/wire"
 )
 
 // TestClusterMetricsEndpoint is the live-exposition acceptance check: the
@@ -265,4 +267,101 @@ func TestOpenAfterAbort(t *testing.T) {
 	if st := e.Stats(); st.Opened != 1 {
 		t.Errorf("Opened = %d, want 1: the refused Open must not consume an instance id", st.Opened)
 	}
+}
+
+// TestEngineStatsMatchMetrics: every count Engine.Stats reports is the
+// count its /metrics family shows. A chaos run on a private registry —
+// injected loss and duplication on a 4-node mesh that itself loses one
+// packet in twenty, a node crash-stopping mid-instance while its peers wait
+// on it past WaitBound, and a stray frame planted in node 1's inbox — must
+// leave each EngineStats figure equal to its family.
+func TestEngineStatsMatchMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	rng := rand.New(rand.NewSource(7)) // drawn under the network's lock
+	// A 5-endpoint mesh for a 4-node engine: endpoint 5 plants the stray.
+	nw := NewChanNetwork(5, ChanConfig{Metrics: reg, Delay: func(model.ProcessID, model.ProcessID, []byte) time.Duration {
+		if rng.Intn(20) == 0 {
+			return -1
+		}
+		return time.Duration(rng.Int63n(int64(time.Millisecond)))
+	}})
+	stray, err := wire.Encode(wire.Envelope{From: 2, To: 1, Round: 1, Kind: wire.KindD,
+		Instance: 1 << 20, Payload: consensus.DMsg{V: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Endpoint(5).Send(1, stray); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond) // let the delayed delivery land in the inbox
+	spec, err := faults.ParseSpec("seed=7,loss=0.05,dup=0.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Unanimous proposals: C_OptFloodSetWS decides in round 1, so the
+	// instances the crash starves in round 2 still count their decisions.
+	e, err := StartEngine(consensus.COptFloodSetWS{}, EngineConfig{
+		N: 4, T: 2,
+		Network: nw,
+		Faults:  &spec,
+		// The crashed node stays unsuspected well past the wait bound, so
+		// the peers it did not reach expire waiting for it.
+		WaitBound:       50 * time.Millisecond,
+		HeartbeatPeriod: 5 * time.Millisecond, SuspectTimeout: 500 * time.Millisecond,
+		Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handles := make([]*Instance, 20)
+	for k := range handles {
+		var opts OpenOptions
+		if k == 0 {
+			opts.Crashes = map[model.ProcessID]CrashPlan{2: {Round: 2, Reach: 1}}
+		}
+		if handles[k], err = e.OpenWith(func(model.ProcessID) model.Value { return model.Value(k) }, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, h := range handles {
+		<-h.Done()
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, snap := e.Stats(), reg.Snapshot()
+	if st.DecidedNodes == 0 || st.WaitTimeouts == 0 || st.UnknownInstanceDrops == 0 || st.Cost.Dropped == 0 {
+		t.Fatalf("the run exercised too little: %d decisions, %d wait timeouts, %d stray frames, %d drops",
+			st.DecidedNodes, st.WaitTimeouts, st.UnknownInstanceDrops, st.Cost.Dropped)
+	}
+	var dataEncoded int64
+	for _, k := range wire.Kinds() {
+		if !k.Control() {
+			dataEncoded += snap.Counter(obs.Label(netobs.MetricWireEncoded, "kind", k.String()))
+		}
+	}
+	chanFamily := func(name string) int64 { return snap.Counter(obs.Label(name, "transport", "chan")) }
+	fdFamily := func(name string) int64 { return snap.Counter(obs.Label(name, "detector", st.Detector)) }
+	for _, c := range []struct {
+		name          string
+		stats, family int64
+	}{
+		{MetricEngineInstancesOpened, st.Opened, snap.Counter(MetricEngineInstancesOpened)},
+		{MetricEngineInstancesDone, st.Completed, snap.Counter(MetricEngineInstancesDone)},
+		{MetricEngineInstancesDecided, st.DecidedNodes, snap.Counter(MetricEngineInstancesDecided)},
+		{MetricNodeWaitTimeouts, st.WaitTimeouts, snap.Counter(MetricNodeWaitTimeouts)},
+		{MetricEngineUnknownInstance, st.UnknownInstanceDrops, snap.Counter(MetricEngineUnknownInstance)},
+		{MetricSuspicionsRetracted, st.FalseSuspicions, fdFamily(MetricSuspicionsRetracted)},
+		{MetricFDEncodeErrors, st.EncodeErrors, fdFamily(MetricFDEncodeErrors)},
+		{netobs.MetricTransportMessagesSent, st.Cost.Messages, chanFamily(netobs.MetricTransportMessagesSent)},
+		{netobs.MetricTransportBytesSent, st.Cost.Bytes, chanFamily(netobs.MetricTransportBytesSent)},
+		{netobs.MetricTransportMessagesDropped, st.Cost.Dropped, chanFamily(netobs.MetricTransportMessagesDropped)},
+		{netobs.MetricWireEncoded + " (data kinds)", st.Cost.DataMessages, dataEncoded},
+	} {
+		if c.stats != c.family {
+			t.Errorf("%s: Stats %d, family %d", c.name, c.stats, c.family)
+		}
+	}
+	t.Logf("%d opened, %d decisions, %d wait timeouts, %d dropped of %d sent, %d retractions",
+		st.Opened, st.DecidedNodes, st.WaitTimeouts, st.Cost.Dropped, st.Cost.Messages, st.FalseSuspicions)
 }

@@ -157,8 +157,7 @@ func (w *engWorker) fold() {
 	}
 	w.durations.Fold()
 	if w.decisions != 0 {
-		er.decidedCtr.Add(w.decisions)
-		er.decidedNodes.Add(w.decisions)
+		er.decided.Add(w.decisions)
 		w.decisions = 0
 	}
 }
@@ -360,7 +359,6 @@ func (w *engWorker) file(node model.ProcessID, env *wire.Envelope, payload []byt
 	if env.Instance >= opened || env.Instance-local*groups != uint64(w.idx) ||
 		env.From < 1 || int(env.From) > er.n || env.From == node {
 		er.unknown.Inc()
-		er.unknownCount.Add(1)
 		return
 	}
 	sl := w.slabAt(int(local))
@@ -488,7 +486,6 @@ func (w *engWorker) advance(st *instState, now time.Time) {
 				// here — no transition, a decision already taken kept — and
 				// the expiry is counted.
 				st.out.WaitTimeouts++
-				er.waitTimeouts.Add(1)
 				er.metrics.waitTimeouts.Inc()
 				w.halt(st)
 				return

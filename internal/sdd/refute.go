@@ -3,6 +3,7 @@ package sdd
 import (
 	"fmt"
 
+	"repro/internal/fd"
 	"repro/internal/model"
 	"repro/internal/step"
 )
@@ -209,7 +210,8 @@ func starvedRun(alg step.Algorithm, input model.Value, senderSteps bool, maxObse
 	if viol := step.CheckEventualDelivery(tr); len(viol) != 0 {
 		return nil, fmt.Errorf("sdd: starvedRun: constructed an inadmissible run: %s", viol[0].Error())
 	}
-	if viol := step.CheckStrongAccuracy(tr); len(viol) != 0 {
+	fp, h := fd.FromTrace(tr)
+	if viol := fd.CheckStrongAccuracy(fp, h, model.TimeNever); len(viol) != 0 { // over the whole trace
 		return nil, fmt.Errorf("sdd: starvedRun: accuracy violated: %s", viol[0].Error())
 	}
 	return &starved{trace: tr, observerSteps: steps}, nil

@@ -2,13 +2,19 @@ package serve
 
 import (
 	"context"
+	"io"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
 	"repro/internal/model"
+	"repro/internal/netobs"
+	"repro/internal/obs"
 	"repro/internal/rounds"
 	"repro/internal/runtime"
+	"repro/internal/wire"
 )
 
 func vals(vs ...int64) []model.Value {
@@ -19,13 +25,11 @@ func vals(vs ...int64) []model.Value {
 	return out
 }
 
-// TestChaosServing is the chaos-serving regression: the daemon runs over a
+// chaosServe runs TestChaosServing's load on a daemon over a
 // fault-injected mesh (the E14-grade drop/dup/delay mix) with the
-// conformance monitor attached. Individual proposals may time out or come
-// back undecided — that is liveness, and the injector is licensed to take
-// it — but AgreementStatus must never report violated and the conformance
-// report must stay clean.
-func TestChaosServing(t *testing.T) {
+// conformance monitor attached, and returns once the engine is quiet.
+func chaosServe(t *testing.T) (*Server, *Client, *LoadReport) {
+	t.Helper()
 	spec, err := faults.ParseSpec("seed=7,loss=0.1,dup=0.2,spike=1ms-3ms@0.2")
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +64,16 @@ func TestChaosServing(t *testing.T) {
 		t.Fatalf("no CAS succeeded under chaos: %s", rep)
 	}
 	t.Logf("chaos load: %s", rep)
-
 	quiesce(t, srv)
+	return srv, client, rep
+}
+
+// TestChaosServing is the chaos-serving regression: individual proposals
+// may time out or come back undecided — that is liveness, and the injector
+// is licensed to take it — but AgreementStatus must never report violated
+// and the conformance report must stay clean.
+func TestChaosServing(t *testing.T) {
+	_, client, rep := chaosServe(t)
 	status, err := client.Status(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -81,6 +93,89 @@ func TestChaosServing(t *testing.T) {
 	if err := CheckLinearizable(chains, rep.Records); err != nil {
 		t.Fatalf("linearizability violated under chaos: %v", err)
 	}
+}
+
+// TestChaosStatusMatchesMetrics: after the chaos load, the engine block of
+// /v1/status and a /metrics scrape tell one story. The engine's counts are
+// quiet once the load is, so each equals its family; transport traffic
+// keeps moving with the heartbeats, so the status figure lies between a
+// scrape taken before it and one taken after.
+func TestChaosStatusMatchesMetrics(t *testing.T) {
+	_, client, _ := chaosServe(t)
+	before := scrape(t, client)
+	status, err := client.Status(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := scrape(t, client)
+	st := status.Engine
+	if st.Opened == 0 || st.DecidedNodes == 0 || st.Cost == nil {
+		t.Fatalf("engine block shows no traffic: %+v", st)
+	}
+	var dataEncoded int64
+	for _, k := range wire.Kinds() {
+		if !k.Control() {
+			dataEncoded += after[obs.Label(netobs.MetricWireEncoded, "kind", k.String())]
+		}
+	}
+	fdFamily := func(name string) int64 { return after[obs.Label(name, "detector", st.Detector)] }
+	for _, c := range []struct {
+		name          string
+		stats, family int64
+	}{
+		{runtime.MetricEngineInstancesOpened, st.Opened, after[runtime.MetricEngineInstancesOpened]},
+		{runtime.MetricEngineInstancesDone, st.Completed, after[runtime.MetricEngineInstancesDone]},
+		{runtime.MetricEngineInstancesDecided, st.DecidedNodes, after[runtime.MetricEngineInstancesDecided]},
+		{runtime.MetricNodeWaitTimeouts, st.WaitTimeouts, after[runtime.MetricNodeWaitTimeouts]},
+		{runtime.MetricEngineUnknownInstance, st.UnknownInstanceDrops, after[runtime.MetricEngineUnknownInstance]},
+		{runtime.MetricSuspicionsRetracted, st.FalseSuspicions, fdFamily(runtime.MetricSuspicionsRetracted)},
+		{runtime.MetricFDEncodeErrors, st.EncodeErrors, fdFamily(runtime.MetricFDEncodeErrors)},
+		{netobs.MetricWireEncoded + " (data kinds)", st.Cost.DataMessages, dataEncoded},
+	} {
+		if c.stats != c.family {
+			t.Errorf("%s: /v1/status %d, /metrics %d", c.name, c.stats, c.family)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		stats int64
+	}{
+		{netobs.MetricTransportMessagesSent, st.Cost.Messages},
+		{netobs.MetricTransportBytesSent, st.Cost.Bytes},
+		{netobs.MetricTransportMessagesDropped, st.Cost.Dropped},
+	} {
+		series := obs.Label(c.name, "transport", "chan")
+		if c.stats < before[series] || c.stats > after[series] {
+			t.Errorf("%s: /v1/status %d, outside the scrapes around it [%d, %d]",
+				c.name, c.stats, before[series], after[series])
+		}
+	}
+}
+
+// scrape reads the server's /metrics exposition into series → value; the
+// keys are the names obs.Label builds.
+func scrape(t *testing.T, client *Client) map[string]int64 {
+	t.Helper()
+	resp, err := client.HTTP.Get(client.BaseURL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]int64)
+	for _, line := range strings.Split(string(body), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if strings.HasPrefix(line, "#") || i < 0 {
+			continue
+		}
+		if v, err := strconv.ParseInt(line[i+1:], 10, 64); err == nil {
+			out[line[:i]] = v
+		}
+	}
+	return out
 }
 
 // neverDecides is an algorithm whose automata run their rounds and never

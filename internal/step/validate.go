@@ -158,60 +158,3 @@ func CheckEventualDelivery(tr *Trace) []Violation {
 	}
 	return out
 }
-
-// CheckStrongCompleteness verifies — on a complete run — that every crashed
-// process is suspected by every correct process by its last step: the
-// finite-run reading of P's strong completeness ("eventually every crashed
-// process is permanently suspected by every correct process").
-func CheckStrongCompleteness(tr *Trace) []Violation {
-	var out []Violation
-	lastSuspects := make([]model.ProcSet, tr.N+1)
-	took := make([]bool, tr.N+1)
-	for _, ev := range tr.Events {
-		if ev.Kind == StepEvent {
-			lastSuspects[ev.Proc] = ev.Suspects
-			took[ev.Proc] = true
-		}
-	}
-	for p := 1; p <= tr.N; p++ {
-		if tr.CrashedAt[p] == 0 {
-			continue
-		}
-		for q := 1; q <= tr.N; q++ {
-			pq := model.ProcessID(q)
-			if tr.CrashedAt[q] != 0 || !took[q] {
-				continue
-			}
-			if !lastSuspects[q].Has(model.ProcessID(p)) {
-				out = append(out, Violation{
-					Proc:   pq,
-					Reason: fmt.Sprintf("correct %v never came to suspect crashed %v", pq, model.ProcessID(p)),
-				})
-			}
-		}
-	}
-	return out
-}
-
-// CheckStrongAccuracy re-verifies offline what the engine enforces online:
-// no process observes a suspicion of a process that has not crashed yet.
-func CheckStrongAccuracy(tr *Trace) []Violation {
-	var out []Violation
-	for _, ev := range tr.Events {
-		if ev.Kind != StepEvent {
-			continue
-		}
-		ev.Suspects.ForEach(func(s model.ProcessID) bool {
-			ca := tr.CrashedAt[s]
-			if ca == 0 || ca > ev.Global {
-				out = append(out, Violation{
-					Global: ev.Global,
-					Proc:   ev.Proc,
-					Reason: fmt.Sprintf("suspects %v which is alive at step %d", s, ev.Global),
-				})
-			}
-			return true
-		})
-	}
-	return out
-}
