@@ -227,11 +227,10 @@ func BenchmarkExplore_A1_RWS(b *testing.B) {
 }
 
 // BenchmarkExploreWorkers drains the n=4, t=2 FloodSetWS/RWS space — the
-// largest sweep in the test suite — sequentially and with 1/2/4 explorer
-// workers, reporting runs/sec and allocations per run. The sequential and
-// parallel variants visit the identical run multiset (pinned by the
-// equivalence property tests), so the metric is directly comparable across
-// rows. CI's bench job uploads this benchmark's output; allocations per run
+// largest sweep in the test suite — with 1/2/4 explorer workers, reporting
+// runs/sec and allocations per run. Every width visits the identical run
+// multiset (pinned by the equivalence property tests), so the metric is
+// directly comparable across rows. CI's bench job uploads this benchmark's output; allocations per run
 // also have a ceiling under plain `go test` (explore.TestRunsAllocsPerRun).
 func BenchmarkExploreWorkers(b *testing.B) {
 	initial := []model.Value{0, 1, 1, 0}
@@ -239,7 +238,7 @@ func BenchmarkExploreWorkers(b *testing.B) {
 		name    string
 		workers int
 	}{
-		{"seq", 0}, {"w1", 1}, {"w2", 2}, {"w4", 4},
+		{"w1", 1}, {"w2", 2}, {"w4", 4},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

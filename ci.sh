@@ -70,7 +70,7 @@ job_test() {
   # Part of ./... above; run again by name so a regression in the explorer's
   # worker pool — or a clone writing a message its original already sent —
   # is named in the job log, not buried in a package failure.
-  go test -race -run 'TestParallel|TestExploreMerges|TestMaxCrashesCap|TestComputeParallelEquality|TestSentMessagesStayImmutable' ./internal/explore/ ./internal/latency/
+  go test -race -run 'TestParallel|TestWidthOneVisitsDepthFirst|TestExploreMerges|TestMaxCrashesCap|TestComputeParallelEquality|TestSentMessagesStayImmutable' ./internal/explore/ ./internal/latency/
   # Every internal package is imported by some program: a package only tests
   # reach is dead code. (bench/ imports nothing a command does not.)
   local orphans

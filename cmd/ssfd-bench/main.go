@@ -70,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	live := fs.Bool("live", true, "include live goroutine-cluster measurements (adds wall-clock time)")
 	only := fs.String("only", "", "run a single experiment (e.g. E7)")
 	jsonPath := fs.String("json", "", "write per-experiment JSON reports to this file")
-	workers := fs.Int("workers", 0, "explorer worker goroutines for the exhaustive experiments (0 = sequential, -1 = one per CPU)")
+	workers := fs.Int("workers", 0, "explorer workers for the exhaustive experiments (0 or 1 = one, -1 = one per CPU)")
 	faultSpec := fs.String("faults", "", "run one chaos cluster under this fault spec instead of the suite (see internal/faults.ParseSpec)")
 	detector := fs.String("detector", "", "failure-detector construction for the -faults chaos run (default heartbeat; -detectors lists the registry)")
 	detectors := fs.Bool("detectors", false, "race every registered detector construction under the same seed (and -faults schedule, if given) and print the scorecard")

@@ -51,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	counter := fs.Bool("counterexample", false, "search exhaustively for a uniform-consensus violation and print it")
 	progress := fs.Int("progress", 0, "report exploration progress to stderr every N runs (0 = silent)")
 	expect := fs.Int("expect", 0, "anticipated total run count (e.g. from a prior sweep); adds % done and ETA to -progress lines")
-	workers := fs.Int("workers", 0, "explorer worker goroutines (0 = sequential, -1 = one per CPU)")
+	workers := fs.Int("workers", 0, "explorer workers (0 or 1 = one, -1 = one per CPU)")
 	obsFlags := obscli.RegisterOn(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2

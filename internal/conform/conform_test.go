@@ -464,8 +464,18 @@ func TestEnumerateSpace(t *testing.T) {
 	if _, err := conform.EnumerateSpace(conform.Meta{}, explore.Options{}); err == nil {
 		t.Fatal("EnumerateSpace accepted an invalid meta")
 	}
-	// A budget abort surfaces as an error.
-	if _, err := conform.EnumerateSpace(meta, explore.Options{MaxRuns: 1}); err == nil {
-		t.Fatal("EnumerateSpace ignored the run budget abort")
+	// An exploration failure surfaces as an error: the explorer cannot
+	// fork processes that do not implement rounds.Cloner.
+	uncloneable := meta
+	uncloneable.Alg = noCloneAlg{meta.Alg}
+	if _, err := conform.EnumerateSpace(uncloneable, explore.Options{}); err == nil {
+		t.Fatal("EnumerateSpace ignored an exploration failure")
 	}
+}
+
+// noCloneAlg wraps an algorithm so its processes hide CloneProcess.
+type noCloneAlg struct{ rounds.Algorithm }
+
+func (a noCloneAlg) New(cfg rounds.ProcConfig) rounds.Process {
+	return struct{ rounds.Process }{a.Algorithm.New(cfg)}
 }

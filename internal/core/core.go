@@ -29,8 +29,9 @@ type Config struct {
 	// streams (ssfd-bench wires its -events flag here).
 	Events obs.Sink
 	// Workers sizes the explorer's worker pool for the exhaustive
-	// experiments (0 = sequential, negative = one per CPU); every measure
-	// is partition-independent, so the reports are identical at any value.
+	// experiments (0 or 1 = one worker, negative = one per CPU); every
+	// measure is partition-independent, so the reports are identical at
+	// any value.
 	Workers int
 }
 

@@ -11,11 +11,11 @@
 // addressed to same-round crashers) are not branched on, which prunes the
 // space without losing any distinguishable behaviour.
 //
-// Exploration runs sequentially by default; setting Options.Workers turns
-// on the parallel explorer (see parallel.go), which forks the DFS at
-// shallow adversary choice points, drains the branches over a worker pool,
-// and merges per-worker statistics and visitor state into exactly the
-// totals the sequential pass produces.
+// Every exploration drains the space over one worker pool (see
+// parallel.go). At width one the single worker runs on the caller's
+// goroutine and never forks, so runs are visited in plain depth-first
+// order; wider pools fork the DFS at shallow adversary choice points and
+// merge per-worker visitor state into the same aggregate.
 package explore
 
 import (
@@ -42,68 +42,62 @@ type Options struct {
 	// The paper's scenarios never need more than t simultaneous crashes, but
 	// capping to 1 can shrink large searches.
 	MaxCrashesPerRound int
-	// MaxRuns aborts the exploration after this many complete runs
-	// (0 = unlimited). ErrBudget is returned when the cap is hit.
-	MaxRuns int
 	// ExpectedRuns is the anticipated size of the run space, used only to
 	// derive Progress.Expected/ETA (a prior sweep at the same parameters is
-	// the usual source). It never bounds the exploration — use MaxRuns for
-	// that. 0 falls back to MaxRuns, so budgeted sweeps get an ETA for
-	// free.
+	// the usual source). It never bounds the exploration.
 	ExpectedRuns int
 
-	// Workers selects the execution mode: 0 runs the classic sequential
-	// DFS; n ≥ 1 drains the same space over a pool of n workers; any
-	// negative value uses one worker per CPU (GOMAXPROCS). The visited run
-	// *multiset* is identical in every mode — only the visit order is
-	// schedule-dependent. Callers that aggregate across runs should use
-	// Explore with a merge-friendly Visitor; plain Runs visitors are
-	// serialized through a mutex when Workers is set.
+	// Workers sizes the worker pool: 0 and 1 mean one worker, which runs
+	// on the caller's goroutine and visits runs in depth-first order; n > 1
+	// drains the same space over n workers; any negative value uses one
+	// worker per CPU (GOMAXPROCS). The visited run *multiset* is identical
+	// at every width — only the visit order is schedule-dependent above
+	// one. Callers that aggregate across runs should use Explore with a
+	// merge-friendly Visitor; plain Runs visitors are serialized through a
+	// mutex.
 	Workers int
 
 	// Metrics receives the exploration counters (runs, plans, forks,
 	// truncated runs) and the forked engines' round counters. Nil uses the
-	// process-wide obs.Default registry. Explorer counters are accumulated
-	// in per-worker shards and flushed when each worker finishes, so the
-	// registry converges to the exact totals without per-run atomics.
+	// process-wide obs.Default registry. The explorer counters receive the
+	// exploration's totals once, after the pool drains.
 	Metrics *obs.Registry
 	// Progress, when non-nil, is invoked every ProgressEvery complete runs
 	// with the exploration's pace (runs/sec, current depth). Long exhaustive
-	// searches use it to show liveness without flooding output. Under
-	// parallel exploration the callback is serialized but may be invoked
-	// from any worker.
+	// searches use it to show liveness without flooding output. Over
+	// several workers the callback is serialized but may be invoked from
+	// any worker.
 	Progress func(Progress)
 	// ProgressEvery is the run interval between Progress callbacks;
 	// values < 1 default to 1000.
 	ProgressEvery int
 }
 
-// workerCount resolves Options.Workers: 0 = sequential, negative = one per
+// workerCount resolves Options.Workers: 0 = one worker, negative = one per
 // CPU.
 func (o Options) workerCount() int {
-	if o.Workers < 0 {
+	switch {
+	case o.Workers < 0:
 		return runtime.GOMAXPROCS(0)
+	case o.Workers == 0:
+		return 1
 	}
 	return o.Workers
 }
 
-// forkRounds bounds how deep the parallel explorer forks branches onto the
+// forkRounds bounds how deep a multi-worker pool forks branches onto the
 // shared queue instead of recursing in-worker. Shallow forking keeps queue
 // traffic low; the first two rounds of any nontrivial space already yield
 // far more branches than workers.
 const forkRounds = 2
 
-// ErrBudget is returned when Options.MaxRuns stops an exploration early.
-var ErrBudget = errors.New("explore: run budget exhausted before the space was covered")
-
-// Stats summarizes an exploration. Under parallel exploration the stats are
-// the sum of every worker's share and equal the sequential totals exactly.
+// Stats summarizes an exploration: the pool's shared totals, identical at
+// every width.
 type Stats struct {
 	Runs      int // complete runs visited
 	Plans     int // adversary plans expanded
 	Clones    int // engine forks performed
 	Truncated int // runs cut by the horizon before completing
-	Aborted   bool
 }
 
 // String renders the stats.
@@ -119,7 +113,7 @@ func (s Stats) String() string {
 // exploration immediately (used to stop at the first counterexample).
 type Visit func(*rounds.Run) bool
 
-// Visitor is the merge-friendly visitor contract of the parallel explorer.
+// Visitor is the merge-friendly visitor contract of the worker pool.
 // Each worker owns a private Visitor and feeds it runs without any
 // synchronization; when the space is drained the per-worker states are
 // folded together with Merge (in worker order, so the fold is
@@ -128,19 +122,12 @@ type Visit func(*rounds.Run) bool
 // maxima and multisets all qualify — because which worker sees which run
 // is schedule-dependent.
 //
-// Visit returning false stops every worker promptly; the visited set is
-// then a prefix-closed portion of the space, exactly as in the sequential
-// early stop.
+// Visit returning false stops every worker promptly; at width one the
+// visited runs are then exactly a prefix of the depth-first order.
 type Visitor interface {
 	Visit(*rounds.Run) bool
 	Merge(Visitor)
 }
-
-// funcVisitor adapts a plain Visit for the sequential path.
-type funcVisitor struct{ f Visit }
-
-func (v funcVisitor) Visit(run *rounds.Run) bool { return v.f(run) }
-func (v funcVisitor) Merge(Visitor)              {}
 
 // lockedVisitor adapts a plain Visit for concurrent use: one instance is
 // shared by every worker and serializes calls through a mutex. Once the
@@ -169,28 +156,24 @@ func (v *lockedVisitor) Merge(Visitor) {}
 
 // Runs enumerates every admissible run of alg from the given initial
 // configuration and invokes visit on each. The algorithm's processes must
-// implement rounds.Cloner. With Options.Workers set the same multiset of
-// runs is visited by a worker pool; visit is then serialized through a
-// mutex, so prefer Explore with a per-worker Visitor for heavy aggregation.
+// implement rounds.Cloner. Every worker shares one visit, serialized
+// through a mutex, so prefer Explore with a per-worker Visitor for heavy
+// aggregation over several workers.
 func Runs(kind rounds.ModelKind, alg rounds.Algorithm, initial []model.Value, t int, opts Options, visit Visit) (Stats, error) {
 	var mk func() Visitor
 	if visit != nil {
-		if opts.workerCount() > 0 {
-			shared := &lockedVisitor{f: visit}
-			mk = func() Visitor { return shared }
-		} else {
-			mk = func() Visitor { return funcVisitor{f: visit} }
-		}
+		shared := &lockedVisitor{f: visit}
+		mk = func() Visitor { return shared }
 	}
 	stats, _, err := Explore(kind, alg, initial, t, opts, mk)
 	return stats, err
 }
 
 // Explore enumerates the same space as Runs with a merge-friendly visitor:
-// mkVisitor is invoked once per worker (once total in sequential mode) and
-// the worker-local states are merged after the pool drains. The merged
-// Visitor is returned so callers can read their aggregate out of it.
-// A nil mkVisitor explores without visiting (useful for counting).
+// mkVisitor is invoked once per worker and the worker-local states are
+// merged after the pool drains. The merged Visitor is returned so callers
+// can read their aggregate out of it. A nil mkVisitor explores without
+// visiting (useful for counting).
 func Explore(kind rounds.ModelKind, alg rounds.Algorithm, initial []model.Value, t int, opts Options, mkVisitor func() Visitor) (Stats, Visitor, error) {
 	reg := opts.Metrics
 	if reg == nil {
@@ -208,45 +191,32 @@ func Explore(kind rounds.ModelKind, alg rounds.Algorithm, initial []model.Value,
 		opts.ProgressEvery = 1000
 	}
 	sh := &shared{start: time.Now(), expected: opts.ExpectedRuns}
-	if sh.expected == 0 {
-		sh.expected = opts.MaxRuns
-	}
-	if workers := opts.workerCount(); workers > 0 {
-		return exploreParallel(root, opts, sh, reg, mkVisitor, workers)
-	}
-	e := &explorer{opts: opts, shared: sh, metrics: newExploreMetrics(reg)}
-	if mkVisitor != nil {
-		e.visitor = mkVisitor()
-	}
-	err = e.dfs(root)
-	e.flushMetrics()
-	e.stats.Aborted = sh.aborted.Load()
-	if errors.Is(err, errStopped) {
-		err = nil
-	}
-	return e.stats, e.visitor, err
+	merged, err := drain(root, opts, sh, mkVisitor, opts.workerCount())
+	stats := sh.stats()
+	reg.Counter(MetricRuns).Add(int64(stats.Runs))
+	reg.Counter(MetricPlans).Add(int64(stats.Plans))
+	reg.Counter(MetricForks).Add(int64(stats.Clones))
+	reg.Counter(MetricTruncated).Add(int64(stats.Truncated))
+	return stats, merged, err
 }
 
 // errStopped signals that the visitor requested an early stop.
 var errStopped = errors.New("explore: stopped by visitor")
 
-// explorer is one worker's view of an exploration: private stats, a
-// private visitor and a private metric shard, plus the shared stop/budget/
-// progress state. The sequential path is simply a single explorer with no
-// pool.
+// explorer is one worker's view of an exploration: a private visitor,
+// plus the pool and the state every worker shares (counts, stop flag,
+// progress).
 type explorer struct {
 	opts    Options
 	shared  *shared
-	pool    *pool // nil in sequential mode
+	pool    *pool
 	visitor Visitor
-	stats   Stats
-	metrics exploreMetrics
-	shard   metricShard
 }
 
-// dfs explores every branch reachable from eng. In parallel mode, branches
-// forked at rounds ≤ forkRounds are pushed to the pool's queue instead of
-// being recursed into, which is how work spreads across workers.
+// dfs explores every branch reachable from eng. Over several workers,
+// branches forked at rounds ≤ forkRounds are pushed to the pool's queue
+// instead of being recursed into, which is how work spreads across
+// workers; a lone worker recurses into every branch in plan order.
 func (e *explorer) dfs(eng *rounds.Engine) error {
 	if e.shared.stop.Load() {
 		return errStopped
@@ -265,10 +235,8 @@ func (e *explorer) dfs(eng *rounds.Engine) error {
 	view := eng.NextView()
 	buf := planBufPool.Get().(*planBuf)
 	plans := EnumeratePlansInto(buf.plans[:0], view, e.opts.MaxCrashesPerRound)
-	e.stats.Plans += len(plans)
-	e.shard.plans += int64(len(plans))
 	e.shared.plans.Add(int64(len(plans)))
-	fork := e.pool != nil && view.Round <= forkRounds
+	fork := e.pool.workers > 1 && view.Round <= forkRounds
 	var err error
 	for i, plan := range plans {
 		last := i == len(plans)-1
@@ -278,8 +246,6 @@ func (e *explorer) dfs(eng *rounds.Engine) error {
 			if err != nil {
 				break
 			}
-			e.stats.Clones++
-			e.shard.forks++
 			e.shared.clones.Add(1)
 		}
 		scripted := plan
@@ -318,20 +284,10 @@ func (e *explorer) emit(eng *rounds.Engine) error {
 		// run. Mark it truncated so visitors can ignore it.
 		run.Truncated = true
 	}
-	n := e.shared.runs.Add(1)
-	if max := e.opts.MaxRuns; max > 0 && n > int64(max) {
-		// A concurrent worker drew the last budgeted run first; this one is
-		// neither counted nor visited, preserving Stats.Runs == MaxRuns.
-		e.shared.aborted.Store(true)
-		e.shared.stop.Store(true)
-		return ErrBudget
-	}
-	e.stats.Runs++
-	e.shard.runs++
 	if run.Truncated {
-		e.stats.Truncated++
-		e.shard.truncated++
+		e.shared.truncated.Add(1)
 	}
+	n := e.shared.runs.Add(1)
 	if e.opts.Progress != nil && n%int64(e.opts.ProgressEvery) == 0 {
 		e.shared.progress(e.opts.Progress, eng.Round())
 	}
@@ -339,21 +295,7 @@ func (e *explorer) emit(eng *rounds.Engine) error {
 		e.shared.stop.Store(true)
 		return errStopped
 	}
-	if max := e.opts.MaxRuns; max > 0 && n >= int64(max) {
-		e.shared.aborted.Store(true)
-		e.shared.stop.Store(true)
-		return ErrBudget
-	}
 	return nil
-}
-
-// flushMetrics folds the worker's metric shard into the registry counters.
-func (e *explorer) flushMetrics() {
-	e.metrics.runs.Add(e.shard.runs)
-	e.metrics.plans.Add(e.shard.plans)
-	e.metrics.forks.Add(e.shard.forks)
-	e.metrics.truncated.Add(e.shard.truncated)
-	e.shard = metricShard{}
 }
 
 // planBuf pools the per-node plan slices of the DFS: each recursion level
@@ -375,7 +317,7 @@ func EnumeratePlans(v *rounds.View, maxCrashes int) []rounds.Plan {
 // enumScratch holds the reusable buffers of one EnumeratePlansInto call.
 // Everything here is dead once the call returns — the emitted plans never
 // alias scratch memory — so a sync.Pool keeps the hot path allocation-free
-// across both sequential recursion and concurrent workers.
+// across both recursion and concurrent workers.
 type enumScratch struct {
 	crashSets []model.ProcSet
 	crashers  []model.ProcessID

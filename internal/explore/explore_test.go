@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/check"
@@ -202,13 +201,6 @@ func TestExhaustiveA1InRS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestRunsBudget(t *testing.T) {
-	_, err := Runs(rounds.RS, consensus.FloodSet{}, binCfg(0, 1, 0), 1, Options{MaxRuns: 5}, nil)
-	if !errors.Is(err, ErrBudget) {
-		t.Errorf("err = %v, want ErrBudget", err)
 	}
 }
 

@@ -1,10 +1,6 @@
 package explore
 
-import (
-	"time"
-
-	"repro/internal/obs"
-)
+import "time"
 
 // Metric names exported by the explorer.
 const (
@@ -26,36 +22,11 @@ type Progress struct {
 	Elapsed    time.Duration
 	RunsPerSec float64
 
-	// Expected is the anticipated total run count (Options.ExpectedRuns,
-	// falling back to MaxRuns); 0 when the size of the space is unknown.
+	// Expected is the anticipated total run count (Options.ExpectedRuns);
+	// 0 when the size of the space is unknown.
 	Expected int
 	// ETA estimates the remaining wall-clock at the current rate. Only
 	// meaningful when Expected > 0 and RunsPerSec has stabilized; 0
 	// otherwise (or once Runs >= Expected).
 	ETA time.Duration
-}
-
-// exploreMetrics caches the explorer's counters.
-type exploreMetrics struct {
-	runs, plans, forks, truncated *obs.Counter
-}
-
-// metricShard is a worker-private accumulator for the explorer counters.
-// The registry counters are atomic, but bumping an atomic per visited run
-// from every worker would make the metrics cacheline the hottest word in
-// the process; instead each worker counts into its own shard and flushes
-// the totals once, when it finishes. Readers that sample the registry
-// mid-exploration may therefore lag the true totals, but every completed
-// exploration leaves the counters exact.
-type metricShard struct {
-	runs, plans, forks, truncated int64
-}
-
-func newExploreMetrics(reg *obs.Registry) exploreMetrics {
-	return exploreMetrics{
-		runs:      reg.Counter(MetricRuns),
-		plans:     reg.Counter(MetricPlans),
-		forks:     reg.Counter(MetricForks),
-		truncated: reg.Counter(MetricTruncated),
-	}
 }

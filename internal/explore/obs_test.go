@@ -43,7 +43,7 @@ func TestExploreMetricsMatchStats(t *testing.T) {
 	if last.Runs == 0 || last.RunsPerSec <= 0 {
 		t.Errorf("last progress snapshot is empty: %+v", last)
 	}
-	// Without ExpectedRuns or MaxRuns there is no completion estimate.
+	// Without ExpectedRuns there is no completion estimate.
 	if last.Expected != 0 || last.ETA != 0 {
 		t.Errorf("unestimated exploration reported Expected=%d ETA=%v", last.Expected, last.ETA)
 	}
@@ -70,22 +70,6 @@ func TestProgressETA(t *testing.T) {
 		if p.RunsPerSec > 0 && p.ETA <= 0 {
 			t.Fatalf("snapshot %+v: positive rate but no ETA", p)
 		}
-	}
-
-	// ExpectedRuns falls back to MaxRuns, so budgeted sweeps estimate
-	// completion against the budget.
-	snaps = nil
-	_, err = Runs(rounds.RS, consensus.FloodSet{}, []model.Value{0, 1, 2}, 1,
-		Options{
-			MaxRuns:       10,
-			Progress:      func(p Progress) { snaps = append(snaps, p) },
-			ProgressEvery: 5,
-		}, nil)
-	if err != ErrBudget {
-		t.Fatalf("err = %v, want ErrBudget", err)
-	}
-	if len(snaps) == 0 || snaps[0].Expected != 10 {
-		t.Fatalf("budgeted sweep snapshots = %+v, want Expected=10", snaps)
 	}
 }
 

@@ -6,26 +6,34 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/rounds"
 )
 
-// shared is the state common to every worker of one exploration: the global
-// run-token counter that implements the MaxRuns budget, the cooperative
-// stop flag, and the aggregate counters behind Progress callbacks. The
-// sequential explorer uses the same struct (with exactly one "worker"), so
-// both paths share one budget/progress implementation.
+// shared is the state common to every worker of one exploration: the one
+// count of each fact (runs, plans, clones, truncated runs) that Stats,
+// Progress and the registry all read, the cooperative stop flag, and the
+// pace state behind Progress callbacks.
 type shared struct {
-	runs   atomic.Int64 // run tokens drawn; token k ⇒ the k-th visited run
-	plans  atomic.Int64
-	clones atomic.Int64
+	runs      atomic.Int64
+	plans     atomic.Int64
+	clones    atomic.Int64
+	truncated atomic.Int64
 
-	stop    atomic.Bool // set on early stop (visitor false) and budget exhaustion
-	aborted atomic.Bool // set only on budget exhaustion
+	stop atomic.Bool // set on early stop (visitor false) and on failure
 
 	progressMu sync.Mutex
 	start      time.Time
 	expected   int // anticipated total runs (0 = unknown), for Progress ETA
+}
+
+// stats reads the totals; exact once the pool has drained.
+func (sh *shared) stats() Stats {
+	return Stats{
+		Runs:      int(sh.runs.Load()),
+		Plans:     int(sh.plans.Load()),
+		Clones:    int(sh.clones.Load()),
+		Truncated: int(sh.truncated.Load()),
+	}
 }
 
 // progress emits one Progress snapshot built from the shared totals. The
@@ -57,12 +65,13 @@ func (sh *shared) progress(fn func(Progress), depth int) {
 	})
 }
 
-// pool is the work queue of the parallel explorer: a LIFO stack of engine
-// branches whose ownership transfers wholly to whichever worker pops them
-// (engines are never shared, so workers touch no locks while exploring a
-// branch). LIFO order keeps the queue shallow — a popped branch is the most
-// recently forked, hence the deepest, so the queue holds the frontier of
-// the DFS rather than its whole breadth.
+// pool is the explorer's work queue: a LIFO stack of engine branches whose
+// ownership transfers wholly to whichever worker pops them (engines are
+// never shared, so workers touch no locks while exploring a branch). LIFO
+// order keeps the queue shallow — a popped branch is the most recently
+// forked, hence the deepest, so the queue holds the frontier of the DFS
+// rather than its whole breadth. A one-worker pool never forks: its queue
+// only ever holds the root.
 //
 // Termination is by idle counting: a worker that finds the queue empty
 // parks and increments idle; when every worker is idle the space is drained
@@ -123,12 +132,12 @@ func (p *pool) next() (*rounds.Engine, bool) {
 }
 
 // close stops the pool, recording the terminal error. Real failures take
-// precedence over the cooperative sentinels (errStopped, ErrBudget): once a
-// worker hits a stop condition its siblings all surface errStopped at their
-// next check, and that echo must not mask the originating error.
+// precedence over the cooperative errStopped: once a worker hits a stop
+// condition its siblings all surface errStopped at their next check, and
+// that echo must not mask the originating error.
 func (p *pool) close(err error) {
 	p.mu.Lock()
-	if p.err == nil || (isSentinel(p.err) && !isSentinel(err)) {
+	if p.err == nil || (errors.Is(p.err, errStopped) && !errors.Is(err, errStopped)) {
 		p.err = err
 	}
 	p.done = true
@@ -137,88 +146,69 @@ func (p *pool) close(err error) {
 	p.mu.Unlock()
 }
 
-func isSentinel(err error) bool {
-	return errors.Is(err, errStopped) || errors.Is(err, ErrBudget)
-}
-
-// exploreParallel drains the run space rooted at root over a pool of
-// workers. The root engine is seeded as the first queue entry; workers pop
-// branches, recurse sequentially below the fork horizon, and push the
-// shallow forks they encounter back onto the queue for stealing. Per-worker
-// Stats, metric shards and visitors are merged after the pool drains, so
-// the returned totals equal the sequential pass exactly (the visit *order*
-// is schedule-dependent; the visited multiset is not).
-func exploreParallel(root *rounds.Engine, opts Options, sh *shared, reg *obs.Registry, mkVisitor func() Visitor, workers int) (Stats, Visitor, error) {
+// drain explores the run space rooted at root over a pool of workers and
+// returns the merged visitor. The root engine is seeded as the first queue
+// entry; workers pop branches, recurse below the fork horizon, and push the
+// shallow forks they encounter back onto the queue for stealing. The
+// caller's goroutine is the first worker, so a one-worker pool starts no
+// goroutine and visits runs in depth-first order.
+func drain(root *rounds.Engine, opts Options, sh *shared, mkVisitor func() Visitor, workers int) (Visitor, error) {
 	p := newPool(workers)
 	p.push(root)
 
 	es := make([]*explorer, workers)
 	for i := range es {
-		es[i] = &explorer{opts: opts, shared: sh, pool: p, metrics: newExploreMetrics(reg)}
+		es[i] = &explorer{opts: opts, shared: sh, pool: p}
 		if mkVisitor != nil {
 			es[i].visitor = mkVisitor()
 		}
 	}
 	var wg sync.WaitGroup
-	for _, e := range es {
+	for _, e := range es[1:] {
 		wg.Add(1)
 		go func(e *explorer) {
 			defer wg.Done()
 			e.work()
 		}(e)
 	}
+	es[0].work()
 	wg.Wait()
 
 	// Merge in worker order: the fold is deterministic given the partition,
 	// and Visitor.Merge is required to be associative/commutative over
 	// disjoint run sets, so any partition yields the same aggregate.
-	var stats Stats
-	var merged Visitor
-	for _, e := range es {
-		stats.Runs += e.stats.Runs
-		stats.Plans += e.stats.Plans
-		stats.Clones += e.stats.Clones
-		stats.Truncated += e.stats.Truncated
-		if merged == nil {
-			merged = e.visitor
-		} else if e.visitor != nil && e.visitor != merged {
-			// Identity check: Runs shares one lockedVisitor across workers;
-			// merging it into itself must be a no-op, not a double count.
+	merged := es[0].visitor
+	for _, e := range es[1:] {
+		// Identity check: Runs shares one lockedVisitor across workers;
+		// merging it into itself must be a no-op, not a double count.
+		if e.visitor != merged {
 			merged.Merge(e.visitor)
 		}
 	}
-	stats.Aborted = sh.aborted.Load()
 
 	p.mu.Lock()
 	err := p.err
 	p.mu.Unlock()
-	if isSentinel(err) {
+	if errors.Is(err, errStopped) {
 		err = nil
 	}
-	// Budget exhaustion surfaces as ErrBudget no matter which worker's
-	// sentinel reached the pool first (matching the sequential contract);
-	// a real failure still takes precedence above.
-	if err == nil && stats.Aborted {
-		err = ErrBudget
-	}
-	return stats, merged, err
+	return merged, err
 }
 
 // work is one worker's loop: pop a branch, explore it to completion, repeat
-// until the pool drains or a terminal condition (visitor stop, budget,
-// engine error) closes it.
+// until the pool drains or a terminal condition (visitor stop, engine
+// error) closes it.
 func (e *explorer) work() {
-	defer e.flushMetrics()
 	for {
 		eng, ok := e.pool.next()
 		if !ok {
 			return
 		}
 		if err := e.dfs(eng); err != nil {
-			// errStopped and ErrBudget have already set shared.stop, so
-			// sibling workers quit at their next branch/run boundary; close
-			// wakes the parked ones. Any other error is a real failure and
-			// likewise terminates the exploration.
+			// errStopped has already set shared.stop, so sibling workers
+			// quit at their next branch/run boundary; close wakes the
+			// parked ones. Any other error is a real failure and likewise
+			// terminates the exploration.
 			e.shared.stop.Store(true)
 			e.pool.close(err)
 			return

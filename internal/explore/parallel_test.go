@@ -1,10 +1,10 @@
 package explore
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,20 +20,32 @@ import (
 // completely: initial values, per-round crash/reach/drop observations via
 // Sent/Reached, and the decision profile. Two runs are the same adversary
 // behaviour iff their fingerprints match, so comparing multisets of
-// fingerprints compares visited run sets exactly.
+// fingerprints compares visited run sets exactly. Process sets print as
+// hex bitmasks (bit i-1 is process i): the n=4 t=2 sweeps take one per
+// run, so the process sets skip fmt.
 func fingerprint(run *rounds.Run) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s/%v n=%d t=%d init=%v trunc=%v", run.Algorithm, run.Model, run.N, run.T, run.Initial, run.Truncated)
+	b := fmt.Appendf(nil, "%s/%v n=%d t=%d init=%v trunc=%v", run.Algorithm, run.Model, run.N, run.T, run.Initial, run.Truncated)
+	set := func(s model.ProcSet) { b = strconv.AppendUint(b, uint64(s), 16) }
 	for _, rec := range run.Rounds {
-		fmt.Fprintf(&b, "|r%d a=%v c=%v", rec.Round, rec.AliveStart, rec.Crashed)
+		b = append(b, "|r"...)
+		b = strconv.AppendInt(b, int64(rec.Round), 10)
+		b = append(b, " a="...)
+		set(rec.AliveStart)
+		b = append(b, " c="...)
+		set(rec.Crashed)
 		for p := 1; p <= run.N; p++ {
 			if rec.AliveStart.Has(model.ProcessID(p)) {
-				fmt.Fprintf(&b, " %d:%v>%v", p, rec.Sent[p], rec.Reached[p])
+				b = append(b, ' ')
+				b = strconv.AppendInt(b, int64(p), 10)
+				b = append(b, ':')
+				set(rec.Sent[p])
+				b = append(b, '>')
+				set(rec.Reached[p])
 			}
 		}
 	}
-	fmt.Fprintf(&b, "|cr=%v dec=%v val=%v", run.CrashRound, run.DecidedAt, run.DecisionOf)
-	return b.String()
+	b = fmt.Appendf(b, "|cr=%v dec=%v val=%v", run.CrashRound, run.DecidedAt, run.DecisionOf)
+	return string(b)
 }
 
 // collect explores the space with the given worker count and returns the
@@ -107,6 +119,111 @@ func TestParallelEquivalence(t *testing.T) {
 	}
 }
 
+// referenceDFS walks the run space with its own depth-first recursion —
+// plans in EnumeratePlans order, the last branch reusing its parent's
+// engine — and returns the fingerprints in visit order with the Stats
+// that walk implies.
+func referenceDFS(t *testing.T, kind rounds.ModelKind, alg rounds.Algorithm, initial []model.Value, tol int) ([]string, Stats) {
+	t.Helper()
+	root, err := rounds.NewEngine(kind, alg, initial, tol, rounds.WithMetrics(obs.NewRegistry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fps []string
+	var st Stats
+	var rec func(eng *rounds.Engine)
+	rec = func(eng *rounds.Engine) {
+		if (eng.Done() && eng.Obligated().Empty()) || eng.Round() >= rounds.DefaultRoundLimit(eng.T()) {
+			run, err := eng.Execute(rounds.NoFailures, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !eng.Obligated().Empty() {
+				run.Truncated = true
+			}
+			st.Runs++
+			if run.Truncated {
+				st.Truncated++
+			}
+			fps = append(fps, fingerprint(run))
+			return
+		}
+		plans := EnumeratePlans(eng.NextView(), 0)
+		st.Plans += len(plans)
+		for i, plan := range plans {
+			branch := eng
+			if i < len(plans)-1 {
+				if branch, err = eng.Clone(); err != nil {
+					t.Fatal(err)
+				}
+				st.Clones++
+			}
+			scripted := plan
+			if err := branch.Step(rounds.AdversaryFunc(func(*rounds.View) rounds.Plan { return scripted })); err != nil {
+				t.Fatal(err)
+			}
+			rec(branch)
+		}
+	}
+	rec(root)
+	return fps, st
+}
+
+// TestWidthOneVisitsDepthFirst pins the one-worker pool to plain
+// depth-first order: Workers 0 and 1 visit exactly the reference DFS's
+// fingerprint sequence, report its Stats, and start no goroutine.
+func TestWidthOneVisitsDepthFirst(t *testing.T) {
+	cases := []struct {
+		name    string
+		kind    rounds.ModelKind
+		alg     rounds.Algorithm
+		initial []model.Value
+		tol     int
+	}{
+		{"FloodSet/RS/n4t2", rounds.RS, consensus.FloodSet{}, binCfg(0, 1, 1, 0), 2},
+		{"FloodSetWS/RWS/n4t2", rounds.RWS, consensus.FloodSetWS{}, binCfg(0, 1, 1, 0), 2},
+		{"A1/RS/n3t1", rounds.RS, consensus.A1{}, binCfg(0, 1, 1), 1},
+		{"A1/RWS/n3t1", rounds.RWS, consensus.A1{}, binCfg(0, 1, 1), 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && strings.Contains(tc.name, "n4t2") {
+				t.Skip("large space in -short mode")
+			}
+			want, wantStats := referenceDFS(t, tc.kind, tc.alg, tc.initial, tc.tol)
+			for _, w := range []int{0, 1} {
+				var got []string
+				before := runtime.NumGoroutine()
+				peak := before
+				stats, err := Runs(tc.kind, tc.alg, tc.initial, tc.tol, Options{Workers: w, Metrics: obs.NewRegistry()}, func(run *rounds.Run) bool {
+					got = append(got, fingerprint(run))
+					if g := runtime.NumGoroutine(); g > peak {
+						peak = g
+					}
+					return true
+				})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				if peak != before {
+					t.Errorf("workers=%d: %d goroutines while visiting, %d before", w, peak, before)
+				}
+				if stats != wantStats {
+					t.Errorf("workers=%d stats = %+v, reference DFS = %+v", w, stats, wantStats)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("workers=%d visited %d runs, reference DFS %d", w, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("workers=%d: visit %d differs from the reference DFS:\n  got:  %s\n  want: %s", w, i, got[i], want[i])
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestParallelEarlyStop: a visitor returning false must be invoked exactly
 // once more in total (the lockedVisitor contract) and stop every worker,
 // with a nil error — the parallel analog of "stop at the first
@@ -114,7 +231,7 @@ func TestParallelEquivalence(t *testing.T) {
 func TestParallelEarlyStop(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		var calls atomic.Int64
-		stats, err := Runs(rounds.RWS, consensus.FloodSetWS{}, binCfg(0, 1, 1), 1, Options{Workers: w}, func(*rounds.Run) bool {
+		_, err := Runs(rounds.RWS, consensus.FloodSetWS{}, binCfg(0, 1, 1), 1, Options{Workers: w}, func(*rounds.Run) bool {
 			calls.Add(1)
 			return false
 		})
@@ -123,35 +240,6 @@ func TestParallelEarlyStop(t *testing.T) {
 		}
 		if got := calls.Load(); got != 1 {
 			t.Errorf("workers=%d: visitor called %d times after returning false, want exactly 1", w, got)
-		}
-		if stats.Aborted {
-			t.Errorf("workers=%d: early stop must not set Aborted", w)
-		}
-	}
-}
-
-// TestParallelBudget: MaxRuns under parallelism visits exactly MaxRuns
-// runs, sets Stats.Aborted, and surfaces ErrBudget from every worker
-// configuration.
-func TestParallelBudget(t *testing.T) {
-	const budget = 7
-	for _, w := range []int{0, 1, 2, 4} {
-		var visited atomic.Int64
-		stats, err := Runs(rounds.RWS, consensus.FloodSetWS{}, binCfg(0, 1, 1), 1, Options{Workers: w, MaxRuns: budget}, func(*rounds.Run) bool {
-			visited.Add(1)
-			return true
-		})
-		if !errors.Is(err, ErrBudget) {
-			t.Fatalf("workers=%d: want ErrBudget, got %v", w, err)
-		}
-		if !stats.Aborted {
-			t.Errorf("workers=%d: Aborted not set on budget exhaustion", w)
-		}
-		if stats.Runs != budget {
-			t.Errorf("workers=%d: Stats.Runs = %d, want exactly %d", w, stats.Runs, budget)
-		}
-		if got := visited.Load(); got != budget {
-			t.Errorf("workers=%d: visitor saw %d runs, want exactly %d", w, got, budget)
 		}
 	}
 }
@@ -208,8 +296,8 @@ func TestExploreMergesVisitors(t *testing.T) {
 	}
 }
 
-// TestParallelMetricsConverge: after a parallel exploration every metric
-// shard has been flushed, so the registry counters equal the stats exactly.
+// TestParallelMetricsConverge: after a parallel exploration the registry
+// counters equal the stats exactly.
 func TestParallelMetricsConverge(t *testing.T) {
 	reg := obs.NewRegistry()
 	stats, err := Runs(rounds.RWS, consensus.FloodSetWS{}, binCfg(0, 1, 1), 1, Options{Workers: 4, Metrics: reg}, func(*rounds.Run) bool { return true })

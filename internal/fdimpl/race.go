@@ -41,10 +41,10 @@ type RaceConfig struct {
 	Consensus bool
 }
 
-// Score is one detector's row of the E15 scorecard. Verdict columns
-// (Supported, Detected, ConsensusAgree...) are deterministic at a fixed
-// seed; the timing and message columns are wall-clock measurements and
-// informational.
+// Score is one detector's row of the E15 scorecard. Every field is a live
+// measurement, not a seeded replay: E15 gates Detected and
+// FalseSuspicions with timing margins, and under a lossy fault spec the
+// consensus cells can differ from run to run at the same seed.
 type Score struct {
 	Detector  string
 	Supported bool

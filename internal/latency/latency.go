@@ -87,8 +87,8 @@ func Configurations(n int) [][]model.Value {
 // configVisitor accumulates one configuration's share of the latency
 // measures. It implements explore.Visitor with a commutative, associative
 // Merge (counts, a minimum and element-wise maxima), so per-worker
-// instances under parallel exploration fold into exactly the sequential
-// aggregate regardless of how the run space was partitioned.
+// instances fold into exactly the one-worker aggregate regardless of how
+// the run space was partitioned.
 type configVisitor struct {
 	runs, violations int
 	latCfg           int   // min latency from this configuration, -1 if none
@@ -139,9 +139,9 @@ func (v *configVisitor) Merge(other explore.Visitor) {
 
 // Compute explores every admissible run of alg (n processes, resilience t,
 // model kind) from every configuration and aggregates the latency measures.
-// With opts.Workers set, each configuration's space is drained by the
-// parallel explorer and per-worker visitors are merged lock-free; the
-// resulting Degrees are identical to the sequential computation.
+// Each configuration's space is drained by opts.Workers explorer workers
+// whose visitors are merged lock-free; the resulting Degrees are identical
+// at every width.
 func Compute(kind rounds.ModelKind, alg rounds.Algorithm, n, t int, opts explore.Options) (*Degrees, error) {
 	d := &Degrees{
 		Algorithm: alg.Name(),
