@@ -71,6 +71,10 @@ job_test() {
   # worker pool — or a clone writing a message its original already sent —
   # is named in the job log, not buried in a package failure.
   go test -race -run 'TestParallel|TestWidthOneVisitsDepthFirst|TestExploreMerges|TestMaxCrashesCap|TestComputeParallelEquality|TestSentMessagesStayImmutable' ./internal/explore/ ./internal/latency/
+  # Every declaration is reached from a program, the root package's exports
+  # or an init, or is allowlisted with its reason: a declaration only tests
+  # reach is dead code (ROADMAP item 11's "hold the line").
+  go test -tags reach -run TestEveryDeclarationIsReached .
   # Every internal package is imported by some program: a package only tests
   # reach is dead code. (bench/ imports nothing a command does not.)
   local orphans
@@ -140,6 +144,9 @@ job_conformance() {
 
 job_tracing() {
   go test -race -run 'TestChrome|TestHTML|TestAttribut|TestReconcile|TestLive|TestTracer' ./internal/tracing/
+  # The round model and the live worker must emit one event dialect: a
+  # synthetic trace is the live Tracer over the model's stream.
+  go test -race -run 'TestDriverSpeaksTheModelsDialect' ./internal/runtime/
   go test -race -count=2 ./cmd/ssfd-run/ ./cmd/ssfd-trace/ ./cmd/ssfd-bench/
   floor ./internal/tracing/ 85
 }

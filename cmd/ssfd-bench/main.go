@@ -21,8 +21,9 @@
 //
 // -detectors skips the suite and races EVERY registered detector
 // construction under the same network seed (and, with -faults, the same
-// chaos schedule), printing the E15-style scorecard. Verdict columns are
-// seed-deterministic; latency/message columns are wall-clock measurements.
+// chaos schedule), printing the E15-style scorecard. Every cell is a live
+// measurement, not a seeded replay: under a lossy -faults spec the
+// Λ-round cell can flip between 2 and 2! from run to run.
 package main
 
 import (

@@ -48,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	n := fs.Int("n", 3, "number of processes")
 	t := fs.Int("t", 1, "resilience bound")
 	refute := fs.Bool("refute", false, "run the §5.3 round-1 refuter against the algorithm")
-	counter := fs.Bool("counterexample", false, "search exhaustively for a uniform-consensus violation and print it")
+	counter := fs.Bool("counterexample", false, "search exhaustively for a uniform-consensus violation and print the first found (above one worker, which one may vary)")
 	progress := fs.Int("progress", 0, "report exploration progress to stderr every N runs (0 = silent)")
 	expect := fs.Int("expect", 0, "anticipated total run count (e.g. from a prior sweep); adds % done and ETA to -progress lines")
 	workers := fs.Int("workers", 0, "explorer workers (0 or 1 = one, -1 = one per CPU)")

@@ -12,30 +12,6 @@ import (
 	"repro/internal/stats"
 )
 
-// sweepExhaustive explores every admissible run of alg from every latency
-// configuration and counts specification violations.
-func sweepExhaustive(kind rounds.ModelKind, alg rounds.Algorithm, n, t int, opts explore.Options) (runs, violations int, witness *rounds.Run, err error) {
-	for _, cfg := range latency.Configurations(n) {
-		_, e := explore.Runs(kind, alg, cfg, t, opts, func(run *rounds.Run) bool {
-			if run.Truncated {
-				return true
-			}
-			runs++
-			if bad := check.FirstViolation(run); bad != nil {
-				violations++
-				if witness == nil {
-					witness = run
-				}
-			}
-			return true
-		})
-		if e != nil {
-			return runs, violations, witness, e
-		}
-	}
-	return runs, violations, witness, nil
-}
-
 // E1FloodSetRS: exhaustive verification of Figure 1 in RS, for t = 0..2,
 // plus the t+1-round latency profile.
 func E1FloodSetRS(cfg Config) (*Report, error) {
@@ -44,16 +20,12 @@ func E1FloodSetRS(cfg Config) (*Report, error) {
 		"t", "runs", "violations", "lat", "Lat", "Λ")
 	pass := true
 	for t := 0; t <= 2; t++ {
-		runs, viol, _, err := sweepExhaustive(rounds.RS, consensus.FloodSet{}, 3, t, cfg.ExploreOptions())
-		if err != nil {
-			return nil, err
-		}
 		d, err := latency.Compute(rounds.RS, consensus.FloodSet{}, 3, t, cfg.ExploreOptions())
 		if err != nil {
 			return nil, err
 		}
-		table.AddRow(t, runs, viol, d.Lat, d.LatMax, d.Lambda)
-		if viol != 0 || d.Lambda != t+1 {
+		table.AddRow(t, d.Runs, d.Violations, d.Lat, d.LatMax, d.Lambda)
+		if d.Violations != 0 || d.Lambda != t+1 {
 			pass = false
 		}
 	}
@@ -72,25 +44,25 @@ func E2FloodSetWS(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	table := stats.NewTable("Uniform consensus in RWS (n=3, t=1, exhaustive adversaries)",
 		"algorithm", "runs", "violations")
-	runsWS, violWS, _, err := sweepExhaustive(rounds.RWS, consensus.FloodSetWS{}, 3, 1, cfg.ExploreOptions())
+	ws, err := latency.Compute(rounds.RWS, consensus.FloodSetWS{}, 3, 1, cfg.ExploreOptions())
 	if err != nil {
 		return nil, err
 	}
-	table.AddRow("FloodSetWS", runsWS, violWS)
-	runsFS, violFS, witness, err := sweepExhaustive(rounds.RWS, consensus.FloodSet{}, 3, 1, cfg.ExploreOptions())
+	table.AddRow("FloodSetWS", ws.Runs, ws.Violations)
+	fs, err := latency.Compute(rounds.RWS, consensus.FloodSet{}, 3, 1, cfg.ExploreOptions())
 	if err != nil {
 		return nil, err
 	}
-	table.AddRow("FloodSet", runsFS, violFS)
+	table.AddRow("FloodSet", fs.Runs, fs.Violations)
 	r := &Report{
 		ID: "E2", Title: "FloodSetWS in RWS; FloodSet's pending-message disagreement",
 		Paper:    "\"Because of pending messages, FloodSet allows disagreement in RWS\"; FloodSetWS solves uniform consensus in RWS",
-		Measured: fmt.Sprintf("FloodSetWS: %d/%d clean; FloodSet: %d violating runs found", runsWS-violWS, runsWS, violFS),
-		Pass:     violWS == 0 && violFS > 0,
+		Measured: fmt.Sprintf("FloodSetWS: %d/%d clean; FloodSet: %d violating runs found", ws.Runs-ws.Violations, ws.Runs, fs.Violations),
+		Pass:     ws.Violations == 0 && fs.Violations > 0,
 		Table:    table,
 	}
-	if witness != nil {
-		r.Notes = append(r.Notes, "FloodSet counterexample:\n"+rounds.RenderRun(witness))
+	if fs.Witness != nil {
+		r.Notes = append(r.Notes, "FloodSet counterexample:\n"+rounds.RenderRun(fs.Witness))
 	}
 	return r, nil
 }
@@ -109,7 +81,7 @@ func E3FOpt(cfg Config) (*Report, error) {
 		{consensus.FOptFloodSet{}, rounds.RS},
 		{consensus.FOptFloodSetWS{}, rounds.RWS},
 	} {
-		runs, viol, _, err := sweepExhaustive(tc.kind, tc.alg, 3, 1, cfg.ExploreOptions())
+		d, err := latency.Compute(tc.kind, tc.alg, 3, 1, cfg.ExploreOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -128,12 +100,12 @@ func E3FOpt(cfg Config) (*Report, error) {
 				pass = false
 			}
 			if n == 3 {
-				table.AddRow(tc.alg.Name(), tc.kind, n, runs, viol, lat)
+				table.AddRow(tc.alg.Name(), tc.kind, n, d.Runs, d.Violations, lat)
 			} else {
 				table.AddRow(tc.alg.Name(), tc.kind, n, "-", "-", lat)
 			}
 		}
-		if viol != 0 {
+		if d.Violations != 0 {
 			pass = false
 		}
 	}
@@ -150,34 +122,19 @@ func E3FOpt(cfg Config) (*Report, error) {
 // most 2 rounds, and Λ(A1)=1.
 func E4A1(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	runs, viol, _, err := sweepExhaustive(rounds.RS, consensus.A1{}, 3, 1, cfg.ExploreOptions())
-	if err != nil {
-		return nil, err
-	}
-	maxLat := 0
-	for _, c := range latency.Configurations(3) {
-		_, err := explore.Runs(rounds.RS, consensus.A1{}, c, 1, cfg.ExploreOptions(), func(run *rounds.Run) bool {
-			if l, ok := run.Latency(); ok && l > maxLat {
-				maxLat = l
-			}
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
 	d, err := latency.Compute(rounds.RS, consensus.A1{}, 3, 1, cfg.ExploreOptions())
 	if err != nil {
 		return nil, err
 	}
+	maxLat := d.LatByF[1] // the max over runs with at most t=1 crashes: every run
 	table := stats.NewTable("A1 in RS (n=3, t=1, exhaustive)",
 		"runs", "violations", "max rounds", "lat", "Lat", "Λ", "Lat(A,1)")
-	table.AddRow(runs, viol, maxLat, d.Lat, d.LatMax, d.Lambda, d.LatByF[1])
+	table.AddRow(d.Runs, d.Violations, maxLat, d.Lat, d.LatMax, d.Lambda, d.LatByF[1])
 	return &Report{
 		ID: "E4", Title: "A1: two rounds always, one round failure-free",
 		Paper:    "Thm 5.2: A1 tolerates one crash and solves uniform consensus in RS; all runs have two rounds; Λ(A1)=1",
-		Measured: fmt.Sprintf("0 violations over %d runs; max latency %d; Λ=%d", runs, maxLat, d.Lambda),
-		Pass:     viol == 0 && maxLat <= 2 && d.Lambda == 1,
+		Measured: fmt.Sprintf("0 violations over %d runs; max latency %d; Λ=%d", d.Runs, maxLat, d.Lambda),
+		Pass:     d.Violations == 0 && maxLat <= 2 && d.Lambda == 1,
 		Table:    table,
 	}, nil
 }

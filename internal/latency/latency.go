@@ -50,6 +50,10 @@ type Degrees struct {
 	// count makes the failure visible instead of silent).
 	Runs       int
 	Violations int
+	// Witness is the violating run whose rounds.RenderRun text is least —
+	// an order independent of which worker visited what, so it is the same
+	// run at every width. Nil when Violations is 0.
+	Witness *rounds.Run
 }
 
 // String renders the degrees in a compact table-row style.
@@ -84,15 +88,29 @@ func Configurations(n int) [][]model.Value {
 	return out
 }
 
+// witness keeps the least violating run under its RenderRun text: a total
+// order, so keeping the lesser of two is commutative and associative.
+type witness struct {
+	run  *rounds.Run
+	text string
+}
+
+func (w *witness) offer(o witness) {
+	if o.run != nil && (w.run == nil || o.text < w.text) {
+		*w = o
+	}
+}
+
 // configVisitor accumulates one configuration's share of the latency
 // measures. It implements explore.Visitor with a commutative, associative
-// Merge (counts, a minimum and element-wise maxima), so per-worker
-// instances fold into exactly the one-worker aggregate regardless of how
-// the run space was partitioned.
+// Merge (counts, a minimum, element-wise maxima and the least witness), so
+// per-worker instances fold into exactly the one-worker aggregate
+// regardless of how the run space was partitioned.
 type configVisitor struct {
 	runs, violations int
 	latCfg           int   // min latency from this configuration, -1 if none
 	maxByExactF      []int // max latency over runs with exactly f crashes
+	least            witness
 }
 
 func newConfigVisitor(t int) *configVisitor {
@@ -104,13 +122,10 @@ func (v *configVisitor) Visit(run *rounds.Run) bool {
 		return true // unfinishable horizon prefix, not a run
 	}
 	v.runs++
-	if bad := check.FirstViolation(run); bad != nil {
-		v.violations++
-		return true
-	}
 	lat, ok := run.Latency()
-	if !ok {
+	if check.FirstViolation(run) != nil || !ok {
 		v.violations++
+		v.least.offer(witness{run, rounds.RenderRun(run)})
 		return true
 	}
 	if v.latCfg == -1 || lat < v.latCfg {
@@ -127,6 +142,7 @@ func (v *configVisitor) Merge(other explore.Visitor) {
 	o := other.(*configVisitor)
 	v.runs += o.runs
 	v.violations += o.violations
+	v.least.offer(o.least)
 	if v.latCfg == -1 || (o.latCfg != -1 && o.latCfg < v.latCfg) {
 		v.latCfg = o.latCfg
 	}
@@ -152,6 +168,7 @@ func Compute(kind rounds.ModelKind, alg rounds.Algorithm, n, t int, opts explore
 		LatByF:    make([]int, t+1),
 	}
 	maxByExactF := make([]int, t+1)
+	var least witness
 	for _, cfg := range Configurations(n) {
 		_, merged, err := explore.Explore(kind, alg, cfg, t, opts, func() explore.Visitor {
 			return newConfigVisitor(t)
@@ -162,6 +179,7 @@ func Compute(kind rounds.ModelKind, alg rounds.Algorithm, n, t int, opts explore
 		v := merged.(*configVisitor)
 		d.Runs += v.runs
 		d.Violations += v.violations
+		least.offer(v.least)
 		if v.latCfg == -1 {
 			return nil, fmt.Errorf("latency: %s/%v produced no terminating run from %v", alg.Name(), kind, cfg)
 		}
@@ -187,5 +205,6 @@ func Compute(kind rounds.ModelKind, alg rounds.Algorithm, n, t int, opts explore
 	}
 	// Λ(A) = min_f Lat(A,f); by monotonicity this is Lat(A,0).
 	d.Lambda = d.LatByF[0]
+	d.Witness = least.run
 	return d, nil
 }

@@ -131,7 +131,8 @@ func TestDegreesString(t *testing.T) {
 
 // TestComputeParallelEquality pins the determinism-by-merge contract at the
 // latency layer: Compute with the parallel explorer yields exactly the same
-// Degrees — every measure and both counters — as the sequential pass.
+// Degrees — every measure, both counters and the violation witness — as
+// the sequential pass, up to one worker per CPU (Workers -1).
 func TestComputeParallelEquality(t *testing.T) {
 	cases := []struct {
 		kind rounds.ModelKind
@@ -141,13 +142,17 @@ func TestComputeParallelEquality(t *testing.T) {
 		{rounds.RS, consensus.FloodSet{}, 3},
 		{rounds.RWS, consensus.FloodSetWS{}, 3},
 		{rounds.RS, consensus.A1{}, 3},
+		{rounds.RWS, consensus.FloodSet{}, 3}, // violates: a witness to agree on
 	}
 	for _, tc := range cases {
 		seq, err := Compute(tc.kind, tc.alg, tc.n, 1, explore.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range []int{1, 2, 4} {
+		if (seq.Witness != nil) != (seq.Violations > 0) {
+			t.Errorf("%s/%v: %d violations but witness %v", tc.alg.Name(), tc.kind, seq.Violations, seq.Witness)
+		}
+		for _, w := range []int{1, 2, 4, -1} {
 			par, err := Compute(tc.kind, tc.alg, tc.n, 1, explore.Options{Workers: w})
 			if err != nil {
 				t.Fatal(err)
@@ -156,6 +161,18 @@ func TestComputeParallelEquality(t *testing.T) {
 				t.Errorf("%s/%v workers=%d: %v (runs=%d viol=%d), sequential %v (runs=%d viol=%d)",
 					tc.alg.Name(), tc.kind, w, par, par.Runs, par.Violations, seq, seq.Runs, seq.Violations)
 			}
+			if render(par.Witness) != render(seq.Witness) {
+				t.Errorf("%s/%v workers=%d: witness\n%s\nsequential witness\n%s",
+					tc.alg.Name(), tc.kind, w, render(par.Witness), render(seq.Witness))
+			}
 		}
 	}
+}
+
+// render is a witness's narrative, empty for none.
+func render(run *rounds.Run) string {
+	if run == nil {
+		return ""
+	}
+	return rounds.RenderRun(run)
 }

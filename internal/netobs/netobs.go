@@ -189,13 +189,6 @@ func (ws *WireStats) ControlEncoded() (msgs, bytes int64) {
 	return ws.encoded(wire.Kind.Control)
 }
 
-// Heartbeats returns the encode-side detector control-message count —
-// heartbeat beacons plus the zoo detectors' pings, acks and ring digests.
-func (ws *WireStats) Heartbeats() int64 {
-	msgs, _ := ws.ControlEncoded()
-	return msgs
-}
-
 // Link is one ordered sender→receiver pair.
 type Link struct {
 	From, To model.ProcessID

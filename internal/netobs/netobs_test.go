@@ -62,8 +62,8 @@ func TestWireStatsPerKind(t *testing.T) {
 	if db >= b {
 		t.Fatalf("DataEncoded bytes %d should be below total %d", db, b)
 	}
-	if hb := ws.Heartbeats(); hb != 1 {
-		t.Fatalf("Heartbeats() = %d, want 1", hb)
+	if hb, _ := ws.ControlEncoded(); hb != 1 {
+		t.Fatalf("ControlEncoded msgs = %d, want 1 (the heartbeat)", hb)
 	}
 
 	per := ws.PerKind()

@@ -58,9 +58,10 @@ func WithMetrics(reg *obs.Registry) Option {
 }
 
 // WithEventSink streams structured run events (run_start, round_start, send,
-// crash, recv, decide, run_end) to sink as the engine executes, in the live
-// runtime's vocabulary. The stream equals EventsFromRun of the finished run
-// and is what conform.Project reads.
+// crash, arrive, recv, decide, run_end) to sink as the engine executes, in
+// the live worker's dialect: a survivor's send names all n−1 addressees and
+// every envelope it heard arrives, null ones included. The stream equals
+// EventsFromRun of the finished run and is what conform.Project reads.
 func WithEventSink(sink obs.Sink) Option {
 	return func(e *Engine) { e.sink = sink }
 }
@@ -331,7 +332,7 @@ func (e *Engine) Step(adv Adversary) error {
 	e.metrics.crashes.Add(int64(rt.Crashes))
 	e.metrics.decisions.Add(int64(decisions))
 	if e.sink != nil {
-		recordEvents(&rec, e.decidedAt, e.decisionOf, e.sink.Emit)
+		recordEvents(&rec, e.n, e.decidedAt, e.decisionOf, e.sink.Emit)
 	}
 	return nil
 }

@@ -136,17 +136,26 @@ func (rr *RoundRecord) heardBy(i model.ProcessID) model.ProcSet {
 }
 
 // recordEvents converts one round record (plus the per-process decision
-// table, which the record itself does not carry) into the live runtime's
-// event vocabulary: round_start and send (to the destinations addressed a
-// non-null message, if any) per alive process ascending, then crashes
-// ascending, then one recv per survivor ascending, then decisions
-// ascending. The model emits no arrive events: round-level reception is
-// the recv record alone.
-func recordEvents(rec *RoundRecord, decidedAt []int, decisionOf []model.Value, emit func(obs.Event)) {
+// table, which the record itself does not carry) into the live worker's
+// event dialect, phase by phase so a tracer's grid clock stays monotone:
+// every round_start; every send — a survivor's to every other process, as
+// the live broadcast addresses all n−1 whatever it carries, a crasher's to
+// the processes it reached; every crash; one arrive per survivor and sender
+// it heard (heardBy: a null frame from a surviving sender arrives too);
+// every survivor's recv; every decision. Each phase runs in ascending
+// process order.
+func recordEvents(rec *RoundRecord, n int, decidedAt []int, decisionOf []model.Value, emit func(obs.Event)) {
 	r := rec.Round
 	rec.AliveStart.ForEach(func(p model.ProcessID) bool {
 		emit(obs.Event{Type: obs.EventRoundStart, Round: r, Proc: int(p)})
-		if to := rec.Sent[p].Remove(p); !to.Empty() {
+		return true
+	})
+	rec.AliveStart.ForEach(func(p model.ProcessID) bool {
+		to := model.FullSet(n)
+		if rec.Crashed.Has(p) {
+			to = rec.Reached[p]
+		}
+		if to = to.Remove(p); !to.Empty() {
 			emit(obs.Event{Type: obs.EventSend, Round: r, From: int(p), To: setInts(to)})
 		}
 		return true
@@ -156,8 +165,17 @@ func recordEvents(rec *RoundRecord, decidedAt []int, decisionOf []model.Value, e
 		return true
 	})
 	survivors := rec.AliveStart.Minus(rec.Crashed)
+	heard := make([]model.ProcSet, n+1)
 	survivors.ForEach(func(p model.ProcessID) bool {
-		emit(obs.Event{Type: obs.EventRecv, Round: r, Proc: int(p), Peers: setInts(rec.heardBy(p))})
+		heard[p] = rec.heardBy(p)
+		heard[p].ForEach(func(j model.ProcessID) bool {
+			emit(obs.Event{Type: obs.EventArrive, Round: r, Proc: int(p), From: int(j)})
+			return true
+		})
+		return true
+	})
+	survivors.ForEach(func(p model.ProcessID) bool {
+		emit(obs.Event{Type: obs.EventRecv, Round: r, Proc: int(p), Peers: setInts(heard[p])})
 		return true
 	})
 	survivors.ForEach(func(p model.ProcessID) bool {
@@ -170,9 +188,10 @@ func recordEvents(rec *RoundRecord, decidedAt []int, decisionOf []model.Value, e
 }
 
 // EventsFromRun converts a completed run record into the structured event
-// stream the engine would have emitted live: run_start, the per-round
-// events, run_end. It is what conform.Project reads: projecting it replays
-// to a run with conform.Fingerprint(run).
+// stream the engine emits through WithEventSink: run_start, each round in
+// the live worker's dialect (recordEvents), run_end. It is what
+// conform.Project reads — projecting it replays to a run with
+// conform.Fingerprint(run) — and what tracing.Synthesize traces.
 func EventsFromRun(run *Run) []obs.Event {
 	values := make([]int64, run.N)
 	for p := 1; p <= run.N; p++ {
@@ -187,7 +206,7 @@ func EventsFromRun(run *Run) []obs.Event {
 		Values:    values,
 	}}
 	for i := range run.Rounds {
-		recordEvents(&run.Rounds[i], run.DecidedAt, run.DecisionOf,
+		recordEvents(&run.Rounds[i], run.N, run.DecidedAt, run.DecisionOf,
 			func(ev obs.Event) { events = append(events, ev) })
 	}
 	return append(events, obs.Event{Type: obs.EventRunEnd, Truncated: run.Truncated})

@@ -163,12 +163,13 @@ func (d *driver) run(tb testing.TB, schedule func(sentFrame) verdict) InstanceOu
 	return *d.out
 }
 
-// replay drives a round-model run's schedule through a fresh driver. A
+// replay drives a round-model run's schedule through a fresh driver, its
+// instance's events going to events (which may be nil). A
 // crashing sender's frames reach only its round's Reached set, and then it
 // is crash-stopped; a pending message is held until its receiver has closed
 // the round, which it can only do once the sender crashed in the next round
 // and is suspected; rounds past the run's last are failure-free.
-func replay(tb testing.TB, reg *obs.Registry, alg rounds.Algorithm, run *rounds.Run) InstanceOutcome {
+func replay(tb testing.TB, reg *obs.Registry, alg rounds.Algorithm, run *rounds.Run, events obs.Sink) InstanceOutcome {
 	tb.Helper()
 	crashes := make(map[model.ProcessID]CrashPlan)
 	for p := 1; p <= run.N; p++ {
@@ -177,6 +178,7 @@ func replay(tb testing.TB, reg *obs.Registry, alg rounds.Algorithm, run *rounds.
 		}
 	}
 	d := newDriver(reg, alg, run.Model, run.Initial[1:], run.T, crashes)
+	d.sl.events = events
 	return d.run(tb, func(f sentFrame) verdict {
 		if f.round > len(run.Rounds) {
 			return fileIt
@@ -209,39 +211,50 @@ func sameAsModel(out InstanceOutcome, run *rounds.Run) bool {
 	return true
 }
 
-// TestDriverMatchesRoundModel replays every run the exhaustive explorer
-// visits at n=3, t=1 — every crash, partial broadcast and pending message
-// — through the worker's own sweep, and requires each node to decide (or
-// not), what and when the round model says: every algorithm of each model,
-// plus A1 in RWS, whose §5.3 disagreements must come out of the sweep too.
-func TestDriverMatchesRoundModel(t *testing.T) {
-	configs := [][]model.Value{vals(3, 1, 2)}
-	for mask := 0; mask < 8; mask++ {
-		configs = append(configs, vals(int64(mask&1), int64(mask>>1&1), int64(mask>>2&1)))
-	}
-	type sweepCase struct {
-		kind      rounds.ModelKind
-		alg       rounds.Algorithm
-		disagrees bool // some run splits the decision (§5.3)
-	}
+// sweepCase is one algorithm and model of the n=3, t=1 replay sweeps.
+type sweepCase struct {
+	kind      rounds.ModelKind
+	alg       rounds.Algorithm
+	disagrees bool // some run splits the decision (§5.3)
+}
+
+// sweepCases is every algorithm of each model, plus A1 in RWS.
+func sweepCases() []sweepCase {
 	var cases []sweepCase
 	for _, kind := range []rounds.ModelKind{rounds.RWS, rounds.RS} {
 		for _, alg := range consensus.ForModel(kind) {
 			cases = append(cases, sweepCase{kind: kind, alg: alg})
 		}
 	}
-	cases = append(cases, sweepCase{rounds.RWS, consensus.A1{}, true})
+	return append(cases, sweepCase{rounds.RWS, consensus.A1{}, true})
+}
 
+// sweepConfigs is the initial configurations the replay sweeps explore at
+// n=3: (3, 1, 2) and every binary one.
+func sweepConfigs() [][]model.Value {
+	configs := [][]model.Value{vals(3, 1, 2)}
+	for mask := 0; mask < 8; mask++ {
+		configs = append(configs, vals(int64(mask&1), int64(mask>>1&1), int64(mask>>2&1)))
+	}
+	return configs
+}
+
+// TestDriverMatchesRoundModel replays every run the exhaustive explorer
+// visits at n=3, t=1 — every crash, partial broadcast and pending message
+// — through the worker's own sweep, and requires each node to decide (or
+// not), what and when the round model says: every algorithm of each model,
+// plus A1 in RWS, whose §5.3 disagreements must come out of the sweep too.
+func TestDriverMatchesRoundModel(t *testing.T) {
 	reg := obs.NewRegistry()
 	goroutines := goruntime.NumGoroutine()
 	start := time.Now()
 	total := 0
-	for _, c := range cases {
+	for _, c := range sweepCases() {
 		runs, violated := 0, 0
-		for _, initial := range configs {
+		for _, initial := range sweepConfigs() {
 			_, err := explore.Runs(c.kind, c.alg, initial, 1, explore.Options{Metrics: reg}, func(run *rounds.Run) bool {
 				runs++
-				out := replay(t, reg, c.alg, run)
+				out := replay(t, reg, c.alg, run, nil)
 				if run.Truncated || !sameAsModel(out, run) {
 					t.Errorf("%s/%s: the sweep gave %+v\nthe round model's run:\n%s", c.alg.Name(), c.kind, out, rounds.RenderRun(run))
 					return false
@@ -267,6 +280,119 @@ func TestDriverMatchesRoundModel(t *testing.T) {
 	// are no more after it than before.
 	if now := goruntime.NumGoroutine(); now > goroutines {
 		t.Errorf("goroutines: %d before the replays, %d after; the sweep starts none", goroutines, now)
+	}
+}
+
+// dialectRow is what one process's events say about one round.
+type dialectRow struct {
+	started, recv, crashed, decided bool
+	sentTo, arrived, peers          model.ProcSet
+	decision                        int64
+}
+
+// dialectRows files an instance's round events by (process, round).
+func dialectRows(events []obs.Event) map[[2]int]*dialectRow {
+	rows := make(map[[2]int]*dialectRow)
+	row := func(p, r int) *dialectRow {
+		k := [2]int{p, r}
+		if rows[k] == nil {
+			rows[k] = &dialectRow{}
+		}
+		return rows[k]
+	}
+	set := func(ids []int) model.ProcSet {
+		var s model.ProcSet
+		for _, j := range ids {
+			s = s.Add(model.ProcessID(j))
+		}
+		return s
+	}
+	for _, ev := range events {
+		switch ev.Type {
+		case obs.EventRoundStart:
+			row(ev.Proc, ev.Round).started = true
+		case obs.EventSend:
+			row(ev.From, ev.Round).sentTo = set(ev.To)
+		case obs.EventArrive:
+			rw := row(ev.Proc, ev.Round)
+			rw.arrived = rw.arrived.Add(model.ProcessID(ev.From))
+		case obs.EventRecv:
+			rw := row(ev.Proc, ev.Round)
+			rw.recv, rw.peers = true, set(ev.Peers)
+		case obs.EventCrash:
+			row(ev.Proc, ev.Round).crashed = true
+		case obs.EventDecide:
+			rw := row(ev.Proc, ev.Round)
+			rw.decided, rw.decision = true, *ev.Value
+		}
+	}
+	return rows
+}
+
+// TestDriverSpeaksTheModelsDialect replays the runs of
+// TestDriverMatchesRoundModel with a collector on the instance's events and
+// holds the worker's stream to rounds.EventsFromRun: for every (process,
+// round) the worker ran within the run's rounds, the same arrivals,
+// reception record, crash, decision and — for a survivor — send
+// destinations. (The driver models a partial broadcast by losing frames,
+// so a crasher's send names all n−1.) A round only the model runs must
+// come after its process decided: the worker halted that automaton at
+// quiescence. In RWS these are the survivors' obligation rounds, in which
+// a dropper crashes; in RS and for A1 in RWS there are none.
+func TestDriverSpeaksTheModelsDialect(t *testing.T) {
+	reg := obs.NewRegistry()
+	for _, c := range sweepCases() {
+		modelOnly, inRuns := 0, 0
+		for _, initial := range sweepConfigs() {
+			_, err := explore.Runs(c.kind, c.alg, initial, 1, explore.Options{Metrics: reg}, func(run *rounds.Run) bool {
+				var events obs.Collector
+				replay(t, reg, c.alg, run, &events)
+				live, want := dialectRows(events.Events()), dialectRows(rounds.EventsFromRun(run))
+				for k, got := range live {
+					if k[1] > len(run.Rounds) {
+						continue // past the model's last round: a tail the run record ends before
+					}
+					exp := want[k]
+					if exp == nil || !got.started {
+						t.Errorf("%s/%s: the worker's p%d emitted round %d events %+v the model has not:\n%s",
+							c.alg.Name(), c.kind, k[0], k[1], *got, rounds.RenderRun(run))
+						return false
+					}
+					g, e := *got, *exp
+					if e.crashed {
+						g.sentTo, e.sentTo = 0, 0
+					}
+					if g != e {
+						t.Errorf("%s/%s: p%d round %d: worker %+v, model %+v\n%s",
+							c.alg.Name(), c.kind, k[0], k[1], g, e, rounds.RenderRun(run))
+						return false
+					}
+				}
+				before := modelOnly
+				for k := range want {
+					if live[k] != nil {
+						continue
+					}
+					if d := run.DecidedAt[k[0]]; d == 0 || k[1] <= d {
+						t.Errorf("%s/%s: the worker skipped p%d's round %d, which the model ran before p%d decided:\n%s",
+							c.alg.Name(), c.kind, k[0], k[1], k[0], rounds.RenderRun(run))
+						return false
+					}
+					modelOnly++
+				}
+				if modelOnly > before {
+					inRuns++
+				}
+				return true
+			})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.alg.Name(), c.kind, err)
+			}
+		}
+		t.Logf("%s/%s: %d process-rounds in %d runs only the model ran", c.alg.Name(), c.kind, modelOnly, inRuns)
+		if modelOnly > 0 && (c.kind == rounds.RS || c.disagrees) {
+			t.Errorf("%s/%s: %d process-rounds only the model ran, want none", c.alg.Name(), c.kind, modelOnly)
+		}
 	}
 }
 

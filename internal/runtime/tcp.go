@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -131,7 +132,7 @@ func (nw *TCPNetwork) readLoop(id model.ProcessID, conn net.Conn) {
 		<-nw.done
 		_ = conn.Close()
 	}()
-	br := newByteReader(conn)
+	br := bufio.NewReader(conn) // an io.ByteReader for ReadUvarint, an io.Reader for ReadFull
 	from64, err := binary.ReadUvarint(br)
 	if err != nil {
 		return
@@ -402,23 +403,3 @@ func (e *tcpEndpoint) Recv() <-chan Packet { return e.nw.inboxes[e.id] }
 
 // Close implements Transport (endpoints share the mesh's lifetime).
 func (e *tcpEndpoint) Close() error { return nil }
-
-// byteReader adapts an io.Reader to io.ByteReader for ReadUvarint while
-// preserving io.Reader for ReadFull.
-type byteReader struct {
-	r   io.Reader
-	one [1]byte
-}
-
-func newByteReader(r io.Reader) *byteReader { return &byteReader{r: r} }
-
-// ReadByte implements io.ByteReader.
-func (b *byteReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.one[:]); err != nil {
-		return 0, err
-	}
-	return b.one[0], nil
-}
-
-// Read implements io.Reader.
-func (b *byteReader) Read(p []byte) (int, error) { return b.r.Read(p) }

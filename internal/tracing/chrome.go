@@ -9,8 +9,8 @@ import (
 )
 
 // Chrome trace-event constants: the whole trace is one process (pid 1),
-// each ssfd process is a thread (tid = proc), and the global fault/schedule
-// track sits above the process range.
+// each ssfd process is a thread (tid = proc), and the global faults track
+// sits above the process range.
 const (
 	chromePID       = 1
 	chromeGlobalTID = 1000
@@ -83,7 +83,7 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 	}
 	f.TraceEvents = append(f.TraceEvents, chromeEvent{
 		Name: "thread_name", Phase: "M", PID: chromePID, TID: chromeGlobalTID,
-		Args: map[string]any{"name": "faults/schedule"},
+		Args: map[string]any{"name": "faults"},
 	})
 
 	spans := make([]Span, len(t.Spans))

@@ -26,7 +26,6 @@ const htmlPage = `<!DOCTYPE html>
   .span { position: absolute; box-sizing: border-box; border: 1px solid rgba(0,0,0,.25); border-radius: 2px; overflow: hidden; font-size: 10px; padding: 0 2px; white-space: nowrap; cursor: default; }
   .span.round   { top: 18px; height: 34px; background: #eceff1; }
   .span.run     { top: 14px; height: 42px; background: none; border-style: dashed; }
-  .span.schedule{ top: 14px; height: 42px; background: none; border-style: dashed; }
   .span.send    { top: 22px; height: 12px; background: #90caf9; }
   .span.wait    { top: 22px; height: 12px; background: #ffe082; }
   .span.compute { top: 22px; height: 12px; background: #a5d6a7; }
@@ -84,7 +83,7 @@ const htmlPage = `<!DOCTYPE html>
   procs.concat([0]).forEach(function (p) {
     var el = document.createElement('div');
     el.className = 'lane';
-    el.innerHTML = '<span class="label">' + (p ? 'p' + p : 'faults/schedule') + '</span>';
+    el.innerHTML = '<span class="label">' + (p ? 'p' + p : 'faults') + '</span>';
     lanes.appendChild(el);
     laneOf[p] = el;
   });

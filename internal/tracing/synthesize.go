@@ -1,7 +1,7 @@
 package tracing
 
 import (
-	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/rounds"
 )
 
@@ -12,121 +12,42 @@ import (
 // trace renders side-by-side with a live one in the same viewer.
 const Unit = int64(1e6)
 
-// roundSpan is the synthetic extent of round r (1-based): 4 units.
+// roundStart is the synthetic start of round r (1-based): 4 units a round.
 func roundStart(r int) int64 { return int64(r-1) * 4 * Unit }
 
-// Synthesize builds a causal trace from an engine run record. The engines
-// execute rounds atomically, so the trace's times are synthetic (Timebase
-// "synthetic"): deterministic functions of the schedule alone. The span
-// structure — run→round→send/wait/compute per process, arrival and decide
-// points, Lamport clocks joined along message edges — is exactly what a
-// live Tracer assembles, so emulated and live executions of the same
-// schedule render identically and feed the same attribution analyzer.
+// gridOffset is where each event type of a round lands on the grid, from
+// the round's start. recordEvents emits a round phase by phase in this
+// order, so the grid clock is monotone.
+var gridOffset = map[obs.EventType]int64{
+	obs.EventSend:   Unit,
+	obs.EventCrash:  Unit,
+	obs.EventArrive: 2 * Unit,
+	obs.EventRecv:   3 * Unit,
+	obs.EventDecide: 3*Unit + Unit/2,
+}
+
+// Synthesize traces an engine run the way a live run is traced: a Tracer
+// assembles rounds.EventsFromRun(run), which speaks the live worker's
+// dialect, on a synthetic clock (Timebase "synthetic") that reads each
+// event's place on the round grid instead of the wall. The times are
+// deterministic functions of the schedule alone, and emulated and live
+// executions of the same schedule share one assembler and feed the same
+// attribution analyzer.
 func Synthesize(run *rounds.Run) *Trace {
-	tr := &Trace{
-		Algorithm: run.Algorithm,
-		Model:     run.Model.String(),
-		N:         run.N,
-		T:         run.T,
-		Timebase:  "synthetic",
-	}
-
-	var nextID SpanID
-	span := func(parent SpanID, proc int, kind, cat string, round int, start, end, c0, c1 int64) SpanID {
-		nextID++
-		tr.Spans = append(tr.Spans, Span{
-			ID: nextID, Parent: parent, Proc: proc, Kind: kind, Cat: cat, Round: round,
-			Start: start, End: end, StartClock: c0, EndClock: c1,
-		})
-		return nextID
-	}
-
-	total := roundStart(len(run.Rounds) + 1)
-	sched := span(0, 0, KindSchedule, CatRounds, 0, 0, total, 0, 0)
-
-	clock := make([]int64, run.N+1)
-	roots := make([]SpanID, run.N+1)
-	for p := 1; p <= run.N; p++ {
-		end := total
-		if cr := run.CrashRound[p]; cr != 0 {
-			end = roundStart(cr) + Unit
+	tr := NewTracer(run.Algorithm, run.Model.String(), run.N, run.T, nil)
+	tr.trace.Timebase = "synthetic"
+	var ts int64
+	tr.now = func() int64 { return ts }
+	for _, ev := range rounds.EventsFromRun(run) {
+		switch ev.Type {
+		case obs.EventRunStart:
+			ts = 0
+		case obs.EventRunEnd:
+			ts = roundStart(len(run.Rounds) + 1)
+		default:
+			ts = roundStart(ev.Round) + gridOffset[ev.Type]
 		}
-		roots[p] = span(sched, p, KindRun, CatRounds, 0, 0, end, 0, 0)
+		tr.Emit(ev)
 	}
-
-	openClock := make([]int64, run.N+1) // clock at round open, this round
-	sendClock := make([]int64, run.N+1) // clock after the round's broadcast
-	for ri := range run.Rounds {
-		rec := &run.Rounds[ri]
-		r := rec.Round
-		r0 := roundStart(r)
-
-		// Broadcast half-step first, for every participant: arrival joins in
-		// the reception half-step below need all of the round's send clocks.
-		for p := 1; p <= run.N; p++ {
-			if !rec.AliveStart.Has(model.ProcessID(p)) {
-				continue
-			}
-			clock[p]++ // round open
-			openClock[p] = clock[p]
-			clock[p]++ // broadcast
-			sendClock[p] = clock[p]
-		}
-
-		for p := 1; p <= run.N; p++ {
-			if !rec.AliveStart.Has(model.ProcessID(p)) {
-				continue
-			}
-			if rec.Crashed.Has(model.ProcessID(p)) {
-				// A crashing process performs its (partial) broadcast and
-				// halts: the round truncates after the send phase.
-				rd := span(roots[p], p, KindRound, CatRounds, r, r0, r0+Unit, openClock[p], clock[p])
-				span(rd, p, KindSend, CatRounds, r, r0, r0+Unit, openClock[p], sendClock[p])
-				clock[p]++
-				tr.Points = append(tr.Points, Point{Parent: rd, Proc: p, Kind: PointCrash,
-					Cat: CatRounds, Round: r, TS: r0 + Unit, Clock: clock[p]})
-				continue
-			}
-
-			rd := span(roots[p], p, KindRound, CatRounds, r, r0, r0+4*Unit, openClock[p], 0)
-			span(rd, p, KindSend, CatRounds, r, r0, r0+Unit, openClock[p], sendClock[p])
-
-			// Reception: one arrival per sender whose message reached p,
-			// joining p's clock with the sender's broadcast clock.
-			var peers []int
-			wait := span(rd, p, KindWait, CatRounds, r, r0+Unit, r0+3*Unit, sendClock[p], 0)
-			for j := 1; j <= run.N; j++ {
-				if j == p || !rec.Reached[j].Has(model.ProcessID(p)) {
-					continue
-				}
-				peers = append(peers, j)
-				c := clock[p]
-				if sendClock[j] > c {
-					c = sendClock[j]
-				}
-				clock[p] = c + 1
-				tr.Points = append(tr.Points, Point{Parent: wait, Proc: p, Kind: PointArrive,
-					Cat: CatRounds, Round: r, From: j, TS: r0 + 2*Unit, Clock: clock[p]})
-			}
-			clock[p]++ // round close: the reception record is taken
-			ws := &tr.Spans[wait-1]
-			ws.EndClock = clock[p]
-			ws.Peers = peers
-
-			comp := span(rd, p, KindCompute, CatRounds, r, r0+3*Unit, r0+4*Unit, clock[p], 0)
-			if run.DecidedAt[p] == r {
-				clock[p]++
-				v := int64(run.DecisionOf[p])
-				tr.Points = append(tr.Points, Point{Parent: comp, Proc: p, Kind: PointDecide,
-					Cat: CatRounds, Round: r, Value: &v, TS: r0 + 3*Unit + Unit/2, Clock: clock[p]})
-			}
-			tr.Spans[comp-1].EndClock = clock[p]
-			tr.Spans[rd-1].EndClock = clock[p]
-		}
-	}
-
-	for p := 1; p <= run.N; p++ {
-		tr.Spans[roots[p]-1].EndClock = clock[p]
-	}
-	return tr
+	return tr.Finish()
 }

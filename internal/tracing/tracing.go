@@ -20,9 +20,10 @@
 // plus instant points for message arrivals, suspicions, retractions,
 // decisions and crashes. Fault-injector topology changes (package faults)
 // become spans on a global track: a partition span from formation to heal, a
-// blackhole span from injected crash to recovery. Engine and emulated runs
-// get the identical structure through Synthesize, on a deterministic
-// synthetic timebase, so live and model-level executions render identically.
+// blackhole span from injected crash to recovery. Engine runs are traced by
+// the same Tracer through Synthesize, which feeds it the engine's event
+// stream on a deterministic synthetic clock, so live and model-level
+// executions render identically.
 //
 // A Tracer is an obs.Sink: interpose it in front of any sink chain (JSONL
 // emitter, collector) and downstream events carry their TS/Clock/Span
@@ -54,7 +55,6 @@ const (
 	KindCompute   = "compute"   // transition + decision test
 	KindPartition = "partition" // fault injector: partition window
 	KindBlackhole = "blackhole" // fault injector: crash/recovery window
-	KindSchedule  = "schedule"  // synthetic: the whole engine run
 )
 
 // Request-scoped span kinds: the serving daemon's per-request causal tree
@@ -85,8 +85,7 @@ const (
 	CatRuntime = "runtime"
 	CatFD      = "fd"
 	CatFaults  = "faults"
-	CatRounds  = "rounds" // synthetic engine spans
-	CatServe   = "serve"  // request-scoped serving spans
+	CatServe   = "serve" // request-scoped serving spans
 )
 
 // Span is one interval of a trace. Times are nanoseconds from the trace
