@@ -144,6 +144,9 @@ job_conformance() {
 
 job_tracing() {
   go test -race -run 'TestChrome|TestHTML|TestAttribut|TestReconcile|TestLive|TestTracer' ./internal/tracing/
+  # A process that sends and crashes in one round never waited: its send
+  # phase runs to the crash and no wait span opens.
+  go test -race -run 'TestTracerCrashInSendPhaseOpensNoWait' ./internal/tracing/
   # The round model and the live worker must emit one event dialect: a
   # synthetic trace is the live Tracer over the model's stream.
   go test -race -run 'TestDriverSpeaksTheModelsDialect' ./internal/runtime/
@@ -222,6 +225,10 @@ job_chaos() {
 job_multi_instance() {
   go test -race -count=2 -run 'TestEngine|TestStartEngine|TestOpenAfterAbort|TestBatch|TestCluster|TestAgreement|TestLiveRSA1|TestChanNetwork|TestDeliveryQueue|TestPeekControl|TestDetectorSend|TestDetectorRegistry|TestEnginePacketsHaveOneOwner|TestEngineOwnershipUnderFaults|TestEngineFilesSendersMessage|TestEngineDecodesFramesUnlikeTheSent|TestEngineMixedRowFilesAndDecodes|TestEngineSharedMessagesStayAsSent|TestSplitAllocatesNothing|TestDecodeHostileCounts|TestHistogramTallyFolds|TestDriverMatchesRoundModel|TestDriverA1DisagreesInRWS|TestDriverWaitBoundHaltsUndecided' ./internal/runtime/ ./internal/wire/ ./internal/obs/
   go test -race -count=2 -run 'TestCrashOnMultiplexedMesh' ./internal/fdimpl/
+  # A node's receive function runs on the mesh's delivery goroutines: over
+  # TCP one per peer connection, so concurrently. Named so a break in the
+  # Listen handover or a race on that path is named in the job log.
+  go test -race -count=2 -run 'TestEngineRWSOverTCP|TestChanNetworkListenHandover|TestTCPNetworkListenHandover' ./internal/runtime/
   floor ./internal/wire/ 85
   floor ./internal/runtime/ 85
   # Exit 1 unless every instance reaches agreement.

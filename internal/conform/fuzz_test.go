@@ -205,6 +205,7 @@ func (c *countingTransport) count() int {
 	defer c.mu.Unlock()
 	return c.delivered
 }
+func (c *countingTransport) Listen(func(wire.Packet)) {}
 func (c *countingTransport) Recv() <-chan wire.Packet { return nil }
 func (c *countingTransport) Close() error             { return nil }
 

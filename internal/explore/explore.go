@@ -305,15 +305,6 @@ type planBuf struct{ plans []rounds.Plan }
 
 var planBufPool = sync.Pool{New: func() any { return new(planBuf) }}
 
-// EnumeratePlans returns every canonical legal plan for the round described
-// by v: all crash sets within budget (capped by maxCrashes if > 0, counting
-// obligated crashers), all observable reach subsets for each crasher, and —
-// in RWS — all observable pending-message patterns within the remaining
-// budget.
-func EnumeratePlans(v *rounds.View, maxCrashes int) []rounds.Plan {
-	return EnumeratePlansInto(nil, v, maxCrashes)
-}
-
 // enumScratch holds the reusable buffers of one EnumeratePlansInto call.
 // Everything here is dead once the call returns — the emitted plans never
 // alias scratch memory — so a sync.Pool keeps the hot path allocation-free

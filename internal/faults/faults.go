@@ -50,6 +50,7 @@ type Transport interface {
 	LocalID() model.ProcessID
 	Send(to model.ProcessID, data []byte) error
 	SendAfter(to model.ProcessID, data []byte, extra time.Duration) error
+	Listen(fn func(wire.Packet))
 	Recv() <-chan wire.Packet
 	Close() error
 }
@@ -474,6 +475,9 @@ var _ Transport = (*transport)(nil)
 
 // LocalID implements Transport.
 func (t *transport) LocalID() model.ProcessID { return t.next.LocalID() }
+
+// Listen implements Transport.
+func (t *transport) Listen(fn func(wire.Packet)) { t.next.Listen(fn) }
 
 // Recv implements Transport.
 func (t *transport) Recv() <-chan wire.Packet { return t.next.Recv() }

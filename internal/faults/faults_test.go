@@ -34,6 +34,7 @@ func (m *memTransport) SendAfter(_ model.ProcessID, _ []byte, extra time.Duratio
 	return nil
 }
 
+func (m *memTransport) Listen(func(wire.Packet)) {}
 func (m *memTransport) Recv() <-chan wire.Packet { return nil }
 func (m *memTransport) Close() error             { return nil }
 

@@ -65,7 +65,7 @@ func New(name string) (*runtime.DetectorSpec, error) {
 // Filed wraps spec so that every detector it builds is also filed in dets
 // under its node's id (dets needs n+1 entries). An engine over the wrapped
 // spec that never opens an instance is a standalone detector mesh: the
-// engine's demultiplexers feed the detectors, its Stats().Cost counts their
+// nodes' receive functions feed the detectors, its Stats().Cost counts their
 // control traffic, and the caller polls, crash-stops (Stop) and audits them
 // by id. The engine builds its detectors one at a time, so dets needs no
 // lock.

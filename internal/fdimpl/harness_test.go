@@ -12,7 +12,7 @@ import (
 )
 
 // zoo is n detectors of one construction on an engine that never opens an
-// instance: the engine's demultiplexers feed them and nothing runs on top.
+// instance: the nodes' receive functions feed them and nothing runs on top.
 type zoo struct {
 	*runtime.Engine
 	Detectors []runtime.Detector // by process id; [0] is nil

@@ -35,7 +35,7 @@ const (
 	EventRecv EventType = "recv"
 
 	// EventArrive marks one data message landing at a live node's
-	// demultiplexer: Proc received sender From's message for Round. Emitted
+	// worker: Proc received sender From's message for Round. Emitted
 	// by the live runtime only, and only when an event sink is attached —
 	// it is the per-message arrival record the causal tracer (package
 	// tracing) needs to separate transport delay from barrier and

@@ -136,9 +136,6 @@ func (e *Engine) Kind() ModelKind { return e.kind }
 // Round returns the number of completed rounds.
 func (e *Engine) Round() int { return e.round }
 
-// Alive returns the processes alive after the last completed round.
-func (e *Engine) Alive() model.ProcSet { return e.alive }
-
 // Obligated returns the processes that must crash in the next round to
 // preserve weak round synchrony.
 func (e *Engine) Obligated() model.ProcSet { return e.obligated }

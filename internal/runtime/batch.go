@@ -47,7 +47,7 @@ type BatcherConfig struct {
 // endpoint: control traffic is latency-sensitive (a delayed heartbeat is a
 // false suspicion) and already amortized by being per-process.
 type Batcher struct {
-	inner   Transport
+	inner   packetSender
 	pending []linkPending // indexed by destination process id
 	closed  bool
 
@@ -81,8 +81,14 @@ func (p *linkPending) packet() []byte {
 	return pkt
 }
 
+// packetSender is the part of a Transport a Batcher uses.
+type packetSender interface {
+	Send(to model.ProcessID, data []byte) error
+	Close() error
+}
+
 // NewBatcher buffers sends to inner per link.
-func NewBatcher(inner Transport, cfg BatcherConfig) *Batcher {
+func NewBatcher(inner packetSender, cfg BatcherConfig) *Batcher {
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.Default

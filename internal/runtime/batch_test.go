@@ -95,6 +95,7 @@ func TestBatcherExplicitFlush(t *testing.T) {
 type recordingTransport struct{ sent [][]byte }
 
 func (r *recordingTransport) LocalID() model.ProcessID { return 1 }
+func (r *recordingTransport) Listen(func(Packet))      {}
 func (r *recordingTransport) Recv() <-chan Packet      { return nil }
 func (r *recordingTransport) Close() error             { return nil }
 func (r *recordingTransport) Send(_ model.ProcessID, data []byte) error {
@@ -188,8 +189,6 @@ func TestBatcherOneAllocPerBatch(t *testing.T) {
 // discardTransport drops every packet.
 type discardTransport struct{}
 
-func (discardTransport) LocalID() model.ProcessID           { return 1 }
-func (discardTransport) Recv() <-chan Packet                { return nil }
 func (discardTransport) Close() error                       { return nil }
 func (discardTransport) Send(model.ProcessID, []byte) error { return nil }
 

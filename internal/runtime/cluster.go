@@ -95,9 +95,8 @@ func (cr *ClusterResult) Agreement() (model.Value, AgreementStatus) {
 // RunCluster executes one live run of the algorithm — start the engine,
 // open one instance where p_{i+1} proposes initial[i], wait it out, close —
 // and joins every goroutine before it returns. It sets only what follows
-// from "one instance": N = len(initial), one worker, a mesh with
-// ChanConfig's 1024-deep inboxes unless cfg.Network is set, and the
-// instance's round events going to cfg.Events unless opts.Events is set.
+// from "one instance": N = len(initial), one worker, and the instance's
+// round events going to cfg.Events unless opts.Events is set.
 // Everything else is the engine's own default, so a zero field means here
 // what it means to StartEngine.
 func RunCluster(alg rounds.Algorithm, cfg EngineConfig, initial []model.Value, opts OpenOptions) (*ClusterResult, error) {
@@ -123,16 +122,8 @@ func RunCluster(alg rounds.Algorithm, cfg EngineConfig, initial []model.Value, o
 	reg.Counter(faults.MetricReordered)
 	reg.Counter(faults.MetricDelayed)
 
-	var own *ChanNetwork
-	if cfg.Network == nil {
-		own = NewChanNetwork(cfg.N, ChanConfig{Metrics: reg, Flight: cfg.Flight})
-		cfg.Network = own
-	}
 	e, err := StartEngine(alg, cfg)
 	if err != nil {
-		if own != nil {
-			_ = own.Close()
-		}
 		return nil, err
 	}
 	start := time.Now()

@@ -350,7 +350,7 @@ func TestEngineCostExactAtCallback(t *testing.T) {
 	})
 }
 
-// countingDetector counts what the demultiplexer shows the heartbeat
+// countingDetector counts what the receive function shows the heartbeat
 // detector it wraps.
 type countingDetector struct {
 	Detector

@@ -21,9 +21,9 @@ import (
 //
 // Lifecycle: construct → Start → (Observe/Suspects/NoteRound from the node,
 // concurrently) → Stop. A detector is built complete from its
-// DetectorConfig; there is no wiring phase. Stop is idempotent and safe
-// before Start; Start and Stop must not be called concurrently with each
-// other. All other methods are safe for concurrent use after Start.
+// DetectorConfig; there is no wiring phase, and Observe may precede Start.
+// Stop is idempotent and safe before Start; Start and Stop must not be called
+// concurrently with each other. All other methods are safe for concurrent use.
 type Detector interface {
 	// Start launches the detector's background senders.
 	Start()
@@ -31,7 +31,7 @@ type Detector interface {
 	// viewpoint the process crash-stops once its last message ages out.
 	Stop()
 	// Observe feeds the detector one decoded inbound envelope, from the
-	// owning node's demultiplexer goroutine only. The contract: every control
+	// owning node's receive function, concurrently. The contract: every control
 	// envelope; round traffic at least once per packet per sender. Any
 	// traffic proves the sender was recently alive, and the frames batched
 	// into one packet left the sender together, so the second one is no
@@ -222,7 +222,7 @@ func (c *DetectorCore) Stop() {
 
 // Send is the one way a detector puts a control message on the wire: env
 // goes to env.To stamped with the local id. A stopped detector is a
-// crash-stopped process — it may still Observe (the demultiplexer drains)
+// crash-stopped process — it may still Observe (the mesh keeps delivering)
 // but it must not send, proactively or in reply. The encoding is a fresh
 // slice surrendered to the transport. A message that fails to encode is a
 // silent partial crash, counted so the run verdict can see it; one that
@@ -265,8 +265,8 @@ func (c *DetectorCore) Heard(j model.ProcessID) {
 }
 
 // Observe is the default evidence rule: any envelope proves its sender was
-// recently alive (see Detector.Observe for how often the demultiplexer calls
-// it). Constructions that answer traffic override it and call Heard.
+// recently alive (see Detector.Observe for how often the receive function
+// calls it). Constructions that answer traffic override it and call Heard.
 func (c *DetectorCore) Observe(env wire.Envelope) { c.Heard(env.From) }
 
 // Silence reports how long peer j has been silent at now.

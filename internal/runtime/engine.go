@@ -82,9 +82,7 @@ type EngineConfig struct {
 	Groups int
 
 	// Network supplies the shared mesh; nil builds the default in-process
-	// synchronous network with 2^15-deep inboxes (the multiplexed mesh
-	// carries every instance's traffic through n inboxes, so ChanConfig's
-	// single-instance default of 1024 would overflow).
+	// synchronous network (ChanNetwork, delay uniform in [0, 1ms)).
 	Network interface {
 		Endpoint(model.ProcessID) Transport
 		Close() error
@@ -302,7 +300,7 @@ type engineRun struct {
 	done      *obs.Counter // completed instances
 	openedCtr *obs.Counter
 
-	opened  atomic.Uint64   // next instance id; demux drops ids at or past it
+	opened  atomic.Uint64   // next instance id; workers drop ids at or past it
 	closing atomic.Bool     // workers exit once idle
 	tally   [3]atomic.Int64 // AgreementStatus tallies over completed instances
 
@@ -367,9 +365,10 @@ func (er *engineRun) finish(inst uint64, out InstanceOutcome) {
 // failure detector per node, and consensus instances admitted dynamically
 // through Open — the backing of a consensus-serving daemon.
 //
-// Lifecycle: StartEngine brings up detectors, demultiplexers and shard
-// workers; Open admits instances until Drain or Close; Close finishes the
-// in-flight instances, joins every goroutine and tears the mesh down.
+// Lifecycle: StartEngine installs each node's receive function and brings
+// up detectors and shard workers; Open admits instances until Drain or
+// Close; Close finishes the in-flight instances, joins every goroutine and
+// tears the mesh down.
 type Engine struct {
 	er  *engineRun
 	reg *obs.Registry
@@ -378,12 +377,10 @@ type Engine struct {
 		Endpoint(model.ProcessID) Transport
 		Close() error
 	}
-	endpoints []Transport // 1..n, shared by the node's detector, demux and batchers
+	endpoints []Transport // 1..n, shared by the node's detector, receiver and batchers
 	inj       *faults.Injector
 
-	stopDemux chan struct{}
-	demuxWG   sync.WaitGroup
-	workerWG  sync.WaitGroup
+	workerWG sync.WaitGroup
 
 	start time.Time
 
@@ -396,8 +393,8 @@ type Engine struct {
 }
 
 // StartEngine brings up a live shared-mesh engine and returns once every
-// detector, demultiplexer and shard worker is running; a rejected config
-// fails before any goroutine starts.
+// node's receive function is installed and every detector and shard worker
+// is running; a rejected config fails before any goroutine starts.
 func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 	n := cfg.N
 	if n < 1 {
@@ -445,9 +442,7 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 
 	network := cfg.Network
 	if network == nil {
-		network = NewChanNetwork(n, ChanConfig{
-			MaxDelay: time.Millisecond, Metrics: reg, Buffer: 1 << 15, Flight: cfg.Flight,
-		})
+		network = NewChanNetwork(n, ChanConfig{MaxDelay: time.Millisecond, Metrics: reg, Flight: cfg.Flight})
 	}
 	var inj *faults.Injector
 	if cfg.Faults != nil {
@@ -480,8 +475,8 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 		_ = network.Close()
 	}
 
-	// Per-node plumbing: endpoint → (injector) → {detector, demux, one
-	// batcher per worker}.
+	// Per-node plumbing: endpoint → (injector) → {detector, receive function,
+	// one batcher per worker}.
 	for i := 1; i <= n; i++ {
 		var tr Transport = network.Endpoint(model.ProcessID(i))
 		if inj != nil {
@@ -516,20 +511,17 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 		network:   network,
 		endpoints: endpoints,
 		inj:       inj,
-		stopDemux: make(chan struct{}),
 		start:     time.Now(),
 		closedCh:  make(chan struct{}),
+	}
+	// Each node's receive function is in place before any detector sends.
+	for i := 1; i <= n; i++ {
+		endpoints[i].Listen(er.receiver(model.ProcessID(i)))
 	}
 	for i := 1; i <= n; i++ {
 		if er.fds[i] != nil {
 			er.fds[i].Start()
 		}
-	}
-	// One demux goroutine per node feeds the detector and routes round
-	// traffic to the owning worker.
-	for i := 1; i <= n; i++ {
-		e.demuxWG.Add(1)
-		go er.demuxLoop(&e.demuxWG, model.ProcessID(i), endpoints[i], e.stopDemux)
 	}
 	for _, w := range er.workers {
 		e.workerWG.Add(1)
@@ -738,9 +730,8 @@ func (e *Engine) Close() error {
 				er.fds[i].Stop()
 			}
 		}
-		close(e.stopDemux)
-		e.demuxWG.Wait()
-		// The workers flushed their links at the end of their last sweep.
+		// The workers flushed their links at the end of their last sweep. Until
+		// the mesh closes it still delivers; an exited worker's mailbox drops it.
 		for _, tr := range e.endpoints[1:] {
 			_ = tr.Close()
 		}

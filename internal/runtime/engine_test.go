@@ -924,15 +924,14 @@ func TestEngineOwnershipUnderFaults(t *testing.T) {
 	}
 }
 
-// TestEngineGoroutineAccounting: StartEngine starts one demultiplexer per
-// node, one goroutine per shard worker and whatever the detectors start —
-// one heartbeat ticker per node — and nothing else: a worker's batchers run
-// on the worker.
+// TestEngineGoroutineAccounting: StartEngine starts one goroutine per shard
+// worker and whatever the detectors start — one heartbeat ticker per node —
+// and nothing else: a node's receive function runs on the mesh's delivery
+// goroutine and a worker's batchers run on the worker.
 func TestEngineGoroutineAccounting(t *testing.T) {
 	const n, groups = 4, 3
 	nw := NewChanNetwork(n, ChanConfig{Metrics: obs.NewRegistry()})
 	kinds := map[string]string{
-		"demux":    "(*engineRun).demuxLoop",
 		"worker":   "(*engWorker).loop",
 		"detector": "(*DetectorCore).Every",
 		"batcher":  "Batcher",
@@ -947,7 +946,7 @@ func TestEngineGoroutineAccounting(t *testing.T) {
 	// Earlier tests closed their engines, but a goroutine that has signalled
 	// its WaitGroup may still be on its way out.
 	deadline := time.Now().Add(5 * time.Second)
-	for left := count(); left["demux"]+left["worker"]+left["detector"] > 0; left = count() {
+	for left := count(); left["worker"]+left["detector"] > 0; left = count() {
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutines of closed engines still running: %v", left)
 		}
@@ -968,7 +967,7 @@ func TestEngineGoroutineAccounting(t *testing.T) {
 	}
 	defer func() { _ = e.Close() }()
 	// A goroutine shows in a stack dump once it has been scheduled.
-	want := map[string]int{"demux": n, "worker": groups, "detector": n, "batcher": 0}
+	want := map[string]int{"worker": groups, "detector": n, "batcher": 0}
 	deadline = time.Now().Add(5 * time.Second)
 	after := count()
 	for ; !maps.Equal(after, want) && time.Now().Before(deadline); after = count() {
@@ -977,7 +976,7 @@ func TestEngineGoroutineAccounting(t *testing.T) {
 	if !maps.Equal(after, want) {
 		t.Errorf("goroutines started by kind: %v, want %v", after, want)
 	}
-	if started := goruntime.NumGoroutine() - total; started > 2*n+groups {
-		t.Errorf("StartEngine started %d goroutines, want %d", started, 2*n+groups)
+	if started := goruntime.NumGoroutine() - total; started > n+groups {
+		t.Errorf("StartEngine started %d goroutines, want %d", started, n+groups)
 	}
 }

@@ -1,16 +1,14 @@
 package runtime
 
 import (
-	"sync"
-
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/rounds"
 	"repro/internal/wire"
 )
 
-// kindTally is one goroutine's private count of codec conversions per kind,
-// folded into the shared netobs.WireStats in bulk: the demultiplexer once per
+// kindTally is a private count of codec conversions per kind, folded into
+// the shared netobs.WireStats in bulk: a node's receive function once per
 // packet, a worker once per sweep. A sweep's frames are nearly all one kind,
 // so a fold costs four atomic adds where counting per frame cost four per
 // frame, on cache lines every node's goroutines share.
@@ -32,53 +30,46 @@ func (t *kindTally) fold(add func(k wire.Kind, msgs, bytes int64)) {
 	}
 }
 
-// demuxLoop feeds one node's inbound packets to the shared detector and
-// hands each round packet, whole, to the worker that owns it. Every node
-// shards instances alike and a worker batches only its own instances, so a
-// packet's first round frame names the owner of all of them. The demux
+// receiver returns node id's receive function, which the network calls with
+// every packet delivered to the node: it feeds the shared detector and hands
+// each round packet, whole, to the worker that owns it. Every node shards
+// instances alike and a worker batches only its own instances, so a
+// packet's first round frame names the owner of all of them. The function
 // decodes control frames and splits the header off that first round frame
 // — the detector hears from a sender once per packet (the Detector.Observe
-// contract) — and leaves every round frame to the owner.
-func (er *engineRun) demuxLoop(wg *sync.WaitGroup, id model.ProcessID, tr Transport, stop <-chan struct{}) {
-	defer wg.Done()
+// contract) — and leaves every round frame to the owner. It never blocks,
+// and its decode tally is its own: TCPNetwork calls it concurrently.
+func (er *engineRun) receiver(id model.ProcessID) func(Packet) {
 	fd := er.fds[id]
-	var decoded kindTally
-	for {
-		select {
-		case <-stop:
-			return
-		case pkt, ok := <-tr.Recv():
-			if !ok {
-				return
+	return func(pkt Packet) {
+		var owner *engWorker
+		var decoded kindTally
+		_ = wire.SplitBatch(pkt.Data, func(frame []byte) error {
+			if owner != nil && !wire.PeekControl(frame) {
+				return nil // the owner's to file
 			}
-			var owner *engWorker
-			_ = wire.SplitBatch(pkt.Data, func(frame []byte) error {
-				if owner != nil && !wire.PeekControl(frame) {
-					return nil // the owner's to file
-				}
-				env, payload, err := wire.Split(frame)
-				if err != nil {
-					return nil // corrupt frame: drop, keep the batch
-				}
-				if env.Kind.Control() {
-					env.Payload, _ = wire.DecodePayload(env.Kind, payload) // Split validated it
-					decoded.add(env.Kind, len(frame))
-					if fd != nil {
-						fd.Observe(env)
-					}
-					er.metrics.heartbeats.Inc()
-					return nil
-				}
+			env, payload, err := wire.Split(frame)
+			if err != nil {
+				return nil // corrupt frame: drop, keep the batch
+			}
+			if env.Kind.Control() {
+				env.Payload, _ = wire.DecodePayload(env.Kind, payload) // Split validated it
+				decoded.add(env.Kind, len(frame))
 				if fd != nil {
 					fd.Observe(env)
 				}
-				owner = er.workers[env.Instance%uint64(len(er.workers))]
+				er.metrics.heartbeats.Inc()
 				return nil
-			})
-			decoded.fold(er.ws.AddDecoded)
-			if owner != nil {
-				owner.mb.push(engEvent{node: id, pkt: pkt.Data})
 			}
+			if fd != nil {
+				fd.Observe(env)
+			}
+			owner = er.workers[env.Instance%uint64(len(er.workers))]
+			return nil
+		})
+		decoded.fold(er.ws.AddDecoded)
+		if owner != nil {
+			owner.mb.push(engEvent{node: id, pkt: pkt.Data})
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 // Metric names exported by the live runtime. The round-duration histogram
 // carries {algorithm="...",model="..."}; the detector-owned ssfd_fd_*
 // families carry {detector="heartbeat"|"bounded"|...} (the node-side
-// ssfd_fd_heartbeats_received_total stays unlabelled — the demultiplexer
+// ssfd_fd_heartbeats_received_total stays unlabelled — the receive function
 // counts control traffic without knowing who sent it). The transport
 // families (ssfd_transport_*, labelled {transport="chan"|"tcp"}) are package
 // netobs's: its per-link tap does all transport accounting.
@@ -30,7 +30,7 @@ const (
 type nodeMetrics struct {
 	roundDuration *obs.Histogram
 	rounds        *obs.Counter
-	heartbeats    *obs.Counter // heartbeats observed by the demultiplexer
+	heartbeats    *obs.Counter // heartbeats observed by the receive functions
 	waitTimeouts  *obs.Counter // RWS wait-bound expiries (liveness guard); the engine's own, scoped
 }
 

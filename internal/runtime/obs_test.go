@@ -148,8 +148,9 @@ func (f *failingEndpoint) LocalID() model.ProcessID { return f.inner.LocalID() }
 func (f *failingEndpoint) Send(model.ProcessID, []byte) error {
 	return errInjected
 }
-func (f *failingEndpoint) Recv() <-chan Packet { return f.inner.Recv() }
-func (f *failingEndpoint) Close() error        { return f.inner.Close() }
+func (f *failingEndpoint) Listen(fn func(Packet)) { f.inner.Listen(fn) }
+func (f *failingEndpoint) Recv() <-chan Packet    { return f.inner.Recv() }
+func (f *failingEndpoint) Close() error           { return f.inner.Close() }
 
 // TestRunClusterErrorPathLeaksNothing is the regression test for the early
 // return: a cluster whose sends all fail must report the node error and join
@@ -171,7 +172,7 @@ func TestRunClusterErrorPathLeaksNothing(t *testing.T) {
 		t.Errorf("error = %v, want wrapped injected failure", err)
 	}
 
-	// Every goroutine RunCluster started (nodes, demuxers, detectors,
+	// Every goroutine RunCluster started (workers, detectors,
 	// in-flight deliveries) must be gone.
 	deadline := time.Now().Add(2 * time.Second)
 	for {

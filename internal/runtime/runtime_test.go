@@ -100,7 +100,7 @@ func TestHeartbeatFDPerfectOverSynchronousNetwork(t *testing.T) {
 	fd1.Start()
 	fd2.Start()
 
-	// Pump p1's inbox into its detector, as a node's demux would.
+	// Pump p1's inbox into its detector, as a node's receive function would.
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -304,6 +304,46 @@ func TestLiveOverTCP(t *testing.T) {
 	requireAgreementValidity(t, cr, initial, 3)
 	if v, _ := cr.Agreement(); v != 2 {
 		t.Errorf("decided %d over TCP, want 2", v)
+	}
+}
+
+// TestEngineRWSOverTCP: FloodSetWS under the heartbeat detector over real
+// TCP connections, many instances at once. TCPNetwork reads each peer
+// connection on its own goroutine, so a node's receive function runs
+// concurrently here (run with -race): every instance must still agree, every
+// node decide, and no detector suspect a live peer.
+func TestEngineRWSOverTCP(t *testing.T) {
+	const instances = 240
+	reg := obs.NewRegistry()
+	nw, err := NewTCPNetwork(3, WithTCPMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, st, err := runInstances(consensus.FloodSetWS{}, EngineConfig{
+		N: 3, T: 1,
+		Network:         nw,
+		HeartbeatPeriod: 5 * time.Millisecond,
+		SuspectTimeout:  time.Second,
+		Metrics:         reg,
+	}, instances, engineInitialFn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for inst, out := range outs {
+		if _, verdict := out.Agreement(); verdict != AgreementReached {
+			t.Errorf("instance %d: verdict %v", inst, verdict)
+		}
+		for id, decided := range out.Decided {
+			if !decided {
+				t.Errorf("instance %d: node %d undecided", inst, id+1)
+			}
+		}
+	}
+	if !st.DetectorWasPerfect {
+		t.Errorf("detector not perfect over TCP: %d false suspicions, %d falsely suspected", st.FalseSuspicions, st.FalselySuspected)
+	}
+	if st.Completed != instances || st.WaitTimeouts != 0 || st.UnknownInstanceDrops != 0 {
+		t.Errorf("completed %d of %d, %d wait timeouts, %d stray frames", st.Completed, instances, st.WaitTimeouts, st.UnknownInstanceDrops)
 	}
 }
 

@@ -19,7 +19,8 @@ import (
 // every endpoint listens on an ephemeral port; connections are dialed
 // lazily on first send and identified by a uvarint handshake carrying the
 // dialer's process id. Each frame is a uvarint length prefix followed by
-// the payload bytes.
+// the payload bytes. Each inbound connection's reader hands its packets to
+// the endpoint's receiver.
 //
 // Resilience: each ordered link is owned by a writer goroutine with a
 // bounded send queue. A failed dial or write closes the connection and
@@ -40,7 +41,7 @@ type TCPNetwork struct {
 	closed    bool
 	listeners []net.Listener
 	addrs     []string
-	inboxes   []chan Packet
+	inboxes   []*inbox
 	links     map[linkKey]*tcpLink
 	wg        sync.WaitGroup
 	done      chan struct{}
@@ -83,7 +84,7 @@ func NewTCPNetwork(n int, opts ...TCPOption) (*TCPNetwork, error) {
 		n:         n,
 		listeners: make([]net.Listener, n+1),
 		addrs:     make([]string, n+1),
-		inboxes:   make([]chan Packet, n+1),
+		inboxes:   make([]*inbox, n+1),
 		links:     make(map[linkKey]*tcpLink),
 		done:      make(chan struct{}),
 		tm:        netobs.NewLinkTap(options.metrics, "tcp", nil),
@@ -96,7 +97,7 @@ func NewTCPNetwork(n int, opts ...TCPOption) (*TCPNetwork, error) {
 		}
 		nw.listeners[i] = l
 		nw.addrs[i] = l.Addr().String()
-		nw.inboxes[i] = make(chan Packet, 1024)
+		nw.inboxes[i] = newInbox(model.ProcessID(i), nw.tm, 1024)
 		nw.wg.Add(1)
 		go nw.acceptLoop(model.ProcessID(i), l)
 	}
@@ -120,8 +121,8 @@ func (nw *TCPNetwork) acceptLoop(id model.ProcessID, l net.Listener) {
 	}
 }
 
-// readLoop reads the handshake then frames, delivering packets to the
-// endpoint's inbox. A read error (remote close, reset mid-frame) just ends
+// readLoop reads the handshake then frames, handing each packet to the
+// endpoint's receiver. A read error (remote close, reset mid-frame) just ends
 // the loop: the sending side owns reconnection.
 func (nw *TCPNetwork) readLoop(id model.ProcessID, conn net.Conn) {
 	defer nw.wg.Done()
@@ -147,18 +148,13 @@ func (nw *TCPNetwork) readLoop(id model.ProcessID, conn net.Conn) {
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return
 		}
-		select {
-		case nw.inboxes[id] <- Packet{From: from, Data: buf}:
-			nw.tm.Received(from, id, len(buf))
-		case <-nw.done:
-			return
-		}
+		nw.inboxes[id].deliver(from, buf)
 	}
 }
 
 // Endpoint returns process id's transport.
 func (nw *TCPNetwork) Endpoint(id model.ProcessID) Transport {
-	return &tcpEndpoint{nw: nw, id: id}
+	return &tcpEndpoint{nw: nw, inbox: nw.inboxes[id]}
 }
 
 // Close tears the mesh down: listeners, links, readers, writers.
@@ -364,7 +360,7 @@ func (l *tcpLink) writeLoop() {
 
 type tcpEndpoint struct {
 	nw *TCPNetwork
-	id model.ProcessID
+	*inbox
 }
 
 var _ Transport = (*tcpEndpoint)(nil)
@@ -397,9 +393,6 @@ func (e *tcpEndpoint) SendAfter(to model.ProcessID, data []byte, extra time.Dura
 	})
 	return nil
 }
-
-// Recv implements Transport.
-func (e *tcpEndpoint) Recv() <-chan Packet { return e.nw.inboxes[e.id] }
 
 // Close implements Transport (endpoints share the mesh's lifetime).
 func (e *tcpEndpoint) Close() error { return nil }

@@ -15,7 +15,9 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	stdruntime "runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/model"
@@ -29,8 +31,9 @@ import (
 // with this package without an import cycle.
 type Packet = wire.Packet
 
-// Transport is one endpoint of a network: a node sends encoded envelopes
-// and receives packets on a channel.
+// Transport is one endpoint of a network: a node sends encoded envelopes,
+// and the network hands every packet delivered to the node to the endpoint's
+// receiver.
 type Transport interface {
 	// LocalID returns the endpoint's process identity.
 	LocalID() model.ProcessID
@@ -40,12 +43,78 @@ type Transport interface {
 	// observers keep captured packets), so it is never written or reused
 	// after the call. Batcher, which copies, is the one exception.
 	Send(to model.ProcessID, data []byte) error
-	// Recv returns the endpoint's delivery channel. The channel is closed
-	// when the transport closes.
+	// Listen makes fn the endpoint's receiver and hands it what Recv's
+	// channel held; the channel receives nothing after. The network calls fn
+	// on its delivery goroutines — concurrently over TCPNetwork, one per peer
+	// connection — so fn must be safe for concurrent calls and never block.
+	Listen(fn func(Packet))
+	// Recv returns the channel an endpoint's first receiver fills; a packet
+	// that finds it full is dropped as overflow. It is never closed.
 	Recv() <-chan Packet
 	// Close shuts the endpoint down and releases its goroutines.
 	Close() error
 }
+
+// inbox is one endpoint's receive side in either network: the channel Recv
+// returns, until Listen installs a function.
+type inbox struct {
+	id model.ProcessID
+	tm *netobs.LinkTap
+	ch chan Packet
+
+	fn atomic.Pointer[func(Packet)] // nil: fill ch
+	mu sync.Mutex                   // orders a fill of ch against Listen's swap and handover
+}
+
+func newInbox(id model.ProcessID, tm *netobs.LinkTap, buffer int) *inbox {
+	return &inbox{id: id, tm: tm, ch: make(chan Packet, buffer)}
+}
+
+// deliver hands one packet to the current receiver and counts it. A full
+// channel drops it as overflow: a stalled reader must not wedge the delivery
+// goroutine (and, transitively, Close) forever.
+func (in *inbox) deliver(from model.ProcessID, data []byte) {
+	fn := in.fn.Load()
+	if fn == nil {
+		in.mu.Lock()
+		if fn = in.fn.Load(); fn == nil {
+			select {
+			case in.ch <- Packet{From: from, Data: data}:
+				in.tm.Received(from, in.id, len(data))
+				in.tm.QueueDepth(from, in.id, len(in.ch))
+			default:
+				in.tm.Dropped(from, in.id, netobs.DropOverflow)
+			}
+			in.mu.Unlock()
+			return
+		}
+		in.mu.Unlock() // Listen swapped a function in meanwhile
+	}
+	in.tm.Received(from, in.id, len(data))
+	(*fn)(Packet{From: from, Data: data})
+}
+
+// Listen implements Transport.
+func (in *inbox) Listen(fn func(Packet)) {
+	var held []Packet
+	in.mu.Lock()
+	in.fn.Store(&fn)
+	for drained := false; !drained; {
+		select {
+		case pkt := <-in.ch:
+			held = append(held, pkt)
+		default:
+			drained = true
+		}
+	}
+	in.mu.Unlock()
+	for _, pkt := range held {
+		fn(pkt)
+	}
+}
+
+// Recv implements Transport.
+func (in *inbox) Recv() <-chan Packet { return in.ch }
 
 // ErrClosed is returned by Send after the network or endpoint closed.
 var ErrClosed = errors.New("runtime: transport closed")
@@ -69,7 +138,8 @@ type ChanConfig struct {
 	// Delay, if set, overrides the random delay entirely — the hook tests
 	// use to play the SP adversary against specific messages.
 	Delay DelayFunc
-	// Buffer is each endpoint's delivery queue capacity (default 1024).
+	// Buffer is the capacity of the channel each endpoint's Recv returns
+	// (default 1024).
 	Buffer int
 	// Metrics receives the transport's message/byte counters (labelled
 	// {transport="chan"}). Nil uses the process-wide obs.Default registry.
@@ -81,13 +151,15 @@ type ChanConfig struct {
 
 // ChanNetwork is a fully connected in-process network with per-message
 // delivery delays. Each destination has one delivery queue — a min-heap on
-// (due time, send order) — drained by at most one goroutine per inbox; a
-// packet a fault injector holds back (SendAfter) waits in the same heap. A
+// (due time, send order) — drained by at most one goroutine per inbox, which
+// hands each packet to the endpoint's receiver as it falls due; a packet a
+// fault injector holds back (SendAfter) waits in the same heap. A
 // queue holding only control packets sleeps on a timer armed to the earliest
 // due time; one holding round traffic blocks on its own kernel clock, whose
 // expiry wakes the netpoller to the microsecond, not the whole millisecond a
-// timer rounds to in an idle process. The goroutine count is bounded by n
-// however many packets are in flight, held back or not.
+// timer rounds to in an idle process, and armed clockLead early. The
+// goroutine count is bounded by n however many packets are in flight, held
+// back or not.
 type ChanNetwork struct {
 	n     int
 	cfg   ChanConfig
@@ -98,12 +170,18 @@ type ChanNetwork struct {
 	seq    uint64 // packets accepted so far: the send order
 	closed bool
 
-	inboxes []chan Packet
+	inboxes []*inbox
 	queues  []deliveryQueue // by destination
 	wg      sync.WaitGroup  // the running drain goroutines
 
 	tm *netobs.LinkTap
 }
+
+// clockLead arms the kernel clock this far ahead of the earliest round
+// packet: a goroutine parked on it wakes ≈ 15µs after expiry on a virtualized
+// host, so waking early and yielding out the rest hands packets over nearer
+// their due time, for a spin no longer than the lead.
+const clockLead = 10 * time.Microsecond
 
 // delivery is one packet in flight.
 type delivery struct {
@@ -229,12 +307,12 @@ func NewChanNetwork(n int, cfg ChanConfig) *ChanNetwork {
 		cfg:     cfg,
 		start:   time.Now(),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		inboxes: make([]chan Packet, n+1),
+		inboxes: make([]*inbox, n+1),
 		queues:  make([]deliveryQueue, n+1),
 		tm:      netobs.NewLinkTap(reg, "chan", cfg.Flight),
 	}
 	for i := 1; i <= n; i++ {
-		nw.inboxes[i] = make(chan Packet, cfg.Buffer)
+		nw.inboxes[i] = newInbox(model.ProcessID(i), nw.tm, cfg.Buffer)
 		nw.queues[i].wake = make(chan struct{}, 1)
 	}
 	return nw
@@ -245,7 +323,7 @@ func (nw *ChanNetwork) Telemetry() *netobs.LinkTap { return nw.tm }
 
 // Endpoint returns process id's transport.
 func (nw *ChanNetwork) Endpoint(id model.ProcessID) Transport {
-	return &chanEndpoint{nw: nw, id: id}
+	return &chanEndpoint{nw: nw, inbox: nw.inboxes[id]}
 }
 
 // delay draws one packet's in-flight delay: the hook's answer, or the next
@@ -300,7 +378,7 @@ func (nw *ChanNetwork) send(from, to model.ProcessID, data []byte, extra time.Du
 		nw.wg.Add(1) // under q.mu and before q.closed: Close waits for it
 	case q.ticking:
 		if first {
-			q.armClock(d.due - time.Since(nw.start))
+			q.armClock(d.due - time.Since(nw.start) - clockLead)
 		}
 	case first || (!d.control && q.rounds == 1):
 		q.signal()
@@ -313,8 +391,9 @@ func (nw *ChanNetwork) send(from, to model.ProcessID, data []byte, extra time.Du
 	return nil
 }
 
-// drain delivers inbox to's packets as they fall due and exits when none is
-// left in flight (the next send starts another) or the network closes.
+// drain hands inbox to's packets to its receiver as they fall due and exits
+// when none is left in flight (the next send starts another) or the network
+// closes.
 func (nw *ChanNetwork) drain(to model.ProcessID) {
 	defer nw.wg.Done()
 	q := &nw.queues[to]
@@ -344,17 +423,27 @@ func (nw *ChanNetwork) drain(to model.ProcessID) {
 		}
 		if len(due) > 0 {
 			q.mu.Unlock()
+			in := nw.inboxes[to]
 			for i := range due {
-				nw.deliver(to, &due[i])
+				in.deliver(due[i].from, due[i].data)
 				due[i] = delivery{}
 			}
 			due = due[:0]
+			// Let the goroutines the receiver woke run before this one re-arms
+			// its clock and blocks.
+			stdruntime.Gosched()
 			continue
 		}
 		wait := q.heap[0].due - now
 		var c *os.File // round traffic in flight: wait on the kernel clock
 		if q.rounds > 0 {
-			c = q.armClock(wait)
+			if wait <= clockLead {
+				// Too close to park: yield until it falls due.
+				q.mu.Unlock()
+				stdruntime.Gosched()
+				continue
+			}
+			c = q.armClock(wait - clockLead)
 		}
 		q.mu.Unlock()
 
@@ -383,20 +472,6 @@ func (nw *ChanNetwork) drain(to model.ProcessID) {
 		case <-timer.C:
 		case <-q.wake:
 		}
-	}
-}
-
-// deliver hands one due packet to its inbox.
-func (nw *ChanNetwork) deliver(to model.ProcessID, d *delivery) {
-	select {
-	case nw.inboxes[to] <- Packet{From: d.from, Data: d.data}:
-		nw.tm.Received(d.from, to, len(d.data))
-		nw.tm.QueueDepth(d.from, to, len(nw.inboxes[to]))
-	default:
-		// Inbox full: a stalled receiver must not wedge the delivery
-		// goroutine (and, transitively, Close) forever. The overflow is
-		// documented link loss, visible in the dropped counter.
-		nw.tm.Dropped(d.from, to, netobs.DropOverflow)
 	}
 }
 
@@ -432,7 +507,7 @@ func (nw *ChanNetwork) Close() error {
 
 type chanEndpoint struct {
 	nw *ChanNetwork
-	id model.ProcessID
+	*inbox
 }
 
 var _ Transport = (*chanEndpoint)(nil)
@@ -450,9 +525,6 @@ func (e *chanEndpoint) Send(to model.ProcessID, data []byte) error {
 func (e *chanEndpoint) SendAfter(to model.ProcessID, data []byte, extra time.Duration) error {
 	return e.nw.send(e.id, to, data, extra)
 }
-
-// Recv implements Transport.
-func (e *chanEndpoint) Recv() <-chan Packet { return e.nw.inboxes[e.id] }
 
 // Close implements Transport. Endpoints share the network's lifetime; a
 // single endpoint close is a no-op so that one crashing node does not tear

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	goruntime "runtime"
@@ -542,4 +543,64 @@ func TestChanNetworkCloseRacesSend(t *testing.T) {
 	if fds, ok := openFDs(); ok && fds != fdsBefore {
 		t.Errorf("%d file descriptors open after the networks closed, want %d", fds, fdsBefore)
 	}
+}
+
+// listenHandover checks Listen's handover on a two-node network: a packet
+// that reached Recv's channel before Listen reaches the function exactly
+// once, and after Listen the channel receives nothing.
+func listenHandover(t *testing.T, nw interface {
+	Endpoint(model.ProcessID) Transport
+}) {
+	t.Helper()
+	src, dst := nw.Endpoint(1), nw.Endpoint(2)
+	if err := src.Send(2, []byte("early")); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(dst.Recv()) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the early packet never reached the channel")
+		}
+	}
+	var mu sync.Mutex
+	got := map[string]int{}
+	dst.Listen(func(pkt Packet) {
+		mu.Lock()
+		got[string(pkt.Data)]++
+		mu.Unlock()
+	})
+	if err := src.Send(2, []byte("late")); err != nil {
+		t.Fatal(err)
+	}
+	seen := func() map[string]int {
+		mu.Lock()
+		defer mu.Unlock()
+		return maps.Clone(got)
+	}
+	for deadline := time.Now().Add(5 * time.Second); seen()["late"] == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the late packet never reached the function")
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // room for a stray second delivery
+	if g := seen(); g["early"] != 1 || g["late"] != 1 || len(g) != 2 {
+		t.Errorf("the function received %v, want early and late once each", g)
+	}
+	if n := len(dst.Recv()); n != 0 {
+		t.Errorf("Recv's channel holds %d packets after Listen, want 0", n)
+	}
+}
+
+func TestChanNetworkListenHandover(t *testing.T) {
+	nw := NewChanNetwork(2, ChanConfig{Metrics: obs.NewRegistry()})
+	defer func() { _ = nw.Close() }()
+	listenHandover(t, nw)
+}
+
+func TestTCPNetworkListenHandover(t *testing.T) {
+	nw, err := NewTCPNetwork(2, WithTCPMetrics(obs.NewRegistry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = nw.Close() }()
+	listenHandover(t, nw)
 }

@@ -14,19 +14,19 @@ import (
 
 // engEvent is one worker mailbox entry: a round packet delivered to node,
 // whole, or — when slab is non-nil — an instance registration from Open.
-// The demultiplexer handled the packet's control frames; the worker files
-// every round frame itself.
+// The node's receive function handled the packet's control frames; the
+// worker files every round frame itself.
 type engEvent struct {
 	node model.ProcessID
 	pkt  []byte
 	slab *instSlab
 }
 
-// mailbox is a worker's unbounded inbox. Unbounded by design: the demux
-// goroutines must never block on a busy worker (a blocked demux stops
-// feeding the failure detector, manufacturing false suspicions), so
-// backpressure is traded for memory that is bounded in practice by
-// instances × rounds.
+// mailbox is a worker's unbounded inbox. Unbounded by design: a node's
+// receive function runs on the mesh's delivery goroutine and must never
+// block on a busy worker (a blocked delivery stops feeding the failure
+// detector, manufacturing false suspicions), so backpressure is traded for
+// memory that is bounded in practice by instances × rounds.
 type mailbox struct {
 	mu     sync.Mutex
 	q      []engEvent
@@ -340,7 +340,7 @@ func (w *engWorker) deliver(ev *engEvent) {
 	_ = wire.SplitBatch(ev.pkt, func(frame []byte) error {
 		env, payload, err := wire.Split(frame)
 		if err != nil || env.Kind.Control() {
-			return nil // corrupt, or observed by the demultiplexer
+			return nil // corrupt, or observed by the receive function
 		}
 		w.decoded.add(env.Kind, len(frame))
 		w.file(ev.node, &env, payload, opened)

@@ -75,13 +75,6 @@ func (m *Monitor) Note(inst uint64, proposals []model.Value, out runtime.Instanc
 	}
 }
 
-// Clean reports whether no safety predicate ever failed.
-func (m *Monitor) Clean() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.agreement == 0 && m.validity == 0
-}
-
 // Summary snapshots the tallies.
 func (m *Monitor) Summary() ConformSummary {
 	m.mu.Lock()

@@ -238,9 +238,6 @@ func (s *Server) Engine() *runtime.Engine { return s.eng }
 // Config.Conform).
 func (s *Server) Monitor() *Monitor { return s.mon }
 
-// Draining reports whether the server has stopped admitting proposals.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Shutdown drains the server: new proposals answer 503 immediately,
 // in-flight instances run to their decisions, then the engine tears down.
 // Returns ctx.Err() if the deadline passes first (teardown continues in

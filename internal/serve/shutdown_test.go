@@ -16,7 +16,7 @@ import (
 // start the server, put proposals in flight, Shutdown, and require (a)
 // every in-flight instance resolves, (b) late proposals answer 503 rather
 // than hang, and (c) the goroutine count returns to the pre-server
-// baseline — detectors, demultiplexers, shard workers and waiters all
+// baseline — detectors, delivery goroutines, shard workers and waiters all
 // join.
 func TestShutdownDrainsGoroutines(t *testing.T) {
 	before := stdruntime.NumGoroutine()

@@ -189,6 +189,9 @@ type procTrack struct {
 	phase     SpanID // open phase span (0 when none)
 	phaseKind string
 	crashed   bool
+	// A send ended the send phase at (sentTS, sentClock) of round sentRound,
+	// and the wait is still to open (Tracer.wait); sentClock 0: none pending.
+	sentTS, sentClock, sentRound int64
 }
 
 // sendKey identifies one (sender, round) broadcast for clock propagation.
@@ -293,6 +296,17 @@ func (t *Tracer) closeProc(pt *procTrack, ts int64, andRoot bool) {
 	}
 }
 
+// wait opens a track's pending wait phase at its send. It runs at the
+// track's next event, so a crash right after the send opens no wait.
+func (t *Tracer) wait(pt *procTrack, proc int) {
+	if pt.sentClock == 0 {
+		return
+	}
+	t.closeSpan(pt.phase, pt.sentTS, pt.sentClock)
+	pt.phase = t.openSpan(pt.round, proc, KindWait, CatRuntime, int(pt.sentRound), pt.sentTS, pt.sentClock)
+	pt.phaseKind, pt.sentClock = KindWait, 0
+}
+
 // point files an instant event.
 func (t *Tracer) point(p Point) {
 	t.trace.Points = append(t.trace.Points, p)
@@ -316,6 +330,7 @@ func (t *Tracer) Emit(ev obs.Event) {
 	switch typ {
 	case obs.EventRoundStart:
 		pt := t.proc(ev.Proc)
+		t.wait(pt, ev.Proc)
 		pt.clock++
 		if pt.root == 0 && !pt.crashed {
 			pt.root = t.openSpan(0, ev.Proc, KindRun, CatRuntime, 0, ts, pt.clock)
@@ -333,14 +348,13 @@ func (t *Tracer) Emit(ev obs.Event) {
 		pt.clock++
 		t.sends[sendKey{ev.From, ev.Round}] = pt.clock
 		if pt.phaseKind == KindSend {
-			t.closeSpan(pt.phase, ts, pt.clock)
-			pt.phase = t.openSpan(pt.round, ev.From, KindWait, CatRuntime, ev.Round, ts, pt.clock)
-			pt.phaseKind = KindWait
+			pt.sentTS, pt.sentClock, pt.sentRound = ts, pt.clock, int64(ev.Round)
 		}
 		clock, span = pt.clock, pt.phase
 
 	case obs.EventArrive:
 		pt := t.proc(ev.Proc)
+		t.wait(pt, ev.Proc)
 		c := pt.clock
 		if sc := t.sends[sendKey{ev.From, ev.Round}]; sc > c {
 			c = sc
@@ -356,6 +370,7 @@ func (t *Tracer) Emit(ev obs.Event) {
 
 	case obs.EventRecv:
 		pt := t.proc(ev.Proc)
+		t.wait(pt, ev.Proc)
 		c := pt.clock
 		for _, j := range ev.Peers {
 			if sc := t.sends[sendKey{j, ev.Round}]; sc > c {
@@ -379,6 +394,7 @@ func (t *Tracer) Emit(ev obs.Event) {
 
 	case obs.EventDecide:
 		pt := t.proc(ev.Proc)
+		t.wait(pt, ev.Proc)
 		pt.clock++
 		t.point(Point{Parent: pt.phase, Proc: ev.Proc, Kind: PointDecide, Cat: CatRuntime,
 			Round: ev.Round, Value: ev.Value, TS: ts, Clock: pt.clock})
@@ -398,6 +414,7 @@ func (t *Tracer) Emit(ev obs.Event) {
 		pt := t.proc(ev.Proc)
 		pt.clock++
 		pt.crashed = true
+		pt.sentClock = 0 // the crash ends the send phase: no wait follows
 		t.point(Point{Parent: pt.round, Proc: ev.Proc, Kind: PointCrash, Cat: CatRuntime,
 			Round: ev.Round, TS: ts, Clock: pt.clock})
 		t.closeProc(pt, ts, true)
@@ -405,6 +422,7 @@ func (t *Tracer) Emit(ev obs.Event) {
 
 	case obs.EventSuspect, obs.EventRetract:
 		pt := t.proc(ev.By)
+		t.wait(pt, ev.By)
 		pt.clock++
 		kind := PointSuspect
 		if ev.Type == obs.EventRetract {
@@ -462,6 +480,7 @@ func (t *Tracer) Finish() *Trace {
 	}
 	sort.Ints(procs)
 	for _, p := range procs {
+		t.wait(t.procs[p], p)
 		t.closeProc(t.procs[p], ts, true)
 	}
 	for id := range t.open {

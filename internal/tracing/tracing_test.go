@@ -229,3 +229,37 @@ func TestTracerNilAndFinishIdempotent(t *testing.T) {
 		}
 	}
 }
+
+// TestTracerCrashInSendPhaseOpensNoWait: a process that sends and crashes
+// in one round never waited. Its send phase runs to the crash point, and
+// the round holds no wait span; a survivor that sent in the same round
+// still gets its wait from the send on.
+func TestTracerCrashInSendPhaseOpensNoWait(t *testing.T) {
+	tr, c := newTestTracer("RWS", 2, nil)
+	c.at(0)
+	tr.Emit(obs.Event{Type: obs.EventRoundStart, Round: 1, Proc: 1})
+	tr.Emit(obs.Event{Type: obs.EventRoundStart, Round: 1, Proc: 2})
+	c.at(10)
+	tr.Emit(obs.Event{Type: obs.EventSend, Round: 1, From: 1, To: []int{2}})
+	tr.Emit(obs.Event{Type: obs.EventSend, Round: 1, From: 2, To: []int{1}})
+	c.at(15)
+	tr.Emit(obs.Event{Type: obs.EventCrash, Round: 1, Proc: 2})
+	c.at(20)
+	tr.Emit(obs.Event{Type: obs.EventArrive, Round: 1, Proc: 1, From: 2})
+	c.at(30)
+	tr.Emit(obs.Event{Type: obs.EventRecv, Round: 1, Proc: 1, Peers: []int{2}})
+	trace := tr.Finish()
+
+	phase := func(p int, kind string) *Span {
+		return trace.Find(func(s *Span) bool { return s.Proc == p && s.Kind == kind })
+	}
+	if w := phase(2, KindWait); w != nil {
+		t.Errorf("the crasher has a wait span %+v, want none", w)
+	}
+	if s := phase(2, KindSend); s == nil || s.Start != 0 || s.End != 15 {
+		t.Errorf("crasher's send span = %+v, want [0,15]: it ends at the crash", s)
+	}
+	if s, w := phase(1, KindSend), phase(1, KindWait); s == nil || w == nil || s.End != 10 || w.Start != 10 || w.End != 30 {
+		t.Errorf("survivor's send %+v and wait %+v, want the wait [10,30] from its send", s, w)
+	}
+}

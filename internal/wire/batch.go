@@ -12,7 +12,7 @@ import "encoding/binary"
 // sender's uvarint process id, and process ids are ≥ 1 — so the marker byte
 // distinguishes a batch from a bare envelope without touching the
 // single-message encoding. SplitBatch accepts both forms, which keeps every
-// receiver (engine demultiplexers, single-instance nodes, middleware)
+// receiver (engine receive functions, single-instance nodes, middleware)
 // agnostic to whether the sending side batches.
 
 // batchMarker is the leading byte of a batch packet.

@@ -43,7 +43,7 @@ func canonicalEnvelopes() []Envelope {
 // hostileCounts are frames whose element count promises more than the frame
 // holds: a count of 2^63 (nine 0xff bytes and a 0x01) and one of 2^31, for
 // each repeated payload. Before the count was checked against the bytes that
-// remain, the first panicked in makeslice — in the demultiplexer goroutine,
+// remain, the first panicked in makeslice — on the mesh's delivery goroutine,
 // taking the daemon down — and the second asked for gigabytes.
 func hostileCounts() [][]byte {
 	var out [][]byte

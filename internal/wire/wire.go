@@ -84,7 +84,7 @@ func Kinds() []Kind {
 
 // Control reports whether the kind is runtime control traffic (failure-
 // detector beacons, queries and digests) rather than a round-model message.
-// The node demultiplexer hands control envelopes to the detector and never
+// A node's receive function hands control envelopes to the detector and never
 // files them as round messages.
 func (k Kind) Control() bool {
 	switch k {

@@ -127,7 +127,7 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// TestControlKinds pins the control/data split the node demultiplexer and
+// TestControlKinds pins the control/data split a node's receive function and
 // the cost accounting rely on: exactly the detector kinds are control.
 func TestControlKinds(t *testing.T) {
 	control := map[Kind]bool{KindHeartbeat: true, KindFDPing: true, KindFDAck: true, KindFDRing: true}

@@ -348,11 +348,9 @@ var reachAllowlist = map[string]string{
 	"internal/runtime.WithTCPMetrics":              "the TCP tests count transport metrics into their own registry",
 	"internal/runtime.TCPNetwork.BreakConnections": "the TCP reconnect tests break live links",
 	"internal/runtime.Engine.Closed":               "the serve shutdown tests wait on the engine's close",
-	"internal/core.RunAll":                         "the core tests run the whole suite in one call",
 	// Checkers and references that tests compare against.
 	"internal/check.NewIntegrityAlgorithm":         "the integrity checker the consensus and check tests run",
 	"internal/check.IntegrityAlgorithm.Violations": "what the integrity checker reports",
-	"internal/conform.ProjectEmul":                 "projects emulated runs for the conformance tests",
 	"internal/fd.Satisfies":                        "the detector class check the fd tests hold histories to",
 	"internal/fd.CheckWeakCompleteness":            "dispatched to by Satisfies",
 	"internal/fd.Class.StrongCompleteness":         "dispatched to by Satisfies",
@@ -376,11 +374,7 @@ var reachAllowlist = map[string]string{
 	"internal/model.ValueSet.Values":          "the model tests read a value set's members",
 	"internal/model.ValueSet.Equal":           "the model tests compare value sets",
 	"internal/obs.Snapshot.Counter":           "tests read one counter of a registry snapshot",
-	"internal/rounds.Engine.Alive":            "the rounds engine tests read who is alive",
-	"internal/serve.Monitor.Clean":            "the serve chaos tests require a clean monitor",
-	"internal/serve.Server.Draining":          "the serve tests observe a drain",
 	"internal/step.Trace.InitiallyCrashed":    "the step and sdd tests read a trace's initial crashes",
 	"internal/tracing.Trace.Find":             "the tracing and serve tests look up a span",
 	"internal/emul.Result.Latency":            "three emul tests read an emulated run's latency",
-	"internal/explore.EnumeratePlans":         "the one-call form of EnumeratePlansInto six explore tests use",
 }
