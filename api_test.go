@@ -318,10 +318,11 @@ func TestNBACAPI(t *testing.T) {
 }
 
 func TestFlightRecorderAPI(t *testing.T) {
-	rec := netobs.NewRecorder(nil)
+	reg := obs.NewRegistry()
+	rec := obs.NewRecorder(nil, reg)
 	cr, err := RunLive(FloodSet(), EngineConfig{
 		Kind: RS, T: 1,
-		Flight: rec, Events: rec,
+		Metrics: reg, Events: rec,
 	}, []Value{4, 2, 7}, LiveOpenOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -333,25 +334,24 @@ func TestFlightRecorderAPI(t *testing.T) {
 	if err := rec.DumpTo(path); err != nil {
 		t.Fatal(err)
 	}
-	dump, err := netobs.ReadDumpFile(path)
+	dump, err := obs.ReadDumpFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dump.Records) == 0 {
-		t.Fatal("empty flight dump")
-	}
-	var sends, decides int
-	for _, r := range dump.Records {
-		var rec netobs.Record = r
-		switch rec.Kind {
-		case "send":
-			sends++
-		case "decide":
+	decides := 0
+	for _, ev := range dump.Events {
+		if ev.Type == obs.EventDecide {
 			decides++
 		}
 	}
-	if sends == 0 || decides != 3 {
-		t.Errorf("flight dump has %d sends and %d decides, want >0 and 3", sends, decides)
+	links := 0
+	for name, v := range dump.Header.Counters {
+		if strings.HasPrefix(name, netobs.MetricLinkMessagesSent+"{") && v > 0 {
+			links++
+		}
+	}
+	if decides != 3 || links != 6 {
+		t.Errorf("flight dump has %d decides and %d links with sends, want 3 and 6", decides, links)
 	}
 }
 

@@ -48,6 +48,9 @@ fields() {
     END { print n + 0 }'
 }
 
+# has_link_sends <ssfd-trace -flight output>: a per-link send counter is nonzero.
+has_link_sends() { grep -qE '^  ssfd_link_messages_sent_total\{.*\} [1-9]' <<<"$1"; }
+
 # drain <pid>: SIGTERM the daemon and require a graceful exit 0.
 drain() {
   local rc=0
@@ -164,17 +167,20 @@ job_telemetry() {
   floor ./internal/netobs/ 85
   # Flight-recorder smoke: SIGQUIT a conforming live run mid-flight (a 2s
   # round duration keeps it alive long enough), expect the dump-and-exit
-  # path (code 2), then prove the dump parses back through ssfd-trace.
+  # path (code 2), then prove the dump parses back through ssfd-trace with
+  # the instance's round events and its per-link counters.
   go build -o "$tmp/ssfd-run" ./cmd/ssfd-run
   go build -o "$tmp/ssfd-trace" ./cmd/ssfd-trace
   "$tmp/ssfd-run" -alg FloodSet -model RS -values 3,1,2 -conform -round-duration 2s -flight "$tmp/flight.jsonl" &
-  local pid=$! rc=0
+  local pid=$! rc=0 out
   sleep 2
   kill -QUIT "$pid"
   wait "$pid" || rc=$?
   [ "$rc" -eq 2 ] || { echo "SIGQUIT exit code $rc, want 2"; return 1; }
-  test -s "$tmp/flight.jsonl"
-  "$tmp/ssfd-trace" -flight "$tmp/flight.jsonl"
+  out=$("$tmp/ssfd-trace" -flight "$tmp/flight.jsonl")
+  echo "$out"
+  grep -qE '^  round_start +[1-9]' <<<"$out" || { echo "the flight dump lists no round_start event"; return 1; }
+  has_link_sends "$out" || { echo "the flight dump's counters show no per-link sends"; return 1; }
 }
 
 # The injector only decides and the mesh holds a delayed packet: the
@@ -326,6 +332,29 @@ job_serve() {
   out=$("$tmp/ssfd-trace" -serve "$url" "$id") && grep -q 'phases tile the total exactly' <<<"$out" ||
     { echo "ssfd-trace -serve failed to verify $id"; return 1; }
   drain "$pid"
+
+  # Post-mortem smoke: the daemon's -events/-flight sink reaches its engine.
+  # SIGQUIT dumps the ring (exit 2) with counters that show per-link sends;
+  # a drained daemon's events file closes with the engine's cost event.
+  url=http://127.0.0.1:18082
+  local obsflags=(-events "$tmp/serve-events.jsonl" -flight "$tmp/serve-flight.jsonl")
+  "$tmp/ssfd-serve" -addr "${url#http://}" -nodes 3 -t 1 "${obsflags[@]}" &
+  pid=$!
+  sleep 1
+  "$tmp/ssfd-load" -addr "$url" -clients 8 -keys 4 -ops 10
+  rc=0
+  kill -QUIT "$pid"
+  wait "$pid" || rc=$?
+  [ "$rc" -eq 2 ] || { echo "ssfd-serve SIGQUIT exit code $rc, want 2"; return 1; }
+  out=$("$tmp/ssfd-trace" -flight "$tmp/serve-flight.jsonl")
+  has_link_sends "$out" || { echo "the daemon's flight dump shows no per-link sends:"; echo "$out"; return 1; }
+  "$tmp/ssfd-serve" -addr "${url#http://}" -nodes 3 -t 1 "${obsflags[@]}" &
+  pid=$!
+  sleep 1
+  "$tmp/ssfd-load" -addr "$url" -clients 8 -keys 4 -ops 10
+  drain "$pid"
+  grep -q '"type":"cost"' "$tmp/serve-events.jsonl" ||
+    { echo "the drained daemon's events file holds no cost event"; return 1; }
 }
 
 job_detector_zoo() {

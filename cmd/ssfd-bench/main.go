@@ -97,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}()
 
 	if *engineInstances > 0 {
-		return runEngineBench(*engineInstances, *engineNodes, stdout, stderr)
+		return runEngineBench(*engineInstances, *engineNodes, sink, stdout, stderr)
 	}
 	if *detectors {
 		return runDetectorRace(*faultSpec, *seed, stdout, stderr)
@@ -169,8 +169,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 // single heartbeat detector per node. It prints the throughput and the
 // per-decision cost split — the control (detector) share is the figure that
 // amortizes as the instance count grows — and fails if any instance missed
-// a decision or violated agreement.
-func runEngineBench(instances, nodes int, stdout, stderr io.Writer) int {
+// a decision or violated agreement. sink receives the engine's events.
+func runEngineBench(instances, nodes int, sink obs.Sink, stdout, stderr io.Writer) int {
 	const tol = 1
 	reg := obs.NewRegistry()
 	fmt.Fprintf(stdout, "engine: %d instances over a shared %d-node mesh (one detector per node)\n", instances, nodes)
@@ -179,6 +179,7 @@ func runEngineBench(instances, nodes int, stdout, stderr io.Writer) int {
 		HeartbeatPeriod: 5 * time.Millisecond,
 		SuspectTimeout:  time.Second,
 		Metrics:         reg,
+		Events:          sink,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -278,11 +279,9 @@ func runChaos(spec, detector string, sink obs.Sink, obsFlags *obscli.Flags, stdo
 		return 2
 	}
 	fcfg.RecordDecisions = true
-	fcfg.Events = sink
 	ccfg := runtime.EngineConfig{
 		Kind: rounds.RWS, T: 1,
 		Faults: &fcfg, WaitBound: 150 * time.Millisecond, Events: sink,
-		Flight: obsFlags.FlightRecorder(),
 	}
 	detName := "heartbeat"
 	if detector != "" {

@@ -32,7 +32,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/fdimpl"
 	"repro/internal/model"
-	"repro/internal/netobs"
 	"repro/internal/obs"
 	"repro/internal/obscli"
 	"repro/internal/rounds"
@@ -192,7 +191,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	if *conformFlag {
 		code := runConform(alg, kind, initial, *t, *crashSpec, *dropSpec, *faultsSpec, *seed, detSpec,
-			*tracePath, *traceHTML, *roundDur, obsFlags.FlightRecorder(), sink, stdout, stderr)
+			*tracePath, *traceHTML, *roundDur, sink, stdout, stderr)
 		if code != 0 {
 			// Post-mortem: a failing live run leaves its flight dump behind
 			// (ssfd-trace -flight reads it).
@@ -286,8 +285,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 // trace-observed decision rounds must match the engine replay.
 func runConform(alg rounds.Algorithm, kind rounds.ModelKind, initial []model.Value, t int,
 	crashSpec, dropSpec, faultsSpec string, seed int64, detSpec *runtime.DetectorSpec,
-	tracePath, traceHTML string, roundDur time.Duration, flight *netobs.Recorder,
-	sink obs.Sink, stdout, stderr io.Writer) int {
+	tracePath, traceHTML string, roundDur time.Duration, sink obs.Sink,
+	stdout, stderr io.Writer) int {
 	if dropSpec != "" {
 		fmt.Fprintln(stderr, "-drop is an engine-adversary event; a live network cannot script pending messages (use -faults to perturb the network instead)")
 		return 2
@@ -297,7 +296,7 @@ func runConform(alg rounds.Algorithm, kind rounds.ModelKind, initial []model.Val
 		return 2
 	}
 	cfg := runtime.EngineConfig{Kind: kind, T: t, Events: sink,
-		Detector: detSpec, RoundDuration: roundDur, Flight: flight}
+		Detector: detSpec, RoundDuration: roundDur}
 	var open runtime.OpenOptions
 	var tracer *tracing.Tracer
 	if tracePath != "" || traceHTML != "" {

@@ -95,7 +95,7 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) (code i
 		return 2
 	}
 
-	_, teardown, err := obsFlags.Setup()
+	sink, teardown, err := obsFlags.Setup()
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -142,6 +142,7 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) (code i
 		TraceSample:     *traceSample,
 		TraceRecent:     *traceRecent,
 		TraceSlowest:    *traceSlowest,
+		Events:          sink,
 	}
 	if *faultsSpec != "" {
 		fc, err := faults.ParseSpec(*faultsSpec)
@@ -149,7 +150,6 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) (code i
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		fc.Flight = obsFlags.FlightRecorder()
 		cfg.Faults = &fc
 	}
 

@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -98,6 +100,42 @@ func TestServeDrainOnSignal(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("stdout missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestServeEventsSink: the -events sink reaches the daemon's engine, so a
+// stopped daemon's file closes with the engine's one cost event.
+func TestServeEventsSink(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	url, stop, exit, stdout := startDaemon(t, []string{"-nodes", "3", "-t", "1", "-events", path})
+	ctx := context.Background()
+	client := &serve.Client{BaseURL: url}
+	for i := 0; i < 5; i++ {
+		if _, err := client.CAS(ctx, fmt.Sprintf("k%d", i), nil, 7); err != nil {
+			t.Fatalf("CAS over TCP: %v", err)
+		}
+	}
+	stop <- syscall.SIGTERM
+	if code := <-exit; code != 0 {
+		t.Fatalf("exit code %d\n%s", code, stdout)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := obs.ReadEvents(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs := 0
+	for _, ev := range events {
+		if ev.Type == obs.EventCost {
+			costs++
+		}
+	}
+	if costs != 1 {
+		t.Errorf("events file holds %d cost events among %d, want 1", costs, len(events))
 	}
 }
 

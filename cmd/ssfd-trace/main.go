@@ -5,11 +5,11 @@
 // unchanged in Perfetto (ui.perfetto.dev) or chrome://tracing; this
 // command is the terminal-side view of it.
 //
-// With -flight it instead ingests a flight-recorder dump (the deterministic
-// JSONL ring that ssfd-run and ssfd-bench write on crash, conformance
-// failure or SIGQUIT) and prints the post-mortem: per-kind transport
-// activity, per-link totals, drops by reason, and the final records before
-// the dump.
+// With -flight it instead ingests a flight-recorder dump (the ring of recent
+// events, with the transport and fault counters, that the CLIs write on
+// conformance failure, a detector-breaking chaos run or SIGQUIT) and prints
+// the post-mortem: activity by event type, per-link traffic and drops from
+// the counters, and the last events before the dump.
 //
 // With -serve it talks to a running ssfd-serve daemon instead of a file:
 // with no argument it lists the recent sampled requests and the slowest
@@ -36,11 +36,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
-	"repro/internal/netobs"
+	"repro/internal/obs"
 	"repro/internal/obscli"
 	"repro/internal/serve"
 	"repro/internal/tracing"
@@ -244,104 +245,67 @@ func printTraceRow(w io.Writer, rec *serve.RequestTrace) {
 		ms(rec.Phases.ConsensusNS), ms(rec.Phases.CommitNS))
 }
 
-// runFlight ingests a flight-recorder dump and prints the post-mortem.
+// runFlight ingests a flight-recorder dump and prints the post-mortem:
+// activity by event type over the ring, the transport and fault counters
+// at the dump (exact totals, evicted events included) and the last events.
 func runFlight(path string, stdout, stderr io.Writer) int {
-	d, err := netobs.ReadDumpFile(path)
+	d, err := obs.ReadDumpFile(path)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "flight dump: %d records (ring capacity %d, %d evicted before dump)\n",
+	fmt.Fprintf(stdout, "flight dump: %d events (ring capacity %d, %d evicted before dump)\n",
 		d.Header.Count, d.Header.Capacity, d.Header.Dropped)
 
-	type key struct{ cat, kind string }
-	kinds := map[key]int{}
-	links := map[string]struct {
-		msgs  int
-		bytes int
-	}{}
-	drops := map[string]int{}
-	for _, r := range d.Records {
-		kinds[key{r.Cat, r.Kind}]++
-		if r.Link != "" && r.Kind == "send" {
-			l := links[r.Link]
-			l.msgs++
-			l.bytes += r.Bytes
-			links[r.Link] = l
-		}
-		if r.Kind == "drop" || r.Kind == "inject-drop" {
-			reason := r.Note
-			if reason == "" {
-				reason = r.Kind
-			}
-			drops[reason]++
-		}
+	types := map[obs.EventType]int{}
+	for _, ev := range d.Events {
+		types[ev.Type]++
 	}
-
-	sortedKeys := make([]key, 0, len(kinds))
-	for k := range kinds {
-		sortedKeys = append(sortedKeys, k)
-	}
-	sort.Slice(sortedKeys, func(i, j int) bool {
-		if sortedKeys[i].cat != sortedKeys[j].cat {
-			return sortedKeys[i].cat < sortedKeys[j].cat
-		}
-		return sortedKeys[i].kind < sortedKeys[j].kind
-	})
 	fmt.Fprintln(stdout, "activity:")
-	for _, k := range sortedKeys {
-		fmt.Fprintf(stdout, "  %-4s %-12s %6d\n", k.cat, k.kind, kinds[k])
+	for _, typ := range sortedKeys(types) {
+		fmt.Fprintf(stdout, "  %-12s %6d\n", typ, types[typ])
 	}
 
-	if len(links) > 0 {
-		names := make([]string, 0, len(links))
-		for l := range links {
-			names = append(names, l)
-		}
-		sort.Strings(names)
-		fmt.Fprintln(stdout, "per-link sends:")
-		for _, l := range names {
-			fmt.Fprintf(stdout, "  %-8s %6d msgs %8d B\n", l, links[l].msgs, links[l].bytes)
+	counters := map[string]int64{}
+	for name, v := range d.Header.Counters {
+		for _, family := range []string{"ssfd_link_", "ssfd_transport_", "ssfd_faults_"} {
+			if strings.HasPrefix(name, family) {
+				counters[name] = v
+			}
 		}
 	}
-	if len(drops) > 0 {
-		reasons := make([]string, 0, len(drops))
-		for r := range drops {
-			reasons = append(reasons, r)
-		}
-		sort.Strings(reasons)
-		fmt.Fprintln(stdout, "drops:")
-		for _, r := range reasons {
-			fmt.Fprintf(stdout, "  %-12s %6d\n", r, drops[r])
+	if len(counters) > 0 {
+		fmt.Fprintln(stdout, "transport and fault counters (exact totals):")
+		for _, name := range sortedKeys(counters) {
+			fmt.Fprintf(stdout, "  %s %d\n", name, counters[name])
 		}
 	}
 
-	tail := d.Records
+	tail := d.Events
 	const lastN = 10
 	if len(tail) > lastN {
 		tail = tail[len(tail)-lastN:]
 	}
 	if len(tail) > 0 {
-		fmt.Fprintf(stdout, "last %d records:\n", len(tail))
-		for _, r := range tail {
-			fmt.Fprintf(stdout, "  #%-6d %-4s %-12s", r.Seq, r.Cat, r.Kind)
-			if r.Link != "" {
-				fmt.Fprintf(stdout, " %s", r.Link)
+		fmt.Fprintf(stdout, "last %d events:\n", len(tail))
+		for _, ev := range tail {
+			line, err := json.Marshal(ev)
+			if err != nil {
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
-			if r.Proc != 0 {
-				fmt.Fprintf(stdout, " p%d", r.Proc)
-			}
-			if r.Round != 0 {
-				fmt.Fprintf(stdout, " r%d", r.Round)
-			}
-			if r.Bytes != 0 {
-				fmt.Fprintf(stdout, " %dB", r.Bytes)
-			}
-			if r.Note != "" {
-				fmt.Fprintf(stdout, " (%s)", r.Note)
-			}
-			fmt.Fprintln(stdout)
+			fmt.Fprintf(stdout, "  %s\n", line)
 		}
 	}
 	return 0
+}
+
+// sortedKeys returns m's keys in increasing order.
+func sortedKeys[K ~string, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

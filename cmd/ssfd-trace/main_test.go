@@ -5,8 +5,15 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/consensus"
+	"repro/internal/model"
+	"repro/internal/netobs"
+	"repro/internal/obs"
+	"repro/internal/runtime"
 )
 
 // golden is the committed deterministic trace shared with the exporter
@@ -81,5 +88,62 @@ func TestBadInputs(t *testing.T) {
 	}
 	if code, _, _ := runTrace(t, garbage); code != 1 {
 		t.Errorf("garbage trace exited %d, want 1", code)
+	}
+}
+
+// TestFlightCountersAreExact: a run long enough for the ring to evict
+// events still dumps exact per-link traffic — the -flight post-mortem's
+// per-link sends sum to the run's cost, evicted events included.
+func TestFlightCountersAreExact(t *testing.T) {
+	reg := obs.NewRegistry()
+	rec := obs.NewRecorder(nil, reg)
+	e, err := runtime.StartEngine(consensus.FloodSetWS{}, runtime.EngineConfig{
+		N: 3, T: 1, Metrics: reg, Events: rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handles := make([]*runtime.Instance, 200)
+	for i := range handles {
+		if handles[i], err = e.OpenWith(func(id model.ProcessID) model.Value {
+			return model.Value(i + int(id))
+		}, runtime.OpenOptions{Events: rec}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, h := range handles {
+		<-h.Done()
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "flight.jsonl")
+	if err := rec.DumpTo(path); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := obs.ReadDumpFile(path); err != nil || d.Header.Dropped == 0 {
+		t.Fatalf("want a run that overflows the ring: %v", err)
+	}
+
+	code, out, errOut := runTrace(t, "-flight", path)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut)
+	}
+	var sent int64
+	for _, line := range strings.Split(out, "\n") {
+		name, value, ok := strings.Cut(strings.TrimSpace(line), " ")
+		if ok && strings.HasPrefix(name, netobs.MetricLinkMessagesSent+"{") {
+			v, err := strconv.ParseInt(value, 10, 64)
+			if err != nil {
+				t.Fatalf("counter line %q: %v", line, err)
+			}
+			sent += v
+		}
+	}
+	if cost := e.Stats().Cost.Messages; sent != cost {
+		t.Errorf("per-link sends in the post-mortem sum to %d, the run's cost says %d:\n%s", sent, cost, out)
+	}
+	if !strings.Contains(out, "  decide ") {
+		t.Errorf("activity lists no decide events:\n%s", out)
 	}
 }

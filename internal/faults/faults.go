@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"repro/internal/model"
-	"repro/internal/netobs"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -137,9 +136,6 @@ type Config struct {
 	Metrics *obs.Registry
 	// Events, when non-nil, receives partition/heal/crash/recover events.
 	Events obs.Sink
-	// Flight, when non-nil, mirrors every injected fault into the flight
-	// recorder.
-	Flight *netobs.Recorder
 }
 
 // Decision is one per-message fault verdict.
@@ -239,8 +235,6 @@ type Injector struct {
 	dropLoss, dropPartition, dropCrash *obs.Counter
 	duplicated, reordered, delayed     *obs.Counter
 	transitions                        *obs.Counter
-
-	flight *netobs.Recorder
 }
 
 // NewInjector builds an injector for the config.
@@ -260,7 +254,6 @@ func NewInjector(cfg Config) *Injector {
 		reordered:     reg.Counter(MetricReordered),
 		delayed:       reg.Counter(MetricDelayed),
 		transitions:   reg.Counter(MetricTransitions),
-		flight:        cfg.Flight,
 	}
 }
 
@@ -448,17 +441,6 @@ func (in *Injector) partitioned(from, to model.ProcessID, now time.Duration) boo
 	return false
 }
 
-// record counts one injected fault on c and mirrors it into the flight
-// recorder, if there is one.
-func (in *Injector) record(c *obs.Counter, from, to model.ProcessID, kind, note string) {
-	c.Inc()
-	if in.flight == nil {
-		return
-	}
-	in.flight.Record(netobs.Record{Cat: netobs.CatNet, Kind: kind,
-		Transport: "faults", Link: netobs.Link{From: from, To: to}.String(), Note: note})
-}
-
 // Wrap subjects every send through t to the fault schedule. Receives pass
 // through untouched (faults are injected at the sending side, where the
 // link identity is known).
@@ -498,10 +480,10 @@ func (t *transport) SendAfter(to model.ProcessID, data []byte, extra time.Durati
 	now := in.elapsed()
 	switch {
 	case in.crashed(from, now) || in.crashed(to, now):
-		in.record(in.dropCrash, from, to, "inject-drop", "crash")
+		in.dropCrash.Inc()
 		return nil
 	case in.partitioned(from, to, now):
-		in.record(in.dropPartition, from, to, "inject-drop", "partition")
+		in.dropPartition.Inc()
 		return nil
 	}
 	lf := in.cfg.Default
@@ -510,20 +492,20 @@ func (t *transport) SendAfter(to model.ProcessID, data []byte, extra time.Durati
 	}
 	d := in.decide(Link{From: from, To: to}, lf)
 	if d.Drop {
-		in.record(in.dropLoss, from, to, "inject-drop", "loss")
+		in.dropLoss.Inc()
 		return nil
 	}
 	if d.Spike > 0 {
-		in.record(in.delayed, from, to, "inject-delay", "spike")
+		in.delayed.Inc()
 		extra += d.Spike
 	}
 	if d.Reorder {
-		in.record(in.reordered, from, to, "inject-delay", "reorder")
+		in.reordered.Inc()
 		extra += 2 * time.Millisecond
 	}
 	err := t.next.SendAfter(to, data, extra)
 	if d.Duplicate {
-		in.record(in.duplicated, from, to, "inject-dup", "")
+		in.duplicated.Inc()
 		if e := t.next.SendAfter(to, data, extra); err == nil {
 			err = e
 		}

@@ -123,10 +123,3 @@ func (fd *BoundedFD) Observe(env wire.Envelope) {
 		fd.Send(wire.Envelope{To: env.From, Kind: wire.KindFDAck}) // refused once stopped
 	}
 }
-
-// LinkPings reports how many pings (resends included) went to peer j.
-func (fd *BoundedFD) LinkPings(j model.ProcessID) int64 {
-	fd.mu.Lock()
-	defer fd.mu.Unlock()
-	return fd.links[j].pings
-}

@@ -135,18 +135,3 @@ func (fd *RingFD) Observe(env wire.Envelope) {
 		}
 	}
 }
-
-// Forwards reports digests sent; Reroutes how many skipped a suspected
-// successor (the ring healing around a crash).
-func (fd *RingFD) Forwards() int64 {
-	fd.mu.Lock()
-	defer fd.mu.Unlock()
-	return fd.forwards
-}
-
-// Reroutes reports digests routed past a stalled successor.
-func (fd *RingFD) Reroutes() int64 {
-	fd.mu.Lock()
-	defer fd.mu.Unlock()
-	return fd.reroutes
-}

@@ -92,14 +92,3 @@ func (fd *SDDFD) Suspects() model.ProcSet {
 	}
 	return s
 }
-
-// BoundaryPolls counts polls inside the SS/SP gap — where a synchronous
-// system would already have acted while SP provably must keep waiting.
-func (fd *SDDFD) BoundaryPolls() int64 { return fd.boundaryPolls.Load() }
-
-// SSRaises counts SS-window suspicion edges (how often the tight bound
-// fired at all, retracted or not).
-func (fd *SDDFD) SSRaises() int64 { return fd.ssRaises.Load() }
-
-// Windows reports the harness's two silence bounds (SS, SP).
-func (fd *SDDFD) Windows() (ss, sp time.Duration) { return fd.ssWindow, fd.Window(fd.peer) }

@@ -62,17 +62,6 @@ func (f *FailurePattern) CrashTime(p ProcessID) Time {
 	return f.crashAt[p-1]
 }
 
-// CrashedBy returns F(t): the set of processes that have crashed by time t.
-func (f *FailurePattern) CrashedBy(t Time) ProcSet {
-	var s ProcSet
-	for i, ct := range f.crashAt {
-		if ct <= t {
-			s = s.Add(ProcessID(i + 1))
-		}
-	}
-	return s
-}
-
 // Alive reports whether p is alive at time t, i.e. p ∉ F(t).
 func (f *FailurePattern) Alive(p ProcessID, t Time) bool {
 	return p.Valid(f.n) && f.crashAt[p-1] > t

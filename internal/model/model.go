@@ -297,13 +297,6 @@ func (s ValueSet) Len() int { return len(s.vs) }
 // copy Values makes.
 func (s ValueSet) At(i int) Value { return s.vs[i] }
 
-// Values returns the elements in increasing order. The slice is a copy.
-func (s ValueSet) Values() []Value {
-	out := make([]Value, len(s.vs))
-	copy(out, s.vs)
-	return out
-}
-
 // Equal reports whether two sets contain exactly the same elements.
 func (s ValueSet) Equal(o ValueSet) bool {
 	if len(s.vs) != len(o.vs) {

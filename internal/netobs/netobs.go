@@ -4,7 +4,7 @@
 // needs alongside its round counts — messages per decision and bytes per
 // decision.
 //
-// Three instruments cooperate:
+// Two instruments cooperate:
 //
 //   - WireStats counts codec conversions per message type (count and byte
 //     size, encode and decode side), folded in by whoever converts.
@@ -13,9 +13,6 @@
 //     counters by reason, queue-depth high-water gauges, and the TCP
 //     reconnect/retransmit counters, plus the aggregate
 //     {transport="..."} families. Its totals are the sums of its links.
-//   - Recorder (recorder.go) is the flight recorder: a fixed-size ring of
-//     recent transport/FD records dumped as deterministic JSONL on crash,
-//     conformance failure or SIGQUIT.
 //
 // Each fact is counted once, in a scoped obs.Counter: the instrument reads
 // its own total from it (a single run's cost, even when the registry is
@@ -27,7 +24,6 @@ package netobs
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/model"
@@ -194,8 +190,7 @@ type Link struct {
 	From, To model.ProcessID
 }
 
-// String renders the link as it appears in metric labels and flight
-// records, e.g. "p1>p2".
+// String renders the link as it appears in metric labels, e.g. "p1>p2".
 func (l Link) String() string { return fmt.Sprintf("p%d>p%d", l.From, l.To) }
 
 // LinkTotals is one link's (or one transport's aggregate) accounting.
@@ -247,11 +242,10 @@ func (lc *linkCounters) totals() LinkTotals {
 // LinkTap is one transport flavour's telemetry: per-link counters plus the
 // aggregate {transport="..."} families. The runtime networks own one each
 // and report every send, receive, drop, queue depth, reconnect and retry
-// through it; an optional Recorder sees the same stream as flight records.
+// through it.
 type LinkTap struct {
 	reg     *obs.Registry
 	flavour string
-	rec     *Recorder
 
 	// The aggregate families; the tap's own totals are its links' sums.
 	aSent, aSentB, aRecv, aRecvB, aDropped *obs.Counter
@@ -261,16 +255,14 @@ type LinkTap struct {
 	links map[Link]*linkCounters
 }
 
-// NewLinkTap builds the flavour's telemetry on reg ("chan", "tcp", ...),
-// optionally mirroring every record into the flight recorder.
-func NewLinkTap(reg *obs.Registry, flavour string, rec *Recorder) *LinkTap {
+// NewLinkTap builds the flavour's telemetry on reg ("chan", "tcp", ...).
+func NewLinkTap(reg *obs.Registry, flavour string) *LinkTap {
 	label := func(name string) *obs.Counter {
 		return reg.Counter(obs.Label(name, "transport", flavour))
 	}
 	return &LinkTap{
 		reg:         reg,
 		flavour:     flavour,
-		rec:         rec,
 		aSent:       label(MetricTransportMessagesSent),
 		aSentB:      label(MetricTransportBytesSent),
 		aRecv:       label(MetricTransportMessagesReceived),
@@ -280,16 +272,6 @@ func NewLinkTap(reg *obs.Registry, flavour string, rec *Recorder) *LinkTap {
 		aRetries:    label(MetricTransportRetries),
 		links:       make(map[Link]*linkCounters),
 	}
-}
-
-// SetRecorder attaches (or detaches, with nil) the flight recorder. Call
-// before traffic flows; the field is not synchronized against concurrent
-// taps.
-func (lt *LinkTap) SetRecorder(rec *Recorder) {
-	if lt == nil {
-		return
-	}
-	lt.rec = rec
 }
 
 // link returns (creating on first use) the per-link instrument set.
@@ -338,8 +320,6 @@ func (lt *LinkTap) Sent(from, to model.ProcessID, bytes int) {
 	lc.bytesSent.Add(int64(bytes))
 	lt.aSent.Inc()
 	lt.aSentB.Add(int64(bytes))
-	lt.rec.Record(Record{Cat: CatNet, Kind: "send", Transport: lt.flavour,
-		Link: lc.name, Bytes: bytes})
 }
 
 // Received records one message delivered to its destination inbox.
@@ -352,8 +332,6 @@ func (lt *LinkTap) Received(from, to model.ProcessID, bytes int) {
 	lc.bytesRecv.Add(int64(bytes))
 	lt.aRecv.Inc()
 	lt.aRecvB.Add(int64(bytes))
-	lt.rec.Record(Record{Cat: CatNet, Kind: "recv", Transport: lt.flavour,
-		Link: lc.name, Bytes: bytes})
 }
 
 // Dropped records one message the transport itself lost, labelled with the
@@ -370,8 +348,6 @@ func (lt *LinkTap) Dropped(from, to model.ProcessID, reason string) {
 	}
 	c.(*obs.Counter).Inc()
 	lt.aDropped.Inc()
-	lt.rec.Record(Record{Cat: CatNet, Kind: "drop", Transport: lt.flavour,
-		Link: lc.name, Note: reason})
 }
 
 // QueueDepth records the link's queue occupancy after an enqueue; only the
@@ -393,8 +369,6 @@ func (lt *LinkTap) Reconnect(from, to model.ProcessID) {
 	lc := lt.link(Link{from, to})
 	lc.reconnects.Inc()
 	lt.aReconnects.Inc()
-	lt.rec.Record(Record{Cat: CatNet, Kind: "reconnect", Transport: lt.flavour,
-		Link: lc.name})
 }
 
 // Retry records one retransmission attempt on the link.
@@ -405,8 +379,6 @@ func (lt *LinkTap) Retry(from, to model.ProcessID) {
 	lc := lt.link(Link{from, to})
 	lc.retries.Inc()
 	lt.aRetries.Inc()
-	lt.rec.Record(Record{Cat: CatNet, Kind: "retry", Transport: lt.flavour,
-		Link: lc.name})
 }
 
 // Totals returns the transport's aggregate accounting: the sums of its
@@ -443,27 +415,6 @@ func (lt *LinkTap) PerLink() map[Link]LinkTotals {
 	for l, lc := range lt.links {
 		out[l] = lc.totals()
 	}
-	return out
-}
-
-// SortedLinks returns the tap's links in canonical (from, to) order — the
-// deterministic iteration order of reports.
-func (lt *LinkTap) SortedLinks() []Link {
-	if lt == nil {
-		return nil
-	}
-	lt.mu.RLock()
-	out := make([]Link, 0, len(lt.links))
-	for l := range lt.links {
-		out = append(out, l)
-	}
-	lt.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
 	return out
 }
 

@@ -1,7 +1,6 @@
 package netobs_test
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -106,7 +105,7 @@ func TestSharedRegistryKeepsOwnTotals(t *testing.T) {
 	reg := obs.NewRegistry()
 	for _, r := range []*obs.Registry{reg, nil} {
 		ws1, ws2 := netobs.NewWireStats(r), netobs.NewWireStats(r)
-		lt1, lt2 := netobs.NewLinkTap(r, "chan", nil), netobs.NewLinkTap(r, "chan", nil)
+		lt1, lt2 := netobs.NewLinkTap(r, "chan"), netobs.NewLinkTap(r, "chan")
 		ws1.AddEncoded(wire.KindW, 2, 20)
 		ws2.AddEncoded(wire.KindW, 3, 30)
 		lt1.Sent(1, 2, 10)
@@ -258,7 +257,7 @@ func TestInjectorConservation(t *testing.T) {
 
 func TestLinkTapQueueHighWaterAndResilience(t *testing.T) {
 	reg := obs.NewRegistry()
-	lt := netobs.NewLinkTap(reg, "test", nil)
+	lt := netobs.NewLinkTap(reg, "test")
 	lt.QueueDepth(1, 2, 3)
 	lt.QueueDepth(1, 2, 9)
 	lt.QueueDepth(1, 2, 5) // high water stays 9
@@ -330,7 +329,6 @@ func TestLinkTapQueueHighWaterAndResilience(t *testing.T) {
 	nilTap.QueueDepth(1, 2, 1)
 	nilTap.Reconnect(1, 2)
 	nilTap.Retry(1, 2)
-	nilTap.SetRecorder(nil)
 	if nilTap.PerLink() != nil || nilTap.SortedLinks() != nil {
 		t.Fatal("nil tap should report nothing")
 	}
@@ -390,188 +388,17 @@ func TestLinkString(t *testing.T) {
 	}
 }
 
-// TestRecorderRingEviction: the ring holds DefaultFlightCapacity = 4096
-// records and evicts the oldest at the 4097th.
-func TestRecorderRingEviction(t *testing.T) {
-	const capacity = 4096
-	rec := netobs.NewRecorder(nil)
-	header := func() netobs.DumpHeader {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := rec.WriteDump(&buf); err != nil {
-			t.Fatal(err)
-		}
-		d, err := netobs.ReadDump(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d.Header
-	}
-	for i := 0; i < capacity; i++ {
-		rec.Record(netobs.Record{Cat: netobs.CatNet, Kind: "send", Bytes: i})
-	}
-	if h := header(); h.Dropped != 0 || h.Capacity != capacity || h.Count != capacity {
-		t.Fatalf("full ring, dump header: %+v", h)
-	}
-	for i := capacity; i < capacity+6; i++ {
-		rec.Record(netobs.Record{Cat: netobs.CatNet, Kind: "send", Bytes: i})
-		if h := header(); h.Dropped != int64(i-capacity+1) || h.Count != capacity {
-			t.Fatalf("record %d, dump header: %+v", i+1, h)
-		}
-	}
-	got := rec.Records()
-	if len(got) != capacity {
-		t.Fatalf("ring holds %d records, want %d", len(got), capacity)
-	}
-	for i, r := range got {
-		if wantSeq := int64(6 + i); r.Seq != wantSeq || r.Bytes != 6+i {
-			t.Fatalf("record %d = %+v, want seq/bytes %d", i, r, wantSeq)
-		}
-	}
-
-	// Nil recorder: every entry point is a no-op.
-	var nilRec *netobs.Recorder
-	nilRec.Record(netobs.Record{})
-	nilRec.Emit(obs.Event{Type: obs.EventCrash})
-	if nilRec.Records() != nil {
-		t.Fatal("nil recorder should hold nothing")
-	}
-	if err := nilRec.WriteDump(&bytes.Buffer{}); err != nil {
-		t.Fatalf("nil recorder dump: %v", err)
-	}
-}
-
-func TestRecorderSinkCaptureAndForward(t *testing.T) {
-	next := &obs.Collector{}
-	rec := netobs.NewRecorder(next)
-	events := []obs.Event{
-		{Type: obs.EventSuspect, Proc: 3, By: 1, Round: 2},
-		{Type: obs.EventRetract, Proc: 3, By: 1, Round: 3},
-		{Type: obs.EventCrash, Proc: 2, Round: 1},
-		{Type: obs.EventRecover, Proc: 2, Round: 2},
-		{Type: obs.EventDecide, Proc: 1, Round: 2, Value: obs.Int64(7)},
-		{Type: obs.EventPartition, Round: 1},
-		{Type: obs.EventHeal, Round: 2},
-		{Type: obs.EventRoundStart, Round: 1}, // not recorded, still forwarded
-	}
-	for _, ev := range events {
-		rec.Emit(ev)
-	}
-	if got := len(next.Events()); got != len(events) {
-		t.Fatalf("forwarded %d events, want %d", got, len(events))
-	}
-	recs := rec.Records()
-	if len(recs) != 7 {
-		t.Fatalf("captured %d records, want 7: %+v", len(recs), recs)
-	}
-	if recs[0].Cat != netobs.CatFD || recs[0].Kind != "suspect" || recs[0].Note != "by=p1" {
-		t.Fatalf("suspect record: %+v", recs[0])
-	}
-	if recs[4].Kind != "decide" || recs[4].Note != "v=7" {
-		t.Fatalf("decide record: %+v", recs[4])
-	}
-}
-
-// TestDumpDeterministic: the same record sequence produces byte-identical
-// dumps — the fixed-seed replay property the flight recorder guarantees.
-func TestDumpDeterministic(t *testing.T) {
-	build := func() []byte {
-		rec := netobs.NewRecorder(nil)
-		lt := netobs.NewLinkTap(obs.NewRegistry(), "chan", rec)
-		for i := 0; i < 40; i++ {
-			from := model.ProcessID(1 + i%3)
-			to := model.ProcessID(1 + (i+1)%3)
-			lt.Sent(from, to, 4+i%5)
-			if i%7 == 0 {
-				lt.Dropped(from, to, netobs.DropLoss)
-			} else {
-				lt.Received(from, to, 4+i%5)
-			}
-		}
-		rec.Emit(obs.Event{Type: obs.EventDecide, Proc: 1, Round: 2, Value: obs.Int64(3)})
-		var buf bytes.Buffer
-		if err := rec.WriteDump(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	a, b := build(), build()
-	if !bytes.Equal(a, b) {
-		t.Fatal("dumps of identical record sequences differ")
-	}
-
-	// And the dump round-trips: parse, re-serialize, byte-compare.
-	d, err := netobs.ReadDump(bytes.NewReader(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec2 := netobs.NewRecorder(nil)
-	for _, r := range d.Records {
-		rec2.Record(r)
-	}
-	var buf2 bytes.Buffer
-	if err := rec2.WriteDump(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := netobs.ReadDump(&buf2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d2.Records) != len(d.Records) {
-		t.Fatalf("round-trip lost records: %d vs %d", len(d2.Records), len(d.Records))
-	}
-	for i := range d.Records {
-		if d.Records[i] != d2.Records[i] {
-			t.Fatalf("record %d changed in round-trip: %+v vs %+v", i, d.Records[i], d2.Records[i])
-		}
-	}
-}
-
-func TestDumpFileAndErrors(t *testing.T) {
-	rec := netobs.NewRecorder(nil)
-	rec.Record(netobs.Record{Cat: netobs.CatNet, Kind: "send", Link: "p1>p2", Bytes: 6})
-	path := t.TempDir() + "/flight.jsonl"
-	if err := rec.DumpTo(path); err != nil {
-		t.Fatal(err)
-	}
-	d, err := netobs.ReadDumpFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Header.Capacity != netobs.DefaultFlightCapacity || d.Header.Count != 1 {
-		t.Fatalf("header: %+v", d.Header)
-	}
-
-	if _, err := netobs.ReadDump(strings.NewReader("")); err == nil {
-		t.Fatal("empty dump should fail")
-	}
-	if _, err := netobs.ReadDump(strings.NewReader("{bad json\n")); err == nil {
-		t.Fatal("corrupt header should fail")
-	}
-	if _, err := netobs.ReadDump(strings.NewReader(`{"flight":9,"count":0}` + "\n")); err == nil {
-		t.Fatal("unknown version should fail")
-	}
-	if _, err := netobs.ReadDump(strings.NewReader(`{"flight":1,"count":2}` + "\n" + `{"seq":0}` + "\n")); err == nil {
-		t.Fatal("count mismatch should fail")
-	}
-	if _, err := netobs.ReadDump(strings.NewReader(`{"flight":1,"count":1}` + "\n" + "not json\n")); err == nil {
-		t.Fatal("corrupt record should fail")
-	}
-	if _, err := netobs.ReadDumpFile(path + ".missing"); err == nil {
-		t.Fatal("missing file should fail")
-	}
-}
-
-// TestFlightThroughCluster: a seeded faulty cluster records injector and
-// transport activity into the flight ring, and the dump carries it.
+// TestFlightThroughCluster: a seeded faulty cluster's flight dump carries
+// its events and, from the registry, exact transport and fault totals: the
+// per-link sends sum to the run's cost.
 func TestFlightThroughCluster(t *testing.T) {
-	rec := netobs.NewRecorder(nil)
+	reg := obs.NewRegistry()
+	rec := obs.NewRecorder(nil, reg)
 	cfg := runtime.EngineConfig{
 		Kind: rounds.RS, T: 1,
 		RoundDuration: 10 * time.Millisecond,
-		Metrics:       obs.NewRegistry(),
+		Metrics:       reg,
 		Events:        rec,
-		Flight:        rec,
 		Faults: &faults.Config{
 			Seed:    11,
 			Default: faults.LinkFaults{Drop: 0.2, Duplicate: 0.1},
@@ -589,24 +416,28 @@ func TestFlightThroughCluster(t *testing.T) {
 	if err := rec.DumpTo(path); err != nil {
 		t.Fatal(err)
 	}
-	dump, err := netobs.ReadDumpFile(path)
+	dump, err := obs.ReadDumpFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sends, injected, decides int
-	for _, r := range dump.Records {
-		switch r.Kind {
-		case "send":
-			sends++
-		case "inject-drop", "inject-dup":
-			injected++
-		case "decide":
+	decides := 0
+	for _, ev := range dump.Events {
+		if ev.Type == obs.EventDecide {
 			decides++
 		}
 	}
-	if sends == 0 || injected == 0 || decides != 3 {
-		t.Fatalf("flight dump misses categories: sends=%d injected=%d decides=%d (want 3)",
-			sends, injected, decides)
+	var sent, injected int64
+	for name, v := range dump.Header.Counters {
+		switch {
+		case strings.HasPrefix(name, netobs.MetricLinkMessagesSent+"{"):
+			sent += v
+		case strings.HasPrefix(name, "ssfd_faults_"):
+			injected += v
+		}
+	}
+	if decides != 3 || injected == 0 || sent != cr.Stats.Cost.Messages {
+		t.Fatalf("flight dump: %d decides (want 3), %d injected faults (want >0), %d per-link sends (want the cost's %d)",
+			decides, injected, sent, cr.Stats.Cost.Messages)
 	}
 }
 
@@ -628,7 +459,7 @@ func TestKindLabelsExhaustive(t *testing.T) {
 }
 
 func TestSortedLinksOrder(t *testing.T) {
-	lt := netobs.NewLinkTap(obs.NewRegistry(), "chan", nil)
+	lt := netobs.NewLinkTap(obs.NewRegistry(), "chan")
 	for _, l := range []netobs.Link{{From: 2, To: 1}, {From: 1, To: 3}, {From: 1, To: 2}} {
 		lt.Sent(l.From, l.To, 1)
 	}

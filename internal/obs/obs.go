@@ -1,7 +1,9 @@
 // Package obs is the repository's instrumentation layer: a dependency-free
 // metrics registry (atomic counters, gauges and fixed-bucket histograms
 // with a snapshot API), a structured JSONL event emitter for run records,
-// Prometheus-text exposition over HTTP, and pprof profiling hooks.
+// the flight recorder (a ring of the last events, dumped with the
+// registry's counters), Prometheus-text exposition over HTTP, and pprof
+// profiling hooks.
 //
 // The paper's claims are quantitative — latency degrees Λ, message counts,
 // detector suspicions — and this package makes them machine-readable: the

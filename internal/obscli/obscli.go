@@ -16,7 +16,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"repro/internal/netobs"
 	"repro/internal/obs"
 )
 
@@ -37,7 +36,7 @@ type Flags struct {
 	CPUProfile *string
 	MemProfile *string
 
-	flight *netobs.Recorder
+	flight *obs.Recorder
 }
 
 func strv(p *string) string {
@@ -54,17 +53,18 @@ func RegisterOn(fs *flag.FlagSet) *Flags {
 	return &Flags{
 		Metrics:    fs.String("metrics", "", "serve Prometheus metrics and /healthz on this address (e.g. 127.0.0.1:9090) for the program's lifetime"),
 		Events:     fs.String("events", "", "append structured JSONL run events to this file"),
-		Flight:     fs.String("flight", "", "arm the flight recorder; dump recent transport/FD records to this file on failure or SIGQUIT"),
+		Flight:     fs.String("flight", "", "arm the flight recorder; on failure or SIGQUIT dump the recent events and the transport and fault counters to this file"),
 		CPUProfile: fs.String("cpuprofile", "", "write a CPU profile to this file"),
 		MemProfile: fs.String("memprofile", "", "write a heap profile to this file on exit"),
 	}
 }
 
 // Setup starts whatever the parsed flags requested: the metrics endpoint
-// (over obs.Default), the CPU profile, and the JSONL event emitter. It
-// returns the event sink (nil when -events is unset) and a teardown to run
-// on every exit path — including error exits — which flushes and closes
-// everything and returns the first failure (it also writes -memprofile).
+// (over obs.Default), the CPU profile, the JSONL event emitter and the
+// flight recorder. It returns the event sink (nil when neither -events nor
+// -flight is set) and a teardown to run on every exit path — including
+// error exits — which flushes and closes everything and returns the first
+// failure (it also writes -memprofile).
 func (f *Flags) Setup() (obs.Sink, func() error, error) {
 	var teardowns []func() error
 	teardown := func() error {
@@ -123,10 +123,10 @@ func (f *Flags) Setup() (obs.Sink, func() error, error) {
 	}
 
 	if strv(f.Flight) != "" {
-		// The recorder becomes the outermost event sink so detector and
-		// lifecycle events are captured alongside the transport records the
-		// runtime writes into it directly (via FlightRecorder below).
-		f.flight = netobs.NewRecorder(sink)
+		// The recorder becomes the outermost event sink: it keeps the last
+		// events of the stream and dumps them with the counters -metrics
+		// serves.
+		f.flight = obs.NewRecorder(sink, obs.Default)
 		sink = f.flight
 		path := *f.Flight
 		// SIGQUIT dumps the ring and exits — the in-flight post-mortem hook
@@ -153,11 +153,6 @@ func (f *Flags) Setup() (obs.Sink, func() error, error) {
 	}
 	return sink, teardown, nil
 }
-
-// FlightRecorder returns the armed flight recorder (nil without -flight).
-// Commands pass it to the runtime so transports and injectors record into
-// it.
-func (f *Flags) FlightRecorder() *netobs.Recorder { return f.flight }
 
 // DumpFlight writes the flight ring to the -flight path — the hook
 // commands call on a failing exit. A no-op (returning false) without

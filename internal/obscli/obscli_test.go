@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/netobs"
 	"repro/internal/obs"
 )
 
@@ -84,25 +83,21 @@ func TestSetupFlight(t *testing.T) {
 
 	// The recorder is the outermost sink: events are captured into the
 	// ring AND forwarded to the -events stream.
-	rec := f.FlightRecorder()
-	if rec == nil || sink != obs.Sink(rec) {
-		t.Fatalf("flight recorder not chained as the sink (rec=%v)", rec)
+	if sink == nil {
+		t.Fatal("no event sink with -flight armed")
 	}
 	sink.Emit(obs.Event{Type: obs.EventDecide, Round: 2, Proc: 1, Value: obs.Int64(7)})
-	if got := len(rec.Records()); got != 1 {
-		t.Fatalf("ring holds %d records, want 1", got)
-	}
 
 	dumped, err := f.DumpFlight()
 	if err != nil || !dumped {
 		t.Fatalf("DumpFlight = (%v, %v), want (true, nil)", dumped, err)
 	}
-	d, err := netobs.ReadDumpFile(dump)
+	d, err := obs.ReadDumpFile(dump)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Records) != 1 || d.Records[0].Kind != "decide" {
-		t.Fatalf("dump records = %+v", d.Records)
+	if len(d.Events) != 1 || d.Events[0].Type != obs.EventDecide {
+		t.Fatalf("dump events = %+v", d.Events)
 	}
 
 	if err := teardown(); err != nil {

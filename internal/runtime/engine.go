@@ -153,9 +153,6 @@ type EngineConfig struct {
 	// events are per instance (OpenOptions.Events), so 100k unobserved
 	// instances emit nothing. The sink must be safe for concurrent use.
 	Events obs.Sink
-	// Flight, when non-nil, receives the default network's and the fault
-	// injector's transport flight records (see netobs.Recorder).
-	Flight *netobs.Recorder
 }
 
 // OpenOptions attaches observation and faults to one instance.
@@ -442,7 +439,7 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 
 	network := cfg.Network
 	if network == nil {
-		network = NewChanNetwork(n, ChanConfig{MaxDelay: time.Millisecond, Metrics: reg, Flight: cfg.Flight})
+		network = NewChanNetwork(n, ChanConfig{MaxDelay: time.Millisecond, Metrics: reg})
 	}
 	var inj *faults.Injector
 	if cfg.Faults != nil {
@@ -452,9 +449,6 @@ func StartEngine(alg rounds.Algorithm, cfg EngineConfig) (*Engine, error) {
 		}
 		if fcfg.Events == nil {
 			fcfg.Events = cfg.Events
-		}
-		if fcfg.Flight == nil {
-			fcfg.Flight = cfg.Flight
 		}
 		inj = faults.NewInjector(fcfg)
 	}

@@ -87,7 +87,7 @@ func NewTCPNetwork(n int, opts ...TCPOption) (*TCPNetwork, error) {
 		inboxes:   make([]*inbox, n+1),
 		links:     make(map[linkKey]*tcpLink),
 		done:      make(chan struct{}),
-		tm:        netobs.NewLinkTap(options.metrics, "tcp", nil),
+		tm:        netobs.NewLinkTap(options.metrics, "tcp"),
 	}
 	for i := 1; i <= n; i++ {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -183,22 +183,6 @@ func (nw *TCPNetwork) Close() error {
 	return nil
 }
 
-// BreakConnections abruptly closes every established outgoing connection —
-// the chaos hook the adversity tests (and experiments) use to exercise
-// reconnection. In-flight frames may be lost; subsequent sends re-dial
-// with backoff and drain their queues.
-func (nw *TCPNetwork) BreakConnections() {
-	nw.mu.Lock()
-	links := make([]*tcpLink, 0, len(nw.links))
-	for _, l := range nw.links {
-		links = append(links, l)
-	}
-	nw.mu.Unlock()
-	for _, l := range links {
-		l.closeConn()
-	}
-}
-
 // send routes one frame onto the link's queue. It never blocks: a full
 // queue (a peer down longer than the queue absorbs) drops the frame with a
 // counter, mirroring what a real bounded send buffer does.
@@ -235,8 +219,8 @@ func (nw *TCPNetwork) send(from, to model.ProcessID, data []byte) error {
 }
 
 // tcpLink is one ordered sender→receiver connection, owned by its
-// writeLoop goroutine; connMu only guards the conn pointer so Close and
-// BreakConnections can sever it from outside.
+// writeLoop goroutine; connMu only guards the conn pointer so Close can
+// sever it from outside.
 type tcpLink struct {
 	nw       *TCPNetwork
 	from, to model.ProcessID

@@ -144,9 +144,6 @@ type ChanConfig struct {
 	// Metrics receives the transport's message/byte counters (labelled
 	// {transport="chan"}). Nil uses the process-wide obs.Default registry.
 	Metrics *obs.Registry
-	// Flight, if set, mirrors every transport record into the flight
-	// recorder.
-	Flight *netobs.Recorder
 }
 
 // ChanNetwork is a fully connected in-process network with per-message
@@ -309,7 +306,7 @@ func NewChanNetwork(n int, cfg ChanConfig) *ChanNetwork {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		inboxes: make([]*inbox, n+1),
 		queues:  make([]deliveryQueue, n+1),
-		tm:      netobs.NewLinkTap(reg, "chan", cfg.Flight),
+		tm:      netobs.NewLinkTap(reg, "chan"),
 	}
 	for i := 1; i <= n; i++ {
 		nw.inboxes[i] = newInbox(model.ProcessID(i), nw.tm, cfg.Buffer)

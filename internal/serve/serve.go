@@ -95,6 +95,11 @@ type Config struct {
 	// Metrics receives the server's and engine's instruments; nil uses
 	// obs.Default.
 	Metrics *obs.Registry
+	// Events, when non-nil, receives the engine's events: detector
+	// suspect/retract edges, injected-fault transitions and the cost event
+	// the engine emits when the server closes (see
+	// runtime.EngineConfig.Events).
+	Events obs.Sink
 
 	// TraceSample is the head-sampling rate for deep request traces in
 	// [0,1]: 0 defaults to 0.01 (1%), negative disables sampling entirely,
@@ -192,6 +197,7 @@ func New(cfg Config) (*Server, error) {
 		WaitBound:         cfg.WaitBound,
 		Faults:            cfg.Faults,
 		Metrics:           reg,
+		Events:            cfg.Events,
 		OnInstanceDecided: s.instanceDecided,
 		OnInstanceDone:    s.instanceDone,
 	})

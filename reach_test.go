@@ -336,18 +336,9 @@ func (g *reachGraph) walk() {
 // queries on kept types that tests read.
 var reachAllowlist = map[string]string{
 	// Test seams on live state.
-	"internal/fdimpl.BoundedFD.LinkPings":          "the bounded detector tests count its pings per link",
-	"internal/fdimpl.RingFD.Forwards":              "the ring tests count digests forwarded",
-	"internal/fdimpl.RingFD.Reroutes":              "the ring tests count reroutes around a crash",
-	"internal/fdimpl.SDDFD.BoundaryPolls":          "the SDD detector tests read its boundary polls",
-	"internal/fdimpl.SDDFD.SSRaises":               "the SDD detector tests read its SS-side raises",
-	"internal/fdimpl.SDDFD.Windows":                "the SDD detector tests read its windows",
-	"internal/netobs.LinkTap.SetRecorder":          "the link tap tests install a recorder",
-	"internal/netobs.LinkTap.PerLink":              "mesh and detector tests read per-link tallies",
-	"internal/netobs.LinkTap.SortedLinks":          "the link tap tests read links in order",
-	"internal/runtime.WithTCPMetrics":              "the TCP tests count transport metrics into their own registry",
-	"internal/runtime.TCPNetwork.BreakConnections": "the TCP reconnect tests break live links",
-	"internal/runtime.Engine.Closed":               "the serve shutdown tests wait on the engine's close",
+	"internal/netobs.LinkTap.PerLink": "mesh and detector tests read per-link tallies",
+	"internal/runtime.WithTCPMetrics": "the TCP tests count transport metrics into their own registry",
+	"internal/runtime.Engine.Closed":  "the serve shutdown tests wait on the engine's close",
 	// Checkers and references that tests compare against.
 	"internal/check.NewIntegrityAlgorithm":         "the integrity checker the consensus and check tests run",
 	"internal/check.IntegrityAlgorithm.Violations": "what the integrity checker reports",
@@ -363,18 +354,15 @@ var reachAllowlist = map[string]string{
 	"internal/fd.AccuracyOf":                       "maps a Class to its Accuracy for Satisfies",
 	"internal/rounds.Run.Totals":                   "the tally the rounds property tests hold the engine's counters to",
 	// Documented API.
-	"internal/obs.ReadEvents":             "README's events workflow reads a JSONL stream back",
 	"internal/serve.Client.Propose":       "the client half of POST /v1/propose, behind the exported ServeClient",
 	"internal/serve.Client.ProposeValues": "the client's batch propose, behind ServeClient",
 	"internal/serve.Client.Instance":      "the client half of GET /v1/instance, behind ServeClient",
 	"internal/serve.Client.DebugKeys":     "the client half of GET /v1/debug/keys, behind ServeClient",
 	"internal/serve.Client.Update":        "README's read-modify-write CAS loop, behind ServeClient",
 	// Short queries on kept types that tests read.
-	"internal/model.FailurePattern.CrashedBy": "the model tests read a pattern's crashes by time",
-	"internal/model.ValueSet.Values":          "the model tests read a value set's members",
-	"internal/model.ValueSet.Equal":           "the model tests compare value sets",
-	"internal/obs.Snapshot.Counter":           "tests read one counter of a registry snapshot",
-	"internal/step.Trace.InitiallyCrashed":    "the step and sdd tests read a trace's initial crashes",
-	"internal/tracing.Trace.Find":             "the tracing and serve tests look up a span",
-	"internal/emul.Result.Latency":            "three emul tests read an emulated run's latency",
+	"internal/model.ValueSet.Equal":        "the model tests compare value sets",
+	"internal/obs.Snapshot.Counter":        "tests read one counter of a registry snapshot",
+	"internal/step.Trace.InitiallyCrashed": "the step and sdd tests read a trace's initial crashes",
+	"internal/tracing.Trace.Find":          "the tracing and serve tests look up a span",
+	"internal/emul.Result.Latency":         "three emul tests read an emulated run's latency",
 }
